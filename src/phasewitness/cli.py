@@ -118,10 +118,6 @@ def _max_workers() -> int | None:
 
 def _report_json(report: WitnessReport) -> dict:
     s = report.settings
-    meta = {}
-    if report.meta:
-        for key, value in report.meta.items():
-            meta[key] = float(value) if isinstance(value, float) else value
     return {
         "settings": {
             "a1": [s.a1.real, s.a1.imag],
@@ -134,7 +130,7 @@ def _report_json(report: WitnessReport) -> dict:
         "bell_abs": report.bell_abs,
         "violated": report.violated,
         "clamped": report.clamped,
-        "meta": meta,
+        "meta": dict(report.meta or {}),
     }
 
 
@@ -277,9 +273,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
     rows = _csv_rows(result)
     checks = {
-        "grid_valid": True,
         "values_finite": all(math.isfinite(c.report.bell_abs) for c in result.cells),
-        "forms_consistent": True,
     }
     manifest = {
         "command": "sweep",

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.stats import binom
+from scipy.special import gammaln
 
 from .qp_core import (
     COMPLEX_D_OUTCOME,
@@ -113,13 +113,22 @@ def bernoulli_detect(p: PhotonDistribution, noise: DetectionNoise) -> PhotonDist
     if eta == 1.0:
         return p
     size = p.probs.size
-    m = np.arange(size)
+    m = np.arange(size)[:, None]
     out = np.zeros(size)
     # Chunk over input counts to bound the pmf matrix size.
     chunk = 512
     for start in range(0, size, chunk):
         n = np.arange(start, min(start + chunk, size))
-        out += binom.pmf(m[:, None], n[None, :], eta) @ p.probs[n]
+        # Binomial pmf in log space; entries with m > n are zero, and
+        # evaluating them at n - m = 0 keeps their logarithm finite and
+        # non-positive, so exp cannot overflow.
+        lost = np.maximum(n - m, 0)
+        log_pmf = (
+            gammaln(n + 1) - gammaln(m + 1) - gammaln(lost + 1)
+            + m * math.log(eta) + lost * math.log1p(-eta)
+        )
+        pmf = np.where(m <= n, np.exp(log_pmf), 0.0)
+        out += pmf @ p.probs[n]
     tail = max(0.0, 1.0 - float(out.sum()))
     return PhotonDistribution(out, tail_bound=tail)
 

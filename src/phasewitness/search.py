@@ -137,7 +137,6 @@ def maximize_bell(
             best_x = np.array(res.x, dtype=float)
     report = objective(BellSettings.from_vector(best_x))
     meta = {
-        **(dict(report.meta) if report.meta else {}),
         "n_evals": int(total_evals),
         "n_starts": config.n_starts,
         "unconverged_starts": int(cap_hits),

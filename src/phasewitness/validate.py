@@ -185,20 +185,65 @@ def _thermal_convolution(quick: bool) -> SuiteResult:
     return SuiteResult("thermal_convolution", worst <= tol, worst, tol)
 
 
+def _field_route(
+    spec, s_prime: OrderParam, frame_scale: float, transmission: float, clamp_mode: str
+) -> Callable[[BellSettings], float]:
+    """The TMSV witness from ``bell_value`` over the closed-form fields.
+
+    Unclamped cells read the fields and coefficients at s'.  Clamped
+    cells take coefficients at -1: the frozen rule reads the fields at
+    s', the bounded rule scales them by (1 - s')/2 per mode (the on-off
+    identity behind its coefficients), and the loss-channel rule reads
+    the order -1 fields of the state after pure loss at ``transmission``.
+    """
+    sp = s_prime.real
+    if sp < -1.0 and clamp_mode == witness.CLAMP_LOSS_CHANNEL:
+        # The channel's own 1/sqrt(g) is the whole rescale of the settings.
+        loss = ThermalNoise(r=math.sqrt(1.0 - transmission))
+
+        def w2(a, b):
+            return noise_mod.evolve_thermal_w(
+                lambda x, y, o: states.tmsv_w2(spec, x, y, o), -1.0, loss, a, b
+            )
+
+        def w1(a):
+            return noise_mod.evolve_thermal_w(
+                lambda x, o: states.tmsv_w1(spec, x, o), -1.0, loss, a
+            )
+
+    else:
+        bounded = sp < -1.0 and clamp_mode == witness.CLAMP_BOUNDED
+        f = (1.0 - sp) / 2.0 if bounded else 1.0
+
+        def w2(a, b):
+            return f * f * states.tmsv_w2(spec, a * frame_scale, b * frame_scale, s_prime)
+
+        def w1(a):
+            return f * states.tmsv_w1(spec, a * frame_scale, s_prime)
+
+    order = s_prime if sp >= -1.0 else -1.0
+    return lambda settings: witness.bell_value(w2, w1, w1, settings, order)
+
+
 def _witness_form_equivalence(quick: bool) -> SuiteResult:
-    """Rescaled form against measured form at random settings."""
-    tol = witness.FORM_TOL
+    """Builder objectives against ``bell_value`` over the closed-form fields.
+
+    The second route shares no code with the objective builder: it takes
+    s' from ``noise.rescale_*``, fields from ``states.tmsv_w2``/``tmsv_w1``
+    (through ``noise.evolve_thermal_w`` for the loss-channel rule) and the
+    coefficients from ``witness.bell_value``; see ``_field_route``.
+    """
+    tol = 1e-12
     rng = np.random.default_rng(12345)
     n_settings = 5 if quick else 20
     spec = states.TmsvSpec(0.3)
     worst = 0.0
 
-    def probe(objective) -> float:
+    def probe(objective, route) -> float:
         w = 0.0
         for _ in range(n_settings):
             settings = BellSettings.from_vector(rng.uniform(-2.0, 2.0, 8))
-            report = objective(settings)
-            w = max(w, float(report.meta["form_residual"]))
+            w = max(w, abs(objective(settings).bell_value - route(settings)))
         return w
 
     detection_cells = (
@@ -207,11 +252,12 @@ def _witness_form_equivalence(quick: bool) -> SuiteResult:
         else [(eta, s) for eta in (0.3, 0.45, 0.5, 0.7, 1.0) for s in (0.0, -0.5, -1.0)]
     )
     for eta, s in detection_cells:
+        noise = DetectionNoise(eta)
+        s_prime = noise_mod.rescale_detection(s, noise)
         for mode in witness.CLAMP_MODES:
-            obj = witness.detection_objective(
-                spec, s, DetectionNoise(eta), clamp_mode=mode
-            )
-            worst = max(worst, probe(obj))
+            obj = witness.detection_objective(spec, s, noise, clamp_mode=mode)
+            route = _field_route(spec, s_prime, 1.0, eta, mode)
+            worst = max(worst, probe(obj, route))
     thermal_cells = (
         [(0.85, 0.5, 0.0)]
         if quick
@@ -223,13 +269,14 @@ def _witness_form_equivalence(quick: bool) -> SuiteResult:
         ]
     )
     for r, nbar, s in thermal_cells:
+        noise = ThermalNoise(r=r, nbar=nbar)
+        s_prime = noise_mod.rescale_thermal(s, noise)
         for mode in witness.CLAMP_MODES:
             if mode == witness.CLAMP_LOSS_CHANNEL and nbar > 0.0:
                 continue
-            obj = witness.thermal_objective(
-                spec, s, ThermalNoise(r=r, nbar=nbar), clamp_mode=mode
-            )
-            worst = max(worst, probe(obj))
+            obj = witness.thermal_objective(spec, s, noise, clamp_mode=mode)
+            route = _field_route(spec, s_prime, 1.0 / noise.t, 1.0 - r * r, mode)
+            worst = max(worst, probe(obj, route))
     return SuiteResult("witness_form_equivalence", worst <= tol, worst, tol)
 
 

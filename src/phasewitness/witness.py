@@ -5,9 +5,11 @@ so separable states obey |B| <= 2 and any strictly larger magnitude
 certifies entanglement (this is an entanglement witness, not a
 nonlocality test).
 
-Noise variants evaluate the functional along two algebraically equal
-routes, the rescaled form and the measured form with noise-power
-coefficients, and enforce their agreement at every point.
+Both noise models reach the TMSV witness through one builder: the noise
+rescales the order parameter to s' and the settings by a frame scale
+(1 for detection loss, 1/t for the thermal channel).  The independent
+route over the closed-form fields lives in ``validate``, off the hot
+path.
 
 When the rescaled order parameter falls below -1 the plain functional
 stops being a witness, because the observable spectrum leaves [-1, 1].
@@ -31,14 +33,8 @@ from dataclasses import dataclass, field
 from math import exp, pi
 from typing import Callable, Mapping
 
-from .noise import DetectionNoise, ThermalNoise
-from .qp_core import (
-    ConsistencyError,
-    OrderParam,
-    _point_value,
-    as_order_param,
-    parity_coefficient,
-)
+from .noise import DetectionNoise, ThermalNoise, rescale_detection, rescale_thermal
+from .qp_core import OrderParam, _point_value, as_order_param, parity_coefficient
 from .states import TmsvSpec
 
 __all__ = [
@@ -46,7 +42,6 @@ __all__ = [
     "CLAMP_FROZEN",
     "CLAMP_LOSS_CHANNEL",
     "CLAMP_MODES",
-    "FORM_TOL",
     "BellSettings",
     "WitnessReport",
     "observable_eigenvalue",
@@ -73,9 +68,6 @@ CLAMP_LOSS_CHANNEL = "loss_channel"
 
 #: All recognised clamping rules.
 CLAMP_MODES = (CLAMP_BOUNDED, CLAMP_FROZEN, CLAMP_LOSS_CHANNEL)
-
-#: Tolerance on the rescaled-form versus measured-form agreement.
-FORM_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -232,42 +224,43 @@ def _base_order(s) -> float:
     return s.real
 
 
-def _tmsv_report_factory(
+def _tmsv_objective(
     spec: TmsvSpec,
-    s_dist: float,
-    coefficients: tuple[float, float, float],
-    point_scale: float,
-    state_prefactor2: float,
-    state_prefactor1: float,
-    measured_power2: float,
-    measured_power1: float,
-    s_effective: OrderParam,
-    clamped: bool,
+    s_prime: OrderParam,
+    frame_scale: float,
+    transmission: float,
+    clamp_mode: str,
 ) -> Callable[[BellSettings], WitnessReport]:
-    """Build the per-settings evaluator shared by both noise variants.
+    """Per-settings TMSV witness evaluator at the rescaled order s'.
 
-    State values carry ``state_prefactor*``; the measured form divides
-    them by ``measured_power*`` and compensates in the coefficients,
-    which must reproduce the rescaled form to FORM_TOL.
+    Settings are multiplied by ``frame_scale`` before the fields are
+    read.  ``transmission`` is the intensity transmission g of the noise
+    channel (eta for detection loss, t^2 for the thermal interaction);
+    only the loss-channel rule uses it, reading the order -1 field of the
+    noisy state as (1/g) W(alpha/sqrt(g); 1 - 2/g) per mode.
     """
-    det = spec.joint_det(s_dist)
-    if det <= 0.0:
-        raise ValueError(f"quadratic form is not positive definite (det {det})")
-    width = spec.marginal_width(s_dist)
-    k2 = state_prefactor2 * 4.0 / (pi * pi * det)
-    e2 = 2.0 / det
-    k1 = state_prefactor1 * 2.0 / (pi * width)
-    e1 = 2.0 / width
-    sh2 = 2.0 * spec.sinh2xi
-    c2, c1, c0 = coefficients
-    c2m = c2 * measured_power2
-    c1m = c1 * measured_power1
+    if clamp_mode not in CLAMP_MODES:
+        raise ValueError(f"unknown clamp mode {clamp_mode!r}")
+    sp = s_prime.real
+    clamped = sp < -1.0
+    s_dist, weight2, weight1 = sp, 1.0, 1.0
+    if not clamped:
+        c2, c1, c0 = _coefficients(sp)
+    elif clamp_mode == CLAMP_BOUNDED:
+        c2, c1, c0 = _bounded_coefficients(sp)
+    else:
+        c2, c1, c0 = _coefficients(-1.0)
+        if clamp_mode == CLAMP_LOSS_CHANNEL:
+            g = transmission
+            s_dist, frame_scale = 1.0 - 2.0 / g, 1.0 / math.sqrt(g)
+            weight2, weight1 = 1.0 / (g * g), 1.0 / g
+    width, k2, e2, k1, e1, sh2 = spec.gaussian(s_dist, weight2, weight1)
 
     def evaluate(settings: BellSettings) -> WitnessReport:
-        a1 = settings.a1 * point_scale
-        a2 = settings.a2 * point_scale
-        b1 = settings.b1 * point_scale
-        b2 = settings.b2 * point_scale
+        a1 = settings.a1 * frame_scale
+        a2 = settings.a2 * frame_scale
+        b1 = settings.b1 * frame_scale
+        b2 = settings.b2 * frame_scale
         a1r, a1i = a1.real, a1.imag
         a2r, a2i = a2.real, a2.imag
         b1r, b1i = b1.real, b1.imag
@@ -283,66 +276,17 @@ def _tmsv_report_factory(
         w1a = k1 * exp(-e1 * na1)
         w1b = k1 * exp(-e1 * nb1)
         value = c2 * (w11 + w12 + w21 - w22) + c1 * (w1a + w1b) + c0
-        measured = (
-            c2m
-            * (
-                w11 / measured_power2
-                + w12 / measured_power2
-                + w21 / measured_power2
-                - w22 / measured_power2
-            )
-            + c1m * (w1a / measured_power1 + w1b / measured_power1)
-            + c0
-        )
-        residual = abs(value - measured)
-        if residual > FORM_TOL:
-            raise ConsistencyError(
-                f"witness forms disagree: rescaled {value!r} vs measured {measured!r}"
-            )
         bell_abs = abs(value)
         return WitnessReport(
             settings=settings,
-            s_effective=s_effective,
+            s_effective=s_prime,
             bell_value=value,
             bell_abs=bell_abs,
             violated=bell_abs > 2.0,
             clamped=clamped,
-            meta={"form_residual": residual},
         )
 
     return evaluate
-
-
-def _clamp_plan(
-    clamp_mode: str,
-    s_prime: float,
-    channel_scale: float,
-) -> tuple[tuple[float, float, float], float, float, float, float]:
-    """Coefficients, distribution order, point scale, state prefactors.
-
-    ``channel_scale`` is the intensity transmission of the noise channel
-    (eta for detection loss, t^2 for the thermal interaction); the
-    loss-channel rule evaluates the order -1 witness on the state after
-    that channel.
-    """
-    if clamp_mode not in CLAMP_MODES:
-        raise ValueError(f"unknown clamp mode {clamp_mode!r}")
-    if s_prime >= -1.0:
-        return _coefficients(s_prime), s_prime, 1.0, 1.0, 1.0
-    if clamp_mode == CLAMP_BOUNDED:
-        return _bounded_coefficients(s_prime), s_prime, 1.0, 1.0, 1.0
-    if clamp_mode == CLAMP_FROZEN:
-        return _coefficients(-1.0), s_prime, 1.0, 1.0, 1.0
-    # Loss channel: per mode W_noisy(alpha; -1) equals
-    # (1/g) W(alpha/sqrt(g); 1 - 2/g) with g the channel transmission.
-    g = channel_scale
-    return (
-        _coefficients(-1.0),
-        1.0 - 2.0 / g,
-        1.0 / math.sqrt(g),
-        1.0 / (g * g),
-        1.0 / g,
-    )
 
 
 def detection_objective(
@@ -352,24 +296,8 @@ def detection_objective(
     clamp_mode: str = CLAMP_BOUNDED,
 ) -> Callable[[BellSettings], WitnessReport]:
     """Per-settings witness evaluator for the TMSV under detection loss."""
-    sv = _base_order(s)
-    eta = noise.eta
-    s_prime = 1.0 - (1.0 - sv) / eta
-    coeffs, s_dist, point_scale, pref2, pref1 = _clamp_plan(
-        clamp_mode, s_prime, eta
-    )
-    return _tmsv_report_factory(
-        spec,
-        s_dist,
-        coeffs,
-        point_scale,
-        pref2,
-        pref1,
-        measured_power2=eta * eta,
-        measured_power1=eta,
-        s_effective=OrderParam.from_real(s_prime, rescaled=True),
-        clamped=s_prime < -1.0,
-    )
+    s_prime = rescale_detection(_base_order(s), noise)
+    return _tmsv_objective(spec, s_prime, 1.0, noise.eta, clamp_mode)
 
 
 def thermal_objective(
@@ -384,38 +312,15 @@ def thermal_objective(
     amplitude rescale to alpha/t happens inside.  The clamping rule is
     applied uniformly when the rescaled order falls below -1.
     """
-    sv = _base_order(s)
-    t_sq = 1.0 - noise.r * noise.r
-    s_prime = (sv - noise.r * noise.r * (1.0 + 2.0 * noise.nbar)) / t_sq
-    coeffs, s_dist, channel_scale, pref2, pref1 = _clamp_plan(
-        clamp_mode, s_prime, t_sq
-    )
-    if s_dist != s_prime:
-        # Loss-channel reading of the thermal interaction: the order -1
-        # distribution of the evolved state, expressed through the input
-        # at the doubly rescaled order (valid for nbar = 0 only, where
-        # the interaction is pure loss at transmission t^2).  Settings
-        # stay in the measured frame; the 1/t of the channel formula is
-        # the whole rescale.
-        if noise.nbar > 0.0:
-            raise ValueError(
-                "loss-channel clamping applies to the thermal interaction "
-                "only for nbar = 0"
-            )
-        point_scale = channel_scale
-    else:
-        point_scale = 1.0 / math.sqrt(t_sq)
-    return _tmsv_report_factory(
-        spec,
-        s_dist,
-        coeffs,
-        point_scale=point_scale,
-        state_prefactor2=pref2,
-        state_prefactor1=pref1,
-        measured_power2=t_sq * t_sq,
-        measured_power1=t_sq,
-        s_effective=OrderParam.from_real(s_prime, rescaled=True),
-        clamped=s_prime < -1.0,
+    s_prime = rescale_thermal(_base_order(s), noise)
+    if clamp_mode == CLAMP_LOSS_CHANNEL and s_prime.real < -1.0 and noise.nbar > 0.0:
+        # The loss-channel reading treats the interaction as pure loss at
+        # transmission t^2, which holds for a cold environment only.
+        raise ValueError(
+            "loss-channel clamping applies to the thermal interaction only for nbar = 0"
+        )
+    return _tmsv_objective(
+        spec, s_prime, 1.0 / noise.t, 1.0 - noise.r * noise.r, clamp_mode
     )
 
 

@@ -3,9 +3,14 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import phasewitness
 from phasewitness.cli import (
     CSV_HEADER,
     EXIT_IO,
@@ -21,6 +26,17 @@ def run_cli(argv, capsys):
     code = main(argv)
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def test_cli_import_leaves_out_scipy_stats():
+    # scipy.stats costs most of the CLI start-up time and nothing needs it.
+    env = dict(os.environ, PYTHONPATH=str(Path(phasewitness.__file__).parents[1]))
+    code = "import sys, phasewitness.cli; print('scipy.stats' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+        check=True, timeout=60,
+    )
+    assert out.stdout.strip() == "False"
 
 
 class TestArgumentHandling:
@@ -47,6 +63,11 @@ class TestArgumentHandling:
             ["eval", "--xi", "0.3", "--s", "0", "--settings", "0,0,0,zz"], capsys
         )
         assert code == EXIT_USAGE
+        # cosh(2 xi) overflows: a usage error, not a traceback.
+        code, _, err = run_cli(
+            ["eval", "--xi", "400", "--s", "0", "--settings", "0,0,0,0"], capsys
+        )
+        assert code == EXIT_USAGE and "error:" in err
 
     def test_noise_parameters_are_required(self, capsys):
         code, _, _ = run_cli(
@@ -85,7 +106,6 @@ class TestEval:
         assert payload["clamped"] is False
         assert payload["s_effective"] == pytest.approx(-1.0, abs=1e-15)
         assert payload["settings"]["a1"] == [0.0, 0.0]
-        assert "form_residual" in payload["meta"]
 
     def test_optimized_lossy_evaluation_is_clamped_violation(self, capsys):
         code, out, _ = run_cli(
@@ -129,11 +149,7 @@ class TestSweep:
         assert manifest["s_grid"] == [-1.0, 0.0]
         assert manifest["n_starts"] == 2
         assert manifest["wall_time_s"] > 0.0
-        assert manifest["checks"] == {
-            "grid_valid": True,
-            "values_finite": True,
-            "forms_consistent": True,
-        }
+        assert manifest["checks"] == {"values_finite": True}
 
     def test_thermal_mode_fills_nbar_column(self, tmp_path, capsys, monkeypatch):
         monkeypatch.delenv(THREADS_ENV, raising=False)
@@ -192,7 +208,13 @@ class TestValidateCommand:
         assert out.count("PASS") == 2
 
     def test_corrupted_run_exits_nonzero(self, capsys, monkeypatch):
-        monkeypatch.setattr("phasewitness.witness.FORM_TOL", -1.0)
+        from phasewitness import states
+
+        real = states.tmsv_w2
+        monkeypatch.setattr(
+            "phasewitness.states.tmsv_w2",
+            lambda spec, a, b, s: real(spec, a, b, s) + 1e-4,
+        )
         code, out, _ = run_cli(
             ["validate", "--quick", "--suite", "witness_form_equivalence"], capsys
         )

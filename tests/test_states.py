@@ -29,6 +29,8 @@ class TestTmsvSpec:
             TmsvSpec(-0.1)
         with pytest.raises(ValueError):
             TmsvSpec(float("nan"))
+        with pytest.raises(ValueError):
+            TmsvSpec(400.0)
 
     def test_zero_squeezing_factorizes(self):
         spec = TmsvSpec(0.0)

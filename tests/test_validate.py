@@ -47,13 +47,32 @@ class TestReporting:
 
 
 class TestCorruptionIsCaught:
-    def test_broken_form_tolerance_fails_closed(self, monkeypatch):
-        # A negative agreement tolerance makes every witness evaluation
-        # raise; the runner must convert that into a failed suite.
-        monkeypatch.setattr("phasewitness.witness.FORM_TOL", -1.0)
+    def test_skewed_tmsv_field_is_detected(self, monkeypatch):
+        # The objective builder does not read tmsv_w2, so a skewed field
+        # shows up as a disagreement between the two witness routes.
+        from phasewitness import states
+
+        real = states.tmsv_w2
+        monkeypatch.setattr(
+            "phasewitness.states.tmsv_w2",
+            lambda spec, a, b, s: real(spec, a, b, s) + 1e-4,
+        )
         results = run_suites(quick=True, names=["witness_form_equivalence"])
         assert not results[0].passed
-        assert "ConsistencyError" in results[0].detail
+        assert results[0].worst > 1e-5
+
+    def test_perturbed_bounded_coefficients_are_detected(self, monkeypatch):
+        # The field route rebuilds the bounded rule from the order -1
+        # coefficients, so the builder's bounded coefficients are live.
+        from phasewitness import witness
+
+        real = witness._bounded_coefficients
+        monkeypatch.setattr(
+            "phasewitness.witness._bounded_coefficients",
+            lambda s_prime: tuple(c * (1.0 + 1e-6) for c in real(s_prime)),
+        )
+        results = run_suites(quick=True, names=["witness_form_equivalence"])
+        assert not results[0].passed
 
     def test_skewed_analytic_route_is_detected(self, monkeypatch):
         from phasewitness import states
