@@ -20,7 +20,6 @@ from .qp_core import (
     ConsistencyError,
     ConvergenceError,
     OrderParam,
-    PhaseSpacePoint,
     PhotonDistribution,
     as_order_param,
     beamsplitter_convolve,
@@ -55,8 +54,6 @@ from .witness import (
     BellSettings,
     WitnessReport,
     bell_value,
-    bell_value_detection,
-    bell_value_thermal,
     bounded_eigenvalue,
     detection_objective,
     effective_eigenvalue,
@@ -71,7 +68,6 @@ __all__ = [
     "ConsistencyError",
     "ConvergenceError",
     "OrderParam",
-    "PhaseSpacePoint",
     "PhotonDistribution",
     "as_order_param",
     "parity_coefficient",
@@ -104,8 +100,6 @@ __all__ = [
     "effective_eigenvalue",
     "bounded_eigenvalue",
     "bell_value",
-    "bell_value_detection",
-    "bell_value_thermal",
     "detection_objective",
     "thermal_objective",
     "SearchConfig",

@@ -253,7 +253,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         "box_radius": config.box_radius,
         "ftol": config.ftol,
         "xtol": config.xtol,
-        "restrict_real": config.restrict_real,
         "clamp_mode": CLAMP_BOUNDED,
     }
     if args.mode == MODE_ETA_S:

@@ -23,7 +23,6 @@ from .qp_core import (
     ConsistencyError,
     OrderParam,
     PhotonDistribution,
-    _point_value,
     as_order_param,
     w_from_distribution,
 )
@@ -203,8 +202,8 @@ def evolve_thermal_w(
     """
     s_prime = rescale_thermal(s, noise)
     t = noise.t
-    a = _point_value(alpha) / t
+    a = complex(alpha) / t
     if beta is None:
         return float(base_w(a, s_prime)) / (t * t)
-    b = _point_value(beta) / t
+    b = complex(beta) / t
     return float(base_w(a, b, s_prime)) / t**4

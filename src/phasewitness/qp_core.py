@@ -29,10 +29,8 @@ __all__ = [
     "ConvergenceError",
     "ConsistencyError",
     "OrderParam",
-    "PhaseSpacePoint",
     "PhotonDistribution",
     "as_order_param",
-    "as_point",
     "parity_coefficient",
     "w_from_distribution",
     "gaussian_smooth",
@@ -155,29 +153,6 @@ def as_order_param(s: Union["OrderParam", float, int]) -> OrderParam:
         s = float(s)
         return OrderParam.from_real(s, rescaled=s < -1.0)
     raise TypeError(f"cannot interpret {s!r} as an order parameter")
-
-
-@dataclass(frozen=True)
-class PhaseSpacePoint:
-    """A complex displacement amplitude for one mode."""
-
-    alpha: complex
-
-    def __post_init__(self) -> None:
-        a = complex(self.alpha)
-        object.__setattr__(self, "alpha", a)
-        if not (math.isfinite(a.real) and math.isfinite(a.imag)):
-            raise ValueError("phase-space point must be finite")
-
-
-def as_point(alpha: Union[PhaseSpacePoint, complex, float]) -> PhaseSpacePoint:
-    if isinstance(alpha, PhaseSpacePoint):
-        return alpha
-    return PhaseSpacePoint(complex(alpha))
-
-
-def _point_value(alpha) -> complex:
-    return alpha.alpha if isinstance(alpha, PhaseSpacePoint) else complex(alpha)
 
 
 @dataclass(frozen=True)
@@ -360,10 +335,8 @@ def gaussian_smooth(
     if quad_tol <= 0.0:
         raise ValueError("quad_tol must be positive")
 
-    scalar = np.isscalar(alpha) or isinstance(alpha, PhaseSpacePoint)
-    targets = np.atleast_1d(
-        np.asarray(_point_value(alpha) if scalar else alpha, dtype=complex)
-    ).ravel()
+    scalar = np.isscalar(alpha)
+    targets = np.atleast_1d(np.asarray(alpha, dtype=complex)).ravel()
 
     prefactor = 2.0 / (math.pi * delta)
     # Kernel mass outside radius rho is exp(-2 rho^2 / delta); keep it
@@ -410,16 +383,14 @@ def beamsplitter_convolve(
     w_b: FieldEvaluator,
     r: float,
     t: float,
-    s: Union[OrderParam, float],
     alpha,
     quad_tol: float = 1e-8,
 ) -> float:
     """Output-mode quasiprobability after mixing two fields on a beam splitter.
 
     Evaluates (1/t^2) * integral d^2 beta W_a(beta) W_b((alpha - r beta)/t)
-    for reflectivity/transmissivity with r^2 + t^2 = 1.  Both fields must
-    be supplied at the same order parameter ``s``; that order does not
-    enter the formula itself.
+    for reflectivity/transmissivity with r^2 + t^2 = 1.  The law holds at
+    any order parameter, provided both fields are supplied at the same one.
     """
     r = float(r)
     t = float(t)
@@ -429,8 +400,7 @@ def beamsplitter_convolve(
         raise ValueError("beam splitter must satisfy r^2 + t^2 = 1")
     if t <= 0.0:
         raise ValueError("transmissivity t must be positive")
-    as_order_param(s)  # validated for caller sanity; the law is order-independent
-    a = _point_value(alpha)
+    a = complex(alpha)
 
     def integrand(pts: np.ndarray) -> np.ndarray:
         return np.asarray(w_a(pts), dtype=float) * np.asarray(

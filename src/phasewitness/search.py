@@ -46,8 +46,8 @@ MODE_THERMAL = "thermal"
 class SearchConfig:
     """Multi-start search parameters.
 
-    ``restrict_real`` seeds every start on the real axis; by default
-    half the starts are real-axis and half fill the full 8-D box.
+    Half the random starts (rounded up) lie on the real axis; the rest
+    fill the full 8-D box [-box_radius, box_radius]^8.
     """
 
     n_starts: int = 16
@@ -55,7 +55,6 @@ class SearchConfig:
     ftol: float = 1e-10
     xtol: float = 1e-6
     seed: int = 0
-    restrict_real: bool = False
 
     def __post_init__(self) -> None:
         if int(self.n_starts) < 1:
@@ -66,6 +65,10 @@ class SearchConfig:
             object.__setattr__(self, name, v)
             if not math.isfinite(v) or v <= 0.0:
                 raise ValueError(f"{name} must be positive")
+        if not math.isfinite(2.0 * self.box_radius):
+            raise ValueError(
+                f"box_radius {self.box_radius} is too large: the box width overflows"
+            )
         object.__setattr__(self, "seed", int(self.seed))
 
 
@@ -96,7 +99,7 @@ def maximize_bell(
     rng = np.random.default_rng((config.seed, stream))
     box = config.box_radius
     bounds = Bounds(np.full(8, -box), np.full(8, box))
-    n_real = config.n_starts if config.restrict_real else (config.n_starts + 1) // 2
+    n_real = (config.n_starts + 1) // 2
 
     def neg_abs(x: np.ndarray) -> float:
         return -objective(BellSettings.from_vector(x)).bell_abs
@@ -171,9 +174,7 @@ def grid_oracle(
     for settings in candidates:
         report = objective(settings)
         key = (report.bell_abs, report.settings.to_vector())
-        if best_key is None or key[0] > best_key[0] or (
-            key[0] == best_key[0] and key[1] < best_key[1]
-        ):
+        if _better(key, best_key):
             best_key = key
             best_report = report
     return best_report
@@ -197,24 +198,37 @@ class SweepResult:
     wall_time: float
 
 
-def _detection_cell(args) -> WitnessReport:
-    spec, s, eta, config, stream = args
-    return maximize_bell(detection_objective(spec, s, DetectionNoise(eta)), config, stream)
+def _optimize_cell(args) -> WitnessReport:
+    build, spec, s, noise, config, stream = args
+    return maximize_bell(build(spec, s, noise), config, stream)
 
 
-def _thermal_cell(args) -> WitnessReport:
-    spec, s, r, nbar, config, stream = args
-    return maximize_bell(thermal_objective(spec, s, ThermalNoise(r, nbar)), config, stream)
+def _sweep(mode, build, spec, cells, config, max_workers) -> SweepResult:
+    """Optimize every ``(axis1, axis2, nbar, noise)`` cell of ``cells``.
 
-
-def _run_cells(worker, jobs, max_workers):
+    ``build(spec, s, noise)`` makes the cell's objective, with s = axis2;
+    each cell draws its starts from the stream keyed by its index, so the
+    output does not depend on the worker count.
+    """
+    start = time.perf_counter()
+    jobs = [
+        (build, spec, s, noise, config, idx)
+        for idx, (_, s, _, noise) in enumerate(cells)
+    ]
     if max_workers is None:
         max_workers = os.cpu_count() or 1
-    max_workers = max(1, int(max_workers))
-    if max_workers == 1 or len(jobs) <= 1:
-        return [worker(job) for job in jobs]
-    with ProcessPoolExecutor(max_workers=max_workers) as pool:
-        return list(pool.map(worker, jobs, chunksize=max(1, len(jobs) // (4 * max_workers))))
+    max_workers = min(max(1, int(max_workers)), len(jobs))
+    if max_workers == 1:
+        reports = [_optimize_cell(job) for job in jobs]
+    else:
+        chunksize = max(1, len(jobs) // (4 * max_workers))
+        with ProcessPoolExecutor(max_workers=max_workers) as pool:
+            reports = list(pool.map(_optimize_cell, jobs, chunksize=chunksize))
+    swept = tuple(
+        SweepCell(axis1, axis2, nbar, report)
+        for (axis1, axis2, nbar, _), report in zip(cells, reports)
+    )
+    return SweepResult(mode, swept, config, time.perf_counter() - start)
 
 
 def _validate_grid(values, lo: float, hi: float, name: str, *, closed_hi=True) -> np.ndarray:
@@ -241,17 +255,10 @@ def sweep_eta_s(
     if eta_grid[0] <= 0.0:
         raise ValueError("eta grid must be strictly positive")
     s_grid = _validate_grid(s_grid, -1.0, 0.0, "s")
-    start = time.perf_counter()
-    jobs = [
-        (spec, s, eta, config, idx)
-        for idx, (eta, s) in enumerate(itertools.product(eta_grid, s_grid))
+    cells = [
+        (eta, s, None, DetectionNoise(eta)) for eta, s in itertools.product(eta_grid, s_grid)
     ]
-    reports = _run_cells(_detection_cell, jobs, max_workers)
-    cells = tuple(
-        SweepCell(axis1=job[2], axis2=job[1], nbar=None, report=rep)
-        for job, rep in zip(jobs, reports)
-    )
-    return SweepResult(MODE_ETA_S, cells, config, time.perf_counter() - start)
+    return _sweep(MODE_ETA_S, detection_objective, spec, cells, config, max_workers)
 
 
 def sweep_thermal(
@@ -268,14 +275,8 @@ def sweep_thermal(
     nbar_list = np.asarray(list(nbar_list), dtype=float)
     if nbar_list.size == 0 or np.any(nbar_list < 0.0):
         raise ValueError("nbar_list must be non-empty and non-negative")
-    start = time.perf_counter()
-    jobs = [
-        (spec, s, r, nbar, config, idx)
-        for idx, (nbar, r, s) in enumerate(itertools.product(nbar_list, r_grid, s_grid))
+    cells = [
+        (r, s, nbar, ThermalNoise(r, nbar))
+        for nbar, r, s in itertools.product(nbar_list, r_grid, s_grid)
     ]
-    reports = _run_cells(_thermal_cell, jobs, max_workers)
-    cells = tuple(
-        SweepCell(axis1=job[2], axis2=job[1], nbar=job[3], report=rep)
-        for job, rep in zip(jobs, reports)
-    )
-    return SweepResult(MODE_THERMAL, cells, config, time.perf_counter() - start)
+    return _sweep(MODE_THERMAL, thermal_objective, spec, cells, config, max_workers)

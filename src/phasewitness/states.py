@@ -14,12 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import eval_genlaguerre, eval_laguerre, gammaln
 
-from .qp_core import (
-    OrderParam,
-    PhotonDistribution,
-    _point_value,
-    as_order_param,
-)
+from .qp_core import OrderParam, PhotonDistribution, as_order_param
 
 __all__ = [
     "TmsvSpec",
@@ -42,9 +37,8 @@ def _real_nonpositive(s) -> OrderParam:
 
 
 def _as_field(alpha) -> tuple[np.ndarray, bool]:
-    scalar = np.isscalar(alpha) or hasattr(alpha, "alpha")
-    arr = np.asarray(_point_value(alpha) if scalar else alpha, dtype=complex)
-    return arr, scalar
+    scalar = np.isscalar(alpha)
+    return np.asarray(alpha, dtype=complex), scalar
 
 
 @dataclass(frozen=True)
@@ -278,7 +272,7 @@ def photon_distribution(
     n_max = int(n_max)
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
-    a = _point_value(displacement)
+    a = complex(displacement)
     b = abs(a) ** 2
     if state.kind == VACUUM:
         probs = _poisson_probs(b, n_max)

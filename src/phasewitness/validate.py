@@ -176,7 +176,6 @@ def _thermal_convolution(quick: bool) -> SuiteResult:
                     lambda pts, _state=state, _s=s: states.state_w(_state, pts, _s),
                     r,
                     t,
-                    s,
                     alpha,
                     quad_tol,
                 )

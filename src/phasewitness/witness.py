@@ -34,7 +34,7 @@ from math import exp, pi
 from typing import Callable, Mapping
 
 from .noise import DetectionNoise, ThermalNoise, rescale_detection, rescale_thermal
-from .qp_core import OrderParam, _point_value, as_order_param, parity_coefficient
+from .qp_core import OrderParam, as_order_param, parity_coefficient
 from .states import TmsvSpec
 
 __all__ = [
@@ -48,8 +48,6 @@ __all__ = [
     "effective_eigenvalue",
     "bounded_eigenvalue",
     "bell_value",
-    "bell_value_detection",
-    "bell_value_thermal",
     "detection_objective",
     "thermal_objective",
 ]
@@ -81,7 +79,7 @@ class BellSettings:
 
     def __post_init__(self) -> None:
         for name in ("a1", "a2", "b1", "b2"):
-            v = complex(_point_value(getattr(self, name)))
+            v = complex(getattr(self, name))
             if not (math.isfinite(v.real) and math.isfinite(v.imag)):
                 raise ValueError(f"setting {name} must be finite")
             object.__setattr__(self, name, v)
@@ -106,23 +104,27 @@ class WitnessReport:
     """Outcome of one witness evaluation.
 
     ``s_effective`` is the order parameter at which the distributions
-    were evaluated (the true rescaled value, possibly below -1);
-    ``clamped`` records that the coefficient set was frozen at -1.
+    were evaluated (the true rescaled value, possibly below -1).
+    ``bell_abs``, ``violated`` (|B| > 2) and ``clamped`` (s' < -1, so a
+    clamping rule replaced the order-s' observable) are derived.
     """
 
     settings: BellSettings
     s_effective: OrderParam
     bell_value: float
-    bell_abs: float
-    violated: bool
-    clamped: bool
     meta: Mapping[str, object] | None = field(default=None, compare=False)
 
-    def __post_init__(self) -> None:
-        if self.bell_abs != abs(self.bell_value):
-            raise ValueError("bell_abs must equal |bell_value|")
-        if self.violated != (self.bell_abs > 2.0):
-            raise ValueError("violated must mean bell_abs > 2")
+    @property
+    def bell_abs(self) -> float:
+        return abs(self.bell_value)
+
+    @property
+    def violated(self) -> bool:
+        return self.bell_abs > 2.0
+
+    @property
+    def clamped(self) -> bool:
+        return self.s_effective.real < -1.0
 
 
 def observable_eigenvalue(n: int, s) -> float:
@@ -144,10 +146,9 @@ def observable_eigenvalue(n: int, s) -> float:
     return (1.0 - sv) * ratio**n + sv
 
 
-def effective_eigenvalue(n: int, s_prime, s_eff: float = -1.0) -> float:
-    """Eigenvalue (1-s_eff)^2 * coeff(n, s') + s_eff of the frozen-rule observable."""
-    s_eff = float(s_eff)
-    return (1.0 - s_eff) ** 2 * float(parity_coefficient(n, s_prime)) + s_eff
+def effective_eigenvalue(n: int, s_prime) -> float:
+    """Eigenvalue 4 coeff(n, s') - 1 of the frozen-rule observable (coefficients at -1)."""
+    return 4.0 * float(parity_coefficient(n, s_prime)) - 1.0
 
 
 def bounded_eigenvalue(n: int, s_prime) -> float:
@@ -242,9 +243,8 @@ def _tmsv_objective(
     if clamp_mode not in CLAMP_MODES:
         raise ValueError(f"unknown clamp mode {clamp_mode!r}")
     sp = s_prime.real
-    clamped = sp < -1.0
     s_dist, weight2, weight1 = sp, 1.0, 1.0
-    if not clamped:
+    if sp >= -1.0:
         c2, c1, c0 = _coefficients(sp)
     elif clamp_mode == CLAMP_BOUNDED:
         c2, c1, c0 = _bounded_coefficients(sp)
@@ -276,15 +276,11 @@ def _tmsv_objective(
         w1a = k1 * exp(-e1 * na1)
         w1b = k1 * exp(-e1 * nb1)
         value = c2 * (w11 + w12 + w21 - w22) + c1 * (w1a + w1b) + c0
-        bell_abs = abs(value)
-        return WitnessReport(
-            settings=settings,
-            s_effective=s_prime,
-            bell_value=value,
-            bell_abs=bell_abs,
-            violated=bell_abs > 2.0,
-            clamped=clamped,
-        )
+        if math.isnan(value):
+            raise ValueError(
+                f"witness value is NaN at s' = {sp!r}: the closed form overflows"
+            )
+        return WitnessReport(settings, s_prime, value)
 
     return evaluate
 
@@ -322,25 +318,3 @@ def thermal_objective(
     return _tmsv_objective(
         spec, s_prime, 1.0 / noise.t, 1.0 - noise.r * noise.r, clamp_mode
     )
-
-
-def bell_value_detection(
-    spec: TmsvSpec,
-    settings: BellSettings,
-    s,
-    noise: DetectionNoise,
-    clamp_mode: str = CLAMP_BOUNDED,
-) -> WitnessReport:
-    """Single witness evaluation under detection loss."""
-    return detection_objective(spec, s, noise, clamp_mode)(settings)
-
-
-def bell_value_thermal(
-    spec: TmsvSpec,
-    settings: BellSettings,
-    s,
-    noise: ThermalNoise,
-    clamp_mode: str = CLAMP_BOUNDED,
-) -> WitnessReport:
-    """Single witness evaluation under thermal noise."""
-    return thermal_objective(spec, s, noise, clamp_mode)(settings)

@@ -68,6 +68,17 @@ class TestArgumentHandling:
             ["eval", "--xi", "400", "--s", "0", "--settings", "0,0,0,0"], capsys
         )
         assert code == EXIT_USAGE and "error:" in err
+        # Overflowing settings, order or search box: usage errors that say so.
+        for argv in (
+            ["--s", "0", "--settings", "1e200j,1e200j,1e200j,1e200j"],
+            ["--s", "-1", "--noise", "detection", "--eta", "1e-300",
+             "--settings", "0.1,0,0,0"],
+            ["--s", "0", "--noise", "detection", "--eta", "0.5", "--optimize",
+             "--box", "1e308", "--starts", "1"],
+        ):
+            code, _, err = run_cli(["eval", "--xi", "0.3", *argv], capsys)
+            assert code == EXIT_USAGE
+            assert "NaN" in err or "overflow" in err
 
     def test_noise_parameters_are_required(self, capsys):
         code, _, _ = run_cli(

@@ -50,10 +50,12 @@ class TestSearchConfig:
             SearchConfig(ftol=-1.0)
         with pytest.raises(ValueError):
             SearchConfig(xtol=float("nan"))
+        with pytest.raises(ValueError):
+            SearchConfig(box_radius=1e308)
 
 
 def constant_objective(settings: BellSettings) -> WitnessReport:
-    return WitnessReport(settings, OrderParam.from_real(-0.5), 1.5, 1.5, False, False)
+    return WitnessReport(settings, OrderParam.from_real(-0.5), 1.5)
 
 
 class TestMaximizeBell:
@@ -172,6 +174,26 @@ class TestSweeps:
             assert a.axis1 == b.axis1 and a.axis2 == b.axis2
             assert a.report.bell_value == b.report.bell_value
             assert a.report.settings.to_vector() == b.report.settings.to_vector()
+
+    def test_pool_is_capped_at_cell_count(self, monkeypatch):
+        requested = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                requested.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs, chunksize=1):
+                return map(fn, jobs)
+
+        monkeypatch.setattr("phasewitness.search.ProcessPoolExecutor", SerialPool)
+        sweep_eta_s(TmsvSpec(0.3), [0.5, 0.9], [0.0], SearchConfig(n_starts=1), max_workers=8)
+        assert requested == [2]
 
     def test_result_fields(self):
         spec = TmsvSpec(0.3)

@@ -18,11 +18,11 @@ from phasewitness.witness import (
     BellSettings,
     WitnessReport,
     bell_value,
-    bell_value_detection,
-    bell_value_thermal,
     bounded_eigenvalue,
+    detection_objective,
     effective_eigenvalue,
     observable_eigenvalue,
+    thermal_objective,
 )
 
 SETTINGS = BellSettings(0.1 + 0.05j, -0.2 + 0.0j, 0.15j, 0.4 - 0.1j)
@@ -96,13 +96,11 @@ class TestBellSettings:
 
 
 class TestWitnessReport:
-    def test_rejects_inconsistent_magnitude(self):
-        with pytest.raises(ValueError):
-            WitnessReport(SETTINGS, OrderParam.from_real(-0.5), 1.5, 1.4, False, False)
-
-    def test_rejects_inconsistent_flag(self):
-        with pytest.raises(ValueError):
-            WitnessReport(SETTINGS, OrderParam.from_real(-0.5), 2.5, 2.5, False, False)
+    def test_derived_fields(self):
+        report = WitnessReport(SETTINGS, OrderParam.from_real(-1.5, rescaled=True), -2.5)
+        assert report.bell_abs == 2.5
+        assert report.violated
+        assert report.clamped
 
 
 class TestIdealBell:
@@ -182,7 +180,7 @@ class TestIdealBell:
 class TestDetectionWitness:
     def test_unit_efficiency_reduces_to_ideal(self):
         spec = TmsvSpec(0.3)
-        report = bell_value_detection(spec, SETTINGS, -0.4, DetectionNoise(1.0))
+        report = detection_objective(spec, -0.4, DetectionNoise(1.0))(SETTINGS)
         assert report.bell_value == pytest.approx(
             ideal_bell(spec, SETTINGS, -0.4), abs=1e-14
         )
@@ -190,15 +188,13 @@ class TestDetectionWitness:
         assert report.s_effective.real == pytest.approx(-0.4, abs=1e-15)
 
     def test_half_efficiency_reaches_onset_exactly(self):
-        report = bell_value_detection(
-            TmsvSpec(0.3), SETTINGS, 0.0, DetectionNoise(0.5)
-        )
+        report = detection_objective(TmsvSpec(0.3), 0.0, DetectionNoise(0.5))(SETTINGS)
         assert report.s_effective.real == -1.0
         assert not report.clamped
 
     def test_unclamped_matches_rescaled_operator_sum(self):
         xi, s, eta = 0.3, -0.3, 0.7
-        report = bell_value_detection(TmsvSpec(xi), SETTINGS, s, DetectionNoise(eta))
+        report = detection_objective(TmsvSpec(xi), s, DetectionNoise(eta))(SETTINGS)
         s_prime = 1.0 - (1.0 - s) / eta
         reference = orc.chsh_value(xi, as_tuple(SETTINGS), orc.eig_standard(s_prime, 70))
         assert not report.clamped
@@ -206,9 +202,9 @@ class TestDetectionWitness:
 
     def test_bounded_rule_matches_its_operator_sum(self):
         xi, s, eta = 0.3, 0.0, 0.4
-        report = bell_value_detection(
-            TmsvSpec(xi), SETTINGS, s, DetectionNoise(eta), CLAMP_BOUNDED
-        )
+        report = detection_objective(
+            TmsvSpec(xi), s, DetectionNoise(eta), CLAMP_BOUNDED
+        )(SETTINGS)
         assert report.clamped
         assert report.s_effective.real == pytest.approx(-1.5, abs=1e-15)
         reference = orc.chsh_value(xi, as_tuple(SETTINGS), orc.eig_bounded(-1.5, 70))
@@ -216,9 +212,9 @@ class TestDetectionWitness:
 
     def test_frozen_rule_matches_its_operator_sum(self):
         xi, s, eta = 0.3, 0.0, 0.4
-        report = bell_value_detection(
-            TmsvSpec(xi), SETTINGS, s, DetectionNoise(eta), CLAMP_FROZEN
-        )
+        report = detection_objective(
+            TmsvSpec(xi), s, DetectionNoise(eta), CLAMP_FROZEN
+        )(SETTINGS)
         assert report.clamped
         reference = orc.chsh_value(xi, as_tuple(SETTINGS), orc.eig_frozen(-1.5, 70))
         assert report.bell_value == pytest.approx(reference, abs=1e-10)
@@ -227,9 +223,9 @@ class TestDetectionWitness:
         # Settings are physical displacements here; the observable is the
         # on-off one and the state carries the loss.
         xi, s, eta = 0.3, 0.0, 0.4
-        report = bell_value_detection(
-            TmsvSpec(xi), SETTINGS, s, DetectionNoise(eta), CLAMP_LOSS_CHANNEL
-        )
+        report = detection_objective(
+            TmsvSpec(xi), s, DetectionNoise(eta), CLAMP_LOSS_CHANNEL
+        )(SETTINGS)
         assert report.clamped
         reference = orc.chsh_value(
             xi, as_tuple(SETTINGS), orc.eig_standard(-1.0, 70), loss_eta=eta
@@ -238,15 +234,15 @@ class TestDetectionWitness:
 
     def test_unknown_clamp_mode(self):
         with pytest.raises(ValueError):
-            bell_value_detection(
-                TmsvSpec(0.3), SETTINGS, 0.0, DetectionNoise(0.4), "nonsense"
-            )
+            detection_objective(
+                TmsvSpec(0.3), 0.0, DetectionNoise(0.4), "nonsense"
+            )(SETTINGS)
 
     def test_forms_agree(self):
         # Scalar closed-form fields share the objective's arithmetic, so
         # the unclamped objective equals bell_value over them bit for bit.
         spec, noise = TmsvSpec(0.45), DetectionNoise(0.6)
-        report = bell_value_detection(spec, SETTINGS, -0.2, noise)
+        report = detection_objective(spec, -0.2, noise)(SETTINGS)
         s_prime = rescale_detection(-0.2, noise)
         assert not report.clamped
         assert report.bell_value == ideal_bell(spec, SETTINGS, s_prime)
@@ -255,7 +251,7 @@ class TestDetectionWitness:
 class TestThermalWitness:
     def test_zero_time_reduces_to_ideal(self):
         spec = TmsvSpec(0.3)
-        report = bell_value_thermal(spec, SETTINGS, -0.4, ThermalNoise(0.0))
+        report = thermal_objective(spec, -0.4, ThermalNoise(0.0))(SETTINGS)
         assert report.bell_value == pytest.approx(
             ideal_bell(spec, SETTINGS, -0.4), abs=1e-14
         )
@@ -263,7 +259,7 @@ class TestThermalWitness:
 
     def test_unclamped_matches_rescaled_operator_sum(self):
         xi, s, r, nbar = 0.3, -0.5, 0.3, 0.2
-        report = bell_value_thermal(TmsvSpec(xi), SETTINGS, s, ThermalNoise(r, nbar))
+        report = thermal_objective(TmsvSpec(xi), s, ThermalNoise(r, nbar))(SETTINGS)
         t = math.sqrt(1.0 - r * r)
         s_prime = (s - r * r * (1.0 + 2.0 * nbar)) / (t * t)
         assert not report.clamped
@@ -274,9 +270,9 @@ class TestThermalWitness:
 
     def test_bounded_rule_matches_its_operator_sum(self):
         xi, s, r, nbar = 0.3, 0.0, 0.75, 0.5
-        report = bell_value_thermal(
-            TmsvSpec(xi), SETTINGS, s, ThermalNoise(r, nbar), CLAMP_BOUNDED
-        )
+        report = thermal_objective(
+            TmsvSpec(xi), s, ThermalNoise(r, nbar), CLAMP_BOUNDED
+        )(SETTINGS)
         t_sq = 1.0 - r * r
         s_prime = (s - r * r * (1.0 + 2.0 * nbar)) / t_sq
         assert report.clamped
@@ -290,9 +286,9 @@ class TestThermalWitness:
 
     def test_frozen_rule_matches_its_operator_sum(self):
         xi, s, r = 0.3, 0.0, 0.8
-        report = bell_value_thermal(
-            TmsvSpec(xi), SETTINGS, s, ThermalNoise(r), CLAMP_FROZEN
-        )
+        report = thermal_objective(
+            TmsvSpec(xi), s, ThermalNoise(r), CLAMP_FROZEN
+        )(SETTINGS)
         t_sq = 1.0 - r * r
         s_prime = s / t_sq - r * r / t_sq
         reference = orc.chsh_value(
@@ -305,9 +301,9 @@ class TestThermalWitness:
 
     def test_loss_channel_rule_matches_lossy_operator_sum(self):
         xi, s, r = 0.3, 0.0, 0.8
-        report = bell_value_thermal(
-            TmsvSpec(xi), SETTINGS, s, ThermalNoise(r), CLAMP_LOSS_CHANNEL
-        )
+        report = thermal_objective(
+            TmsvSpec(xi), s, ThermalNoise(r), CLAMP_LOSS_CHANNEL
+        )(SETTINGS)
         reference = orc.chsh_value(
             xi,
             as_tuple(SETTINGS),
@@ -318,9 +314,9 @@ class TestThermalWitness:
 
     def test_loss_channel_rule_needs_cold_environment(self):
         with pytest.raises(ValueError):
-            bell_value_thermal(
-                TmsvSpec(0.3), SETTINGS, 0.0, ThermalNoise(0.8, 0.5), CLAMP_LOSS_CHANNEL
-            )
+            thermal_objective(
+                TmsvSpec(0.3), 0.0, ThermalNoise(0.8, 0.5), CLAMP_LOSS_CHANNEL
+            )(SETTINGS)
 
     @pytest.mark.parametrize("mode", [CLAMP_BOUNDED, CLAMP_FROZEN])
     def test_matches_detection_at_cold_environment(self, mode):
@@ -329,15 +325,13 @@ class TestThermalWitness:
         # mu / t.
         xi, s, r = 0.3, 0.0, 0.75
         t = math.sqrt(1.0 - r * r)
-        thermal = bell_value_thermal(
-            TmsvSpec(xi), SETTINGS, s, ThermalNoise(r), mode
-        )
+        thermal = thermal_objective(TmsvSpec(xi), s, ThermalNoise(r), mode)(SETTINGS)
         rescaled = BellSettings.from_vector(
             tuple(v / t for v in SETTINGS.to_vector())
         )
-        detection = bell_value_detection(
-            TmsvSpec(xi), rescaled, s, DetectionNoise(t * t), mode
-        )
+        detection = detection_objective(
+            TmsvSpec(xi), s, DetectionNoise(t * t), mode
+        )(rescaled)
         assert thermal.bell_value == pytest.approx(detection.bell_value, abs=1e-12)
         assert thermal.s_effective.real == pytest.approx(
             detection.s_effective.real, abs=1e-12
@@ -347,12 +341,12 @@ class TestThermalWitness:
         # The loss-channel rule stays in the measured frame on both
         # variants, so the settings map is the identity.
         xi, s, r = 0.3, 0.0, 0.8
-        thermal = bell_value_thermal(
-            TmsvSpec(xi), SETTINGS, s, ThermalNoise(r), CLAMP_LOSS_CHANNEL
-        )
-        detection = bell_value_detection(
-            TmsvSpec(xi), SETTINGS, s, DetectionNoise(1.0 - r * r), CLAMP_LOSS_CHANNEL
-        )
+        thermal = thermal_objective(
+            TmsvSpec(xi), s, ThermalNoise(r), CLAMP_LOSS_CHANNEL
+        )(SETTINGS)
+        detection = detection_objective(
+            TmsvSpec(xi), s, DetectionNoise(1.0 - r * r), CLAMP_LOSS_CHANNEL
+        )(SETTINGS)
         assert thermal.bell_value == pytest.approx(detection.bell_value, abs=1e-12)
 
     @pytest.mark.parametrize("mode", [CLAMP_BOUNDED, CLAMP_FROZEN])
@@ -361,12 +355,12 @@ class TestThermalWitness:
         # must not jump across it.
         spec = TmsvSpec(0.3)
         eps = 1e-8
-        below = bell_value_detection(
-            spec, SETTINGS, 0.0, DetectionNoise(0.5 - eps), mode
-        )
-        above = bell_value_detection(
-            spec, SETTINGS, 0.0, DetectionNoise(0.5 + eps), mode
-        )
+        below = detection_objective(
+            spec, 0.0, DetectionNoise(0.5 - eps), mode
+        )(SETTINGS)
+        above = detection_objective(
+            spec, 0.0, DetectionNoise(0.5 + eps), mode
+        )(SETTINGS)
         assert below.clamped and not above.clamped
         assert abs(below.bell_value - above.bell_value) < 1e-6
 
@@ -377,9 +371,9 @@ class TestThermalWitness:
         st.floats(min_value=0.3, max_value=1.0),
     )
     def test_report_invariants(self, vec, s, eta):
-        report = bell_value_detection(
-            TmsvSpec(0.3), BellSettings.from_vector(vec), s, DetectionNoise(eta)
-        )
+        report = detection_objective(
+            TmsvSpec(0.3), s, DetectionNoise(eta)
+        )(BellSettings.from_vector(vec))
         assert report.bell_abs == abs(report.bell_value)
         assert report.violated == (report.bell_abs > 2.0)
         assert report.clamped == (report.s_effective.real < -1.0)
