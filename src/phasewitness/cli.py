@@ -170,7 +170,11 @@ def _build_parser() -> argparse.ArgumentParser:
     sw.add_argument("--box", type=float, default=2.0)
 
     va = sub.add_parser("validate", help="run the self-check suites")
-    va.add_argument("--quick", action="store_true", help="reduced grids, < 30 s")
+    va.add_argument(
+        "--quick",
+        action="store_true",
+        help="reduced grids: fewer states, points, noise cells and settings",
+    )
     va.add_argument(
         "--suite",
         action="append",

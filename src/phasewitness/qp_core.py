@@ -9,7 +9,10 @@ phases.
 
 States enter either as photon-number distributions (series evaluation)
 or as callables ``point -> value`` (closed-form evaluation), so no grid
-discretization error is introduced anywhere.
+discretization error is introduced anywhere.  Plane integrals run an
+adaptive Gauss-Legendre rule on a growing square; Gaussian smoothing
+instead integrates against its own kernel with a Gauss-Hermite product
+rule, so its nodes follow the kernel around every target.
 """
 
 from __future__ import annotations
@@ -312,6 +315,17 @@ def plane_integral(
     raise ConvergenceError(f"quadrature domain did not stabilize within {tol:.2e}")
 
 
+_HERMITE_ORDERS = (8, 12, 16, 24, 32, 48, 64, 96)
+
+
+@lru_cache(maxsize=None)
+def _hermite_nodes(order: int) -> tuple[np.ndarray, np.ndarray]:
+    x, w = np.polynomial.hermite.hermgauss(order)
+    pts = x[:, None] + 1j * x[None, :]
+    wts = w[:, None] * w[None, :]
+    return pts.ravel(), wts.ravel()
+
+
 def gaussian_smooth(
     w: FieldEvaluator,
     s: Union[OrderParam, float],
@@ -324,6 +338,12 @@ def gaussian_smooth(
     Evaluates (2/(pi*(s-s'))) * integral d^2 beta W(beta; s)
     exp(-2|alpha-beta|^2/(s-s')) at one point or an array of points.
     Requires strictly s > s'.
+
+    In kernel coordinates beta = alpha + sqrt((s-s')/2) * u the kernel
+    becomes the Gauss-Hermite weight exp(-|u|^2), so the value is
+    (1/pi) * sum_ij w_i w_j W(alpha + sqrt((s-s')/2) (x_i + i x_j)).
+    The product rule walks a fixed order ladder, all targets at once,
+    until two consecutive orders agree within quad_tol/2.
     """
     s = as_order_param(s)
     s_prime = as_order_param(s_prime)
@@ -335,47 +355,20 @@ def gaussian_smooth(
     if quad_tol <= 0.0:
         raise ValueError("quad_tol must be positive")
 
-    scalar = np.isscalar(alpha)
     targets = np.atleast_1d(np.asarray(alpha, dtype=complex)).ravel()
-
-    prefactor = 2.0 / (math.pi * delta)
-    # Kernel mass outside radius rho is exp(-2 rho^2 / delta); keep it
-    # below quad_tol/10 and let the growing-domain check cover the state.
-    kernel_radius = math.sqrt(0.5 * delta * math.log(10.0 / quad_tol))
-
-    def smooth_chunk(chunk: np.ndarray) -> np.ndarray:
-        center = complex(np.mean(chunk))
-        spread = float(np.max(np.abs(chunk - center)))
-        radius = 1.3 * kernel_radius + spread
-
-        def integrand(pts: np.ndarray) -> np.ndarray:
-            base = np.asarray(w(pts), dtype=float)
-            diff2 = np.abs(chunk[:, None] - pts[None, :]) ** 2
-            return base[None, :] * np.exp(-2.0 * diff2 / delta)
-
-        return prefactor * plane_integral(
-            integrand, center=center, radius=radius, tol=quad_tol
-        )
-
-    # Group targets into square tiles of kernel size: the integration
-    # domain then stays within a couple of kernel radii of every target,
-    # so the fixed order ladder always has enough resolution, and the
-    # size cap keeps the targets-by-nodes kernel matrix small.
-    tile = max(kernel_radius, 1e-6)
-    chunk_size = 256
-    groups: dict[tuple[int, int], list[int]] = {}
-    for idx, z in enumerate(targets):
-        key = (math.floor(z.real / tile), math.floor(z.imag / tile))
-        groups.setdefault(key, []).append(idx)
-    vals = np.empty(targets.size)
-    for members in groups.values():
-        idxs = np.asarray(members)
-        for start in range(0, idxs.size, chunk_size):
-            sub = idxs[start : start + chunk_size]
-            vals[sub] = smooth_chunk(targets[sub])
-    if scalar:
-        return float(vals[0])
-    return vals.reshape(np.shape(alpha))
+    scale = math.sqrt(0.5 * delta)
+    prev = None
+    for order in _HERMITE_ORDERS:
+        pts, wts = _hermite_nodes(order)
+        nodes = (targets[:, None] + scale * pts[None, :]).ravel()
+        vals = np.asarray(w(nodes), dtype=float).reshape(targets.size, pts.size)
+        est = (vals @ wts) / math.pi
+        if prev is not None and np.max(np.abs(est - prev), initial=0.0) <= 0.5 * quad_tol:
+            return float(est[0]) if np.isscalar(alpha) else est.reshape(np.shape(alpha))
+        prev = est
+    raise ConvergenceError(
+        f"gaussian smoothing did not converge to {quad_tol:.2e} at order {_HERMITE_ORDERS[-1]}"
+    )
 
 
 def beamsplitter_convolve(

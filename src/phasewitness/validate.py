@@ -11,7 +11,8 @@ time, not import time.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import time
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -35,13 +36,14 @@ class SuiteResult:
     worst: float
     tolerance: float
     detail: str = ""
+    seconds: float = 0.0
 
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"
         extra = f"  [{self.detail}]" if self.detail else ""
         return (
             f"{status}  {self.name}: worst residual {self.worst:.3e} "
-            f"(tolerance {self.tolerance:.1e}){extra}"
+            f"(tolerance {self.tolerance:.1e}){extra}  {self.seconds:.2f} s"
         )
 
 
@@ -230,7 +232,9 @@ def _witness_form_equivalence(quick: bool) -> SuiteResult:
     The second route shares no code with the objective builder: it takes
     s' from ``noise.rescale_*``, fields from ``states.tmsv_w2``/``tmsv_w1``
     (through ``noise.evolve_thermal_w`` for the loss-channel rule) and the
-    coefficients from ``witness.bell_value``; see ``_field_route``.
+    coefficients from ``witness.bell_value``; see ``_field_route``.  The
+    thermal objective at nbar = 0 is also checked against the detection
+    objective at eta = 1 - r^2.
     """
     tol = 1e-12
     rng = np.random.default_rng(12345)
@@ -275,6 +279,25 @@ def _witness_form_equivalence(quick: bool) -> SuiteResult:
                 continue
             obj = witness.thermal_objective(spec, s, noise, clamp_mode=mode)
             route = _field_route(spec, s_prime, 1.0 / noise.t, 1.0 - r * r, mode)
+            worst = max(worst, probe(obj, route))
+    # A cold environment is detection loss at eta = t^2 = 1 - r^2, read
+    # in the frame alpha/t; the clamped loss-channel rule reads both in
+    # the measured frame.
+    for r, s in dict.fromkeys((r, s) for r, _, s in thermal_cells):
+        noise = ThermalNoise(r=r)
+        s_prime = noise_mod.rescale_thermal(s, noise)
+        for mode in witness.CLAMP_MODES:
+            obj = witness.thermal_objective(spec, s, noise, clamp_mode=mode)
+            det = witness.detection_objective(
+                spec, s, DetectionNoise(1.0 - r * r), clamp_mode=mode
+            )
+            loss_frame = mode == witness.CLAMP_LOSS_CHANNEL and s_prime.real < -1.0
+            frame = 1.0 if loss_frame else 1.0 / noise.t
+
+            def route(settings, _det=det, _frame=frame):
+                vector = np.asarray(settings.to_vector()) * _frame
+                return _det(BellSettings.from_vector(vector)).bell_value
+
             worst = max(worst, probe(obj, route))
     return SuiteResult("witness_form_equivalence", worst <= tol, worst, tol)
 
@@ -325,7 +348,11 @@ def _separable_bound(quick: bool) -> SuiteResult:
 
 
 def _multi_outcome_rescale(quick: bool) -> SuiteResult:
-    """Complex rescaling identity for the d-outcome order parameters."""
+    """Complex rescaling identity for the d-outcome order parameters.
+
+    Also compares ``noise.lossy_w_d``'s direct series with the series at
+    the rescaled complex order divided by eta.
+    """
     tol = 1e-14
     worst = 0.0
     etas = (0.3, 1.0) if quick else (0.3, 0.7, 1.0)
@@ -337,8 +364,11 @@ def _multi_outcome_rescale(quick: bool) -> SuiteResult:
             rescaled = noise_mod.rescale_detection(s_d, noise)
             direct = 1.0 - eta + eta * s_d.ratio
             worst = max(worst, abs(rescaled.ratio - direct))
-            # The dual-route evaluator raises internally on disagreement.
-            noise_mod.lossy_w_d(p, d, noise, tol=1e-8)
+            lossy = noise_mod.lossy_w_d(p, d, noise, tol=1e-8)
+            closed = (
+                qp_core.w_from_distribution(p, rescaled, tol=0.25e-8 * eta) / eta
+            )
+            worst = max(worst, abs(lossy - closed))
     return SuiteResult("multi_outcome_rescale", worst <= tol, worst, tol)
 
 
@@ -370,18 +400,18 @@ def run_suites(
         raise ValueError(f"unknown suite names: {unknown}")
     results = []
     for name in selected:
+        start = time.perf_counter()
         try:
-            results.append(_SUITES[name](quick))
+            result = _SUITES[name](quick)
         except Exception as exc:  # noqa: BLE001 - reported, not swallowed
-            results.append(
-                SuiteResult(
-                    name,
-                    passed=False,
-                    worst=math.inf,
-                    tolerance=math.nan,
-                    detail=f"{type(exc).__name__}: {exc}",
-                )
+            result = SuiteResult(
+                name,
+                passed=False,
+                worst=math.inf,
+                tolerance=math.nan,
+                detail=f"{type(exc).__name__}: {exc}",
             )
+        results.append(replace(result, seconds=time.perf_counter() - start))
     return results
 
 

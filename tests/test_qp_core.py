@@ -175,6 +175,23 @@ class TestGaussianSmooth:
         got = gaussian_smooth(w0, -0.3, -0.301, 0.4 + 0.1j, quad_tol=1e-9)
         assert got == pytest.approx(thermal_w(0.0, 0.4 + 0.1j, -0.301), abs=1e-6)
 
+    def test_fock_field_smooths_to_lower_order(self):
+        # A non-Gaussian field: the Laguerre polynomial of the Fock state
+        # is not part of the Gauss-Hermite weight.
+        state = SingleModeTestState.fock(3)
+        w0 = lambda pts: state_w(state, pts, 0.0)
+        targets = np.array([0j, 0.5, 0.3 + 0.4j, -1.2 + 0.7j])
+        for s_prime in (-1.0, -0.2):
+            got = gaussian_smooth(w0, 0.0, s_prime, targets)
+            want = np.array([state_w(state, t, s_prime) for t in targets])
+            assert np.max(np.abs(got - want)) < 1e-8
+
+    def test_unresolved_field_fails_closed(self):
+        # The kernel of a unit step spreads over ~1, so no order on the
+        # ladder resolves a period of 2*pi/60.
+        with pytest.raises(ConvergenceError):
+            gaussian_smooth(lambda pts: np.cos(60.0 * pts.real), 0.0, -1.0, 0.3 + 0.1j)
+
     def test_requires_decreasing_order(self):
         w0 = lambda pts: thermal_w(0.0, pts, -0.5)
         with pytest.raises(ValueError):

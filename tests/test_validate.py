@@ -6,6 +6,7 @@ import time
 
 import pytest
 
+from phasewitness import validate
 from phasewitness.validate import SUITE_NAMES, SuiteResult, format_report, run_suites
 
 
@@ -19,6 +20,17 @@ class TestRunSuites:
         assert all(r.worst <= r.tolerance for r in results)
         assert elapsed < 30.0
 
+    def test_suites_are_timed(self, monkeypatch):
+        def broken(quick):
+            time.sleep(0.01)
+            raise RuntimeError("boom")
+
+        monkeypatch.setitem(validate._SUITES, "eigenvalue_bounds", broken)
+        results = run_suites(quick=True, names=["eigenvalue_bounds", "series_reconstruction"])
+        assert not results[0].passed and "boom" in results[0].detail
+        assert results[0].seconds >= 0.01
+        assert results[1].passed and results[1].seconds > 0.0
+
     def test_name_filter(self):
         results = run_suites(quick=True, names=["eigenvalue_bounds"])
         assert len(results) == 1
@@ -31,9 +43,9 @@ class TestRunSuites:
 
 class TestReporting:
     def test_line_format(self):
-        ok = SuiteResult("alpha", True, 1.2e-12, 1e-10, "spot check")
+        ok = SuiteResult("alpha", True, 1.2e-12, 1e-10, "spot check", seconds=1.234)
         assert ok.line().startswith("PASS  alpha: worst residual 1.200e-12")
-        assert "[spot check]" in ok.line()
+        assert ok.line().endswith("[spot check]  1.23 s")
         bad = SuiteResult("beta", False, 0.5, 1e-10)
         assert bad.line().startswith("FAIL  beta")
 
@@ -73,6 +85,19 @@ class TestCorruptionIsCaught:
         )
         results = run_suites(quick=True, names=["witness_form_equivalence"])
         assert not results[0].passed
+
+    def test_scaled_smoothing_is_detected(self, monkeypatch):
+        # The nested route applies the scale twice, the direct route once.
+        from phasewitness import qp_core
+
+        real = qp_core.gaussian_smooth
+        monkeypatch.setattr(
+            "phasewitness.qp_core.gaussian_smooth",
+            lambda *args, **kwargs: real(*args, **kwargs) * (1.0 + 1e-5),
+        )
+        results = run_suites(quick=True, names=["smoothing_semigroup"])
+        assert not results[0].passed
+        assert results[0].worst > results[0].tolerance
 
     def test_skewed_analytic_route_is_detected(self, monkeypatch):
         from phasewitness import states
