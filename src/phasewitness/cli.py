@@ -14,6 +14,7 @@ import math
 import os
 import sys
 import time
+from dataclasses import fields
 from typing import Sequence
 
 import numpy as np
@@ -117,14 +118,10 @@ def _max_workers() -> int | None:
 
 
 def _report_json(report: WitnessReport) -> dict:
-    s = report.settings
+    v = report.settings.to_vector()
+    pairs = {f.name: list(v[2 * i : 2 * i + 2]) for i, f in enumerate(fields(BellSettings))}
     return {
-        "settings": {
-            "a1": [s.a1.real, s.a1.imag],
-            "a2": [s.a2.real, s.a2.imag],
-            "b1": [s.b1.real, s.b1.imag],
-            "b2": [s.b2.real, s.b2.imag],
-        },
+        "settings": pairs,
         "s_effective": report.s_effective.real,
         "bell_value": report.bell_value,
         "bell_abs": report.bell_abs,
@@ -143,7 +140,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     ev = sub.add_parser("eval", help="evaluate the witness once, print JSON")
-    ev.add_argument("--state", default="tmsv", choices=["tmsv"])
     ev.add_argument("--xi", type=float, required=True, help="squeezing parameter")
     ev.add_argument("--s", type=float, required=True, help="base order parameter in [-1, 0]")
     ev.add_argument("--noise", default="none", choices=["none", "detection", "thermal"])
@@ -217,7 +213,6 @@ def _csv_rows(result: SweepResult) -> list[str]:
     rows = [CSV_HEADER]
     for cell in result.cells:
         rep = cell.report
-        s = rep.settings
         rows.append(
             ",".join(
                 [
@@ -228,14 +223,7 @@ def _csv_rows(result: SweepResult) -> list[str]:
                     "true" if rep.violated else "false",
                     "true" if rep.clamped else "false",
                     _fmt(rep.s_effective.real),
-                    _fmt(s.a1.real),
-                    _fmt(s.a1.imag),
-                    _fmt(s.a2.real),
-                    _fmt(s.a2.imag),
-                    _fmt(s.b1.real),
-                    _fmt(s.b1.imag),
-                    _fmt(s.b2.real),
-                    _fmt(s.b2.imag),
+                    *(_fmt(v) for v in rep.settings.to_vector()),
                 ]
             )
         )

@@ -24,6 +24,7 @@ from .qp_core import (
     OrderParam,
     PhotonDistribution,
     as_order_param,
+    real_order,
     w_from_distribution,
 )
 
@@ -94,11 +95,9 @@ def rescale_detection(s, noise: DetectionNoise) -> OrderParam:
 
 def rescale_thermal(s, noise: ThermalNoise) -> OrderParam:
     """Order parameter after thermal evolution to dimensionless time r."""
-    s = as_order_param(s)
-    if not s.is_real:
-        raise ValueError("thermal rescaling is defined on the real branch only")
+    sv = real_order(s, "thermal rescaling")
     t_sq = 1.0 - noise.r * noise.r
-    value = (s.real - noise.r * noise.r * (1.0 + 2.0 * noise.nbar)) / t_sq
+    value = (sv - noise.r * noise.r * (1.0 + 2.0 * noise.nbar)) / t_sq
     return OrderParam.from_real(value, rescaled=True)
 
 
@@ -140,11 +139,7 @@ def lossy_w(p: PhotonDistribution, s, noise: DetectionNoise, tol: float = 1e-8) 
     route (1/eta) * series at the rescaled order.  Returns the series
     route's value.
     """
-    s = as_order_param(s)
-    if not s.is_real:
-        raise ValueError("lossy_w is defined on the real branch; see lossy_w_d")
-    if s.real > 0.0:
-        raise ValueError("order parameter must be non-positive")
+    s = real_order(s, "lossy_w (lossy_w_d serves the d-outcome branch)")
     if tol <= 0.0:
         raise ValueError("tol must be positive")
     series_route = w_from_distribution(bernoulli_detect(p, noise), s, tol=0.25 * tol)

@@ -7,6 +7,11 @@ A second, complex branch of the parameter (one value per outcome count
 ``d``) covers number-resolved measurements binned into ``d`` complex
 phases.
 
+Every consumer that works on the real branch admits its orders through
+one gate, ``real_order(s, what, lo)``: the finite, non-positive real
+orders not below ``lo`` (the witness takes [-1, 0], the closed-form
+fields any s <= 0).
+
 States enter either as photon-number distributions (series evaluation)
 or as callables ``point -> value`` (closed-form evaluation), so no grid
 discretization error is introduced anywhere.  Plane integrals run an
@@ -34,6 +39,7 @@ __all__ = [
     "OrderParam",
     "PhotonDistribution",
     "as_order_param",
+    "real_order",
     "parity_coefficient",
     "w_from_distribution",
     "gaussian_smooth",
@@ -46,9 +52,6 @@ COMPLEX_D_OUTCOME = "complex_d_outcome"
 
 #: Tolerance on probability normalization (sum of probs plus tail bound).
 NORM_TOL = 1e-10
-
-#: Photon distributions beyond this tail mass are flagged as unreliable.
-TAIL_WARN = 1e-6
 
 #: Hard cap on series length; anything needing more is reported as failure.
 N_MAX_CAP = 4096
@@ -158,6 +161,21 @@ def as_order_param(s: Union["OrderParam", float, int]) -> OrderParam:
     raise TypeError(f"cannot interpret {s!r} as an order parameter")
 
 
+def real_order(s: Union["OrderParam", float, int], what: str, lo: float = -math.inf) -> float:
+    """The real order parameter admitted by ``what``, as a float.
+
+    Coerces through ``as_order_param``, which rejects non-finite and
+    positive orders, then requires the real branch and ``s >= lo``;
+    raises ``ValueError`` naming ``what`` otherwise.
+    """
+    s = as_order_param(s)
+    if not s.is_real:
+        raise ValueError(f"{what} is defined on the real branch only, got order {s.value}")
+    if s.real < lo:
+        raise ValueError(f"order parameter {s.real} outside [{lo}, 0] for {what}")
+    return s.real
+
+
 @dataclass(frozen=True)
 class PhotonDistribution:
     """Photon-number probabilities p(0..n_max) with a rigorous tail bound."""
@@ -185,10 +203,6 @@ class PhotonDistribution:
     @property
     def n_max(self) -> int:
         return self.probs.size - 1
-
-    @property
-    def tail_warning(self) -> bool:
-        return self.tail_bound > TAIL_WARN
 
 
 def parity_coefficient(n: int, s: Union[OrderParam, float]) -> float | complex:
@@ -264,23 +278,22 @@ def _gauss_nodes(order: int) -> tuple[np.ndarray, np.ndarray]:
     return x, w
 
 
-def _square_nodes(center: complex, radius: float, order: int) -> tuple[np.ndarray, np.ndarray]:
+def _square_nodes(radius: float, order: int) -> tuple[np.ndarray, np.ndarray]:
     x, w = _gauss_nodes(order)
-    re = center.real + radius * x
-    im = center.imag + radius * x
-    pts = re[:, None] + 1j * im[None, :]
+    side = radius * x
+    pts = side[:, None] + 1j * side[None, :]
     wts = (radius * w)[:, None] * (radius * w)[None, :]
     return pts.ravel(), wts.ravel()
 
 
-def _integrate_at(f: FieldEvaluator, center: complex, radius: float, tol: float):
+def _integrate_at(f: FieldEvaluator, radius: float, tol: float) -> np.ndarray:
     prev = None
     for order in _ORDERS:
-        pts, wts = _square_nodes(center, radius, order)
+        pts, wts = _square_nodes(radius, order)
         vals = np.asarray(f(pts), dtype=float).reshape(-1, pts.size)
         est = vals @ wts
         if prev is not None and np.max(np.abs(est - prev)) <= 0.5 * tol:
-            return est, order
+            return est
         prev = est
     raise ConvergenceError(
         f"quadrature did not converge to {tol:.2e} at order {_ORDERS[-1]} (radius {radius})"
@@ -290,11 +303,10 @@ def _integrate_at(f: FieldEvaluator, center: complex, radius: float, tol: float)
 def plane_integral(
     f: FieldEvaluator,
     *,
-    center: complex = 0j,
     radius: float = 5.0,
     tol: float = 1e-8,
 ) -> np.ndarray:
-    """Integral of a decaying field over the plane.
+    """Integral of a decaying field over the plane, centred at the origin.
 
     ``f`` receives a flat complex array of nodes; it may return one row
     per integrand (shape ``(k, n_nodes)``) so several integrals sharing
@@ -305,9 +317,9 @@ def plane_integral(
         raise ValueError("tol must be positive")
     if radius <= 0.0:
         raise ValueError("radius must be positive")
-    est, order = _integrate_at(f, center, radius, tol)
+    est = _integrate_at(f, radius, tol)
     for _ in range(_MAX_RADIUS_STEPS):
-        bigger, order = _integrate_at(f, center, radius * _RADIUS_GROWTH, tol)
+        bigger = _integrate_at(f, radius * _RADIUS_GROWTH, tol)
         if np.max(np.abs(bigger - est)) <= 0.5 * tol:
             return bigger
         radius *= _RADIUS_GROWTH
@@ -345,11 +357,7 @@ def gaussian_smooth(
     The product rule walks a fixed order ladder, all targets at once,
     until two consecutive orders agree within quad_tol/2.
     """
-    s = as_order_param(s)
-    s_prime = as_order_param(s_prime)
-    if not (s.is_real and s_prime.is_real):
-        raise ValueError("gaussian smoothing is defined on the real branch only")
-    delta = s.real - s_prime.real
+    delta = real_order(s, "gaussian smoothing") - real_order(s_prime, "gaussian smoothing")
     if delta <= 0.0:
         raise ValueError("smoothing requires s > s_prime")
     if quad_tol <= 0.0:
@@ -400,5 +408,5 @@ def beamsplitter_convolve(
             w_b((a - r * pts) / t), dtype=float
         )
 
-    vals = plane_integral(integrand, center=0j, radius=5.0, tol=quad_tol * t * t)
+    vals = plane_integral(integrand, radius=5.0, tol=quad_tol * t * t)
     return float(vals[0]) / (t * t)

@@ -152,27 +152,16 @@ def grid_oracle(
     objective: Callable[[BellSettings], WitnessReport],
     box_radius: float,
     points_per_axis: int,
-    full_8d: bool = False,
 ) -> WitnessReport:
-    """Exhaustive settings scan; the anti-surprise baseline for maxima.
-
-    Real-axis 4-D grid by default; the full 8-D product is available for
-    very coarse grids only.
-    """
+    """Exhaustive real-axis 4-D settings scan; the anti-surprise baseline for maxima."""
     points_per_axis = int(points_per_axis)
     if points_per_axis < 3:
         raise ValueError("points_per_axis must be at least 3")
     axis = np.unique(np.linspace(-float(box_radius), float(box_radius), points_per_axis))
     best_key = None
     best_report = None
-    if full_8d:
-        candidates = (BellSettings.from_vector(c) for c in itertools.product(axis, repeat=8))
-    else:
-        candidates = (
-            BellSettings(c[0], c[1], c[2], c[3]) for c in itertools.product(axis, repeat=4)
-        )
-    for settings in candidates:
-        report = objective(settings)
+    for a1, a2, b1, b2 in itertools.product(axis, repeat=4):
+        report = objective(BellSettings(a1, a2, b1, b2))
         key = (report.bell_abs, report.settings.to_vector())
         if _better(key, best_key):
             best_key = key

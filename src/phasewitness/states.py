@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import eval_genlaguerre, eval_laguerre, gammaln
 
-from .qp_core import OrderParam, PhotonDistribution, as_order_param
+from .qp_core import PhotonDistribution, real_order
 
 __all__ = [
     "TmsvSpec",
@@ -27,13 +27,8 @@ __all__ = [
 ]
 
 
-def _real_nonpositive(s) -> OrderParam:
-    s = as_order_param(s)
-    if not s.is_real:
-        raise ValueError("closed-form states are defined on the real branch only")
-    if s.real > 0.0:
-        raise ValueError(f"order parameter {s.real} must be non-positive")
-    return s
+#: What the order-parameter gate names when a closed form is asked off its domain.
+_CLOSED_FORM = "closed-form states"
 
 
 def _as_field(alpha) -> tuple[np.ndarray, bool]:
@@ -102,7 +97,7 @@ class TmsvSpec:
 # objective's inner loop, so a scalar field value matches it bit for bit.
 def tmsv_w2(spec: TmsvSpec, alpha, beta, s) -> float | np.ndarray:
     """Two-mode quasiprobability of the TMSV at (alpha, beta)."""
-    width, k2, e2, _, _, sh2 = spec.gaussian(_real_nonpositive(s).real)
+    width, k2, e2, _, _, sh2 = spec.gaussian(real_order(s, _CLOSED_FORM))
     a, scalar_a = _as_field(alpha)
     b, scalar_b = _as_field(beta)
     ar, ai, br, bi = a.real, a.imag, b.real, b.imag
@@ -114,7 +109,7 @@ def tmsv_w2(spec: TmsvSpec, alpha, beta, s) -> float | np.ndarray:
 
 def tmsv_w1(spec: TmsvSpec, alpha, s) -> float | np.ndarray:
     """Reduced single-mode quasiprobability of the TMSV."""
-    _, _, _, k1, e1, _ = spec.gaussian(_real_nonpositive(s).real)
+    _, _, _, k1, e1, _ = spec.gaussian(real_order(s, _CLOSED_FORM))
     a, scalar = _as_field(alpha)
     norm = a.real * a.real + a.imag * a.imag
     if scalar:
@@ -127,8 +122,12 @@ def thermal_w(nbar: float, beta, s) -> float | np.ndarray:
     nbar = float(nbar)
     if not math.isfinite(nbar) or nbar < 0.0:
         raise ValueError("mean photon number nbar must be finite and non-negative")
-    s = _real_nonpositive(s)
-    width = 1.0 + 2.0 * nbar - s.real
+    return _gaussian_w(nbar, beta, real_order(s, _CLOSED_FORM))
+
+
+def _gaussian_w(nbar: float, beta, sv: float) -> float | np.ndarray:
+    """Thermal Gaussian of mean photon number nbar at the admitted order sv."""
+    width = 1.0 + 2.0 * nbar - sv
     if width <= 0.0:
         raise ValueError("thermal width 1 + 2 nbar - s must be positive")
     b, scalar = _as_field(beta)
@@ -188,15 +187,14 @@ class SingleModeTestState:
 
 def state_w(state: SingleModeTestState, alpha, s) -> float | np.ndarray:
     """Analytic quasiprobability of a test state, scalar or array points."""
-    s = _real_nonpositive(s)
-    sv = s.real
+    sv = real_order(s, _CLOSED_FORM)
     if state.kind == VACUUM:
-        return thermal_w(0.0, alpha, s)
+        return _gaussian_w(0.0, alpha, sv)
     if state.kind == THERMAL:
-        return thermal_w(state.nbar, alpha, s)
+        return _gaussian_w(state.nbar, alpha, sv)
     a, scalar = _as_field(alpha)
     if state.kind == COHERENT:
-        vals = thermal_w(0.0, a - state.z, s)
+        vals = _gaussian_w(0.0, a - state.z, sv)
         return float(vals) if scalar else vals
     # Fock state: Laguerre closed form, with the ratio -> 0 limit at s = -1.
     b = np.abs(a) ** 2

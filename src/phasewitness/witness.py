@@ -34,7 +34,7 @@ from math import exp, pi
 from typing import Callable, Mapping
 
 from .noise import DetectionNoise, ThermalNoise, rescale_detection, rescale_thermal
-from .qp_core import OrderParam, as_order_param, parity_coefficient
+from .qp_core import OrderParam, parity_coefficient, real_order
 from .states import TmsvSpec
 
 __all__ = [
@@ -66,6 +66,9 @@ CLAMP_LOSS_CHANNEL = "loss_channel"
 
 #: All recognised clamping rules.
 CLAMP_MODES = (CLAMP_BOUNDED, CLAMP_FROZEN, CLAMP_LOSS_CHANNEL)
+
+#: What the order-parameter gate names for a witness order outside [-1, 0].
+_WITNESS = "the witness"
 
 
 @dataclass(frozen=True)
@@ -132,10 +135,7 @@ def observable_eigenvalue(n: int, s) -> float:
     n = int(n)
     if n < 0:
         raise ValueError("photon number n must be non-negative")
-    s = as_order_param(s)
-    if not s.is_real:
-        raise ValueError("the eigenvalue spectrum is defined on the real branch")
-    sv = s.real
+    sv = real_order(s, "the eigenvalue spectrum")
     # n = 0 and n = 1 are the identities 1 and -(s+1)+s; return them
     # exactly rather than through one rounding step.
     if n == 0:
@@ -157,16 +157,9 @@ def bounded_eigenvalue(n: int, s_prime) -> float:
     Equals 2 (1-s') coeff(n, s') - 1; the ratio lies in [0, 1) for
     s' <= -1, so the spectrum stays in (-1, 1].
     """
-    return 2.0 * (1.0 - _point_order(s_prime)) * float(
+    return 2.0 * (1.0 - real_order(s_prime, "the eigenvalue spectrum")) * float(
         parity_coefficient(n, s_prime)
     ) - 1.0
-
-
-def _point_order(s_prime) -> float:
-    s_prime = as_order_param(s_prime)
-    if not s_prime.is_real:
-        raise ValueError("the eigenvalue spectrum is defined on the real branch")
-    return s_prime.real
 
 
 def _coefficients(s: float) -> tuple[float, float, float]:
@@ -195,34 +188,18 @@ def bell_value(
     w1b: Callable[[complex], float],
     settings: BellSettings,
     s,
-    *,
-    allow_out_of_range: bool = False,
 ) -> float:
     """CHSH-shaped functional from fixed-order quasiprobability evaluators.
 
     The evaluators must already be at order s; the separable bound
     |result| <= 2 holds for s in [-1, 0] only, so other orders are
-    rejected unless explicitly allowed for diagnostics.
+    rejected.
     """
-    s = as_order_param(s)
-    if not s.is_real:
-        raise ValueError("the witness is defined on the real branch")
-    sv = s.real
-    if not allow_out_of_range and not -1.0 <= sv <= 0.0:
-        raise ValueError(f"order parameter {sv} outside [-1, 0]; the bound does not apply")
+    sv = real_order(s, _WITNESS, lo=-1.0)
     c2, c1, c0 = _coefficients(sv)
     a1, a2, b1, b2 = settings.a1, settings.a2, settings.b1, settings.b2
     corr = w2(a1, b1) + w2(a1, b2) + w2(a2, b1) - w2(a2, b2)
     return c2 * corr + c1 * (w1a(a1) + w1b(b1)) + c0
-
-
-def _base_order(s) -> float:
-    s = as_order_param(s)
-    if not s.is_real:
-        raise ValueError("the witness is defined on the real branch")
-    if not -1.0 <= s.real <= 0.0:
-        raise ValueError(f"base order parameter {s.real} outside [-1, 0]")
-    return s.real
 
 
 def _tmsv_objective(
@@ -292,7 +269,7 @@ def detection_objective(
     clamp_mode: str = CLAMP_BOUNDED,
 ) -> Callable[[BellSettings], WitnessReport]:
     """Per-settings witness evaluator for the TMSV under detection loss."""
-    s_prime = rescale_detection(_base_order(s), noise)
+    s_prime = rescale_detection(real_order(s, _WITNESS, lo=-1.0), noise)
     return _tmsv_objective(spec, s_prime, 1.0, noise.eta, clamp_mode)
 
 
@@ -308,7 +285,7 @@ def thermal_objective(
     amplitude rescale to alpha/t happens inside.  The clamping rule is
     applied uniformly when the rescaled order falls below -1.
     """
-    s_prime = rescale_thermal(_base_order(s), noise)
+    s_prime = rescale_thermal(real_order(s, _WITNESS, lo=-1.0), noise)
     if clamp_mode == CLAMP_LOSS_CHANNEL and s_prime.real < -1.0 and noise.nbar > 0.0:
         # The loss-channel reading treats the interaction as pure loss at
         # transmission t^2, which holds for a cold environment only.

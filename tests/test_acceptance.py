@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 
 import numpy as np
+import pytest
 
 from conftest import record_acceptance
 from phasewitness.cli import THREADS_ENV, main
@@ -24,6 +25,8 @@ from phasewitness.witness import (
     detection_objective,
     thermal_objective,
 )
+
+pytestmark = pytest.mark.acceptance
 
 CONFIG = SearchConfig(n_starts=16, seed=7, ftol=1e-9, xtol=1e-5)
 

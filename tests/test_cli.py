@@ -79,6 +79,12 @@ class TestArgumentHandling:
             code, _, err = run_cli(["eval", "--xi", "0.3", *argv], capsys)
             assert code == EXIT_USAGE
             assert "NaN" in err or "overflow" in err
+        # A base order outside the witness range [-1, 0] is named.
+        for s in ("0.5", "-1.5"):
+            code, _, err = run_cli(
+                ["eval", "--xi", "0.3", "--s", s, "--settings", "0,0,0,0"], capsys
+            )
+            assert code == EXIT_USAGE and f"order parameter {s}" in err
 
     def test_noise_parameters_are_required(self, capsys):
         code, _, _ = run_cli(

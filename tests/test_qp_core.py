@@ -18,7 +18,24 @@ from phasewitness.qp_core import (
     plane_integral,
     w_from_distribution,
 )
-from phasewitness.states import SingleModeTestState, photon_distribution, state_w, thermal_w
+from phasewitness.noise import DetectionNoise, ThermalNoise, lossy_w, rescale_thermal
+from phasewitness.states import (
+    SingleModeTestState,
+    TmsvSpec,
+    photon_distribution,
+    state_w,
+    thermal_w,
+    tmsv_w1,
+    tmsv_w2,
+)
+from phasewitness.witness import (
+    BellSettings,
+    bell_value,
+    bounded_eigenvalue,
+    detection_objective,
+    observable_eigenvalue,
+    thermal_objective,
+)
 
 orders = st.floats(min_value=-1.0, max_value=0.0, allow_nan=False)
 efficiencies = st.floats(min_value=0.05, max_value=1.0, allow_nan=False)
@@ -74,6 +91,54 @@ class TestOrderParam:
         assert abs(lhs - as_order_param(s_prime).ratio) < 1e-12
 
 
+def _vacuum(q):
+    return thermal_w(0.0, q, -0.5)
+
+
+def _zero_bell(s):
+    return bell_value(
+        lambda a, b: 0.0, lambda a: 0.0, lambda b: 0.0, BellSettings(0, 0, 0, 0), s
+    )
+
+
+SPEC = TmsvSpec(0.3)
+
+#: Every public real-branch consumer of the order gate, and whether it
+#: admits only the witness range [-1, 0] (else any real s <= 0).
+GATED = {
+    "gaussian_smooth.s": (lambda s: gaussian_smooth(_vacuum, s, -3.0, 0.1), False),
+    "gaussian_smooth.s_prime": (lambda s: gaussian_smooth(_vacuum, 0.0, s, 0.1), False),
+    "tmsv_w2": (lambda s: tmsv_w2(SPEC, 0.1, 0.2j, s), False),
+    "tmsv_w1": (lambda s: tmsv_w1(SPEC, 0.1, s), False),
+    "thermal_w": (lambda s: thermal_w(0.5, 0.1, s), False),
+    "state_w": (lambda s: state_w(SingleModeTestState.coherent(0.3), 0.1, s), False),
+    "observable_eigenvalue": (lambda s: observable_eigenvalue(3, s), False),
+    "bounded_eigenvalue": (lambda s: bounded_eigenvalue(3, s), False),
+    "rescale_thermal": (lambda s: rescale_thermal(s, ThermalNoise(0.5)), False),
+    "lossy_w": (
+        lambda s: lossy_w(photon_distribution(SingleModeTestState.vacuum(), 0.2, 40), s,
+                          DetectionNoise(0.7)),
+        False,
+    ),
+    "bell_value": (_zero_bell, True),
+    "detection_objective": (lambda s: detection_objective(SPEC, s, DetectionNoise(0.7)), True),
+    "thermal_objective": (lambda s: thermal_objective(SPEC, s, ThermalNoise(0.5)), True),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GATED))
+def test_order_gate_contract(name):
+    consumer, witness_range = GATED[name]
+    for s in (OrderParam.d_outcome(3), 0.5):
+        with pytest.raises(ValueError):
+            consumer(s)
+    if witness_range:
+        with pytest.raises(ValueError):
+            consumer(-1.5)
+    else:
+        consumer(-1.5)
+
+
 class TestParityCoefficient:
     def test_known_values(self):
         assert parity_coefficient(0, -0.5) == pytest.approx(2.0 / 3.0, abs=1e-15)
@@ -100,7 +165,7 @@ class TestPhotonDistribution:
 
     def test_tail_accounting_and_immutability(self):
         p = PhotonDistribution(np.array([0.7, 0.2]), tail_bound=0.1)
-        assert p.n_max == 1 and p.tail_warning
+        assert p.n_max == 1
         with pytest.raises(ValueError):
             p.probs[0] = 0.0
 

@@ -138,12 +138,6 @@ class TestGridOracle:
         assert report.settings == BellSettings(0.0, 0.0, 0.0, 0.0)
         assert report.bell_abs == pytest.approx(2.0, abs=1e-12)
 
-    def test_full_8d_contains_real_axis_grid(self):
-        objective = detection_objective(TmsvSpec(0.3), 0.0, DetectionNoise(0.5))
-        real_axis = grid_oracle(objective, 0.4, 3)
-        full = grid_oracle(objective, 0.4, 3, full_8d=True)
-        assert full.bell_abs >= real_axis.bell_abs - 1e-12
-
 
 class TestSweeps:
     def test_grid_validation(self):

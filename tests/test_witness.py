@@ -166,15 +166,6 @@ class TestIdealBell:
                 SETTINGS,
                 OrderParam.d_outcome(3),
             )
-        out = bell_value(
-            lambda a, b: 0.0,
-            lambda a: 0.0,
-            lambda b: 0.0,
-            SETTINGS,
-            -1.2,
-            allow_out_of_range=True,
-        )
-        assert out == pytest.approx(2.0 * 1.2**2, abs=1e-15)
 
 
 class TestDetectionWitness:
