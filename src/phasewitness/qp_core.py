@@ -91,7 +91,9 @@ class OrderParam:
             if self.rescaled:
                 if v.real > 0.0:
                     raise ValueError("rescaled order parameter cannot be positive")
-            elif not -1.0 <= v.real <= 0.0:
+            elif v.real > 0.0:
+                raise ValueError(f"order parameter {v.real} outside [-1, 0]")
+            elif v.real < -1.0:
                 raise ValueError(
                     f"order parameter {v.real} outside [-1, 0]; "
                     "values below -1 must be tagged as rescaled"

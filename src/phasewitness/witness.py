@@ -9,7 +9,9 @@ Both noise models reach the TMSV witness through one builder: the noise
 rescales the order parameter to s' and the settings by a frame scale
 (1 for detection loss, 1/t for the thermal channel).  The independent
 route over the closed-form fields lives in ``validate``, off the hot
-path.
+path.  Every objective also answers ``objective(x, grad=True)`` with the
+value and its analytic gradient over the raw 8-vector x, for the
+settings search.
 
 When the rescaled order parameter falls below -1 the plain functional
 stops being a witness, because the observable spectrum leaves [-1, 1].
@@ -211,8 +213,11 @@ def _tmsv_objective(
 ) -> Callable[[BellSettings], WitnessReport]:
     """Per-settings TMSV witness evaluator at the rescaled order s'.
 
-    Settings are multiplied by ``frame_scale`` before the fields are
-    read.  ``transmission`` is the intensity transmission g of the noise
+    ``evaluate(settings)`` gives the ``WitnessReport``;
+    ``evaluate(x, grad=True)`` gives (B, dB/dx) at the raw 8-vector x,
+    ordered as ``BellSettings.to_vector``, with the value bit-identical to
+    the report's.  Settings are multiplied by ``frame_scale`` before the
+    fields are read, and the gradient carries that factor.  ``transmission`` is the intensity transmission g of the noise
     channel (eta for detection loss, t^2 for the thermal interaction);
     only the loss-channel rule uses it, reading the order -1 field of the
     noisy state as (1/g) W(alpha/sqrt(g); 1 - 2/g) per mode.
@@ -233,15 +238,13 @@ def _tmsv_objective(
             weight2, weight1 = 1.0 / (g * g), 1.0 / g
     width, k2, e2, k1, e1, sh2 = spec.gaussian(s_dist, weight2, weight1)
 
-    def evaluate(settings: BellSettings) -> WitnessReport:
-        a1 = settings.a1 * frame_scale
-        a2 = settings.a2 * frame_scale
-        b1 = settings.b1 * frame_scale
-        b2 = settings.b2 * frame_scale
-        a1r, a1i = a1.real, a1.imag
-        a2r, a2i = a2.real, a2.imag
-        b1r, b1i = b1.real, b1.imag
-        b2r, b2i = b2.real, b2.imag
+    def evaluate(settings, grad: bool = False):
+        # The report path reads the same 8 coordinates as the raw vector.
+        x = settings if grad else settings.to_vector()
+        a1r, a1i, a2r, a2i, b1r, b1i, b2r, b2i = x
+        f = frame_scale
+        a1r, a1i, a2r, a2i = a1r * f, a1i * f, a2r * f, a2i * f
+        b1r, b1i, b2r, b2i = b1r * f, b1i * f, b2r * f, b2i * f
         na1 = a1r * a1r + a1i * a1i
         na2 = a2r * a2r + a2i * a2i
         nb1 = b1r * b1r + b1i * b1i
@@ -257,7 +260,26 @@ def _tmsv_objective(
             raise ValueError(
                 f"witness value is NaN at s' = {sp!r}: the closed form overflows"
             )
-        return WitnessReport(settings, s_prime, value)
+        if not grad:
+            return WitnessReport(settings, s_prime, value)
+        # d exp(-e2 Q)/d(scaled x) = -e2 W dQ, times frame_scale for the
+        # measured frame; u_jk is the signed weight of W(a_j, b_k) in B.
+        g2 = -e2 * f
+        g1a = -2.0 * e1 * f * c1 * w1a
+        g1b = -2.0 * e1 * f * c1 * w1b
+        u11, u12, u21, u22 = c2 * w11, c2 * w12, c2 * w21, -c2 * w22
+        wa1, wa2 = 2.0 * width * (u11 + u12), 2.0 * width * (u21 + u22)
+        wb1, wb2 = 2.0 * width * (u11 + u21), 2.0 * width * (u12 + u22)
+        return value, (
+            g2 * (wa1 * a1r + sh2 * (u11 * b1r + u12 * b2r)) + g1a * a1r,
+            g2 * (wa1 * a1i - sh2 * (u11 * b1i + u12 * b2i)) + g1a * a1i,
+            g2 * (wa2 * a2r + sh2 * (u21 * b1r + u22 * b2r)),
+            g2 * (wa2 * a2i - sh2 * (u21 * b1i + u22 * b2i)),
+            g2 * (wb1 * b1r + sh2 * (u11 * a1r + u21 * a2r)) + g1b * b1r,
+            g2 * (wb1 * b1i - sh2 * (u11 * a1i + u21 * a2i)) + g1b * b1i,
+            g2 * (wb2 * b2r + sh2 * (u12 * a1r + u22 * a2r)),
+            g2 * (wb2 * b2i - sh2 * (u12 * a1i + u22 * a2i)),
+        )
 
     return evaluate
 

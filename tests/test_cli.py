@@ -85,6 +85,7 @@ class TestArgumentHandling:
                 ["eval", "--xi", "0.3", "--s", s, "--settings", "0,0,0,0"], capsys
             )
             assert code == EXIT_USAGE and f"order parameter {s}" in err
+            assert "tagged as rescaled" not in err
 
     def test_noise_parameters_are_required(self, capsys):
         code, _, _ = run_cli(

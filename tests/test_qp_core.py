@@ -49,6 +49,14 @@ class TestOrderParam:
             OrderParam.from_real(-1.5)
         assert OrderParam.from_real(-1.5, rescaled=True).real == -1.5
 
+    def test_rescaled_hint_only_below_minus_one(self):
+        with pytest.raises(ValueError, match="tagged as rescaled"):
+            OrderParam.from_real(-1.5)
+        with pytest.raises(ValueError) as positive:
+            OrderParam.from_real(0.5)
+        assert "order parameter 0.5 outside [-1, 0]" in str(positive.value)
+        assert "rescaled" not in str(positive.value)
+
     def test_rescaled_must_not_be_positive(self):
         with pytest.raises(ValueError):
             OrderParam.from_real(0.1, rescaled=True)

@@ -54,7 +54,9 @@ class TestSearchConfig:
             SearchConfig(box_radius=1e308)
 
 
-def constant_objective(settings: BellSettings) -> WitnessReport:
+def constant_objective(settings, grad=False):
+    if grad:
+        return 1.5, (0.0,) * 8
     return WitnessReport(settings, OrderParam.from_real(-0.5), 1.5)
 
 
@@ -66,6 +68,29 @@ class TestMaximizeBell:
         assert report.meta["stream"] == 0
         assert report.meta["unconverged_starts"] == 0
         assert report.meta["n_evals"] > 0
+        assert report.meta["grad_norm"] == 0.0
+
+    def test_every_evaluation_goes_through_the_objective(self):
+        objective = detection_objective(TmsvSpec(0.3), 0.0, DetectionNoise(0.5))
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(kwargs.get("grad", False))
+            return objective(*args, **kwargs)
+
+        report = maximize_bell(counting, FAST)
+        # Every search evaluation plus the report of the winning point.
+        assert len(calls) == report.meta["n_evals"] + 1
+        assert calls.count(False) == 1
+        assert report.meta["unconverged_starts"] == 0
+        assert report.meta["grad_norm"] <= 1e-6
+
+    def test_benchmark_map_cell_reaches_its_optimum(self):
+        # The (eta, s) = (0.5, -0.8) cell of the 8 x 6 benchmark map at
+        # xi = 0.3 is cell 13; 8-D Nelder-Mead stopped there at 1.925372.
+        objective = detection_objective(TmsvSpec(0.3), -0.8, DetectionNoise(0.5))
+        report = maximize_bell(objective, SearchConfig(n_starts=8, seed=1), stream=13)
+        assert report.bell_abs >= 1.925494670
 
     def test_separable_state_never_beats_two(self):
         objective = detection_objective(TmsvSpec(0.0), -1.0, DetectionNoise(1.0))

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings as hsettings, strategies as st
 
@@ -368,3 +369,57 @@ class TestThermalWitness:
         assert report.bell_abs == abs(report.bell_value)
         assert report.violated == (report.bell_abs > 2.0)
         assert report.clamped == (report.s_effective.real < -1.0)
+
+
+# (noise, s) pairs covering both frames of each model: detection loss at
+# s' above and below -1, the thermal frame 1/t hot and cold, and the
+# loss-channel frame 1/sqrt(g) once s' < -1.
+GRADIENT_CELLS = [
+    (DetectionNoise(0.8), 0.0),
+    (DetectionNoise(0.3), -0.4),
+    (ThermalNoise(0.4, 0.0), -0.3),
+    (ThermalNoise(0.8, 0.0), 0.0),
+    (ThermalNoise(0.7, 1.0), -0.2),
+]
+
+
+def _build(noise):
+    return detection_objective if isinstance(noise, DetectionNoise) else thermal_objective
+
+
+class TestGradient:
+    @pytest.mark.parametrize(
+        "mode, noise, s",
+        [
+            (mode, noise, s)
+            for mode in (CLAMP_BOUNDED, CLAMP_FROZEN, CLAMP_LOSS_CHANNEL)
+            for noise, s in GRADIENT_CELLS
+            # Loss-channel clamping needs a cold environment.
+            if not (mode == CLAMP_LOSS_CHANNEL and getattr(noise, "nbar", 0.0) > 0.0)
+        ],
+    )
+    def test_matches_report_path_and_central_differences(self, mode, noise, s):
+        objective = _build(noise)(TmsvSpec(0.3), s, noise, mode)
+
+        def value(x):
+            return objective(BellSettings.from_vector(x)).bell_value
+
+        rng = np.random.default_rng(4)
+        h = 1e-6
+        for _ in range(8):
+            x = rng.uniform(-1.0, 1.0, 8).tolist()
+            b, grad = objective(x, grad=True)
+            assert b == value(x)
+            for i in range(8):
+                up, down = list(x), list(x)
+                up[i] += h
+                down[i] -= h
+                central = (value(up) - value(down)) / (2.0 * h)
+                assert grad[i] == pytest.approx(central, abs=1e-7)
+
+    def test_cells_cover_both_sides_of_the_clamp(self):
+        spec = TmsvSpec(0.3)
+        clamped = []
+        for noise, s in GRADIENT_CELLS:
+            clamped.append(_build(noise)(spec, s, noise)(SETTINGS).clamped)
+        assert clamped == [False, True, False, True, True]
