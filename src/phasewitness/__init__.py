@@ -21,7 +21,6 @@ from .qp_core import (
     ConvergenceError,
     OrderParam,
     PhotonDistribution,
-    as_order_param,
     beamsplitter_convolve,
     gaussian_smooth,
     parity_coefficient,
@@ -69,7 +68,6 @@ __all__ = [
     "ConvergenceError",
     "OrderParam",
     "PhotonDistribution",
-    "as_order_param",
     "parity_coefficient",
     "w_from_distribution",
     "gaussian_smooth",

@@ -122,7 +122,7 @@ def _report_json(report: WitnessReport) -> dict:
     pairs = {f.name: list(v[2 * i : 2 * i + 2]) for i, f in enumerate(fields(BellSettings))}
     return {
         "settings": pairs,
-        "s_effective": report.s_effective.real,
+        "s_effective": report.s_effective,
         "bell_value": report.bell_value,
         "bell_abs": report.bell_abs,
         "violated": report.violated,
@@ -222,7 +222,7 @@ def _csv_rows(result: SweepResult) -> list[str]:
                     _fmt(rep.bell_abs),
                     "true" if rep.violated else "false",
                     "true" if rep.clamped else "false",
-                    _fmt(rep.s_effective.real),
+                    _fmt(rep.s_effective),
                     *(_fmt(v) for v in rep.settings.to_vector()),
                 ]
             )

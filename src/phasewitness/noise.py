@@ -19,11 +19,9 @@ import numpy as np
 from scipy.special import gammaln
 
 from .qp_core import (
-    COMPLEX_D_OUTCOME,
     ConsistencyError,
     OrderParam,
     PhotonDistribution,
-    as_order_param,
     real_order,
     w_from_distribution,
 )
@@ -80,25 +78,25 @@ class ThermalNoise:
         return math.sqrt(1.0 - self.r * self.r)
 
 
-def rescale_detection(s, noise: DetectionNoise) -> OrderParam:
+def rescale_detection(s: float | OrderParam, noise: DetectionNoise) -> float | OrderParam:
     """Order parameter seen through detectors of efficiency eta.
 
-    Implements 1 - s' = (1 - s)/eta on both the real and the d-outcome
-    branch; the result is tagged rescaled and may lie below -1.
+    Implements 1 - s' = (1 - s)/eta on both branches: a real order gives
+    a float, possibly below -1, and ``OrderParam(d, eta0)`` gives
+    ``OrderParam(d, eta0 * eta)``.
     """
-    s = as_order_param(s)
-    value = 1.0 - (1.0 - s.value) / noise.eta
-    if s.is_real:
-        return OrderParam.from_real(value.real, rescaled=True)
-    return OrderParam(value, COMPLEX_D_OUTCOME, rescaled=True, d=s.d)
+    if isinstance(s, OrderParam):
+        return OrderParam(s.d, s.eta * noise.eta)
+    value = 1.0 - (1.0 - real_order(s, "detection rescaling")) / noise.eta
+    return real_order(value, "the detection-rescaled order")
 
 
-def rescale_thermal(s, noise: ThermalNoise) -> OrderParam:
+def rescale_thermal(s, noise: ThermalNoise) -> float:
     """Order parameter after thermal evolution to dimensionless time r."""
     sv = real_order(s, "thermal rescaling")
     t_sq = 1.0 - noise.r * noise.r
     value = (sv - noise.r * noise.r * (1.0 + 2.0 * noise.nbar)) / t_sq
-    return OrderParam.from_real(value, rescaled=True)
+    return real_order(value, "the thermally rescaled order")
 
 
 def bernoulli_detect(p: PhotonDistribution, noise: DetectionNoise) -> PhotonDistribution:
@@ -162,7 +160,7 @@ def lossy_w_d(p: PhotonDistribution, d: int, noise: DetectionNoise, tol: float =
     """
     if tol <= 0.0:
         raise ValueError("tol must be positive")
-    s_d = OrderParam.d_outcome(d)
+    s_d = OrderParam(d)
     base = 1.0 - noise.eta + noise.eta * s_d.omega
     prefactor = 2.0 / (math.pi * (1.0 - s_d.value))
     damp = min(abs(base), 1.0) ** p.probs.size

@@ -3,14 +3,15 @@
 The phase-space distributions handled here form a one-parameter family
 indexed by an order parameter ``s``: ``s = 0`` is the Wigner function,
 ``s = -1`` the Husimi Q function, and noise maps push ``s`` below -1.
-A second, complex branch of the parameter (one value per outcome count
-``d``) covers number-resolved measurements binned into ``d`` complex
-phases.
+A real order is a plain float.  A second, complex branch of the
+parameter (one value per outcome count ``d``) covers number-resolved
+measurements binned into ``d`` complex phases; ``OrderParam(d, eta)``
+is that branch, at ideal detectors or after loss at efficiency eta.
 
-Every consumer that works on the real branch admits its orders through
-one gate, ``real_order(s, what, lo)``: the finite, non-positive real
-orders not below ``lo`` (the witness takes [-1, 0], the closed-form
-fields any s <= 0).
+One gate, ``real_order(s, what, lo)``, admits every real order: finite,
+non-positive and not below ``lo`` (the witness takes [-1, 0], the
+closed-form fields any s <= 0).  The series functions take either
+branch and send a float through the same gate.
 
 States enter either as photon-number distributions (series evaluation)
 or as callables ``point -> value`` (closed-form evaluation), so no grid
@@ -31,14 +32,11 @@ from typing import Callable, Union
 import numpy as np
 
 __all__ = [
-    "REAL_WITNESS",
-    "COMPLEX_D_OUTCOME",
     "NORM_TOL",
     "ConvergenceError",
     "ConsistencyError",
     "OrderParam",
     "PhotonDistribution",
-    "as_order_param",
     "real_order",
     "parity_coefficient",
     "w_from_distribution",
@@ -46,9 +44,6 @@ __all__ = [
     "beamsplitter_convolve",
     "plane_integral",
 ]
-
-REAL_WITNESS = "real_witness"
-COMPLEX_D_OUTCOME = "complex_d_outcome"
 
 #: Tolerance on probability normalization (sum of probs plus tail bound).
 NORM_TOL = 1e-10
@@ -67,115 +62,74 @@ class ConsistencyError(RuntimeError):
 
 @dataclass(frozen=True)
 class OrderParam:
-    """Order parameter of the quasiprobability family.
+    """Order parameter of the d-outcome branch, seen at detection efficiency eta.
 
-    ``real_witness`` values live in [-1, 0]; values produced by a noise
-    rescaling carry ``rescaled=True`` and may lie below -1.  The
-    ``complex_d_outcome`` branch stores the one admissible value per
-    outcome count ``d``, namely ``-i*cot(pi/d)`` (0 for d = 2).
+    Ideal detectors (eta = 1) give the one admissible value per outcome
+    count ``d``, s_d = -i*cot(pi/d) (0 for d = 2); loss at efficiency eta
+    moves it to 1 - (1 - s_d)/eta.  The weight ratio (s+1)/(s-1) equals
+    1 - eta + eta*omega, inside the closed unit disc.  Real orders are
+    plain floats admitted by ``real_order``.
     """
 
-    value: complex
-    kind: str = REAL_WITNESS
-    rescaled: bool = False
-    d: int | None = None
+    d: int
+    eta: float = 1.0
 
     def __post_init__(self) -> None:
-        v = complex(self.value)
-        object.__setattr__(self, "value", v)
-        if not (math.isfinite(v.real) and math.isfinite(v.imag)):
-            raise ValueError("order parameter must be finite")
-        if self.kind == REAL_WITNESS:
-            if v.imag != 0.0:
-                raise ValueError("real_witness order parameter must have zero imaginary part")
-            if self.rescaled:
-                if v.real > 0.0:
-                    raise ValueError("rescaled order parameter cannot be positive")
-            elif v.real > 0.0:
-                raise ValueError(f"order parameter {v.real} outside [-1, 0]")
-            elif v.real < -1.0:
-                raise ValueError(
-                    f"order parameter {v.real} outside [-1, 0]; "
-                    "values below -1 must be tagged as rescaled"
-                )
-        elif self.kind == COMPLEX_D_OUTCOME:
-            if self.d is None or int(self.d) < 2:
-                raise ValueError("complex_d_outcome requires an outcome count d >= 2")
-            if not self.rescaled:
-                expected = -1j / math.tan(math.pi / self.d) if self.d > 2 else 0j
-                if abs(v - expected) > 1e-12:
-                    raise ValueError(f"d-outcome order parameter must equal {expected}")
-        else:
-            raise ValueError(f"unknown order-parameter kind {self.kind!r}")
-
-    @classmethod
-    def from_real(cls, s: float, *, rescaled: bool = False) -> "OrderParam":
-        return cls(complex(float(s)), REAL_WITNESS, rescaled=rescaled)
-
-    @classmethod
-    def d_outcome(cls, d: int) -> "OrderParam":
-        d = int(d)
+        d, eta = int(self.d), float(self.eta)
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "eta", eta)
         if d < 2:
             raise ValueError("outcome count d must be >= 2")
-        value = -1j / math.tan(math.pi / d) if d > 2 else 0j
-        return cls(value, COMPLEX_D_OUTCOME, d=d)
+        if not 0.0 < eta <= 1.0:
+            raise ValueError("detection efficiency eta must lie in (0, 1]")
+        if not cmath.isfinite(self.value):
+            raise ValueError("order parameter must be finite")
 
     @property
-    def is_real(self) -> bool:
-        return self.kind == REAL_WITNESS
+    def value(self) -> complex:
+        """The order 1 - (1 - s_d)/eta."""
+        s_d = -1j / math.tan(math.pi / self.d) if self.d > 2 else 0j
+        return 1.0 - (1.0 - s_d) / self.eta
 
     @property
-    def real(self) -> float:
-        if not self.is_real:
-            raise TypeError("order parameter is not on the real branch")
-        return self.value.real
-
-    @property
-    def ratio(self) -> complex | float:
+    def ratio(self) -> complex:
         """Weight ratio (s+1)/(s-1) between successive number states."""
         v = self.value
-        if abs(v - 1.0) < 1e-300:
-            raise ValueError("order parameter s = 1 is singular")
-        r = (v + 1.0) / (v - 1.0)
-        return r.real if self.is_real else r
+        return (v + 1.0) / (v - 1.0)
 
     @property
     def omega(self) -> complex:
-        """Outcome phase exp(2*pi*i/d); equals the weight ratio."""
-        if self.kind != COMPLEX_D_OUTCOME:
-            raise TypeError("omega is only defined on the d-outcome branch")
+        """Outcome phase exp(2*pi*i/d); the weight ratio at eta = 1."""
         return cmath.exp(2j * math.pi / self.d)
 
 
-def as_order_param(s: Union["OrderParam", float, int]) -> OrderParam:
-    """Coerce a real number to an OrderParam.
-
-    Explicit numeric values below -1 are treated as deliberately
-    rescaled; all other validation is delegated to the constructor.
-    """
-    if isinstance(s, OrderParam):
-        return s
-    if isinstance(s, (bool, complex)) and not isinstance(s, (int, float)):
-        raise TypeError("complex order parameters must be built with OrderParam.d_outcome")
-    if isinstance(s, (int, float, np.integer, np.floating)):
-        s = float(s)
-        return OrderParam.from_real(s, rescaled=s < -1.0)
-    raise TypeError(f"cannot interpret {s!r} as an order parameter")
-
-
-def real_order(s: Union["OrderParam", float, int], what: str, lo: float = -math.inf) -> float:
+def real_order(s: float, what: str, lo: float = -math.inf) -> float:
     """The real order parameter admitted by ``what``, as a float.
 
-    Coerces through ``as_order_param``, which rejects non-finite and
-    positive orders, then requires the real branch and ``s >= lo``;
-    raises ``ValueError`` naming ``what`` otherwise.
+    Raises ``TypeError`` unless ``s`` is a real number (an ``OrderParam``
+    is not), and ``ValueError`` naming ``what`` unless it is finite,
+    non-positive and not below ``lo``.
     """
-    s = as_order_param(s)
-    if not s.is_real:
-        raise ValueError(f"{what} is defined on the real branch only, got order {s.value}")
-    if s.real < lo:
-        raise ValueError(f"order parameter {s.real} outside [{lo}, 0] for {what}")
-    return s.real
+    if not isinstance(s, (float, int, np.floating, np.integer)):
+        raise TypeError(f"{what} is defined on the real branch only, got order {s!r}")
+    s = float(s)
+    if not math.isfinite(s):
+        raise ValueError(f"order parameter must be finite, got {s} for {what}")
+    if s > 0.0 or s < lo:
+        raise ValueError(f"order parameter {s} outside [{lo}, 0] for {what}")
+    return s
+
+
+def _ratio_and_gap(s: Union[OrderParam, float], what: str) -> tuple:
+    """Weight ratio (s+1)/(s-1) and 1 - s on either branch.
+
+    A real order passes ``real_order`` and gives floats, the ratio in
+    [-1, 1); a d-outcome order gives complex values.
+    """
+    if isinstance(s, OrderParam):
+        return s.ratio, 1.0 - s.value
+    s = real_order(s, what)
+    return (s + 1.0) / (s - 1.0), 1.0 - s
 
 
 @dataclass(frozen=True)
@@ -216,10 +170,8 @@ def parity_coefficient(n: int, s: Union[OrderParam, float]) -> float | complex:
     n = int(n)
     if n < 0:
         raise ValueError("photon number n must be non-negative")
-    s = as_order_param(s)
-    ratio = s.ratio
-    coeff = ratio**n / (1.0 - s.value)
-    return coeff.real if s.is_real else coeff
+    ratio, gap = _ratio_and_gap(s, "parity_coefficient")
+    return ratio**n / gap
 
 
 def w_from_distribution(
@@ -229,21 +181,16 @@ def w_from_distribution(
 ) -> float | complex:
     """Quasiprobability value (2/pi) * sum_n coeff(n, s) p(n).
 
-    The distribution must make the series summable: for |ratio| < 1 any
-    tail is damped geometrically, while on the unit circle (s = 0 and
-    every d-outcome value) the tail bound itself must be below ``tol``.
+    Every admissible order has |ratio| <= 1: for |ratio| < 1 any tail is
+    damped geometrically, while on the unit circle (s = 0 and every
+    d-outcome value at eta = 1) the tail bound itself must be below
+    ``tol``.
     """
     if tol <= 0.0:
         raise ValueError("tol must be positive")
-    s = as_order_param(s)
-    ratio = s.ratio
+    ratio, gap = _ratio_and_gap(s, "w_from_distribution")
     r_abs = abs(ratio)
-    prefactor = 2.0 / (math.pi * (1.0 - (s.real if s.is_real else s.value)))
-    if r_abs > 1.0 + 1e-12:
-        if p.tail_bound > 0.0:
-            raise ValueError(
-                f"series diverges for |ratio| = {r_abs} > 1 with non-zero tail mass"
-            )
+    prefactor = 2.0 / (math.pi * gap)
     if p.n_max + 1 > N_MAX_CAP:
         raise ConvergenceError(f"distribution longer than the n_max cap {N_MAX_CAP}")
     # Tail error: every omitted term is bounded by |ratio|^(n_max+1) times its mass,
@@ -258,9 +205,7 @@ def w_from_distribution(
             f"series tail bound {tail_err:.3e} exceeds tol {tol:.3e} at n_max {p.n_max}"
         )
     n = np.arange(p.probs.size)
-    powers = np.asarray(ratio, dtype=complex) ** n if not s.is_real else np.asarray(ratio) ** n
-    total = float(np.dot(powers, p.probs)) if s.is_real else complex(np.dot(powers, p.probs))
-    return prefactor * total
+    return prefactor * np.dot(np.asarray(ratio) ** n, p.probs).item()
 
 
 # ---------------------------------------------------------------------------
@@ -342,8 +287,8 @@ def _hermite_nodes(order: int) -> tuple[np.ndarray, np.ndarray]:
 
 def gaussian_smooth(
     w: FieldEvaluator,
-    s: Union[OrderParam, float],
-    s_prime: Union[OrderParam, float],
+    s: float,
+    s_prime: float,
     alpha,
     quad_tol: float = 1e-8,
 ):

@@ -187,7 +187,7 @@ def _thermal_convolution(quick: bool) -> SuiteResult:
 
 
 def _field_route(
-    spec, s_prime: OrderParam, frame_scale: float, transmission: float, clamp_mode: str
+    spec, s_prime: float, frame_scale: float, transmission: float, clamp_mode: str
 ) -> Callable[[BellSettings], float]:
     """The TMSV witness from ``bell_value`` over the closed-form fields.
 
@@ -197,8 +197,7 @@ def _field_route(
     identity behind its coefficients), and the loss-channel rule reads
     the order -1 fields of the state after pure loss at ``transmission``.
     """
-    sp = s_prime.real
-    if sp < -1.0 and clamp_mode == witness.CLAMP_LOSS_CHANNEL:
+    if s_prime < -1.0 and clamp_mode == witness.CLAMP_LOSS_CHANNEL:
         # The channel's own 1/sqrt(g) is the whole rescale of the settings.
         loss = ThermalNoise(r=math.sqrt(1.0 - transmission))
 
@@ -213,8 +212,8 @@ def _field_route(
             )
 
     else:
-        bounded = sp < -1.0 and clamp_mode == witness.CLAMP_BOUNDED
-        f = (1.0 - sp) / 2.0 if bounded else 1.0
+        bounded = s_prime < -1.0 and clamp_mode == witness.CLAMP_BOUNDED
+        f = (1.0 - s_prime) / 2.0 if bounded else 1.0
 
         def w2(a, b):
             return f * f * states.tmsv_w2(spec, a * frame_scale, b * frame_scale, s_prime)
@@ -222,7 +221,7 @@ def _field_route(
         def w1(a):
             return f * states.tmsv_w1(spec, a * frame_scale, s_prime)
 
-    order = s_prime if sp >= -1.0 else -1.0
+    order = s_prime if s_prime >= -1.0 else -1.0
     return lambda settings: witness.bell_value(w2, w1, w1, settings, order)
 
 
@@ -291,7 +290,7 @@ def _witness_form_equivalence(quick: bool) -> SuiteResult:
             det = witness.detection_objective(
                 spec, s, DetectionNoise(1.0 - r * r), clamp_mode=mode
             )
-            loss_frame = mode == witness.CLAMP_LOSS_CHANNEL and s_prime.real < -1.0
+            loss_frame = mode == witness.CLAMP_LOSS_CHANNEL and s_prime < -1.0
             frame = 1.0 if loss_frame else 1.0 / noise.t
 
             def route(settings, _det=det, _frame=frame):
@@ -358,7 +357,7 @@ def _multi_outcome_rescale(quick: bool) -> SuiteResult:
     etas = (0.3, 1.0) if quick else (0.3, 0.7, 1.0)
     p = states.photon_distribution(SingleModeTestState.thermal(0.6), 0.4, _N_MAX)
     for d in (2, 3, 4, 5):
-        s_d = OrderParam.d_outcome(d)
+        s_d = OrderParam(d)
         for eta in etas:
             noise = DetectionNoise(eta)
             rescaled = noise_mod.rescale_detection(s_d, noise)

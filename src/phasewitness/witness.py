@@ -36,7 +36,7 @@ from math import exp, pi
 from typing import Callable, Mapping
 
 from .noise import DetectionNoise, ThermalNoise, rescale_detection, rescale_thermal
-from .qp_core import OrderParam, parity_coefficient, real_order
+from .qp_core import parity_coefficient, real_order
 from .states import TmsvSpec
 
 __all__ = [
@@ -108,14 +108,15 @@ class BellSettings:
 class WitnessReport:
     """Outcome of one witness evaluation.
 
-    ``s_effective`` is the order parameter at which the distributions
-    were evaluated (the true rescaled value, possibly below -1).
+    ``s_effective`` is the real order parameter, a float, at which the
+    distributions were evaluated (the true rescaled value, possibly
+    below -1).
     ``bell_abs``, ``violated`` (|B| > 2) and ``clamped`` (s' < -1, so a
     clamping rule replaced the order-s' observable) are derived.
     """
 
     settings: BellSettings
-    s_effective: OrderParam
+    s_effective: float
     bell_value: float
     meta: Mapping[str, object] | None = field(default=None, compare=False)
 
@@ -129,7 +130,7 @@ class WitnessReport:
 
     @property
     def clamped(self) -> bool:
-        return self.s_effective.real < -1.0
+        return self.s_effective < -1.0
 
 
 def observable_eigenvalue(n: int, s) -> float:
@@ -150,7 +151,7 @@ def observable_eigenvalue(n: int, s) -> float:
 
 def effective_eigenvalue(n: int, s_prime) -> float:
     """Eigenvalue 4 coeff(n, s') - 1 of the frozen-rule observable (coefficients at -1)."""
-    return 4.0 * float(parity_coefficient(n, s_prime)) - 1.0
+    return 4.0 * parity_coefficient(n, real_order(s_prime, "the eigenvalue spectrum")) - 1.0
 
 
 def bounded_eigenvalue(n: int, s_prime) -> float:
@@ -159,9 +160,8 @@ def bounded_eigenvalue(n: int, s_prime) -> float:
     Equals 2 (1-s') coeff(n, s') - 1; the ratio lies in [0, 1) for
     s' <= -1, so the spectrum stays in (-1, 1].
     """
-    return 2.0 * (1.0 - real_order(s_prime, "the eigenvalue spectrum")) * float(
-        parity_coefficient(n, s_prime)
-    ) - 1.0
+    sp = real_order(s_prime, "the eigenvalue spectrum")
+    return 2.0 * (1.0 - sp) * parity_coefficient(n, sp) - 1.0
 
 
 def _coefficients(s: float) -> tuple[float, float, float]:
@@ -206,7 +206,7 @@ def bell_value(
 
 def _tmsv_objective(
     spec: TmsvSpec,
-    s_prime: OrderParam,
+    s_prime: float,
     frame_scale: float,
     transmission: float,
     clamp_mode: str,
@@ -224,12 +224,11 @@ def _tmsv_objective(
     """
     if clamp_mode not in CLAMP_MODES:
         raise ValueError(f"unknown clamp mode {clamp_mode!r}")
-    sp = s_prime.real
-    s_dist, weight2, weight1 = sp, 1.0, 1.0
-    if sp >= -1.0:
-        c2, c1, c0 = _coefficients(sp)
+    s_dist, weight2, weight1 = s_prime, 1.0, 1.0
+    if s_prime >= -1.0:
+        c2, c1, c0 = _coefficients(s_prime)
     elif clamp_mode == CLAMP_BOUNDED:
-        c2, c1, c0 = _bounded_coefficients(sp)
+        c2, c1, c0 = _bounded_coefficients(s_prime)
     else:
         c2, c1, c0 = _coefficients(-1.0)
         if clamp_mode == CLAMP_LOSS_CHANNEL:
@@ -258,7 +257,7 @@ def _tmsv_objective(
         value = c2 * (w11 + w12 + w21 - w22) + c1 * (w1a + w1b) + c0
         if math.isnan(value):
             raise ValueError(
-                f"witness value is NaN at s' = {sp!r}: the closed form overflows"
+                f"witness value is NaN at s' = {s_prime!r}: the closed form overflows"
             )
         if not grad:
             return WitnessReport(settings, s_prime, value)
@@ -308,7 +307,7 @@ def thermal_objective(
     applied uniformly when the rescaled order falls below -1.
     """
     s_prime = rescale_thermal(real_order(s, _WITNESS, lo=-1.0), noise)
-    if clamp_mode == CLAMP_LOSS_CHANNEL and s_prime.real < -1.0 and noise.nbar > 0.0:
+    if clamp_mode == CLAMP_LOSS_CHANNEL and s_prime < -1.0 and noise.nbar > 0.0:
         # The loss-channel reading treats the interaction as pure loss at
         # transmission t^2, which holds for a cold environment only.
         raise ValueError(

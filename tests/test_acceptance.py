@@ -121,7 +121,7 @@ def test_a3_sweep_peak_location():
     config = SearchConfig(n_starts=8, seed=11, ftol=1e-8, xtol=1e-4)
     result = sweep_eta_s(spec, eta_grid, s_grid, config, max_workers=1)
     top = max(result.cells, key=lambda c: c.report.bell_abs)
-    s_prime = top.report.s_effective.real
+    s_prime = top.report.s_effective
     # One grid step moves s' by ds/eta (s direction) or by about
     # (1-s) deta / eta^2 (eta direction); the peak must sit within one
     # step of -1 in the tighter of the two senses.

@@ -85,7 +85,20 @@ class TestArgumentHandling:
                 ["eval", "--xi", "0.3", "--s", s, "--settings", "0,0,0,0"], capsys
             )
             assert code == EXIT_USAGE and f"order parameter {s}" in err
-            assert "tagged as rescaled" not in err
+        # Non-finite orders, given or produced by the noise rescaling.
+        for argv in (
+            ["--s", "nan"],
+            ["--s", "inf"],
+            ["--s", "-inf"],
+            ["--s", "0", "--noise", "detection", "--eta", "5e-324"],
+            ["--s", "0", "--noise", "thermal", "--r", "0.9999999999999999",
+             "--nbar", "1e308"],
+        ):
+            code, _, err = run_cli(
+                ["eval", "--xi", "0.3", *argv, "--settings", "0.1,0,0,0"], capsys
+            )
+            assert code == EXIT_USAGE
+            assert "order parameter must be finite" in err
 
     def test_noise_parameters_are_required(self, capsys):
         code, _, _ = run_cli(

@@ -54,8 +54,7 @@ class TestNoiseModels:
 class TestRescaleDetection:
     def test_half_efficiency_sends_zero_to_minus_one(self):
         out = rescale_detection(0.0, DetectionNoise(0.5))
-        assert out.real == -1.0
-        assert out.rescaled
+        assert type(out) is float and out == -1.0
 
     @given(
         st.floats(min_value=-1.0, max_value=0.0),
@@ -63,22 +62,21 @@ class TestRescaleDetection:
     )
     def test_rescaling_identity(self, s, eta):
         out = rescale_detection(s, DetectionNoise(eta))
-        assert (1.0 - out.real) * eta == pytest.approx(1.0 - s, abs=1e-12)
+        assert (1.0 - out) * eta == pytest.approx(1.0 - s, abs=1e-12)
 
     def test_d_outcome_branch_preserves_kind(self):
-        s3 = OrderParam.d_outcome(3)
+        s3 = OrderParam(3)
         out = rescale_detection(s3, DetectionNoise(0.8))
-        assert not out.is_real
-        assert out.d == 3
-        assert out.rescaled
+        assert out == OrderParam(3, 0.8)
         assert out.value == pytest.approx(1.0 - (1.0 - s3.value) / 0.8, abs=1e-15)
+        assert rescale_detection(out, DetectionNoise(0.5)) == OrderParam(3, 0.4)
 
 
 class TestRescaleThermal:
     def test_half_reflectivity_example(self):
         out = rescale_thermal(0.0, ThermalNoise(math.sqrt(0.5)))
-        assert out.real == pytest.approx(-1.0, abs=1e-15)
-        assert out.rescaled
+        assert type(out) is float
+        assert out == pytest.approx(-1.0, abs=1e-15)
 
     @given(
         st.floats(min_value=-1.0, max_value=0.0),
@@ -88,13 +86,13 @@ class TestRescaleThermal:
     def test_rescaling_identity(self, s, r, nbar):
         out = rescale_thermal(s, ThermalNoise(r, nbar))
         t_sq = 1.0 - r * r
-        assert (1.0 - out.real) * t_sq == pytest.approx(
+        assert (1.0 - out) * t_sq == pytest.approx(
             1.0 - s + 2.0 * r * r * nbar, abs=1e-10
         )
 
     def test_real_branch_only(self):
-        with pytest.raises(ValueError):
-            rescale_thermal(OrderParam.d_outcome(3), ThermalNoise(0.5))
+        with pytest.raises(TypeError):
+            rescale_thermal(OrderParam(3), ThermalNoise(0.5))
 
 
 class TestBernoulliDetect:
@@ -156,8 +154,8 @@ class TestLossyW:
         p = photon_distribution(SingleModeTestState.vacuum(), 0.0, 8)
         with pytest.raises(ValueError):
             lossy_w(p, 0.2, DetectionNoise(0.8))
-        with pytest.raises(ValueError):
-            lossy_w(p, OrderParam.d_outcome(3), DetectionNoise(0.8))
+        with pytest.raises(TypeError):
+            lossy_w(p, OrderParam(3), DetectionNoise(0.8))
         with pytest.raises(ValueError):
             lossy_w(p, -0.5, DetectionNoise(0.8), tol=0.0)
 
@@ -184,14 +182,16 @@ class TestLossyWD:
         p = photon_distribution(SingleModeTestState.thermal(0.6), 0.3, 120)
         noise = DetectionNoise(0.6)
         value = lossy_w_d(p, 3, noise)
-        s_prime = rescale_detection(OrderParam.d_outcome(3), noise)
+        s_prime = rescale_detection(OrderParam(3), noise)
         closed = w_from_distribution(p, s_prime) / noise.eta
         assert value == pytest.approx(closed, abs=1e-14)
 
     @given(st.integers(min_value=2, max_value=6), st.floats(min_value=0.01, max_value=1.0))
     def test_damping_base_stays_in_unit_disc(self, d, eta):
-        base = 1.0 - eta + eta * OrderParam.d_outcome(d).omega
-        assert abs(base) <= 1.0 + 1e-15
+        # The series damps each count by the ratio of the rescaled order.
+        ratio = OrderParam(d, eta).ratio
+        assert abs(ratio) <= 1.0 + 1e-15
+        assert abs(ratio - (1.0 - eta + eta * OrderParam(d).omega)) < 1e-12
 
     def test_heavy_tail_is_an_error(self):
         p = PhotonDistribution(np.array([0.5, 0.3]), tail_bound=0.2)

@@ -12,13 +12,20 @@ from phasewitness.qp_core import (
     ConvergenceError,
     OrderParam,
     PhotonDistribution,
-    as_order_param,
+    _ratio_and_gap,
     gaussian_smooth,
     parity_coefficient,
     plane_integral,
+    real_order,
     w_from_distribution,
 )
-from phasewitness.noise import DetectionNoise, ThermalNoise, lossy_w, rescale_thermal
+from phasewitness.noise import (
+    DetectionNoise,
+    ThermalNoise,
+    lossy_w,
+    rescale_detection,
+    rescale_thermal,
+)
 from phasewitness.states import (
     SingleModeTestState,
     TmsvSpec,
@@ -33,6 +40,7 @@ from phasewitness.witness import (
     bell_value,
     bounded_eigenvalue,
     detection_objective,
+    effective_eigenvalue,
     observable_eigenvalue,
     thermal_objective,
 )
@@ -41,62 +49,78 @@ orders = st.floats(min_value=-1.0, max_value=0.0, allow_nan=False)
 efficiencies = st.floats(min_value=0.05, max_value=1.0, allow_nan=False)
 
 
+NON_FINITE = (math.nan, math.inf, -math.inf)
+
+
+def _real_ratio(s):
+    return _ratio_and_gap(s, "the test")[0]
+
+
+class TestRealOrder:
+    def test_admits_finite_non_positive_floats(self):
+        assert real_order(-2.5, "x") == -2.5
+        assert real_order(np.float64(-0.5), "x") == -0.5
+        assert type(real_order(0, "x")) is float
+        assert real_order(-1.0, "x", lo=-1.0) == -1.0
+
+    def test_rejects_non_numbers_with_type_error(self):
+        for s in (0.5j, -1 + 0j, OrderParam(3), "-0.5", None):
+            with pytest.raises(TypeError):
+                real_order(s, "x")
+
+    def test_rejects_bad_values_naming_the_consumer(self):
+        for s in NON_FINITE:
+            with pytest.raises(ValueError, match="order parameter must be finite"):
+                real_order(s, "the consumer")
+        with pytest.raises(ValueError, match=r"order parameter 0.5 outside .* for the consumer"):
+            real_order(0.5, "the consumer")
+        with pytest.raises(ValueError, match=r"order parameter -1.5 outside \[-1.0, 0\]"):
+            real_order(-1.5, "the consumer", lo=-1.0)
+
+
 class TestOrderParam:
-    def test_real_range_is_enforced(self):
-        with pytest.raises(ValueError):
-            OrderParam.from_real(0.2)
-        with pytest.raises(ValueError):
-            OrderParam.from_real(-1.5)
-        assert OrderParam.from_real(-1.5, rescaled=True).real == -1.5
-
-    def test_rescaled_hint_only_below_minus_one(self):
-        with pytest.raises(ValueError, match="tagged as rescaled"):
-            OrderParam.from_real(-1.5)
-        with pytest.raises(ValueError) as positive:
-            OrderParam.from_real(0.5)
-        assert "order parameter 0.5 outside [-1, 0]" in str(positive.value)
-        assert "rescaled" not in str(positive.value)
-
-    def test_rescaled_must_not_be_positive(self):
-        with pytest.raises(ValueError):
-            OrderParam.from_real(0.1, rescaled=True)
-
-    def test_coercion_tags_deep_values_as_rescaled(self):
-        s = as_order_param(-2.5)
-        assert s.rescaled and s.real == -2.5
-        with pytest.raises(TypeError):
-            as_order_param(0.5j)
-
     def test_d_outcome_values(self):
-        assert OrderParam.d_outcome(2).value == 0j
-        s4 = OrderParam.d_outcome(4)
-        assert abs(s4.value - (-1j)) < 1e-15
+        assert OrderParam(2).value == 0j
+        assert abs(OrderParam(4).value - (-1j)) < 1e-15
+        assert OrderParam(3) == OrderParam(3, 1.0)
         with pytest.raises(ValueError):
-            OrderParam(0.3j, "complex_d_outcome", d=4)
-        with pytest.raises(ValueError):
-            OrderParam.d_outcome(1)
+            OrderParam(1)
+
+    def test_efficiency_is_validated(self):
+        for eta in (0.0, -0.2, 1.5, math.nan):
+            with pytest.raises(ValueError, match="eta"):
+                OrderParam(3, eta)
+        # (1 - s_d)/eta overflows: the order itself is not finite.
+        with pytest.raises(ValueError, match="order parameter must be finite"):
+            OrderParam(3, 5e-324)
+
+    @given(st.integers(min_value=2, max_value=8), efficiencies)
+    def test_value_is_the_detection_rescaling(self, d, eta):
+        s_d = OrderParam(d).value
+        assert abs((1.0 - OrderParam(d, eta).value) * eta - (1.0 - s_d)) < 1e-12
 
     def test_ratio_endpoints(self):
-        assert as_order_param(0.0).ratio == -1.0
-        assert as_order_param(-1.0).ratio == 0.0
+        assert _real_ratio(0.0) == -1.0
+        assert _real_ratio(-1.0) == 0.0
 
     @given(orders)
     def test_ratio_lies_in_unit_interval(self, s):
-        r = as_order_param(s).ratio
+        r = _real_ratio(s)
+        assert isinstance(r, float)
         assert -1.0 <= r <= 0.0
 
     def test_d_outcome_ratio_equals_omega(self):
         # The weight ratio (s+1)/(s-1) at s = -i cot(pi/d) is the d-th
         # root of unity that weights each photon count.
         for d in range(2, 7):
-            s = OrderParam.d_outcome(d)
+            s = OrderParam(d)
             assert abs(s.ratio - s.omega) < 1e-14
 
     @given(orders, efficiencies)
     def test_loss_acts_on_the_ratio_as_a_contraction(self, s, eta):
         s_prime = 1.0 - (1.0 - s) / eta
-        lhs = 1.0 - eta + eta * as_order_param(s).ratio
-        assert abs(lhs - as_order_param(s_prime).ratio) < 1e-12
+        lhs = 1.0 - eta + eta * _real_ratio(s)
+        assert abs(lhs - _real_ratio(s_prime)) < 1e-12
 
 
 def _vacuum(q):
@@ -111,36 +135,46 @@ def _zero_bell(s):
 
 SPEC = TmsvSpec(0.3)
 
-#: Every public real-branch consumer of the order gate, and whether it
-#: admits only the witness range [-1, 0] (else any real s <= 0).
+_VACUUM_P = photon_distribution(SingleModeTestState.vacuum(), 0.2, 40)
+
+#: Every public consumer of the order gate, and the orders it admits:
+#: "witness" the range [-1, 0], "real" any real s <= 0, "either" also a
+#: d-outcome ``OrderParam`` (its floats still pass the gate).
 GATED = {
-    "gaussian_smooth.s": (lambda s: gaussian_smooth(_vacuum, s, -3.0, 0.1), False),
-    "gaussian_smooth.s_prime": (lambda s: gaussian_smooth(_vacuum, 0.0, s, 0.1), False),
-    "tmsv_w2": (lambda s: tmsv_w2(SPEC, 0.1, 0.2j, s), False),
-    "tmsv_w1": (lambda s: tmsv_w1(SPEC, 0.1, s), False),
-    "thermal_w": (lambda s: thermal_w(0.5, 0.1, s), False),
-    "state_w": (lambda s: state_w(SingleModeTestState.coherent(0.3), 0.1, s), False),
-    "observable_eigenvalue": (lambda s: observable_eigenvalue(3, s), False),
-    "bounded_eigenvalue": (lambda s: bounded_eigenvalue(3, s), False),
-    "rescale_thermal": (lambda s: rescale_thermal(s, ThermalNoise(0.5)), False),
-    "lossy_w": (
-        lambda s: lossy_w(photon_distribution(SingleModeTestState.vacuum(), 0.2, 40), s,
-                          DetectionNoise(0.7)),
-        False,
+    "gaussian_smooth.s": (lambda s: gaussian_smooth(_vacuum, s, -3.0, 0.1), "real"),
+    "gaussian_smooth.s_prime": (lambda s: gaussian_smooth(_vacuum, 0.0, s, 0.1), "real"),
+    "tmsv_w2": (lambda s: tmsv_w2(SPEC, 0.1, 0.2j, s), "real"),
+    "tmsv_w1": (lambda s: tmsv_w1(SPEC, 0.1, s), "real"),
+    "thermal_w": (lambda s: thermal_w(0.5, 0.1, s), "real"),
+    "state_w": (lambda s: state_w(SingleModeTestState.coherent(0.3), 0.1, s), "real"),
+    "observable_eigenvalue": (lambda s: observable_eigenvalue(3, s), "real"),
+    "bounded_eigenvalue": (lambda s: bounded_eigenvalue(3, s), "real"),
+    "effective_eigenvalue": (lambda s: effective_eigenvalue(3, s), "real"),
+    "rescale_thermal": (lambda s: rescale_thermal(s, ThermalNoise(0.5)), "real"),
+    "lossy_w": (lambda s: lossy_w(_VACUUM_P, s, DetectionNoise(0.7)), "real"),
+    "bell_value": (_zero_bell, "witness"),
+    "detection_objective": (
+        lambda s: detection_objective(SPEC, s, DetectionNoise(0.7)), "witness"
     ),
-    "bell_value": (_zero_bell, True),
-    "detection_objective": (lambda s: detection_objective(SPEC, s, DetectionNoise(0.7)), True),
-    "thermal_objective": (lambda s: thermal_objective(SPEC, s, ThermalNoise(0.5)), True),
+    "thermal_objective": (lambda s: thermal_objective(SPEC, s, ThermalNoise(0.5)), "witness"),
+    "w_from_distribution": (lambda s: w_from_distribution(_VACUUM_P, s, tol=1e-6), "either"),
+    "parity_coefficient": (lambda s: parity_coefficient(3, s), "either"),
+    "rescale_detection": (lambda s: rescale_detection(s, DetectionNoise(0.7)), "either"),
 }
 
 
 @pytest.mark.parametrize("name", sorted(GATED))
 def test_order_gate_contract(name):
-    consumer, witness_range = GATED[name]
-    for s in (OrderParam.d_outcome(3), 0.5):
+    consumer, admits = GATED[name]
+    if admits == "either":
+        consumer(OrderParam(3))
+    else:
+        with pytest.raises(TypeError):
+            consumer(OrderParam(3))
+    for s in (0.5, *NON_FINITE):
         with pytest.raises(ValueError):
             consumer(s)
-    if witness_range:
+    if admits == "witness":
         with pytest.raises(ValueError):
             consumer(-1.5)
     else:
@@ -189,7 +223,7 @@ class TestWFromDistribution:
         p = photon_distribution(SingleModeTestState.coherent(0.4), 0.2, 120)
         v = w_from_distribution(p, -0.25)
         assert isinstance(v, float)
-        vd = w_from_distribution(p, OrderParam.d_outcome(3), tol=1e-6)
+        vd = w_from_distribution(p, OrderParam(3), tol=1e-6)
         assert isinstance(vd, complex)
 
     def test_matches_analytic_state_w(self):

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from phasewitness.noise import DetectionNoise, ThermalNoise
-from phasewitness.qp_core import OrderParam
 from phasewitness.search import (
     MODE_ETA_S,
     MODE_THERMAL,
@@ -57,7 +56,7 @@ class TestSearchConfig:
 def constant_objective(settings, grad=False):
     if grad:
         return 1.5, (0.0,) * 8
-    return WitnessReport(settings, OrderParam.from_real(-0.5), 1.5)
+    return WitnessReport(settings, -0.5, 1.5)
 
 
 class TestMaximizeBell:

@@ -60,8 +60,8 @@ class TestEigenvalues:
     def test_validation(self):
         with pytest.raises(ValueError):
             observable_eigenvalue(-1, 0.0)
-        with pytest.raises(ValueError):
-            observable_eigenvalue(2, OrderParam.d_outcome(3))
+        with pytest.raises(TypeError):
+            observable_eigenvalue(2, OrderParam(3))
 
     @given(
         st.integers(min_value=0, max_value=60),
@@ -98,7 +98,7 @@ class TestBellSettings:
 
 class TestWitnessReport:
     def test_derived_fields(self):
-        report = WitnessReport(SETTINGS, OrderParam.from_real(-1.5, rescaled=True), -2.5)
+        report = WitnessReport(SETTINGS, -1.5, -2.5)
         assert report.bell_abs == 2.5
         assert report.violated
         assert report.clamped
@@ -159,13 +159,13 @@ class TestIdealBell:
             bell_value(
                 lambda a, b: 0.0, lambda a: 0.0, lambda b: 0.0, SETTINGS, -1.2
             )
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             bell_value(
                 lambda a, b: 0.0,
                 lambda a: 0.0,
                 lambda b: 0.0,
                 SETTINGS,
-                OrderParam.d_outcome(3),
+                OrderParam(3),
             )
 
 
@@ -177,11 +177,11 @@ class TestDetectionWitness:
             ideal_bell(spec, SETTINGS, -0.4), abs=1e-14
         )
         assert not report.clamped
-        assert report.s_effective.real == pytest.approx(-0.4, abs=1e-15)
+        assert report.s_effective == pytest.approx(-0.4, abs=1e-15)
 
     def test_half_efficiency_reaches_onset_exactly(self):
         report = detection_objective(TmsvSpec(0.3), 0.0, DetectionNoise(0.5))(SETTINGS)
-        assert report.s_effective.real == -1.0
+        assert report.s_effective == -1.0
         assert not report.clamped
 
     def test_unclamped_matches_rescaled_operator_sum(self):
@@ -198,7 +198,7 @@ class TestDetectionWitness:
             TmsvSpec(xi), s, DetectionNoise(eta), CLAMP_BOUNDED
         )(SETTINGS)
         assert report.clamped
-        assert report.s_effective.real == pytest.approx(-1.5, abs=1e-15)
+        assert report.s_effective == pytest.approx(-1.5, abs=1e-15)
         reference = orc.chsh_value(xi, as_tuple(SETTINGS), orc.eig_bounded(-1.5, 70))
         assert report.bell_value == pytest.approx(reference, abs=1e-10)
 
@@ -325,8 +325,8 @@ class TestThermalWitness:
             TmsvSpec(xi), s, DetectionNoise(t * t), mode
         )(rescaled)
         assert thermal.bell_value == pytest.approx(detection.bell_value, abs=1e-12)
-        assert thermal.s_effective.real == pytest.approx(
-            detection.s_effective.real, abs=1e-12
+        assert thermal.s_effective == pytest.approx(
+            detection.s_effective, abs=1e-12
         )
 
     def test_matches_detection_in_loss_channel_frame(self):
@@ -368,7 +368,7 @@ class TestThermalWitness:
         )(BellSettings.from_vector(vec))
         assert report.bell_abs == abs(report.bell_value)
         assert report.violated == (report.bell_abs > 2.0)
-        assert report.clamped == (report.s_effective.real < -1.0)
+        assert report.clamped == (report.s_effective < -1.0)
 
 
 # (noise, s) pairs covering both frames of each model: detection loss at
