@@ -35,6 +35,8 @@ from dataclasses import dataclass, field
 from math import exp, pi
 from typing import Callable, Mapping
 
+import numpy as np
+
 from .noise import DetectionNoise, ThermalNoise, rescale_detection, rescale_thermal
 from .qp_core import parity_coefficient, real_order
 from .states import TmsvSpec
@@ -184,22 +186,49 @@ def _bounded_coefficients(s_prime: float) -> tuple[float, float, float]:
     )
 
 
+def _setting_columns(x) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Contiguous complex (a1, a2, b1, b2) columns of an (n, 8) settings array."""
+    x = np.asarray(x)
+    if np.iscomplexobj(x) or x.ndim != 2 or x.shape[1] != 8:
+        raise ValueError(
+            f"settings array must be real with shape (n, 8), got {x.dtype} {x.shape}"
+        )
+    x = np.ascontiguousarray(x, dtype=float)
+    finite = np.isfinite(x).reshape(-1, 4, 2).all(axis=(0, 2))
+    if not finite.all():
+        name = ("a1", "a2", "b1", "b2")[int(np.argmin(finite))]
+        raise ValueError(f"setting {name} must be finite")
+    # Each (re, im) pair of a row is one complex128 in memory.
+    return tuple(np.ascontiguousarray(x.view(complex).T))
+
+
 def bell_value(
     w2: Callable[[complex, complex], float],
     w1a: Callable[[complex], float],
     w1b: Callable[[complex], float],
-    settings: BellSettings,
+    settings: BellSettings | np.ndarray,
     s,
-) -> float:
+) -> float | np.ndarray:
     """CHSH-shaped functional from fixed-order quasiprobability evaluators.
 
     The evaluators must already be at order s; the separable bound
     |result| <= 2 holds for s in [-1, 0] only, so other orders are
     rejected.
+
+    ``settings`` is one ``BellSettings``, giving a float, or a real array
+    of shape (n, 8) with rows ordered as ``BellSettings.to_vector``,
+    giving n values.  The array form calls each evaluator with complex
+    arrays of n points, so they must accept arrays; a row's value is
+    bit-identical to the ``BellSettings`` call whenever the evaluators
+    give the same numbers for array and scalar points.  A non-finite
+    entry raises the ``ValueError`` that ``BellSettings`` raises.
     """
     sv = real_order(s, _WITNESS, lo=-1.0)
     c2, c1, c0 = _coefficients(sv)
-    a1, a2, b1, b2 = settings.a1, settings.a2, settings.b1, settings.b2
+    if isinstance(settings, BellSettings):
+        a1, a2, b1, b2 = settings.a1, settings.a2, settings.b1, settings.b2
+    else:
+        a1, a2, b1, b2 = _setting_columns(settings)
     corr = w2(a1, b1) + w2(a1, b2) + w2(a2, b1) - w2(a2, b2)
     return c2 * corr + c1 * (w1a(a1) + w1b(b1)) + c0
 

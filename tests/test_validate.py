@@ -99,6 +99,37 @@ class TestCorruptionIsCaught:
         assert not results[0].passed
         assert results[0].worst > results[0].tolerance
 
+    def test_scaled_bell_value_breaks_the_separable_bound(self, monkeypatch):
+        # The largest product-state |B| in quick mode is 1.99176, so a 1 %
+        # scale pushes it past 2.
+        from phasewitness import witness
+
+        real = witness.bell_value
+        monkeypatch.setattr(
+            "phasewitness.witness.bell_value",
+            lambda *args: real(*args) * (1.0 + 1e-2),
+        )
+        results = run_suites(quick=True, names=["separable_bound"])
+        assert not results[0].passed
+        assert results[0].worst > 0.0
+
+    def test_separable_bound_reads_fields_per_batch(self, monkeypatch):
+        # A structural guard, not a timing: one full-depth run evaluates
+        # each (pair, s) block's fields as arrays, not point by point.
+        from phasewitness import states
+
+        real = states.state_w
+        calls = []
+
+        def counted(*args):
+            calls.append(1)
+            return real(*args)
+
+        monkeypatch.setattr("phasewitness.states.state_w", counted)
+        results = run_suites(quick=False, names=["separable_bound"])
+        assert results[0].passed, results[0].detail
+        assert 0 < len(calls) <= 200
+
     def test_skewed_analytic_route_is_detected(self, monkeypatch):
         from phasewitness import states
 

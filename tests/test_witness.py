@@ -11,7 +11,7 @@ from hypothesis import given, settings as hsettings, strategies as st
 import oracles as orc
 from phasewitness.noise import DetectionNoise, ThermalNoise, rescale_detection
 from phasewitness.qp_core import OrderParam
-from phasewitness.states import TmsvSpec, tmsv_w1, tmsv_w2
+from phasewitness.states import SingleModeTestState, TmsvSpec, state_w, tmsv_w1, tmsv_w2
 from phasewitness.witness import (
     CLAMP_BOUNDED,
     CLAMP_FROZEN,
@@ -167,6 +167,82 @@ class TestIdealBell:
                 SETTINGS,
                 OrderParam(3),
             )
+
+
+class TestBellValueArray:
+    ROWS = np.random.default_rng(31).uniform(-2.0, 2.0, (64, 8))
+
+    def per_row(self, w2, w1a, w1b, s) -> np.ndarray:
+        return np.array(
+            [bell_value(w2, w1a, w1b, BellSettings.from_vector(x), s) for x in self.ROWS]
+        )
+
+    @pytest.mark.parametrize("s", [0.0, -0.5, -1.0])
+    @pytest.mark.parametrize(
+        "pair",
+        [
+            (SingleModeTestState.coherent(0.5 + 0.2j), SingleModeTestState.coherent(-0.3 + 0.7j)),
+            (SingleModeTestState.thermal(0.5), SingleModeTestState.vacuum()),
+        ],
+    )
+    def test_product_state_rows_match_bit_for_bit(self, pair, s):
+        state_a, state_b = pair
+
+        def w1a(a):
+            return state_w(state_a, a, s)
+
+        def w1b(b):
+            return state_w(state_b, b, s)
+
+        def w2(a, b):
+            return w1a(a) * w1b(b)
+
+        batch = bell_value(w2, w1a, w1b, self.ROWS, s)
+        assert batch.shape == (len(self.ROWS),)
+        assert np.array_equal(batch, self.per_row(w2, w1a, w1b, s))
+
+    @pytest.mark.parametrize("s", [0.0, -0.5, -1.0])
+    def test_tmsv_rows_match(self, s):
+        spec = TmsvSpec(0.3)
+
+        def w2(a, b):
+            return tmsv_w2(spec, a, b, s)
+
+        def w1(a):
+            return tmsv_w1(spec, a, s)
+
+        batch = bell_value(w2, w1, w1, self.ROWS, s)
+        # Scalar TMSV points go through math.exp and arrays through
+        # np.exp, which may differ in the last bit; fed one-point arrays,
+        # each row sees the batch's field arithmetic and matches exactly.
+        def w2_point(a, b):
+            return w2(np.array([a]), np.array([b]))[0]
+
+        def w1_point(a):
+            return w1(np.array([a]))[0]
+
+        assert np.array_equal(batch, self.per_row(w2_point, w1_point, w1_point, s))
+        assert np.allclose(batch, self.per_row(w2, w1, w1, s), rtol=0.0, atol=4e-15)
+
+    @pytest.mark.parametrize("column", range(8))
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_entry_is_rejected(self, column, bad):
+        rows = self.ROWS.copy()
+        rows[5, column] = bad
+        name = ("a1", "a2", "b1", "b2")[column // 2]
+        with pytest.raises(ValueError, match=f"setting {name} must be finite"):
+            bell_value(lambda a, b: a.real, np.abs, np.abs, rows, -0.5)
+
+    @pytest.mark.parametrize(
+        "rows", [np.zeros(8), np.zeros((3, 7)), np.zeros((2, 4, 2)), np.zeros((3, 8), complex)]
+    )
+    def test_shape_other_than_n_by_8_is_rejected(self, rows):
+        with pytest.raises(ValueError, match=r"shape \(n, 8\)"):
+            bell_value(lambda a, b: a.real, np.abs, np.abs, rows, -0.5)
+
+    def test_order_is_still_gated(self):
+        with pytest.raises(ValueError):
+            bell_value(lambda a, b: a.real, np.abs, np.abs, self.ROWS, -1.2)
 
 
 class TestDetectionWitness:
