@@ -166,7 +166,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sw.add_argument("--seed", type=int, default=0)
     sw.add_argument("--starts", type=int, default=16)
     sw.add_argument("--box", type=float, default=2.0)
-    sw.add_argument("--clamp", default=CLAMP_BOUNDED, choices=list(CLAMP_MODES))
 
     va = sub.add_parser("validate", help="run the self-check suites")
     va.add_argument(
@@ -248,16 +247,14 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         "box_radius": config.box_radius,
         "ftol": config.ftol,
         "xtol": config.xtol,
-        "clamp_mode": args.clamp,
+        "clamp_mode": CLAMP_BOUNDED,
     }
     if args.mode == MODE_ETA_S:
         if args.eta is None:
             raise UsageError("--mode eta-s requires --eta")
         eta_grid = _parse_grid(args.eta, "--eta")
         params["eta_grid"] = eta_grid
-        result = sweep_eta_s(
-            spec, eta_grid, s_grid, config, max_workers=workers, clamp_mode=args.clamp
-        )
+        result = sweep_eta_s(spec, eta_grid, s_grid, config, max_workers=workers)
     else:
         if args.r is None:
             raise UsageError("--mode thermal requires --r")
@@ -265,10 +262,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         nbar_list = _parse_float_list(args.nbar_list, "--nbar-list")
         params["r_grid"] = r_grid
         params["nbar_list"] = nbar_list
-        result = sweep_thermal(
-            spec, r_grid, s_grid, nbar_list, config,
-            max_workers=workers, clamp_mode=args.clamp,
-        )
+        result = sweep_thermal(spec, r_grid, s_grid, nbar_list, config, max_workers=workers)
 
     rows = _csv_rows(result)
     checks = {

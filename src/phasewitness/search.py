@@ -24,13 +24,7 @@ from scipy.optimize import Bounds, minimize
 
 from .noise import DetectionNoise, ThermalNoise
 from .states import TmsvSpec
-from .witness import (
-    CLAMP_BOUNDED,
-    BellSettings,
-    WitnessReport,
-    detection_objective,
-    thermal_objective,
-)
+from .witness import BellSettings, WitnessReport, detection_objective, thermal_objective
 
 __all__ = [
     "SearchConfig",
@@ -210,35 +204,28 @@ class SweepResult:
 
 
 def _optimize_cell(args) -> WitnessReport:
-    build, spec, s, noise, clamp_mode, config, stream = args
-    return maximize_bell(build(spec, s, noise, clamp_mode), config, stream)
+    build, spec, s, noise, config, stream = args
+    return maximize_bell(build(spec, s, noise), config, stream)
 
 
-def _sweep(mode, build, spec, cells, config, max_workers, clamp_mode) -> SweepResult:
+def _sweep(mode, build, spec, cells, config, max_workers) -> SweepResult:
     """Optimize every ``(axis1, axis2, nbar, noise)`` cell of ``cells``.
 
-    ``build(spec, s, noise, clamp_mode)`` makes the cell's objective, with
-    s = axis2; every objective is built before any search starts, so a
-    cell the builder rejects fails the sweep up front.  Each cell draws
-    its starts from the stream keyed by its index, so the output does not
-    depend on the worker count.
+    ``build(spec, s, noise)`` makes the cell's objective, with s = axis2;
+    each cell draws its starts from the stream keyed by its index, so the
+    output does not depend on the worker count.
     """
     start = time.perf_counter()
-    objectives = [build(spec, s, noise, clamp_mode) for _, s, _, noise in cells]
+    jobs = [
+        (build, spec, s, noise, config, idx)
+        for idx, (_, s, _, noise) in enumerate(cells)
+    ]
     if max_workers is None:
         max_workers = os.cpu_count() or 1
-    max_workers = min(max(1, int(max_workers)), len(cells))
+    max_workers = min(max(1, int(max_workers)), len(jobs))
     if max_workers == 1:
-        reports = [
-            maximize_bell(objective, config, idx)
-            for idx, objective in enumerate(objectives)
-        ]
+        reports = [_optimize_cell(job) for job in jobs]
     else:
-        # Closures do not pickle, so each worker rebuilds its objectives.
-        jobs = [
-            (build, spec, s, noise, clamp_mode, config, idx)
-            for idx, (_, s, _, noise) in enumerate(cells)
-        ]
         chunksize = max(1, len(jobs) // (4 * max_workers))
         with ProcessPoolExecutor(max_workers=max_workers) as pool:
             reports = list(pool.map(_optimize_cell, jobs, chunksize=chunksize))
@@ -267,7 +254,6 @@ def sweep_eta_s(
     s_grid: Sequence[float],
     config: SearchConfig,
     max_workers: int | None = None,
-    clamp_mode: str = CLAMP_BOUNDED,
 ) -> SweepResult:
     """Optimized witness value per (eta, s) cell, detection noise."""
     eta_grid = _validate_grid(eta_grid, 0.0, 1.0, "eta")
@@ -277,9 +263,7 @@ def sweep_eta_s(
     cells = [
         (eta, s, None, DetectionNoise(eta)) for eta, s in itertools.product(eta_grid, s_grid)
     ]
-    return _sweep(
-        MODE_ETA_S, detection_objective, spec, cells, config, max_workers, clamp_mode
-    )
+    return _sweep(MODE_ETA_S, detection_objective, spec, cells, config, max_workers)
 
 
 def sweep_thermal(
@@ -289,7 +273,6 @@ def sweep_thermal(
     nbar_list: Sequence[float],
     config: SearchConfig,
     max_workers: int | None = None,
-    clamp_mode: str = CLAMP_BOUNDED,
 ) -> SweepResult:
     """Optimized witness value per (r, s) cell for each environment nbar."""
     r_grid = _validate_grid(r_grid, 0.0, 1.0, "r", closed_hi=False)
@@ -301,6 +284,4 @@ def sweep_thermal(
         (r, s, nbar, ThermalNoise(r, nbar))
         for nbar, r, s in itertools.product(nbar_list, r_grid, s_grid)
     ]
-    return _sweep(
-        MODE_THERMAL, thermal_objective, spec, cells, config, max_workers, clamp_mode
-    )
+    return _sweep(MODE_THERMAL, thermal_objective, spec, cells, config, max_workers)

@@ -321,7 +321,7 @@ def _separable_bound(quick: bool) -> SuiteResult:
 
     Each (pair, s) block draws its settings as one (n, 8) array and
     evaluates them in one array call of ``witness.bell_value`` over the
-    ``states.state_w`` fields.
+    ``states.state_w`` fields.  A non-finite value fails the suite.
     """
     tol = 1e-9
     rng = np.random.default_rng(20240817)
@@ -345,8 +345,10 @@ def _separable_bound(quick: bool) -> SuiteResult:
                 return _w1a(a) * _w1b(b)
 
             settings = rng.uniform(-2.0, 2.0, (n_settings, 8))
-            values = witness.bell_value(w2, w1a, w1b, settings, s)
-            worst = max(worst, float(np.max(np.abs(values))) - 2.0)
+            values = np.abs(witness.bell_value(w2, w1a, w1b, settings, s))
+            if not np.isfinite(values).all():
+                worst = math.inf
+            worst = max(worst, float(np.max(values)) - 2.0)
     return SuiteResult("separable_bound", worst <= tol, worst, tol)
 
 

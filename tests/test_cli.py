@@ -192,41 +192,6 @@ class TestSweep:
             "platform": platform.platform(),
         }
 
-    def test_clamp_rule_reaches_cells_and_manifest(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.delenv(THREADS_ENV, raising=False)
-        # eta 0.4 at s = 0 gives s' = -1.5, where the rules differ.
-        argv = ["sweep", "--mode", "eta-s", "--xi", "0.3", "--s", "0", "--eta", "0.4",
-                "--starts", "2", "--seed", "3"]
-        values = {}
-        for mode in (None, "bounded_continuation", "frozen_coefficients"):
-            out = tmp_path / f"{mode}.csv"
-            extra = [] if mode is None else ["--clamp", mode]
-            assert run_cli(argv + extra + ["--out", str(out)], capsys)[0] == EXIT_OK
-            manifest = json.loads((tmp_path / f"{mode}.csv.manifest.json").read_text())
-            assert manifest["clamp_mode"] == (mode or "bounded_continuation")
-            values[mode] = out.read_text().splitlines()[1]
-        assert values[None] == values["bounded_continuation"]
-        assert values["frozen_coefficients"] != values["bounded_continuation"]
-
-    def test_warm_loss_channel_sweep_exits_before_optimizing(
-        self, tmp_path, capsys, monkeypatch
-    ):
-        def no_search(*args, **kwargs):
-            raise AssertionError("a cell was optimized")
-
-        monkeypatch.setenv(THREADS_ENV, "1")
-        monkeypatch.setattr("phasewitness.search.maximize_bell", no_search)
-        out = tmp_path / "warm.csv"
-        code, _, err = run_cli(
-            ["sweep", "--mode", "thermal", "--xi", "0.3", "--s", "0",
-             "--r", "0.3:0.8:3", "--nbar-list", "0,0.5", "--clamp", "loss_channel",
-             "--out", str(out), "--starts", "1"],
-            capsys,
-        )
-        assert code == EXIT_USAGE
-        assert "loss-channel clamping applies to the thermal interaction only" in err
-        assert not out.exists()
-
     def test_thermal_mode_fills_nbar_column(self, tmp_path, capsys, monkeypatch):
         monkeypatch.delenv(THREADS_ENV, raising=False)
         out = tmp_path / "thermal.csv"

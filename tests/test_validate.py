@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import time
 
+import numpy as np
 import pytest
 
 from phasewitness import validate
@@ -129,6 +130,26 @@ class TestCorruptionIsCaught:
         results = run_suites(quick=False, names=["separable_bound"])
         assert results[0].passed, results[0].detail
         assert 0 < len(calls) <= 200
+
+    def test_one_nan_field_value_fails_the_separable_bound(self, monkeypatch):
+        # One NaN row in one block must fail the suite, not be skipped by
+        # the running maximum.
+        from phasewitness import states
+
+        real = states.state_w
+        calls = []
+
+        def nan_once(*args):
+            out = np.array(real(*args), dtype=float)
+            if not calls:
+                out.flat[0] = np.nan
+            calls.append(1)
+            return out
+
+        monkeypatch.setattr("phasewitness.states.state_w", nan_once)
+        results = run_suites(quick=True, names=["separable_bound"])
+        assert not results[0].passed
+        assert not results[0].worst <= results[0].tolerance
 
     def test_skewed_analytic_route_is_detected(self, monkeypatch):
         from phasewitness import states
