@@ -147,7 +147,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--noise", default="none", choices=["none", "detection", "thermal"])
     ev.add_argument("--eta", type=float, help="detection efficiency (detection noise)")
     ev.add_argument("--r", type=float, help="interaction strength r (thermal noise)")
-    ev.add_argument("--nbar", type=float, default=0.0, help="environment occupation")
+    ev.add_argument("--nbar", type=float, help="environment occupation (default 0)")
     ev.add_argument("--clamp", default=CLAMP_BOUNDED, choices=list(CLAMP_MODES))
     ev.add_argument("--settings", help="a1,a2,b1,b2 as complex literals")
     ev.add_argument("--optimize", action="store_true", help="maximize over settings")
@@ -161,7 +161,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sw.add_argument("--s", required=True, help="grid lo:hi:count or single value")
     sw.add_argument("--eta", help="eta grid (eta-s mode)")
     sw.add_argument("--r", help="r grid (thermal mode)")
-    sw.add_argument("--nbar-list", default="0", help="comma-separated occupations")
+    sw.add_argument("--nbar-list", help="comma-separated occupations (default 0)")
     sw.add_argument("--out", required=True, help="CSV output path")
     sw.add_argument("--seed", type=int, default=0)
     sw.add_argument("--starts", type=int, default=16)
@@ -182,26 +182,36 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: Per subcommand and noise model or sweep mode, the noise flags it
+#: reads.  The first is required, and one it does not read is refused.
+_NOISE_FLAGS = {
+    "eval": {"none": (), "detection": ("eta",), "thermal": ("r", "nbar")},
+    "sweep": {MODE_ETA_S: ("eta",), MODE_THERMAL: ("r", "nbar_list")},
+}
+
+
+def _check_noise_flags(args: argparse.Namespace, option: str, choice: str) -> None:
+    table = _NOISE_FLAGS[args.command]
+    reads = table[choice]
+    if reads and getattr(args, reads[0]) is None:
+        raise UsageError(f"{option} {choice} requires --{reads[0]}")
+    unread = {name for names in table.values() for name in names} - set(reads)
+    given = sorted("--" + n.replace("_", "-") for n in unread if getattr(args, n) is not None)
+    if given:
+        raise UsageError(f"{option} {choice} does not read {', '.join(given)}")
+
+
 def _cmd_eval(args: argparse.Namespace) -> int:
     if bool(args.settings) == bool(args.optimize):
         raise UsageError("exactly one of --settings or --optimize is required")
+    _check_noise_flags(args, "--noise", args.noise)
     spec = TmsvSpec(args.xi)
-    if args.noise == "detection":
-        if args.eta is None:
-            raise UsageError("--noise detection requires --eta")
-        objective = detection_objective(
-            spec, args.s, DetectionNoise(args.eta), clamp_mode=args.clamp
-        )
-    elif args.noise == "thermal":
-        if args.r is None:
-            raise UsageError("--noise thermal requires --r")
-        objective = thermal_objective(
-            spec, args.s, ThermalNoise(r=args.r, nbar=args.nbar), clamp_mode=args.clamp
-        )
+    if args.noise == "thermal":
+        noise = ThermalNoise(args.r, args.nbar or 0.0)
+        objective = thermal_objective(spec, args.s, noise, clamp_mode=args.clamp)
     else:
-        objective = detection_objective(
-            spec, args.s, DetectionNoise(1.0), clamp_mode=args.clamp
-        )
+        noise = DetectionNoise(1.0 if args.eta is None else args.eta)
+        objective = detection_objective(spec, args.s, noise, clamp_mode=args.clamp)
     if args.optimize:
         config = SearchConfig(n_starts=args.starts, box_radius=args.box, seed=args.seed)
         report = maximize_bell(objective, config)
@@ -233,6 +243,7 @@ def _csv_rows(result: SweepResult) -> list[str]:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
+    _check_noise_flags(args, "--mode", args.mode)
     spec = TmsvSpec(args.xi)
     config = SearchConfig(n_starts=args.starts, box_radius=args.box, seed=args.seed)
     s_grid = _parse_grid(args.s, "--s")
@@ -250,16 +261,14 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         "clamp_mode": CLAMP_BOUNDED,
     }
     if args.mode == MODE_ETA_S:
-        if args.eta is None:
-            raise UsageError("--mode eta-s requires --eta")
         eta_grid = _parse_grid(args.eta, "--eta")
         params["eta_grid"] = eta_grid
         result = sweep_eta_s(spec, eta_grid, s_grid, config, max_workers=workers)
     else:
-        if args.r is None:
-            raise UsageError("--mode thermal requires --r")
         r_grid = _parse_grid(args.r, "--r")
-        nbar_list = _parse_float_list(args.nbar_list, "--nbar-list")
+        nbar_list = _parse_float_list(
+            "0" if args.nbar_list is None else args.nbar_list, "--nbar-list"
+        )
         params["r_grid"] = r_grid
         params["nbar_list"] = nbar_list
         result = sweep_thermal(spec, r_grid, s_grid, nbar_list, config, max_workers=workers)

@@ -129,54 +129,50 @@ def bernoulli_detect(p: PhotonDistribution, noise: DetectionNoise) -> PhotonDist
     return PhotonDistribution(out, tail_bound=tail)
 
 
+def _loss_routes(p: PhotonDistribution, s, noise: DetectionNoise, tol: float) -> tuple:
+    """The two loss routes at order s, on either branch.
+
+    The series over the Bernoulli-thinned distribution at s, and the
+    series over p at the rescaled order divided by eta.  Each series
+    converges to a quarter of tol, so their truncation stays inside tol.
+    """
+    thinned = w_from_distribution(bernoulli_detect(p, noise), s, tol=0.25 * tol)
+    s_prime = rescale_detection(s, noise)
+    rescaled = w_from_distribution(p, s_prime, tol=0.25 * tol * noise.eta) / noise.eta
+    return thinned, rescaled
+
+
+def _agreed_loss(p: PhotonDistribution, s, noise: DetectionNoise, tol: float):
+    """The thinned route's value, once the rescaled route agrees within tol."""
+    thinned, rescaled = _loss_routes(p, s, noise, tol)
+    if abs(thinned - rescaled) > tol:
+        raise ConsistencyError(
+            f"loss routes disagree: thinned {thinned!r} vs rescaled {rescaled!r} "
+            f"beyond tol {tol:.2e}"
+        )
+    return thinned
+
+
 def lossy_w(p: PhotonDistribution, s, noise: DetectionNoise, tol: float = 1e-8) -> float:
     """Quasiprobability value reconstructed by inefficient detectors.
 
-    Computed along two routes that must agree within tol: the series
-    over the Bernoulli-thinned distribution at order s, and the closed
-    route (1/eta) * series at the rescaled order.  Returns the series
-    route's value.
+    The series over the Bernoulli-thinned distribution at order s, checked
+    within tol against (1/eta) * series at the rescaled order.  A
+    non-positive tol raises ``ValueError``, a tail too heavy for either
+    series ``ConvergenceError``, and disagreeing routes ``ConsistencyError``.
     """
     s = real_order(s, "lossy_w (lossy_w_d serves the d-outcome branch)")
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
-    series_route = w_from_distribution(bernoulli_detect(p, noise), s, tol=0.25 * tol)
-    s_prime = rescale_detection(s, noise)
-    closed_route = w_from_distribution(p, s_prime, tol=0.25 * tol * noise.eta) / noise.eta
-    if abs(series_route - closed_route) > tol:
-        raise ConsistencyError(
-            f"loss routes disagree: series {series_route!r} vs closed {closed_route!r} "
-            f"beyond tol {tol:.2e}"
-        )
-    return series_route
+    return _agreed_loss(p, s, noise, tol)
 
 
 def lossy_w_d(p: PhotonDistribution, d: int, noise: DetectionNoise, tol: float = 1e-8) -> complex:
     """d-outcome quasiprobability value under detection loss.
 
-    The direct series weights each count n by (1 - eta + eta*omega)^n;
-    the closed route divides the series at the rescaled complex order by
-    eta.  The two must agree within tol; the direct value is returned.
+    ``lossy_w`` on the d-outcome branch: the thinned series at
+    ``OrderParam(d)``, checked against the rescaled ``OrderParam(d, eta)``
+    series divided by eta, with the same errors.
     """
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
-    s_d = OrderParam(d)
-    base = 1.0 - noise.eta + noise.eta * s_d.omega
-    prefactor = 2.0 / (math.pi * (1.0 - s_d.value))
-    damp = min(abs(base), 1.0) ** p.probs.size
-    if abs(prefactor) * damp * p.tail_bound > 0.25 * tol:
-        raise ConsistencyError(
-            f"tail mass {p.tail_bound:.3e} too heavy for the d-outcome series at tol {tol:.2e}"
-        )
-    powers = base ** np.arange(p.probs.size)
-    direct = prefactor * complex(np.dot(powers, p.probs))
-    s_prime = rescale_detection(s_d, noise)
-    closed = w_from_distribution(p, s_prime, tol=0.25 * tol * noise.eta) / noise.eta
-    if abs(direct - closed) > tol:
-        raise ConsistencyError(
-            f"d-outcome loss routes disagree: direct {direct!r} vs closed {closed!r}"
-        )
-    return direct
+    return _agreed_loss(p, OrderParam(d), noise, tol)
 
 
 def evolve_thermal_w(

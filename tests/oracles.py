@@ -9,6 +9,7 @@ internals, so agreement with the package is evidence, not tautology.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -32,10 +33,32 @@ def displacement_element(m: int, n: int, alpha: complex) -> complex:
 
 
 def displacement_matrix(alpha: complex, dim: int = DEFAULT_DIM) -> np.ndarray:
-    return np.array(
-        [[displacement_element(m, n, alpha) for n in range(dim)] for m in range(dim)],
-        dtype=complex,
-    )
+    """<m|D(alpha)|n> for m, n < dim, as a shared read-only array.
+
+    Every entry is ``displacement_element``'s k-ordered sum with the same
+    operations, so the two agree bit for bit; the log-factorials and the
+    powers of alpha and -conj(alpha) are computed once per matrix, and
+    the matrix once per (alpha, dim).
+    """
+    return _displacement_matrix(complex(alpha), int(dim))
+
+
+@functools.lru_cache(maxsize=None)
+def _displacement_matrix(alpha: complex, dim: int) -> np.ndarray:
+    lg = [math.lgamma(j + 1) for j in range(dim)]
+    up = [alpha**j for j in range(dim)]
+    down = [(-alpha.conjugate()) ** j for j in range(dim)]
+    scale = math.exp(-0.5 * abs(alpha) ** 2)
+    out = np.empty((dim, dim), dtype=complex)
+    for m in range(dim):
+        for n in range(dim):
+            half = 0.5 * (lg[m] + lg[n])
+            total = 0.0 + 0.0j
+            for k in range(min(m, n) + 1):
+                total += math.exp(half - lg[k] - lg[m - k] - lg[n - k]) * up[m - k] * down[n - k]
+            out[m, n] = scale * total
+    out.setflags(write=False)
+    return out
 
 
 def displaced_diagonal(eigs: np.ndarray, alpha: complex) -> np.ndarray:

@@ -103,19 +103,31 @@ class TestArgumentHandling:
             assert code == EXIT_USAGE
             assert "order parameter must be finite" in err
 
-    def test_noise_parameters_are_required(self, capsys):
-        code, _, _ = run_cli(
-            ["eval", "--xi", "0.3", "--s", "0", "--noise", "detection",
-             "--settings", "0,0,0,0"],
-            capsys,
-        )
-        assert code == EXIT_USAGE
-        code, _, _ = run_cli(
-            ["eval", "--xi", "0.3", "--s", "0", "--noise", "thermal",
-             "--settings", "0,0,0,0"],
-            capsys,
-        )
-        assert code == EXIT_USAGE
+    def test_noise_parameters_are_required(self, tmp_path, capsys):
+        ev = ["eval", "--xi", "0.3", "--s", "0", "--settings", "0,0,0,0"]
+        for argv in (ev + ["--noise", "detection"], ev + ["--noise", "thermal"]):
+            code, _, _ = run_cli(argv, capsys)
+            assert code == EXIT_USAGE
+        # A flag the chosen noise model or sweep mode never reads is
+        # refused, not silently dropped.
+        sw = ["sweep", "--xi", "0.3", "--s", "0", "--starts", "1",
+              "--out", str(tmp_path / "u.csv")]
+        for argv, flag in (
+            (ev + ["--eta", "0.36"], "--eta"),
+            (ev + ["--noise", "none", "--eta", "0.36"], "--eta"),
+            (ev + ["--noise", "thermal", "--r", "0.3", "--eta", "0.5"], "--eta"),
+            (ev + ["--r", "0.3"], "--r"),
+            (ev + ["--nbar", "0"], "--nbar"),
+            (ev + ["--noise", "detection", "--eta", "0.5", "--r", "0.3"], "--r"),
+            (ev + ["--noise", "detection", "--eta", "0.5", "--nbar", "1"], "--nbar"),
+            (sw + ["--mode", "eta-s", "--eta", "0.5", "--r", "0.3"], "--r"),
+            (sw + ["--mode", "eta-s", "--eta", "0.5", "--nbar-list", "0"], "--nbar-list"),
+            (sw + ["--mode", "thermal", "--r", "0.3", "--eta", "0.5"], "--eta"),
+        ):
+            code, _, err = run_cli(argv, capsys)
+            assert code == EXIT_USAGE, argv
+            assert f"does not read {flag}" in err
+        assert not (tmp_path / "u.csv").exists()
 
     def test_bad_grids(self, tmp_path, capsys):
         out = str(tmp_path / "g.csv")

@@ -21,6 +21,7 @@ from phasewitness.noise import (
 )
 from phasewitness.qp_core import (
     ConsistencyError,
+    ConvergenceError,
     OrderParam,
     PhotonDistribution,
     w_from_distribution,
@@ -168,6 +169,8 @@ class TestLossyW:
         )
         with pytest.raises(ConsistencyError):
             lossy_w(p, -0.5, DetectionNoise(0.5))
+        with pytest.raises(ConsistencyError):
+            lossy_w_d(p, 3, DetectionNoise(0.5))
 
 
 class TestLossyWD:
@@ -194,8 +197,10 @@ class TestLossyWD:
         assert abs(ratio - (1.0 - eta + eta * OrderParam(d).omega)) < 1e-12
 
     def test_heavy_tail_is_an_error(self):
+        # The thinned series at s_d sits on the unit circle, so its tail
+        # bound is the undamped tail mass, as in w_from_distribution.
         p = PhotonDistribution(np.array([0.5, 0.3]), tail_bound=0.2)
-        with pytest.raises(ConsistencyError):
+        with pytest.raises(ConvergenceError):
             lossy_w_d(p, 3, DetectionNoise(0.9))
 
     def test_tol_validation(self):

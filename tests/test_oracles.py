@@ -20,6 +20,17 @@ def test_displacement_matrix_is_unitary_on_inner_block():
     assert np.max(np.abs(block - np.eye(30))) < 1e-11
 
 
+def test_displacement_matrix_is_bit_identical_to_elements():
+    for alpha, dim in ((0.0, 6), (0.7 - 0.3j, 24), (-1.3 + 0.45j, 31), (2.1j, 17)):
+        dm = orc.displacement_matrix(alpha, dim)
+        ref = np.array(
+            [[orc.displacement_element(m, n, alpha) for n in range(dim)] for m in range(dim)]
+        )
+        assert np.array_equal(dm, ref)
+        assert not dm.flags.writeable
+        assert orc.displacement_matrix(alpha, dim) is dm
+
+
 def test_displacement_of_vacuum_gives_coherent_amplitudes():
     z = 0.8 + 0.4j
     dm = orc.displacement_matrix(z, 30)

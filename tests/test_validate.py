@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import importlib
 import time
 
 import numpy as np
@@ -31,6 +32,19 @@ class TestRunSuites:
         assert not results[0].passed and "boom" in results[0].detail
         assert results[0].seconds >= 0.01
         assert results[1].passed and results[1].seconds > 0.0
+
+    @pytest.mark.parametrize(
+        "residuals", [[0.0, np.nan], [0.0, np.inf], [0.0, -np.inf], []],
+        ids=["nan", "inf", "-inf", "empty"],
+    )
+    def test_non_finite_or_missing_residuals_fail(self, monkeypatch, residuals):
+        monkeypatch.setitem(
+            validate._SUITES, "eigenvalue_bounds", lambda quick: (1e-12, residuals)
+        )
+        (result,) = run_suites(quick=True, names=["eigenvalue_bounds"])
+        assert not result.passed
+        assert not result.worst <= result.tolerance
+        assert (result.detail != "") == (residuals == [])
 
     def test_name_filter(self):
         results = run_suites(quick=True, names=["eigenvalue_bounds"])
@@ -131,12 +145,20 @@ class TestCorruptionIsCaught:
         assert results[0].passed, results[0].detail
         assert 0 < len(calls) <= 200
 
-    def test_one_nan_field_value_fails_the_separable_bound(self, monkeypatch):
-        # One NaN row in one block must fail the suite, not be skipped by
-        # the running maximum.
-        from phasewitness import states
-
-        real = states.state_w
+    @pytest.mark.parametrize(
+        "suite, target",
+        [
+            ("separable_bound", "phasewitness.states.state_w"),
+            ("series_reconstruction", "phasewitness.states.state_w"),
+            ("eigenvalue_bounds", "phasewitness.witness.observable_eigenvalue"),
+        ],
+    )
+    def test_one_nan_value_fails_the_suite(self, monkeypatch, suite, target):
+        # One NaN in the first call's output (the first row of an array
+        # block, or the one scalar) must fail the suite, not be skipped
+        # by the fold.
+        module, name = target.rsplit(".", 1)
+        real = getattr(importlib.import_module(module), name)
         calls = []
 
         def nan_once(*args):
@@ -144,11 +166,11 @@ class TestCorruptionIsCaught:
             if not calls:
                 out.flat[0] = np.nan
             calls.append(1)
-            return out
+            return out[()]
 
-        monkeypatch.setattr("phasewitness.states.state_w", nan_once)
-        results = run_suites(quick=True, names=["separable_bound"])
-        assert not results[0].passed
+        monkeypatch.setattr(target, nan_once)
+        results = run_suites(quick=True, names=[suite])
+        assert calls and not results[0].passed
         assert not results[0].worst <= results[0].tolerance
 
     def test_skewed_analytic_route_is_detected(self, monkeypatch):
