@@ -151,9 +151,9 @@ def _build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--clamp", default=CLAMP_BOUNDED, choices=list(CLAMP_MODES))
     ev.add_argument("--settings", help="a1,a2,b1,b2 as complex literals")
     ev.add_argument("--optimize", action="store_true", help="maximize over settings")
-    ev.add_argument("--starts", type=int, default=16)
-    ev.add_argument("--seed", type=int, default=0)
-    ev.add_argument("--box", type=float, default=2.0)
+    ev.add_argument("--starts", type=int, help="random starts (with --optimize; default 16)")
+    ev.add_argument("--seed", type=int, help="start seed (with --optimize; default 0)")
+    ev.add_argument("--box", type=float, help="box radius (with --optimize; default 2.0)")
 
     sw = sub.add_parser("sweep", help="optimize over a parameter grid, write CSV")
     sw.add_argument("--mode", required=True, choices=[MODE_ETA_S, MODE_THERMAL])
@@ -201,9 +201,17 @@ def _check_noise_flags(args: argparse.Namespace, option: str, choice: str) -> No
         raise UsageError(f"{option} {choice} does not read {', '.join(given)}")
 
 
+#: The search flags of eval and the ``SearchConfig`` fields they set;
+#: only --optimize reads them, and one it does not set keeps its default.
+_SEARCH_FLAGS = {"starts": "n_starts", "box": "box_radius", "seed": "seed"}
+
+
 def _cmd_eval(args: argparse.Namespace) -> int:
     if bool(args.settings) == bool(args.optimize):
         raise UsageError("exactly one of --settings or --optimize is required")
+    given = sorted(flag for flag in _SEARCH_FLAGS if getattr(args, flag) is not None)
+    if given and not args.optimize:
+        raise UsageError(f"--settings does not read {', '.join('--' + f for f in given)}")
     _check_noise_flags(args, "--noise", args.noise)
     spec = TmsvSpec(args.xi)
     if args.noise == "thermal":
@@ -213,7 +221,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
         noise = DetectionNoise(1.0 if args.eta is None else args.eta)
         objective = detection_objective(spec, args.s, noise, clamp_mode=args.clamp)
     if args.optimize:
-        config = SearchConfig(n_starts=args.starts, box_radius=args.box, seed=args.seed)
+        config = SearchConfig(**{_SEARCH_FLAGS[f]: getattr(args, f) for f in given})
         report = maximize_bell(objective, config)
     else:
         report = objective(_parse_settings(args.settings))

@@ -3,8 +3,10 @@
 Everything here is built from first principles in the Fock basis: exact
 displacement matrix elements, Schmidt-form two-mode squeezed vacuum
 amplitudes, a Heisenberg-picture loss channel, and Bell values as plain
-sums of operator expectation values.  Nothing imports the package
-internals, so agreement with the package is evidence, not tautology.
+sums of operator expectation values.  The reference maximizer runs the
+multi-start TNC search through scipy's public ``minimize`` route.
+Nothing imports the package internals, so agreement with the package is
+evidence, not tautology.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ import functools
 import math
 
 import numpy as np
+from scipy.optimize import Bounds, minimize
 
 DEFAULT_DIM = 70
 
@@ -213,3 +216,67 @@ def husimi_q2(xi: float, alpha: complex, beta: complex) -> float:
         * math.exp(-abs(alpha) ** 2 - abs(beta) ** 2 - 2.0 * math.tanh(xi) * (alpha * beta).real)
     )
     return mag / math.pi**2
+
+
+def scipy_tnc_maximize(objective, config, maxfun, stream=0, extra_starts=()):
+    """Multi-start TNC ascent on |B| through ``scipy.optimize.minimize``.
+
+    The same starts, -|B| objective and tie rule as the package's search,
+    with scipy's own wrappers caching and counting the evaluations.
+    ``objective(x, grad=True)`` gives (B, dB/dx) at a raw 8-vector and
+    ``config`` carries n_starts, box_radius, ftol, xtol and seed.
+    Returns the best 8-vector and the search meta (n_evals, n_starts,
+    unconverged_starts, stream, grad_norm).
+    """
+    rng = np.random.default_rng((config.seed, stream))
+    box = config.box_radius
+    lo, hi = np.full(8, -box), np.full(8, box)
+    n_real = (config.n_starts + 1) // 2
+    n_evals = 0
+
+    def neg_abs(x):
+        nonlocal n_evals
+        n_evals += 1
+        value, grad = objective(x.tolist(), grad=True)
+        sign = -1.0 if value >= 0.0 else 1.0
+        return sign * value, sign * np.array(grad)
+
+    starts = [np.clip(np.asarray(w, dtype=float).reshape(8), -box, box) for w in extra_starts]
+    for i in range(config.n_starts):
+        x0 = rng.uniform(-box, box, 8)
+        if i % 2 == 1:
+            x0 *= 0.25
+        if i < n_real:
+            x0[1::2] = 0.0
+        starts.append(x0)
+
+    best_key = None
+    best = None
+    unconverged = 0
+    for x0 in starts:
+        res = minimize(
+            neg_abs,
+            x0,
+            method="TNC",
+            jac=True,
+            bounds=Bounds(lo, hi),
+            options={"maxfun": maxfun, "ftol": config.ftol, "xtol": config.xtol},
+        )
+        if not res.success:
+            unconverged += 1
+        key = (-float(res.fun), tuple(float(v) for v in res.x))
+        # Higher |B| wins; exact ties go to the smaller settings vector.
+        if best_key is None or key[0] > best_key[0] or (
+            key[0] == best_key[0] and key[1] < best_key[1]
+        ):
+            best_key = key
+            best = res
+    grad_norm = float(np.max(np.abs(best.x - np.clip(best.x - best.jac, lo, hi))))
+    meta = {
+        "n_evals": n_evals,
+        "n_starts": config.n_starts,
+        "unconverged_starts": unconverged,
+        "stream": int(stream),
+        "grad_norm": grad_norm,
+    }
+    return best.x, meta

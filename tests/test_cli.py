@@ -129,6 +129,31 @@ class TestArgumentHandling:
             assert f"does not read {flag}" in err
         assert not (tmp_path / "u.csv").exists()
 
+    def test_search_flags_need_optimize(self, capsys):
+        # Only --optimize reads the search flags; with --settings they
+        # are refused, not silently dropped.
+        ev = ["eval", "--xi", "0.3", "--s", "0", "--settings", "0,0,0,0"]
+        for extra, flags in (
+            (["--starts", "5"], "--starts"),
+            (["--box", "9"], "--box"),
+            (["--seed", "3"], "--seed"),
+            (["--starts", "5", "--box", "9", "--seed", "3"], "--box, --seed, --starts"),
+        ):
+            code, out, err = run_cli(ev + extra, capsys)
+            assert code == EXIT_USAGE, extra
+            assert f"--settings does not read {flags}" in err
+            assert out == ""
+        # Under --optimize an omitted flag keeps the search default.
+        opt = ["eval", "--xi", "0.3", "--s", "0", "--noise", "detection", "--eta", "0.5",
+               "--optimize", "--starts", "2"]
+        code, out, _ = run_cli(opt, capsys)
+        assert code == EXIT_OK
+        implicit = json.loads(out)
+        code, out, _ = run_cli(opt + ["--box", "2.0", "--seed", "0"], capsys)
+        assert code == EXIT_OK
+        assert json.loads(out) == implicit
+        assert implicit["meta"]["n_starts"] == 2
+
     def test_bad_grids(self, tmp_path, capsys):
         out = str(tmp_path / "g.csv")
         base = ["sweep", "--mode", "eta-s", "--xi", "0.3", "--out", out, "--starts", "1"]

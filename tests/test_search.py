@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 
+import oracles as orc
 from phasewitness.noise import DetectionNoise, ThermalNoise
 from phasewitness.search import (
+    MAX_EVALS_PER_START,
     MODE_ETA_S,
     MODE_THERMAL,
     SearchConfig,
@@ -19,6 +23,8 @@ from phasewitness.search import (
 )
 from phasewitness.states import TmsvSpec, tmsv_w1, tmsv_w2
 from phasewitness.witness import (
+    CLAMP_FROZEN,
+    CLAMP_LOSS_CHANNEL,
     BellSettings,
     WitnessReport,
     bell_value,
@@ -149,6 +155,80 @@ class TestMaximizeBell:
         assert hot.clamped
         cold = maximize_bell(thermal_objective(spec, 0.0, ThermalNoise(0.6, 2.0)), FAST)
         assert not cold.violated
+
+
+def assert_matches_scipy_route(objective, config, stream=0, extra_starts=()):
+    """maximize_bell equals the minimize(method="TNC") reference, bit for bit."""
+    report = maximize_bell(objective, config, stream, extra_starts)
+    x, meta = orc.scipy_tnc_maximize(
+        objective, config, MAX_EVALS_PER_START, stream, extra_starts
+    )
+    reference = objective(BellSettings.from_vector(x))
+    assert report.bell_value == reference.bell_value
+    assert report.settings.to_vector() == reference.settings.to_vector()
+    assert report.meta == meta
+    return report
+
+
+class TestScipyRouteOracle:
+    """The direct call of TNC's C core against scipy's public route.
+
+    The search calls the private ``scipy.optimize._moduleTNC``; these
+    cases pin its values, settings and evaluation counts to
+    ``minimize(method="TNC", jac=True, bounds=Bounds(...))``.
+    """
+
+    def test_benchmark_map_cells(self):
+        spec = TmsvSpec(0.3)
+        config = SearchConfig(n_starts=8, seed=1)
+        cells = itertools.product(np.linspace(0.3, 1.0, 8), np.linspace(-1.0, 0.0, 6))
+        for stream, (eta, s) in enumerate(cells):
+            objective = detection_objective(spec, float(s), DetectionNoise(float(eta)))
+            assert_matches_scipy_route(objective, config, stream)
+
+    def test_warm_started_thermal_cell(self):
+        spec = TmsvSpec(0.3)
+        config = SearchConfig(n_starts=8, seed=1, ftol=1e-9, xtol=1e-5)
+        first = maximize_bell(thermal_objective(spec, 0.0, ThermalNoise(0.7, 0.0)), config)
+        warm = first.settings.to_vector()
+        objective = thermal_objective(spec, 0.0, ThermalNoise(0.71, 0.0))
+        report = assert_matches_scipy_route(objective, config, 1, [warm])
+        # A start at the point where the previous start stopped is
+        # evaluated afresh, as scipy does at every start.
+        optimum = report.settings.to_vector()
+        assert_matches_scipy_route(objective, config, 1, [optimum, optimum])
+
+    def test_box_edge_cell(self):
+        # At (eta, s) = (0.3, -1) the clamped witness climbs towards 2 at
+        # infinite displacement, so a box of radius 4 holds the optimum
+        # on its edge.
+        objective = detection_objective(TmsvSpec(0.3), -1.0, DetectionNoise(0.3))
+        config = SearchConfig(n_starts=8, seed=1, box_radius=4.0)
+        report = assert_matches_scipy_route(objective, config)
+        assert max(abs(v) for v in report.settings.to_vector()) == 4.0
+
+    @pytest.mark.parametrize("clamp_mode", [CLAMP_FROZEN, CLAMP_LOSS_CHANNEL])
+    def test_clamp_rules(self, clamp_mode):
+        objective = detection_objective(
+            TmsvSpec(0.3), -0.5, DetectionNoise(0.4), clamp_mode=clamp_mode
+        )
+        report = assert_matches_scipy_route(objective, SearchConfig(n_starts=4, seed=2), 1)
+        assert report.clamped
+
+    def test_objective_error_surfaces(self):
+        objective = detection_objective(TmsvSpec(0.3), 0.0, DetectionNoise(0.5))
+        calls = 0
+
+        def failing(settings, grad=False):
+            nonlocal calls
+            calls += 1
+            if calls == 5:
+                raise ValueError("witness value is NaN")
+            return objective(settings, grad=grad)
+
+        with pytest.raises(ValueError, match="NaN"):
+            maximize_bell(failing, SearchConfig(n_starts=2, seed=0))
+        assert calls == 5
 
 
 class TestGridOracle:
