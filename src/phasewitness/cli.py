@@ -19,7 +19,6 @@ from dataclasses import fields
 from typing import Sequence
 
 import numpy as np
-import scipy
 
 from . import __version__
 from . import validate as validate_mod
@@ -251,6 +250,10 @@ def _csv_rows(result: SweepResult) -> list[str]:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
+    # Only the manifest needs scipy's version; reading it from the
+    # package metadata keeps scipy itself, and this import, out of eval.
+    import importlib.metadata
+
     _check_noise_flags(args, "--mode", args.mode)
     spec = TmsvSpec(args.xi)
     config = SearchConfig(n_starts=args.starts, box_radius=args.box, seed=args.seed)
@@ -271,7 +274,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if args.mode == MODE_ETA_S:
         eta_grid = _parse_grid(args.eta, "--eta")
         params["eta_grid"] = eta_grid
-        result = sweep_eta_s(spec, eta_grid, s_grid, config, max_workers=workers)
+        sweep, grids = sweep_eta_s, (eta_grid, s_grid)
     else:
         r_grid = _parse_grid(args.r, "--r")
         nbar_list = _parse_float_list(
@@ -279,7 +282,13 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         )
         params["r_grid"] = r_grid
         params["nbar_list"] = nbar_list
-        result = sweep_thermal(spec, r_grid, s_grid, nbar_list, config, max_workers=workers)
+        sweep, grids = sweep_thermal, (r_grid, s_grid, nbar_list)
+    # Fail before the search, not after it, when the CSV cannot be written.
+    out_dir = os.path.dirname(args.out) or "."
+    if not os.path.isdir(out_dir):
+        print(f"error: cannot write output: no directory {out_dir!r}", file=sys.stderr)
+        return EXIT_IO
+    result = sweep(spec, *grids, config, max_workers=workers)
 
     rows = _csv_rows(result)
     checks = {
@@ -291,7 +300,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         "environment": {
             "python": platform.python_version(),
             "numpy": np.__version__,
-            "scipy": scipy.__version__,
+            "scipy": importlib.metadata.version("scipy"),
             "platform": platform.platform(),
         },
         **params,

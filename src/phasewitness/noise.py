@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.special import gammaln
 
 from .qp_core import (
     ConsistencyError,
@@ -105,6 +104,9 @@ def bernoulli_detect(p: PhotonDistribution, noise: DetectionNoise) -> PhotonDist
     Every input count n scatters binomially over m <= n, so the retained
     mass is unchanged and the new tail bound is exactly the old one.
     """
+    # Imported here so that importing the package does not load scipy.
+    from scipy.special import gammaln
+
     eta = noise.eta
     if eta == 1.0:
         return p

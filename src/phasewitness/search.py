@@ -8,7 +8,10 @@ through scipy's C core with a callback that hands the objective a float
 list: scipy's ``minimize`` layers (``MemoizeJac``, ``ScalarFunction``
 and their array copies and checks) cost several times the witness
 itself per evaluation.  The callback caches its last point as scipy
-does, so the evaluation count is scipy's.  Sweep cells are
+does, so the evaluation count is scipy's.  The core is loaded from its
+extension file on the first search, not imported: importing
+``scipy.optimize._moduleTNC`` runs the whole ``scipy.optimize`` package,
+which costs more than a small sweep.  Sweep cells are
 embarrassingly parallel; every cell draws its starts from a PRNG stream
 keyed by (seed, cell index) so serial and parallel runs produce
 identical output.
@@ -16,16 +19,18 @@ identical output.
 
 from __future__ import annotations
 
+import functools
+import importlib.util
 import itertools
 import math
 import os
+import sysconfig
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.optimize._moduleTNC import tnc_minimize
 
 from .noise import DetectionNoise, ThermalNoise
 from .states import TmsvSpec
@@ -78,6 +83,31 @@ class SearchConfig:
                 f"box_radius {self.box_radius} is too large: the box width overflows"
             )
         object.__setattr__(self, "seed", int(self.seed))
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
+
+
+@functools.cache
+def _tnc_minimize() -> Callable[..., tuple]:
+    """``tnc_minimize`` from scipy's ``_moduleTNC`` extension file.
+
+    The file is found through scipy's package location and loaded under
+    its own module name, which imports neither ``scipy.optimize`` nor
+    ``scipy.special``; a later ``import scipy.optimize`` gets the same
+    function object.
+    """
+    spec = importlib.util.find_spec("scipy")
+    locations = spec.submodule_search_locations if spec is not None else None
+    if not locations:
+        raise ImportError("TNC's C core needs scipy, which is not installed")
+    name = "_moduleTNC" + sysconfig.get_config_var("EXT_SUFFIX")
+    path = os.path.join(locations[0], "optimize", name)
+    if not os.path.isfile(path):
+        raise ImportError(f"TNC's C core is missing: no file {path}")
+    core_spec = importlib.util.spec_from_file_location("scipy.optimize._moduleTNC", path)
+    core = importlib.util.module_from_spec(core_spec)
+    core_spec.loader.exec_module(core)
+    return core.tnc_minimize
 
 
 def _better(candidate: tuple[float, tuple[float, ...]], incumbent) -> bool:
@@ -102,10 +132,11 @@ def maximize_bell(
     8-vector; every evaluation of the search goes through it.  Each start
     runs TNC (Nash, SIAM J. Numer. Anal. 21, 770 (1984)) on -|B| inside
     the box, with ``config.ftol``/``config.xtol`` as its tolerances,
-    through scipy's C core (``_moduleTNC.tnc_minimize``) with the
-    arguments ``minimize(method="TNC")`` passes for these options.  On
-    the 48-cell benchmark map (one x86-64 core) a search evaluation cost
-    about 44 us through ``minimize`` and 12 us this way.
+    through scipy's C core (``_moduleTNC.tnc_minimize``, loaded from its
+    extension file by ``_tnc_minimize`` on the first call in a process)
+    with the arguments ``minimize(method="TNC")`` passes for these
+    options.  On the 48-cell benchmark map (one x86-64 core) a search
+    evaluation cost about 44 us through ``minimize`` and 12 us this way.
 
     The callback keeps scipy's evaluation semantics: within a start it
     remembers the last point it evaluated and answers a repeat of exactly
@@ -121,6 +152,7 @@ def maximize_bell(
     the best point found is always returned, with its projected-gradient
     max-norm as ``grad_norm``.
     """
+    tnc_minimize = _tnc_minimize()
     rng = np.random.default_rng((config.seed, stream))
     box = config.box_radius
     lo, hi = np.full(8, -box), np.full(8, box)

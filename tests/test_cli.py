@@ -32,14 +32,20 @@ def run_cli(argv, capsys):
 
 
 def test_cli_import_leaves_out_scipy_stats():
-    # scipy.stats costs most of the CLI start-up time and nothing needs it.
+    # scipy.stats costs most of the CLI start-up time and nothing needs
+    # it; no other part of scipy is needed before a command runs either.
     env = dict(os.environ, PYTHONPATH=str(Path(phasewitness.__file__).parents[1]))
-    code = "import sys, phasewitness.cli; print('scipy.stats' in sys.modules)"
+    code = (
+        "import sys, phasewitness.cli; print('scipy.stats' in sys.modules); "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True,
         check=True, timeout=60,
     )
-    assert out.stdout.strip() == "False"
+    stats_loaded, scipy_modules = out.stdout.splitlines()
+    assert stats_loaded == "False"
+    assert scipy_modules == "[]"
 
 
 class TestArgumentHandling:
@@ -154,6 +160,21 @@ class TestArgumentHandling:
         assert json.loads(out) == implicit
         assert implicit["meta"]["n_starts"] == 2
 
+    def test_negative_seed(self, tmp_path, capsys):
+        # Refused when the arguments are read, before any search or pool.
+        out = tmp_path / "n.csv"
+        for argv in (
+            ["eval", "--xi", "0.3", "--s", "0", "--noise", "detection", "--eta", "0.5",
+             "--optimize", "--seed", "-1"],
+            ["sweep", "--mode", "eta-s", "--xi", "0.3", "--s", "-1:0:2", "--eta", "0.5:1:2",
+             "--out", str(out), "--starts", "1", "--seed", "-1"],
+        ):
+            code, stdout, err = run_cli(argv, capsys)
+            assert code == EXIT_USAGE, argv
+            assert "seed must be non-negative, got -1" in err
+            assert stdout == ""
+        assert not out.exists()
+
     def test_bad_grids(self, tmp_path, capsys):
         out = str(tmp_path / "g.csv")
         base = ["sweep", "--mode", "eta-s", "--xi", "0.3", "--out", out, "--starts", "1"]
@@ -253,6 +274,25 @@ class TestSweep:
         )
         assert code == EXIT_IO
         assert "cannot write" in err
+
+    def test_missing_output_directory_fails_before_the_sweep(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        def sweep_driver(*args, **kwargs):
+            raise AssertionError("the sweep ran before the output was checked")
+
+        monkeypatch.setattr("phasewitness.cli.sweep_eta_s", sweep_driver)
+        monkeypatch.setattr("phasewitness.cli.sweep_thermal", sweep_driver)
+        out = tmp_path / "missing-dir" / "run.csv"
+        for mode in (["--mode", "eta-s", "--eta", "0.5"], ["--mode", "thermal", "--r", "0.5"]):
+            code, _, err = run_cli(
+                ["sweep", *mode, "--xi", "0.3", "--s", "0", "--out", str(out),
+                 "--starts", "1"],
+                capsys,
+            )
+            assert code == EXIT_IO
+            assert err.startswith("error: cannot write output:")
+            assert "missing-dir" in err
 
     def test_worker_count_does_not_change_output(self, tmp_path, capsys, monkeypatch):
         argv = ["sweep", "--mode", "eta-s", "--xi", "0.3", "--s", "-0.5:0:2",

@@ -2,12 +2,21 @@
 
 from __future__ import annotations
 
+import importlib.machinery
 import itertools
+import json
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import oracles as orc
+import phasewitness
+from phasewitness import search
 from phasewitness.noise import DetectionNoise, ThermalNoise
 from phasewitness.search import (
     MAX_EVALS_PER_START,
@@ -57,6 +66,8 @@ class TestSearchConfig:
             SearchConfig(xtol=float("nan"))
         with pytest.raises(ValueError):
             SearchConfig(box_radius=1e308)
+        with pytest.raises(ValueError, match="seed must be non-negative, got -1"):
+            SearchConfig(seed=-1)
 
 
 def constant_objective(settings, grad=False):
@@ -315,6 +326,59 @@ class TestSweeps:
         detect = sweep_eta_s(spec, [1.0], [-0.5], config, max_workers=1)
         diff = abs(thermal.cells[0].report.bell_abs - detect.cells[0].report.bell_abs)
         assert diff < 1e-6
+
+
+# Run in a fresh interpreter: a search and a pooled sweep, then the
+# scipy modules they loaded, then the same work after importing
+# scipy.optimize, whose _moduleTNC must be the core the search loaded.
+CORE_LOAD_SCRIPT = """
+import json, sys
+from phasewitness import search
+from phasewitness.noise import DetectionNoise
+from phasewitness.states import TmsvSpec
+from phasewitness.witness import detection_objective
+
+spec = TmsvSpec(0.3)
+objective = detection_objective(spec, 0.0, DetectionNoise(0.5))
+config = search.SearchConfig(n_starts=4, seed=1)
+pooled = search.sweep_eta_s(spec, [0.5, 1.0], [-1.0, 0.0], config, max_workers=2)
+first = search.maximize_bell(objective, config)
+loaded = [m for m in ("scipy.optimize", "scipy.special") if m in sys.modules]
+import scipy.optimize
+serial = search.sweep_eta_s(spec, [0.5, 1.0], [-1.0, 0.0], config, max_workers=1)
+print(json.dumps({
+    "loaded": loaded,
+    "same_core": scipy.optimize._moduleTNC.tnc_minimize is search._tnc_minimize(),
+    "same_report": search.maximize_bell(objective, config) == first,
+    "same_sweep": [c.report for c in serial.cells] == [c.report for c in pooled.cells],
+}))
+"""
+
+
+class TestCoreLoad:
+    """TNC's C core is loaded from its file, without ``scipy.optimize``."""
+
+    def test_search_loads_neither_optimize_nor_special(self):
+        env = dict(os.environ, PYTHONPATH=str(Path(phasewitness.__file__).parents[1]))
+        out = subprocess.run(
+            [sys.executable, "-c", CORE_LOAD_SCRIPT], env=env, capture_output=True,
+            text=True, check=True, timeout=120,
+        )
+        assert json.loads(out.stdout) == {
+            "loaded": [], "same_core": True, "same_report": True, "same_sweep": True,
+        }
+
+    def test_missing_core_is_an_import_error(self, tmp_path, monkeypatch):
+        fake = importlib.machinery.ModuleSpec("scipy", None, is_package=True)
+        fake.submodule_search_locations = [str(tmp_path)]
+        monkeypatch.setattr(search.importlib.util, "find_spec", lambda name: fake)
+        search._tnc_minimize.cache_clear()
+        try:
+            missing = f"TNC's C core is missing: no file {tmp_path / 'optimize' / '_moduleTNC'}"
+            with pytest.raises(ImportError, match=re.escape(missing)):
+                search._tnc_minimize()
+        finally:
+            search._tnc_minimize.cache_clear()
 
 
 class TestFixedSettingsMonotonicity:
