@@ -288,6 +288,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if not os.path.isdir(out_dir):
         print(f"error: cannot write output: no directory {out_dir!r}", file=sys.stderr)
         return EXIT_IO
+    for path in (args.out, args.out + ".manifest.json"):
+        if os.path.isdir(path):
+            print(f"error: cannot write output: {path!r} is a directory", file=sys.stderr)
+            return EXIT_IO
     result = sweep(spec, *grids, config, max_workers=workers)
 
     rows = _csv_rows(result)

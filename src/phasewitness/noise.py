@@ -102,31 +102,22 @@ def bernoulli_detect(p: PhotonDistribution, noise: DetectionNoise) -> PhotonDist
     """Thin a photon-number distribution by per-photon survival eta.
 
     Every input count n scatters binomially over m <= n, so the retained
-    mass is unchanged and the new tail bound is exactly the old one.
+    mass is unchanged and the new tail bound is exactly the old one.  The
+    binomial rows come from Pascal's rule: row n+1 is (1 - eta) times
+    row n plus eta times row n shifted up by one count, and the output
+    accumulates p[n] times row n.
     """
-    # Imported here so that importing the package does not load scipy.
-    from scipy.special import gammaln
-
     eta = noise.eta
     if eta == 1.0:
         return p
-    size = p.probs.size
-    m = np.arange(size)[:, None]
-    out = np.zeros(size)
-    # Chunk over input counts to bound the pmf matrix size.
-    chunk = 512
-    for start in range(0, size, chunk):
-        n = np.arange(start, min(start + chunk, size))
-        # Binomial pmf in log space; entries with m > n are zero, and
-        # evaluating them at n - m = 0 keeps their logarithm finite and
-        # non-positive, so exp cannot overflow.
-        lost = np.maximum(n - m, 0)
-        log_pmf = (
-            gammaln(n + 1) - gammaln(m + 1) - gammaln(lost + 1)
-            + m * math.log(eta) + lost * math.log1p(-eta)
-        )
-        pmf = np.where(m <= n, np.exp(log_pmf), 0.0)
-        out += pmf @ p.probs[n]
+    q = 1.0 - eta
+    row = np.zeros(p.probs.size)
+    row[0] = 1.0
+    out = np.zeros(p.probs.size)
+    for pn in p.probs:
+        out += pn * row
+        row[1:] = q * row[1:] + eta * row[:-1]
+        row[0] *= q
     tail = max(0.0, 1.0 - float(out.sum()))
     return PhotonDistribution(out, tail_bound=tail)
 

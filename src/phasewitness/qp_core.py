@@ -238,7 +238,7 @@ def _integrate_at(f: FieldEvaluator, radius: float, tol: float) -> np.ndarray:
     for order in _ORDERS:
         pts, wts = _square_nodes(radius, order)
         vals = np.asarray(f(pts), dtype=float).reshape(-1, pts.size)
-        est = vals @ wts
+        est = (vals * wts).sum(axis=-1)
         if prev is not None and np.max(np.abs(est - prev)) <= 0.5 * tol:
             return est
         prev = est
@@ -317,7 +317,7 @@ def gaussian_smooth(
         pts, wts = _hermite_nodes(order)
         nodes = (targets[:, None] + scale * pts[None, :]).ravel()
         vals = np.asarray(w(nodes), dtype=float).reshape(targets.size, pts.size)
-        est = (vals @ wts) / math.pi
+        est = (vals * wts).sum(axis=-1) / math.pi
         if prev is not None and np.max(np.abs(est - prev), initial=0.0) <= 0.5 * quad_tol:
             return float(est[0]) if np.isscalar(alpha) else est.reshape(np.shape(alpha))
         prev = est

@@ -93,8 +93,8 @@ def _tnc_minimize() -> Callable[..., tuple]:
 
     The file is found through scipy's package location and loaded under
     its own module name, which imports neither ``scipy.optimize`` nor
-    ``scipy.special``; a later ``import scipy.optimize`` gets the same
-    function object.
+    scipy's special functions; a later ``import scipy.optimize`` gets the
+    same function object.
     """
     spec = importlib.util.find_spec("scipy")
     locations = spec.submodule_search_locations if spec is not None else None

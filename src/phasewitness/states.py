@@ -3,9 +3,9 @@
 Covers the validation corpus: the two-mode squeezed vacuum (TMSV) with
 its exact two-mode and marginal Gaussians, and the single-mode test
 states (vacuum, coherent, thermal, Fock) both as analytic fields and as
-displaced photon-number distributions.  ``scipy.special`` is imported
-inside the Fock and photon-number helpers that use it, so importing the
-package, and the witness the search evaluates, does not load it.
+displaced photon-number distributions.  Laguerre polynomials come from
+one three-term recurrence, ``_laguerre``, and factorials from
+``math.lgamma``, so no helper here needs scipy.
 """
 
 from __future__ import annotations
@@ -189,22 +189,16 @@ class SingleModeTestState:
 def state_w(state: SingleModeTestState, alpha, s) -> float | np.ndarray:
     """Analytic quasiprobability of a test state, scalar or array points."""
     sv = real_order(s, _CLOSED_FORM)
-    if state.kind == VACUUM:
-        return _gaussian_w(0.0, alpha, sv)
-    if state.kind == THERMAL:
-        return _gaussian_w(state.nbar, alpha, sv)
     a, scalar = _as_field(alpha)
-    if state.kind == COHERENT:
-        vals = _gaussian_w(0.0, a - state.z, sv)
+    if state.kind != FOCK:
+        vals = _gaussian_w(state.nbar, a - state.z, sv)
         return float(vals) if scalar else vals
     # Fock state: Laguerre closed form, with the ratio -> 0 limit at s = -1.
-    from scipy.special import eval_laguerre, gammaln
-
     b = np.abs(a) ** 2
     n = state.n
     if sv == -1.0:
         with np.errstate(divide="ignore", invalid="ignore"):
-            vals = np.exp(-b + n * np.log(b) - gammaln(n + 1)) / math.pi
+            vals = np.exp(-b + n * np.log(b) - math.lgamma(n + 1)) / math.pi
         vals = np.where(
             b > 0.0, vals, (1.0 / math.pi) if n == 0 else 0.0
         )
@@ -213,43 +207,40 @@ def state_w(state: SingleModeTestState, alpha, s) -> float | np.ndarray:
         arg = 4.0 * b / (1.0 - sv * sv)
         vals = (
             (2.0 / (math.pi * (1.0 - sv)))
-            * ratio**n
-            * eval_laguerre(n, arg)
+            * _laguerre(n, 0.0, arg, ratio)[n]
             * np.exp(-2.0 * b / (1.0 - sv))
         )
     return float(vals) if scalar else np.asarray(vals, dtype=float)
 
 
-def _poisson_probs(mean: float, n_max: int) -> np.ndarray:
-    from scipy.special import gammaln
+def _laguerre(k_max: int, alpha, x, g: float = 1.0) -> np.ndarray:
+    """g^k L_k^(alpha)(x) for k = 0..k_max, stacked along a new first axis.
 
-    if mean == 0.0:
-        p = np.zeros(n_max + 1)
-        p[0] = 1.0
-        return p
-    n = np.arange(n_max + 1)
-    return np.exp(-mean + n * math.log(mean) - gammaln(n + 1))
+    Runs the three-term recurrence
+    (k+1) L_{k+1} = (2k+1+alpha-x) L_k - (k+alpha) L_{k-1} with every term
+    carried as g^k L_k; ``alpha`` and ``x`` broadcast against each other.
+    """
+    t = np.empty((k_max + 1,) + np.broadcast(alpha, x).shape)
+    t[0] = 1.0
+    if k_max >= 1:
+        t[1] = g * (1.0 + alpha - x)
+    for k in range(1, k_max):
+        t[k + 1] = (g * (2 * k + 1 + alpha - x) * t[k] - g * g * (k + alpha) * t[k - 1]) / (k + 1)
+    return t
 
 
 def _displaced_thermal_probs(nbar: float, b: float, n_max: int) -> np.ndarray:
     if nbar == 0.0:
-        return _poisson_probs(b, n_max)
-    g = nbar / (1.0 + nbar)
-    x = -b / (nbar * (1.0 + nbar))
-    # t_n = g^n L_n(x); upward recurrence is stable because x <= 0 makes
+        # A displaced vacuum: Poisson, the m = 0 case of a displaced Fock state.
+        return _displaced_fock_probs(0, b, n_max)
+    # g^n L_n(x); the upward recurrence is stable because x <= 0 makes
     # every term positive.
-    t = np.empty(n_max + 1)
-    t[0] = 1.0
-    if n_max >= 1:
-        t[1] = g * (1.0 - x)
-    for n in range(1, n_max):
-        t[n + 1] = (g * (2 * n + 1 - x) * t[n] - g * g * n * t[n - 1]) / (n + 1)
+    g = nbar / (1.0 + nbar)
+    t = _laguerre(n_max, 0.0, -b / (nbar * (1.0 + nbar)), g)
     return (math.exp(-b / (1.0 + nbar)) / (1.0 + nbar)) * t
 
 
 def _displaced_fock_probs(m: int, b: float, n_max: int) -> np.ndarray:
-    from scipy.special import eval_genlaguerre, gammaln
-
     if b == 0.0:
         p = np.zeros(n_max + 1)
         if m <= n_max:
@@ -258,8 +249,10 @@ def _displaced_fock_probs(m: int, b: float, n_max: int) -> np.ndarray:
     n = np.arange(n_max + 1)
     lo = np.minimum(n, m)
     delta = np.abs(n - m)
-    lag = np.array([float(eval_genlaguerre(k, d, b)) for k, d in zip(lo, delta)])
-    logw = gammaln(lo + 1) - gammaln(lo + delta + 1) + delta * math.log(b) - b
+    # Row lo of the Laguerre table with alpha = delta, picked per n.
+    lag = _laguerre(min(m, n_max), delta, b)[lo, n]
+    log_fact = np.array([math.lgamma(k + 1.0) for k in range(max(n_max, m) + 1)])
+    logw = log_fact[lo] - log_fact[lo + delta] + delta * math.log(b) - b
     return np.exp(logw) * lag**2
 
 
@@ -278,14 +271,9 @@ def photon_distribution(
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
     a = complex(displacement)
-    b = abs(a) ** 2
-    if state.kind == VACUUM:
-        probs = _poisson_probs(b, n_max)
-    elif state.kind == COHERENT:
-        probs = _poisson_probs(abs(state.z - a) ** 2, n_max)
-    elif state.kind == THERMAL:
-        probs = _displaced_thermal_probs(state.nbar, b, n_max)
+    if state.kind == FOCK:
+        probs = _displaced_fock_probs(state.n, abs(a) ** 2, n_max)
     else:
-        probs = _displaced_fock_probs(state.n, b, n_max)
+        probs = _displaced_thermal_probs(state.nbar, abs(state.z - a) ** 2, n_max)
     tail = max(0.0, 1.0 - float(probs.sum()))
     return PhotonDistribution(probs, tail_bound=tail)

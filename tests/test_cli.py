@@ -294,6 +294,23 @@ class TestSweep:
             assert err.startswith("error: cannot write output:")
             assert "missing-dir" in err
 
+    def test_directory_output_fails_before_the_sweep(self, tmp_path, capsys, monkeypatch):
+        def sweep_driver(*args, **kwargs):
+            raise AssertionError("the sweep ran before the output was checked")
+
+        monkeypatch.setattr("phasewitness.cli.sweep_eta_s", sweep_driver)
+        (tmp_path / "run.csv.manifest.json").mkdir()
+        for out in (tmp_path, tmp_path / "run.csv"):
+            code, _, err = run_cli(
+                ["sweep", "--mode", "eta-s", "--eta", "0.5", "--xi", "0.3", "--s", "0",
+                 "--out", str(out), "--starts", "1"],
+                capsys,
+            )
+            assert code == EXIT_IO
+            assert err.startswith("error: cannot write output:")
+            assert "is a directory" in err
+        assert not (tmp_path / "run.csv").exists()
+
     def test_worker_count_does_not_change_output(self, tmp_path, capsys, monkeypatch):
         argv = ["sweep", "--mode", "eta-s", "--xi", "0.3", "--s", "-0.5:0:2",
                 "--eta", "0.6:0.9:2", "--starts", "2", "--seed", "8"]

@@ -110,10 +110,11 @@ class TestBernoulliDetect:
         )
         np.testing.assert_allclose(thinned.probs, target.probs, atol=1e-12)
 
-    def test_thermal_thins_to_thermal(self):
-        p = photon_distribution(SingleModeTestState.thermal(1.4), 0.0, 160)
+    @pytest.mark.parametrize("nbar,n_max", [(1.4, 160), (30.0, 1000)])
+    def test_thermal_thins_to_thermal(self, nbar, n_max):
+        p = photon_distribution(SingleModeTestState.thermal(nbar), 0.0, n_max)
         thinned = bernoulli_detect(p, DetectionNoise(0.35))
-        target = photon_distribution(SingleModeTestState.thermal(0.35 * 1.4), 0.0, 160)
+        target = photon_distribution(SingleModeTestState.thermal(0.35 * nbar), 0.0, n_max)
         np.testing.assert_allclose(thinned.probs, target.probs, atol=1e-12)
 
     def test_retained_mass_is_preserved(self):

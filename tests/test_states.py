@@ -150,6 +150,7 @@ class TestPhotonDistributions:
             (SingleModeTestState.coherent(0.5 + 0.2j), orc.rho_coherent(0.5 + 0.2j, 40)),
             (SingleModeTestState.thermal(0.8), orc.rho_thermal(0.8, 40)),
             (SingleModeTestState.fock(2), orc.rho_fock(2, 40)),
+            (SingleModeTestState.fock(6), orc.rho_fock(6, 40)),
         ],
     )
     def test_matches_fock_oracle(self, state, rho):

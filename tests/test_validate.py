@@ -3,16 +3,41 @@
 from __future__ import annotations
 
 import importlib
+import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import phasewitness
 from phasewitness import validate
 from phasewitness.validate import SUITE_NAMES, SuiteResult, format_report, run_suites
 
 
+FULL_RUN_SCRIPT = """
+import json, sys
+from phasewitness import validate
+results = validate.run_suites()
+print(json.dumps({
+    "failed": [r.line() for r in results if not r.passed],
+    "scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy"),
+}))
+"""
+
+
 class TestRunSuites:
+    def test_full_run_passes_without_scipy(self):
+        env = dict(os.environ, PYTHONPATH=str(Path(phasewitness.__file__).parents[1]))
+        out = subprocess.run(
+            [sys.executable, "-c", FULL_RUN_SCRIPT], env=env, capture_output=True,
+            text=True, check=True, timeout=300,
+        )
+        assert json.loads(out.stdout) == {"failed": [], "scipy": []}
+
     def test_quick_pass_under_budget(self):
         start = time.perf_counter()
         results = run_suites(quick=True)
