@@ -2,8 +2,10 @@
 
 Exit codes: 0 success, 1 validation failure, 2 usage error, 3 I/O
 error.  Sweep output is CSV plus a sibling ``<out>.manifest.json``
-holding everything needed to reproduce the run bit-exactly; the
-``PHASEWITNESS_THREADS`` environment variable caps the worker pool.
+holding everything needed to reproduce the run bit-exactly.  A sweep
+runs in one process; each CSV row names how its cell was found (the
+certified curve or the fallback search) with the cell's gradient norm
+and Hessian eigenvalue, and the manifest counts both kinds.
 """
 
 from __future__ import annotations
@@ -44,8 +46,6 @@ from .witness import (
 
 __all__ = ["main"]
 
-THREADS_ENV = "PHASEWITNESS_THREADS"
-
 EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_USAGE = 2
@@ -53,7 +53,7 @@ EXIT_IO = 3
 
 CSV_HEADER = (
     "axis1,axis2,nbar,bell_abs,violated,clamped,s_effective,"
-    "a1_re,a1_im,a2_re,a2_im,b1_re,b1_im,b2_re,b2_im"
+    "a1_re,a1_im,a2_re,a2_im,b1_re,b1_im,b2_re,b2_im,source,grad_norm,hess_max"
 )
 
 
@@ -103,19 +103,6 @@ def _parse_float_list(text: str, name: str) -> list[float]:
         return [float(tok) for tok in text.split(",") if tok.strip() != ""]
     except ValueError:
         raise UsageError(f"{name}: expected comma-separated numbers, got {text!r}") from None
-
-
-def _max_workers() -> int | None:
-    raw = os.environ.get(THREADS_ENV)
-    if raw is None:
-        return None
-    try:
-        workers = int(raw)
-    except ValueError:
-        raise UsageError(f"{THREADS_ENV} must be an integer, got {raw!r}") from None
-    if workers < 1:
-        raise UsageError(f"{THREADS_ENV} must be at least 1, got {workers}")
-    return workers
 
 
 def _report_json(report: WitnessReport) -> dict:
@@ -243,6 +230,9 @@ def _csv_rows(result: SweepResult) -> list[str]:
                     "true" if rep.clamped else "false",
                     _fmt(rep.s_effective),
                     *(_fmt(v) for v in rep.settings.to_vector()),
+                    rep.meta["source"],
+                    _fmt(rep.meta["grad_norm"]),
+                    _fmt(rep.meta["hess_max"]),
                 ]
             )
         )
@@ -258,7 +248,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     spec = TmsvSpec(args.xi)
     config = SearchConfig(n_starts=args.starts, box_radius=args.box, seed=args.seed)
     s_grid = _parse_grid(args.s, "--s")
-    workers = _max_workers()
     started = time.perf_counter()
     params: dict[str, object] = {
         "mode": args.mode,
@@ -292,9 +281,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         if os.path.isdir(path):
             print(f"error: cannot write output: {path!r} is a directory", file=sys.stderr)
             return EXIT_IO
-    result = sweep(spec, *grids, config, max_workers=workers)
+    result = sweep(spec, *grids, config)
 
     rows = _csv_rows(result)
+    sources = [c.report.meta["source"] for c in result.cells]
     checks = {
         "values_finite": all(math.isfinite(c.report.bell_abs) for c in result.cells),
     }
@@ -311,6 +301,11 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         "rows": len(rows) - 1,
         "csv": os.path.basename(args.out),
         "wall_time_s": time.perf_counter() - started,
+        "cells": {
+            "curve": sources.count("curve"),
+            "search": sources.count("search"),
+            "max_grad_norm": max(c.report.meta["grad_norm"] for c in result.cells),
+        },
         "checks": checks,
     }
     try:

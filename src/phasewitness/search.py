@@ -11,10 +11,20 @@ itself per evaluation.  The callback caches its last point as scipy
 does, so the evaluation count is scipy's.  The core is loaded from its
 extension file on the first search, not imported: importing
 ``scipy.optimize._moduleTNC`` runs the whole ``scipy.optimize`` package,
-which costs more than a small sweep.  Sweep cells are
-embarrassingly parallel; every cell draws its starts from a PRNG stream
-keyed by (seed, cell index) so serial and parallel runs produce
-identical output.
+which costs more than a small sweep.
+
+A sweep does not search cell by cell.  Under the default clamp rule a
+cell reaches the witness only through its rescaled order s' (and, for
+thermal noise, the frame scale 1/t), so one vectorized regularized
+Newton solve over the real symmetric settings a = (x, y), b = +-a gives
+a candidate for every distinct s' at once.  Each cell lifts its
+candidate to the 8 raw coordinates and reports it when it passes the
+certificate there (projected gradient of |B| at most ``CERT_GRAD_NORM``,
+largest Hessian eigenvalue of |B| off the gauge direction below
+``CERT_HESS_MAX``); a cell that fails falls back to ``maximize_bell``
+with the starts stream keyed by (seed, cell index).  The sweep runs in
+the calling process; a certified cell's result depends on that cell
+alone, and a fallback cell's on its index too.
 """
 
 from __future__ import annotations
@@ -26,15 +36,21 @@ import math
 import os
 import sysconfig
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .noise import DetectionNoise, ThermalNoise
+from .noise import DetectionNoise, ThermalNoise, rescale_detection, rescale_thermal
 from .states import TmsvSpec
-from .witness import BellSettings, WitnessReport, detection_objective, thermal_objective
+from .witness import (
+    CLAMP_BOUNDED,
+    BellSettings,
+    WitnessReport,
+    _tmsv_constants,
+    detection_objective,
+    thermal_objective,
+)
 
 __all__ = [
     "SearchConfig",
@@ -201,9 +217,8 @@ def maximize_bell(
         if _better(key, best_key):
             best_key = key
             best = (x, jac)
-    # Projected gradient of -|B| on the box, as L-BFGS-B measures it.
     x, jac = best
-    grad_norm = float(np.max(np.abs(x - np.clip(x - jac, lo, hi))))
+    grad_norm = _projected_grad_norm(x, jac, box)
     report = objective(BellSettings.from_vector(x))
     meta = {
         "n_evals": n_evals,
@@ -254,37 +269,204 @@ class SweepResult:
     wall_time: float
 
 
-def _optimize_cell(args) -> WitnessReport:
-    build, spec, s, noise, config, stream = args
-    return maximize_bell(build(spec, s, noise), config, stream)
+#: A cell is certified when the projected-gradient max-norm of |B| at its
+#: point is at most CERT_GRAD_NORM and the largest eigenvalue of the
+#: Hessian of |B|, gauge direction projected out, is below CERT_HESS_MAX.
+CERT_GRAD_NORM = 1e-9
+CERT_HESS_MAX = -1e-6
+#: Central-difference step of the certificate's Hessian.
+_HESS_STEP = 1e-5
+#: Seed grid per axis and fixed iteration count of the curve solve.
+_CURVE_SEEDS = np.linspace(-1.0, 1.0, 5)
+_CURVE_ITERATIONS = 25
+#: s' values per curve solve call; it bounds the solve's arrays (100 rows
+#: per s') whatever the grid size, and does not change any row's bits.
+_CURVE_BLOCK = 128
+#: Signs that turn each setting's (im, re) pair into its gauge tangent.
+_GAUGE_SIGNS = np.array([[-1.0, 1.0], [-1.0, 1.0], [1.0, -1.0], [1.0, -1.0]])
 
 
-def _sweep(mode, build, spec, cells, config, max_workers) -> SweepResult:
-    """Optimize every ``(axis1, axis2, nbar, noise)`` cell of ``cells``.
+def _family_constants(constants, sigma):
+    """Per-row constants of ``_family`` from (c2, c1, c0, width, k2, e2, k1, e1, sh2) and sigma."""
+    c2, c1, c0, width, k2, e2, k1, e1, sh2 = constants
+    ew, m = e2 * width, e2 * sigma * sh2
+    return c2 * k2, ew, m, 2.0 * ew + m, 2.0 * c1 * k1, e1, c0
 
-    ``build(spec, s, noise)`` makes the cell's objective, with s = axis2;
-    each cell draws its starts from the stream keyed by its index, so the
-    output does not depend on the worker count.
+
+def _family(terms, x, y):
+    """B, its gradient and its Hessian on the real symmetric family.
+
+    The family is a1 = x, a2 = y, b1 = sigma x, b2 = sigma y (real, in
+    the frame the fields are read in, sigma = +-1), on which
+    B = c2 k2 (E11 + 2 E12 - E22) + 2 c1 k1 exp(-e1 x^2) + c0 with
+    E11 = exp(-p x^2), E22 = exp(-p y^2), E12 = exp(-e2 width (x^2 + y^2)
+    - m x y), m = e2 sigma sh2 and p = 2 e2 width + m.  ``terms`` comes
+    from ``_family_constants``, as numbers or arrays that broadcast with x
+    and y.  Gives (B, Bx, By, Bxx, Bxy, Byy).
+    """
+    cw, ew, m, p, d1, e1, c0 = terms
+    xx, yy = x * x, y * y
+    e11 = cw * np.exp(-p * xx)
+    e22 = cw * np.exp(-p * yy)
+    e12 = 2.0 * cw * np.exp(-(ew * (xx + yy) + m * (x * y)))
+    w1 = d1 * np.exp(-e1 * xx)
+    qx = 2.0 * ew * x + m * y
+    qy = 2.0 * ew * y + m * x
+    return (
+        e11 + e12 - e22 + w1 + c0,
+        -2.0 * (p * x * e11 + e1 * x * w1) - qx * e12,
+        2.0 * p * y * e22 - qy * e12,
+        (4.0 * p * p * xx - 2.0 * p) * e11 + (qx * qx - 2.0 * ew) * e12
+        + (4.0 * e1 * e1 * xx - 2.0 * e1) * w1,
+        (qx * qy - m) * e12,
+        (qy * qy - 2.0 * ew) * e12 - (4.0 * p * p * yy - 2.0 * p) * e22,
+    )
+
+
+def _solve_curve(spec: TmsvSpec, s_primes: np.ndarray, box: float) -> np.ndarray:
+    """Best (x, y, sigma) on the real symmetric family per s', default clamp rule.
+
+    One numpy program over every row (s', sigma, sign of B, seed) ascends
+    f = sign B from each seed of a 5 x 5 grid by regularized Newton steps
+    (Ueda & Yamashita, Appl. Math. Optim. 62, 27 (2010)): the 2 x 2
+    Hessian of f is shifted down by its largest eigenvalue, if positive,
+    plus the gradient norm, which keeps every step an ascent direction of
+    length at most 1 that tends to the Newton step as the gradient
+    vanishes at a maximum.  Each
+    iterate is clipped to the box, and a step is kept only where it does
+    not lower f beyond rounding.  Every row runs elementwise and for a
+    fixed number of iterations, so the result for one s' does not depend
+    on the other values in ``s_primes``.  Gives the row of largest |B|
+    per s', as an (n, 3) array.
+    """
+    n = len(s_primes)
+    shape = (n, 2, 2, _CURVE_SEEDS.size**2)
+    constants = np.array(
+        [
+            [*coefficients, *gaussian]
+            for _, coefficients, gaussian in (
+                _tmsv_constants(spec, float(sp), 1.0, 1.0, CLAMP_BOUNDED) for sp in s_primes
+            )
+        ]
+    ).T.reshape(9, n, 1, 1, 1)
+    sigma = np.array([1.0, -1.0]).reshape(1, 2, 1, 1)
+    terms = [np.broadcast_to(t, shape).copy() for t in _family_constants(constants, sigma)]
+    sign = np.broadcast_to(np.array([1.0, -1.0]).reshape(1, 1, 2, 1), shape)
+    seeds = np.clip(_CURVE_SEEDS, -box, box)
+    x = np.broadcast_to(np.repeat(seeds, seeds.size), shape)
+    y = np.broadcast_to(np.tile(seeds, seeds.size), shape)
+    state = _family(terms, x, y)
+    for _ in range(_CURVE_ITERATIONS):
+        value, gx, gy, hxx, hxy, hyy = state
+        kxx, kxy, kyy = sign * hxx, sign * hxy, sign * hyy
+        top = 0.5 * (kxx + kyy) + np.sqrt(0.25 * (kxx - kyy) ** 2 + kxy * kxy)
+        shift = np.maximum(top, 0.0) + np.sqrt(gx * gx + gy * gy)
+        axx, ayy = shift - kxx, shift - kyy
+        det = axx * ayy - kxy * kxy
+        # A flat row (zero gradient and curvature) gives 0/0: a NaN trial,
+        # which the comparison below rejects.
+        with np.errstate(divide="ignore", invalid="ignore"):
+            tx = np.clip(x + sign * (ayy * gx + kxy * gy) / det, -box, box)
+            ty = np.clip(y + sign * (axx * gy + kxy * gx) / det, -box, box)
+        trial = _family(terms, tx, ty)
+        keep = sign * trial[0] >= sign * value - 1e-14
+        x, y = np.where(keep, tx, x), np.where(keep, ty, y)
+        state = [np.where(keep, t, c) for t, c in zip(trial, state)]
+    best = np.abs(state[0]).reshape(n, -1).argmax(axis=1)
+    rows = np.arange(n)
+    columns = (x, y, np.broadcast_to(sigma, shape))
+    return np.stack([c.reshape(n, -1)[rows, best] for c in columns], axis=1)
+
+
+def _projected_grad_norm(x: np.ndarray, jac: np.ndarray, box: float) -> float:
+    """Max-norm of the projected gradient of -|B| on the box, as L-BFGS-B measures it."""
+    return float(np.max(np.abs(x - np.clip(x - jac, -box, box))))
+
+
+def _certificate(objective, x: Sequence[float], box: float) -> tuple[float, float]:
+    """(grad_norm, hess_max) of |B| at the raw 8-vector x.
+
+    ``grad_norm`` is the projected-gradient max-norm that ``maximize_bell``
+    reports.  ``hess_max`` is the largest eigenvalue of the Hessian of |B|,
+    from symmetrized central differences of the analytic gradient, on the
+    complement of the gauge direction a -> a e^{i phi}, b -> b e^{-i phi},
+    along which B is constant.
+    """
+    x = [float(v) for v in x]
+    value, grad = objective(x, grad=True)
+    sign = 1.0 if value >= 0.0 else -1.0
+    point = np.array(x)
+    grad_norm = _projected_grad_norm(point, -sign * np.array(grad), box)
+    probes = []
+    for step in (_HESS_STEP, -_HESS_STEP):
+        for j in range(8):
+            probe = list(x)
+            probe[j] += step
+            probes.append(objective(probe, grad=True)[1])
+    probes = np.array(probes)
+    diff = probes[:8] - probes[8:]
+    hess = sign / (4.0 * _HESS_STEP) * (diff + diff.T)
+    # d/dphi of the settings per (re, im) pair: (-im, re) on mode A and
+    # (im, -re) on mode B.  A Householder reflection maps it onto the
+    # first axis, and the other seven axes span its complement.  Scaling
+    # by the largest entry first keeps a point next to the origin from
+    # underflowing the norm.
+    gauge = (point.reshape(4, 2)[:, ::-1] * _GAUGE_SIGNS).ravel()
+    if gauge.any():
+        u = gauge / np.abs(gauge).max()
+        u[0] += math.copysign(np.linalg.norm(u), u[0])
+        reflect = np.eye(8) - 2.0 * np.outer(u, u) / (u @ u)
+        hess = (reflect @ hess @ reflect)[1:, 1:]
+    return grad_norm, float(np.linalg.eigvalsh(hess)[-1])
+
+
+def _cell_report(objective, x: Sequence[float], config: SearchConfig, stream: int) -> WitnessReport:
+    """The certified report at the curve point x, else ``maximize_bell``'s."""
+    grad_norm, hess_max = _certificate(objective, x, config.box_radius)
+    if grad_norm <= CERT_GRAD_NORM and hess_max < CERT_HESS_MAX:
+        report = objective(BellSettings.from_vector(x))
+        meta = {
+            "n_evals": 0,
+            "n_starts": 0,
+            "unconverged_starts": 0,
+            "stream": stream,
+            "grad_norm": grad_norm,
+            "source": "curve",
+            "hess_max": hess_max,
+        }
+        return replace(report, meta=meta)
+    report = maximize_bell(objective, config, stream)
+    _, hess_max = _certificate(objective, report.settings.to_vector(), config.box_radius)
+    return replace(report, meta={**report.meta, "source": "search", "hess_max": hess_max})
+
+
+def _sweep(mode, build, spec, cells, config) -> SweepResult:
+    """Report every ``(axis1, axis2, nbar, noise, s', lift)`` cell of ``cells``.
+
+    ``build(spec, s, noise)`` makes the cell's objective, with s = axis2.
+    Under the default clamp rule the objective depends on the cell only
+    through s' and the frame scale 1/lift, so one curve solve over the
+    distinct s' values serves every cell: the cell lifts its s' solution
+    by ``lift`` to the raw 8-vector and reports it when it certifies there,
+    else falls back to ``maximize_bell`` with the starts stream keyed by
+    the cell index.  Each cell depends only on its own s', objective and
+    index, not on the other cells.
     """
     start = time.perf_counter()
-    jobs = [
-        (build, spec, s, noise, config, idx)
-        for idx, (_, s, _, noise) in enumerate(cells)
-    ]
-    if max_workers is None:
-        max_workers = os.cpu_count() or 1
-    max_workers = min(max(1, int(max_workers)), len(jobs))
-    if max_workers == 1:
-        reports = [_optimize_cell(job) for job in jobs]
-    else:
-        chunksize = max(1, len(jobs) // (4 * max_workers))
-        with ProcessPoolExecutor(max_workers=max_workers) as pool:
-            reports = list(pool.map(_optimize_cell, jobs, chunksize=chunksize))
-    swept = tuple(
-        SweepCell(axis1, axis2, nbar, report)
-        for (axis1, axis2, nbar, _), report in zip(cells, reports)
+    objectives = [build(spec, s, noise) for _, s, _, noise, _, _ in cells]
+    distinct, which = np.unique([cell[4] for cell in cells], return_inverse=True)
+    curve = np.concatenate(
+        [
+            _solve_curve(spec, distinct[i : i + _CURVE_BLOCK], config.box_radius)
+            for i in range(0, distinct.size, _CURVE_BLOCK)
+        ]
     )
-    return SweepResult(mode, swept, config, time.perf_counter() - start)
+    swept = []
+    for idx, ((axis1, axis2, nbar, _, _, lift), objective) in enumerate(zip(cells, objectives)):
+        x, y, sigma = curve[which[idx]] * [lift, lift, 1.0]
+        point = (x, 0.0, y, 0.0, sigma * x, 0.0, sigma * y, 0.0)
+        swept.append(SweepCell(axis1, axis2, nbar, _cell_report(objective, point, config, idx)))
+    return SweepResult(mode, tuple(swept), config, time.perf_counter() - start)
 
 
 def _validate_grid(values, lo: float, hi: float, name: str, *, closed_hi=True) -> np.ndarray:
@@ -306,15 +488,19 @@ def sweep_eta_s(
     config: SearchConfig,
     max_workers: int | None = None,
 ) -> SweepResult:
-    """Optimized witness value per (eta, s) cell, detection noise."""
+    """Optimized witness value per (eta, s) cell, detection noise.
+
+    ``max_workers`` is ignored: every sweep runs in the calling process.
+    """
     eta_grid = _validate_grid(eta_grid, 0.0, 1.0, "eta")
     if eta_grid[0] <= 0.0:
         raise ValueError("eta grid must be strictly positive")
     s_grid = _validate_grid(s_grid, -1.0, 0.0, "s")
-    cells = [
-        (eta, s, None, DetectionNoise(eta)) for eta, s in itertools.product(eta_grid, s_grid)
-    ]
-    return _sweep(MODE_ETA_S, detection_objective, spec, cells, config, max_workers)
+    cells = []
+    for eta, s in itertools.product(eta_grid, s_grid):
+        noise = DetectionNoise(eta)
+        cells.append((eta, s, None, noise, rescale_detection(s, noise), 1.0))
+    return _sweep(MODE_ETA_S, detection_objective, spec, cells, config)
 
 
 def sweep_thermal(
@@ -325,14 +511,17 @@ def sweep_thermal(
     config: SearchConfig,
     max_workers: int | None = None,
 ) -> SweepResult:
-    """Optimized witness value per (r, s) cell for each environment nbar."""
+    """Optimized witness value per (r, s) cell for each environment nbar.
+
+    ``max_workers`` is ignored: every sweep runs in the calling process.
+    """
     r_grid = _validate_grid(r_grid, 0.0, 1.0, "r", closed_hi=False)
     s_grid = _validate_grid(s_grid, -1.0, 0.0, "s")
     nbar_list = np.asarray(list(nbar_list), dtype=float)
     if nbar_list.size == 0 or np.any(nbar_list < 0.0):
         raise ValueError("nbar_list must be non-empty and non-negative")
-    cells = [
-        (r, s, nbar, ThermalNoise(r, nbar))
-        for nbar, r, s in itertools.product(nbar_list, r_grid, s_grid)
-    ]
-    return _sweep(MODE_THERMAL, thermal_objective, spec, cells, config, max_workers)
+    cells = []
+    for nbar, r, s in itertools.product(nbar_list, r_grid, s_grid):
+        noise = ThermalNoise(r, nbar)
+        cells.append((r, s, nbar, noise, rescale_thermal(s, noise), noise.t))
+    return _sweep(MODE_THERMAL, thermal_objective, spec, cells, config)

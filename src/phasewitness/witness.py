@@ -233,6 +233,36 @@ def bell_value(
     return c2 * corr + c1 * (w1a(a1) + w1b(b1)) + c0
 
 
+def _tmsv_constants(
+    spec: TmsvSpec,
+    s_prime: float,
+    frame_scale: float,
+    transmission: float,
+    clamp_mode: str,
+) -> tuple[float, tuple[float, float, float], tuple[float, ...]]:
+    """The clamp rule's frame scale, coefficients (c2, c1, c0) and field constants.
+
+    B = c2 (W2(a1,b1) + W2(a1,b2) + W2(a2,b1) - W2(a2,b2)) + c1 (W1(a1) +
+    W1(b1)) + c0, with the fields read at the returned frame scale and
+    ``spec.gaussian``'s constants (width, k2, e2, k1, e1, sh2).  Only the
+    loss-channel rule changes the frame scale, from the given one.
+    """
+    if clamp_mode not in CLAMP_MODES:
+        raise ValueError(f"unknown clamp mode {clamp_mode!r}")
+    s_dist, weight2, weight1 = s_prime, 1.0, 1.0
+    if s_prime >= -1.0:
+        coefficients = _coefficients(s_prime)
+    elif clamp_mode == CLAMP_BOUNDED:
+        coefficients = _bounded_coefficients(s_prime)
+    else:
+        coefficients = _coefficients(-1.0)
+        if clamp_mode == CLAMP_LOSS_CHANNEL:
+            g = transmission
+            s_dist, frame_scale = 1.0 - 2.0 / g, 1.0 / math.sqrt(g)
+            weight2, weight1 = 1.0 / (g * g), 1.0 / g
+    return frame_scale, coefficients, spec.gaussian(s_dist, weight2, weight1)
+
+
 def _tmsv_objective(
     spec: TmsvSpec,
     s_prime: float,
@@ -251,20 +281,9 @@ def _tmsv_objective(
     only the loss-channel rule uses it, reading the order -1 field of the
     noisy state as (1/g) W(alpha/sqrt(g); 1 - 2/g) per mode.
     """
-    if clamp_mode not in CLAMP_MODES:
-        raise ValueError(f"unknown clamp mode {clamp_mode!r}")
-    s_dist, weight2, weight1 = s_prime, 1.0, 1.0
-    if s_prime >= -1.0:
-        c2, c1, c0 = _coefficients(s_prime)
-    elif clamp_mode == CLAMP_BOUNDED:
-        c2, c1, c0 = _bounded_coefficients(s_prime)
-    else:
-        c2, c1, c0 = _coefficients(-1.0)
-        if clamp_mode == CLAMP_LOSS_CHANNEL:
-            g = transmission
-            s_dist, frame_scale = 1.0 - 2.0 / g, 1.0 / math.sqrt(g)
-            weight2, weight1 = 1.0 / (g * g), 1.0 / g
-    width, k2, e2, k1, e1, sh2 = spec.gaussian(s_dist, weight2, weight1)
+    frame_scale, (c2, c1, c0), (width, k2, e2, k1, e1, sh2) = _tmsv_constants(
+        spec, s_prime, frame_scale, transmission, clamp_mode
+    )
 
     def evaluate(settings, grad: bool = False):
         # The report path reads the same 8 coordinates as the raw vector.

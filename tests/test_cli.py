@@ -20,7 +20,6 @@ from phasewitness.cli import (
     EXIT_OK,
     EXIT_USAGE,
     EXIT_VALIDATION,
-    THREADS_ENV,
     main,
 )
 
@@ -31,21 +30,42 @@ def run_cli(argv, capsys):
     return code, out.out, out.err
 
 
-def test_cli_import_leaves_out_scipy_stats():
-    # scipy.stats costs most of the CLI start-up time and nothing needs
-    # it; no other part of scipy is needed before a command runs either.
+#: Top-level packages that neither the CLI's import nor a sweep whose
+#: cells all certify may load: scipy (only a fallback search needs TNC's
+#: core) and the process-pool machinery.
+UNNEEDED = ("scipy", "concurrent", "multiprocessing")
+
+
+def loaded_in_fresh_interpreter(code: str) -> list[str]:
+    """The ``UNNEEDED`` modules in ``sys.modules`` after ``code`` runs in a new process."""
     env = dict(os.environ, PYTHONPATH=str(Path(phasewitness.__file__).parents[1]))
-    code = (
-        "import sys, phasewitness.cli; print('scipy.stats' in sys.modules); "
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    code += (
+        "\nimport json, sys\nprint(json.dumps(sorted(m for m in sys.modules"
+        f" if m.split('.')[0] in {UNNEEDED!r})))"
     )
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True,
         check=True, timeout=60,
     )
-    stats_loaded, scipy_modules = out.stdout.splitlines()
-    assert stats_loaded == "False"
-    assert scipy_modules == "[]"
+    return json.loads(out.stdout.splitlines()[-1])
+
+
+def test_cli_import_leaves_out_scipy_stats():
+    # scipy.stats costs most of the CLI start-up time and nothing needs
+    # it; no other part of scipy is needed before a command runs either,
+    # and no sweep starts a process pool.
+    assert loaded_in_fresh_interpreter("import phasewitness.cli") == []
+
+
+def test_certified_sweep_loads_neither_scipy_nor_a_pool(tmp_path):
+    out = tmp_path / "map.csv"
+    code = (
+        "from phasewitness.cli import main\n"
+        "assert main(['sweep', '--mode', 'eta-s', '--xi', '0.3', '--eta', '0.5:1.0:2', "
+        f"'--s', '-1:0:2', '--starts', '4', '--seed', '1', '--out', {str(out)!r}]) == 0"
+    )
+    assert loaded_in_fresh_interpreter(code) == []
+    assert json.loads((tmp_path / "map.csv.manifest.json").read_text())["cells"]["search"] == 0
 
 
 class TestArgumentHandling:
@@ -213,8 +233,7 @@ class TestEval:
 
 
 class TestSweep:
-    def test_csv_and_manifest(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.delenv(THREADS_ENV, raising=False)
+    def test_csv_and_manifest(self, tmp_path, capsys):
         out = tmp_path / "run.csv"
         code, stdout, _ = run_cli(
             ["sweep", "--mode", "eta-s", "--xi", "0.3", "--s", "-1:0:2",
@@ -242,6 +261,18 @@ class TestSweep:
         assert manifest["n_starts"] == 2
         assert manifest["wall_time_s"] > 0.0
         assert manifest["checks"] == {"values_finite": True}
+        # Each row says how its cell was found; the manifest counts them.
+        header = CSV_HEADER.split(",")
+        assert header[-3:] == ["source", "grad_norm", "hess_max"]
+        rows = [dict(zip(header, line.split(","))) for line in lines[1:]]
+        assert {row["source"] for row in rows} == {"curve"}
+        assert all(float(row["grad_norm"]) <= 1e-9 for row in rows)
+        assert all(float(row["hess_max"]) < -1e-6 for row in rows)
+        assert manifest["cells"] == {
+            "curve": 4,
+            "search": 0,
+            "max_grad_norm": max(float(row["grad_norm"]) for row in rows),
+        }
         assert manifest["clamp_mode"] == "bounded_continuation"
         assert manifest["environment"] == {
             "python": platform.python_version(),
@@ -250,8 +281,7 @@ class TestSweep:
             "platform": platform.platform(),
         }
 
-    def test_thermal_mode_fills_nbar_column(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.delenv(THREADS_ENV, raising=False)
+    def test_thermal_mode_fills_nbar_column(self, tmp_path, capsys):
         out = tmp_path / "thermal.csv"
         code, _, _ = run_cli(
             ["sweep", "--mode", "thermal", "--xi", "0.3", "--s", "0:0:1",
@@ -310,25 +340,6 @@ class TestSweep:
             assert err.startswith("error: cannot write output:")
             assert "is a directory" in err
         assert not (tmp_path / "run.csv").exists()
-
-    def test_worker_count_does_not_change_output(self, tmp_path, capsys, monkeypatch):
-        argv = ["sweep", "--mode", "eta-s", "--xi", "0.3", "--s", "-0.5:0:2",
-                "--eta", "0.6:0.9:2", "--starts", "2", "--seed", "8"]
-        monkeypatch.setenv(THREADS_ENV, "1")
-        serial = tmp_path / "serial.csv"
-        assert run_cli(argv + ["--out", str(serial)], capsys)[0] == EXIT_OK
-        monkeypatch.setenv(THREADS_ENV, "2")
-        parallel = tmp_path / "parallel.csv"
-        assert run_cli(argv + ["--out", str(parallel)], capsys)[0] == EXIT_OK
-        assert serial.read_bytes() == parallel.read_bytes()
-
-    def test_invalid_worker_env(self, tmp_path, capsys, monkeypatch):
-        argv = ["sweep", "--mode", "eta-s", "--xi", "0.3", "--s", "0",
-                "--eta", "0.5", "--out", str(tmp_path / "w.csv"), "--starts", "1"]
-        monkeypatch.setenv(THREADS_ENV, "zero")
-        assert run_cli(argv, capsys)[0] == EXIT_USAGE
-        monkeypatch.setenv(THREADS_ENV, "0")
-        assert run_cli(argv, capsys)[0] == EXIT_USAGE
 
 
 class TestValidateCommand:

@@ -17,8 +17,10 @@ import pytest
 import oracles as orc
 import phasewitness
 from phasewitness import search
-from phasewitness.noise import DetectionNoise, ThermalNoise
+from phasewitness.noise import DetectionNoise, ThermalNoise, rescale_detection, rescale_thermal
 from phasewitness.search import (
+    CERT_GRAD_NORM,
+    CERT_HESS_MAX,
     MAX_EVALS_PER_START,
     MODE_ETA_S,
     MODE_THERMAL,
@@ -32,11 +34,13 @@ from phasewitness.search import (
 )
 from phasewitness.states import TmsvSpec, tmsv_w1, tmsv_w2
 from phasewitness.witness import (
+    CLAMP_BOUNDED,
     CLAMP_FROZEN,
     CLAMP_LOSS_CHANNEL,
     BellSettings,
     WitnessReport,
     bell_value,
+    _tmsv_constants,
     detection_objective,
     thermal_objective,
 )
@@ -273,41 +277,10 @@ class TestSweeps:
         with pytest.raises(ValueError):
             sweep_thermal(spec, [0.5], [0.0], [-0.1], config)
 
-    def test_serial_and_parallel_agree(self):
-        spec = TmsvSpec(0.3)
-        config = SearchConfig(n_starts=2, seed=3)
-        serial = sweep_eta_s(spec, [0.5, 0.9], [-1.0, 0.0], config, max_workers=1)
-        parallel = sweep_eta_s(spec, [0.5, 0.9], [-1.0, 0.0], config, max_workers=2)
-        assert len(serial.cells) == len(parallel.cells) == 4
-        for a, b in zip(serial.cells, parallel.cells):
-            assert a.axis1 == b.axis1 and a.axis2 == b.axis2
-            assert a.report.bell_value == b.report.bell_value
-            assert a.report.settings.to_vector() == b.report.settings.to_vector()
-
-    def test_pool_is_capped_at_cell_count(self, monkeypatch):
-        requested = []
-
-        class SerialPool:
-            def __init__(self, max_workers):
-                requested.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, jobs, chunksize=1):
-                return map(fn, jobs)
-
-        monkeypatch.setattr("phasewitness.search.ProcessPoolExecutor", SerialPool)
-        sweep_eta_s(TmsvSpec(0.3), [0.5, 0.9], [0.0], SearchConfig(n_starts=1), max_workers=8)
-        assert requested == [2]
-
     def test_result_fields(self):
         spec = TmsvSpec(0.3)
         config = SearchConfig(n_starts=1, seed=0)
-        res = sweep_eta_s(spec, [0.5], [0.0], config, max_workers=1)
+        res = sweep_eta_s(spec, [0.5], [0.0], config)
         assert isinstance(res, SweepResult)
         assert res.mode == MODE_ETA_S
         assert res.config is config
@@ -315,22 +288,160 @@ class TestSweeps:
         cell = res.cells[0]
         assert isinstance(cell, SweepCell)
         assert cell.nbar is None
-        thermal = sweep_thermal(spec, [0.4], [0.0], [0.7], config, max_workers=1)
+        thermal = sweep_thermal(spec, [0.4], [0.0], [0.7], config)
         assert thermal.mode == MODE_THERMAL
         assert thermal.cells[0].nbar == 0.7
 
     def test_zero_time_thermal_equals_perfect_detection(self):
         spec = TmsvSpec(0.3)
         config = SearchConfig(n_starts=4, seed=9)
-        thermal = sweep_thermal(spec, [0.0], [-0.5], [0.0], config, max_workers=1)
-        detect = sweep_eta_s(spec, [1.0], [-0.5], config, max_workers=1)
+        thermal = sweep_thermal(spec, [0.0], [-0.5], [0.0], config)
+        detect = sweep_eta_s(spec, [1.0], [-0.5], config)
         diff = abs(thermal.cells[0].report.bell_abs - detect.cells[0].report.bell_abs)
         assert diff < 1e-6
 
 
-# Run in a fresh interpreter: a search and a pooled sweep, then the
-# scipy modules they loaded, then the same work after importing
-# scipy.optimize, whose _moduleTNC must be the core the search loaded.
+def family_point(x, y, sigma, lift=1.0):
+    """The raw 8-vector of the real symmetric family at (x, y) in the field frame."""
+    return (x * lift, 0.0, y * lift, 0.0, sigma * x * lift, 0.0, sigma * y * lift, 0.0)
+
+
+def gauge_rotated(x, phi):
+    """The settings 8-vector with a -> a e^{i phi} and b -> b e^{-i phi}."""
+    s = BellSettings.from_vector(x)
+    turn = complex(np.cos(phi), np.sin(phi))
+    return BellSettings(s.a1 * turn, s.a2 * turn, s.b1 / turn, s.b2 / turn).to_vector()
+
+
+class TestCurve:
+    """The one-curve solve over s', its certificate and its fallback."""
+
+    def test_family_matches_the_objective(self):
+        spec = TmsvSpec(0.3)
+        detect, hot = DetectionNoise(0.45), ThermalNoise(0.6, 1.0)
+        cases = [
+            (detection_objective(spec, -0.2, detect), rescale_detection(-0.2, detect), 1.0),
+            (detection_objective(spec, -0.9, detect), rescale_detection(-0.9, detect), 1.0),
+            (detection_objective(spec, -0.1, DetectionNoise(1.0)), -0.1, 1.0),
+            (thermal_objective(spec, -0.5, hot), rescale_thermal(-0.5, hot), hot.t),
+        ]
+        h = 1e-5
+        for objective, s_prime, lift in cases:
+            _, coefficients, gaussian = _tmsv_constants(spec, s_prime, 1.0, 1.0, CLAMP_BOUNDED)
+            for sigma in (1.0, -1.0):
+                terms = search._family_constants((*coefficients, *gaussian), sigma)
+
+                def projected(x, y):
+                    _, g = objective(family_point(x, y, sigma, lift), grad=True)
+                    return np.array([g[0] + sigma * g[4], g[2] + sigma * g[6]]) * lift
+
+                for x, y in [(0.3, -0.4), (-0.7, 0.2), (0.05, 1.1)]:
+                    value, bx, by, hxx, hxy, hyy = search._family(terms, x, y)
+                    b, _ = objective(family_point(x, y, sigma, lift), grad=True)
+                    assert value == pytest.approx(b, abs=1e-13)
+                    assert np.array([bx, by]) == pytest.approx(projected(x, y), abs=1e-13)
+                    d_x = (projected(x + h, y) - projected(x - h, y)) / (2.0 * h)
+                    d_y = (projected(x, y + h) - projected(x, y - h)) / (2.0 * h)
+                    assert [hxx, hxy] == pytest.approx(d_x, abs=1e-7)
+                    assert [hxy, hyy] == pytest.approx(d_y, abs=1e-7)
+
+    def test_moved_point_fails_its_certificate(self):
+        spec = TmsvSpec(0.3)
+        objective = detection_objective(spec, -0.8, DetectionNoise(0.5))
+        report = sweep_eta_s(spec, [0.5], [-0.8], FAST).cells[0].report
+        assert report.meta["source"] == "curve"
+        x = np.array(report.settings.to_vector())
+        grad_norm, hess_max = search._certificate(objective, x, FAST.box_radius)
+        assert (grad_norm, hess_max) == (report.meta["grad_norm"], report.meta["hess_max"])
+        assert grad_norm <= CERT_GRAD_NORM and hess_max < CERT_HESS_MAX
+        # B is constant along the gauge, so a turned optimum stays certified.
+        grad_norm, hess_max = search._certificate(
+            objective, gauge_rotated(x, 1e-3), FAST.box_radius
+        )
+        assert grad_norm <= CERT_GRAD_NORM and hess_max < CERT_HESS_MAX
+        gauge = np.array(gauge_rotated(x, 1e-6)) - x
+        rng = np.random.default_rng(4)
+        for direction in [np.eye(8)[0], np.eye(8)[5], rng.normal(size=8)]:
+            direction = direction - gauge * (direction @ gauge) / (gauge @ gauge)
+            moved = x + 1e-3 * direction / np.linalg.norm(direction)
+            grad_norm, _ = search._certificate(objective, moved, FAST.box_radius)
+            assert grad_norm > CERT_GRAD_NORM
+
+    def test_certificate_next_to_the_origin(self):
+        # A curve row can converge to within 1e-303 of the origin.  Its
+        # gauge direction must not underflow, and as the Hessian there
+        # commutes with the gauge, its eigenspaces are even-dimensional and
+        # dropping one direction leaves the largest eigenvalue unchanged.
+        objective = detection_objective(TmsvSpec(0.3), -0.6, DetectionNoise(0.3))
+        at_origin = search._certificate(objective, (0.0,) * 8, FAST.box_radius)
+        tiny = family_point(-3.6e-304, -2.9e-303, -1.0)
+        grad_norm, hess_max = search._certificate(objective, tiny, FAST.box_radius)
+        assert grad_norm <= 1e-300
+        assert hess_max == pytest.approx(at_origin[1], rel=1e-12)
+
+    @pytest.mark.parametrize("xi, box", [(0.3, 0.05), (0.0, 2.0)])
+    def test_uncertified_cells_run_maximize_bell(self, xi, box):
+        # A box too small for any interior maximum, and a product state
+        # whose Hessian is degenerate, certify no cell.
+        spec = TmsvSpec(xi)
+        config = SearchConfig(n_starts=2, seed=3, box_radius=box)
+        result = sweep_eta_s(spec, [0.4, 0.7, 1.0], [-1.0, -0.5, 0.0], config)
+        for idx, cell in enumerate(result.cells):
+            objective = detection_objective(spec, cell.axis2, DetectionNoise(cell.axis1))
+            expected = maximize_bell(objective, config, idx)
+            assert cell.report == expected
+            assert {k: cell.report.meta[k] for k in expected.meta} == expected.meta
+            assert cell.report.meta["source"] == "search"
+
+    def test_sub_grid_gives_the_full_grid_cells(self):
+        spec = TmsvSpec(0.3)
+        config = SearchConfig(n_starts=2, seed=3)
+        pairs = [
+            (
+                sweep_eta_s(spec, [0.4, 0.6, 0.8, 1.0], [-1.0, -0.5, 0.0], config),
+                sweep_eta_s(spec, [0.6, 1.0], [-0.5], config),
+            ),
+            (
+                sweep_thermal(spec, [0.3, 0.5, 0.7], [-1.0, -0.5, 0.0], [0.0, 1.0], config),
+                sweep_thermal(spec, [0.5], [-0.5, 0.0], [1.0], config),
+            ),
+        ]
+        for full, part in pairs:
+            reports = {(c.axis1, c.axis2, c.nbar): c.report for c in full.cells}
+            for cell in part.cells:
+                expected = reports[(cell.axis1, cell.axis2, cell.nbar)]
+                assert cell.report.meta["source"] == "curve"
+                assert cell.report == expected
+                assert {**cell.report.meta, "stream": None} == {**expected.meta, "stream": None}
+
+    @pytest.mark.parametrize("xi", [0.3, 1.0])
+    def test_certified_cells_reach_the_per_cell_search(self, xi):
+        # The 8 x 6 benchmark map: each certified cell is at least its
+        # 16-start search value, except where that search ends on the box
+        # edge (a box artifact); those cells keep its verdict.
+        spec = TmsvSpec(xi)
+        result = sweep_eta_s(
+            spec, np.linspace(0.3, 1.0, 8), np.linspace(-1.0, 0.0, 6),
+            SearchConfig(n_starts=8, seed=1),
+        )
+        oracle = SearchConfig(n_starts=16, seed=1)
+        certified = [c for c in result.cells if c.report.meta["source"] == "curve"]
+        assert len(certified) >= 40
+        for idx, cell in enumerate(result.cells):
+            if cell.report.meta["source"] != "curve":
+                continue
+            objective = detection_objective(spec, cell.axis2, DetectionNoise(cell.axis1))
+            searched = maximize_bell(objective, oracle, idx)
+            box_edge = max(map(abs, searched.settings.to_vector())) >= oracle.box_radius - 1e-9
+            if box_edge:
+                assert cell.report.violated == searched.violated
+            else:
+                assert cell.report.bell_abs >= searched.bell_abs - 1e-9
+
+
+# Run in a fresh interpreter: a search and a sweep, then the scipy
+# modules they loaded, then the same work after importing scipy.optimize,
+# whose _moduleTNC must be the core the search loaded.
 CORE_LOAD_SCRIPT = """
 import json, sys
 from phasewitness import search
@@ -341,16 +452,16 @@ from phasewitness.witness import detection_objective
 spec = TmsvSpec(0.3)
 objective = detection_objective(spec, 0.0, DetectionNoise(0.5))
 config = search.SearchConfig(n_starts=4, seed=1)
-pooled = search.sweep_eta_s(spec, [0.5, 1.0], [-1.0, 0.0], config, max_workers=2)
+swept = search.sweep_eta_s(spec, [0.5, 1.0], [-1.0, 0.0], config)
 first = search.maximize_bell(objective, config)
 loaded = [m for m in ("scipy.optimize", "scipy.special") if m in sys.modules]
 import scipy.optimize
-serial = search.sweep_eta_s(spec, [0.5, 1.0], [-1.0, 0.0], config, max_workers=1)
+again = search.sweep_eta_s(spec, [0.5, 1.0], [-1.0, 0.0], config)
 print(json.dumps({
     "loaded": loaded,
     "same_core": scipy.optimize._moduleTNC.tnc_minimize is search._tnc_minimize(),
     "same_report": search.maximize_bell(objective, config) == first,
-    "same_sweep": [c.report for c in serial.cells] == [c.report for c in pooled.cells],
+    "same_sweep": [c.report for c in again.cells] == [c.report for c in swept.cells],
 }))
 """
 
