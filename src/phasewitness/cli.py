@@ -17,7 +17,7 @@ import os
 import platform
 import sys
 import time
-from dataclasses import fields
+from dataclasses import asdict, fields
 from typing import Sequence
 
 import numpy as np
@@ -25,15 +25,7 @@ import numpy as np
 from . import __version__
 from . import validate as validate_mod
 from .noise import DetectionNoise, ThermalNoise
-from .search import (
-    MODE_ETA_S,
-    MODE_THERMAL,
-    SearchConfig,
-    SweepResult,
-    maximize_bell,
-    sweep_eta_s,
-    sweep_thermal,
-)
+from .search import SearchConfig, SweepResult, maximize_bell, sweep_eta_s, sweep_thermal
 from .states import TmsvSpec
 from .witness import (
     CLAMP_BOUNDED,
@@ -50,6 +42,9 @@ EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_USAGE = 2
 EXIT_IO = 3
+
+MODE_ETA_S = "eta-s"
+MODE_THERMAL = "thermal"
 
 CSV_HEADER = (
     "axis1,axis2,nbar,bell_abs,violated,clamped,s_effective,"
@@ -253,11 +248,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         "mode": args.mode,
         "xi": float(args.xi),
         "s_grid": s_grid,
-        "seed": config.seed,
-        "n_starts": config.n_starts,
-        "box_radius": config.box_radius,
-        "ftol": config.ftol,
-        "xtol": config.xtol,
+        **asdict(config),
         "clamp_mode": CLAMP_BOUNDED,
     }
     if args.mode == MODE_ETA_S:

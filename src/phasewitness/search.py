@@ -35,7 +35,6 @@ import itertools
 import math
 import os
 import sysconfig
-import time
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
@@ -66,9 +65,6 @@ __all__ = [
 MAX_EVALS_PER_START = 2000
 
 _EMPTY = np.array([])
-
-MODE_ETA_S = "eta-s"
-MODE_THERMAL = "thermal"
 
 
 @dataclass(frozen=True)
@@ -263,10 +259,7 @@ class SweepCell:
 
 @dataclass(frozen=True)
 class SweepResult:
-    mode: str
     cells: tuple[SweepCell, ...]
-    config: SearchConfig
-    wall_time: float
 
 
 #: A cell is certified when the projected-gradient max-norm of |B| at its
@@ -323,6 +316,7 @@ def _family(terms, x, y):
     )
 
 
+@np.errstate(all="ignore")
 def _solve_curve(spec: TmsvSpec, s_primes: np.ndarray, box: float) -> np.ndarray:
     """Best (x, y, sigma) on the real symmetric family per s', default clamp rule.
 
@@ -332,12 +326,13 @@ def _solve_curve(spec: TmsvSpec, s_primes: np.ndarray, box: float) -> np.ndarray
     Hessian of f is shifted down by its largest eigenvalue, if positive,
     plus the gradient norm, which keeps every step an ascent direction of
     length at most 1 that tends to the Newton step as the gradient
-    vanishes at a maximum.  Each
-    iterate is clipped to the box, and a step is kept only where it does
-    not lower f beyond rounding.  Every row runs elementwise and for a
-    fixed number of iterations, so the result for one s' does not depend
-    on the other values in ``s_primes``.  Gives the row of largest |B|
-    per s', as an (n, 3) array.
+    vanishes at a maximum.  Each iterate is clipped to the box, and a
+    step is kept only where it does not lower f beyond rounding.  Every
+    row runs elementwise and for a fixed number of iterations, so the
+    result for one s' does not depend on the other values in
+    ``s_primes``.  Overflowing constants give NaN rows silently; the
+    cell's own objective then names the overflow.  Gives the row of
+    largest |B| per s', as an (n, 3) array.
     """
     n = len(s_primes)
     shape = (n, 2, 2, _CURVE_SEEDS.size**2)
@@ -365,9 +360,8 @@ def _solve_curve(spec: TmsvSpec, s_primes: np.ndarray, box: float) -> np.ndarray
         det = axx * ayy - kxy * kxy
         # A flat row (zero gradient and curvature) gives 0/0: a NaN trial,
         # which the comparison below rejects.
-        with np.errstate(divide="ignore", invalid="ignore"):
-            tx = np.clip(x + sign * (ayy * gx + kxy * gy) / det, -box, box)
-            ty = np.clip(y + sign * (axx * gy + kxy * gx) / det, -box, box)
+        tx = np.clip(x + sign * (ayy * gx + kxy * gy) / det, -box, box)
+        ty = np.clip(y + sign * (axx * gy + kxy * gx) / det, -box, box)
         trial = _family(terms, tx, ty)
         keep = sign * trial[0] >= sign * value - 1e-14
         x, y = np.where(keep, tx, x), np.where(keep, ty, y)
@@ -440,7 +434,7 @@ def _cell_report(objective, x: Sequence[float], config: SearchConfig, stream: in
     return replace(report, meta={**report.meta, "source": "search", "hess_max": hess_max})
 
 
-def _sweep(mode, build, spec, cells, config) -> SweepResult:
+def _sweep(build, spec, cells, config) -> SweepResult:
     """Report every ``(axis1, axis2, nbar, noise, s', lift)`` cell of ``cells``.
 
     ``build(spec, s, noise)`` makes the cell's objective, with s = axis2.
@@ -452,7 +446,6 @@ def _sweep(mode, build, spec, cells, config) -> SweepResult:
     the cell index.  Each cell depends only on its own s', objective and
     index, not on the other cells.
     """
-    start = time.perf_counter()
     objectives = [build(spec, s, noise) for _, s, _, noise, _, _ in cells]
     distinct, which = np.unique([cell[4] for cell in cells], return_inverse=True)
     curve = np.concatenate(
@@ -466,7 +459,7 @@ def _sweep(mode, build, spec, cells, config) -> SweepResult:
         x, y, sigma = curve[which[idx]] * [lift, lift, 1.0]
         point = (x, 0.0, y, 0.0, sigma * x, 0.0, sigma * y, 0.0)
         swept.append(SweepCell(axis1, axis2, nbar, _cell_report(objective, point, config, idx)))
-    return SweepResult(mode, tuple(swept), config, time.perf_counter() - start)
+    return SweepResult(tuple(swept))
 
 
 def _validate_grid(values, lo: float, hi: float, name: str, *, closed_hi=True) -> np.ndarray:
@@ -491,6 +484,7 @@ def sweep_eta_s(
     """Optimized witness value per (eta, s) cell, detection noise.
 
     ``max_workers`` is ignored: every sweep runs in the calling process.
+    It stays only because ``perfbench/workloads.py`` passes it.
     """
     eta_grid = _validate_grid(eta_grid, 0.0, 1.0, "eta")
     if eta_grid[0] <= 0.0:
@@ -500,7 +494,7 @@ def sweep_eta_s(
     for eta, s in itertools.product(eta_grid, s_grid):
         noise = DetectionNoise(eta)
         cells.append((eta, s, None, noise, rescale_detection(s, noise), 1.0))
-    return _sweep(MODE_ETA_S, detection_objective, spec, cells, config)
+    return _sweep(detection_objective, spec, cells, config)
 
 
 def sweep_thermal(
@@ -509,12 +503,8 @@ def sweep_thermal(
     s_grid: Sequence[float],
     nbar_list: Sequence[float],
     config: SearchConfig,
-    max_workers: int | None = None,
 ) -> SweepResult:
-    """Optimized witness value per (r, s) cell for each environment nbar.
-
-    ``max_workers`` is ignored: every sweep runs in the calling process.
-    """
+    """Optimized witness value per (r, s) cell for each environment nbar."""
     r_grid = _validate_grid(r_grid, 0.0, 1.0, "r", closed_hi=False)
     s_grid = _validate_grid(s_grid, -1.0, 0.0, "s")
     nbar_list = np.asarray(list(nbar_list), dtype=float)
@@ -524,4 +514,4 @@ def sweep_thermal(
     for nbar, r, s in itertools.product(nbar_list, r_grid, s_grid):
         noise = ThermalNoise(r, nbar)
         cells.append((r, s, nbar, noise, rescale_thermal(s, noise), noise.t))
-    return _sweep(MODE_THERMAL, thermal_objective, spec, cells, config)
+    return _sweep(thermal_objective, spec, cells, config)

@@ -276,10 +276,12 @@ def _tmsv_objective(
     ``evaluate(x, grad=True)`` gives (B, dB/dx) at the raw 8-vector x,
     ordered as ``BellSettings.to_vector``, with the value bit-identical to
     the report's.  Settings are multiplied by ``frame_scale`` before the
-    fields are read, and the gradient carries that factor.  ``transmission`` is the intensity transmission g of the noise
-    channel (eta for detection loss, t^2 for the thermal interaction);
-    only the loss-channel rule uses it, reading the order -1 field of the
-    noisy state as (1/g) W(alpha/sqrt(g); 1 - 2/g) per mode.
+    fields are read, and the gradient carries that factor.
+
+    ``transmission`` is the intensity transmission g of the noise channel
+    (eta for detection loss, t^2 for the thermal interaction); only the
+    loss-channel rule uses it, reading the order -1 field of the noisy
+    state as (1/g) W(alpha/sqrt(g); 1 - 2/g) per mode.
     """
     frame_scale, (c2, c1, c0), (width, k2, e2, k1, e1, sh2) = _tmsv_constants(
         spec, s_prime, frame_scale, transmission, clamp_mode

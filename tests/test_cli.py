@@ -295,6 +295,27 @@ class TestSweep:
         assert lines[1].split(",")[2] == "0"
         assert lines[2].split(",")[2] == "1"
 
+    @pytest.mark.parametrize(
+        "grid",
+        [
+            ["--mode", "eta-s", "--eta", "1e-300"],
+            ["--mode", "thermal", "--r", "0.99999999", "--nbar-list", "1e300"],
+        ],
+    )
+    def test_overflowing_sweep_prints_only_the_error(self, tmp_path, grid):
+        # A fresh interpreter, so that stderr is what a user sees: no
+        # numpy warning from the curve solve ahead of the error line.
+        env = dict(os.environ, PYTHONPATH=str(Path(phasewitness.__file__).parents[1]))
+        run = subprocess.run(
+            [sys.executable, "-m", "phasewitness", "sweep", "--xi", "0.3", *grid,
+             "--s", "-1", "--out", str(tmp_path / "o.csv")],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert run.returncode == EXIT_USAGE
+        assert run.stderr.startswith("error: witness value is NaN")
+        assert run.stderr.count("\n") == 1
+        assert "Warning" not in run.stderr
+
     def test_unwritable_output_path(self, tmp_path, capsys):
         out = tmp_path / "missing-dir" / "run.csv"
         code, _, err = run_cli(

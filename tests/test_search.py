@@ -22,8 +22,6 @@ from phasewitness.search import (
     CERT_GRAD_NORM,
     CERT_HESS_MAX,
     MAX_EVALS_PER_START,
-    MODE_ETA_S,
-    MODE_THERMAL,
     SearchConfig,
     SweepCell,
     SweepResult,
@@ -282,15 +280,22 @@ class TestSweeps:
         config = SearchConfig(n_starts=1, seed=0)
         res = sweep_eta_s(spec, [0.5], [0.0], config)
         assert isinstance(res, SweepResult)
-        assert res.mode == MODE_ETA_S
-        assert res.config is config
-        assert res.wall_time > 0.0
         cell = res.cells[0]
         assert isinstance(cell, SweepCell)
         assert cell.nbar is None
         thermal = sweep_thermal(spec, [0.4], [0.0], [0.7], config)
-        assert thermal.mode == MODE_THERMAL
         assert thermal.cells[0].nbar == 0.7
+
+    def test_ignored_max_workers_gives_the_same_cells(self):
+        # The benchmark's in-process map passes max_workers=1; keep it
+        # accepted until the benchmark stops passing it.
+        spec = TmsvSpec(0.3)
+        config = SearchConfig(n_starts=2, seed=1)
+        grids = ([0.3, 0.65, 1.0], [-1.0, 0.0])
+        given = sweep_eta_s(spec, *grids, config, max_workers=1).cells
+        plain = sweep_eta_s(spec, *grids, config).cells
+        assert given == plain
+        assert [c.report.meta for c in given] == [c.report.meta for c in plain]
 
     def test_zero_time_thermal_equals_perfect_detection(self):
         spec = TmsvSpec(0.3)
