@@ -25,7 +25,7 @@ import numpy as np
 from . import __version__
 from . import validate as validate_mod
 from .noise import DetectionNoise, ThermalNoise
-from .search import SearchConfig, SweepResult, maximize_bell, sweep_eta_s, sweep_thermal
+from .search import SearchConfig, SweepResult, optimize_cells, sweep_eta_s, sweep_thermal
 from .states import TmsvSpec
 from .witness import (
     CLAMP_BOUNDED,
@@ -203,7 +203,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
         objective = detection_objective(spec, args.s, noise, clamp_mode=args.clamp)
     if args.optimize:
         config = SearchConfig(**{_SEARCH_FLAGS[f]: getattr(args, f) for f in given})
-        report = maximize_bell(objective, config)
+        report = optimize_cells([objective], config)[0]
     else:
         report = objective(_parse_settings(args.settings))
     print(json.dumps(_report_json(report), indent=2))

@@ -13,18 +13,20 @@ extension file on the first search, not imported: importing
 ``scipy.optimize._moduleTNC`` runs the whole ``scipy.optimize`` package,
 which costs more than a small sweep.
 
-A sweep does not search cell by cell.  Under the default clamp rule a
-cell reaches the witness only through its rescaled order s' (and, for
-thermal noise, the frame scale 1/t), so one vectorized regularized
-Newton solve over the real symmetric settings a = (x, y), b = +-a gives
-a candidate for every distinct s' at once.  Each cell lifts its
-candidate to the 8 raw coordinates and reports it when it passes the
-certificate there (projected gradient of |B| at most ``CERT_GRAD_NORM``,
-largest Hessian eigenvalue of |B| off the gauge direction below
-``CERT_HESS_MAX``); a cell that fails falls back to ``maximize_bell``
-with the starts stream keyed by (seed, cell index).  The sweep runs in
-the calling process; a certified cell's result depends on that cell
-alone, and a fallback cell's on its index too.
+Optimized cells do not search one by one.  ``optimize_cells`` serves
+every cell, from a sweep or from ``eval --optimize``, under any clamp
+rule.  Each objective names its curve key, ``objective()``: a lift and
+the closed-form constants the witness reads at the lifted-down settings.
+One vectorized regularized Newton solve over the real symmetric settings
+a = (x, y), b = +-a gives a candidate for every distinct constant row at
+once.  Each cell lifts its candidate to the 8 raw coordinates and
+reports it when it passes the certificate there (projected gradient of
+|B| at most ``CERT_GRAD_NORM``, largest Hessian eigenvalue of |B| off
+the gauge direction below ``CERT_HESS_MAX``); a cell that fails falls
+back to ``maximize_bell`` with the starts stream keyed by (seed, cell
+index).  Everything runs in the calling process; a certified cell's
+result depends on that cell alone, and a fallback cell's on its index
+too.
 """
 
 from __future__ import annotations
@@ -40,22 +42,16 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .noise import DetectionNoise, ThermalNoise, rescale_detection, rescale_thermal
+from .noise import DetectionNoise, ThermalNoise
 from .states import TmsvSpec
-from .witness import (
-    CLAMP_BOUNDED,
-    BellSettings,
-    WitnessReport,
-    _tmsv_constants,
-    detection_objective,
-    thermal_objective,
-)
+from .witness import BellSettings, WitnessReport, detection_objective, thermal_objective
 
 __all__ = [
     "SearchConfig",
     "SweepCell",
     "SweepResult",
     "maximize_bell",
+    "optimize_cells",
     "grid_oracle",
     "sweep_eta_s",
     "sweep_thermal",
@@ -272,8 +268,8 @@ _HESS_STEP = 1e-5
 #: Seed grid per axis and fixed iteration count of the curve solve.
 _CURVE_SEEDS = np.linspace(-1.0, 1.0, 5)
 _CURVE_ITERATIONS = 25
-#: s' values per curve solve call; it bounds the solve's arrays (100 rows
-#: per s') whatever the grid size, and does not change any row's bits.
+#: Curve keys per curve solve call; it bounds the solve's arrays (100 rows
+#: per key) whatever the grid size, and does not change any row's bits.
 _CURVE_BLOCK = 128
 #: Signs that turn each setting's (im, re) pair into its gauge tangent.
 _GAUGE_SIGNS = np.array([[-1.0, 1.0], [-1.0, 1.0], [1.0, -1.0], [1.0, -1.0]])
@@ -317,33 +313,28 @@ def _family(terms, x, y):
 
 
 @np.errstate(all="ignore")
-def _solve_curve(spec: TmsvSpec, s_primes: np.ndarray, box: float) -> np.ndarray:
-    """Best (x, y, sigma) on the real symmetric family per s', default clamp rule.
+def _solve_curve(keys: np.ndarray, box: float) -> np.ndarray:
+    """Best (x, y, sigma) on the real symmetric family per row of curve constants.
 
-    One numpy program over every row (s', sigma, sign of B, seed) ascends
-    f = sign B from each seed of a 5 x 5 grid by regularized Newton steps
-    (Ueda & Yamashita, Appl. Math. Optim. 62, 27 (2010)): the 2 x 2
-    Hessian of f is shifted down by its largest eigenvalue, if positive,
-    plus the gradient norm, which keeps every step an ascent direction of
-    length at most 1 that tends to the Newton step as the gradient
-    vanishes at a maximum.  Each iterate is clipped to the box, and a
-    step is kept only where it does not lower f beyond rounding.  Every
-    row runs elementwise and for a fixed number of iterations, so the
-    result for one s' does not depend on the other values in
-    ``s_primes``.  Overflowing constants give NaN rows silently; the
+    ``keys`` is an (n, 9) array of the constants (c2, c1, c0, width, k2,
+    e2, k1, e1, sh2) of objectives' curve keys, and x, y are read in the
+    frame of those constants.  One numpy program over every row (key,
+    sigma, sign of B, seed) ascends f = sign B from each seed of a 5 x 5
+    grid by regularized Newton steps (Ueda & Yamashita, Appl. Math. Optim.
+    62, 27 (2010)): the 2 x 2 Hessian of f is shifted down by its largest
+    eigenvalue, if positive, plus the gradient norm, which keeps every
+    step an ascent direction of length at most 1 that tends to the Newton
+    step as the gradient vanishes at a maximum.  Each iterate is clipped
+    to the box, and a step is kept only where it does not lower f beyond
+    rounding.  Every row runs elementwise and for a fixed number of
+    iterations, so the result for one key does not depend on the other
+    rows of ``keys``.  Overflowing constants give NaN rows silently; the
     cell's own objective then names the overflow.  Gives the row of
-    largest |B| per s', as an (n, 3) array.
+    largest |B| per key, as an (n, 3) array.
     """
-    n = len(s_primes)
+    n = len(keys)
     shape = (n, 2, 2, _CURVE_SEEDS.size**2)
-    constants = np.array(
-        [
-            [*coefficients, *gaussian]
-            for _, coefficients, gaussian in (
-                _tmsv_constants(spec, float(sp), 1.0, 1.0, CLAMP_BOUNDED) for sp in s_primes
-            )
-        ]
-    ).T.reshape(9, n, 1, 1, 1)
+    constants = keys.T.reshape(9, n, 1, 1, 1)
     sigma = np.array([1.0, -1.0]).reshape(1, 2, 1, 1)
     terms = [np.broadcast_to(t, shape).copy() for t in _family_constants(constants, sigma)]
     sign = np.broadcast_to(np.array([1.0, -1.0]).reshape(1, 1, 2, 1), shape)
@@ -434,32 +425,34 @@ def _cell_report(objective, x: Sequence[float], config: SearchConfig, stream: in
     return replace(report, meta={**report.meta, "source": "search", "hess_max": hess_max})
 
 
-def _sweep(build, spec, cells, config) -> SweepResult:
-    """Report every ``(axis1, axis2, nbar, noise, s', lift)`` cell of ``cells``.
+def optimize_cells(
+    objectives: Sequence[Callable[..., object]], config: SearchConfig
+) -> list[WitnessReport]:
+    """The maximized witness report of each objective, one curve solve for all.
 
-    ``build(spec, s, noise)`` makes the cell's objective, with s = axis2.
-    Under the default clamp rule the objective depends on the cell only
-    through s' and the frame scale 1/lift, so one curve solve over the
-    distinct s' values serves every cell: the cell lifts its s' solution
-    by ``lift`` to the raw 8-vector and reports it when it certifies there,
-    else falls back to ``maximize_bell`` with the starts stream keyed by
-    the cell index.  Each cell depends only on its own s', objective and
+    ``objectives`` are built by ``detection_objective`` or
+    ``thermal_objective`` (any clamp rule), whose ``objective()`` gives the
+    curve key (lift, constants).  One curve solve runs over the distinct
+    constant rows; each cell lifts its row's solution by its lift to the
+    raw 8-vector and reports it when it certifies there, else falls back
+    to ``maximize_bell`` with the starts stream keyed by the cell's index
+    in ``objectives``.  Each report depends only on its own objective and
     index, not on the other cells.
     """
-    objectives = [build(spec, s, noise) for _, s, _, noise, _, _ in cells]
-    distinct, which = np.unique([cell[4] for cell in cells], return_inverse=True)
+    keys = [objective() for objective in objectives]
+    rows, which = np.unique([constants for _, constants in keys], axis=0, return_inverse=True)
     curve = np.concatenate(
         [
-            _solve_curve(spec, distinct[i : i + _CURVE_BLOCK], config.box_radius)
-            for i in range(0, distinct.size, _CURVE_BLOCK)
+            _solve_curve(rows[i : i + _CURVE_BLOCK], config.box_radius)
+            for i in range(0, len(rows), _CURVE_BLOCK)
         ]
     )
-    swept = []
-    for idx, ((axis1, axis2, nbar, _, _, lift), objective) in enumerate(zip(cells, objectives)):
+    reports = []
+    for idx, (objective, (lift, _)) in enumerate(zip(objectives, keys)):
         x, y, sigma = curve[which[idx]] * [lift, lift, 1.0]
         point = (x, 0.0, y, 0.0, sigma * x, 0.0, sigma * y, 0.0)
-        swept.append(SweepCell(axis1, axis2, nbar, _cell_report(objective, point, config, idx)))
-    return SweepResult(tuple(swept))
+        reports.append(_cell_report(objective, point, config, idx))
+    return reports
 
 
 def _validate_grid(values, lo: float, hi: float, name: str, *, closed_hi=True) -> np.ndarray:
@@ -490,11 +483,10 @@ def sweep_eta_s(
     if eta_grid[0] <= 0.0:
         raise ValueError("eta grid must be strictly positive")
     s_grid = _validate_grid(s_grid, -1.0, 0.0, "s")
-    cells = []
-    for eta, s in itertools.product(eta_grid, s_grid):
-        noise = DetectionNoise(eta)
-        cells.append((eta, s, None, noise, rescale_detection(s, noise), 1.0))
-    return _sweep(detection_objective, spec, cells, config)
+    cells = list(itertools.product(eta_grid, s_grid))
+    objectives = [detection_objective(spec, s, DetectionNoise(eta)) for eta, s in cells]
+    reports = optimize_cells(objectives, config)
+    return SweepResult(tuple(SweepCell(eta, s, None, rep) for (eta, s), rep in zip(cells, reports)))
 
 
 def sweep_thermal(
@@ -510,8 +502,7 @@ def sweep_thermal(
     nbar_list = np.asarray(list(nbar_list), dtype=float)
     if nbar_list.size == 0 or np.any(nbar_list < 0.0):
         raise ValueError("nbar_list must be non-empty and non-negative")
-    cells = []
-    for nbar, r, s in itertools.product(nbar_list, r_grid, s_grid):
-        noise = ThermalNoise(r, nbar)
-        cells.append((r, s, nbar, noise, rescale_thermal(s, noise), noise.t))
-    return _sweep(thermal_objective, spec, cells, config)
+    cells = list(itertools.product(nbar_list, r_grid, s_grid))
+    objectives = [thermal_objective(spec, s, ThermalNoise(r, nbar)) for nbar, r, s in cells]
+    reports = optimize_cells(objectives, config)
+    return SweepResult(tuple(SweepCell(r, s, n, rep) for (n, r, s), rep in zip(cells, reports)))

@@ -6,12 +6,13 @@ certifies entanglement (this is an entanglement witness, not a
 nonlocality test).
 
 Both noise models reach the TMSV witness through one builder: the noise
-rescales the order parameter to s' and the settings by a frame scale
-(1 for detection loss, 1/t for the thermal channel).  The independent
+rescales the order parameter to s' and divides the settings by a lift
+(1 for detection loss, t for the thermal channel).  The independent
 route over the closed-form fields lives in ``validate``, off the hot
 path.  Every objective also answers ``objective(x, grad=True)`` with the
 value and its analytic gradient over the raw 8-vector x, for the
-settings search.
+settings search, and ``objective()`` with its lift and closed-form
+constants, the key of the search's one curve solve.
 
 When the rescaled order parameter falls below -1 the plain functional
 stops being a witness, because the observable spectrum leaves [-1, 1].
@@ -233,65 +234,57 @@ def bell_value(
     return c2 * corr + c1 * (w1a(a1) + w1b(b1)) + c0
 
 
-def _tmsv_constants(
-    spec: TmsvSpec,
-    s_prime: float,
-    frame_scale: float,
-    transmission: float,
-    clamp_mode: str,
-) -> tuple[float, tuple[float, float, float], tuple[float, ...]]:
-    """The clamp rule's frame scale, coefficients (c2, c1, c0) and field constants.
-
-    B = c2 (W2(a1,b1) + W2(a1,b2) + W2(a2,b1) - W2(a2,b2)) + c1 (W1(a1) +
-    W1(b1)) + c0, with the fields read at the returned frame scale and
-    ``spec.gaussian``'s constants (width, k2, e2, k1, e1, sh2).  Only the
-    loss-channel rule changes the frame scale, from the given one.
-    """
-    if clamp_mode not in CLAMP_MODES:
-        raise ValueError(f"unknown clamp mode {clamp_mode!r}")
-    s_dist, weight2, weight1 = s_prime, 1.0, 1.0
-    if s_prime >= -1.0:
-        coefficients = _coefficients(s_prime)
-    elif clamp_mode == CLAMP_BOUNDED:
-        coefficients = _bounded_coefficients(s_prime)
-    else:
-        coefficients = _coefficients(-1.0)
-        if clamp_mode == CLAMP_LOSS_CHANNEL:
-            g = transmission
-            s_dist, frame_scale = 1.0 - 2.0 / g, 1.0 / math.sqrt(g)
-            weight2, weight1 = 1.0 / (g * g), 1.0 / g
-    return frame_scale, coefficients, spec.gaussian(s_dist, weight2, weight1)
-
-
 def _tmsv_objective(
     spec: TmsvSpec,
     s_prime: float,
-    frame_scale: float,
+    lift: float,
     transmission: float,
     clamp_mode: str,
 ) -> Callable[[BellSettings], WitnessReport]:
     """Per-settings TMSV witness evaluator at the rescaled order s'.
 
+    B = c2 (W2(a1,b1) + W2(a1,b2) + W2(a2,b1) - W2(a2,b2)) + c1 (W1(a1) +
+    W1(b1)) + c0, with the fields read at the settings divided by the
+    lift and ``spec.gaussian``'s constants (width, k2, e2, k1, e1, sh2).
+
     ``evaluate(settings)`` gives the ``WitnessReport``;
     ``evaluate(x, grad=True)`` gives (B, dB/dx) at the raw 8-vector x,
     ordered as ``BellSettings.to_vector``, with the value bit-identical to
-    the report's.  Settings are multiplied by ``frame_scale`` before the
-    fields are read, and the gradient carries that factor.
+    the report's, and the gradient carries the frame factor 1/lift.
+    ``evaluate()`` gives the objective's curve key
+    ``(lift, (c2, c1, c0, width, k2, e2, k1, e1, sh2))``: two objectives
+    with equal constants differ only by the lift of their settings.
 
-    ``transmission`` is the intensity transmission g of the noise channel
-    (eta for detection loss, t^2 for the thermal interaction); only the
-    loss-channel rule uses it, reading the order -1 field of the noisy
-    state as (1/g) W(alpha/sqrt(g); 1 - 2/g) per mode.
+    ``lift`` is the noise's settings scale (1 for detection loss, t for
+    the thermal interaction).  ``transmission`` is the intensity
+    transmission g of the noise channel (eta for detection loss, t^2 for
+    the thermal interaction); only the loss-channel rule uses it, reading
+    the order -1 field of the noisy state as (1/g) W(alpha/sqrt(g); 1 - 2/g)
+    per mode, so its lift is sqrt(g).
     """
-    frame_scale, (c2, c1, c0), (width, k2, e2, k1, e1, sh2) = _tmsv_constants(
-        spec, s_prime, frame_scale, transmission, clamp_mode
-    )
+    if clamp_mode not in CLAMP_MODES:
+        raise ValueError(f"unknown clamp mode {clamp_mode!r}")
+    s_dist, weight2, weight1 = s_prime, 1.0, 1.0
+    if s_prime >= -1.0:
+        c2, c1, c0 = _coefficients(s_prime)
+    elif clamp_mode == CLAMP_BOUNDED:
+        c2, c1, c0 = _bounded_coefficients(s_prime)
+    else:
+        c2, c1, c0 = _coefficients(-1.0)
+        if clamp_mode == CLAMP_LOSS_CHANNEL:
+            g = transmission
+            s_dist, lift = 1.0 - 2.0 / g, math.sqrt(g)
+            weight2, weight1 = 1.0 / (g * g), 1.0 / g
+    width, k2, e2, k1, e1, sh2 = spec.gaussian(s_dist, weight2, weight1)
+    key = (lift, (c2, c1, c0, width, k2, e2, k1, e1, sh2))
+    f = 1.0 / lift
 
-    def evaluate(settings, grad: bool = False):
+    def evaluate(settings=None, grad: bool = False):
+        if settings is None:
+            return key
         # The report path reads the same 8 coordinates as the raw vector.
         x = settings if grad else settings.to_vector()
         a1r, a1i, a2r, a2i, b1r, b1i, b2r, b2i = x
-        f = frame_scale
         a1r, a1i, a2r, a2i = a1r * f, a1i * f, a2r * f, a2i * f
         b1r, b1i, b2r, b2i = b1r * f, b1i * f, b2r * f, b2i * f
         na1 = a1r * a1r + a1i * a1i
@@ -311,8 +304,8 @@ def _tmsv_objective(
             )
         if not grad:
             return WitnessReport(settings, s_prime, value)
-        # d exp(-e2 Q)/d(scaled x) = -e2 W dQ, times frame_scale for the
-        # measured frame; u_jk is the signed weight of W(a_j, b_k) in B.
+        # d exp(-e2 Q)/d(scaled x) = -e2 W dQ, times the frame 1/lift for
+        # the measured frame; u_jk is the signed weight of W(a_j, b_k) in B.
         g2 = -e2 * f
         g1a = -2.0 * e1 * f * c1 * w1a
         g1b = -2.0 * e1 * f * c1 * w1b
@@ -363,6 +356,4 @@ def thermal_objective(
         raise ValueError(
             "loss-channel clamping applies to the thermal interaction only for nbar = 0"
         )
-    return _tmsv_objective(
-        spec, s_prime, 1.0 / noise.t, 1.0 - noise.r * noise.r, clamp_mode
-    )
+    return _tmsv_objective(spec, s_prime, noise.t, 1.0 - noise.r * noise.r, clamp_mode)

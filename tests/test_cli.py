@@ -22,6 +22,10 @@ from phasewitness.cli import (
     EXIT_VALIDATION,
     main,
 )
+from phasewitness.noise import DetectionNoise
+from phasewitness.search import SearchConfig, optimize_cells
+from phasewitness.states import TmsvSpec
+from phasewitness.witness import CLAMP_MODES, detection_objective
 
 
 def run_cli(argv, capsys):
@@ -66,6 +70,15 @@ def test_certified_sweep_loads_neither_scipy_nor_a_pool(tmp_path):
     )
     assert loaded_in_fresh_interpreter(code) == []
     assert json.loads((tmp_path / "map.csv.manifest.json").read_text())["cells"]["search"] == 0
+
+
+def test_certified_eval_loads_no_scipy():
+    code = (
+        "from phasewitness.cli import main\n"
+        "assert main(['eval', '--xi', '0.3', '--s', '0', '--noise', 'detection', "
+        "'--eta', '0.36', '--optimize']) == 0"
+    )
+    assert loaded_in_fresh_interpreter(code) == []
 
 
 class TestArgumentHandling:
@@ -178,7 +191,16 @@ class TestArgumentHandling:
         code, out, _ = run_cli(opt + ["--box", "2.0", "--seed", "0"], capsys)
         assert code == EXIT_OK
         assert json.loads(out) == implicit
-        assert implicit["meta"]["n_starts"] == 2
+        # A box too small for an interior maximum certifies no curve point,
+        # so the cell falls back to the search, which reads --starts.
+        code, out, _ = run_cli(opt + ["--box", "0.05"], capsys)
+        assert code == EXIT_OK
+        small = json.loads(out)
+        code, out, _ = run_cli(opt + ["--box", "0.05", "--seed", "0"], capsys)
+        assert code == EXIT_OK
+        assert json.loads(out) == small
+        assert small["meta"]["source"] == "search"
+        assert small["meta"]["n_starts"] == 2
 
     def test_negative_seed(self, tmp_path, capsys):
         # Refused when the arguments are read, before any search or pool.
@@ -228,8 +250,45 @@ class TestEval:
         assert code == EXIT_OK
         payload = json.loads(out)
         assert payload["clamped"] is True
-        assert payload["bell_abs"] == payload["meta"].get("bell_abs", payload["bell_abs"])
-        assert payload["meta"]["n_starts"] == 6
+        assert payload["violated"] is True
+        assert payload["meta"]["source"] == "curve"
+        assert payload["meta"]["n_starts"] == 0
+
+
+    def test_optimize_reports_the_one_cell_sweep(self, tmp_path, capsys):
+        # The search ends on the box edge here, 1.5e-5 short of a false
+        # violation; eval reports the sweep's certified interior maximum.
+        cell = ["--xi", "0.3", "--r", "0.9", "--s", "-0.2", "--starts", "16", "--seed", "1"]
+        out = tmp_path / "cell.csv"
+        code, _, _ = run_cli(
+            ["sweep", "--mode", "thermal", *cell, "--nbar-list", "0", "--out", str(out)], capsys
+        )
+        assert code == EXIT_OK
+        header = CSV_HEADER.split(",")
+        row = dict(zip(header, out.read_text().splitlines()[1].split(",")))
+        code, stdout, _ = run_cli(["eval", "--noise", "thermal", *cell, "--optimize"], capsys)
+        assert code == EXIT_OK
+        payload = json.loads(stdout)
+        assert payload["bell_abs"] == float(row["bell_abs"])
+        settings = [v for name in ("a1", "a2", "b1", "b2") for v in payload["settings"][name]]
+        assert settings == [float(row[name]) for name in header[7:15]]
+        assert payload["meta"]["source"] == row["source"] == "curve"
+
+    @pytest.mark.parametrize("clamp_mode", CLAMP_MODES)
+    def test_optimize_is_a_one_cell_optimize_cells(self, clamp_mode, capsys):
+        code, out, _ = run_cli(
+            ["eval", "--xi", "0.3", "--s", "-0.5", "--noise", "detection", "--eta", "0.4",
+             "--clamp", clamp_mode, "--optimize"],
+            capsys,
+        )
+        assert code == EXIT_OK
+        payload = json.loads(out)
+        objective = detection_objective(TmsvSpec(0.3), -0.5, DetectionNoise(0.4), clamp_mode)
+        expected = optimize_cells([objective], SearchConfig())[0]
+        assert payload["bell_value"] == expected.bell_value
+        settings = [v for name in ("a1", "a2", "b1", "b2") for v in payload["settings"][name]]
+        assert settings == list(expected.settings.to_vector())
+        assert payload["meta"] == expected.meta
 
 
 class TestSweep:

@@ -43,5 +43,5 @@ def test_every_name_is_its_modules_object():
 def test_no_exported_name_is_lost():
     assert len(EXPORTED) == 44
     assert EXPORTED <= set(phasewitness.__all__)
-    assert set(phasewitness.__all__) - EXPORTED == {"NORM_TOL", "real_order"}
+    assert set(phasewitness.__all__) - EXPORTED == {"NORM_TOL", "real_order", "optimize_cells"}
     assert not {"cli", "validate", "main"} & set(phasewitness.__all__)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import importlib.machinery
 import itertools
 import json
+import math
 import os
 import re
 import subprocess
@@ -17,7 +18,7 @@ import pytest
 import oracles as orc
 import phasewitness
 from phasewitness import search
-from phasewitness.noise import DetectionNoise, ThermalNoise, rescale_detection, rescale_thermal
+from phasewitness.noise import DetectionNoise, ThermalNoise
 from phasewitness.search import (
     CERT_GRAD_NORM,
     CERT_HESS_MAX,
@@ -32,13 +33,11 @@ from phasewitness.search import (
 )
 from phasewitness.states import TmsvSpec, tmsv_w1, tmsv_w2
 from phasewitness.witness import (
-    CLAMP_BOUNDED,
     CLAMP_FROZEN,
     CLAMP_LOSS_CHANNEL,
     BellSettings,
     WitnessReport,
     bell_value,
-    _tmsv_constants,
     detection_objective,
     thermal_objective,
 )
@@ -319,22 +318,33 @@ def gauge_rotated(x, phi):
 
 
 class TestCurve:
-    """The one-curve solve over s', its certificate and its fallback."""
+    """The one curve solve over the curve keys, its certificate and its fallback."""
 
     def test_family_matches_the_objective(self):
+        # Each objective's curve key (lift, constants) describes it on the
+        # family, the loss-channel rule (lift sqrt(g)) included.
         spec = TmsvSpec(0.3)
         detect, hot = DetectionNoise(0.45), ThermalNoise(0.6, 1.0)
         cases = [
-            (detection_objective(spec, -0.2, detect), rescale_detection(-0.2, detect), 1.0),
-            (detection_objective(spec, -0.9, detect), rescale_detection(-0.9, detect), 1.0),
-            (detection_objective(spec, -0.1, DetectionNoise(1.0)), -0.1, 1.0),
-            (thermal_objective(spec, -0.5, hot), rescale_thermal(-0.5, hot), hot.t),
+            (detection_objective(spec, -0.2, detect), 1.0),
+            (detection_objective(spec, -0.9, detect), 1.0),
+            (detection_objective(spec, -0.1, DetectionNoise(1.0)), 1.0),
+            (thermal_objective(spec, -0.5, hot), hot.t),
+            (
+                detection_objective(spec, -0.5, DetectionNoise(0.4), CLAMP_LOSS_CHANNEL),
+                math.sqrt(0.4),
+            ),
+            (
+                thermal_objective(spec, -0.2, ThermalNoise(0.9, 0.0), CLAMP_LOSS_CHANNEL),
+                math.sqrt(1.0 - 0.9 * 0.9),
+            ),
         ]
         h = 1e-5
-        for objective, s_prime, lift in cases:
-            _, coefficients, gaussian = _tmsv_constants(spec, s_prime, 1.0, 1.0, CLAMP_BOUNDED)
+        for objective, expected_lift in cases:
+            lift, constants = objective()
+            assert lift == expected_lift
             for sigma in (1.0, -1.0):
-                terms = search._family_constants((*coefficients, *gaussian), sigma)
+                terms = search._family_constants(constants, sigma)
 
                 def projected(x, y):
                     _, g = objective(family_point(x, y, sigma, lift), grad=True)
