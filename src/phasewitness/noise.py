@@ -122,22 +122,28 @@ def bernoulli_detect(p: PhotonDistribution, noise: DetectionNoise) -> PhotonDist
     return PhotonDistribution(out, tail_bound=tail)
 
 
-def _loss_routes(p: PhotonDistribution, s, noise: DetectionNoise, tol: float) -> tuple:
-    """The two loss routes at order s, on either branch.
+def _loss_routes(p: PhotonDistribution, orders, noise: DetectionNoise, tol: float) -> list:
+    """The two loss routes at each order in ``orders``, on either branch.
 
-    The series over the Bernoulli-thinned distribution at s, and the
-    series over p at the rescaled order divided by eta.  Each series
-    converges to a quarter of tol, so their truncation stays inside tol.
+    For each order s, the series over the Bernoulli-thinned distribution
+    at s, and the series over p at the rescaled order divided by eta; p
+    is thinned once for all orders.  Each series converges to a quarter
+    of tol, so their truncation stays inside tol.
     """
-    thinned = w_from_distribution(bernoulli_detect(p, noise), s, tol=0.25 * tol)
-    s_prime = rescale_detection(s, noise)
-    rescaled = w_from_distribution(p, s_prime, tol=0.25 * tol * noise.eta) / noise.eta
-    return thinned, rescaled
+    thinned = bernoulli_detect(p, noise)
+    return [
+        (
+            w_from_distribution(thinned, s, tol=0.25 * tol),
+            w_from_distribution(p, rescale_detection(s, noise), tol=0.25 * tol * noise.eta)
+            / noise.eta,
+        )
+        for s in orders
+    ]
 
 
 def _agreed_loss(p: PhotonDistribution, s, noise: DetectionNoise, tol: float):
     """The thinned route's value, once the rescaled route agrees within tol."""
-    thinned, rescaled = _loss_routes(p, s, noise, tol)
+    ((thinned, rescaled),) = _loss_routes(p, (s,), noise, tol)
     if abs(thinned - rescaled) > tol:
         raise ConsistencyError(
             f"loss routes disagree: thinned {thinned!r} vs rescaled {rescaled!r} "
@@ -168,24 +174,42 @@ def lossy_w_d(p: PhotonDistribution, d: int, noise: DetectionNoise, tol: float =
     return _agreed_loss(p, OrderParam(d), noise, tol)
 
 
+def _contract(point, t: float):
+    """point / t: a complex for a scalar point, else a complex array.
+
+    Arrays divide the real and imaginary parts by t, which is what
+    Python's complex division by a real does, so an array point gives
+    the scalar point's bits.
+    """
+    if np.ndim(point) == 0:
+        return complex(point) / t
+    return (np.ascontiguousarray(point, dtype=complex).view(float) / t).view(complex)
+
+
 def evolve_thermal_w(
     base_w: Callable[..., float],
     s,
     noise: ThermalNoise,
     alpha,
     beta=None,
-) -> float:
+) -> float | np.ndarray:
     """Quasiprobability after thermal evolution, from the time-zero field.
 
     ``base_w`` is a family evaluator called as ``base_w(point, order)``
     for one mode or ``base_w(point_a, point_b, order)`` for two modes;
     the order passed in is the rescaled one.  Amplitudes contract by t
-    per mode, with prefactor 1/t^2 per mode.
+    per mode, with prefactor 1/t^2 per mode.  Scalar points give a
+    float; array points are passed to ``base_w`` as arrays and give an
+    array, whose entries equal the per-point floats whenever ``base_w``
+    gives the same numbers for array and scalar points.
     """
     s_prime = rescale_thermal(s, noise)
     t = noise.t
-    a = complex(alpha) / t
+    a = _contract(alpha, t)
     if beta is None:
-        return float(base_w(a, s_prime)) / (t * t)
-    b = complex(beta) / t
-    return float(base_w(a, b, s_prime)) / t**4
+        value, scale = base_w(a, s_prime), t * t
+    else:
+        value, scale = base_w(a, _contract(beta, t), s_prime), t**4
+    if np.ndim(value) == 0:
+        return float(value) / scale
+    return np.asarray(value, dtype=float) / scale

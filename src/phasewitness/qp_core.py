@@ -15,10 +15,13 @@ branch and send a float through the same gate.
 
 States enter either as photon-number distributions (series evaluation)
 or as callables ``point -> value`` (closed-form evaluation), so no grid
-discretization error is introduced anywhere.  Plane integrals run an
-adaptive Gauss-Legendre rule on a growing square; Gaussian smoothing
-instead integrates against its own kernel with a Gauss-Hermite product
-rule, so its nodes follow the kernel around every target.
+discretization error is introduced anywhere.  Both convolution laws
+integrate on one Gauss-Hermite ladder: Gaussian smoothing in its
+kernel's coordinates, so the nodes follow the kernel around every
+target, and the beam-splitter convolution in the Gaussian environment's
+coordinates, with one node set shared by every target.  The adaptive
+Gauss-Legendre rule on a growing square, ``plane_integral``, now serves
+only the tests.
 """
 
 from __future__ import annotations
@@ -161,15 +164,28 @@ class PhotonDistribution:
         return self.probs.size - 1
 
 
-def parity_coefficient(n: int, s: Union[OrderParam, float]) -> float | complex:
+def _photon_number(n) -> int | np.ndarray:
+    """``n`` as an int, or an integer array, of non-negative photon numbers.
+
+    Integral floats are accepted; any other value raises ``ValueError``
+    rather than being truncated.
+    """
+    arr = np.asarray(n)
+    if arr.dtype.kind not in "iuf" or not np.all(np.isfinite(arr) & (arr == np.floor(arr))):
+        raise ValueError(f"photon number n must be an integer, got {n!r}")
+    if np.any(arr < 0):
+        raise ValueError("photon number n must be non-negative")
+    return int(arr) if arr.ndim == 0 else arr.astype(np.int64)
+
+
+def parity_coefficient(n, s: Union[OrderParam, float]) -> float | complex | np.ndarray:
     """Series weight ((s+1)/(s-1))^n / (1-s) of the n-th number state.
 
     This is the expectation value of the bounded parity-like observable
     in the displaced number state |alpha, n> (independent of alpha).
+    An integer n gives a number, an integer array n an array.
     """
-    n = int(n)
-    if n < 0:
-        raise ValueError("photon number n must be non-negative")
+    n = _photon_number(n)
     ratio, gap = _ratio_and_gap(s, "parity_coefficient")
     return ratio**n / gap
 
@@ -209,7 +225,7 @@ def w_from_distribution(
 
 
 # ---------------------------------------------------------------------------
-# Adaptive plane quadrature
+# Adaptive plane quadrature (an independent reference for the tests)
 # ---------------------------------------------------------------------------
 
 _ORDERS = (17, 31, 61, 121, 241)
@@ -274,6 +290,10 @@ def plane_integral(
     raise ConvergenceError(f"quadrature domain did not stabilize within {tol:.2e}")
 
 
+# ---------------------------------------------------------------------------
+# Gauss-Hermite ladder: both convolution laws
+# ---------------------------------------------------------------------------
+
 _HERMITE_ORDERS = (8, 12, 16, 24, 32, 48, 64, 96)
 
 
@@ -283,6 +303,33 @@ def _hermite_nodes(order: int) -> tuple[np.ndarray, np.ndarray]:
     pts = x[:, None] + 1j * x[None, :]
     wts = w[:, None] * w[None, :]
     return pts.ravel(), wts.ravel()
+
+
+def _hermite_ladder(
+    values: FieldEvaluator, quad_tol: float, what: str
+) -> np.ndarray:
+    """Gauss-Hermite product rule (1/pi) * sum_ij w_i w_j row(x_i + i x_j).
+
+    ``values(u)`` receives one order's flat complex unit nodes and returns
+    (k, n) rows, one per integral.  The ladder climbs ``_HERMITE_ORDERS``
+    until two consecutive orders agree within quad_tol/2 on every row,
+    and raises ``ConvergenceError`` naming ``what`` when it runs out.
+    """
+    prev = None
+    for order in _HERMITE_ORDERS:
+        pts, wts = _hermite_nodes(order)
+        est = (np.asarray(values(pts), dtype=float) * wts).sum(axis=-1) / math.pi
+        if prev is not None and np.max(np.abs(est - prev), initial=0.0) <= 0.5 * quad_tol:
+            return est
+        prev = est
+    raise ConvergenceError(
+        f"{what} did not converge to {quad_tol:.2e} at order {_HERMITE_ORDERS[-1]}"
+    )
+
+
+def _shaped(est: np.ndarray, alpha):
+    """A float for a scalar target, else the targets' shape."""
+    return float(est[0]) if np.isscalar(alpha) else est.reshape(np.shape(alpha))
 
 
 def gaussian_smooth(
@@ -300,9 +347,8 @@ def gaussian_smooth(
 
     In kernel coordinates beta = alpha + sqrt((s-s')/2) * u the kernel
     becomes the Gauss-Hermite weight exp(-|u|^2), so the value is
-    (1/pi) * sum_ij w_i w_j W(alpha + sqrt((s-s')/2) (x_i + i x_j)).
-    The product rule walks a fixed order ladder, all targets at once,
-    until two consecutive orders agree within quad_tol/2.
+    (1/pi) * sum_ij w_i w_j W(alpha + sqrt((s-s')/2) (x_i + i x_j)),
+    all targets at once on ``_hermite_ladder``.
     """
     delta = real_order(s, "gaussian smoothing") - real_order(s_prime, "gaussian smoothing")
     if delta <= 0.0:
@@ -312,18 +358,12 @@ def gaussian_smooth(
 
     targets = np.atleast_1d(np.asarray(alpha, dtype=complex)).ravel()
     scale = math.sqrt(0.5 * delta)
-    prev = None
-    for order in _HERMITE_ORDERS:
-        pts, wts = _hermite_nodes(order)
-        nodes = (targets[:, None] + scale * pts[None, :]).ravel()
-        vals = np.asarray(w(nodes), dtype=float).reshape(targets.size, pts.size)
-        est = (vals * wts).sum(axis=-1) / math.pi
-        if prev is not None and np.max(np.abs(est - prev), initial=0.0) <= 0.5 * quad_tol:
-            return float(est[0]) if np.isscalar(alpha) else est.reshape(np.shape(alpha))
-        prev = est
-    raise ConvergenceError(
-        f"gaussian smoothing did not converge to {quad_tol:.2e} at order {_HERMITE_ORDERS[-1]}"
-    )
+
+    def values(u: np.ndarray) -> np.ndarray:
+        nodes = (targets[:, None] + scale * u[None, :]).ravel()
+        return np.asarray(w(nodes), dtype=float).reshape(targets.size, u.size)
+
+    return _shaped(_hermite_ladder(values, quad_tol, "gaussian smoothing"), alpha)
 
 
 def beamsplitter_convolve(
@@ -332,28 +372,51 @@ def beamsplitter_convolve(
     r: float,
     t: float,
     alpha,
+    width: float,
     quad_tol: float = 1e-8,
-) -> float:
+) -> float | np.ndarray:
     """Output-mode quasiprobability after mixing two fields on a beam splitter.
 
     Evaluates (1/t^2) * integral d^2 beta W_a(beta) W_b((alpha - r beta)/t)
-    for reflectivity/transmissivity with r^2 + t^2 = 1.  The law holds at
-    any order parameter, provided both fields are supplied at the same one.
+    for reflectivity/transmissivity with r^2 + t^2 = 1, at one point
+    (giving a float) or an array of points (giving that shape).  The law
+    holds at any order parameter, provided both fields are supplied at
+    the same one.
+
+    ``width`` is the Gaussian width of the environment field W_a, as in
+    (2/(pi*width)) exp(-2|beta|^2/width) for a thermal environment.  In
+    its coordinates beta = sqrt(width/2) * u the integral is
+    (width/2) * integral d^2u exp(-|u|^2) [exp(|u|^2) W_a(beta) W_b(...)],
+    which ``_hermite_ladder`` sums on one node set shared by every
+    target.  W_a is evaluated at every node, never assumed, so a field
+    that is not the Gaussian the width describes shows up in the value.
     """
     r = float(r)
     t = float(t)
+    width = float(width)
     if not (0.0 <= r <= 1.0 and 0.0 <= t <= 1.0):
         raise ValueError("r and t must lie in [0, 1]")
     if abs(r * r + t * t - 1.0) > 1e-12:
         raise ValueError("beam splitter must satisfy r^2 + t^2 = 1")
     if t <= 0.0:
         raise ValueError("transmissivity t must be positive")
-    a = complex(alpha)
+    if not (math.isfinite(width) and width > 0.0):
+        raise ValueError(f"environment width must be positive and finite, got {width}")
+    if quad_tol <= 0.0:
+        raise ValueError("quad_tol must be positive")
 
-    def integrand(pts: np.ndarray) -> np.ndarray:
-        return np.asarray(w_a(pts), dtype=float) * np.asarray(
-            w_b((a - r * pts) / t), dtype=float
+    targets = np.atleast_1d(np.asarray(alpha, dtype=complex)).ravel()
+    scale = math.sqrt(0.5 * width)
+
+    def values(u: np.ndarray) -> np.ndarray:
+        beta = scale * u
+        env = np.asarray(w_a(beta), dtype=float) * (
+            (math.pi * 0.5 * width) * np.exp(u.real * u.real + u.imag * u.imag)
         )
+        points = ((targets[:, None] - r * beta[None, :]) / t).ravel()
+        field = np.asarray(w_b(points), dtype=float).reshape(targets.size, u.size)
+        return env * field
 
-    vals = plane_integral(integrand, radius=5.0, tol=quad_tol * t * t)
-    return float(vals[0]) / (t * t)
+    # The ladder's tolerance applies before the 1/t^2 prefactor.
+    est = _hermite_ladder(values, quad_tol * t * t, "beam-splitter convolution")
+    return _shaped(est / (t * t), alpha)

@@ -98,10 +98,9 @@ def _loss_rescale_identity(quick: bool) -> Residuals:
     etas = (0.3, 0.8) if quick else _ETA_GRID
     for state in _test_states(quick):
         p = states.photon_distribution(state, 0.3 - 0.2j, _N_MAX)
-        for s in _S_GRID:
-            for eta in etas:
-                thinned, rescaled = noise_mod._loss_routes(p, s, DetectionNoise(eta), tol)
-                residuals.append(abs(thinned - rescaled))
+        for eta in etas:
+            routes = noise_mod._loss_routes(p, _S_GRID, DetectionNoise(eta), tol)
+            residuals.extend(abs(thinned - rescaled) for thinned, rescaled in routes)
     return tol, residuals
 
 
@@ -137,14 +136,19 @@ def _smoothing_semigroup(quick: bool) -> Residuals:
 
 
 def _thermal_convolution(quick: bool) -> Residuals:
-    """Beam-splitter convolution against the rescaling shortcut."""
+    """Beam-splitter convolution against the rescaling shortcut.
+
+    One call of each route per (state, channel) covers the whole grid.
+    The environment field is ``states.thermal_w``, evaluated at every
+    quadrature node; its width 1 + 2 nbar - s only places the nodes.
+    """
     tol = 1e-6
     quad_tol = 1e-8
     s = 0.0
     if quick:
         test_states = [SingleModeTestState.coherent(0.6 - 0.3j)]
         channels = [(0.5, 0.5)]
-        grid = [0.0, 0.6 - 0.6j]
+        grid = np.array([0.0, 0.6 - 0.6j])
     else:
         test_states = [
             SingleModeTestState.vacuum(),
@@ -157,43 +161,45 @@ def _thermal_convolution(quick: bool) -> Residuals:
             for nbar in (0.0, 0.5)
         ]
         axis = (-0.6, 0.0, 0.6)
-        grid = [complex(x, y) for x in axis for y in axis]
+        grid = np.array([complex(x, y) for x in axis for y in axis])
     residuals = []
     for state in test_states:
+
+        def state_fam(pts, order, _state=state):
+            return states.state_w(_state, pts, order)
+
         for r, nbar in channels:
             noise = ThermalNoise(r=r, nbar=nbar)
-            t = noise.t
 
-            def env_w(pts, _nbar=nbar, _s=s):
-                return states.thermal_w(_nbar, pts, _s)
+            def env_w(pts, _nbar=nbar):
+                return states.thermal_w(_nbar, pts, s)
 
-            def state_fam(pts, order, _state=state):
-                return states.state_w(_state, pts, order)
-
-            for alpha in grid:
-                conv = qp_core.beamsplitter_convolve(
-                    env_w,
-                    lambda pts, _state=state, _s=s: states.state_w(_state, pts, _s),
-                    r,
-                    t,
-                    alpha,
-                    quad_tol,
-                )
-                shortcut = noise_mod.evolve_thermal_w(state_fam, s, noise, alpha)
-                residuals.append(abs(conv - shortcut))
+            conv = qp_core.beamsplitter_convolve(
+                env_w,
+                lambda pts: state_fam(pts, s),
+                r,
+                noise.t,
+                grid,
+                1.0 + 2.0 * nbar - s,
+                quad_tol,
+            )
+            shortcut = noise_mod.evolve_thermal_w(state_fam, s, noise, grid)
+            residuals.extend(np.abs(conv - shortcut))
     return tol, residuals
 
 
 def _field_route(
     spec, s_prime: float, frame_scale: float, transmission: float, clamp_mode: str
-) -> Callable[[BellSettings], float]:
+) -> Callable[[np.ndarray], np.ndarray]:
     """The TMSV witness from ``bell_value`` over the closed-form fields.
 
-    Unclamped cells read the fields and coefficients at s'.  Clamped
-    cells take coefficients at -1: the frozen rule reads the fields at
-    s', the bounded rule scales them by (1 - s')/2 per mode (the on-off
-    identity behind its coefficients), and the loss-channel rule reads
-    the order -1 fields of the state after pure loss at ``transmission``.
+    The route takes an (n, 8) settings array and gives n values from one
+    array call of ``bell_value``.  Unclamped cells read the fields and
+    coefficients at s'.  Clamped cells take coefficients at -1: the
+    frozen rule reads the fields at s', the bounded rule scales them by
+    (1 - s')/2 per mode (the on-off identity behind its coefficients),
+    and the loss-channel rule reads the order -1 fields of the state
+    after pure loss at ``transmission``.
     """
     if s_prime < -1.0 and clamp_mode == witness.CLAMP_LOSS_CHANNEL:
         # The channel's own 1/sqrt(g) is the whole rescale of the settings.
@@ -220,7 +226,7 @@ def _field_route(
             return f * states.tmsv_w1(spec, a * frame_scale, s_prime)
 
     order = s_prime if s_prime >= -1.0 else -1.0
-    return lambda settings: witness.bell_value(w2, w1, w1, settings, order)
+    return lambda x: witness.bell_value(w2, w1, w1, x, order)
 
 
 def _witness_form_equivalence(quick: bool) -> Residuals:
@@ -232,6 +238,12 @@ def _witness_form_equivalence(quick: bool) -> Residuals:
     coefficients from ``witness.bell_value``; see ``_field_route``.  The
     thermal objective at nbar = 0 is also checked against the detection
     objective at eta = 1 - r^2.
+
+    Each probe draws its settings as one (n, 8) array.  The objective
+    runs once per row; the field route runs once over the array, so its
+    fields use ``np.exp`` where the objective uses ``math.exp``, and the
+    two may differ in the last bits (at most about 1e-15), far inside
+    the tolerance.
     """
     tol = 1e-12
     rng = np.random.default_rng(12345)
@@ -240,9 +252,9 @@ def _witness_form_equivalence(quick: bool) -> Residuals:
     residuals = []
 
     def probe(objective, route) -> None:
-        for _ in range(n_settings):
-            settings = BellSettings.from_vector(rng.uniform(-2.0, 2.0, 8))
-            residuals.append(abs(objective(settings).bell_value - route(settings)))
+        x = rng.uniform(-2.0, 2.0, (n_settings, 8))
+        values = [objective(BellSettings.from_vector(row)).bell_value for row in x]
+        residuals.extend(np.abs(np.array(values) - route(x)))
 
     detection_cells = (
         [(0.45, 0.0), (0.8, -0.5)]
@@ -289,9 +301,8 @@ def _witness_form_equivalence(quick: bool) -> Residuals:
             loss_frame = mode == witness.CLAMP_LOSS_CHANNEL and s_prime < -1.0
             frame = 1.0 if loss_frame else 1.0 / noise.t
 
-            def route(settings, _det=det, _frame=frame):
-                vector = np.asarray(settings.to_vector()) * _frame
-                return _det(BellSettings.from_vector(vector)).bell_value
+            def route(x, _det=det, _frame=frame):
+                return [_det(BellSettings.from_vector(row * _frame)).bell_value for row in x]
 
             probe(obj, route)
     return tol, residuals
@@ -304,12 +315,8 @@ def _eigenvalue_bounds(quick: bool) -> Residuals:
     ladders = [(witness.observable_eigenvalue, float(s)) for s in np.linspace(-1.0, 0.0, 101)]
     for s_prime in (-1.2, -1.8, -3.0):
         ladders += [(witness.effective_eigenvalue, s_prime), (witness.bounded_eigenvalue, s_prime)]
-    # An array, not a list: a float object per eigenvalue raises peak memory.
-    return tol, np.fromiter(
-        (abs(eig(n, s)) - 1.0 for eig, s in ladders for n in range(n_top + 1)),
-        dtype=float,
-        count=len(ladders) * (n_top + 1),
-    )
+    n = np.arange(n_top + 1)
+    return tol, np.concatenate([np.abs(eig(n, s)) - 1.0 for eig, s in ladders])
 
 
 def _separable_bound(quick: bool) -> Residuals:
@@ -356,13 +363,13 @@ def _multi_outcome_rescale(quick: bool) -> Residuals:
     residuals = []
     etas = (0.3, 1.0) if quick else (0.3, 0.7, 1.0)
     p = states.photon_distribution(SingleModeTestState.thermal(0.6), 0.4, _N_MAX)
-    for d in (2, 3, 4, 5):
-        s_d = OrderParam(d)
-        for eta in etas:
-            noise = DetectionNoise(eta)
+    orders = [OrderParam(d) for d in (2, 3, 4, 5)]
+    for eta in etas:
+        noise = DetectionNoise(eta)
+        routes = noise_mod._loss_routes(p, orders, noise, 1e-8)
+        for s_d, (thinned, closed) in zip(orders, routes):
             rescaled = noise_mod.rescale_detection(s_d, noise)
             residuals.append(abs(rescaled.ratio - (1.0 - eta + eta * s_d.ratio)))
-            thinned, closed = noise_mod._loss_routes(p, s_d, noise, 1e-8)
             residuals.append(abs(thinned - closed))
     return tol, residuals
 

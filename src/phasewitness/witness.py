@@ -39,7 +39,7 @@ from typing import Callable, Mapping
 import numpy as np
 
 from .noise import DetectionNoise, ThermalNoise, rescale_detection, rescale_thermal
-from .qp_core import parity_coefficient, real_order
+from .qp_core import _photon_number, parity_coefficient, real_order
 from .states import TmsvSpec
 
 __all__ = [
@@ -136,28 +136,26 @@ class WitnessReport:
         return self.s_effective < -1.0
 
 
-def observable_eigenvalue(n: int, s) -> float:
-    """Eigenvalue (1-s)*((s+1)/(s-1))^n + s of the bounded observable."""
-    n = int(n)
-    if n < 0:
-        raise ValueError("photon number n must be non-negative")
+def observable_eigenvalue(n, s) -> float | np.ndarray:
+    """Eigenvalue (1-s)*((s+1)/(s-1))^n + s of the bounded observable.
+
+    An integer n gives a float, an integer array n an array.
+    """
+    n = _photon_number(n)
     sv = real_order(s, "the eigenvalue spectrum")
+    ratio = (sv + 1.0) / (sv - 1.0)
     # n = 0 and n = 1 are the identities 1 and -(s+1)+s; return them
     # exactly rather than through one rounding step.
-    if n == 0:
-        return 1.0
-    if n == 1:
-        return -1.0
-    ratio = (sv + 1.0) / (sv - 1.0)
-    return (1.0 - sv) * ratio**n + sv
+    values = np.where(n == 0, 1.0, np.where(n == 1, -1.0, (1.0 - sv) * ratio**n + sv))
+    return float(values) if np.ndim(n) == 0 else values
 
 
-def effective_eigenvalue(n: int, s_prime) -> float:
+def effective_eigenvalue(n, s_prime) -> float | np.ndarray:
     """Eigenvalue 4 coeff(n, s') - 1 of the frozen-rule observable (coefficients at -1)."""
     return 4.0 * parity_coefficient(n, real_order(s_prime, "the eigenvalue spectrum")) - 1.0
 
 
-def bounded_eigenvalue(n: int, s_prime) -> float:
+def bounded_eigenvalue(n, s_prime) -> float | np.ndarray:
     """Eigenvalue 2 ((s'+1)/(s'-1))^n - 1 of the bounded-continuation observable.
 
     Equals 2 (1-s') coeff(n, s') - 1; the ratio lies in [0, 1) for

@@ -243,3 +243,14 @@ class TestEvolveThermalW:
             lambda pa, sp: thermal_w(0.0, pa, sp), s, noise, point
         )
         assert pair == pytest.approx(one(a) * one(b), abs=1e-15)
+
+    def test_array_points_give_the_per_point_values(self):
+        base = lambda a, sp: thermal_w(0.7, a, sp)
+        noise = ThermalNoise(0.6, 1.2)
+        rng = np.random.default_rng(3)
+        points = (rng.normal(size=40) + 1j * rng.normal(size=40)).reshape(8, 5)
+        values = evolve_thermal_w(base, -0.3, noise, points)
+        assert values.shape == points.shape
+        per_point = [evolve_thermal_w(base, -0.3, noise, p) for p in points.ravel()]
+        assert all(type(v) is float for v in per_point)
+        assert np.array_equal(values.ravel(), per_point)

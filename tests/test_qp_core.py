@@ -1,4 +1,4 @@
-"""Order parameters, series reconstruction, and plane quadrature."""
+"""Order parameters, series reconstruction, and the quadrature rules."""
 
 from __future__ import annotations
 
@@ -13,6 +13,7 @@ from phasewitness.qp_core import (
     OrderParam,
     PhotonDistribution,
     _ratio_and_gap,
+    beamsplitter_convolve,
     gaussian_smooth,
     parity_coefficient,
     plane_integral,
@@ -191,6 +192,26 @@ class TestParityCoefficient:
         with pytest.raises(ValueError):
             parity_coefficient(-1, 0.0)
 
+    def test_non_integral_n_rejected(self):
+        # int(1.9) would give the n = 1 value, -0.2222...
+        for n in (1.9, -0.5, math.inf, np.array([1.0, 2.5]), 1 + 0j):
+            with pytest.raises(ValueError, match="integer"):
+                parity_coefficient(n, -0.5)
+        assert parity_coefficient(2.0, -0.5) == parity_coefficient(2, -0.5)
+
+    def test_integer_array_matches_scalars(self):
+        # Python and numpy raise a complex to an integer power by different
+        # algorithms, so complex powers part by ~1e-14 at n ~ 200.
+        n = np.arange(200)
+        for s, rtol in ((-0.3, 1e-15), (-1.7, 1e-15), (OrderParam(3, 0.6), 1e-13)):
+            got = parity_coefficient(n, s)
+            assert got.shape == n.shape
+            want = np.array([parity_coefficient(int(k), s) for k in n])
+            assert np.allclose(got, want, rtol=rtol, atol=0.0)
+        with pytest.raises(ValueError, match="non-negative"):
+            parity_coefficient(np.array([3, -1]), 0.0)
+        assert type(parity_coefficient(5, -0.3)) is float
+
     @given(st.integers(min_value=0, max_value=200), orders)
     def test_magnitude_bounded_by_prefactor(self, n, s):
         assert abs(parity_coefficient(n, s)) <= 1.0 / (1.0 - s) + 1e-15
@@ -305,3 +326,35 @@ class TestGaussianSmooth:
             gaussian_smooth(w0, -0.5, -0.5, 0j)
         with pytest.raises(ValueError):
             gaussian_smooth(w0, -0.5, 0.0, 0j)
+
+
+class TestBeamsplitterConvolve:
+    def test_vacuum_mixed_with_vacuum_stays_vacuum(self):
+        vac = lambda pts: thermal_w(0.0, pts, 0.0)
+        r = t = math.sqrt(0.5)
+        targets = np.array([0j, 0.4 - 0.3j, -1.1 + 0.6j])
+        got = beamsplitter_convolve(vac, vac, r, t, targets, 1.0)
+        assert np.max(np.abs(got - thermal_w(0.0, targets, 0.0))) < 1e-12
+
+    def test_array_targets_match_scalars(self):
+        env = lambda pts: thermal_w(0.5, pts, 0.0)
+        state = SingleModeTestState.fock(3)
+        field = lambda pts: state_w(state, pts, 0.0)
+        r, t = 0.6, 0.8
+        targets = np.array([[0j, 0.5 + 0.2j], [-0.7j, 1.1 - 0.4j]])
+        got = beamsplitter_convolve(env, field, r, t, targets, 2.0, quad_tol=1e-9)
+        assert got.shape == targets.shape
+        for idx in np.ndindex(targets.shape):
+            one = beamsplitter_convolve(env, field, r, t, complex(targets[idx]), 2.0, 1e-9)
+            assert type(one) is float
+            assert abs(got[idx] - one) <= 1e-9
+
+    def test_argument_validation(self):
+        vac = lambda pts: thermal_w(0.0, pts, 0.0)
+        with pytest.raises(ValueError, match="r\\^2 \\+ t\\^2"):
+            beamsplitter_convolve(vac, vac, 0.6, 0.7, 0j, 1.0)
+        with pytest.raises(ValueError, match="transmissivity"):
+            beamsplitter_convolve(vac, vac, 1.0, 0.0, 0j, 1.0)
+        for width in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="width"):
+                beamsplitter_convolve(vac, vac, 0.6, 0.8, 0j, width)

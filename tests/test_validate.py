@@ -176,6 +176,7 @@ class TestCorruptionIsCaught:
             ("separable_bound", "phasewitness.states.state_w"),
             ("series_reconstruction", "phasewitness.states.state_w"),
             ("eigenvalue_bounds", "phasewitness.witness.observable_eigenvalue"),
+            ("witness_form_equivalence", "phasewitness.states.tmsv_w2"),
         ],
     )
     def test_one_nan_value_fails_the_suite(self, monkeypatch, suite, target):
@@ -197,6 +198,21 @@ class TestCorruptionIsCaught:
         results = run_suites(quick=True, names=[suite])
         assert calls and not results[0].passed
         assert not results[0].worst <= results[0].tolerance
+
+    def test_scaled_environment_fails_the_convolution(self, monkeypatch):
+        # The convolution places its nodes by the environment's width but
+        # still evaluates the environment field at every node, so a wrong
+        # field cannot hide behind the width.
+        from phasewitness import states
+
+        real = states.thermal_w
+        monkeypatch.setattr(
+            "phasewitness.states.thermal_w",
+            lambda nbar, pts, s: real(nbar, pts, s) * 1.001,
+        )
+        results = run_suites(quick=False, names=["thermal_convolution"])
+        assert not results[0].passed, results[0].line()
+        assert results[0].worst > 1e-4
 
     def test_skewed_analytic_route_is_detected(self, monkeypatch):
         from phasewitness import states

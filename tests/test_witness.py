@@ -84,6 +84,32 @@ class TestEigenvalues:
         v = bounded_eigenvalue(n, s_prime)
         assert -1.0 <= v <= 1.0 + 1e-12
 
+    @pytest.mark.parametrize(
+        "eig, s",
+        [
+            (observable_eigenvalue, -0.37),
+            (observable_eigenvalue, -1.0),
+            (effective_eigenvalue, -1.8),
+            (bounded_eigenvalue, -3.0),
+        ],
+    )
+    def test_integer_array_matches_scalars(self, eig, s):
+        n = np.arange(300)
+        ladder = eig(n, s)
+        per_n = np.array([eig(int(k), s) for k in n])
+        assert ladder.shape == n.shape and ladder.dtype == float
+        assert np.allclose(ladder, per_n, rtol=1e-15, atol=0.0)
+        assert type(eig(7, s)) is float and type(eig(np.int64(7), s)) is float
+
+    @pytest.mark.parametrize("eig", [observable_eigenvalue, effective_eigenvalue, bounded_eigenvalue])
+    def test_non_integral_photon_number_is_rejected(self, eig):
+        # int() would truncate 2.7 to the n = 2 eigenvalue.
+        s = -0.5 if eig is observable_eigenvalue else -1.5
+        for n in (2.7, math.nan, np.array([0.0, 1.5]), "2"):
+            with pytest.raises(ValueError, match="integer"):
+                eig(n, s)
+        assert eig(2.0, s) == eig(2, s)
+
 
 class TestBellSettings:
     def test_vector_roundtrip(self):
