@@ -156,9 +156,10 @@ def lossy_w(p: PhotonDistribution, s, noise: DetectionNoise, tol: float = 1e-8) 
     """Quasiprobability value reconstructed by inefficient detectors.
 
     The series over the Bernoulli-thinned distribution at order s, checked
-    within tol against (1/eta) * series at the rescaled order.  A
-    non-positive tol raises ``ValueError``, a tail too heavy for either
-    series ``ConvergenceError``, and disagreeing routes ``ConsistencyError``.
+    within tol against (1/eta) * series at the rescaled order.  A tol
+    that is not positive and finite raises ``ValueError``, a tail too
+    heavy for either series ``ConvergenceError``, and disagreeing routes
+    ``ConsistencyError``.
     """
     s = real_order(s, "lossy_w (lossy_w_d serves the d-outcome branch)")
     return _agreed_loss(p, s, noise, tol)

@@ -19,9 +19,10 @@ discretization error is introduced anywhere.  Both convolution laws
 integrate on one Gauss-Hermite ladder: Gaussian smoothing in its
 kernel's coordinates, so the nodes follow the kernel around every
 target, and the beam-splitter convolution in the Gaussian environment's
-coordinates, with one node set shared by every target.  The adaptive
-Gauss-Legendre rule on a growing square, ``plane_integral``, now serves
-only the tests.
+coordinates, with one node set shared by every target.  The ladder sums
+its targets one fixed-size block at a time, so its memory is bounded by
+the block, not by targets x nodes.  The adaptive Gauss-Legendre rule
+on a growing square, ``plane_integral``, now serves only the tests.
 """
 
 from __future__ import annotations
@@ -104,6 +105,12 @@ class OrderParam:
     def omega(self) -> complex:
         """Outcome phase exp(2*pi*i/d); the weight ratio at eta = 1."""
         return cmath.exp(2j * math.pi / self.d)
+
+
+def _positive(value: float, what: str) -> None:
+    """Raise ``ValueError`` naming ``what`` unless value is finite and > 0."""
+    if not (math.isfinite(value) and value > 0.0):
+        raise ValueError(f"{what} must be positive and finite, got {value}")
 
 
 def real_order(s: float, what: str, lo: float = -math.inf) -> float:
@@ -202,8 +209,7 @@ def w_from_distribution(
     d-outcome value at eta = 1) the tail bound itself must be below
     ``tol``.
     """
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
+    _positive(tol, "tol")
     ratio, gap = _ratio_and_gap(s, "w_from_distribution")
     r_abs = abs(ratio)
     prefactor = 2.0 / (math.pi * gap)
@@ -276,10 +282,8 @@ def plane_integral(
     the same nodes are computed together.  The domain is a square that
     grows until the result is radius-stable within ``tol``.
     """
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
-    if radius <= 0.0:
-        raise ValueError("radius must be positive")
+    _positive(tol, "tol")
+    _positive(radius, "radius")
     est = _integrate_at(f, radius, tol)
     for _ in range(_MAX_RADIUS_STEPS):
         bigger = _integrate_at(f, radius * _RADIUS_GROWTH, tol)
@@ -296,6 +300,12 @@ def plane_integral(
 
 _HERMITE_ORDERS = (8, 12, 16, 24, 32, 48, 64, 96)
 
+# Nodes summed per block: a block holds max(1, _BLOCK_NODES // n) targets
+# at an order with n nodes, so no transient array grows with the targets.
+_BLOCK_NODES = 1 << 14
+
+RowEvaluator = Callable[[np.ndarray], Callable[[slice], np.ndarray]]
+
 
 @lru_cache(maxsize=None)
 def _hermite_nodes(order: int) -> tuple[np.ndarray, np.ndarray]:
@@ -306,25 +316,44 @@ def _hermite_nodes(order: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _hermite_ladder(
-    values: FieldEvaluator, quad_tol: float, what: str
+    values: RowEvaluator, n_rows: int, quad_tol: float, what: str
 ) -> np.ndarray:
     """Gauss-Hermite product rule (1/pi) * sum_ij w_i w_j row(x_i + i x_j).
 
-    ``values(u)`` receives one order's flat complex unit nodes and returns
-    (k, n) rows, one per integral.  The ladder climbs ``_HERMITE_ORDERS``
-    until two consecutive orders agree within quad_tol/2 on every row,
-    and raises ``ConvergenceError`` naming ``what`` when it runs out.
+    ``values(u)`` is called once per order with its flat complex unit
+    nodes and gives ``rows``; ``rows(block)`` gives the (k, u.size)
+    integrand rows of the targets in the slice ``block``.  They are summed
+    one block at a time into ``n_rows`` estimates, so memory is bounded by
+    the block, not by targets x nodes.  Each row's sum runs along its own
+    nodes only, so the block size does not change a bit of the result.
+    The ladder climbs ``_HERMITE_ORDERS`` until two consecutive orders
+    agree within quad_tol/2 on every row, and raises ``ConvergenceError``
+    naming ``what`` when it runs out.
     """
     prev = None
     for order in _HERMITE_ORDERS:
         pts, wts = _hermite_nodes(order)
-        est = (np.asarray(values(pts), dtype=float) * wts).sum(axis=-1) / math.pi
+        rows = values(pts)
+        step = max(1, _BLOCK_NODES // pts.size)
+        est = np.empty(n_rows)
+        for lo in range(0, n_rows, step):
+            block = slice(lo, lo + step)
+            est[block] = (np.asarray(rows(block), dtype=float) * wts).sum(axis=-1) / math.pi
         if prev is not None and np.max(np.abs(est - prev), initial=0.0) <= 0.5 * quad_tol:
             return est
         prev = est
     raise ConvergenceError(
         f"{what} did not converge to {quad_tol:.2e} at order {_HERMITE_ORDERS[-1]}"
     )
+
+
+def _targets(alpha) -> np.ndarray:
+    """The flat complex targets; a non-finite one raises ``ValueError``."""
+    targets = np.atleast_1d(np.asarray(alpha, dtype=complex)).ravel()
+    bad = ~np.isfinite(targets)
+    if bad.any():
+        raise ValueError(f"target alpha must be finite, got {targets[bad][0]}")
+    return targets
 
 
 def _shaped(est: np.ndarray, alpha):
@@ -343,27 +372,36 @@ def gaussian_smooth(
 
     Evaluates (2/(pi*(s-s'))) * integral d^2 beta W(beta; s)
     exp(-2|alpha-beta|^2/(s-s')) at one point or an array of points.
-    Requires strictly s > s'.
+    Requires strictly s > s', a finite target and a positive, finite
+    quad_tol.
 
     In kernel coordinates beta = alpha + sqrt((s-s')/2) * u the kernel
     becomes the Gauss-Hermite weight exp(-|u|^2), so the value is
-    (1/pi) * sum_ij w_i w_j W(alpha + sqrt((s-s')/2) (x_i + i x_j)),
-    all targets at once on ``_hermite_ladder``.
+    (1/pi) * sum_ij w_i w_j W(alpha + sqrt((s-s')/2) (x_i + i x_j)).
+    ``_hermite_ladder`` sums it one block of targets at a time: W is
+    called with one block's nodes, so memory is bounded by the block,
+    not by targets x nodes.
     """
     delta = real_order(s, "gaussian smoothing") - real_order(s_prime, "gaussian smoothing")
     if delta <= 0.0:
         raise ValueError("smoothing requires s > s_prime")
-    if quad_tol <= 0.0:
-        raise ValueError("quad_tol must be positive")
+    _positive(quad_tol, "quad_tol")
 
-    targets = np.atleast_1d(np.asarray(alpha, dtype=complex)).ravel()
+    targets = _targets(alpha)
     scale = math.sqrt(0.5 * delta)
 
-    def values(u: np.ndarray) -> np.ndarray:
-        nodes = (targets[:, None] + scale * u[None, :]).ravel()
-        return np.asarray(w(nodes), dtype=float).reshape(targets.size, u.size)
+    def values(u: np.ndarray):
+        offsets = scale * u
 
-    return _shaped(_hermite_ladder(values, quad_tol, "gaussian smoothing"), alpha)
+        def rows(block: slice) -> np.ndarray:
+            near = targets[block]
+            nodes = (near[:, None] + offsets[None, :]).ravel()
+            return np.asarray(w(nodes), dtype=float).reshape(near.size, u.size)
+
+        return rows
+
+    est = _hermite_ladder(values, targets.size, quad_tol, "gaussian smoothing")
+    return _shaped(est, alpha)
 
 
 def beamsplitter_convolve(
@@ -378,18 +416,21 @@ def beamsplitter_convolve(
     """Output-mode quasiprobability after mixing two fields on a beam splitter.
 
     Evaluates (1/t^2) * integral d^2 beta W_a(beta) W_b((alpha - r beta)/t)
-    for reflectivity/transmissivity with r^2 + t^2 = 1, at one point
-    (giving a float) or an array of points (giving that shape).  The law
-    holds at any order parameter, provided both fields are supplied at
-    the same one.
+    for reflectivity/transmissivity with r^2 + t^2 = 1, at one finite
+    point (giving a float) or an array of them (giving that shape).  The
+    law holds at any order parameter, provided both fields are supplied
+    at the same one.
 
     ``width`` is the Gaussian width of the environment field W_a, as in
     (2/(pi*width)) exp(-2|beta|^2/width) for a thermal environment.  In
     its coordinates beta = sqrt(width/2) * u the integral is
     (width/2) * integral d^2u exp(-|u|^2) [exp(|u|^2) W_a(beta) W_b(...)],
     which ``_hermite_ladder`` sums on one node set shared by every
-    target.  W_a is evaluated at every node, never assumed, so a field
-    that is not the Gaussian the width describes shows up in the value.
+    target.  W_a is evaluated at every node, once per order, never
+    assumed, so a field that is not the Gaussian the width describes
+    shows up in the value.  W_b is called with one block of targets'
+    points at a time, so memory is bounded by the block, not by
+    targets x nodes.
     """
     r = float(r)
     t = float(t)
@@ -400,23 +441,25 @@ def beamsplitter_convolve(
         raise ValueError("beam splitter must satisfy r^2 + t^2 = 1")
     if t <= 0.0:
         raise ValueError("transmissivity t must be positive")
-    if not (math.isfinite(width) and width > 0.0):
-        raise ValueError(f"environment width must be positive and finite, got {width}")
-    if quad_tol <= 0.0:
-        raise ValueError("quad_tol must be positive")
+    _positive(width, "environment width")
+    _positive(quad_tol, "quad_tol")
 
-    targets = np.atleast_1d(np.asarray(alpha, dtype=complex)).ravel()
+    targets = _targets(alpha)
     scale = math.sqrt(0.5 * width)
 
-    def values(u: np.ndarray) -> np.ndarray:
+    def values(u: np.ndarray):
         beta = scale * u
         env = np.asarray(w_a(beta), dtype=float) * (
             (math.pi * 0.5 * width) * np.exp(u.real * u.real + u.imag * u.imag)
         )
-        points = ((targets[:, None] - r * beta[None, :]) / t).ravel()
-        field = np.asarray(w_b(points), dtype=float).reshape(targets.size, u.size)
-        return env * field
+
+        def rows(block: slice) -> np.ndarray:
+            near = targets[block]
+            points = ((near[:, None] - r * beta[None, :]) / t).ravel()
+            return env * np.asarray(w_b(points), dtype=float).reshape(near.size, u.size)
+
+        return rows
 
     # The ladder's tolerance applies before the 1/t^2 prefactor.
-    est = _hermite_ladder(values, quad_tol * t * t, "beam-splitter convolution")
+    est = _hermite_ladder(values, targets.size, quad_tol * t * t, "beam-splitter convolution")
     return _shaped(est / (t * t), alpha)

@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from phasewitness import qp_core
 from phasewitness.qp_core import (
     ConvergenceError,
     OrderParam,
@@ -24,6 +26,7 @@ from phasewitness.noise import (
     DetectionNoise,
     ThermalNoise,
     lossy_w,
+    lossy_w_d,
     rescale_detection,
     rescale_thermal,
 )
@@ -182,6 +185,33 @@ def test_order_gate_contract(name):
         consumer(-1.5)
 
 
+def _vacuum_mix(tol):
+    vac = lambda pts: thermal_w(0.0, pts, 0.0)
+    return beamsplitter_convolve(vac, vac, 0.6, 0.8, 0.1, 1.0, tol)
+
+
+#: Every public tolerance, and the plane rule's radius: each check must
+#: refuse NaN and infinity, not only values <= 0.
+POSITIVE = {
+    "w_from_distribution.tol": lambda v: w_from_distribution(_VACUUM_P, 0.0, tol=v),
+    "lossy_w.tol": lambda v: lossy_w(_VACUUM_P, -0.5, DetectionNoise(0.7), tol=v),
+    "lossy_w_d.tol": lambda v: lossy_w_d(_VACUUM_P, 3, DetectionNoise(0.7), tol=v),
+    "gaussian_smooth.quad_tol": lambda v: gaussian_smooth(_vacuum, -0.5, -1.0, 0.1, v),
+    "beamsplitter_convolve.quad_tol": _vacuum_mix,
+    "plane_integral.tol": lambda v: plane_integral(_vacuum, tol=v),
+    "plane_integral.radius": lambda v: plane_integral(_vacuum, radius=v),
+}
+
+
+@pytest.mark.parametrize("name", sorted(POSITIVE))
+def test_tolerances_must_be_positive_and_finite(name):
+    consumer = POSITIVE[name]
+    consumer(1e-6 if name.endswith("tol") else 5.0)
+    for value in (0.0, -1e-6, *NON_FINITE):
+        with pytest.raises(ValueError, match="must be positive and finite"):
+            consumer(value)
+
+
 class TestParityCoefficient:
     def test_known_values(self):
         assert parity_coefficient(0, -0.5) == pytest.approx(2.0 / 3.0, abs=1e-15)
@@ -260,6 +290,15 @@ class TestWFromDistribution:
         p = PhotonDistribution(np.array([0.5, 0.3]), tail_bound=0.2)
         with pytest.raises(ConvergenceError):
             w_from_distribution(p, 0.0, tol=1e-8)
+
+    def test_nan_tol_does_not_switch_off_the_tail_check(self):
+        # The tail bound is 8.9e-2; a NaN tol used to compare False and
+        # let the truncated series through.
+        p = photon_distribution(SingleModeTestState.thermal(5.0), 0.3, 10)
+        with pytest.raises(ConvergenceError, match="series tail bound"):
+            w_from_distribution(p, 0.0, tol=1e-10)
+        with pytest.raises(ValueError, match="tol must be positive and finite, got nan"):
+            w_from_distribution(p, 0.0, tol=math.nan)
 
 
 class TestPlaneIntegral:
@@ -358,3 +397,79 @@ class TestBeamsplitterConvolve:
         for width in (0.0, -1.0, math.nan, math.inf):
             with pytest.raises(ValueError, match="width"):
                 beamsplitter_convolve(vac, vac, 0.6, 0.8, 0j, width)
+
+
+#: The two convolution laws as functions of their targets alone.
+_FOCK3 = SingleModeTestState.fock(3)
+CONVOLUTIONS = {
+    "gaussian_smooth": lambda targets: gaussian_smooth(
+        lambda pts: state_w(_FOCK3, pts, 0.0), 0.0, -1.0, targets
+    ),
+    "beamsplitter_convolve": lambda targets: beamsplitter_convolve(
+        lambda pts: thermal_w(0.5, pts, 0.0),
+        lambda pts: state_w(_FOCK3, pts, 0.0),
+        0.6,
+        0.8,
+        targets,
+        2.0,
+    ),
+}
+
+
+class TestStreamedLadder:
+    @pytest.mark.parametrize("name", sorted(CONVOLUTIONS))
+    def test_block_size_changes_no_bit(self, name, monkeypatch):
+        rng = np.random.default_rng(7)
+        targets = rng.uniform(-2.0, 2.0, 60) + 1j * rng.uniform(-2.0, 2.0, 60)
+        default = CONVOLUTIONS[name](targets)
+        # 64 nodes hold one target per block at every order; 2**24 hold
+        # all 60 targets at once, as an unblocked sum would.
+        for block_nodes in (64, 1 << 24):
+            monkeypatch.setattr(qp_core, "_BLOCK_NODES", block_nodes)
+            assert np.array_equal(CONVOLUTIONS[name](targets), default)
+
+    @pytest.mark.parametrize("name", sorted(CONVOLUTIONS))
+    def test_no_targets_give_an_empty_array(self, name):
+        for shape in ((0,), (0, 3)):
+            got = CONVOLUTIONS[name](np.empty(shape, dtype=complex))
+            assert got.shape == shape
+
+    @pytest.mark.parametrize("name", sorted(CONVOLUTIONS))
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    def test_non_finite_targets_are_refused(self, name, bad):
+        for target in (complex(bad, 0.0), complex(0.3, bad), np.array([0.1, 0.2, bad])):
+            with pytest.raises(ValueError, match="target alpha must be finite"):
+                CONVOLUTIONS[name](target)
+
+    def test_environment_is_evaluated_once_per_order(self, monkeypatch):
+        monkeypatch.setattr(qp_core, "_BLOCK_NODES", 64)
+        env_sizes, field_calls = [], []
+
+        def env(pts):
+            env_sizes.append(pts.size)
+            return thermal_w(0.5, pts, 0.0)
+
+        def field(pts):
+            field_calls.append(pts.size)
+            return state_w(_FOCK3, pts, 0.0)
+
+        targets = np.array([0j, 0.5 + 0.2j, -0.7j, 1.1 - 0.4j])
+        beamsplitter_convolve(env, field, 0.6, 0.8, targets, 2.0)
+        visited = qp_core._HERMITE_ORDERS[: len(env_sizes)]
+        assert len(env_sizes) >= 2
+        assert env_sizes == [order * order for order in visited]
+        assert len(field_calls) == len(visited) * targets.size
+
+    def test_memory_is_bounded_by_the_block(self):
+        # 1,600 targets: summing targets x nodes at once peaks near 20 MB.
+        axis = np.linspace(-2.0, 2.0, 40)
+        targets = axis[:, None] + 1j * axis[None, :]
+        state = SingleModeTestState.thermal(0.8)
+        tracemalloc.start()
+        try:
+            got = gaussian_smooth(lambda pts: state_w(state, pts, -0.2), -0.2, -1.0, targets)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6
+        assert np.max(np.abs(got - state_w(state, targets, -1.0))) < 1e-8
