@@ -23,9 +23,15 @@ from typing import Sequence
 import numpy as np
 
 from . import __version__
-from . import validate as validate_mod
 from .noise import DetectionNoise, ThermalNoise
-from .search import SearchConfig, SweepResult, optimize_cells, sweep_eta_s, sweep_thermal
+from .search import (
+    SearchConfig,
+    SweepResult,
+    _scipy_module,
+    optimize_cells,
+    sweep_eta_s,
+    sweep_thermal,
+)
 from .states import TmsvSpec
 from .witness import (
     CLAMP_BOUNDED,
@@ -154,12 +160,9 @@ def _build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="reduced grids: fewer states, points, noise cells and settings",
     )
-    va.add_argument(
-        "--suite",
-        action="append",
-        choices=list(validate_mod.SUITE_NAMES),
-        help="run only the named suite (repeatable)",
-    )
+    # No choices: listing the suites would import validate in every
+    # command.  run_suites refuses an unknown name with the valid ones.
+    va.add_argument("--suite", action="append", help="run only the named suite (repeatable)")
     return parser
 
 
@@ -234,11 +237,31 @@ def _csv_rows(result: SweepResult) -> list[str]:
     return rows
 
 
-def _cmd_sweep(args: argparse.Namespace) -> int:
-    # Only the manifest needs scipy's version; reading it from the
-    # package metadata keeps scipy itself, and this import, out of eval.
-    import importlib.metadata
+def _platform_string() -> str:
+    """``platform.platform()``, without its ``uname -p`` subprocess on Linux.
 
+    Linux's string is system-release-machine-with-libc; the processor
+    that ``platform.platform()`` reads from ``uname -p`` shows in it only
+    where it is neither the machine nor 'unknown'.
+    """
+    system = platform.system()
+    if system != "Linux":
+        return platform.platform()
+    parts = (system, platform.release(), platform.machine(), "with", "".join(platform.libc_ver()))
+    return "-".join(part for part in parts if part)
+
+
+def _environment() -> dict[str, str]:
+    """The manifest's environment block; scipy's version is read from its file, unimported."""
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "scipy": _scipy_module("scipy's version", "scipy.version", "version.py").version,
+        "platform": _platform_string(),
+    }
+
+
+def _cmd_sweep(args: argparse.Namespace) -> int:
     _check_noise_flags(args, "--mode", args.mode)
     spec = TmsvSpec(args.xi)
     config = SearchConfig(n_starts=args.starts, box_radius=args.box, seed=args.seed)
@@ -273,6 +296,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             print(f"error: cannot write output: {path!r} is a directory", file=sys.stderr)
             return EXIT_IO
     result = sweep(spec, *grids, config)
+    wall_time_s = time.perf_counter() - started
 
     rows = _csv_rows(result)
     sources = [c.report.meta["source"] for c in result.cells]
@@ -282,16 +306,11 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     manifest = {
         "command": "sweep",
         "version": __version__,
-        "environment": {
-            "python": platform.python_version(),
-            "numpy": np.__version__,
-            "scipy": importlib.metadata.version("scipy"),
-            "platform": platform.platform(),
-        },
+        "environment": _environment(),
         **params,
         "rows": len(rows) - 1,
         "csv": os.path.basename(args.out),
-        "wall_time_s": time.perf_counter() - started,
+        "wall_time_s": wall_time_s,
         "cells": {
             "curve": sources.count("curve"),
             "search": sources.count("search"),
@@ -317,8 +336,11 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
-    results = validate_mod.run_suites(quick=args.quick, names=args.suite)
-    print(validate_mod.format_report(results))
+    # Imported here: no other command needs the self-check suites.
+    from . import validate
+
+    results = validate.run_suites(quick=args.quick, names=args.suite)
+    print(validate.format_report(results))
     return EXIT_OK if all(r.passed for r in results) else EXIT_VALIDATION
 
 

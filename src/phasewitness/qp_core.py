@@ -160,8 +160,8 @@ class PhotonDistribution:
             raise ValueError("probs must be finite")
         if np.any(p < 0.0):
             raise ValueError("probs must be non-negative")
-        if self.tail_bound < 0.0:
-            raise ValueError("tail_bound must be non-negative")
+        if not (math.isfinite(self.tail_bound) and self.tail_bound >= 0.0):
+            raise ValueError(f"tail_bound must be finite and non-negative, got {self.tail_bound}")
         total = float(p.sum()) + self.tail_bound
         if abs(total - 1.0) > NORM_TOL:
             raise ValueError(f"distribution mass {total} deviates from 1 beyond {NORM_TOL}")

@@ -19,10 +19,12 @@ rule.  Each objective names its curve key, ``objective()``: a lift and
 the closed-form constants the witness reads at the lifted-down settings.
 One vectorized regularized Newton solve over the real symmetric settings
 a = (x, y), b = +-a gives a candidate for every distinct constant row at
-once.  Each cell lifts its candidate to the 8 raw coordinates and
-reports it when it passes the certificate there (projected gradient of
-|B| at most ``CERT_GRAD_NORM``, largest Hessian eigenvalue of |B| off
-the gauge direction below ``CERT_HESS_MAX``); a cell that fails falls
+once.  Each cell lifts its candidate to the 8 raw coordinates, and one
+batched certificate runs over all the lifted points: the projected
+gradient of |B| at most ``CERT_GRAD_NORM``, from one gradient call per
+cell, and the largest eigenvalue of the analytic Hessian of |B| off the
+gauge direction below ``CERT_HESS_MAX``, for every cell in one numpy
+program.  A cell that passes reports its point; a cell that fails falls
 back to ``maximize_bell`` with the starts stream keyed by (seed, cell
 index).  Everything runs in the calling process; a certified cell's
 result depends on that cell alone, and a fallback cell's on its index
@@ -38,13 +40,20 @@ import math
 import os
 import sysconfig
 from dataclasses import dataclass, replace
+from types import ModuleType
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .noise import DetectionNoise, ThermalNoise
 from .states import TmsvSpec
-from .witness import BellSettings, WitnessReport, detection_objective, thermal_objective
+from .witness import (
+    BellSettings,
+    WitnessReport,
+    _tmsv_hessians,
+    detection_objective,
+    thermal_objective,
+)
 
 __all__ = [
     "SearchConfig",
@@ -95,26 +104,37 @@ class SearchConfig:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
 
 
-@functools.cache
-def _tnc_minimize() -> Callable[..., tuple]:
-    """``tnc_minimize`` from scipy's ``_moduleTNC`` extension file.
+def _scipy_module(what: str, name: str, *parts: str) -> ModuleType:
+    """Module ``name`` run from the file ``parts`` of scipy's package.
 
-    The file is found through scipy's package location and loaded under
-    its own module name, which imports neither ``scipy.optimize`` nor
-    scipy's special functions; a later ``import scipy.optimize`` gets the
-    same function object.
+    The file is found through scipy's package location and run under
+    ``name`` without importing scipy or any of its subpackages, and the
+    module is not put in ``sys.modules``.  ``what`` names the file in the
+    ``ImportError`` raised when scipy or the file is missing.
     """
     spec = importlib.util.find_spec("scipy")
     locations = spec.submodule_search_locations if spec is not None else None
     if not locations:
-        raise ImportError("TNC's C core needs scipy, which is not installed")
-    name = "_moduleTNC" + sysconfig.get_config_var("EXT_SUFFIX")
-    path = os.path.join(locations[0], "optimize", name)
+        raise ImportError(f"{what} needs scipy, which is not installed")
+    path = os.path.join(locations[0], *parts)
     if not os.path.isfile(path):
-        raise ImportError(f"TNC's C core is missing: no file {path}")
-    core_spec = importlib.util.spec_from_file_location("scipy.optimize._moduleTNC", path)
-    core = importlib.util.module_from_spec(core_spec)
-    core_spec.loader.exec_module(core)
+        raise ImportError(f"{what} is missing: no file {path}")
+    file_spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(file_spec)
+    file_spec.loader.exec_module(module)
+    return module
+
+
+@functools.cache
+def _tnc_minimize() -> Callable[..., tuple]:
+    """``tnc_minimize`` from scipy's ``_moduleTNC`` extension file.
+
+    Loading the file imports neither ``scipy.optimize`` nor scipy's
+    special functions; a later ``import scipy.optimize`` gets the same
+    function object.
+    """
+    name = "_moduleTNC" + sysconfig.get_config_var("EXT_SUFFIX")
+    core = _scipy_module("TNC's C core", "scipy.optimize._moduleTNC", "optimize", name)
     return core.tnc_minimize
 
 
@@ -263,8 +283,6 @@ class SweepResult:
 #: Hessian of |B|, gauge direction projected out, is below CERT_HESS_MAX.
 CERT_GRAD_NORM = 1e-9
 CERT_HESS_MAX = -1e-6
-#: Central-difference step of the certificate's Hessian.
-_HESS_STEP = 1e-5
 #: Seed grid per axis and fixed iteration count of the curve solve.
 _CURVE_SEEDS = np.linspace(-1.0, 1.0, 5)
 _CURVE_ITERATIONS = 25
@@ -368,61 +386,48 @@ def _projected_grad_norm(x: np.ndarray, jac: np.ndarray, box: float) -> float:
     return float(np.max(np.abs(x - np.clip(x - jac, -box, box))))
 
 
-def _certificate(objective, x: Sequence[float], box: float) -> tuple[float, float]:
-    """(grad_norm, hess_max) of |B| at the raw 8-vector x.
+def _certificates(objectives, keys, points, box: float) -> tuple[list[float], np.ndarray]:
+    """(grad_norm, hess_max) of |B| per objective at its raw 8-vector.
 
-    ``grad_norm`` is the projected-gradient max-norm that ``maximize_bell``
-    reports.  ``hess_max`` is the largest eigenvalue of the Hessian of |B|,
-    from symmetrized central differences of the analytic gradient, on the
-    complement of the gauge direction a -> a e^{i phi}, b -> b e^{-i phi},
-    along which B is constant.
+    ``keys`` are the objectives' curve keys ``objective()`` and ``points``
+    the n raw 8-vectors.  ``grad_norm`` is the projected-gradient max-norm
+    that ``maximize_bell`` reports, from one ``objective(x, grad=True)``
+    call per point.  ``hess_max`` is the largest eigenvalue of the Hessian
+    of |B| on the complement of the gauge direction a -> a e^{i phi},
+    b -> b e^{-i phi}, along which B is constant: the analytic Hessians of
+    all rows from ``_tmsv_hessians``, one Householder reflection per row
+    and one batched ``eigvalsh``.  A row whose Hessian is not finite gets
+    a NaN ``hess_max``.
     """
-    x = [float(v) for v in x]
-    value, grad = objective(x, grad=True)
-    sign = 1.0 if value >= 0.0 else -1.0
-    point = np.array(x)
-    grad_norm = _projected_grad_norm(point, -sign * np.array(grad), box)
-    probes = []
-    for step in (_HESS_STEP, -_HESS_STEP):
-        for j in range(8):
-            probe = list(x)
-            probe[j] += step
-            probes.append(objective(probe, grad=True)[1])
-    probes = np.array(probes)
-    diff = probes[:8] - probes[8:]
-    hess = sign / (4.0 * _HESS_STEP) * (diff + diff.T)
+    points = np.array(points, dtype=float).reshape(-1, 8)
+    grad_norms, signs = [], []
+    for objective, x in zip(objectives, points):
+        value, grad = objective(x.tolist(), grad=True)
+        sign = 1.0 if value >= 0.0 else -1.0
+        grad_norms.append(_projected_grad_norm(x, -sign * np.array(grad), box))
+        signs.append(sign)
+    hess = _tmsv_hessians([c for _, c in keys], [lift for lift, _ in keys], points)
+    hess *= np.array(signs)[:, None, None]
     # d/dphi of the settings per (re, im) pair: (-im, re) on mode A and
     # (im, -re) on mode B.  A Householder reflection maps it onto the
     # first axis, and the other seven axes span its complement.  Scaling
     # by the largest entry first keeps a point next to the origin from
-    # underflowing the norm.
-    gauge = (point.reshape(4, 2)[:, ::-1] * _GAUGE_SIGNS).ravel()
-    if gauge.any():
-        u = gauge / np.abs(gauge).max()
-        u[0] += math.copysign(np.linalg.norm(u), u[0])
-        reflect = np.eye(8) - 2.0 * np.outer(u, u) / (u @ u)
-        hess = (reflect @ hess @ reflect)[1:, 1:]
-    return grad_norm, float(np.linalg.eigvalsh(hess)[-1])
-
-
-def _cell_report(objective, x: Sequence[float], config: SearchConfig, stream: int) -> WitnessReport:
-    """The certified report at the curve point x, else ``maximize_bell``'s."""
-    grad_norm, hess_max = _certificate(objective, x, config.box_radius)
-    if grad_norm <= CERT_GRAD_NORM and hess_max < CERT_HESS_MAX:
-        report = objective(BellSettings.from_vector(x))
-        meta = {
-            "n_evals": 0,
-            "n_starts": 0,
-            "unconverged_starts": 0,
-            "stream": stream,
-            "grad_norm": grad_norm,
-            "source": "curve",
-            "hess_max": hess_max,
-        }
-        return replace(report, meta=meta)
-    report = maximize_bell(objective, config, stream)
-    _, hess_max = _certificate(objective, report.settings.to_vector(), config.box_radius)
-    return replace(report, meta={**report.meta, "source": "search", "hess_max": hess_max})
+    # underflowing the norm.  A point at the origin has no gauge
+    # direction; its reflection is the identity, and dropping the first
+    # axis leaves its largest eigenvalue unchanged, as the Hessian there
+    # commutes with the gauge and so has even-dimensional eigenspaces.
+    gauge = (points.reshape(-1, 4, 2)[:, :, ::-1] * _GAUGE_SIGNS).reshape(-1, 8)
+    scale = np.abs(gauge).max(axis=1, keepdims=True)
+    u = np.divide(gauge, scale, out=np.zeros_like(gauge), where=scale > 0.0)
+    u[:, 0] += np.copysign(np.linalg.norm(u, axis=1), u[:, 0])
+    uu = np.einsum("ni,ni->n", u, u)
+    uu[uu == 0.0] = 1.0
+    reflect = np.eye(8) - 2.0 * u[:, :, None] * u[:, None, :] / uu[:, None, None]
+    hess = (reflect @ hess @ reflect)[:, 1:, 1:]
+    finite = np.isfinite(hess).all(axis=(1, 2))
+    hess[~finite] = 0.0
+    hess_max = np.where(finite, np.linalg.eigvalsh(hess)[:, -1], np.nan)
+    return grad_norms, hess_max
 
 
 def optimize_cells(
@@ -434,10 +439,11 @@ def optimize_cells(
     ``thermal_objective`` (any clamp rule), whose ``objective()`` gives the
     curve key (lift, constants).  One curve solve runs over the distinct
     constant rows; each cell lifts its row's solution by its lift to the
-    raw 8-vector and reports it when it certifies there, else falls back
-    to ``maximize_bell`` with the starts stream keyed by the cell's index
-    in ``objectives``.  Each report depends only on its own objective and
-    index, not on the other cells.
+    raw 8-vector, and one batched certificate runs over all the lifted
+    points.  A cell is reported at its point when it certifies there, else
+    falls back to ``maximize_bell`` with the starts stream keyed by the
+    cell's index in ``objectives``.  Each report depends only on its own
+    objective and index, not on the other cells.
     """
     keys = [objective() for objective in objectives]
     rows, which = np.unique([constants for _, constants in keys], axis=0, return_inverse=True)
@@ -447,11 +453,33 @@ def optimize_cells(
             for i in range(0, len(rows), _CURVE_BLOCK)
         ]
     )
+    lifts = np.array([lift for lift, _ in keys])
+    scales = np.stack([lifts, lifts, np.ones_like(lifts)], axis=1)
+    x, y, sigma = (curve[which.reshape(-1)] * scales).T
+    zero = np.zeros_like(x)
+    points = np.stack([x, zero, y, zero, sigma * x, zero, sigma * y, zero], axis=1)
+    box = config.box_radius
+    grad_norms, hess_maxes = _certificates(objectives, keys, points, box)
     reports = []
-    for idx, (objective, (lift, _)) in enumerate(zip(objectives, keys)):
-        x, y, sigma = curve[which[idx]] * [lift, lift, 1.0]
-        point = (x, 0.0, y, 0.0, sigma * x, 0.0, sigma * y, 0.0)
-        reports.append(_cell_report(objective, point, config, idx))
+    for idx, (objective, key) in enumerate(zip(objectives, keys)):
+        grad_norm, hess_max = grad_norms[idx], float(hess_maxes[idx])
+        if grad_norm <= CERT_GRAD_NORM and hess_max < CERT_HESS_MAX:
+            report = objective(BellSettings.from_vector(points[idx]))
+            meta = {
+                "n_evals": 0,
+                "n_starts": 0,
+                "unconverged_starts": 0,
+                "stream": idx,
+                "grad_norm": grad_norm,
+                "source": "curve",
+                "hess_max": hess_max,
+            }
+        else:
+            report = maximize_bell(objective, config, idx)
+            point = [report.settings.to_vector()]
+            hess_max = float(_certificates([objective], [key], point, box)[1][0])
+            meta = {**report.meta, "source": "search", "hess_max": hess_max}
+        reports.append(replace(report, meta=meta))
     return reports
 
 

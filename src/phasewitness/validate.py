@@ -402,7 +402,9 @@ def run_suites(
     selected = tuple(names) if names is not None else SUITE_NAMES
     unknown = [n for n in selected if n not in _SUITES]
     if unknown:
-        raise ValueError(f"unknown suite names: {unknown}")
+        raise ValueError(
+            f"unknown suite names: {unknown}; the suites are {', '.join(SUITE_NAMES)}"
+        )
     results = []
     for name in selected:
         start = time.perf_counter()

@@ -12,7 +12,9 @@ route over the closed-form fields lives in ``validate``, off the hot
 path.  Every objective also answers ``objective(x, grad=True)`` with the
 value and its analytic gradient over the raw 8-vector x, for the
 settings search, and ``objective()`` with its lift and closed-form
-constants, the key of the search's one curve solve.
+constants, the key of the search's one curve solve; from the keys,
+``_tmsv_hessians`` gives the analytic Hessians of many objectives at
+once, for the search's certificate.
 
 When the rescaled order parameter falls below -1 the plain functional
 stops being a witness, because the observable spectrum leaves [-1, 1].
@@ -322,6 +324,58 @@ def _tmsv_objective(
         )
 
     return evaluate
+
+
+def _gaussian_forms() -> tuple[np.ndarray, np.ndarray]:
+    """Forms D, S of B's six Gaussian exponents q = x (s_D D + s_S S) x / 2.
+
+    Terms in the order W(a1,b1), W(a1,b2), W(a2,b1), W(a2,b2), W1(a1),
+    W1(b1), over the raw 8-vector order of ``BellSettings.to_vector``.
+    D holds each term's |.|^2 parts (s_D = width for a pair, 1 for a
+    single mode) and S the pair's a_re b_re - a_im b_im part (s_S = sh2).
+    """
+    d, s = np.zeros((6, 8, 8)), np.zeros((6, 8, 8))
+    for t, modes in enumerate([(0, 2), (0, 3), (1, 2), (1, 3), (0,), (2,)]):
+        for m in modes:
+            d[t, 2 * m, 2 * m] = d[t, 2 * m + 1, 2 * m + 1] = 2.0
+        if len(modes) == 2:
+            a, b = 2 * modes[0], 2 * modes[1]
+            s[t, a, b] = s[t, b, a] = 1.0
+            s[t, a + 1, b + 1] = s[t, b + 1, a + 1] = -1.0
+    return d, s
+
+
+_FORM_D, _FORM_S = _gaussian_forms()
+
+
+@np.errstate(all="ignore")
+def _tmsv_hessians(constants, lifts, points) -> np.ndarray:
+    """Analytic 8 x 8 Hessians of B at raw 8-vectors, one row per objective.
+
+    ``constants`` is the (n, 9) array of curve-key constants (c2, c1, c0,
+    width, k2, e2, k1, e1, sh2), ``lifts`` the n lifts and ``points`` the
+    (n, 8) raw settings, ordered as ``BellSettings.to_vector``.  Each of
+    B's six Gaussian terms T = k exp(-e q), with q a quadratic form of the
+    lifted-down settings, contributes T (e^2 grad q grad q^T - e hess q),
+    and the frame factor 1/lift^2 carries the sum to raw coordinates.
+    Overflowing constants give non-finite rows silently.  Gives an
+    (n, 8, 8) array.
+    """
+    c2, c1, _, width, k2, e2, k1, e1, sh2 = np.asarray(constants, dtype=float).reshape(-1, 9).T
+    f = 1.0 / np.asarray(lifts, dtype=float)
+    x = np.asarray(points, dtype=float).reshape(-1, 8) * f[:, None]
+    one, zero = np.ones_like(f), np.zeros_like(f)
+    d_scale = np.stack([width, width, width, width, one, one], axis=1)
+    s_scale = np.stack([sh2, sh2, sh2, sh2, zero, zero], axis=1)
+    forms = d_scale[:, :, None, None] * _FORM_D + s_scale[:, :, None, None] * _FORM_S
+    grad_q = np.einsum("ntij,nj->nti", forms, x)
+    q = 0.5 * np.einsum("nti,ni->nt", grad_q, x)
+    e = np.stack([e2, e2, e2, e2, e1, e1], axis=1)
+    w2, w1 = c2 * k2, c1 * k1
+    terms = np.stack([w2, w2, w2, -w2, w1, w1], axis=1) * np.exp(-e * q)
+    hess = np.einsum("nt,nti,ntj->nij", terms * e * e, grad_q, grad_q)
+    hess -= np.einsum("nt,ntij->nij", terms * e, forms)
+    return hess * (f * f)[:, None, None]
 
 
 def detection_objective(

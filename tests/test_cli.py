@@ -7,6 +7,7 @@ import os
 import platform
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +15,7 @@ import pytest
 import scipy
 
 import phasewitness
+from phasewitness import cli
 from phasewitness.cli import (
     CSV_HEADER,
     EXIT_IO,
@@ -34,10 +36,16 @@ def run_cli(argv, capsys):
     return code, out.out, out.err
 
 
-#: Top-level packages that neither the CLI's import nor a sweep whose
-#: cells all certify may load: scipy (only a fallback search needs TNC's
-#: core) and the process-pool machinery.
-UNNEEDED = ("scipy", "concurrent", "multiprocessing")
+#: Modules, with their submodules, that neither the CLI's import nor a
+#: command whose cells all certify may load: scipy (only a fallback
+#: search needs TNC's core, and the manifest reads scipy's version from
+#: its file), the process-pool machinery, ``subprocess`` (which
+#: ``platform.platform()`` forks ``uname -p`` through),
+#: ``importlib.metadata`` and the self-check suites.
+UNNEEDED = (
+    "scipy", "concurrent", "multiprocessing", "subprocess", "importlib.metadata",
+    "phasewitness.validate",
+)
 
 
 def loaded_in_fresh_interpreter(code: str) -> list[str]:
@@ -45,7 +53,7 @@ def loaded_in_fresh_interpreter(code: str) -> list[str]:
     env = dict(os.environ, PYTHONPATH=str(Path(phasewitness.__file__).parents[1]))
     code += (
         "\nimport json, sys\nprint(json.dumps(sorted(m for m in sys.modules"
-        f" if m.split('.')[0] in {UNNEEDED!r})))"
+        f" if any(m == u or m.startswith(u + '.') for u in {UNNEEDED!r}))))"
     )
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True,
@@ -57,7 +65,7 @@ def loaded_in_fresh_interpreter(code: str) -> list[str]:
 def test_cli_import_leaves_out_scipy_stats():
     # scipy.stats costs most of the CLI start-up time and nothing needs
     # it; no other part of scipy is needed before a command runs either,
-    # and no sweep starts a process pool.
+    # no sweep starts a process pool, and only validate runs the suites.
     assert loaded_in_fresh_interpreter("import phasewitness.cli") == []
 
 
@@ -69,7 +77,9 @@ def test_certified_sweep_loads_neither_scipy_nor_a_pool(tmp_path):
         f"'--s', '-1:0:2', '--starts', '4', '--seed', '1', '--out', {str(out)!r}]) == 0"
     )
     assert loaded_in_fresh_interpreter(code) == []
-    assert json.loads((tmp_path / "map.csv.manifest.json").read_text())["cells"]["search"] == 0
+    manifest = json.loads((tmp_path / "map.csv.manifest.json").read_text())
+    assert manifest["cells"]["search"] == 0
+    assert manifest["environment"]["scipy"] == scipy.__version__
 
 
 def test_certified_eval_loads_no_scipy():
@@ -292,6 +302,27 @@ class TestEval:
 
 
 class TestSweep:
+    def test_wall_time_stops_when_the_sweep_returns(self, tmp_path, capsys, monkeypatch):
+        # The environment block is read after the clock stops: a slow one
+        # does not show in wall_time_s.
+        environment = cli._environment
+
+        def slow_environment():
+            time.sleep(1.0)
+            return environment()
+
+        monkeypatch.setattr(cli, "_environment", slow_environment)
+        out = tmp_path / "run.csv"
+        code, _, _ = run_cli(
+            ["sweep", "--mode", "eta-s", "--xi", "0.3", "--s", "-1:0:2",
+             "--eta", "0.5:1.0:2", "--out", str(out)],
+            capsys,
+        )
+        assert code == EXIT_OK
+        manifest = json.loads((tmp_path / "run.csv.manifest.json").read_text())
+        assert 0.0 < manifest["wall_time_s"] < 1.0
+        assert manifest["environment"] == environment()
+
     def test_csv_and_manifest(self, tmp_path, capsys):
         out = tmp_path / "run.csv"
         code, stdout, _ = run_cli(
@@ -423,6 +454,11 @@ class TestSweep:
 
 
 class TestValidateCommand:
+    def test_unknown_suite_is_a_usage_error(self, capsys):
+        code, _, err = run_cli(["validate", "--quick", "--suite", "bogus"], capsys)
+        assert code == EXIT_USAGE
+        assert "'bogus'" in err and "thermal_convolution" in err
+
     def test_selected_suites_pass(self, capsys):
         code, out, _ = run_cli(
             ["validate", "--quick", "--suite", "eigenvalue_bounds",

@@ -256,6 +256,13 @@ class TestPhotonDistribution:
         with pytest.raises(ValueError):
             PhotonDistribution(np.array([0.9, 0.1]), tail_bound=0.2)
 
+    @pytest.mark.parametrize("bound", [math.nan, math.inf, -math.inf])
+    def test_non_finite_tail_bound_is_rejected(self, bound):
+        # A NaN bound passed both comparisons, and w_from_distribution then
+        # skipped its tail check.
+        with pytest.raises(ValueError, match="tail_bound must be finite"):
+            PhotonDistribution(np.array([0.5, 0.3]), tail_bound=bound)
+
     def test_tail_accounting_and_immutability(self):
         p = PhotonDistribution(np.array([0.7, 0.2]), tail_bound=0.1)
         assert p.n_max == 1

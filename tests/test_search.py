@@ -37,6 +37,7 @@ from phasewitness.witness import (
     CLAMP_LOSS_CHANNEL,
     BellSettings,
     WitnessReport,
+    _tmsv_hessians,
     bell_value,
     detection_objective,
     thermal_objective,
@@ -366,33 +367,71 @@ class TestCurve:
         report = sweep_eta_s(spec, [0.5], [-0.8], FAST).cells[0].report
         assert report.meta["source"] == "curve"
         x = np.array(report.settings.to_vector())
-        grad_norm, hess_max = search._certificate(objective, x, FAST.box_radius)
-        assert (grad_norm, hess_max) == (report.meta["grad_norm"], report.meta["hess_max"])
-        assert grad_norm <= CERT_GRAD_NORM and hess_max < CERT_HESS_MAX
-        # B is constant along the gauge, so a turned optimum stays certified.
-        grad_norm, hess_max = search._certificate(
-            objective, gauge_rotated(x, 1e-3), FAST.box_radius
-        )
-        assert grad_norm <= CERT_GRAD_NORM and hess_max < CERT_HESS_MAX
         gauge = np.array(gauge_rotated(x, 1e-6)) - x
         rng = np.random.default_rng(4)
+        moved = []
         for direction in [np.eye(8)[0], np.eye(8)[5], rng.normal(size=8)]:
             direction = direction - gauge * (direction @ gauge) / (gauge @ gauge)
-            moved = x + 1e-3 * direction / np.linalg.norm(direction)
-            grad_norm, _ = search._certificate(objective, moved, FAST.box_radius)
-            assert grad_norm > CERT_GRAD_NORM
+            moved.append(x + 1e-3 * direction / np.linalg.norm(direction))
+        # One batch: the optimum, the optimum turned along the gauge, and
+        # the optimum moved off it in three directions.
+        points = [x, gauge_rotated(x, 1e-3), *moved]
+        grad_norms, hess_maxes = search._certificates(
+            [objective] * len(points), [objective()] * len(points), points, FAST.box_radius
+        )
+        assert (grad_norms[0], hess_maxes[0]) == (report.meta["grad_norm"], report.meta["hess_max"])
+        assert grad_norms[0] <= CERT_GRAD_NORM and hess_maxes[0] < CERT_HESS_MAX
+        # B is constant along the gauge, so a turned optimum stays certified.
+        assert grad_norms[1] <= CERT_GRAD_NORM and hess_maxes[1] < CERT_HESS_MAX
+        assert all(grad_norm > CERT_GRAD_NORM for grad_norm in grad_norms[2:])
 
     def test_certificate_next_to_the_origin(self):
         # A curve row can converge to within 1e-303 of the origin.  Its
         # gauge direction must not underflow, and as the Hessian there
         # commutes with the gauge, its eigenspaces are even-dimensional and
-        # dropping one direction leaves the largest eigenvalue unchanged.
+        # dropping one direction leaves the largest eigenvalue unchanged:
+        # the origin, which has no gauge direction, drops the first axis.
         objective = detection_objective(TmsvSpec(0.3), -0.6, DetectionNoise(0.3))
-        at_origin = search._certificate(objective, (0.0,) * 8, FAST.box_radius)
         tiny = family_point(-3.6e-304, -2.9e-303, -1.0)
-        grad_norm, hess_max = search._certificate(objective, tiny, FAST.box_radius)
-        assert grad_norm <= 1e-300
-        assert hess_max == pytest.approx(at_origin[1], rel=1e-12)
+        grad_norms, hess_maxes = search._certificates(
+            [objective] * 2, [objective()] * 2, [(0.0,) * 8, tiny], FAST.box_radius
+        )
+        assert grad_norms[1] <= 1e-300
+        assert hess_maxes[1] == pytest.approx(hess_maxes[0], rel=1e-12)
+        # The full 8 x 8 spectrum at the origin has the same top eigenvalue.
+        lift, constants = objective()
+        hess = _tmsv_hessians([constants], [lift], [(0.0,) * 8])[0]
+        sign = np.sign(objective((0.0,) * 8, grad=True)[0])
+        assert hess_maxes[0] == pytest.approx(np.linalg.eigvalsh(sign * hess)[-1], rel=1e-12)
+
+    def test_non_finite_hessian_certifies_nothing(self, monkeypatch):
+        # eigvalsh of a NaN matrix returns finite numbers, so the
+        # certificate itself must turn a non-finite Hessian into NaN.
+        objective = detection_objective(TmsvSpec(0.3), -0.8, DetectionNoise(0.5))
+        point = sweep_eta_s(TmsvSpec(0.3), [0.5], [-0.8], FAST).cells[0].report.settings
+        monkeypatch.setattr(
+            search, "_tmsv_hessians", lambda c, lifts, p: np.full((len(p), 8, 8), np.nan)
+        )
+        _, hess_max = search._certificates(
+            [objective], [objective()], [point.to_vector()], FAST.box_radius
+        )
+        assert math.isnan(hess_max[0])
+
+    def test_one_row_certificate_is_the_batch_row(self):
+        # A fallback cell certifies its search point alone; its numbers are
+        # those of the same point inside a batch.
+        spec = TmsvSpec(0.3)
+        objectives = [
+            detection_objective(spec, -0.8, DetectionNoise(0.5)),
+            thermal_objective(spec, -0.2, ThermalNoise(0.6, 1.0)),
+            detection_objective(spec, -0.5, DetectionNoise(0.4), CLAMP_LOSS_CHANNEL),
+        ]
+        keys = [objective() for objective in objectives]
+        points = np.random.default_rng(7).uniform(-1.0, 1.0, (3, 8))
+        batch = search._certificates(objectives, keys, points, FAST.box_radius)
+        for i, objective in enumerate(objectives):
+            alone = search._certificates([objective], [keys[i]], [points[i]], FAST.box_radius)
+            assert (alone[0][0], alone[1][0]) == (batch[0][i], batch[1][i])
 
     @pytest.mark.parametrize("xi, box", [(0.3, 0.05), (0.0, 2.0)])
     def test_uncertified_cells_run_maximize_bell(self, xi, box):

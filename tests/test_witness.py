@@ -18,6 +18,7 @@ from phasewitness.witness import (
     CLAMP_LOSS_CHANNEL,
     BellSettings,
     WitnessReport,
+    _tmsv_hessians,
     bell_value,
     bounded_eigenvalue,
     detection_objective,
@@ -489,17 +490,18 @@ def _build(noise):
     return detection_objective if isinstance(noise, DetectionNoise) else thermal_objective
 
 
+#: Every clamp rule over every gradient cell, but loss-channel clamping
+#: needs a cold environment.
+RULE_CELLS = [
+    (mode, noise, s)
+    for mode in (CLAMP_BOUNDED, CLAMP_FROZEN, CLAMP_LOSS_CHANNEL)
+    for noise, s in GRADIENT_CELLS
+    if not (mode == CLAMP_LOSS_CHANNEL and getattr(noise, "nbar", 0.0) > 0.0)
+]
+
+
 class TestGradient:
-    @pytest.mark.parametrize(
-        "mode, noise, s",
-        [
-            (mode, noise, s)
-            for mode in (CLAMP_BOUNDED, CLAMP_FROZEN, CLAMP_LOSS_CHANNEL)
-            for noise, s in GRADIENT_CELLS
-            # Loss-channel clamping needs a cold environment.
-            if not (mode == CLAMP_LOSS_CHANNEL and getattr(noise, "nbar", 0.0) > 0.0)
-        ],
-    )
+    @pytest.mark.parametrize("mode, noise, s", RULE_CELLS)
     def test_matches_report_path_and_central_differences(self, mode, noise, s):
         objective = _build(noise)(TmsvSpec(0.3), s, noise, mode)
 
@@ -525,3 +527,37 @@ class TestGradient:
         for noise, s in GRADIENT_CELLS:
             clamped.append(_build(noise)(spec, s, noise)(SETTINGS).clamped)
         assert clamped == [False, True, False, True, True]
+
+
+class TestHessian:
+    """The batched analytic Hessian against the scalar analytic gradient."""
+
+    @pytest.mark.parametrize("mode, noise, s", RULE_CELLS)
+    def test_matches_central_differences_of_the_gradient(self, mode, noise, s):
+        objective = _build(noise)(TmsvSpec(0.3), s, noise, mode)
+        lift, constants = objective()
+        rng = np.random.default_rng(5)
+        points = rng.uniform(-1.0, 1.0, (6, 8))
+        hessians = _tmsv_hessians([constants] * len(points), [lift] * len(points), points)
+        h = 1e-5
+        for x, hess in zip(points, hessians):
+            steps = h * np.eye(8)
+            central = np.array(
+                [
+                    np.subtract(objective(x + d, grad=True)[1], objective(x - d, grad=True)[1])
+                    for d in steps
+                ]
+            ) / (2.0 * h)
+            assert np.abs(hess - central).max() <= 1e-6 * np.abs(hess).max()
+
+    def test_cells_cover_the_loss_channel_lift(self):
+        # Clamped loss-channel cells read the state at the lift sqrt(g),
+        # g = eta or t^2, not at the noise's own lift (1 or t).
+        spec = TmsvSpec(0.3)
+        lifts = {
+            (type(noise).__name__, s): _build(noise)(spec, s, noise, CLAMP_LOSS_CHANNEL)()[0]
+            for noise, s in GRADIENT_CELLS[:4]
+        }
+        assert lifts[("DetectionNoise", -0.4)] == math.sqrt(0.3)
+        assert lifts[("ThermalNoise", 0.0)] == math.sqrt(1.0 - 0.8 * 0.8)
+        assert lifts[("DetectionNoise", 0.0)] == 1.0
