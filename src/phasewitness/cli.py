@@ -22,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from . import __version__
+from . import __version__, search
 from .noise import DetectionNoise, ThermalNoise
 from .search import (
     SearchConfig,
@@ -315,6 +315,13 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             "curve": sources.count("curve"),
             "search": sources.count("search"),
             "max_grad_norm": max(c.report.meta["grad_norm"] for c in result.cells),
+        },
+        # Read at run time, so the manifest names what this sweep ran with.
+        "curve_solve": {
+            "seeds": search._CURVE_SEEDS.tolist(),
+            "iterations": search._CURVE_ITERATIONS,
+            "cert_grad_norm": search.CERT_GRAD_NORM,
+            "cert_hess_max": search.CERT_HESS_MAX,
         },
         "checks": checks,
     }

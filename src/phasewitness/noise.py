@@ -107,43 +107,65 @@ def bernoulli_detect(p: PhotonDistribution, noise: DetectionNoise) -> PhotonDist
     row n plus eta times row n shifted up by one count, and the output
     accumulates p[n] times row n.
     """
-    eta = noise.eta
-    if eta == 1.0:
-        return p
-    q = 1.0 - eta
-    row = np.zeros(p.probs.size)
-    row[0] = 1.0
-    out = np.zeros(p.probs.size)
-    for pn in p.probs:
-        out += pn * row
-        row[1:] = q * row[1:] + eta * row[:-1]
-        row[0] *= q
-    tail = max(0.0, 1.0 - float(out.sum()))
-    return PhotonDistribution(out, tail_bound=tail)
+    return _thin([(p, noise)])[0]
 
 
-def _loss_routes(p: PhotonDistribution, orders, noise: DetectionNoise, tol: float) -> list:
-    """The two loss routes at each order in ``orders``, on either branch.
+def _thin(pairs) -> list[PhotonDistribution]:
+    """``bernoulli_detect`` of every (distribution, noise) pair in one Pascal sweep.
 
-    For each order s, the series over the Bernoulli-thinned distribution
-    at s, and the series over p at the rescaled order divided by eta; p
-    is thinned once for all orders.  Each series converges to a quarter
-    of tol, so their truncation stays inside tol.
+    A pair at eta = 1 gives its distribution itself.  The others, which
+    must share one length N, are swept together over (k, N) arrays, one
+    row per pair at the pair's own eta.  Every operation is elementwise,
+    so a row's bits do not depend on the other rows: a pair thinned among
+    others gives what ``bernoulli_detect`` gives for it alone.
     """
-    thinned = bernoulli_detect(p, noise)
+    thinned = [p for p, _ in pairs]
+    lossy = [i for i, (_, noise) in enumerate(pairs) if noise.eta != 1.0]
+    if not lossy:
+        return thinned
+    probs = np.stack([pairs[i][0].probs for i in lossy])
+    eta = np.array([[pairs[i][1].eta] for i in lossy])
+    q = 1.0 - eta
+    row = np.zeros(probs.shape)
+    row[:, 0] = 1.0
+    out = np.zeros(probs.shape)
+    for pn in probs.T[:, :, None]:
+        out += pn * row
+        # Row n+1 is q times row n plus eta times row n shifted up one count.
+        shifted = eta * row[:, :-1]
+        row *= q
+        row[:, 1:] += shifted
+    tails = np.maximum(0.0, 1.0 - out.sum(axis=1))
+    for i, probs_i, tail in zip(lossy, out, tails):
+        thinned[i] = PhotonDistribution(probs_i, tail_bound=tail)
+    return thinned
+
+
+def _loss_routes(pairs, orders, tol: float) -> list[list]:
+    """The two loss routes at each order in ``orders``, per (p, noise) pair.
+
+    For each pair and each order s, on either branch: the series over the
+    Bernoulli-thinned distribution at s, and the series over p at the
+    rescaled order divided by eta.  One ``_thin`` call thins every pair.
+    Each series converges to a quarter of tol, so their truncation stays
+    inside tol.
+    """
     return [
-        (
-            w_from_distribution(thinned, s, tol=0.25 * tol),
-            w_from_distribution(p, rescale_detection(s, noise), tol=0.25 * tol * noise.eta)
-            / noise.eta,
-        )
-        for s in orders
+        [
+            (
+                w_from_distribution(thinned, s, tol=0.25 * tol),
+                w_from_distribution(p, rescale_detection(s, noise), tol=0.25 * tol * noise.eta)
+                / noise.eta,
+            )
+            for s in orders
+        ]
+        for (p, noise), thinned in zip(pairs, _thin(pairs))
     ]
 
 
 def _agreed_loss(p: PhotonDistribution, s, noise: DetectionNoise, tol: float):
     """The thinned route's value, once the rescaled route agrees within tol."""
-    ((thinned, rescaled),) = _loss_routes(p, (s,), noise, tol)
+    ((thinned, rescaled),) = _loss_routes([(p, noise)], (s,), tol)[0]
     if abs(thinned - rescaled) > tol:
         raise ConsistencyError(
             f"loss routes disagree: thinned {thinned!r} vs rescaled {rescaled!r} "

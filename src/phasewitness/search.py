@@ -283,8 +283,13 @@ class SweepResult:
 #: Hessian of |B|, gauge direction projected out, is below CERT_HESS_MAX.
 CERT_GRAD_NORM = 1e-9
 CERT_HESS_MAX = -1e-6
-#: Seed grid per axis and fixed iteration count of the curve solve.
-_CURVE_SEEDS = np.linspace(-1.0, 1.0, 5)
+#: Seeds (x, y) of the curve solve: the first 13 points of the 5 x 5 grid
+#: on [-1, 1]^2 in row-major order, those with x < 0, or x = 0 and y <= 0.
+#: Every step of the solve commutes with (x, y) -> (-x, -y), so each
+#: other grid point would retrace its mirror's path negated, with the
+#: same |B| at a later index, which the solve's argmax never picks.
+_CURVE_SEEDS = np.array(list(itertools.product(np.linspace(-1.0, 1.0, 5), repeat=2)))[:13]
+#: Fixed iteration count of the curve solve.
 _CURVE_ITERATIONS = 25
 #: Curve keys per curve solve call; it bounds the solve's arrays (100 rows
 #: per key) whatever the grid size, and does not change any row's bits.
@@ -337,28 +342,28 @@ def _solve_curve(keys: np.ndarray, box: float) -> np.ndarray:
     ``keys`` is an (n, 9) array of the constants (c2, c1, c0, width, k2,
     e2, k1, e1, sh2) of objectives' curve keys, and x, y are read in the
     frame of those constants.  One numpy program over every row (key,
-    sigma, sign of B, seed) ascends f = sign B from each seed of a 5 x 5
-    grid by regularized Newton steps (Ueda & Yamashita, Appl. Math. Optim.
-    62, 27 (2010)): the 2 x 2 Hessian of f is shifted down by its largest
-    eigenvalue, if positive, plus the gradient norm, which keeps every
-    step an ascent direction of length at most 1 that tends to the Newton
-    step as the gradient vanishes at a maximum.  Each iterate is clipped
-    to the box, and a step is kept only where it does not lower f beyond
-    rounding.  Every row runs elementwise and for a fixed number of
+    sigma, sign of B, seed) ascends f = sign B from each of the 13
+    ``_CURVE_SEEDS`` by regularized Newton steps (Ueda & Yamashita, Appl.
+    Math. Optim. 62, 27 (2010)): the 2 x 2 Hessian of f is shifted down
+    by its largest eigenvalue, if positive, plus the gradient norm, which
+    keeps every step an ascent direction of length at most 1 that tends
+    to the Newton step as the gradient vanishes at a maximum.  Each
+    iterate is clipped to the box, and a step is kept only where it does
+    not lower f beyond rounding.  Every row runs elementwise and for a fixed number of
     iterations, so the result for one key does not depend on the other
     rows of ``keys``.  Overflowing constants give NaN rows silently; the
     cell's own objective then names the overflow.  Gives the row of
     largest |B| per key, as an (n, 3) array.
     """
     n = len(keys)
-    shape = (n, 2, 2, _CURVE_SEEDS.size**2)
+    shape = (n, 2, 2, len(_CURVE_SEEDS))
     constants = keys.T.reshape(9, n, 1, 1, 1)
     sigma = np.array([1.0, -1.0]).reshape(1, 2, 1, 1)
     terms = [np.broadcast_to(t, shape).copy() for t in _family_constants(constants, sigma)]
     sign = np.broadcast_to(np.array([1.0, -1.0]).reshape(1, 1, 2, 1), shape)
     seeds = np.clip(_CURVE_SEEDS, -box, box)
-    x = np.broadcast_to(np.repeat(seeds, seeds.size), shape)
-    y = np.broadcast_to(np.tile(seeds, seeds.size), shape)
+    x = np.broadcast_to(seeds[:, 0], shape)
+    y = np.broadcast_to(seeds[:, 1], shape)
     state = _family(terms, x, y)
     for _ in range(_CURVE_ITERATIONS):
         value, gx, gy, hxx, hxy, hyy = state

@@ -24,7 +24,6 @@ from . import qp_core, states, witness
 from .noise import DetectionNoise, ThermalNoise
 from .qp_core import OrderParam
 from .states import SingleModeTestState
-from .witness import BellSettings
 
 __all__ = ["SuiteResult", "SUITE_NAMES", "run_suites", "format_report"]
 
@@ -92,16 +91,20 @@ def _series_reconstruction(quick: bool) -> Residuals:
 
 
 def _loss_rescale_identity(quick: bool) -> Residuals:
-    """Thinned-series route against the rescaled-order route."""
+    """Thinned-series route against the rescaled-order route.
+
+    Every (state, eta) pair is thinned in the one Pascal sweep of
+    ``noise._loss_routes``.
+    """
     tol = 1e-8
-    residuals = []
     etas = (0.3, 0.8) if quick else _ETA_GRID
-    for state in _test_states(quick):
-        p = states.photon_distribution(state, 0.3 - 0.2j, _N_MAX)
-        for eta in etas:
-            routes = noise_mod._loss_routes(p, _S_GRID, DetectionNoise(eta), tol)
-            residuals.extend(abs(thinned - rescaled) for thinned, rescaled in routes)
-    return tol, residuals
+    pairs = [
+        (states.photon_distribution(state, 0.3 - 0.2j, _N_MAX), DetectionNoise(eta))
+        for state in _test_states(quick)
+        for eta in etas
+    ]
+    routes = noise_mod._loss_routes(pairs, _S_GRID, tol)
+    return tol, [abs(thinned - rescaled) for pair in routes for thinned, rescaled in pair]
 
 
 def _smoothing_semigroup(quick: bool) -> Residuals:
@@ -240,10 +243,12 @@ def _witness_form_equivalence(quick: bool) -> Residuals:
     objective at eta = 1 - r^2.
 
     Each probe draws its settings as one (n, 8) array.  The objective
-    runs once per row; the field route runs once over the array, so its
-    fields use ``np.exp`` where the objective uses ``math.exp``, and the
-    two may differ in the last bits (at most about 1e-15), far inside
-    the tolerance.
+    reads each row as a raw 8-vector, ``objective(row, grad=True)[0]``,
+    which is the report's value bit for bit without building settings or
+    a report.  The field route runs once over the array, so its fields
+    use ``np.exp`` where the objective uses ``math.exp``, and the two may
+    differ in the last bits (at most about 1e-15), far inside the
+    tolerance.
     """
     tol = 1e-12
     rng = np.random.default_rng(12345)
@@ -253,7 +258,7 @@ def _witness_form_equivalence(quick: bool) -> Residuals:
 
     def probe(objective, route) -> None:
         x = rng.uniform(-2.0, 2.0, (n_settings, 8))
-        values = [objective(BellSettings.from_vector(row)).bell_value for row in x]
+        values = [objective(row, grad=True)[0] for row in x.tolist()]
         residuals.extend(np.abs(np.array(values) - route(x)))
 
     detection_cells = (
@@ -302,7 +307,7 @@ def _witness_form_equivalence(quick: bool) -> Residuals:
             frame = 1.0 if loss_frame else 1.0 / noise.t
 
             def route(x, _det=det, _frame=frame):
-                return [_det(BellSettings.from_vector(row * _frame)).bell_value for row in x]
+                return [_det(row, grad=True)[0] for row in (x * _frame).tolist()]
 
             probe(obj, route)
     return tol, residuals
@@ -364,9 +369,9 @@ def _multi_outcome_rescale(quick: bool) -> Residuals:
     etas = (0.3, 1.0) if quick else (0.3, 0.7, 1.0)
     p = states.photon_distribution(SingleModeTestState.thermal(0.6), 0.4, _N_MAX)
     orders = [OrderParam(d) for d in (2, 3, 4, 5)]
-    for eta in etas:
-        noise = DetectionNoise(eta)
-        routes = noise_mod._loss_routes(p, orders, noise, 1e-8)
+    noises = [DetectionNoise(eta) for eta in etas]
+    all_routes = noise_mod._loss_routes([(p, noise) for noise in noises], orders, 1e-8)
+    for eta, noise, routes in zip(etas, noises, all_routes):
         for s_d, (thinned, closed) in zip(orders, routes):
             rescaled = noise_mod.rescale_detection(s_d, noise)
             residuals.append(abs(rescaled.ratio - (1.0 - eta + eta * s_d.ratio)))

@@ -15,7 +15,7 @@ import pytest
 import scipy
 
 import phasewitness
-from phasewitness import cli
+from phasewitness import cli, search
 from phasewitness.cli import (
     CSV_HEADER,
     EXIT_IO,
@@ -370,6 +370,31 @@ class TestSweep:
             "scipy": scipy.__version__,
             "platform": platform.platform(),
         }
+
+    def test_manifest_records_the_curve_solve(self, tmp_path, capsys, monkeypatch):
+        # The curve_solve block reads search's constants when the sweep
+        # runs: the full 5 x 5 seed grid is recorded as such, and writes
+        # the same CSV as the 13 seeds.
+        argv = ["sweep", "--mode", "eta-s", "--xi", "0.3", "--s", "-1:0:3",
+                "--eta", "0.5:1.0:3", "--starts", "2"]
+        axis = (-1.0, -0.5, 0.0, 0.5, 1.0)
+        grid = np.array([(x, y) for x in axis for y in axis])
+        outputs = []
+        for seeds in (search._CURVE_SEEDS, grid):
+            monkeypatch.setattr(search, "_CURVE_SEEDS", seeds)
+            out = tmp_path / f"run{len(seeds)}.csv"
+            code, _, _ = run_cli([*argv, "--out", str(out)], capsys)
+            assert code == EXIT_OK
+            manifest = json.loads(Path(f"{out}.manifest.json").read_text())
+            assert manifest["curve_solve"] == {
+                "seeds": seeds.tolist(),
+                "iterations": 25,
+                "cert_grad_norm": 1e-9,
+                "cert_hess_max": -1e-6,
+            }
+            outputs.append(out.read_bytes())
+        assert len(manifest["curve_solve"]["seeds"]) == 25
+        assert outputs[0] == outputs[1]
 
     def test_thermal_mode_fills_nbar_column(self, tmp_path, capsys):
         out = tmp_path / "thermal.csv"

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import oracles as orc
+from phasewitness import noise as noise_mod
 from phasewitness.noise import (
     DetectionNoise,
     ThermalNoise,
@@ -122,6 +123,30 @@ class TestBernoulliDetect:
         thinned = bernoulli_detect(p, DetectionNoise(0.45))
         assert thinned.probs.sum() == pytest.approx(p.probs.sum(), abs=1e-13)
         assert thinned.tail_bound <= p.tail_bound + 1e-13
+
+    def test_stacked_rows_are_the_one_pair_rows(self):
+        # The validate suites thin many (distribution, eta) pairs in one
+        # sweep; each row must keep the bits it has when thinned alone,
+        # and eta = 1 must give the distribution itself.
+        test_states = [
+            SingleModeTestState.vacuum(),
+            SingleModeTestState.coherent(-1.6),
+            SingleModeTestState.thermal(2.0),
+            SingleModeTestState.fock(3),
+        ]
+        pairs = [
+            (photon_distribution(state, point, 160), DetectionNoise(eta))
+            for state in test_states
+            for point in (0.0, 0.3 - 0.2j)
+            for eta in (0.3, 0.8, 1.0, 0.999)
+        ]
+        stacked = noise_mod._thin(pairs)
+        assert len(stacked) == len(pairs)
+        for (p, noise), row in zip(pairs, stacked):
+            alone = bernoulli_detect(p, noise)
+            assert row.probs.tobytes() == alone.probs.tobytes()
+            assert row.tail_bound.hex() == alone.tail_bound.hex()
+            assert (row is p) == (alone is p) == (noise.eta == 1.0)
 
 
 class TestLossyW:

@@ -361,6 +361,28 @@ class TestCurve:
                     assert [hxx, hxy] == pytest.approx(d_x, abs=1e-7)
                     assert [hxy, hyy] == pytest.approx(d_y, abs=1e-7)
 
+    def test_half_seed_set_gives_the_full_grid_rows(self, monkeypatch):
+        # Every step of the solve commutes with (x, y) -> (-x, -y), and the
+        # argmax takes the first of equal |B|, so the 12 mirrored seeds of
+        # the 5 x 5 grid change no row's bits.
+        keys = []
+        for xi in (0.3, 1.0, 1.5):
+            spec = TmsvSpec(xi)
+            for eta, s in itertools.product((0.3, 0.6, 1.0), (-1.0, -0.4, 0.0)):
+                keys.append(detection_objective(spec, s, DetectionNoise(eta))()[1])
+                keys.append(detection_objective(spec, s, DetectionNoise(eta), CLAMP_FROZEN)()[1])
+            for r, nbar, s in itertools.product((0.2, 0.6, 0.9), (0.0, 1.0), (-0.5, 0.0)):
+                keys.append(thermal_objective(spec, s, ThermalNoise(r, nbar))()[1])
+        keys = np.array(keys)
+        axis = np.linspace(-1.0, 1.0, 5)
+        grid = np.array([(x, y) for x in axis for y in axis])
+        assert search._CURVE_SEEDS.tobytes() == grid[:13].tobytes()
+        boxes = (2.0, 0.7, 0.05)
+        half = [search._solve_curve(keys, box) for box in boxes]
+        monkeypatch.setattr(search, "_CURVE_SEEDS", grid)
+        for box, rows in zip(boxes, half):
+            assert rows.tobytes() == search._solve_curve(keys, box).tobytes()
+
     def test_moved_point_fails_its_certificate(self):
         spec = TmsvSpec(0.3)
         objective = detection_objective(spec, -0.8, DetectionNoise(0.5))

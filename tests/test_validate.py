@@ -214,6 +214,31 @@ class TestCorruptionIsCaught:
         assert not results[0].passed, results[0].line()
         assert results[0].worst > 1e-4
 
+    @pytest.mark.parametrize("quick", [True, False], ids=["quick", "full"])
+    @pytest.mark.parametrize("suite", ["loss_rescale_identity", "multi_outcome_rescale"])
+    def test_thinning_that_loses_mass_is_detected(self, monkeypatch, suite, quick):
+        # Each thinned row moves 1e-6 of its mass into its tail bound, so
+        # it stays a valid distribution; only the thinned route uses it.
+        # Both suites read the thinned series on the unit circle (s = 0,
+        # every d-outcome order), where that tail cannot meet the series
+        # tolerance, so the suite raises and fails.
+        from phasewitness import noise
+        from phasewitness.qp_core import PhotonDistribution
+
+        real = noise._thin
+
+        def leaky(pairs):
+            return [
+                PhotonDistribution(
+                    row.probs * (1.0 - 1e-6), tail_bound=row.tail_bound + 1e-6 * row.probs.sum()
+                )
+                for row in real(pairs)
+            ]
+
+        monkeypatch.setattr(noise, "_thin", leaky)
+        (result,) = run_suites(quick=quick, names=[suite])
+        assert not result.passed, result.line()
+
     def test_skewed_analytic_route_is_detected(self, monkeypatch):
         from phasewitness import states
 
@@ -225,3 +250,44 @@ class TestCorruptionIsCaught:
         results = run_suites(quick=True, names=["series_reconstruction"])
         assert not results[0].passed
         assert results[0].worst == pytest.approx(1e-4, rel=1e-3)
+
+
+class TestStackedRoutes:
+    """Structural guards, not timings: the suites run as array programs."""
+
+    def test_witness_form_equivalence_builds_no_settings(self, monkeypatch):
+        # The builder objectives read raw 8-vectors, so a full run builds
+        # no BellSettings; the last two lines show the count is live.
+        from phasewitness import witness
+
+        real = witness.BellSettings.__post_init__
+        built = []
+
+        def counted(self):
+            built.append(1)
+            real(self)
+
+        monkeypatch.setattr(witness.BellSettings, "__post_init__", counted)
+        (result,) = run_suites(quick=False, names=["witness_form_equivalence"])
+        assert result.passed, result.line()
+        assert built == []
+        witness.BellSettings(0, 0, 0, 0)
+        assert built == [1]
+
+    @pytest.mark.parametrize(
+        "suite, n_pairs", [("loss_rescale_identity", 28), ("multi_outcome_rescale", 3)]
+    )
+    def test_each_loss_suite_thins_in_one_sweep(self, monkeypatch, suite, n_pairs):
+        from phasewitness import noise
+
+        real = noise._thin
+        calls = []
+
+        def counted(pairs):
+            calls.append(len(pairs))
+            return real(pairs)
+
+        monkeypatch.setattr(noise, "_thin", counted)
+        (result,) = run_suites(quick=False, names=[suite])
+        assert result.passed, result.line()
+        assert calls == [n_pairs]
