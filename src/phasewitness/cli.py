@@ -127,9 +127,15 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
+    # A search flag left out is None, so SearchConfig's default applies.
+    shared = argparse.ArgumentParser(add_help=False)
+    defaults = SearchConfig()
+    shared.add_argument("--xi", type=float, required=True, help="squeezing parameter")
+    shared.add_argument("--starts", type=int, help=f"random starts (default {defaults.n_starts})")
+    shared.add_argument("--seed", type=int, help=f"start seed (default {defaults.seed})")
+    shared.add_argument("--box", type=float, help=f"box radius (default {defaults.box_radius})")
 
-    ev = sub.add_parser("eval", help="evaluate the witness once, print JSON")
-    ev.add_argument("--xi", type=float, required=True, help="squeezing parameter")
+    ev = sub.add_parser("eval", parents=[shared], help="evaluate the witness once, print JSON")
     ev.add_argument("--s", type=float, required=True, help="base order parameter in [-1, 0]")
     ev.add_argument("--noise", default="none", choices=["none", "detection", "thermal"])
     ev.add_argument("--eta", type=float, help="detection efficiency (detection noise)")
@@ -138,21 +144,14 @@ def _build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--clamp", default=CLAMP_BOUNDED, choices=list(CLAMP_MODES))
     ev.add_argument("--settings", help="a1,a2,b1,b2 as complex literals")
     ev.add_argument("--optimize", action="store_true", help="maximize over settings")
-    ev.add_argument("--starts", type=int, help="random starts (with --optimize; default 16)")
-    ev.add_argument("--seed", type=int, help="start seed (with --optimize; default 0)")
-    ev.add_argument("--box", type=float, help="box radius (with --optimize; default 2.0)")
 
-    sw = sub.add_parser("sweep", help="optimize over a parameter grid, write CSV")
+    sw = sub.add_parser("sweep", parents=[shared], help="optimize over a parameter grid, write CSV")
     sw.add_argument("--mode", required=True, choices=[MODE_ETA_S, MODE_THERMAL])
-    sw.add_argument("--xi", type=float, required=True)
     sw.add_argument("--s", required=True, help="grid lo:hi:count or single value")
     sw.add_argument("--eta", help="eta grid (eta-s mode)")
     sw.add_argument("--r", help="r grid (thermal mode)")
     sw.add_argument("--nbar-list", help="comma-separated occupations (default 0)")
     sw.add_argument("--out", required=True, help="CSV output path")
-    sw.add_argument("--seed", type=int, default=0)
-    sw.add_argument("--starts", type=int, default=16)
-    sw.add_argument("--box", type=float, default=2.0)
 
     va = sub.add_parser("validate", help="run the self-check suites")
     va.add_argument(
@@ -185,9 +184,14 @@ def _check_noise_flags(args: argparse.Namespace, option: str, choice: str) -> No
         raise UsageError(f"{option} {choice} does not read {', '.join(given)}")
 
 
-#: The search flags of eval and the ``SearchConfig`` fields they set;
-#: only --optimize reads them, and one it does not set keeps its default.
+#: The search flags and the ``SearchConfig`` fields they set.
 _SEARCH_FLAGS = {"starts": "n_starts", "box": "box_radius", "seed": "seed"}
+
+
+def _search_config(args: argparse.Namespace) -> SearchConfig:
+    """``SearchConfig`` from the search flags given; the others keep its defaults."""
+    given = {field: getattr(args, flag) for flag, field in _SEARCH_FLAGS.items()}
+    return SearchConfig(**{field: v for field, v in given.items() if v is not None})
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
@@ -205,8 +209,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
         noise = DetectionNoise(1.0 if args.eta is None else args.eta)
         objective = detection_objective(spec, args.s, noise, clamp_mode=args.clamp)
     if args.optimize:
-        config = SearchConfig(**{_SEARCH_FLAGS[f]: getattr(args, f) for f in given})
-        report = optimize_cells([objective], config)[0]
+        report = optimize_cells([objective], _search_config(args))[0]
     else:
         report = objective(_parse_settings(args.settings))
     print(json.dumps(_report_json(report), indent=2))
@@ -264,7 +267,7 @@ def _environment() -> dict[str, str]:
 def _cmd_sweep(args: argparse.Namespace) -> int:
     _check_noise_flags(args, "--mode", args.mode)
     spec = TmsvSpec(args.xi)
-    config = SearchConfig(n_starts=args.starts, box_radius=args.box, seed=args.seed)
+    config = _search_config(args)
     s_grid = _parse_grid(args.s, "--s")
     started = time.perf_counter()
     params: dict[str, object] = {

@@ -408,7 +408,6 @@ def beamsplitter_convolve(
     w_a: FieldEvaluator,
     w_b: FieldEvaluator,
     r: float,
-    t: float,
     alpha,
     width: float,
     quad_tol: float = 1e-8,
@@ -416,10 +415,10 @@ def beamsplitter_convolve(
     """Output-mode quasiprobability after mixing two fields on a beam splitter.
 
     Evaluates (1/t^2) * integral d^2 beta W_a(beta) W_b((alpha - r beta)/t)
-    for reflectivity/transmissivity with r^2 + t^2 = 1, at one finite
-    point (giving a float) or an array of them (giving that shape).  The
-    law holds at any order parameter, provided both fields are supplied
-    at the same one.
+    for reflectivity r in [0, 1) and t = sqrt(1 - r^2) (``ThermalNoise.t``'s
+    expression), at one finite point (giving a float) or an array of them
+    (giving that shape).  The law holds at any order parameter, provided
+    both fields are supplied at the same one.
 
     ``width`` is the Gaussian width of the environment field W_a, as in
     (2/(pi*width)) exp(-2|beta|^2/width) for a thermal environment.  In
@@ -433,14 +432,10 @@ def beamsplitter_convolve(
     targets x nodes.
     """
     r = float(r)
-    t = float(t)
     width = float(width)
-    if not (0.0 <= r <= 1.0 and 0.0 <= t <= 1.0):
-        raise ValueError("r and t must lie in [0, 1]")
-    if abs(r * r + t * t - 1.0) > 1e-12:
-        raise ValueError("beam splitter must satisfy r^2 + t^2 = 1")
-    if t <= 0.0:
-        raise ValueError("transmissivity t must be positive")
+    if not 0.0 <= r < 1.0:
+        raise ValueError(f"reflectivity r must lie in [0, 1), got {r}")
+    t = math.sqrt(1.0 - r * r)
     _positive(width, "environment width")
     _positive(quad_tol, "quad_tol")
 

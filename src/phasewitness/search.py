@@ -50,6 +50,8 @@ from .states import TmsvSpec
 from .witness import (
     BellSettings,
     WitnessReport,
+    _family,
+    _family_constants,
     _tmsv_hessians,
     detection_objective,
     thermal_objective,
@@ -298,51 +300,14 @@ _CURVE_BLOCK = 128
 _GAUGE_SIGNS = np.array([[-1.0, 1.0], [-1.0, 1.0], [1.0, -1.0], [1.0, -1.0]])
 
 
-def _family_constants(constants, sigma):
-    """Per-row constants of ``_family`` from (c2, c1, c0, width, k2, e2, k1, e1, sh2) and sigma."""
-    c2, c1, c0, width, k2, e2, k1, e1, sh2 = constants
-    ew, m = e2 * width, e2 * sigma * sh2
-    return c2 * k2, ew, m, 2.0 * ew + m, 2.0 * c1 * k1, e1, c0
-
-
-def _family(terms, x, y):
-    """B, its gradient and its Hessian on the real symmetric family.
-
-    The family is a1 = x, a2 = y, b1 = sigma x, b2 = sigma y (real, in
-    the frame the fields are read in, sigma = +-1), on which
-    B = c2 k2 (E11 + 2 E12 - E22) + 2 c1 k1 exp(-e1 x^2) + c0 with
-    E11 = exp(-p x^2), E22 = exp(-p y^2), E12 = exp(-e2 width (x^2 + y^2)
-    - m x y), m = e2 sigma sh2 and p = 2 e2 width + m.  ``terms`` comes
-    from ``_family_constants``, as numbers or arrays that broadcast with x
-    and y.  Gives (B, Bx, By, Bxx, Bxy, Byy).
-    """
-    cw, ew, m, p, d1, e1, c0 = terms
-    xx, yy = x * x, y * y
-    e11 = cw * np.exp(-p * xx)
-    e22 = cw * np.exp(-p * yy)
-    e12 = 2.0 * cw * np.exp(-(ew * (xx + yy) + m * (x * y)))
-    w1 = d1 * np.exp(-e1 * xx)
-    qx = 2.0 * ew * x + m * y
-    qy = 2.0 * ew * y + m * x
-    return (
-        e11 + e12 - e22 + w1 + c0,
-        -2.0 * (p * x * e11 + e1 * x * w1) - qx * e12,
-        2.0 * p * y * e22 - qy * e12,
-        (4.0 * p * p * xx - 2.0 * p) * e11 + (qx * qx - 2.0 * ew) * e12
-        + (4.0 * e1 * e1 * xx - 2.0 * e1) * w1,
-        (qx * qy - m) * e12,
-        (qy * qy - 2.0 * ew) * e12 - (4.0 * p * p * yy - 2.0 * p) * e22,
-    )
-
-
 @np.errstate(all="ignore")
 def _solve_curve(keys: np.ndarray, box: float) -> np.ndarray:
     """Best (x, y, sigma) on the real symmetric family per row of curve constants.
 
-    ``keys`` is an (n, 9) array of the constants (c2, c1, c0, width, k2,
-    e2, k1, e1, sh2) of objectives' curve keys, and x, y are read in the
-    frame of those constants.  One numpy program over every row (key,
-    sigma, sign of B, seed) ascends f = sign B from each of the 13
+    ``keys`` holds the constants of objectives' curve keys, one row each,
+    and x, y are read in the frame of those constants.  One numpy program
+    over every row (key, sigma, sign of B, seed) ascends f = sign B from
+    each of the 13
     ``_CURVE_SEEDS`` by regularized Newton steps (Ueda & Yamashita, Appl.
     Math. Optim. 62, 27 (2010)): the 2 x 2 Hessian of f is shifted down
     by its largest eigenvalue, if positive, plus the gradient norm, which
@@ -357,7 +322,7 @@ def _solve_curve(keys: np.ndarray, box: float) -> np.ndarray:
     """
     n = len(keys)
     shape = (n, 2, 2, len(_CURVE_SEEDS))
-    constants = keys.T.reshape(9, n, 1, 1, 1)
+    constants = keys.T.reshape(-1, n, 1, 1, 1)
     sigma = np.array([1.0, -1.0]).reshape(1, 2, 1, 1)
     terms = [np.broadcast_to(t, shape).copy() for t in _family_constants(constants, sigma)]
     sign = np.broadcast_to(np.array([1.0, -1.0]).reshape(1, 1, 2, 1), shape)
@@ -488,15 +453,13 @@ def optimize_cells(
     return reports
 
 
-def _validate_grid(values, lo: float, hi: float, name: str, *, closed_hi=True) -> np.ndarray:
+def _grid(values, name: str) -> np.ndarray:
+    """A non-empty, non-decreasing sweep axis; each cell's objective checks its values."""
     arr = np.asarray(list(values), dtype=float)
     if arr.size == 0:
         raise ValueError(f"{name} grid is empty")
     if np.any(np.diff(arr) < 0.0):
         raise ValueError(f"{name} grid must be non-decreasing")
-    top_ok = arr[-1] <= hi if closed_hi else arr[-1] < hi
-    if not (arr[0] >= lo and top_ok):
-        raise ValueError(f"{name} grid must lie within [{lo}, {hi}{']' if closed_hi else ')'}")
     return arr
 
 
@@ -509,13 +472,13 @@ def sweep_eta_s(
 ) -> SweepResult:
     """Optimized witness value per (eta, s) cell, detection noise.
 
-    ``max_workers`` is ignored: every sweep runs in the calling process.
-    It stays only because ``perfbench/workloads.py`` passes it.
+    Every cell's eta and s are checked as its objective is built, before
+    any search runs.  ``max_workers`` is ignored: every sweep runs in the
+    calling process.  It stays only because ``perfbench/workloads.py``
+    passes it.
     """
-    eta_grid = _validate_grid(eta_grid, 0.0, 1.0, "eta")
-    if eta_grid[0] <= 0.0:
-        raise ValueError("eta grid must be strictly positive")
-    s_grid = _validate_grid(s_grid, -1.0, 0.0, "s")
+    eta_grid = _grid(eta_grid, "eta")
+    s_grid = _grid(s_grid, "s")
     cells = list(itertools.product(eta_grid, s_grid))
     objectives = [detection_objective(spec, s, DetectionNoise(eta)) for eta, s in cells]
     reports = optimize_cells(objectives, config)
@@ -529,12 +492,16 @@ def sweep_thermal(
     nbar_list: Sequence[float],
     config: SearchConfig,
 ) -> SweepResult:
-    """Optimized witness value per (r, s) cell for each environment nbar."""
-    r_grid = _validate_grid(r_grid, 0.0, 1.0, "r", closed_hi=False)
-    s_grid = _validate_grid(s_grid, -1.0, 0.0, "s")
+    """Optimized witness value per (r, s) cell for each environment nbar.
+
+    Every cell's r, nbar and s are checked as its objective is built,
+    before any search runs.
+    """
+    r_grid = _grid(r_grid, "r")
+    s_grid = _grid(s_grid, "s")
     nbar_list = np.asarray(list(nbar_list), dtype=float)
-    if nbar_list.size == 0 or np.any(nbar_list < 0.0):
-        raise ValueError("nbar_list must be non-empty and non-negative")
+    if nbar_list.size == 0:
+        raise ValueError("nbar_list must be non-empty")
     cells = list(itertools.product(nbar_list, r_grid, s_grid))
     objectives = [thermal_objective(spec, s, ThermalNoise(r, nbar)) for nbar, r, s in cells]
     reports = optimize_cells(objectives, config)

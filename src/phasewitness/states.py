@@ -129,8 +129,6 @@ def thermal_w(nbar: float, beta, s) -> float | np.ndarray:
 def _gaussian_w(nbar: float, beta, sv: float) -> float | np.ndarray:
     """Thermal Gaussian of mean photon number nbar at the admitted order sv."""
     width = 1.0 + 2.0 * nbar - sv
-    if width <= 0.0:
-        raise ValueError("thermal width 1 + 2 nbar - s must be positive")
     b, scalar = _as_field(beta)
     vals = (2.0 / (math.pi * width)) * np.exp(-2.0 * np.abs(b) ** 2 / width)
     return float(vals) if scalar else vals

@@ -181,7 +181,6 @@ def _thermal_convolution(quick: bool) -> Residuals:
                 env_w,
                 lambda pts: state_fam(pts, s),
                 r,
-                noise.t,
                 grid,
                 1.0 + 2.0 * nbar - s,
                 quad_tol,

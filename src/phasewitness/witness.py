@@ -12,9 +12,9 @@ route over the closed-form fields lives in ``validate``, off the hot
 path.  Every objective also answers ``objective(x, grad=True)`` with the
 value and its analytic gradient over the raw 8-vector x, for the
 settings search, and ``objective()`` with its lift and closed-form
-constants, the key of the search's one curve solve; from the keys,
-``_tmsv_hessians`` gives the analytic Hessians of many objectives at
-once, for the search's certificate.
+constants, the key of the search's one curve solve.  Only this module
+reads the constants: ``_family`` gives B on the solve's curve, and
+``_tmsv_hessians`` the Hessians of many objectives for its certificate.
 
 When the rescaled order parameter falls below -1 the plain functional
 stops being a witness, because the observable spectrum leaves [-1, 1].
@@ -376,6 +376,43 @@ def _tmsv_hessians(constants, lifts, points) -> np.ndarray:
     hess = np.einsum("nt,nti,ntj->nij", terms * e * e, grad_q, grad_q)
     hess -= np.einsum("nt,ntij->nij", terms * e, forms)
     return hess * (f * f)[:, None, None]
+
+
+def _family_constants(constants, sigma):
+    """Per-row constants of ``_family`` from the nine curve-key constants and sigma."""
+    c2, c1, c0, width, k2, e2, k1, e1, sh2 = constants
+    ew, m = e2 * width, e2 * sigma * sh2
+    return c2 * k2, ew, m, 2.0 * ew + m, 2.0 * c1 * k1, e1, c0
+
+
+def _family(terms, x, y):
+    """B, its gradient and its Hessian on the real symmetric family.
+
+    The family is a1 = x, a2 = y, b1 = sigma x, b2 = sigma y (real, in
+    the frame the fields are read in, sigma = +-1), on which
+    B = c2 k2 (E11 + 2 E12 - E22) + 2 c1 k1 exp(-e1 x^2) + c0 with
+    E11 = exp(-p x^2), E22 = exp(-p y^2), E12 = exp(-e2 width (x^2 + y^2)
+    - m x y), m = e2 sigma sh2 and p = 2 e2 width + m.  ``terms`` comes
+    from ``_family_constants``, as numbers or arrays that broadcast with x
+    and y.  Gives (B, Bx, By, Bxx, Bxy, Byy).
+    """
+    cw, ew, m, p, d1, e1, c0 = terms
+    xx, yy = x * x, y * y
+    e11 = cw * np.exp(-p * xx)
+    e22 = cw * np.exp(-p * yy)
+    e12 = 2.0 * cw * np.exp(-(ew * (xx + yy) + m * (x * y)))
+    w1 = d1 * np.exp(-e1 * xx)
+    qx = 2.0 * ew * x + m * y
+    qy = 2.0 * ew * y + m * x
+    return (
+        e11 + e12 - e22 + w1 + c0,
+        -2.0 * (p * x * e11 + e1 * x * w1) - qx * e12,
+        2.0 * p * y * e22 - qy * e12,
+        (4.0 * p * p * xx - 2.0 * p) * e11 + (qx * qx - 2.0 * ew) * e12
+        + (4.0 * e1 * e1 * xx - 2.0 * e1) * w1,
+        (qx * qy - m) * e12,
+        (qy * qy - 2.0 * ew) * e12 - (4.0 * p * p * yy - 2.0 * p) * e22,
+    )
 
 
 def detection_objective(

@@ -237,6 +237,26 @@ class TestArgumentHandling:
         code, _, _ = run_cli(base + ["--s", "0", "--eta", "0.4:0.6:1"], capsys)
         assert code == EXIT_USAGE
 
+    def test_out_of_range_values_are_named_as_eval_names_them(self, tmp_path, capsys):
+        # A sweep admits each value where its cell is built, through the
+        # same checks as eval, so both name a bad value alike.
+        out = tmp_path / "g.csv"
+        eta_s = ["sweep", "--mode", "eta-s", "--xi", "0.3", "--out", str(out)]
+        thermal = ["sweep", "--mode", "thermal", "--xi", "0.3", "--out", str(out)]
+        for argv, named in (
+            (eta_s + ["--eta", "0.5", "--s", "0.5"], "order parameter 0.5"),
+            (["eval", "--xi", "0.3", "--s", "0.5", "--optimize"], "order parameter 0.5"),
+            (eta_s + ["--eta", "0:1:3", "--s", "0"], "detection efficiency eta"),
+            (eta_s + ["--eta", "0.5:1.5:3", "--s", "0"], "detection efficiency eta"),
+            (thermal + ["--r", "0:1:3", "--s", "0"], "reflectivity r"),
+            (thermal + ["--r", "0.5", "--s", "0", "--nbar-list", "0,-0.1"], "nbar"),
+            (eta_s + ["--eta", "0.5", "--s", "0:-1:3"], "s grid must be non-decreasing"),
+            (thermal + ["--r", "0.5", "--s", "0", "--nbar-list", ""], "nbar_list"),
+        ):
+            code, _, err = run_cli(argv, capsys)
+            assert code == EXIT_USAGE and named in err, (argv, err)
+            assert not out.exists()
+
 
 class TestEval:
     def test_vacuum_origin_json(self, capsys):
@@ -304,14 +324,18 @@ class TestEval:
 class TestSweep:
     def test_wall_time_stops_when_the_sweep_returns(self, tmp_path, capsys, monkeypatch):
         # The environment block is read after the clock stops: a slow one
-        # does not show in wall_time_s.
+        # does not show in wall_time_s.  Here the clock jumps by an hour
+        # while it is read.
         environment = cli._environment
+        perf_counter = time.perf_counter
+        jump = [0.0]
 
         def slow_environment():
-            time.sleep(1.0)
+            jump[0] += 3600.0
             return environment()
 
         monkeypatch.setattr(cli, "_environment", slow_environment)
+        monkeypatch.setattr(cli.time, "perf_counter", lambda: perf_counter() + jump[0])
         out = tmp_path / "run.csv"
         code, _, _ = run_cli(
             ["sweep", "--mode", "eta-s", "--xi", "0.3", "--s", "-1:0:2",
@@ -320,7 +344,8 @@ class TestSweep:
         )
         assert code == EXIT_OK
         manifest = json.loads((tmp_path / "run.csv.manifest.json").read_text())
-        assert 0.0 < manifest["wall_time_s"] < 1.0
+        assert jump[0] == 3600.0
+        assert 0.0 < manifest["wall_time_s"] < 3600.0
         assert manifest["environment"] == environment()
 
     def test_csv_and_manifest(self, tmp_path, capsys):

@@ -187,7 +187,7 @@ def test_order_gate_contract(name):
 
 def _vacuum_mix(tol):
     vac = lambda pts: thermal_w(0.0, pts, 0.0)
-    return beamsplitter_convolve(vac, vac, 0.6, 0.8, 0.1, 1.0, tol)
+    return beamsplitter_convolve(vac, vac, 0.6, 0.1, 1.0, tol)
 
 
 #: Every public tolerance, and the plane rule's radius: each check must
@@ -377,33 +377,31 @@ class TestGaussianSmooth:
 class TestBeamsplitterConvolve:
     def test_vacuum_mixed_with_vacuum_stays_vacuum(self):
         vac = lambda pts: thermal_w(0.0, pts, 0.0)
-        r = t = math.sqrt(0.5)
         targets = np.array([0j, 0.4 - 0.3j, -1.1 + 0.6j])
-        got = beamsplitter_convolve(vac, vac, r, t, targets, 1.0)
+        got = beamsplitter_convolve(vac, vac, math.sqrt(0.5), targets, 1.0)
         assert np.max(np.abs(got - thermal_w(0.0, targets, 0.0))) < 1e-12
 
     def test_array_targets_match_scalars(self):
         env = lambda pts: thermal_w(0.5, pts, 0.0)
         state = SingleModeTestState.fock(3)
         field = lambda pts: state_w(state, pts, 0.0)
-        r, t = 0.6, 0.8
         targets = np.array([[0j, 0.5 + 0.2j], [-0.7j, 1.1 - 0.4j]])
-        got = beamsplitter_convolve(env, field, r, t, targets, 2.0, quad_tol=1e-9)
+        got = beamsplitter_convolve(env, field, 0.6, targets, 2.0, quad_tol=1e-9)
         assert got.shape == targets.shape
         for idx in np.ndindex(targets.shape):
-            one = beamsplitter_convolve(env, field, r, t, complex(targets[idx]), 2.0, 1e-9)
+            one = beamsplitter_convolve(env, field, 0.6, complex(targets[idx]), 2.0, 1e-9)
             assert type(one) is float
             assert abs(got[idx] - one) <= 1e-9
 
     def test_argument_validation(self):
         vac = lambda pts: thermal_w(0.0, pts, 0.0)
-        with pytest.raises(ValueError, match="r\\^2 \\+ t\\^2"):
-            beamsplitter_convolve(vac, vac, 0.6, 0.7, 0j, 1.0)
-        with pytest.raises(ValueError, match="transmissivity"):
-            beamsplitter_convolve(vac, vac, 1.0, 0.0, 0j, 1.0)
+        # r = 1 leaves no transmitted amplitude t = sqrt(1 - r^2).
+        for r in (1.0, 1.5, -0.1, math.nan):
+            with pytest.raises(ValueError, match="reflectivity r must lie in \\[0, 1\\)"):
+                beamsplitter_convolve(vac, vac, r, 0j, 1.0)
         for width in (0.0, -1.0, math.nan, math.inf):
             with pytest.raises(ValueError, match="width"):
-                beamsplitter_convolve(vac, vac, 0.6, 0.8, 0j, width)
+                beamsplitter_convolve(vac, vac, 0.6, 0j, width)
 
 
 #: The two convolution laws as functions of their targets alone.
@@ -416,7 +414,6 @@ CONVOLUTIONS = {
         lambda pts: thermal_w(0.5, pts, 0.0),
         lambda pts: state_w(_FOCK3, pts, 0.0),
         0.6,
-        0.8,
         targets,
         2.0,
     ),
@@ -461,7 +458,7 @@ class TestStreamedLadder:
             return state_w(_FOCK3, pts, 0.0)
 
         targets = np.array([0j, 0.5 + 0.2j, -0.7j, 1.1 - 0.4j])
-        beamsplitter_convolve(env, field, 0.6, 0.8, targets, 2.0)
+        beamsplitter_convolve(env, field, 0.6, targets, 2.0)
         visited = qp_core._HERMITE_ORDERS[: len(env_sizes)]
         assert len(env_sizes) >= 2
         assert env_sizes == [order * order for order in visited]

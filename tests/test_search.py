@@ -17,7 +17,7 @@ import pytest
 
 import oracles as orc
 import phasewitness
-from phasewitness import search
+from phasewitness import search, witness
 from phasewitness.noise import DetectionNoise, ThermalNoise
 from phasewitness.search import (
     CERT_GRAD_NORM,
@@ -260,19 +260,20 @@ class TestSweeps:
     def test_grid_validation(self):
         spec = TmsvSpec(0.3)
         config = SearchConfig(n_starts=1)
-        with pytest.raises(ValueError):
+        # A grid is checked for shape; its values where each cell is built.
+        with pytest.raises(ValueError, match="eta grid is empty"):
             sweep_eta_s(spec, [], [0.0], config)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="eta grid must be non-decreasing"):
             sweep_eta_s(spec, [0.9, 0.5], [0.0], config)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="detection efficiency eta"):
             sweep_eta_s(spec, [0.0, 0.5], [0.0], config)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="order parameter 0.2"):
             sweep_eta_s(spec, [0.5], [0.2], config)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="reflectivity r"):
             sweep_thermal(spec, [0.5, 1.0], [0.0], [0.0], config)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="nbar_list must be non-empty"):
             sweep_thermal(spec, [0.5], [0.0], [], config)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="mean photon number nbar"):
             sweep_thermal(spec, [0.5], [0.0], [-0.1], config)
 
     def test_result_fields(self):
@@ -345,14 +346,14 @@ class TestCurve:
             lift, constants = objective()
             assert lift == expected_lift
             for sigma in (1.0, -1.0):
-                terms = search._family_constants(constants, sigma)
+                terms = witness._family_constants(constants, sigma)
 
                 def projected(x, y):
                     _, g = objective(family_point(x, y, sigma, lift), grad=True)
                     return np.array([g[0] + sigma * g[4], g[2] + sigma * g[6]]) * lift
 
                 for x, y in [(0.3, -0.4), (-0.7, 0.2), (0.05, 1.1)]:
-                    value, bx, by, hxx, hxy, hyy = search._family(terms, x, y)
+                    value, bx, by, hxx, hxy, hyy = witness._family(terms, x, y)
                     b, _ = objective(family_point(x, y, sigma, lift), grad=True)
                     assert value == pytest.approx(b, abs=1e-13)
                     assert np.array([bx, by]) == pytest.approx(projected(x, y), abs=1e-13)
