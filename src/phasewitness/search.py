@@ -89,9 +89,17 @@ class SearchConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if int(self.n_starts) < 1:
+        for name in ("n_starts", "seed"):
+            v = getattr(self, name)
+            try:
+                integral = int(v) == v
+            except (TypeError, ValueError, OverflowError):
+                integral = False
+            if not integral:
+                raise ValueError(f"{name} must be an integer, got {v!r}")
+            object.__setattr__(self, name, int(v))
+        if self.n_starts < 1:
             raise ValueError("n_starts must be at least 1")
-        object.__setattr__(self, "n_starts", int(self.n_starts))
         for name in ("box_radius", "ftol", "xtol"):
             v = float(getattr(self, name))
             object.__setattr__(self, name, v)
@@ -101,7 +109,6 @@ class SearchConfig:
             raise ValueError(
                 f"box_radius {self.box_radius} is too large: the box width overflows"
             )
-        object.__setattr__(self, "seed", int(self.seed))
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
 

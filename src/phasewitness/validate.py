@@ -12,6 +12,7 @@ at run time, not import time.
 
 from __future__ import annotations
 
+import itertools
 import math
 import time
 from dataclasses import dataclass
@@ -70,6 +71,28 @@ def _test_states(quick: bool) -> list[SingleModeTestState]:
 _S_GRID = (0.0, -0.25, -0.5, -1.0)
 _ETA_GRID = (0.3, 0.5, 0.8, 1.0)
 _N_MAX = 160
+
+#: Fractional parts of the square roots of the first eight primes: the
+#: increments of the Kronecker sequence behind ``_setting_points``.
+_KRONECKER_ALPHA = np.sqrt([2.0, 3.0, 5.0, 7.0, 11.0, 13.0, 17.0, 19.0]) % 1.0
+#: Each suite's first index into that sequence; the separable bound reads
+#: rows 1-20000 at full depth, the witness forms rows from 30000 on.
+_SEPARABLE_START = 1
+_WITNESS_START = 30_000
+
+
+def _setting_points(start: int, n: int) -> np.ndarray:
+    """Rows ``start`` to ``start + n - 1`` of frac(k alpha), scaled to [-2, 2)^8.
+
+    The Kronecker sequence is equidistributed and needs no generator
+    state, so a suite's settings are fixed by its first index alone and
+    a validate run loads neither ``numpy.random`` nor ``hashlib``.
+    """
+    x = np.arange(start, start + n, dtype=float)[:, None] * _KRONECKER_ALPHA
+    # For x >= 0, x - floor(x) is exact and below 1: np.remainder's
+    # value, which np.remainder computes several times slower.
+    return 4.0 * (x - np.floor(x)) - 2.0
+
 
 #: What every suite returns: its tolerance and its residuals, flat.
 Residuals = tuple[float, "list[float] | np.ndarray"]
@@ -241,22 +264,23 @@ def _witness_form_equivalence(quick: bool) -> Residuals:
     thermal objective at nbar = 0 is also checked against the detection
     objective at eta = 1 - r^2.
 
-    Each probe draws its settings as one (n, 8) array.  The objective
-    reads each row as a raw 8-vector, ``objective(row, grad=True)[0]``,
-    which is the report's value bit for bit without building settings or
-    a report.  The field route runs once over the array, so its fields
-    use ``np.exp`` where the objective uses ``math.exp``, and the two may
-    differ in the last bits (at most about 1e-15), far inside the
-    tolerance.
+    Each probe reads its settings as the next (n, 8) block of the
+    Kronecker sequence of ``_setting_points``, from ``_WITNESS_START``
+    on.  The objective reads each row as a raw 8-vector,
+    ``objective(row, grad=True)[0]``, which is the report's value bit for
+    bit without building settings or a report.  The field route runs
+    once over the array, so its fields use ``np.exp`` where the objective
+    uses ``math.exp``, and the two may differ in the last bits (at most
+    about 1e-15), far inside the tolerance.
     """
     tol = 1e-12
-    rng = np.random.default_rng(12345)
     n_settings = 5 if quick else 20
+    starts = itertools.count(_WITNESS_START, n_settings)
     spec = states.TmsvSpec(0.3)
     residuals = []
 
     def probe(objective, route) -> None:
-        x = rng.uniform(-2.0, 2.0, (n_settings, 8))
+        x = _setting_points(next(starts), n_settings)
         values = [objective(row, grad=True)[0] for row in x.tolist()]
         residuals.extend(np.abs(np.array(values) - route(x)))
 
@@ -324,15 +348,16 @@ def _eigenvalue_bounds(quick: bool) -> Residuals:
 
 
 def _separable_bound(quick: bool) -> Residuals:
-    """|B| <= 2 for product states over random settings.
+    """|B| <= 2 for product states over quasi-random settings.
 
-    Each (pair, s) block draws its settings as one (n, 8) array and
-    evaluates them in one array call of ``witness.bell_value`` over the
-    ``states.state_w`` fields.
+    Each (pair, s) block reads its settings as the next (n, 8) block of
+    the Kronecker sequence of ``_setting_points``, from
+    ``_SEPARABLE_START`` on, and evaluates them in one array call of
+    ``witness.bell_value`` over the ``states.state_w`` fields.
     """
     tol = 1e-9
-    rng = np.random.default_rng(20240817)
     n_settings = 400 if quick else 2000
+    starts = itertools.count(_SEPARABLE_START, n_settings)
     s_values = (0.0, -0.25, -0.5, -0.75, -1.0)
     pairs = [
         (SingleModeTestState.coherent(0.5 + 0.2j), SingleModeTestState.coherent(-0.3 + 0.7j)),
@@ -351,7 +376,7 @@ def _separable_bound(quick: bool) -> Residuals:
             def w2(a, b, _w1a=w1a, _w1b=w1b):
                 return _w1a(a) * _w1b(b)
 
-            settings = rng.uniform(-2.0, 2.0, (n_settings, 8))
+            settings = _setting_points(next(starts), n_settings)
             blocks.append(np.abs(witness.bell_value(w2, w1a, w1b, settings, s)) - 2.0)
     return tol, np.concatenate(blocks)
 

@@ -70,6 +70,10 @@ class TestSearchConfig:
             SearchConfig(box_radius=1e308)
         with pytest.raises(ValueError, match="seed must be non-negative, got -1"):
             SearchConfig(seed=-1)
+        with pytest.raises(ValueError, match="n_starts must be an integer, got 2.7"):
+            SearchConfig(n_starts=2.7)
+        with pytest.raises(ValueError, match="seed must be an integer, got 3.9"):
+            SearchConfig(seed=3.9)
 
 
 def constant_objective(settings, grad=False):

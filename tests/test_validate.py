@@ -23,20 +23,34 @@ import json, sys
 from phasewitness import validate
 results = validate.run_suites()
 print(json.dumps({
+    "passed": [r.name for r in results if r.passed],
     "failed": [r.line() for r in results if not r.passed],
     "scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy"),
+    "random": sorted(
+        m for m in sys.modules if m.startswith("numpy.random") or m == "hashlib"
+    ),
 }))
 """
 
 
+@pytest.fixture(scope="class")
+def full_run():
+    """One full ``run_suites()`` in a fresh interpreter, as JSON."""
+    env = dict(os.environ, PYTHONPATH=str(Path(phasewitness.__file__).parents[1]))
+    out = subprocess.run(
+        [sys.executable, "-c", FULL_RUN_SCRIPT], env=env, capture_output=True,
+        text=True, check=True, timeout=300,
+    )
+    return json.loads(out.stdout)
+
+
 class TestRunSuites:
-    def test_full_run_passes_without_scipy(self):
-        env = dict(os.environ, PYTHONPATH=str(Path(phasewitness.__file__).parents[1]))
-        out = subprocess.run(
-            [sys.executable, "-c", FULL_RUN_SCRIPT], env=env, capture_output=True,
-            text=True, check=True, timeout=300,
-        )
-        assert json.loads(out.stdout) == {"failed": [], "scipy": []}
+    def test_full_run_passes_without_scipy(self, full_run):
+        assert full_run["failed"] == [] and full_run["scipy"] == []
+
+    def test_full_run_loads_neither_numpy_random_nor_hashlib(self, full_run):
+        assert full_run["passed"] == list(SUITE_NAMES)
+        assert full_run["random"] == []
 
     def test_quick_pass_under_budget(self):
         start = time.perf_counter()
@@ -79,6 +93,28 @@ class TestRunSuites:
     def test_unknown_name(self):
         with pytest.raises(ValueError):
             run_suites(quick=True, names=["no_such_suite"])
+
+
+class TestSettingPoints:
+    def test_shape_box_and_repeat(self):
+        x = validate._setting_points(1, 400)
+        assert x.shape == (400, 8)
+        assert np.all((x >= -2.0) & (x < 2.0))
+        np.testing.assert_array_equal(x, validate._setting_points(1, 400))
+
+    def test_consecutive_draws_share_no_rows(self):
+        first = validate._setting_points(1, 400)
+        second = validate._setting_points(401, 400)
+        rows = {tuple(row) for row in first.tolist()}
+        assert len(rows) == 400
+        assert rows.isdisjoint(tuple(row) for row in second.tolist())
+
+    def test_rows_fill_the_box(self):
+        # Equidistribution, loosely: every coordinate's mean is near 0
+        # and each half of every axis holds about half the rows.
+        x = validate._setting_points(1, 2000)
+        assert np.all(np.abs(x.mean(axis=0)) < 0.05)
+        assert np.all(np.abs((x < 0.0).mean(axis=0) - 0.5) < 0.02)
 
 
 class TestReporting:
@@ -140,7 +176,7 @@ class TestCorruptionIsCaught:
         assert results[0].worst > results[0].tolerance
 
     def test_scaled_bell_value_breaks_the_separable_bound(self, monkeypatch):
-        # The largest product-state |B| in quick mode is 1.99176, so a 1 %
+        # The largest product-state |B| in quick mode is 1.99729, so a 1 %
         # scale pushes it past 2.
         from phasewitness import witness
 
