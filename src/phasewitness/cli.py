@@ -100,8 +100,11 @@ def _parse_settings(text: str) -> BellSettings:
 
 
 def _parse_float_list(text: str, name: str) -> list[float]:
+    # A blank value is the empty list, which the sweep refuses by name;
+    # an empty entry inside a list is refused here.
+    tokens = text.split(",") if text.strip() else []
     try:
-        return [float(tok) for tok in text.split(",") if tok.strip() != ""]
+        return [float(tok) for tok in tokens]
     except ValueError:
         raise UsageError(f"{name}: expected comma-separated numbers, got {text!r}") from None
 

@@ -300,8 +300,9 @@ CERT_HESS_MAX = -1e-6
 _CURVE_SEEDS = np.array(list(itertools.product(np.linspace(-1.0, 1.0, 5), repeat=2)))[:13]
 #: Fixed iteration count of the curve solve.
 _CURVE_ITERATIONS = 25
-#: Curve keys per curve solve call; it bounds the solve's arrays (100 rows
-#: per key) whatever the grid size, and does not change any row's bits.
+#: Curve keys per curve solve call; it bounds the solve's arrays (52 rows
+#: per key: 2 sigmas x 2 signs x 13 seeds) whatever the grid size, and
+#: does not change any row's bits.
 _CURVE_BLOCK = 128
 #: Signs that turn each setting's (im, re) pair into its gauge tangent.
 _GAUGE_SIGNS = np.array([[-1.0, 1.0], [-1.0, 1.0], [1.0, -1.0], [1.0, -1.0]])

@@ -2,7 +2,8 @@
 
 Covers the validation corpus: the two-mode squeezed vacuum (TMSV) with
 its exact two-mode and marginal Gaussians, and the single-mode test
-states (vacuum, coherent, thermal, Fock) both as analytic fields and as
+states (displaced thermal states, which include the vacuum and the
+coherent states, and Fock states) both as analytic fields and as
 displaced photon-number distributions.  Laguerre polynomials come from
 one three-term recurrence, ``_laguerre``, and factorials from
 ``math.lgamma``, so no helper here needs scipy.
@@ -11,7 +12,7 @@ one three-term recurrence, ``_laguerre``, and factorials from
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,35 +42,31 @@ def _as_field(alpha) -> tuple[np.ndarray, bool]:
 class TmsvSpec:
     """Two-mode squeezed vacuum with squeezing parameter xi >= 0.
 
-    Caches cosh/sinh of 2*xi; xi = 0 degenerates to the two-mode vacuum.
+    xi = 0 degenerates to the two-mode vacuum.
     """
 
     xi: float
-    cosh2xi: float = field(init=False, repr=False, compare=False)
-    sinh2xi: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         xi = float(self.xi)
         if not math.isfinite(xi) or xi < 0.0:
             raise ValueError("squeezing parameter xi must be finite and non-negative")
         try:
-            cosh2xi, sinh2xi = math.cosh(2.0 * xi), math.sinh(2.0 * xi)
+            math.cosh(2.0 * xi)
         except OverflowError:
             raise ValueError(
                 f"squeezing parameter xi = {xi} is too large: cosh(2 xi) overflows"
             ) from None
         object.__setattr__(self, "xi", xi)
-        object.__setattr__(self, "cosh2xi", cosh2xi)
-        object.__setattr__(self, "sinh2xi", sinh2xi)
 
     def marginal_width(self, s: float) -> float:
         """Width cosh(2 xi) - s of the reduced single-mode Gaussian."""
-        return self.cosh2xi - float(s)
+        return math.cosh(2.0 * self.xi) - float(s)
 
     def joint_det(self, s: float) -> float:
         """Determinant s^2 - 2 s cosh(2 xi) + 1 of the two-mode quadratic form."""
         s = float(s)
-        return s * s - 2.0 * s * self.cosh2xi + 1.0
+        return s * s - 2.0 * s * math.cosh(2.0 * self.xi) + 1.0
 
     def gaussian(
         self, s: float, weight2: float = 1.0, weight1: float = 1.0
@@ -90,7 +87,7 @@ class TmsvSpec:
             2.0 / det,
             weight1 * 2.0 / (math.pi * width),
             2.0 / width,
-            2.0 * self.sinh2xi,
+            2.0 * math.sinh(2.0 * self.xi),
         )
 
 
@@ -118,44 +115,21 @@ def tmsv_w1(spec: TmsvSpec, alpha, s) -> float | np.ndarray:
     return k1 * np.exp(-e1 * norm)
 
 
-def thermal_w(nbar: float, beta, s) -> float | np.ndarray:
-    """Quasiprobability of a thermal state with mean photon number nbar."""
-    nbar = float(nbar)
-    if not math.isfinite(nbar) or nbar < 0.0:
-        raise ValueError("mean photon number nbar must be finite and non-negative")
-    return _gaussian_w(nbar, beta, real_order(s, _CLOSED_FORM))
-
-
-def _gaussian_w(nbar: float, beta, sv: float) -> float | np.ndarray:
-    """Thermal Gaussian of mean photon number nbar at the admitted order sv."""
-    width = 1.0 + 2.0 * nbar - sv
-    b, scalar = _as_field(beta)
-    vals = (2.0 / (math.pi * width)) * np.exp(-2.0 * np.abs(b) ** 2 / width)
-    return float(vals) if scalar else vals
-
-
-VACUUM = "vacuum"
-COHERENT = "coherent"
-THERMAL = "thermal"
-FOCK = "fock"
-
-
 @dataclass(frozen=True)
 class SingleModeTestState:
-    """One of the single-mode validation states.
+    """A single-mode test state: a displaced thermal state or a Fock state.
 
-    Use the factory classmethods; the parameter fields not used by a
-    kind stay at their defaults.
+    With ``n`` = 0 it is the thermal state of mean photon number ``nbar``
+    displaced by ``z``: the vacuum sets neither, a coherent state only
+    ``z`` and a thermal state only ``nbar``.  With ``n`` > 0 it is the
+    Fock state |n>, which takes neither ``z`` nor ``nbar``.
     """
 
-    kind: str
     z: complex = 0j
     nbar: float = 0.0
     n: int = 0
 
     def __post_init__(self) -> None:
-        if self.kind not in (VACUUM, COHERENT, THERMAL, FOCK):
-            raise ValueError(f"unknown state kind {self.kind!r}")
         z = complex(self.z)
         object.__setattr__(self, "z", z)
         object.__setattr__(self, "nbar", float(self.nbar))
@@ -163,33 +137,42 @@ class SingleModeTestState:
         if not (math.isfinite(z.real) and math.isfinite(z.imag)):
             raise ValueError("coherent amplitude must be finite")
         if not math.isfinite(self.nbar) or self.nbar < 0.0:
-            raise ValueError("nbar must be finite and non-negative")
+            raise ValueError("mean photon number nbar must be finite and non-negative")
         if self.n < 0:
             raise ValueError("photon number must be non-negative")
+        if self.n > 0 and (z != 0.0 or self.nbar != 0.0):
+            raise ValueError("a Fock state takes neither a displacement z nor an nbar")
 
     @classmethod
     def vacuum(cls) -> "SingleModeTestState":
-        return cls(VACUUM)
+        return cls()
 
     @classmethod
     def coherent(cls, z: complex) -> "SingleModeTestState":
-        return cls(COHERENT, z=complex(z))
+        return cls(z=complex(z))
 
     @classmethod
     def thermal(cls, nbar: float) -> "SingleModeTestState":
-        return cls(THERMAL, nbar=float(nbar))
+        return cls(nbar=float(nbar))
 
     @classmethod
     def fock(cls, n: int) -> "SingleModeTestState":
-        return cls(FOCK, n=int(n))
+        return cls(n=int(n))
+
+
+def thermal_w(nbar: float, beta, s) -> float | np.ndarray:
+    """Quasiprobability of a thermal state with mean photon number nbar."""
+    return state_w(SingleModeTestState.thermal(nbar), beta, s)
 
 
 def state_w(state: SingleModeTestState, alpha, s) -> float | np.ndarray:
     """Analytic quasiprobability of a test state, scalar or array points."""
     sv = real_order(s, _CLOSED_FORM)
     a, scalar = _as_field(alpha)
-    if state.kind != FOCK:
-        vals = _gaussian_w(state.nbar, a - state.z, sv)
+    if state.n == 0:
+        # The displaced thermal Gaussian of width 1 + 2 nbar - s.
+        width = 1.0 + 2.0 * state.nbar - sv
+        vals = (2.0 / (math.pi * width)) * np.exp(-2.0 * np.abs(a - state.z) ** 2 / width)
         return float(vals) if scalar else vals
     # Fock state: Laguerre closed form, with the ratio -> 0 limit at s = -1.
     b = np.abs(a) ** 2
@@ -197,9 +180,7 @@ def state_w(state: SingleModeTestState, alpha, s) -> float | np.ndarray:
     if sv == -1.0:
         with np.errstate(divide="ignore", invalid="ignore"):
             vals = np.exp(-b + n * np.log(b) - math.lgamma(n + 1)) / math.pi
-        vals = np.where(
-            b > 0.0, vals, (1.0 / math.pi) if n == 0 else 0.0
-        )
+        vals = np.where(b > 0.0, vals, 0.0)
     else:
         ratio = (sv + 1.0) / (sv - 1.0)
         arg = 4.0 * b / (1.0 - sv * sv)
@@ -269,7 +250,7 @@ def photon_distribution(
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
     a = complex(displacement)
-    if state.kind == FOCK:
+    if state.n > 0:
         probs = _displaced_fock_probs(state.n, abs(a) ** 2, n_max)
     else:
         probs = _displaced_thermal_probs(state.nbar, abs(state.z - a) ** 2, n_max)

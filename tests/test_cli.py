@@ -41,10 +41,11 @@ def run_cli(argv, capsys):
 #: search needs TNC's core, and the manifest reads scipy's version from
 #: its file), the process-pool machinery, ``subprocess`` (which
 #: ``platform.platform()`` forks ``uname -p`` through),
-#: ``importlib.metadata`` and the self-check suites.
+#: ``importlib.metadata``, ``numpy.random`` with the ``hashlib`` it
+#: imports, and the self-check suites.
 UNNEEDED = (
     "scipy", "concurrent", "multiprocessing", "subprocess", "importlib.metadata",
-    "phasewitness.validate",
+    "numpy.random", "hashlib", "phasewitness.validate",
 )
 
 
@@ -252,6 +253,8 @@ class TestArgumentHandling:
             (thermal + ["--r", "0.5", "--s", "0", "--nbar-list", "0,-0.1"], "nbar"),
             (eta_s + ["--eta", "0.5", "--s", "0:-1:3"], "s grid must be non-decreasing"),
             (thermal + ["--r", "0.5", "--s", "0", "--nbar-list", ""], "nbar_list"),
+            (thermal + ["--r", "0.5", "--s", "0", "--nbar-list", "0,,1"], "--nbar-list"),
+            (thermal + ["--r", "0.5", "--s", "0", "--nbar-list", "0,1,"], "--nbar-list"),
         ):
             code, _, err = run_cli(argv, capsys)
             assert code == EXIT_USAGE and named in err, (argv, err)

@@ -1,13 +1,17 @@
-"""Golden outputs: committed CLI results that every change must reproduce.
+"""Golden outputs: committed results that every change must reproduce.
 
-Each case reruns one ``sweep`` or ``eval --optimize`` command through
+Each CLI case reruns one ``sweep`` or ``eval --optimize`` command through
 ``cli.main`` and compares it with the files in ``tests/golden/``.  When
 the run's environment (Python, numpy, scipy, platform) is the one the
 files were made in, the CSV and eval bytes must be equal and a sweep's
 manifest may differ only in ``wall_time_s``.  Elsewhere, every
 ``bell_abs`` must agree within ``ABS_TOL`` and ``source``, ``violated``
-and ``clamped`` must be equal.  A change that moves a value rewrites the
-files in the same commit, by hand::
+and ``clamped`` must be equal.  The validate case runs every self-check
+suite at quick and at full depth; in the recorded environment each
+suite's tolerance, residual count, residual bytes (as a SHA-256) and
+worst residual must be equal, and elsewhere every suite must pass.  A
+change that moves a value rewrites the files in the same commit, by
+hand::
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -17,14 +21,16 @@ from __future__ import annotations
 import contextlib
 import csv
 import gzip
+import hashlib
 import io
 import json
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from phasewitness import cli
+from phasewitness import cli, validate
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -58,6 +64,9 @@ EVALS = {
     for clamp in cli.CLAMP_MODES
 }
 
+#: Validate depths: the ``quick`` argument of every suite.
+DEPTHS = {"quick": True, "full": False}
+
 
 def _run_sweep(name: str, directory: Path) -> tuple[bytes, dict]:
     out = directory / f"{name}.csv"
@@ -71,6 +80,26 @@ def _run_eval(name: str) -> bytes:
     with contextlib.redirect_stdout(stdout):
         assert cli.main(EVALS[name]) == cli.EXIT_OK
     return stdout.getvalue().encode()
+
+
+def _validate_record(quick: bool) -> dict:
+    """Per suite: tolerance, residual count, SHA-256 of the float64 residuals, worst in hex."""
+    record = {}
+    for name, suite in validate._SUITES.items():
+        tol, residuals = suite(quick)
+        values = np.asarray(residuals, dtype=float)
+        record[name] = {
+            "tolerance": tol,
+            "count": values.size,
+            "sha256": hashlib.sha256(values.tobytes()).hexdigest(),
+            "worst": float(np.max(values)).hex(),
+        }
+    return record
+
+
+def _recorded_environment() -> bool:
+    recorded = json.loads((GOLDEN / "environment.json").read_text(encoding="utf-8"))
+    return cli._environment() == recorded
 
 
 def _rows(data: bytes) -> list[dict]:
@@ -135,14 +164,26 @@ def test_sweep_matches_golden(name, tmp_path):
 def test_eval_matches_golden(name):
     data = _run_eval(name)
     want = (GOLDEN / f"{name}.json").read_bytes()
-    recorded = json.loads((GOLDEN / "environment.json").read_text(encoding="utf-8"))
-    if cli._environment() == recorded:
+    if _recorded_environment():
         got, golden = json.loads(data), json.loads(want)
         differences = [f"{k}: {got.get(k)!r} != {v!r}" for k, v in golden.items() if got.get(k) != v]
         if data != want and not differences:
             differences.append("the output bytes differ outside the report")
     else:
         differences = _differences([_eval_row(data)], [_eval_row(want)], exact=False)
+    _assert_same(differences)
+
+
+@pytest.mark.parametrize("depth", sorted(DEPTHS))
+def test_validate_matches_golden(depth):
+    quick = DEPTHS[depth]
+    if _recorded_environment():
+        got = _validate_record(quick)
+        want = json.loads((GOLDEN / "validate.json").read_text(encoding="utf-8"))[depth]
+        differences = [f"{n}: {got.get(n)} != {w}" for n, w in want.items() if got.get(n) != w]
+        differences += [f"{n}: not in the golden file" for n in got if n not in want]
+    else:
+        differences = [r.line() for r in validate.run_suites(quick) if not r.passed]
     _assert_same(differences)
 
 
@@ -157,6 +198,8 @@ def regenerate() -> None:
             (GOLDEN / f"{name}.manifest.json").write_bytes(manifest)
     for name in EVALS:
         (GOLDEN / f"{name}.json").write_bytes(_run_eval(name))
+    record = {depth: _validate_record(quick) for depth, quick in DEPTHS.items()}
+    (GOLDEN / "validate.json").write_text(json.dumps(record, indent=2) + "\n", encoding="utf-8")
     environment = json.dumps(cli._environment(), indent=2) + "\n"
     (GOLDEN / "environment.json").write_text(environment, encoding="utf-8")
 

@@ -91,8 +91,16 @@ class TestSingleModeStates:
             SingleModeTestState.thermal(-0.5)
         with pytest.raises(ValueError):
             SingleModeTestState.fock(-1)
-        with pytest.raises(ValueError):
-            SingleModeTestState("squeezed")
+        for fields in ({"z": 0.5j}, {"nbar": 0.3}):
+            with pytest.raises(ValueError, match="Fock state"):
+                SingleModeTestState(n=2, **fields)
+
+    def test_vacuum_is_one_record(self):
+        assert SingleModeTestState.coherent(0) == SingleModeTestState.thermal(0)
+        assert SingleModeTestState.thermal(0) == SingleModeTestState.vacuum()
+        assert SingleModeTestState.fock(0) == SingleModeTestState.vacuum()
+        with pytest.raises(ValueError, match="nbar"):
+            thermal_w(-0.1, 0j, 0.0)
 
     def test_coherent_is_displaced_vacuum(self):
         state = SingleModeTestState.coherent(0.6 - 0.2j)
