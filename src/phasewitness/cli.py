@@ -4,13 +4,15 @@ Exit codes: 0 success, 1 validation failure, 2 usage error, 3 I/O
 error.  Sweep output is CSV plus a sibling ``<out>.manifest.json``
 holding everything needed to reproduce the run bit-exactly.  A sweep
 runs in one process; each CSV row names how its cell was found (the
-certified curve or the fallback search) with the cell's gradient norm
-and Hessian eigenvalue, and the manifest counts both kinds.
+certified curve, the fallback search, or the uncertified curve point
+when it beats the search) with the cell's gradient norm and Hessian
+eigenvalue, and the manifest counts each kind.
 """
 
 from __future__ import annotations
 
 import argparse
+import ctypes
 import json
 import math
 import os
@@ -257,13 +259,41 @@ def _platform_string() -> str:
     return "-".join(part for part in parts if part)
 
 
+def _exp_dispatch() -> str:
+    """The SIMD target numpy's float64 ``exp`` dispatches to, or 'unknown' before numpy 2."""
+    try:
+        info = np.lib.introspect.opt_func_info(func_name="^exp$", signature="float64")
+        return info["exp"]["dd"]["current"]
+    except (AttributeError, KeyError):
+        return "unknown"
+
+
+def _openblas_core() -> str:
+    """The CPU core the OpenBLAS in ``numpy.libs`` runs its kernels for, or 'unknown'."""
+    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
+    try:
+        name = next(n for n in sorted(os.listdir(libs)) if n.startswith("libscipy_openblas"))
+        corename = ctypes.CDLL(os.path.join(libs, name)).scipy_openblas_get_corename64_
+    except (OSError, StopIteration, AttributeError):
+        return "unknown"
+    corename.argtypes, corename.restype = [], ctypes.c_char_p
+    return corename().decode()
+
+
 def _environment() -> dict[str, str]:
-    """The manifest's environment block; scipy's version is read from its file, unimported."""
+    """The manifest's environment block: what a sweep's bits depend on.
+
+    scipy's version is read from its file, unimported.  numpy's ``exp``
+    dispatch target and the OpenBLAS core (behind ``eigvalsh``) change
+    the last bits of values and Hessian eigenvalues on the same versions.
+    """
     return {
         "python": platform.python_version(),
         "numpy": np.__version__,
         "scipy": _scipy_module("scipy's version", "scipy.version", "version.py").version,
         "platform": _platform_string(),
+        "exp_dispatch": _exp_dispatch(),
+        "openblas_core": _openblas_core(),
     }
 
 
@@ -320,6 +350,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         "cells": {
             "curve": sources.count("curve"),
             "search": sources.count("search"),
+            "uncertified": sources.count("uncertified"),
             "max_grad_norm": max(c.report.meta["grad_norm"] for c in result.cells),
         },
         # Read at run time, so the manifest names what this sweep ran with.

@@ -20,15 +20,15 @@ the closed-form constants the witness reads at the lifted-down settings.
 One vectorized regularized Newton solve over the real symmetric settings
 a = (x, y), b = +-a gives a candidate for every distinct constant row at
 once.  Each cell lifts its candidate to the 8 raw coordinates, and one
-batched certificate runs over all the lifted points: the projected
-gradient of |B| at most ``CERT_GRAD_NORM``, from one gradient call per
-cell, and the largest eigenvalue of the analytic Hessian of |B| off the
-gauge direction below ``CERT_HESS_MAX``, for every cell in one numpy
-program.  A cell that passes reports its point; a cell that fails falls
-back to ``maximize_bell`` with the starts stream keyed by (seed, cell
-index).  Everything runs in the calling process; a certified cell's
-result depends on that cell alone, and a fallback cell's on its index
-too.
+batched certificate, read from the curve keys alone, runs over all the
+lifted points: the projected gradient of |B| at most
+``CERT_GRAD_NORM``, and the largest eigenvalue of the analytic Hessian
+of |B| off the gauge direction below ``CERT_HESS_MAX``, for every cell
+in one numpy program.  A cell that passes reports its point; a cell
+that fails falls back to ``maximize_bell`` with the starts stream keyed
+by (seed, cell index).  Everything runs in the calling process; a
+certified cell's result depends on that cell alone, and a fallback
+cell's on its index too.
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ from .witness import (
     WitnessReport,
     _family,
     _family_constants,
-    _tmsv_hessians,
+    _tmsv_derivatives,
     detection_objective,
     thermal_objective,
 )
@@ -239,7 +239,7 @@ def maximize_bell(
             best_key = key
             best = (x, jac)
     x, jac = best
-    grad_norm = _projected_grad_norm(x, jac, box)
+    grad_norm = float(_projected_grad_norm(x, jac, box))
     report = objective(BellSettings.from_vector(x))
     meta = {
         "n_evals": n_evals,
@@ -359,33 +359,29 @@ def _solve_curve(keys: np.ndarray, box: float) -> np.ndarray:
     return np.stack([c.reshape(n, -1)[rows, best] for c in columns], axis=1)
 
 
-def _projected_grad_norm(x: np.ndarray, jac: np.ndarray, box: float) -> float:
-    """Max-norm of the projected gradient of -|B| on the box, as L-BFGS-B measures it."""
-    return float(np.max(np.abs(x - np.clip(x - jac, -box, box))))
+def _projected_grad_norm(x: np.ndarray, jac: np.ndarray, box: float) -> np.ndarray:
+    """Max-norm over the last axis of the projected gradient of -|B| on the box, as L-BFGS-B."""
+    return np.max(np.abs(x - np.clip(x - jac, -box, box)), axis=-1)
 
 
-def _certificates(objectives, keys, points, box: float) -> tuple[list[float], np.ndarray]:
-    """(grad_norm, hess_max) of |B| per objective at its raw 8-vector.
+def _certificates(keys, points, box: float) -> tuple[np.ndarray, np.ndarray]:
+    """(grad_norm, hess_max) of |B| per curve key at its raw 8-vector.
 
     ``keys`` are the objectives' curve keys ``objective()`` and ``points``
-    the n raw 8-vectors.  ``grad_norm`` is the projected-gradient max-norm
-    that ``maximize_bell`` reports, from one ``objective(x, grad=True)``
-    call per point.  ``hess_max`` is the largest eigenvalue of the Hessian
-    of |B| on the complement of the gauge direction a -> a e^{i phi},
-    b -> b e^{-i phi}, along which B is constant: the analytic Hessians of
-    all rows from ``_tmsv_hessians``, one Householder reflection per row
-    and one batched ``eigvalsh``.  A row whose Hessian is not finite gets
-    a NaN ``hess_max``.
+    the n raw 8-vectors; one ``_tmsv_derivatives`` call gives B, its
+    gradient and its Hessian for all rows, and no objective is called.
+    ``grad_norm`` is the projected-gradient max-norm that ``maximize_bell``
+    reports.  ``hess_max`` is the largest eigenvalue of the Hessian of |B|
+    on the complement of the gauge direction a -> a e^{i phi},
+    b -> b e^{-i phi}, along which B is constant: one Householder
+    reflection per row and one batched ``eigvalsh``.  A row whose Hessian
+    is not finite gets a NaN ``hess_max``.
     """
     points = np.array(points, dtype=float).reshape(-1, 8)
-    grad_norms, signs = [], []
-    for objective, x in zip(objectives, points):
-        value, grad = objective(x.tolist(), grad=True)
-        sign = 1.0 if value >= 0.0 else -1.0
-        grad_norms.append(_projected_grad_norm(x, -sign * np.array(grad), box))
-        signs.append(sign)
-    hess = _tmsv_hessians([c for _, c in keys], [lift for lift, _ in keys], points)
-    hess *= np.array(signs)[:, None, None]
+    value, grad, hess = _tmsv_derivatives([c for _, c in keys], [lf for lf, _ in keys], points)
+    sign = np.where(value >= 0.0, 1.0, -1.0)
+    grad_norms = _projected_grad_norm(points, -sign[:, None] * grad, box)
+    hess *= sign[:, None, None]
     # d/dphi of the settings per (re, im) pair: (-im, re) on mode A and
     # (im, -re) on mode B.  A Householder reflection maps it onto the
     # first axis, and the other seven axes span its complement.  Scaling
@@ -420,8 +416,9 @@ def optimize_cells(
     raw 8-vector, and one batched certificate runs over all the lifted
     points.  A cell is reported at its point when it certifies there, else
     falls back to ``maximize_bell`` with the starts stream keyed by the
-    cell's index in ``objectives``.  Each report depends only on its own
-    objective and index, not on the other cells.
+    cell's index in ``objectives`` and reports the better of the search's
+    point and its own, the latter as ``uncertified``.  Each report depends
+    only on its own objective and index, not on the other cells.
     """
     keys = [objective() for objective in objectives]
     rows, which = np.unique([constants for _, constants in keys], axis=0, return_inverse=True)
@@ -437,28 +434,32 @@ def optimize_cells(
     zero = np.zeros_like(x)
     points = np.stack([x, zero, y, zero, sigma * x, zero, sigma * y, zero], axis=1)
     box = config.box_radius
-    grad_norms, hess_maxes = _certificates(objectives, keys, points, box)
-    reports = []
-    for idx, (objective, key) in enumerate(zip(objectives, keys)):
-        grad_norm, hess_max = grad_norms[idx], float(hess_maxes[idx])
+    grad_norms, hess_maxes = _certificates(keys, points, box)
+    cells = []
+    for idx, objective in enumerate(objectives):
+        grad_norm, hess_max = float(grad_norms[idx]), float(hess_maxes[idx])
+        meta = dict(n_evals=0, n_starts=0, unconverged_starts=0, stream=idx,
+                    grad_norm=grad_norm, source="curve", hess_max=hess_max)
         if grad_norm <= CERT_GRAD_NORM and hess_max < CERT_HESS_MAX:
             report = objective(BellSettings.from_vector(points[idx]))
-            meta = {
-                "n_evals": 0,
-                "n_starts": 0,
-                "unconverged_starts": 0,
-                "stream": idx,
-                "grad_norm": grad_norm,
-                "source": "curve",
-                "hess_max": hess_max,
-            }
         else:
-            report = maximize_bell(objective, config, idx)
-            point = [report.settings.to_vector()]
-            hess_max = float(_certificates([objective], [key], point, box)[1][0])
-            meta = {**report.meta, "source": "search", "hess_max": hess_max}
-        reports.append(replace(report, meta=meta))
-    return reports
+            # The search runs first, so that an overflowing objective names
+            # itself before its NaN curve point is read.
+            found = maximize_bell(objective, config, idx)
+            report = objective(BellSettings.from_vector(points[idx]))
+            if report.bell_abs > found.bell_abs:
+                # The search's counts, the curve point's own numbers.
+                meta.update(found.meta, grad_norm=grad_norm, source="uncertified")
+            else:
+                report = found
+                meta.update(found.meta, source="search")
+        cells.append((report, meta))
+    # One more certificate gives every search point its hess_max.
+    searched = [i for i, (_, meta) in enumerate(cells) if meta["source"] == "search"]
+    found = [cells[i][0].settings.to_vector() for i in searched]
+    for i, hess_max in zip(searched, _certificates([keys[i] for i in searched], found, box)[1]):
+        cells[i][1]["hess_max"] = float(hess_max)
+    return [replace(report, meta=meta) for report, meta in cells]
 
 
 def _grid(values, name: str) -> np.ndarray:

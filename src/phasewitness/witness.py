@@ -14,7 +14,7 @@ value and its analytic gradient over the raw 8-vector x, for the
 settings search, and ``objective()`` with its lift and closed-form
 constants, the key of the search's one curve solve.  Only this module
 reads the constants: ``_family`` gives B on the solve's curve, and
-``_tmsv_hessians`` the Hessians of many objectives for its certificate.
+``_tmsv_derivatives`` B and its derivatives at many objectives' points.
 
 When the rescaled order parameter falls below -1 the plain functional
 stops being a witness, because the observable spectrum leaves [-1, 1].
@@ -349,19 +349,19 @@ _FORM_D, _FORM_S = _gaussian_forms()
 
 
 @np.errstate(all="ignore")
-def _tmsv_hessians(constants, lifts, points) -> np.ndarray:
-    """Analytic 8 x 8 Hessians of B at raw 8-vectors, one row per objective.
+def _tmsv_derivatives(constants, lifts, points) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """B, its gradient and its 8 x 8 Hessian at raw 8-vectors, one row per objective.
 
     ``constants`` is the (n, 9) array of curve-key constants (c2, c1, c0,
     width, k2, e2, k1, e1, sh2), ``lifts`` the n lifts and ``points`` the
-    (n, 8) raw settings, ordered as ``BellSettings.to_vector``.  Each of
-    B's six Gaussian terms T = k exp(-e q), with q a quadratic form of the
-    lifted-down settings, contributes T (e^2 grad q grad q^T - e hess q),
-    and the frame factor 1/lift^2 carries the sum to raw coordinates.
-    Overflowing constants give non-finite rows silently.  Gives an
-    (n, 8, 8) array.
+    (n, 8) raw settings, ordered as ``BellSettings.to_vector``.  B is c0
+    plus six Gaussian terms T = k exp(-e q), q a quadratic form of the
+    lifted-down settings, each adding -T e grad q to the gradient and
+    T (e^2 grad q grad q^T - e hess q) to the Hessian; frame factors 1/lift
+    and 1/lift^2 carry them to raw coordinates.  Overflowing constants
+    give non-finite rows silently.  Gives (n,), (n, 8), (n, 8, 8) arrays.
     """
-    c2, c1, _, width, k2, e2, k1, e1, sh2 = np.asarray(constants, dtype=float).reshape(-1, 9).T
+    c2, c1, c0, width, k2, e2, k1, e1, sh2 = np.asarray(constants, dtype=float).reshape(-1, 9).T
     f = 1.0 / np.asarray(lifts, dtype=float)
     x = np.asarray(points, dtype=float).reshape(-1, 8) * f[:, None]
     one, zero = np.ones_like(f), np.zeros_like(f)
@@ -373,9 +373,10 @@ def _tmsv_hessians(constants, lifts, points) -> np.ndarray:
     e = np.stack([e2, e2, e2, e2, e1, e1], axis=1)
     w2, w1 = c2 * k2, c1 * k1
     terms = np.stack([w2, w2, w2, -w2, w1, w1], axis=1) * np.exp(-e * q)
+    grad = -np.einsum("nt,nti->ni", terms * e, grad_q)
     hess = np.einsum("nt,nti,ntj->nij", terms * e * e, grad_q, grad_q)
     hess -= np.einsum("nt,ntij->nij", terms * e, forms)
-    return hess * (f * f)[:, None, None]
+    return terms.sum(axis=1) + c0, grad * f[:, None], hess * (f * f)[:, None, None]
 
 
 def _family_constants(constants, sigma):

@@ -323,8 +323,38 @@ class TestEval:
         assert settings == list(expected.settings.to_vector())
         assert payload["meta"] == expected.meta
 
+    @pytest.mark.parametrize("xi, expected", [(3.0, 2.000254), (5.0, 2.0), (8.0, 2.0)])
+    def test_fallback_never_reports_less_than_its_curve_point(self, xi, expected, capsys):
+        # At high squeezing the curve point fails its certificate, and the
+        # search alone ends below it (at 1.9999999999997, 0.99999814, 0.0).
+        code, out, _ = run_cli(
+            ["eval", "--xi", str(xi), "--s", "0", "--noise", "none", "--optimize"], capsys
+        )
+        assert code == EXIT_OK
+        payload = json.loads(out)
+        assert payload["bell_abs"] == pytest.approx(expected, abs=5e-7)
+        assert payload["meta"]["source"] == "uncertified"
+        assert payload["meta"]["n_starts"] == 16
+
 
 class TestSweep:
+    def test_manifest_counts_each_source(self, tmp_path, capsys):
+        out = tmp_path / "hi.csv"
+        code, _, _ = run_cli(
+            ["sweep", "--mode", "eta-s", "--xi", "5", "--eta", "0.5:1.0:3", "--s", "-1:0:2",
+             "--out", str(out)],
+            capsys,
+        )
+        assert code == EXIT_OK
+        header = CSV_HEADER.split(",")
+        sources = [dict(zip(header, line.split(",")))["source"]
+                   for line in out.read_text().splitlines()[1:]]
+        cells = json.loads(Path(f"{out}.manifest.json").read_text())["cells"]
+        assert {k: cells[k] for k in ("curve", "search", "uncertified")} == {
+            source: sources.count(source) for source in ("curve", "search", "uncertified")
+        }
+        assert cells["search"] > 0 and cells["uncertified"] > 0
+
     def test_wall_time_stops_when_the_sweep_returns(self, tmp_path, capsys, monkeypatch):
         # The environment block is read after the clock stops: a slow one
         # does not show in wall_time_s.  Here the clock jumps by an hour
@@ -389,15 +419,39 @@ class TestSweep:
         assert manifest["cells"] == {
             "curve": 4,
             "search": 0,
+            "uncertified": 0,
             "max_grad_norm": max(float(row["grad_norm"]) for row in rows),
         }
         assert manifest["clamp_mode"] == "bounded_continuation"
+        exp = np.lib.introspect.opt_func_info(func_name="^exp$", signature="float64")
         assert manifest["environment"] == {
             "python": platform.python_version(),
             "numpy": np.__version__,
             "scipy": scipy.__version__,
             "platform": platform.platform(),
+            "exp_dispatch": exp["exp"]["dd"]["current"],
+            "openblas_core": cli._openblas_core(),
         }
+
+    def test_environment_follows_the_kernels_in_use(self, monkeypatch):
+        # OPENBLAS_CORETYPE picks the OpenBLAS core at load time, so a
+        # fresh interpreter names the one it was given.
+        if cli._openblas_core() == "unknown":
+            pytest.skip("no numpy.libs OpenBLAS to ask")
+        env = dict(
+            os.environ,
+            OPENBLAS_CORETYPE="Haswell",
+            PYTHONPATH=str(Path(phasewitness.__file__).parents[1]),
+        )
+        run = subprocess.run(
+            [sys.executable, "-c", "from phasewitness import cli; print(cli._openblas_core())"],
+            env=env, capture_output=True, text=True, check=True, timeout=60,
+        )
+        assert run.stdout.strip() == "Haswell"
+        # Where either cannot be read, the key says so rather than failing.
+        monkeypatch.setattr(np.lib.introspect, "opt_func_info", lambda **kw: {})
+        monkeypatch.setattr(cli.ctypes, "CDLL", lambda path: object())
+        assert (cli._exp_dispatch(), cli._openblas_core()) == ("unknown", "unknown")
 
     def test_manifest_records_the_curve_solve(self, tmp_path, capsys, monkeypatch):
         # The curve_solve block reads search's constants when the sweep

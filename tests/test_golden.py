@@ -2,9 +2,10 @@
 
 Each CLI case reruns one ``sweep`` or ``eval --optimize`` command through
 ``cli.main`` and compares it with the files in ``tests/golden/``.  When
-the run's environment (Python, numpy, scipy, platform) is the one the
-files were made in, the CSV and eval bytes must be equal and a sweep's
-manifest may differ only in ``wall_time_s``.  Elsewhere, every
+the run's environment (Python, numpy, scipy, platform, numpy's ``exp``
+dispatch target and the OpenBLAS core) is the one the files were made
+in, the CSV and eval bytes must be equal and a sweep's manifest may
+differ only in ``wall_time_s``.  Elsewhere, every
 ``bell_abs`` must agree within ``ABS_TOL`` and ``source``, ``violated``
 and ``clamped`` must be equal.  The validate case runs every self-check
 suite at quick and at full depth; in the recorded environment each
@@ -185,6 +186,22 @@ def test_validate_matches_golden(depth):
     else:
         differences = [r.line() for r in validate.run_suites(quick) if not r.passed]
     _assert_same(differences)
+
+
+def test_exact_route_is_taken_where_the_files_were_made():
+    # Every golden manifest names the recorded environment, so the sweeps
+    # and the evals take the same route; on the host that made the files
+    # that route is the exact one, and it knows both kernel keys.
+    recorded = json.loads((GOLDEN / "environment.json").read_text(encoding="utf-8"))
+    for name in SWEEPS:
+        manifest = json.loads((GOLDEN / f"{name}.manifest.json").read_text(encoding="utf-8"))
+        assert manifest["environment"] == recorded
+    assert {"exp_dispatch", "openblas_core"} <= set(recorded)
+    here = cli._environment()
+    differ = sorted(k for k in recorded if here.get(k) != recorded[k])
+    if differ:
+        pytest.skip(f"not the recorded environment: {', '.join(differ)} differ")
+    assert "unknown" not in recorded.values()
 
 
 def regenerate() -> None:

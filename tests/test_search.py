@@ -37,7 +37,7 @@ from phasewitness.witness import (
     CLAMP_LOSS_CHANNEL,
     BellSettings,
     WitnessReport,
-    _tmsv_hessians,
+    _tmsv_derivatives,
     bell_value,
     detection_objective,
     thermal_objective,
@@ -404,7 +404,7 @@ class TestCurve:
         # the optimum moved off it in three directions.
         points = [x, gauge_rotated(x, 1e-3), *moved]
         grad_norms, hess_maxes = search._certificates(
-            [objective] * len(points), [objective()] * len(points), points, FAST.box_radius
+            [objective()] * len(points), points, FAST.box_radius
         )
         assert (grad_norms[0], hess_maxes[0]) == (report.meta["grad_norm"], report.meta["hess_max"])
         assert grad_norms[0] <= CERT_GRAD_NORM and hess_maxes[0] < CERT_HESS_MAX
@@ -421,32 +421,35 @@ class TestCurve:
         objective = detection_objective(TmsvSpec(0.3), -0.6, DetectionNoise(0.3))
         tiny = family_point(-3.6e-304, -2.9e-303, -1.0)
         grad_norms, hess_maxes = search._certificates(
-            [objective] * 2, [objective()] * 2, [(0.0,) * 8, tiny], FAST.box_radius
+            [objective()] * 2, [(0.0,) * 8, tiny], FAST.box_radius
         )
         assert grad_norms[1] <= 1e-300
         assert hess_maxes[1] == pytest.approx(hess_maxes[0], rel=1e-12)
         # The full 8 x 8 spectrum at the origin has the same top eigenvalue.
         lift, constants = objective()
-        hess = _tmsv_hessians([constants], [lift], [(0.0,) * 8])[0]
-        sign = np.sign(objective((0.0,) * 8, grad=True)[0])
-        assert hess_maxes[0] == pytest.approx(np.linalg.eigvalsh(sign * hess)[-1], rel=1e-12)
+        value, _, hess = _tmsv_derivatives([constants], [lift], [(0.0,) * 8])
+        assert np.sign(value[0]) == np.sign(objective(BellSettings(0, 0, 0, 0)).bell_value)
+        top = np.linalg.eigvalsh(np.sign(value[0]) * hess[0])[-1]
+        assert hess_maxes[0] == pytest.approx(top, rel=1e-12)
 
     def test_non_finite_hessian_certifies_nothing(self, monkeypatch):
         # eigvalsh of a NaN matrix returns finite numbers, so the
         # certificate itself must turn a non-finite Hessian into NaN.
         objective = detection_objective(TmsvSpec(0.3), -0.8, DetectionNoise(0.5))
         point = sweep_eta_s(TmsvSpec(0.3), [0.5], [-0.8], FAST).cells[0].report.settings
-        monkeypatch.setattr(
-            search, "_tmsv_hessians", lambda c, lifts, p: np.full((len(p), 8, 8), np.nan)
-        )
-        _, hess_max = search._certificates(
-            [objective], [objective()], [point.to_vector()], FAST.box_radius
-        )
+
+        def nan_hessians(constants, lifts, points):
+            value, grad, hess = _tmsv_derivatives(constants, lifts, points)
+            return value, grad, np.full_like(hess, np.nan)
+
+        monkeypatch.setattr(search, "_tmsv_derivatives", nan_hessians)
+        _, hess_max = search._certificates([objective()], [point.to_vector()], FAST.box_radius)
         assert math.isnan(hess_max[0])
 
     def test_one_row_certificate_is_the_batch_row(self):
-        # A fallback cell certifies its search point alone; its numbers are
-        # those of the same point inside a batch.
+        # A row's certificate does not depend on the other rows of its
+        # batch, so the fallback batch gives each search point the numbers
+        # it would get alone.
         spec = TmsvSpec(0.3)
         objectives = [
             detection_objective(spec, -0.8, DetectionNoise(0.5)),
@@ -455,24 +458,94 @@ class TestCurve:
         ]
         keys = [objective() for objective in objectives]
         points = np.random.default_rng(7).uniform(-1.0, 1.0, (3, 8))
-        batch = search._certificates(objectives, keys, points, FAST.box_radius)
-        for i, objective in enumerate(objectives):
-            alone = search._certificates([objective], [keys[i]], [points[i]], FAST.box_radius)
+        batch = search._certificates(keys, points, FAST.box_radius)
+        for i in range(len(objectives)):
+            alone = search._certificates([keys[i]], [points[i]], FAST.box_radius)
             assert (alone[0][0], alone[1][0]) == (batch[0][i], batch[1][i])
+
+    def test_only_the_search_calls_an_objective_for_its_gradient(self, monkeypatch):
+        # The certificate reads the curve keys alone: outside the fallback
+        # search, each objective is called once for its key and once for
+        # the report of its curve point, never with grad=True.
+        spec = TmsvSpec(1.0)
+        cells = list(itertools.product(np.linspace(0.3, 1.0, 8), np.linspace(-1.0, 0.0, 6)))
+        calls = {idx: [] for idx in range(len(cells))}
+        searching = []
+
+        def counted(idx, objective):
+            def wrapped(*args, **kwargs):
+                inside = bool(searching)
+                calls[idx].append((inside, kwargs.get("grad", False), len(args)))
+                return objective(*args, **kwargs)
+
+            return wrapped
+
+        def search_wrapper(objective, config, stream=0, extra_starts=()):
+            searching.append(stream)
+            try:
+                return maximize_bell(objective, config, stream, extra_starts)
+            finally:
+                searching.pop()
+
+        monkeypatch.setattr(search, "maximize_bell", search_wrapper)
+        objectives = [
+            counted(idx, detection_objective(spec, s, DetectionNoise(eta)))
+            for idx, (eta, s) in enumerate(cells)
+        ]
+        reports = search.optimize_cells(objectives, SearchConfig(n_starts=2, seed=1))
+        sources = [report.meta["source"] for report in reports]
+        assert 0 < sources.count("search") < len(cells)
+        for idx, report in enumerate(reports):
+            outside = [(grad, n) for inside, grad, n in calls[idx] if not inside]
+            assert outside == [(False, 0), (False, 1)]
+            if report.meta["source"] == "curve":
+                assert len(calls[idx]) == 2
+            else:
+                assert any(grad for inside, grad, _ in calls[idx] if inside)
+
+    def test_fallback_keeps_a_better_uncertified_point(self):
+        # At xi = 5 the curve point fails its certificate, and the search
+        # ends below it; the cell reports the curve point with the search's
+        # counts and the point's own certificate numbers.
+        objective = detection_objective(TmsvSpec(5.0), 0.0, DetectionNoise(1.0))
+        config = SearchConfig()
+        report = search.optimize_cells([objective], config)[0]
+        found = maximize_bell(objective, config, 0)
+        assert report.meta["source"] == "uncertified"
+        assert report.bell_abs > found.bell_abs
+        assert report == objective(report.settings)
+        x = np.array(report.settings.to_vector())
+        assert np.all(x[1::2] == 0.0) and abs(x[4]) == abs(x[0]) and abs(x[6]) == abs(x[2])
+        grad_norms, hess_maxes = search._certificates([objective()], [x], config.box_radius)
+        own = {"grad_norm": float(grad_norms[0]), "hess_max": float(hess_maxes[0])}
+        assert {k: report.meta[k] for k in own} == own
+        assert not (own["grad_norm"] <= CERT_GRAD_NORM and own["hess_max"] < CERT_HESS_MAX)
+        counts = ("n_evals", "n_starts", "unconverged_starts", "stream")
+        assert {k: report.meta[k] for k in counts} == {k: found.meta[k] for k in counts}
 
     @pytest.mark.parametrize("xi, box", [(0.3, 0.05), (0.0, 2.0)])
     def test_uncertified_cells_run_maximize_bell(self, xi, box):
         # A box too small for any interior maximum, and a product state
-        # whose Hessian is degenerate, certify no cell.
+        # whose Hessian is degenerate, certify no cell.  Each cell reports
+        # its search, or its curve point where that reads higher: on the
+        # product state, B is 2 up to rounding everywhere.
         spec = TmsvSpec(xi)
         config = SearchConfig(n_starts=2, seed=3, box_radius=box)
         result = sweep_eta_s(spec, [0.4, 0.7, 1.0], [-1.0, -0.5, 0.0], config)
+        sources = []
         for idx, cell in enumerate(result.cells):
             objective = detection_objective(spec, cell.axis2, DetectionNoise(cell.axis1))
             expected = maximize_bell(objective, config, idx)
-            assert cell.report == expected
-            assert {k: cell.report.meta[k] for k in expected.meta} == expected.meta
-            assert cell.report.meta["source"] == "search"
+            sources.append(cell.report.meta["source"])
+            if sources[-1] == "search":
+                assert cell.report == expected
+                assert {k: cell.report.meta[k] for k in expected.meta} == expected.meta
+            else:
+                assert sources[-1] == "uncertified"
+                assert cell.report.bell_abs > expected.bell_abs
+                assert cell.report.meta["n_evals"] == expected.meta["n_evals"]
+        assert "curve" not in sources
+        assert sources.count("search") == (9 if xi else 5)
 
     def test_sub_grid_gives_the_full_grid_cells(self):
         spec = TmsvSpec(0.3)

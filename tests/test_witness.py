@@ -18,7 +18,7 @@ from phasewitness.witness import (
     CLAMP_LOSS_CHANNEL,
     BellSettings,
     WitnessReport,
-    _tmsv_hessians,
+    _tmsv_derivatives,
     bell_value,
     bounded_eigenvalue,
     detection_objective,
@@ -530,7 +530,18 @@ class TestGradient:
 
 
 class TestHessian:
-    """The batched analytic Hessian against the scalar analytic gradient."""
+    """The batched B, gradient and Hessian against the scalar objective."""
+
+    @pytest.mark.parametrize("mode, noise, s", RULE_CELLS)
+    def test_value_and_gradient_match_the_objective(self, mode, noise, s):
+        objective = _build(noise)(TmsvSpec(0.3), s, noise, mode)
+        lift, constants = objective()
+        points = np.random.default_rng(6).uniform(-1.5, 1.5, (16, 8))
+        values, grads, _ = _tmsv_derivatives([constants] * 16, [lift] * 16, points)
+        for x, value, grad in zip(points, values, grads):
+            b, g = objective(x.tolist(), grad=True)
+            assert abs(value - b) <= 1e-13
+            assert np.abs(grad - np.array(g)).max() <= 1e-13
 
     @pytest.mark.parametrize("mode, noise, s", RULE_CELLS)
     def test_matches_central_differences_of_the_gradient(self, mode, noise, s):
@@ -538,7 +549,7 @@ class TestHessian:
         lift, constants = objective()
         rng = np.random.default_rng(5)
         points = rng.uniform(-1.0, 1.0, (6, 8))
-        hessians = _tmsv_hessians([constants] * len(points), [lift] * len(points), points)
+        _, _, hessians = _tmsv_derivatives([constants] * len(points), [lift] * len(points), points)
         h = 1e-5
         for x, hess in zip(points, hessians):
             steps = h * np.eye(8)
