@@ -26,9 +26,11 @@ lifted points: the projected gradient of |B| at most
 of |B| off the gauge direction below ``CERT_HESS_MAX``, for every cell
 in one numpy program.  A cell that passes reports its point; a cell
 that fails falls back to ``maximize_bell`` with the starts stream keyed
-by (seed, cell index).  Everything runs in the calling process; a
-certified cell's result depends on that cell alone, and a fallback
-cell's on its index too.
+by (seed, cell index).  ``_starts`` draws those starts from the standard
+library's ``random.Random`` (MT19937), seeded with the Cantor pair of
+(seed, stream), so a search loads no ``numpy.random``.  Everything runs
+in the calling process; a certified cell's result depends on that cell
+alone, and a fallback cell's on its index too.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ import importlib.util
 import itertools
 import math
 import os
+import random
 import sysconfig
 from dataclasses import dataclass, replace
 from types import ModuleType
@@ -156,6 +159,35 @@ def _better(candidate: tuple[float, tuple[float, ...]], incumbent) -> bool:
     return candidate[1] < incumbent[1]
 
 
+def _starts(
+    config: SearchConfig, stream: int, extra_starts: Sequence[Sequence[float]] = ()
+) -> np.ndarray:
+    """The starts of one multi-start search, one 8-vector per row.
+
+    The ``extra_starts`` come first, clipped to the box, then
+    ``config.n_starts`` random starts with every coordinate uniform on
+    [-box, box]: the first half (rounded up) on the real axis, and every
+    odd-index one scaled by 1/4, since the interesting optima sit at
+    small displacement amplitudes.  The random starts come from
+    ``random.Random`` (MT19937) seeded with the Cantor pair
+    k (k + 1) / 2 + stream, k = seed + stream, which is injective on
+    non-negative integers: each (seed, stream) has its own stream, for
+    any size of seed.
+    """
+    box = config.box_radius
+    k = config.seed + stream
+    rng = random.Random(k * (k + 1) // 2 + stream)
+    n_real = (config.n_starts + 1) // 2
+    starts = [np.clip(np.asarray(warm, dtype=float).reshape(8), -box, box) for warm in extra_starts]
+    for i in range(config.n_starts):
+        scale = 0.25 if i % 2 == 1 else 1.0
+        x0 = [scale * rng.uniform(-box, box) for _ in range(8)]
+        if i < n_real:
+            x0[1::2] = [0.0] * 4
+        starts.append(x0)
+    return np.array(starts)
+
+
 def maximize_bell(
     objective: Callable[..., object],
     config: SearchConfig,
@@ -172,57 +204,48 @@ def maximize_bell(
     through scipy's C core (``_moduleTNC.tnc_minimize``, loaded from its
     extension file by ``_tnc_minimize`` on the first call in a process)
     with the arguments ``minimize(method="TNC")`` passes for these
-    options.  On the 48-cell benchmark map (one x86-64 core) a search
-    evaluation cost about 44 us through ``minimize`` and 12 us this way.
+    options.  Searching the 48 cells of the benchmark map one by one (one
+    x86-64 Xeon core) cost about 28 us per evaluation through
+    ``minimize`` and 6 us this way.
 
     The callback keeps scipy's evaluation semantics: within a start it
     remembers the last point it evaluated and answers a repeat of exactly
     that point from the cache, without calling the objective or counting,
     and the re-evaluation at TNC's returned x goes through the same
     cache.  So ``n_evals`` equals the count scipy's public route reports.
+    It hands TNC -|B| and its gradient as plain floats, negated only
+    where B >= 0, which is exact; only the best start's gradient becomes
+    an array.
 
-    Deterministic given (config.seed, stream, extra_starts).  Odd random
-    starts are drawn at quarter scale, since the interesting optima sit
-    at small displacement amplitudes; ``extra_starts`` prepends explicit
-    8-vectors (warm starts) to the random ones.  Starts that TNC does not
-    report as converged are counted in the result's meta, never raised;
-    the best point found is always returned, with its projected-gradient
-    max-norm as ``grad_norm``.
+    Deterministic given (config.seed, stream, extra_starts): the starts
+    are ``_starts``', drawn from ``random.Random`` on the Cantor pair of
+    (seed, stream), with ``extra_starts`` (warm starts) first.  Starts
+    that TNC does not report as converged are counted in the result's
+    meta, never raised; the best point found is always returned, with its
+    projected-gradient max-norm as ``grad_norm``.
     """
     tnc_minimize = _tnc_minimize()
-    rng = np.random.default_rng((config.seed, stream))
     box = config.box_radius
     lo, hi = np.full(8, -box), np.full(8, box)
-    n_real = (config.n_starts + 1) // 2
     n_evals = 0
     last_xl = last_fg = None
 
-    def neg_abs(x: np.ndarray) -> tuple[float, np.ndarray]:
+    def neg_abs(x: np.ndarray) -> tuple[float, Sequence[float]]:
         nonlocal n_evals, last_xl, last_fg
         xl = x.tolist()
         if xl == last_xl:
             return last_fg
         n_evals += 1
         value, grad = objective(xl, grad=True)
-        sign = -1.0 if value >= 0.0 else 1.0
-        last_xl, last_fg = xl, (sign * value, sign * np.array(grad))
+        if value >= 0.0:
+            value, grad = -value, [-g for g in grad]
+        last_xl, last_fg = xl, (value, grad)
         return last_fg
-
-    starts = []
-    for warm in extra_starts:
-        starts.append(np.clip(np.asarray(warm, dtype=float).reshape(8), -box, box))
-    for i in range(config.n_starts):
-        x0 = rng.uniform(-box, box, 8)
-        if i % 2 == 1:
-            x0 *= 0.25
-        if i < n_real:
-            x0[1::2] = 0.0
-        starts.append(x0)
 
     best_key = None
     best = None
     unconverged = 0
-    for x0 in starts:
+    for x0 in _starts(config, stream, extra_starts):
         last_xl = None
         # No scale/offset, no messages, default CG, eta, step, accuracy,
         # fmin, pgtol and rescale, and no callback.
@@ -239,7 +262,7 @@ def maximize_bell(
             best_key = key
             best = (x, jac)
     x, jac = best
-    grad_norm = float(_projected_grad_norm(x, jac, box))
+    grad_norm = float(_projected_grad_norm(x, np.array(jac), box))
     report = objective(BellSettings.from_vector(x))
     meta = {
         "n_evals": n_evals,

@@ -41,11 +41,11 @@ def run_cli(argv, capsys):
 #: search needs TNC's core, and the manifest reads scipy's version from
 #: its file), the process-pool machinery, ``subprocess`` (which
 #: ``platform.platform()`` forks ``uname -p`` through),
-#: ``importlib.metadata``, ``numpy.random`` with the ``hashlib`` it
-#: imports, and the self-check suites.
+#: ``importlib.metadata``, ``numpy.random`` with the ``secrets`` and
+#: ``hashlib`` it imports, and the self-check suites.
 UNNEEDED = (
     "scipy", "concurrent", "multiprocessing", "subprocess", "importlib.metadata",
-    "numpy.random", "hashlib", "phasewitness.validate",
+    "numpy.random", "secrets", "hashlib", "phasewitness.validate",
 )
 
 
@@ -90,6 +90,21 @@ def test_certified_eval_loads_no_scipy():
         "'--eta', '0.36', '--optimize']) == 0"
     )
     assert loaded_in_fresh_interpreter(code) == []
+
+
+def test_fallback_search_loads_no_numpy_random():
+    # The curve point fails its certificate at xi = 3, so the cell runs
+    # the TNC search, whose starts come from the standard library.
+    code = (
+        "from phasewitness import search\n"
+        "from phasewitness.cli import main\n"
+        "assert main(['eval', '--xi', '3', '--s', '0', '--noise', 'none', '--optimize']) == 0\n"
+        "assert search._tnc_minimize.cache_info().currsize == 1"
+    )
+    loaded = loaded_in_fresh_interpreter(code)
+    unneeded = ("numpy.random", "secrets", "hashlib", "scipy.optimize", "scipy.special",
+                "phasewitness.validate")
+    assert [m for m in loaded if m.startswith(unneeded)] == []
 
 
 class TestArgumentHandling:
@@ -323,17 +338,22 @@ class TestEval:
         assert settings == list(expected.settings.to_vector())
         assert payload["meta"] == expected.meta
 
-    @pytest.mark.parametrize("xi, expected", [(3.0, 2.000254), (5.0, 2.0), (8.0, 2.0)])
-    def test_fallback_never_reports_less_than_its_curve_point(self, xi, expected, capsys):
-        # At high squeezing the curve point fails its certificate, and the
-        # search alone ends below it (at 1.9999999999997, 0.99999814, 0.0).
+    @pytest.mark.parametrize(
+        "xi, expected, source",
+        [(3.0, 2.3244889, "search"), (5.0, 2.0, "uncertified"), (8.0, 2.0, "uncertified")],
+    )
+    def test_fallback_never_reports_less_than_its_curve_point(self, xi, expected, source, capsys):
+        # At high squeezing the curve point fails its certificate.  At
+        # xi = 3 the search ends above it (the curve point reads 2.000254);
+        # at xi = 5 and 8 the search alone ends below it (at 1.9e-25 and
+        # 0.0), so the curve point is reported.
         code, out, _ = run_cli(
             ["eval", "--xi", str(xi), "--s", "0", "--noise", "none", "--optimize"], capsys
         )
         assert code == EXIT_OK
         payload = json.loads(out)
         assert payload["bell_abs"] == pytest.approx(expected, abs=5e-7)
-        assert payload["meta"]["source"] == "uncertified"
+        assert payload["meta"]["source"] == source
         assert payload["meta"]["n_starts"] == 16
 
 

@@ -82,6 +82,50 @@ def constant_objective(settings, grad=False):
     return WitnessReport(settings, -0.5, 1.5)
 
 
+class TestStarts:
+    """``search._starts``: the starts of one multi-start search."""
+
+    def test_equal_for_equal_seed_and_stream(self):
+        config = SearchConfig(n_starts=6, seed=3)
+        assert np.array_equal(search._starts(config, 2), search._starts(config, 2))
+
+    def test_each_seed_and_stream_has_its_own_starts(self):
+        starts = {
+            (seed, stream): search._starts(SearchConfig(n_starts=4, seed=seed), stream)
+            for seed, stream in itertools.product(range(4), repeat=2)
+        }
+        for (a, first), (b, second) in itertools.combinations(starts.items(), 2):
+            assert not np.array_equal(first, second), (a, b)
+
+    def test_layout(self):
+        box = 1.5
+        starts = search._starts(SearchConfig(n_starts=7, seed=1, box_radius=box), 5)
+        assert starts.shape == (7, 8)
+        assert np.all(np.abs(starts) <= box)
+        # The first half, rounded up, lies on the real axis; the rest do not.
+        assert np.all(starts[:4, 1::2] == 0.0)
+        assert np.all(starts[4:, 1::2] != 0.0)
+        # Odd-index starts lie in the quarter box, and the even ones do not all.
+        assert np.all(np.abs(starts[1::2]) <= box / 4)
+        assert np.max(np.abs(starts[0::2])) > box / 4
+        assert len({tuple(row) for row in starts.tolist()}) == 7
+
+    def test_warm_starts_come_first_clipped(self):
+        config = SearchConfig(n_starts=3, seed=2, box_radius=1.0)
+        warm = [np.linspace(-3.0, 3.0, 8), [0.5] * 8]
+        starts = search._starts(config, 4, warm)
+        assert starts.shape == (5, 8)
+        assert np.array_equal(starts[0], np.clip(warm[0], -1.0, 1.0))
+        assert np.array_equal(starts[1], warm[1])
+        assert np.array_equal(starts[2:], search._starts(config, 4))
+
+    def test_huge_seed(self):
+        starts = search._starts(SearchConfig(n_starts=8, seed=2**40), 3)
+        assert np.all(np.isfinite(starts))
+        assert len({tuple(row) for row in starts.tolist()}) == 8
+        assert not np.array_equal(starts, search._starts(SearchConfig(n_starts=8, seed=2**40), 4))
+
+
 class TestMaximizeBell:
     def test_constant_objective_and_meta(self):
         report = maximize_bell(constant_objective, SearchConfig(n_starts=2, seed=1))
@@ -545,7 +589,7 @@ class TestCurve:
                 assert cell.report.bell_abs > expected.bell_abs
                 assert cell.report.meta["n_evals"] == expected.meta["n_evals"]
         assert "curve" not in sources
-        assert sources.count("search") == (9 if xi else 5)
+        assert sources.count("search") == (9 if xi else 3)
 
     def test_sub_grid_gives_the_full_grid_cells(self):
         spec = TmsvSpec(0.3)
