@@ -21,8 +21,8 @@ kernel's coordinates, so the nodes follow the kernel around every
 target, and the beam-splitter convolution in the Gaussian environment's
 coordinates, with one node set shared by every target.  The ladder sums
 its targets one fixed-size block at a time, so its memory is bounded by
-the block, not by targets x nodes.  The adaptive Gauss-Legendre rule
-on a growing square, ``plane_integral``, now serves only the tests.
+the block, not by targets x nodes.  ``plane_integral``, which only
+the tests call, sums a decaying field over the plane on the same ladder.
 """
 
 from __future__ import annotations
@@ -231,71 +231,7 @@ def w_from_distribution(
 
 
 # ---------------------------------------------------------------------------
-# Adaptive plane quadrature (an independent reference for the tests)
-# ---------------------------------------------------------------------------
-
-_ORDERS = (17, 31, 61, 121, 241)
-_RADIUS_GROWTH = 1.5
-_MAX_RADIUS_STEPS = 6
-
-FieldEvaluator = Callable[[np.ndarray], np.ndarray]
-
-
-@lru_cache(maxsize=None)
-def _gauss_nodes(order: int) -> tuple[np.ndarray, np.ndarray]:
-    x, w = np.polynomial.legendre.leggauss(order)
-    return x, w
-
-
-def _square_nodes(radius: float, order: int) -> tuple[np.ndarray, np.ndarray]:
-    x, w = _gauss_nodes(order)
-    side = radius * x
-    pts = side[:, None] + 1j * side[None, :]
-    wts = (radius * w)[:, None] * (radius * w)[None, :]
-    return pts.ravel(), wts.ravel()
-
-
-def _integrate_at(f: FieldEvaluator, radius: float, tol: float) -> np.ndarray:
-    prev = None
-    for order in _ORDERS:
-        pts, wts = _square_nodes(radius, order)
-        vals = np.asarray(f(pts), dtype=float).reshape(-1, pts.size)
-        est = (vals * wts).sum(axis=-1)
-        if prev is not None and np.max(np.abs(est - prev)) <= 0.5 * tol:
-            return est
-        prev = est
-    raise ConvergenceError(
-        f"quadrature did not converge to {tol:.2e} at order {_ORDERS[-1]} (radius {radius})"
-    )
-
-
-def plane_integral(
-    f: FieldEvaluator,
-    *,
-    radius: float = 5.0,
-    tol: float = 1e-8,
-) -> np.ndarray:
-    """Integral of a decaying field over the plane, centred at the origin.
-
-    ``f`` receives a flat complex array of nodes; it may return one row
-    per integrand (shape ``(k, n_nodes)``) so several integrals sharing
-    the same nodes are computed together.  The domain is a square that
-    grows until the result is radius-stable within ``tol``.
-    """
-    _positive(tol, "tol")
-    _positive(radius, "radius")
-    est = _integrate_at(f, radius, tol)
-    for _ in range(_MAX_RADIUS_STEPS):
-        bigger = _integrate_at(f, radius * _RADIUS_GROWTH, tol)
-        if np.max(np.abs(bigger - est)) <= 0.5 * tol:
-            return bigger
-        radius *= _RADIUS_GROWTH
-        est = bigger
-    raise ConvergenceError(f"quadrature domain did not stabilize within {tol:.2e}")
-
-
-# ---------------------------------------------------------------------------
-# Gauss-Hermite ladder: both convolution laws
+# Gauss-Hermite ladder: both convolution laws and the plane integral
 # ---------------------------------------------------------------------------
 
 _HERMITE_ORDERS = (8, 12, 16, 24, 32, 48, 64, 96)
@@ -304,6 +240,7 @@ _HERMITE_ORDERS = (8, 12, 16, 24, 32, 48, 64, 96)
 # at an order with n nodes, so no transient array grows with the targets.
 _BLOCK_NODES = 1 << 14
 
+FieldEvaluator = Callable[[np.ndarray], np.ndarray]
 RowEvaluator = Callable[[np.ndarray], Callable[[slice], np.ndarray]]
 
 
@@ -458,3 +395,27 @@ def beamsplitter_convolve(
     # The ladder's tolerance applies before the 1/t^2 prefactor.
     est = _hermite_ladder(values, targets.size, quad_tol * t * t, "beam-splitter convolution")
     return _shaped(est / (t * t), alpha)
+
+
+def plane_integral(f: FieldEvaluator, *, radius: float = 5.0, tol: float = 1e-8) -> np.ndarray:
+    """Integral of a decaying field over the plane, one value per row of ``f``.
+
+    ``f`` takes a flat complex array of nodes and gives one value per
+    node, or one row per integrand (shape ``(k, n_nodes)``).  In the
+    coordinates beta = (radius/3) * u, which put the lowest order's
+    outermost nodes near +-radius, the integral is (radius/3)^2 times
+    integral d^2u exp(-|u|^2) [exp(|u|^2) f(beta)], which
+    ``_hermite_ladder`` sums to ``tol``.  A field that does not decay
+    raises ``ConvergenceError``.
+    """
+    _positive(tol, "tol")
+    _positive(radius, "radius")
+    scale = radius / 3.0
+    n_rows = np.asarray(f(np.zeros(1, dtype=complex))).size
+
+    def values(u: np.ndarray):
+        weight = (math.pi * scale * scale) * np.exp(u.real * u.real + u.imag * u.imag)
+        rows = np.asarray(f(scale * u), dtype=float).reshape(n_rows, u.size) * weight
+        return rows.__getitem__
+
+    return _hermite_ladder(values, n_rows, tol, "plane integral")

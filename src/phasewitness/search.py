@@ -120,9 +120,10 @@ def _scipy_module(what: str, name: str, *parts: str) -> ModuleType:
     """Module ``name`` run from the file ``parts`` of scipy's package.
 
     The file is found through scipy's package location and run under
-    ``name`` without importing scipy or any of its subpackages, and the
-    module is not put in ``sys.modules``.  ``what`` names the file in the
-    ``ImportError`` raised when scipy or the file is missing.
+    ``name``, not put in ``sys.modules``.  An extension file's init still
+    imports the top-level ``scipy`` (with ``scipy._lib`` and ``subprocess``)
+    through ``scipy._cyutility``, but not ``scipy.optimize``.  ``what`` names
+    the file in the ``ImportError`` raised when scipy or the file is missing.
     """
     spec = importlib.util.find_spec("scipy")
     locations = spec.submodule_search_locations if spec is not None else None

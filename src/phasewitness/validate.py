@@ -257,12 +257,16 @@ def _field_route(
 def _witness_form_equivalence(quick: bool) -> Residuals:
     """Builder objectives against ``bell_value`` over the closed-form fields.
 
-    The second route shares no code with the objective builder: it takes
-    s' from ``noise.rescale_*``, fields from ``states.tmsv_w2``/``tmsv_w1``
-    (through ``noise.evolve_thermal_w`` for the loss-channel rule) and the
-    coefficients from ``witness.bell_value``; see ``_field_route``.  The
-    thermal objective at nbar = 0 is also checked against the detection
-    objective at eta = 1 - r^2.
+    The second route, ``_field_route``, evaluates ``witness.bell_value``
+    over ``states.tmsv_w2``/``tmsv_w1`` (through ``noise.evolve_thermal_w``
+    for the loss-channel rule).  It shares s' (``noise.rescale_detection``,
+    ``rescale_thermal``), ``TmsvSpec.gaussian`` and the unclamped
+    ``witness._coefficients`` with the builder, and checks the clamp rules'
+    coefficient sets, the frames and the builder's inlined Gaussians.
+    ``tests/test_witness.py`` checks the shared parts against Fock-basis sums
+    (``TestIdealBell::test_matches_operator_sum`` and both
+    ``test_unclamped_matches_rescaled_operator_sum``).  The thermal objective
+    at nbar = 0 is also checked against the detection objective at eta = 1 - r^2.
 
     Each probe reads its settings as the next (n, 8) block of the
     Kronecker sequence of ``_setting_points``, from ``_WITNESS_START``

@@ -77,6 +77,9 @@ CLAMP_MODES = (CLAMP_BOUNDED, CLAMP_FROZEN, CLAMP_LOSS_CHANNEL)
 #: What the order-parameter gate names for a witness order outside [-1, 0].
 _WITNESS = "the witness"
 
+#: How far |B| must exceed 2 to read violated: a product state rounds up to 4e-15 above.
+_VIOLATION_MARGIN = 1e-12
+
 
 @dataclass(frozen=True)
 class BellSettings:
@@ -116,8 +119,9 @@ class WitnessReport:
     ``s_effective`` is the real order parameter, a float, at which the
     distributions were evaluated (the true rescaled value, possibly
     below -1).
-    ``bell_abs``, ``violated`` (|B| > 2) and ``clamped`` (s' < -1, so a
-    clamping rule replaced the order-s' observable) are derived.
+    ``bell_abs``, ``violated`` (|B| > 2 + ``_VIOLATION_MARGIN``) and
+    ``clamped`` (s' < -1, so a clamping rule replaced the order-s'
+    observable) are derived.
     """
 
     settings: BellSettings
@@ -131,7 +135,7 @@ class WitnessReport:
 
     @property
     def violated(self) -> bool:
-        return self.bell_abs > 2.0
+        return self.bell_abs > 2.0 + _VIOLATION_MARGIN
 
     @property
     def clamped(self) -> bool:

@@ -356,8 +356,31 @@ class TestEval:
         assert payload["meta"]["source"] == source
         assert payload["meta"]["n_starts"] == 16
 
+    def test_product_state_optimum_is_not_violated(self, capsys):
+        # At xi = 0 the search ends a few ulps above the separable bound 2.
+        code, out, _ = run_cli(
+            ["eval", "--xi", "0", "--s", "0", "--noise", "none", "--optimize"], capsys
+        )
+        assert code == EXIT_OK
+        payload = json.loads(out)
+        assert payload["bell_abs"] == pytest.approx(2.0, abs=1e-12)
+        assert payload["violated"] is False
+
 
 class TestSweep:
+    def test_product_state_cells_are_not_violated(self, tmp_path, capsys):
+        out = tmp_path / "vacuum.csv"
+        code, _, _ = run_cli(
+            ["sweep", "--mode", "eta-s", "--xi", "0", "--eta", "0.4:1.0:3", "--s", "-1:0:3",
+             "--starts", "2", "--seed", "3", "--out", str(out)],
+            capsys,
+        )
+        assert code == EXIT_OK
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        assert len(rows) == 9
+        assert max(abs(float(row[3]) - 2.0) for row in rows) <= 1e-12
+        assert {row[4] for row in rows} == {"false"}
+
     def test_manifest_counts_each_source(self, tmp_path, capsys):
         out = tmp_path / "hi.csv"
         code, _, _ = run_cli(

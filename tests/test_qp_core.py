@@ -316,6 +316,13 @@ class TestPlaneIntegral:
         vals = plane_integral(f, tol=1e-9)
         assert np.max(np.abs(vals - 1.0)) < 1e-8
 
+    def test_wide_thermal_field_at_default_radius(self):
+        # At nbar = 3 the field decays more slowly than the Hermite weight
+        # in the default radius's coordinates, so the weight divided back
+        # out makes the summed integrand grow along the nodes.
+        total = plane_integral(lambda pts: thermal_w(3.0, pts, 0.0))
+        assert abs(total.item() - 1.0) < 1e-9
+
     def test_non_decaying_integrand_fails(self):
         with pytest.raises(ConvergenceError):
             plane_integral(lambda pts: np.ones(pts.size), tol=1e-10)

@@ -637,6 +637,27 @@ class TestCurve:
                 assert cell.report.bell_abs >= searched.bell_abs - 1e-9
 
 
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="the curve does not certify every cell at high squeezing yet (ROADMAP item 3)",
+)
+def test_noise_free_wigner_cells_climb_to_the_asymptote():
+    # The noise-free s = 0 cell for xi = 0, 0.25, ..., 8 in one call.  The
+    # witness rises from the separable value 2 at xi = 0 towards Banaszek
+    # and Wodkiewicz's limit 2.3244947811..., which it reaches by xi = 6.
+    # One test, not one per xi, so that partial progress cannot XPASS.
+    xis = [0.25 * k for k in range(33)]
+    objectives = [detection_objective(TmsvSpec(xi), 0.0, DetectionNoise(1.0)) for xi in xis]
+    reports = search.optimize_cells(objectives, SearchConfig())
+    values = [report.bell_abs for report in reports]
+    assert [report.meta["source"] for report in reports] == ["curve"] * len(xis)
+    assert values[0] == 2.0
+    assert all(a <= b for a, b in zip(values, values[1:]))
+    assert max(values) <= 2.3244947811
+    assert min(values[xis.index(6.0):]) >= 2.32449478
+
+
 # Run in a fresh interpreter: a search and a sweep, then the scipy
 # modules they loaded, then the same work after importing scipy.optimize,
 # whose _moduleTNC must be the core the search loaded.

@@ -18,6 +18,7 @@ from phasewitness.witness import (
     CLAMP_LOSS_CHANNEL,
     BellSettings,
     WitnessReport,
+    _VIOLATION_MARGIN,
     _tmsv_derivatives,
     bell_value,
     bounded_eigenvalue,
@@ -470,7 +471,7 @@ class TestThermalWitness:
             TmsvSpec(0.3), s, DetectionNoise(eta)
         )(BellSettings.from_vector(vec))
         assert report.bell_abs == abs(report.bell_value)
-        assert report.violated == (report.bell_abs > 2.0)
+        assert report.violated == (report.bell_abs > 2.0 + _VIOLATION_MARGIN)
         assert report.clamped == (report.s_effective < -1.0)
 
 
