@@ -4,9 +4,8 @@ Exit codes: 0 success, 1 validation failure, 2 usage error, 3 I/O
 error.  Sweep output is CSV plus a sibling ``<out>.manifest.json``
 holding everything needed to reproduce the run bit-exactly.  A sweep
 runs in one process; each CSV row names how its cell was found (the
-certified curve, the fallback search, or the uncertified curve point
-when it beats the search) with the cell's gradient norm and Hessian
-eigenvalue, and the manifest counts each kind.
+certified curve or the fallback search) with the cell's gradient norm
+and Hessian eigenvalue, and the manifest counts each kind.
 """
 
 from __future__ import annotations
@@ -85,7 +84,12 @@ def _parse_grid(text: str, name: str) -> list[float]:
         raise UsageError(f"{name}: grid count must be at least 1, got {count}")
     if count == 1 and lo != hi:
         raise UsageError(f"{name}: a 1-point grid needs lo == hi, got {text!r}")
-    return [float(v) for v in np.linspace(lo, hi, count)]
+    # numpy refuses a count it cannot allocate with a MemoryError, and one
+    # past its index range with a ValueError or an IndexError.
+    try:
+        return [float(v) for v in np.linspace(lo, hi, count)]
+    except (MemoryError, ValueError, IndexError):
+        raise UsageError(f"{name}: grid count {count} is too large") from None
 
 
 def _parse_settings(text: str) -> BellSettings:
@@ -350,7 +354,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         "cells": {
             "curve": sources.count("curve"),
             "search": sources.count("search"),
-            "uncertified": sources.count("uncertified"),
             "max_grad_norm": max(c.report.meta["grad_norm"] for c in result.cells),
         },
         # Read at run time, so the manifest names what this sweep ran with.

@@ -25,12 +25,13 @@ lifted points: the projected gradient of |B| at most
 ``CERT_GRAD_NORM``, and the largest eigenvalue of the analytic Hessian
 of |B| off the gauge direction below ``CERT_HESS_MAX``, for every cell
 in one numpy program.  A cell that passes reports its point; a cell
-that fails falls back to ``maximize_bell`` with the starts stream keyed
-by (seed, cell index).  ``_starts`` draws those starts from the standard
-library's ``random.Random`` (MT19937), seeded with the Cantor pair of
-(seed, stream), so a search loads no ``numpy.random``.  Everything runs
-in the calling process; a certified cell's result depends on that cell
-alone, and a fallback cell's on its index too.
+that fails reports ``maximize_bell`` from that point as one extra start,
+never below it, with the starts stream keyed by (seed, cell index).
+``_starts`` draws the random starts from the standard library's
+``random.Random`` (MT19937), seeded with the Cantor pair of (seed,
+stream), so a search loads no ``numpy.random``.  Everything runs in the
+calling process; a certified cell's result depends on that cell alone,
+and a fallback cell's on its index too.
 """
 
 from __future__ import annotations
@@ -439,10 +440,12 @@ def optimize_cells(
     constant rows; each cell lifts its row's solution by its lift to the
     raw 8-vector, and one batched certificate runs over all the lifted
     points.  A cell is reported at its point when it certifies there, else
-    falls back to ``maximize_bell`` with the starts stream keyed by the
-    cell's index in ``objectives`` and reports the better of the search's
-    point and its own, the latter as ``uncertified``.  Each report depends
-    only on its own objective and index, not on the other cells.
+    reports ``maximize_bell`` from that point as its one extra start, with
+    the random starts stream keyed by the cell's index in ``objectives``.
+    TNC only takes ascent steps from a start, so the search never ends
+    below the point; a NaN point (overflowing constants) makes the
+    objective name its overflow in the search.  Each report depends only
+    on its own objective and index, not on the other cells.
     """
     keys = [objective() for objective in objectives]
     rows, which = np.unique([constants for _, constants in keys], axis=0, return_inverse=True)
@@ -467,16 +470,8 @@ def optimize_cells(
         if grad_norm <= CERT_GRAD_NORM and hess_max < CERT_HESS_MAX:
             report = objective(BellSettings.from_vector(points[idx]))
         else:
-            # The search runs first, so that an overflowing objective names
-            # itself before its NaN curve point is read.
-            found = maximize_bell(objective, config, idx)
-            report = objective(BellSettings.from_vector(points[idx]))
-            if report.bell_abs > found.bell_abs:
-                # The search's counts, the curve point's own numbers.
-                meta.update(found.meta, grad_norm=grad_norm, source="uncertified")
-            else:
-                report = found
-                meta.update(found.meta, source="search")
+            report = maximize_bell(objective, config, idx, [points[idx]])
+            meta.update(report.meta, source="search")
         cells.append((report, meta))
     # One more certificate gives every search point its hess_max.
     searched = [i for i, (_, meta) in enumerate(cells) if meta["source"] == "search"]

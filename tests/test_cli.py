@@ -253,6 +253,21 @@ class TestArgumentHandling:
         code, _, _ = run_cli(base + ["--s", "0", "--eta", "0.4:0.6:1"], capsys)
         assert code == EXIT_USAGE
 
+    @pytest.mark.parametrize("count", [10**15, 10**20, 2**63 - 1])
+    def test_unallocatable_grid_count_is_a_usage_error(self, count, tmp_path, capsys):
+        # numpy refuses each count without touching memory: 10**15 floats
+        # are 7.11 PiB, and the other two lie past its index range.
+        out = tmp_path / "x.csv"
+        code, stdout, err = run_cli(
+            ["sweep", "--mode", "eta-s", "--xi", "0.3", "--eta", f"0.3:1:{count}", "--s", "0",
+             "--out", str(out)],
+            capsys,
+        )
+        assert code == EXIT_USAGE
+        assert err == f"error: --eta: grid count {count} is too large\n"
+        assert stdout == ""
+        assert not out.exists()
+
     def test_out_of_range_values_are_named_as_eval_names_them(self, tmp_path, capsys):
         # A sweep admits each value where its cell is built, through the
         # same checks as eval, so both name a bad value alike.
@@ -338,22 +353,20 @@ class TestEval:
         assert settings == list(expected.settings.to_vector())
         assert payload["meta"] == expected.meta
 
-    @pytest.mark.parametrize(
-        "xi, expected, source",
-        [(3.0, 2.3244889, "search"), (5.0, 2.0, "uncertified"), (8.0, 2.0, "uncertified")],
-    )
-    def test_fallback_never_reports_less_than_its_curve_point(self, xi, expected, source, capsys):
-        # At high squeezing the curve point fails its certificate.  At
-        # xi = 3 the search ends above it (the curve point reads 2.000254);
-        # at xi = 5 and 8 the search alone ends below it (at 1.9e-25 and
-        # 0.0), so the curve point is reported.
+    @pytest.mark.parametrize("xi, expected", [(3.0, 2.3244889), (5.0, 2.0), (8.0, 2.3244948)])
+    def test_fallback_never_reports_less_than_its_curve_point(self, xi, expected, capsys):
+        # At high squeezing the curve point fails its certificate, and the
+        # search starts from it.  At xi = 3 it climbs from 2.000254; at
+        # xi = 5 the curve point sits at 2.0 and the search stays there,
+        # the random starts alone ending near 0; at xi = 8 it climbs from
+        # the curve point to the asymptote.
         code, out, _ = run_cli(
             ["eval", "--xi", str(xi), "--s", "0", "--noise", "none", "--optimize"], capsys
         )
         assert code == EXIT_OK
         payload = json.loads(out)
         assert payload["bell_abs"] == pytest.approx(expected, abs=5e-7)
-        assert payload["meta"]["source"] == source
+        assert payload["meta"]["source"] == "search"
         assert payload["meta"]["n_starts"] == 16
 
     def test_product_state_optimum_is_not_violated(self, capsys):
@@ -393,10 +406,10 @@ class TestSweep:
         sources = [dict(zip(header, line.split(",")))["source"]
                    for line in out.read_text().splitlines()[1:]]
         cells = json.loads(Path(f"{out}.manifest.json").read_text())["cells"]
-        assert {k: cells[k] for k in ("curve", "search", "uncertified")} == {
-            source: sources.count(source) for source in ("curve", "search", "uncertified")
+        assert {k: cells[k] for k in ("curve", "search")} == {
+            source: sources.count(source) for source in ("curve", "search")
         }
-        assert cells["search"] > 0 and cells["uncertified"] > 0
+        assert cells["search"] > 0 and cells["curve"] + cells["search"] == len(sources)
 
     def test_wall_time_stops_when_the_sweep_returns(self, tmp_path, capsys, monkeypatch):
         # The environment block is read after the clock stops: a slow one
@@ -462,7 +475,6 @@ class TestSweep:
         assert manifest["cells"] == {
             "curve": 4,
             "search": 0,
-            "uncertified": 0,
             "max_grad_norm": max(float(row["grad_norm"]) for row in rows),
         }
         assert manifest["clamp_mode"] == "bounded_continuation"
