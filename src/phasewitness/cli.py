@@ -5,7 +5,8 @@ error.  Sweep output is CSV plus a sibling ``<out>.manifest.json``
 holding everything needed to reproduce the run bit-exactly.  A sweep
 runs in one process; each CSV row names how its cell was found (the
 certified curve or the fallback search) with the cell's gradient norm
-and Hessian eigenvalue, and the manifest counts each kind.
+and Hessian eigenvalue, and the manifest counts each kind.  ``validate``
+runs every self-check suite, or those ``--suite`` names, at one depth.
 """
 
 from __future__ import annotations
@@ -80,6 +81,9 @@ def _parse_grid(text: str, name: str) -> list[float]:
         raise UsageError(
             f"{name}: expected 'lo:hi:count' or a single number, got {text!r}"
         ) from None
+    # linspace turns an infinite endpoint into NaN cells.
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise UsageError(f"{name}: grid endpoints must be finite, got {text!r}")
     if count < 1:
         raise UsageError(f"{name}: grid count must be at least 1, got {count}")
     if count == 1 and lo != hi:
@@ -163,11 +167,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sw.add_argument("--out", required=True, help="CSV output path")
 
     va = sub.add_parser("validate", help="run the self-check suites")
-    va.add_argument(
-        "--quick",
-        action="store_true",
-        help="reduced grids: fewer states, points, noise cells and settings",
-    )
     # No choices: listing the suites would import validate in every
     # command.  run_suites refuses an unknown name with the valid ones.
     va.add_argument("--suite", action="append", help="run only the named suite (repeatable)")
@@ -386,7 +385,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     # Imported here: no other command needs the self-check suites.
     from . import validate
 
-    results = validate.run_suites(quick=args.quick, names=args.suite)
+    results = validate.run_suites(args.suite)
     print(validate.format_report(results))
     return EXIT_OK if all(r.passed for r in results) else EXIT_VALIDATION
 

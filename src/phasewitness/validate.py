@@ -2,10 +2,11 @@
 
 Every suite recomputes a quantity along two routes that must agree
 (series versus closed form, nested versus direct smoothing, convolution
-versus rescaling, and so on) and returns its tolerance and a flat list
-of residuals.  ``run_suites`` alone judges them: the worst residual is
-one ``np.max`` over the list, so a NaN or infinite residual, or an
-empty list, fails the suite.  The suites deliberately reach all modules
+versus rescaling, and so on) over one fixed set of grids, takes no
+argument, and returns its tolerance and a flat list of residuals.
+``run_suites`` alone judges them: the worst residual is one ``np.max``
+over the list, so a NaN or infinite residual, or an empty list, fails
+the suite.  The suites deliberately reach all modules
 through attribute lookups so a corrupted constant or function is caught
 at run time, not import time.
 """
@@ -45,18 +46,11 @@ class SuiteResult:
         extra = f"  [{self.detail}]" if self.detail else ""
         return (
             f"{status}  {self.name}: worst residual {self.worst:.3e} "
-            f"(tolerance {self.tolerance:.1e}){extra}  {self.seconds:.2f} s"
+            f"(tolerance {self.tolerance:.1e}){extra}  {1e3 * self.seconds:.1f} ms"
         )
 
 
-def _test_states(quick: bool) -> list[SingleModeTestState]:
-    if quick:
-        return [
-            SingleModeTestState.vacuum(),
-            SingleModeTestState.coherent(0.7 + 0.4j),
-            SingleModeTestState.thermal(0.5),
-            SingleModeTestState.fock(1),
-        ]
+def _test_states() -> list[SingleModeTestState]:
     return [
         SingleModeTestState.vacuum(),
         SingleModeTestState.coherent(0.7 + 0.4j),
@@ -76,7 +70,7 @@ _N_MAX = 160
 #: increments of the Kronecker sequence behind ``_setting_points``.
 _KRONECKER_ALPHA = np.sqrt([2.0, 3.0, 5.0, 7.0, 11.0, 13.0, 17.0, 19.0]) % 1.0
 #: Each suite's first index into that sequence; the separable bound reads
-#: rows 1-20000 at full depth, the witness forms rows from 30000 on.
+#: rows 1-20000, the witness forms rows from 30000 on.
 _SEPARABLE_START = 1
 _WITNESS_START = 30_000
 
@@ -98,13 +92,12 @@ def _setting_points(start: int, n: int) -> np.ndarray:
 Residuals = tuple[float, "list[float] | np.ndarray"]
 
 
-def _series_reconstruction(quick: bool) -> Residuals:
+def _series_reconstruction() -> Residuals:
     """Number-basis series against the analytic distribution values."""
     tol = 1e-8
     residuals = []
-    points = (0.3 - 0.2j,) if quick else (0.0, 0.3 - 0.2j, -0.9 + 0.5j)
-    for state in _test_states(quick):
-        for point in points:
+    for state in _test_states():
+        for point in (0.0, 0.3 - 0.2j, -0.9 + 0.5j):
             p = states.photon_distribution(state, point, _N_MAX)
             for s in _S_GRID:
                 got = qp_core.w_from_distribution(p, s, tol=0.25 * tol)
@@ -113,33 +106,31 @@ def _series_reconstruction(quick: bool) -> Residuals:
     return tol, residuals
 
 
-def _loss_rescale_identity(quick: bool) -> Residuals:
+def _loss_rescale_identity() -> Residuals:
     """Thinned-series route against the rescaled-order route.
 
     Every (state, eta) pair is thinned in the one Pascal sweep of
     ``noise._loss_routes``.
     """
     tol = 1e-8
-    etas = (0.3, 0.8) if quick else _ETA_GRID
     pairs = [
         (states.photon_distribution(state, 0.3 - 0.2j, _N_MAX), DetectionNoise(eta))
-        for state in _test_states(quick)
-        for eta in etas
+        for state in _test_states()
+        for eta in _ETA_GRID
     ]
     routes = noise_mod._loss_routes(pairs, _S_GRID, tol)
     return tol, [abs(thinned - rescaled) for pair in routes for thinned, rescaled in pair]
 
 
-def _smoothing_semigroup(quick: bool) -> Residuals:
+def _smoothing_semigroup() -> Residuals:
     """Two smoothing steps against one, and both against the closed form."""
     tol = 1e-6
     quad_tol = 1e-8
-    cases: list[tuple[SingleModeTestState, float, float, float]] = [
+    cases = [
         (SingleModeTestState.vacuum(), 0.0, -0.4, -1.0),
+        (SingleModeTestState.thermal(0.8), -0.2, -0.6, -1.0),
     ]
-    if not quick:
-        cases.append((SingleModeTestState.thermal(0.8), -0.2, -0.6, -1.0))
-    targets = np.array([0.4 + 0.0j]) if quick else np.array([0.0, 0.5, 0.3 + 0.4j])
+    targets = np.array([0.0, 0.5, 0.3 + 0.4j])
     residuals = []
     for state, s0, s1, s2 in cases:
 
@@ -161,7 +152,7 @@ def _smoothing_semigroup(quick: bool) -> Residuals:
     return tol, residuals
 
 
-def _thermal_convolution(quick: bool) -> Residuals:
+def _thermal_convolution() -> Residuals:
     """Beam-splitter convolution against the rescaling shortcut.
 
     One call of each route per (state, channel) covers the whole grid.
@@ -171,23 +162,14 @@ def _thermal_convolution(quick: bool) -> Residuals:
     tol = 1e-6
     quad_tol = 1e-8
     s = 0.0
-    if quick:
-        test_states = [SingleModeTestState.coherent(0.6 - 0.3j)]
-        channels = [(0.5, 0.5)]
-        grid = np.array([0.0, 0.6 - 0.6j])
-    else:
-        test_states = [
-            SingleModeTestState.vacuum(),
-            SingleModeTestState.coherent(0.6 - 0.3j),
-            SingleModeTestState.thermal(0.5),
-        ]
-        channels = [
-            (math.sqrt(rsq), nbar)
-            for rsq in (0.25, 0.5)
-            for nbar in (0.0, 0.5)
-        ]
-        axis = (-0.6, 0.0, 0.6)
-        grid = np.array([complex(x, y) for x in axis for y in axis])
+    test_states = [
+        SingleModeTestState.vacuum(),
+        SingleModeTestState.coherent(0.6 - 0.3j),
+        SingleModeTestState.thermal(0.5),
+    ]
+    channels = [(math.sqrt(rsq), nbar) for rsq in (0.25, 0.5) for nbar in (0.0, 0.5)]
+    axis = (-0.6, 0.0, 0.6)
+    grid = np.array([complex(x, y) for x in axis for y in axis])
     residuals = []
     for state in test_states:
 
@@ -254,7 +236,7 @@ def _field_route(
     return lambda x: witness.bell_value(w2, w1, w1, x, order)
 
 
-def _witness_form_equivalence(quick: bool) -> Residuals:
+def _witness_form_equivalence() -> Residuals:
     """Builder objectives against ``bell_value`` over the closed-form fields.
 
     The second route, ``_field_route``, evaluates ``witness.bell_value``
@@ -278,7 +260,7 @@ def _witness_form_equivalence(quick: bool) -> Residuals:
     about 1e-15), far inside the tolerance.
     """
     tol = 1e-12
-    n_settings = 5 if quick else 20
+    n_settings = 20
     starts = itertools.count(_WITNESS_START, n_settings)
     spec = states.TmsvSpec(0.3)
     residuals = []
@@ -288,28 +270,14 @@ def _witness_form_equivalence(quick: bool) -> Residuals:
         values = [objective(row, grad=True)[0] for row in x.tolist()]
         residuals.extend(np.abs(np.array(values) - route(x)))
 
-    detection_cells = (
-        [(0.45, 0.0), (0.8, -0.5)]
-        if quick
-        else [(eta, s) for eta in (0.3, 0.45, 0.5, 0.7, 1.0) for s in (0.0, -0.5, -1.0)]
-    )
-    for eta, s in detection_cells:
+    for eta, s in itertools.product((0.3, 0.45, 0.5, 0.7, 1.0), (0.0, -0.5, -1.0)):
         noise = DetectionNoise(eta)
         s_prime = noise_mod.rescale_detection(s, noise)
         for mode in witness.CLAMP_MODES:
             obj = witness.detection_objective(spec, s, noise, clamp_mode=mode)
             route = _field_route(spec, s_prime, 1.0, eta, mode)
             probe(obj, route)
-    thermal_cells = (
-        [(0.85, 0.5, 0.0)]
-        if quick
-        else [
-            (r, nbar, s)
-            for r in (0.3, 0.6, 0.85)
-            for nbar in (0.0, 0.5, 2.0)
-            for s in (0.0, -0.5)
-        ]
-    )
+    thermal_cells = list(itertools.product((0.3, 0.6, 0.85), (0.0, 0.5, 2.0), (0.0, -0.5)))
     for r, nbar, s in thermal_cells:
         noise = ThermalNoise(r=r, nbar=nbar)
         s_prime = noise_mod.rescale_thermal(s, noise)
@@ -340,18 +308,17 @@ def _witness_form_equivalence(quick: bool) -> Residuals:
     return tol, residuals
 
 
-def _eigenvalue_bounds(quick: bool) -> Residuals:
+def _eigenvalue_bounds() -> Residuals:
     """Spectra of the plain, frozen, and bounded observables stay in [-1, 1]."""
     tol = 1e-12
-    n_top = 128 if quick else 512
     ladders = [(witness.observable_eigenvalue, float(s)) for s in np.linspace(-1.0, 0.0, 101)]
     for s_prime in (-1.2, -1.8, -3.0):
         ladders += [(witness.effective_eigenvalue, s_prime), (witness.bounded_eigenvalue, s_prime)]
-    n = np.arange(n_top + 1)
+    n = np.arange(513)
     return tol, np.concatenate([np.abs(eig(n, s)) - 1.0 for eig, s in ladders])
 
 
-def _separable_bound(quick: bool) -> Residuals:
+def _separable_bound() -> Residuals:
     """|B| <= 2 for product states over quasi-random settings.
 
     Each (pair, s) block reads its settings as the next (n, 8) block of
@@ -360,7 +327,7 @@ def _separable_bound(quick: bool) -> Residuals:
     ``witness.bell_value`` over the ``states.state_w`` fields.
     """
     tol = 1e-9
-    n_settings = 400 if quick else 2000
+    n_settings = 2000
     starts = itertools.count(_SEPARABLE_START, n_settings)
     s_values = (0.0, -0.25, -0.5, -0.75, -1.0)
     pairs = [
@@ -385,7 +352,7 @@ def _separable_bound(quick: bool) -> Residuals:
     return tol, np.concatenate(blocks)
 
 
-def _multi_outcome_rescale(quick: bool) -> Residuals:
+def _multi_outcome_rescale() -> Residuals:
     """Complex rescaling identity for the d-outcome order parameters.
 
     Also compares the two loss routes of the d-outcome branch: the series
@@ -394,7 +361,7 @@ def _multi_outcome_rescale(quick: bool) -> Residuals:
     """
     tol = 1e-14
     residuals = []
-    etas = (0.3, 1.0) if quick else (0.3, 0.7, 1.0)
+    etas = (0.3, 0.7, 1.0)
     p = states.photon_distribution(SingleModeTestState.thermal(0.6), 0.4, _N_MAX)
     orders = [OrderParam(d) for d in (2, 3, 4, 5)]
     noises = [DetectionNoise(eta) for eta in etas]
@@ -407,7 +374,7 @@ def _multi_outcome_rescale(quick: bool) -> Residuals:
     return tol, residuals
 
 
-_SUITES: dict[str, Callable[[bool], Residuals]] = {
+_SUITES: dict[str, Callable[[], Residuals]] = {
     "series_reconstruction": _series_reconstruction,
     "loss_rescale_identity": _loss_rescale_identity,
     "smoothing_semigroup": _smoothing_semigroup,
@@ -421,10 +388,11 @@ _SUITES: dict[str, Callable[[bool], Residuals]] = {
 SUITE_NAMES = tuple(_SUITES)
 
 
-def run_suites(
-    quick: bool = False, names: Sequence[str] | None = None
-) -> list[SuiteResult]:
+def run_suites(names: Sequence[str] | None = None, *, quick: bool = False) -> list[SuiteResult]:
     """Run the requested suites (all by default) and judge each one.
+
+    There is one depth.  ``quick`` is ignored; the benchmark
+    (``perfbench/workloads.py``) still passes it.
 
     The worst residual is the ``np.max`` of the suite's residuals, so a
     NaN carries through and fails the comparison with the tolerance; a
@@ -442,7 +410,7 @@ def run_suites(
     for name in selected:
         start = time.perf_counter()
         try:
-            tol, residuals = _SUITES[name](quick)
+            tol, residuals = _SUITES[name]()
             values = np.asarray(residuals, dtype=float)
             worst = float(np.max(np.where(values == -np.inf, np.inf, values)))
             passed, detail = worst <= tol, ""

@@ -146,7 +146,7 @@ def test_a3_sweep_peak_location():
 
 
 def suite_check(name: str, suite_names: list[str]) -> None:
-    results = run_suites(quick=False, names=suite_names)
+    results = run_suites(suite_names)
     detail = "; ".join(
         f"{r.name} worst={r.worst:.3e} (tol {r.tolerance:.1e})" for r in results
     )

@@ -268,6 +268,27 @@ class TestArgumentHandling:
         assert stdout == ""
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "flag, grid",
+        [("--s", "-inf:0:3"), ("--eta", "0.5:inf:3"), ("--r", "-inf:0.5:3")],
+    )
+    def test_non_finite_grid_endpoint_is_a_usage_error(self, flag, grid, tmp_path, capsys):
+        # linspace would turn the endpoint into NaN cells; the grid is
+        # refused by flag before any cell is built.
+        out = tmp_path / "x.csv"
+        argv = {
+            "--s": ["--mode", "eta-s", "--eta", "0.5:1:3"],
+            "--eta": ["--mode", "eta-s", "--s", "0"],
+            "--r": ["--mode", "thermal", "--s", "0"],
+        }[flag]
+        code, stdout, err = run_cli(
+            ["sweep", "--xi", "0.3", *argv, flag, grid, "--out", str(out)], capsys
+        )
+        assert code == EXIT_USAGE
+        assert err == f"error: {flag}: grid endpoints must be finite, got {grid!r}\n"
+        assert stdout == ""
+        assert not out.exists()
+
     def test_out_of_range_values_are_named_as_eval_names_them(self, tmp_path, capsys):
         # A sweep admits each value where its cell is built, through the
         # same checks as eval, so both name a bad value alike.
@@ -617,14 +638,13 @@ class TestSweep:
 
 class TestValidateCommand:
     def test_unknown_suite_is_a_usage_error(self, capsys):
-        code, _, err = run_cli(["validate", "--quick", "--suite", "bogus"], capsys)
+        code, _, err = run_cli(["validate", "--suite", "bogus"], capsys)
         assert code == EXIT_USAGE
         assert "'bogus'" in err and "thermal_convolution" in err
 
     def test_selected_suites_pass(self, capsys):
         code, out, _ = run_cli(
-            ["validate", "--quick", "--suite", "eigenvalue_bounds",
-             "--suite", "multi_outcome_rescale"],
+            ["validate", "--suite", "eigenvalue_bounds", "--suite", "multi_outcome_rescale"],
             capsys,
         )
         assert code == EXIT_OK
@@ -639,8 +659,12 @@ class TestValidateCommand:
             "phasewitness.states.tmsv_w2",
             lambda spec, a, b, s: real(spec, a, b, s) + 1e-4,
         )
-        code, out, _ = run_cli(
-            ["validate", "--quick", "--suite", "witness_form_equivalence"], capsys
-        )
+        code, out, _ = run_cli(["validate", "--suite", "witness_form_equivalence"], capsys)
         assert code == EXIT_VALIDATION
         assert "FAIL" in out
+
+    def test_quick_is_refused(self, capsys):
+        # The suites have one depth; a reduced one is no longer offered.
+        code, out, err = run_cli(["validate", "--quick"], capsys)
+        assert code == EXIT_USAGE
+        assert "--quick" in err and out == ""

@@ -8,11 +8,10 @@ in, the CSV and eval bytes must be equal and a sweep's manifest may
 differ only in ``wall_time_s``.  Elsewhere, every
 ``bell_abs`` must agree within ``ABS_TOL`` and ``source``, ``violated``
 and ``clamped`` must be equal.  The validate case runs every self-check
-suite at quick and at full depth; in the recorded environment each
-suite's tolerance, residual count, residual bytes (as a SHA-256) and
-worst residual must be equal, and elsewhere every suite must pass.  A
-change that moves a value rewrites the files in the same commit, by
-hand::
+suite; in the recorded environment each suite's tolerance, residual
+count, residual bytes (as a SHA-256) and worst residual must be equal,
+and elsewhere every suite must pass.  A change that moves a value
+rewrites the files in the same commit, by hand::
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -65,9 +64,6 @@ EVALS = {
     for clamp in cli.CLAMP_MODES
 }
 
-#: Validate depths: the ``quick`` argument of every suite.
-DEPTHS = {"quick": True, "full": False}
-
 
 def _run_sweep(name: str, directory: Path) -> tuple[bytes, dict]:
     out = directory / f"{name}.csv"
@@ -83,11 +79,11 @@ def _run_eval(name: str) -> bytes:
     return stdout.getvalue().encode()
 
 
-def _validate_record(quick: bool) -> dict:
+def _validate_record() -> dict:
     """Per suite: tolerance, residual count, SHA-256 of the float64 residuals, worst in hex."""
     record = {}
     for name, suite in validate._SUITES.items():
-        tol, residuals = suite(quick)
+        tol, residuals = suite()
         values = np.asarray(residuals, dtype=float)
         record[name] = {
             "tolerance": tol,
@@ -175,16 +171,14 @@ def test_eval_matches_golden(name):
     _assert_same(differences)
 
 
-@pytest.mark.parametrize("depth", sorted(DEPTHS))
-def test_validate_matches_golden(depth):
-    quick = DEPTHS[depth]
+def test_validate_matches_golden():
     if _recorded_environment():
-        got = _validate_record(quick)
-        want = json.loads((GOLDEN / "validate.json").read_text(encoding="utf-8"))[depth]
+        got = _validate_record()
+        want = json.loads((GOLDEN / "validate.json").read_text(encoding="utf-8"))
         differences = [f"{n}: {got.get(n)} != {w}" for n, w in want.items() if got.get(n) != w]
         differences += [f"{n}: not in the golden file" for n in got if n not in want]
     else:
-        differences = [r.line() for r in validate.run_suites(quick) if not r.passed]
+        differences = [r.line() for r in validate.run_suites() if not r.passed]
     _assert_same(differences)
 
 
@@ -215,8 +209,8 @@ def regenerate() -> None:
             (GOLDEN / f"{name}.manifest.json").write_bytes(manifest)
     for name in EVALS:
         (GOLDEN / f"{name}.json").write_bytes(_run_eval(name))
-    record = {depth: _validate_record(quick) for depth, quick in DEPTHS.items()}
-    (GOLDEN / "validate.json").write_text(json.dumps(record, indent=2) + "\n", encoding="utf-8")
+    record = json.dumps(_validate_record(), indent=2) + "\n"
+    (GOLDEN / "validate.json").write_text(record, encoding="utf-8")
     environment = json.dumps(cli._environment(), indent=2) + "\n"
     (GOLDEN / "environment.json").write_text(environment, encoding="utf-8")
 
