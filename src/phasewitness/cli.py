@@ -81,9 +81,10 @@ def _parse_grid(text: str, name: str) -> list[float]:
         raise UsageError(
             f"{name}: expected 'lo:hi:count' or a single number, got {text!r}"
         ) from None
-    # linspace turns an infinite endpoint into NaN cells.
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise UsageError(f"{name}: grid endpoints must be finite, got {text!r}")
+    # linspace turns an infinite endpoint, or a span that overflows, into
+    # NaN cells.
+    if not math.isfinite(hi - lo):
+        raise UsageError(f"{name}: grid endpoints and span must be finite, got {text!r}")
     if count < 1:
         raise UsageError(f"{name}: grid count must be at least 1, got {count}")
     if count == 1 and lo != hi:

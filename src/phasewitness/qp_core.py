@@ -185,19 +185,6 @@ def _photon_number(n) -> int | np.ndarray:
     return int(arr) if arr.ndim == 0 else arr.astype(np.int64)
 
 
-def _ratio_power(ratio: float | complex, n) -> float | complex | np.ndarray:
-    """``ratio ** n`` for an int or an integer array ``n``.
-
-    A negative float ratio is raised as ``|ratio| ** n`` with the odd
-    powers negated, within an ulp of ``ratio ** k``: numpy's AVX-512
-    ``power`` is about 13x slower on a negative base.
-    """
-    if isinstance(n, int) or isinstance(ratio, complex) or not ratio < 0.0:
-        return ratio**n
-    powers = (-ratio) ** n
-    return np.where(n & 1, -powers, powers)
-
-
 def parity_coefficient(n, s: Union[OrderParam, float]) -> float | complex | np.ndarray:
     """Series weight ((s+1)/(s-1))^n / (1-s) of the n-th number state.
 
@@ -207,7 +194,7 @@ def parity_coefficient(n, s: Union[OrderParam, float]) -> float | complex | np.n
     """
     n = _photon_number(n)
     ratio, gap = _ratio_and_gap(s, "parity_coefficient")
-    return _ratio_power(ratio, n) / gap
+    return ratio**n / gap
 
 
 def w_from_distribution(
@@ -240,7 +227,7 @@ def w_from_distribution(
             f"series tail bound {tail_err:.3e} exceeds tol {tol:.3e} at n_max {p.n_max}"
         )
     n = np.arange(p.probs.size)
-    return prefactor * np.dot(_ratio_power(ratio, n), p.probs).item()
+    return prefactor * np.dot(np.asarray(ratio) ** n, p.probs).item()
 
 
 # ---------------------------------------------------------------------------

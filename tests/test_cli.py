@@ -270,11 +270,16 @@ class TestArgumentHandling:
 
     @pytest.mark.parametrize(
         "flag, grid",
-        [("--s", "-inf:0:3"), ("--eta", "0.5:inf:3"), ("--r", "-inf:0.5:3")],
+        [
+            ("--s", "-inf:0:3"),
+            ("--eta", "0.5:inf:3"),
+            ("--r", "-inf:0.5:3"),
+            ("--s", "-1e308:1e308:3"),
+        ],
     )
     def test_non_finite_grid_endpoint_is_a_usage_error(self, flag, grid, tmp_path, capsys):
-        # linspace would turn the endpoint into NaN cells; the grid is
-        # refused by flag before any cell is built.
+        # linspace would turn the endpoint, or the overflowing span, into
+        # NaN cells; the grid is refused by flag before any cell is built.
         out = tmp_path / "x.csv"
         argv = {
             "--s": ["--mode", "eta-s", "--eta", "0.5:1:3"],
@@ -285,7 +290,7 @@ class TestArgumentHandling:
             ["sweep", "--xi", "0.3", *argv, flag, grid, "--out", str(out)], capsys
         )
         assert code == EXIT_USAGE
-        assert err == f"error: {flag}: grid endpoints must be finite, got {grid!r}\n"
+        assert err == f"error: {flag}: grid endpoints and span must be finite, got {grid!r}\n"
         assert stdout == ""
         assert not out.exists()
 

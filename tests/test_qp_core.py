@@ -247,31 +247,6 @@ class TestParityCoefficient:
         assert abs(parity_coefficient(n, s)) <= 1.0 / (1.0 - s) + 1e-15
 
 
-class TestRatioPower:
-    def test_negative_ratios_stay_within_an_ulp_of_python(self):
-        # A negative float ratio is raised as |ratio|**n with the odd
-        # powers negated, not by numpy's power of the negative base.
-        n = np.arange(513)
-        for ratio in np.linspace(-1.0, 0.0, 99)[1:-1].tolist():
-            got = qp_core._ratio_power(ratio, n)
-            want = np.array([ratio**k for k in range(513)])
-            assert np.all(np.abs(got - want) <= np.spacing(np.abs(want))), ratio
-
-    def test_unit_and_zero_ratios_are_exact(self):
-        n = np.arange(6)
-        for ratio in (-1.0, -0.0, 0.0, 1.0):
-            got = qp_core._ratio_power(ratio, n)
-            want = np.array([ratio**k for k in range(6)])
-            np.testing.assert_array_equal(got, want)
-            np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
-
-    def test_scalars_and_complex_ratios_take_the_plain_power(self):
-        assert qp_core._ratio_power(-0.5, 3) == -0.125
-        n = np.arange(40)
-        ratio = OrderParam(3, 0.6).ratio
-        np.testing.assert_array_equal(qp_core._ratio_power(ratio, n), ratio**n)
-
-
 class TestPhotonDistribution:
     def test_validation(self):
         with pytest.raises(ValueError):
