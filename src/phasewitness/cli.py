@@ -3,9 +3,11 @@
 Exit codes: 0 success, 1 validation failure, 2 usage error, 3 I/O
 error.  Sweep output is CSV plus a sibling ``<out>.manifest.json``
 holding everything needed to reproduce the run bit-exactly.  A sweep
-runs in one process; each CSV row names how its cell was found (the
-certified curve or the fallback search) with the cell's gradient norm
-and Hessian eigenvalue, and the manifest counts each kind.  ``validate``
+runs in one process, and ``eval --optimize`` is a one-cell sweep; each
+CSV row names what its cell reports (a certified curve point, the
+asymptote |c0| or an uncertified curve point) with that point's
+relative gradient norm and Hessian eigenvalue, and the manifest counts
+each kind.  No command searches, so none loads scipy.  ``validate``
 runs every self-check suite, or those ``--suite`` names, at one depth.
 """
 
@@ -19,21 +21,14 @@ import os
 import platform
 import sys
 import time
-from dataclasses import asdict, fields
+from dataclasses import fields
 from typing import Sequence
 
 import numpy as np
 
 from . import __version__, search
 from .noise import DetectionNoise, ThermalNoise
-from .search import (
-    SearchConfig,
-    SweepResult,
-    _scipy_module,
-    optimize_cells,
-    sweep_eta_s,
-    sweep_thermal,
-)
+from .search import SweepResult, optimize_cells, sweep_eta_s, sweep_thermal
 from .states import TmsvSpec
 from .witness import (
     CLAMP_BOUNDED,
@@ -141,13 +136,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-    # A search flag left out is None, so SearchConfig's default applies.
     shared = argparse.ArgumentParser(add_help=False)
-    defaults = SearchConfig()
     shared.add_argument("--xi", type=float, required=True, help="squeezing parameter")
-    shared.add_argument("--starts", type=int, help=f"random starts (default {defaults.n_starts})")
-    shared.add_argument("--seed", type=int, help=f"start seed (default {defaults.seed})")
-    shared.add_argument("--box", type=float, help=f"box radius (default {defaults.box_radius})")
 
     ev = sub.add_parser("eval", parents=[shared], help="evaluate the witness once, print JSON")
     ev.add_argument("--s", type=float, required=True, help="base order parameter in [-1, 0]")
@@ -166,6 +156,9 @@ def _build_parser() -> argparse.ArgumentParser:
     sw.add_argument("--r", help="r grid (thermal mode)")
     sw.add_argument("--nbar-list", help="comma-separated occupations (default 0)")
     sw.add_argument("--out", required=True, help="CSV output path")
+    # Read by no cell; kept only because perfbench/workloads.py passes them.
+    sw.add_argument("--starts", type=int, help="ignored")
+    sw.add_argument("--seed", type=int, help="ignored")
 
     va = sub.add_parser("validate", help="run the self-check suites")
     # No choices: listing the suites would import validate in every
@@ -193,22 +186,9 @@ def _check_noise_flags(args: argparse.Namespace, option: str, choice: str) -> No
         raise UsageError(f"{option} {choice} does not read {', '.join(given)}")
 
 
-#: The search flags and the ``SearchConfig`` fields they set.
-_SEARCH_FLAGS = {"starts": "n_starts", "box": "box_radius", "seed": "seed"}
-
-
-def _search_config(args: argparse.Namespace) -> SearchConfig:
-    """``SearchConfig`` from the search flags given; the others keep its defaults."""
-    given = {field: getattr(args, flag) for flag, field in _SEARCH_FLAGS.items()}
-    return SearchConfig(**{field: v for field, v in given.items() if v is not None})
-
-
 def _cmd_eval(args: argparse.Namespace) -> int:
     if bool(args.settings) == bool(args.optimize):
         raise UsageError("exactly one of --settings or --optimize is required")
-    given = sorted(flag for flag in _SEARCH_FLAGS if getattr(args, flag) is not None)
-    if given and not args.optimize:
-        raise UsageError(f"--settings does not read {', '.join('--' + f for f in given)}")
     _check_noise_flags(args, "--noise", args.noise)
     spec = TmsvSpec(args.xi)
     if args.noise == "thermal":
@@ -218,7 +198,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
         noise = DetectionNoise(1.0 if args.eta is None else args.eta)
         objective = detection_objective(spec, args.s, noise, clamp_mode=args.clamp)
     if args.optimize:
-        report = optimize_cells([objective], _search_config(args))[0]
+        report = optimize_cells([objective])[0]
     else:
         report = objective(_parse_settings(args.settings))
     print(json.dumps(_report_json(report), indent=2))
@@ -287,14 +267,13 @@ def _openblas_core() -> str:
 def _environment() -> dict[str, str]:
     """The manifest's environment block: what a sweep's bits depend on.
 
-    scipy's version is read from its file, unimported.  numpy's ``exp``
-    dispatch target and the OpenBLAS core (behind ``eigvalsh``) change
-    the last bits of values and Hessian eigenvalues on the same versions.
+    numpy's ``exp`` dispatch target and the OpenBLAS core (behind
+    ``eigvalsh``) change the last bits of values and Hessian eigenvalues
+    on the same versions.
     """
     return {
         "python": platform.python_version(),
         "numpy": np.__version__,
-        "scipy": _scipy_module("scipy's version", "scipy.version", "version.py").version,
         "platform": _platform_string(),
         "exp_dispatch": _exp_dispatch(),
         "openblas_core": _openblas_core(),
@@ -304,14 +283,12 @@ def _environment() -> dict[str, str]:
 def _cmd_sweep(args: argparse.Namespace) -> int:
     _check_noise_flags(args, "--mode", args.mode)
     spec = TmsvSpec(args.xi)
-    config = _search_config(args)
     s_grid = _parse_grid(args.s, "--s")
     started = time.perf_counter()
     params: dict[str, object] = {
         "mode": args.mode,
         "xi": float(args.xi),
         "s_grid": s_grid,
-        **asdict(config),
         "clamp_mode": CLAMP_BOUNDED,
     }
     if args.mode == MODE_ETA_S:
@@ -335,7 +312,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         if os.path.isdir(path):
             print(f"error: cannot write output: {path!r} is a directory", file=sys.stderr)
             return EXIT_IO
-    result = sweep(spec, *grids, config)
+    result = sweep(spec, *grids)
     wall_time_s = time.perf_counter() - started
 
     rows = _csv_rows(result)
@@ -352,16 +329,18 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         "csv": os.path.basename(args.out),
         "wall_time_s": wall_time_s,
         "cells": {
-            "curve": sources.count("curve"),
-            "search": sources.count("search"),
+            **{source: sources.count(source) for source in ("curve", "asymptote", "uncertified")},
             "max_grad_norm": max(c.report.meta["grad_norm"] for c in result.cells),
         },
         # Read at run time, so the manifest names what this sweep ran with.
         "curve_solve": {
             "seeds": search._CURVE_SEEDS.tolist(),
+            "seed_scale": "min(1, 1/sqrt(e2*width))",
             "iterations": search._CURVE_ITERATIONS,
             "cert_grad_norm": search.CERT_GRAD_NORM,
+            "grad_norm_unit": "|c2*k2|*sqrt(e2*width)",
             "cert_hess_max": search.CERT_HESS_MAX,
+            "hess_max_unit": "|c2*k2|*e1",
         },
         "checks": checks,
     }

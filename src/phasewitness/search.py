@@ -1,37 +1,26 @@
 """Settings optimization and sweep drivers.
 
-The witness maximum over the four complex settings (8 real coordinates)
-is found by multi-start bounded truncated-Newton (TNC) ascent on the
-objective's analytic gradient inside a box; an exhaustive grid oracle
-provides an independent lower bound for cross-checking.  TNC runs
-through scipy's C core with a callback that hands the objective a float
-list: scipy's ``minimize`` layers (``MemoizeJac``, ``ScalarFunction``
-and their array copies and checks) cost several times the witness
-itself per evaluation.  The callback caches its last point as scipy
-does, so the evaluation count is scipy's.  The core is loaded from its
-extension file on the first search, not imported: importing
-``scipy.optimize._moduleTNC`` runs the whole ``scipy.optimize`` package,
-which costs more than a small sweep.
+Optimized cells come from one curve solve, not from a search.
+``optimize_cells`` serves every cell, from a sweep or from
+``eval --optimize``, under any clamp rule.  Each objective names its
+curve key, ``objective()``: a lift and the closed-form constants the
+witness reads at the lifted-down settings.  One vectorized regularized
+Newton solve over the real symmetric settings a = (x, y), b = +-a, in
+the frame of those constants, gives a candidate for every distinct
+constant row at once, from seeds scaled to the peak's own length.  One
+batched certificate, read from the constants alone, checks each row's
+candidate there: the gradient of |B| and the largest eigenvalue of its
+Hessian off the gauge direction, each relative to the row's own scale.
+As the settings grow B tends to the constant c0, so sup |B| >= |c0|:
+a row reports its candidate where that beats |c0|, and otherwise a far
+point on the family at which B is c0 to the bit.  Each cell lifts its
+row's point to the 8 raw coordinates.  A cell's report depends on its
+curve key alone, not on the other cells, and no cell runs a search.
 
-Optimized cells do not search one by one.  ``optimize_cells`` serves
-every cell, from a sweep or from ``eval --optimize``, under any clamp
-rule.  Each objective names its curve key, ``objective()``: a lift and
-the closed-form constants the witness reads at the lifted-down settings.
-One vectorized regularized Newton solve over the real symmetric settings
-a = (x, y), b = +-a gives a candidate for every distinct constant row at
-once.  Each cell lifts its candidate to the 8 raw coordinates, and one
-batched certificate, read from the curve keys alone, runs over all the
-lifted points: the projected gradient of |B| at most
-``CERT_GRAD_NORM``, and the largest eigenvalue of the analytic Hessian
-of |B| off the gauge direction below ``CERT_HESS_MAX``, for every cell
-in one numpy program.  A cell that passes reports its point; a cell
-that fails reports ``maximize_bell`` from that point as one extra start,
-never below it, with the starts stream keyed by (seed, cell index).
-``_starts`` draws the random starts from the standard library's
-``random.Random`` (MT19937), seeded with the Cantor pair of (seed,
-stream), so a search loads no ``numpy.random``.  Everything runs in the
-calling process; a certified cell's result depends on that cell alone,
-and a fallback cell's on its index too.
+``maximize_bell``, multi-start bounded truncated-Newton (TNC) ascent
+inside a box, and ``grid_oracle``, an exhaustive real-axis scan, are
+independent maximizers that no command calls; only ``maximize_bell``
+needs scipy, for TNC's C core.
 """
 
 from __future__ import annotations
@@ -44,7 +33,6 @@ import os
 import random
 import sysconfig
 from dataclasses import dataclass, replace
-from types import ModuleType
 from typing import Callable, Sequence
 
 import numpy as np
@@ -56,6 +44,7 @@ from .witness import (
     WitnessReport,
     _family,
     _family_constants,
+    _key_scales,
     _tmsv_derivatives,
     detection_objective,
     thermal_objective,
@@ -117,38 +106,28 @@ class SearchConfig:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
 
 
-def _scipy_module(what: str, name: str, *parts: str) -> ModuleType:
-    """Module ``name`` run from the file ``parts`` of scipy's package.
-
-    The file is found through scipy's package location and run under
-    ``name``, not put in ``sys.modules``.  An extension file's init still
-    imports the top-level ``scipy`` (with ``scipy._lib`` and ``subprocess``)
-    through ``scipy._cyutility``, but not ``scipy.optimize``.  ``what`` names
-    the file in the ``ImportError`` raised when scipy or the file is missing.
-    """
-    spec = importlib.util.find_spec("scipy")
-    locations = spec.submodule_search_locations if spec is not None else None
-    if not locations:
-        raise ImportError(f"{what} needs scipy, which is not installed")
-    path = os.path.join(locations[0], *parts)
-    if not os.path.isfile(path):
-        raise ImportError(f"{what} is missing: no file {path}")
-    file_spec = importlib.util.spec_from_file_location(name, path)
-    module = importlib.util.module_from_spec(file_spec)
-    file_spec.loader.exec_module(module)
-    return module
-
-
 @functools.cache
 def _tnc_minimize() -> Callable[..., tuple]:
     """``tnc_minimize`` from scipy's ``_moduleTNC`` extension file.
 
-    Loading the file imports neither ``scipy.optimize`` nor scipy's
+    The file is found through scipy's package location and run under its
+    module name, not put in ``sys.modules``.  Its init imports the
+    top-level ``scipy`` (with ``scipy._lib`` and ``subprocess``) through
+    ``scipy._cyutility``, but neither ``scipy.optimize`` nor scipy's
     special functions; a later ``import scipy.optimize`` gets the same
     function object.
     """
+    spec = importlib.util.find_spec("scipy")
+    locations = spec.submodule_search_locations if spec is not None else None
+    if not locations:
+        raise ImportError("TNC's C core needs scipy, which is not installed")
     name = "_moduleTNC" + sysconfig.get_config_var("EXT_SUFFIX")
-    core = _scipy_module("TNC's C core", "scipy.optimize._moduleTNC", "optimize", name)
+    path = os.path.join(locations[0], "optimize", name)
+    if not os.path.isfile(path):
+        raise ImportError(f"TNC's C core is missing: no file {path}")
+    file_spec = importlib.util.spec_from_file_location("scipy.optimize._moduleTNC", path)
+    core = importlib.util.module_from_spec(file_spec)
+    file_spec.loader.exec_module(core)
     return core.tnc_minimize
 
 
@@ -206,9 +185,9 @@ def maximize_bell(
     through scipy's C core (``_moduleTNC.tnc_minimize``, loaded from its
     extension file by ``_tnc_minimize`` on the first call in a process)
     with the arguments ``minimize(method="TNC")`` passes for these
-    options.  Searching the 48 cells of the benchmark map one by one (one
-    x86-64 Xeon core) cost about 28 us per evaluation through
-    ``minimize`` and 6 us this way.
+    options: scipy's ``minimize`` layers (``MemoizeJac``,
+    ``ScalarFunction`` and their array copies and checks) cost several
+    times the witness itself per evaluation.
 
     The callback keeps scipy's evaluation semantics: within a start it
     remembers the last point it evaluated and answers a repeat of exactly
@@ -264,7 +243,8 @@ def maximize_bell(
             best_key = key
             best = (x, jac)
     x, jac = best
-    grad_norm = float(_projected_grad_norm(x, np.array(jac), box))
+    # The max-norm of the projected gradient of -|B| on the box, as L-BFGS-B.
+    grad_norm = float(np.max(np.abs(x - np.clip(x - np.array(jac), -box, box))))
     report = objective(BellSettings.from_vector(x))
     meta = {
         "n_evals": n_evals,
@@ -312,13 +292,15 @@ class SweepResult:
     cells: tuple[SweepCell, ...]
 
 
-#: A cell is certified when the projected-gradient max-norm of |B| at its
-#: point is at most CERT_GRAD_NORM and the largest eigenvalue of the
-#: Hessian of |B|, gauge direction projected out, is below CERT_HESS_MAX.
+#: A row is certified when the gradient max-norm of |B| at its point, in
+#: units of |c2 k2| sqrt(e2 width), is at most CERT_GRAD_NORM and the
+#: largest eigenvalue of the Hessian of |B|, gauge direction projected
+#: out, in units of |c2 k2| e1, is below CERT_HESS_MAX.
 CERT_GRAD_NORM = 1e-9
 CERT_HESS_MAX = -1e-6
-#: Seeds (x, y) of the curve solve: the first 13 points of the 5 x 5 grid
-#: on [-1, 1]^2 in row-major order, those with x < 0, or x = 0 and y <= 0.
+#: Seeds (x, y) of the curve solve, in units of a row's seed scale
+#: min(1, 1/sqrt(e2 width)): the first 13 points of the 5 x 5 grid on
+#: [-1, 1]^2 in row-major order, those with x < 0, or x = 0 and y <= 0.
 #: Every step of the solve commutes with (x, y) -> (-x, -y), so each
 #: other grid point would retrace its mirror's path negated, with the
 #: same |B| at a later index, which the solve's argmax never picks.
@@ -334,23 +316,21 @@ _GAUGE_SIGNS = np.array([[-1.0, 1.0], [-1.0, 1.0], [1.0, -1.0], [1.0, -1.0]])
 
 
 @np.errstate(all="ignore")
-def _solve_curve(keys: np.ndarray, box: float) -> np.ndarray:
+def _solve_curve(keys: np.ndarray) -> np.ndarray:
     """Best (x, y, sigma) on the real symmetric family per row of curve constants.
 
-    ``keys`` holds the constants of objectives' curve keys, one row each,
-    and x, y are read in the frame of those constants.  One numpy program
-    over every row (key, sigma, sign of B, seed) ascends f = sign B from
-    each of the 13
-    ``_CURVE_SEEDS`` by regularized Newton steps (Ueda & Yamashita, Appl.
-    Math. Optim. 62, 27 (2010)): the 2 x 2 Hessian of f is shifted down
-    by its largest eigenvalue, if positive, plus the gradient norm, which
-    keeps every step an ascent direction of length at most 1 that tends
-    to the Newton step as the gradient vanishes at a maximum.  Each
-    iterate is clipped to the box, and a step is kept only where it does
-    not lower f beyond rounding.  Every row runs elementwise and for a fixed number of
-    iterations, so the result for one key does not depend on the other
-    rows of ``keys``.  Overflowing constants give NaN rows silently; the
-    cell's own objective then names the overflow.  Gives the row of
+    x, y are read in the frame of the constants ``keys``.  One numpy
+    program over every row (key, sigma, sign of B, seed) ascends
+    f = sign B from each of the 13 ``_CURVE_SEEDS``, scaled to the peak's
+    length by min(1, 1/sqrt(e2 width)), by regularized Newton steps (Ueda
+    & Yamashita, Appl. Math. Optim. 62, 27 (2010)): the 2 x 2 Hessian of f
+    is shifted down by its largest eigenvalue, if positive, plus the
+    gradient norm, which keeps every step an ascent direction of length
+    at most 1 that tends to the Newton step as the gradient vanishes at a
+    maximum.  A step is kept only where it does not lower f beyond
+    rounding.  Every row runs elementwise for a fixed number of
+    iterations, so one key's result does not depend on the other rows.
+    Overflowing constants give NaN rows silently.  Gives the row of
     largest |B| per key, as an (n, 3) array.
     """
     n = len(keys)
@@ -359,9 +339,9 @@ def _solve_curve(keys: np.ndarray, box: float) -> np.ndarray:
     sigma = np.array([1.0, -1.0]).reshape(1, 2, 1, 1)
     terms = [np.broadcast_to(t, shape).copy() for t in _family_constants(constants, sigma)]
     sign = np.broadcast_to(np.array([1.0, -1.0]).reshape(1, 1, 2, 1), shape)
-    seeds = np.clip(_CURVE_SEEDS, -box, box)
-    x = np.broadcast_to(seeds[:, 0], shape)
-    y = np.broadcast_to(seeds[:, 1], shape)
+    scale = np.minimum(1.0, _key_scales(keys)[0]).reshape(n, 1, 1, 1)
+    x = np.broadcast_to(scale * _CURVE_SEEDS[:, 0], shape)
+    y = np.broadcast_to(scale * _CURVE_SEEDS[:, 1], shape)
     state = _family(terms, x, y)
     for _ in range(_CURVE_ITERATIONS):
         value, gx, gy, hxx, hxy, hyy = state
@@ -372,8 +352,8 @@ def _solve_curve(keys: np.ndarray, box: float) -> np.ndarray:
         det = axx * ayy - kxy * kxy
         # A flat row (zero gradient and curvature) gives 0/0: a NaN trial,
         # which the comparison below rejects.
-        tx = np.clip(x + sign * (ayy * gx + kxy * gy) / det, -box, box)
-        ty = np.clip(y + sign * (axx * gy + kxy * gx) / det, -box, box)
+        tx = x + sign * (ayy * gx + kxy * gy) / det
+        ty = y + sign * (axx * gy + kxy * gx) / det
         trial = _family(terms, tx, ty)
         keep = sign * trial[0] >= sign * value - 1e-14
         x, y = np.where(keep, tx, x), np.where(keep, ty, y)
@@ -384,29 +364,25 @@ def _solve_curve(keys: np.ndarray, box: float) -> np.ndarray:
     return np.stack([c.reshape(n, -1)[rows, best] for c in columns], axis=1)
 
 
-def _projected_grad_norm(x: np.ndarray, jac: np.ndarray, box: float) -> np.ndarray:
-    """Max-norm over the last axis of the projected gradient of -|B| on the box, as L-BFGS-B."""
-    return np.max(np.abs(x - np.clip(x - jac, -box, box)), axis=-1)
+@np.errstate(all="ignore")
+def _certificates(keys, points) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(B, grad_norm, hess_max) per row of curve constants at its 8-vector.
 
-
-def _certificates(keys, points, box: float) -> tuple[np.ndarray, np.ndarray]:
-    """(grad_norm, hess_max) of |B| per curve key at its raw 8-vector.
-
-    ``keys`` are the objectives' curve keys ``objective()`` and ``points``
-    the n raw 8-vectors; one ``_tmsv_derivatives`` call gives B, its
-    gradient and its Hessian for all rows, and no objective is called.
-    ``grad_norm`` is the projected-gradient max-norm that ``maximize_bell``
-    reports.  ``hess_max`` is the largest eigenvalue of the Hessian of |B|
-    on the complement of the gauge direction a -> a e^{i phi},
-    b -> b e^{-i phi}, along which B is constant: one Householder
-    reflection per row and one batched ``eigvalsh``.  A row whose Hessian
-    is not finite gets a NaN ``hess_max``.
+    ``points`` are in the frame of the constants ``keys``; one
+    ``_tmsv_derivatives`` call gives B, its gradient and its Hessian for
+    all rows, and no objective is called.  ``grad_norm`` is the
+    gradient's max-norm and ``hess_max`` the largest eigenvalue of the
+    Hessian of |B| off the gauge direction a -> a e^{i phi},
+    b -> b e^{-i phi}, along which B is constant (one Householder
+    reflection per row and one batched ``eigvalsh``), each in its
+    ``_key_scales`` unit, so that neither changes with the scale of the
+    constants.  A row whose Hessian is not finite gets a NaN ``hess_max``.
     """
     points = np.array(points, dtype=float).reshape(-1, 8)
-    value, grad, hess = _tmsv_derivatives([c for _, c in keys], [lf for lf, _ in keys], points)
-    sign = np.where(value >= 0.0, 1.0, -1.0)
-    grad_norms = _projected_grad_norm(points, -sign[:, None] * grad, box)
-    hess *= sign[:, None, None]
+    _, grad_unit, hess_unit, _, _ = _key_scales(keys)
+    value, grad, hess = _tmsv_derivatives(keys, points)
+    grad_norms = np.abs(grad).max(axis=1) / grad_unit
+    hess *= np.where(value >= 0.0, 1.0, -1.0)[:, None, None]
     # d/dphi of the settings per (re, im) pair: (-im, re) on mode A and
     # (im, -re) on mode B.  A Householder reflection maps it onto the
     # first axis, and the other seven axes span its complement.  Scaling
@@ -425,60 +401,56 @@ def _certificates(keys, points, box: float) -> tuple[np.ndarray, np.ndarray]:
     hess = (reflect @ hess @ reflect)[:, 1:, 1:]
     finite = np.isfinite(hess).all(axis=(1, 2))
     hess[~finite] = 0.0
-    hess_max = np.where(finite, np.linalg.eigvalsh(hess)[:, -1], np.nan)
-    return grad_norms, hess_max
+    hess_max = np.where(finite, np.linalg.eigvalsh(hess)[:, -1], np.nan) / hess_unit
+    return value, grad_norms, hess_max
 
 
-def optimize_cells(
-    objectives: Sequence[Callable[..., object]], config: SearchConfig
-) -> list[WitnessReport]:
+def optimize_cells(objectives: Sequence[Callable[..., object]]) -> list[WitnessReport]:
     """The maximized witness report of each objective, one curve solve for all.
 
     ``objectives`` are built by ``detection_objective`` or
     ``thermal_objective`` (any clamp rule), whose ``objective()`` gives the
     curve key (lift, constants).  One curve solve runs over the distinct
-    constant rows; each cell lifts its row's solution by its lift to the
-    raw 8-vector, and one batched certificate runs over all the lifted
-    points.  A cell is reported at its point when it certifies there, else
-    reports ``maximize_bell`` from that point as its one extra start, with
-    the random starts stream keyed by the cell's index in ``objectives``.
-    TNC only takes ascent steps from a start, so the search never ends
-    below the point; a NaN point (overflowing constants) makes the
-    objective name its overflow in the search.  Each report depends only
-    on its own objective and index, not on the other cells.
+    constant rows, and one certificate over each row's curve point and
+    far point (``_key_scales``).  |B| tends to |c0| as the settings grow,
+    so a row's point is its curve point where |B| there beats |c0|
+    (``source`` ``curve`` if it certifies, else ``uncertified``) and its
+    far point, where B is c0, otherwise (``asymptote``).  Each cell
+    reports its objective at its row's point times its lift, with that
+    point's ``grad_norm`` and ``hess_max``; a point that is not finite
+    (overflowing constants) becomes the origin, where the objective names
+    the overflow.  Each report depends only on its own curve key.
     """
     keys = [objective() for objective in objectives]
     rows, which = np.unique([constants for _, constants in keys], axis=0, return_inverse=True)
     curve = np.concatenate(
-        [
-            _solve_curve(rows[i : i + _CURVE_BLOCK], config.box_radius)
-            for i in range(0, len(rows), _CURVE_BLOCK)
-        ]
+        [_solve_curve(rows[i : i + _CURVE_BLOCK]) for i in range(0, len(rows), _CURVE_BLOCK)]
     )
-    lifts = np.array([lift for lift, _ in keys])
-    scales = np.stack([lifts, lifts, np.ones_like(lifts)], axis=1)
-    x, y, sigma = (curve[which.reshape(-1)] * scales).T
+    _, _, _, c0, far = _key_scales(rows)
+    # Each row's curve point, then its far point x = y = far, sigma = 1.
+    x, y, sigma = np.concatenate([curve, np.stack([far, far, np.ones_like(far)], axis=1)]).T
     zero = np.zeros_like(x)
     points = np.stack([x, zero, y, zero, sigma * x, zero, sigma * y, zero], axis=1)
-    box = config.box_radius
-    grad_norms, hess_maxes = _certificates(keys, points, box)
+    value, grad_norms, hess_maxes = _certificates(np.concatenate([rows, rows]), points)
+    n = len(rows)
+    wins = np.abs(value[:n]) > np.abs(c0)
+    certified = (grad_norms[:n] <= CERT_GRAD_NORM) & (hess_maxes[:n] < CERT_HESS_MAX)
+    sources = np.where(wins, np.where(certified, "curve", "uncertified"), "asymptote")
+    picks = np.where(wins, np.arange(n), np.arange(n) + n)
     cells = []
-    for idx, objective in enumerate(objectives):
-        grad_norm, hess_max = float(grad_norms[idx]), float(hess_maxes[idx])
-        meta = dict(n_evals=0, n_starts=0, unconverged_starts=0, stream=idx,
-                    grad_norm=grad_norm, source="curve", hess_max=hess_max)
-        if grad_norm <= CERT_GRAD_NORM and hess_max < CERT_HESS_MAX:
-            report = objective(BellSettings.from_vector(points[idx]))
-        else:
-            report = maximize_bell(objective, config, idx, [points[idx]])
-            meta.update(report.meta, source="search")
-        cells.append((report, meta))
-    # One more certificate gives every search point its hess_max.
-    searched = [i for i, (_, meta) in enumerate(cells) if meta["source"] == "search"]
-    found = [cells[i][0].settings.to_vector() for i in searched]
-    for i, hess_max in zip(searched, _certificates([keys[i] for i in searched], found, box)[1]):
-        cells[i][1]["hess_max"] = float(hess_max)
-    return [replace(report, meta=meta) for report, meta in cells]
+    for objective, (lift, _), row in zip(objectives, keys, which.reshape(-1)):
+        pick = picks[row]
+        point = points[pick] * lift
+        if not np.isfinite(point).all():
+            point = np.zeros(8)
+        report = objective(BellSettings.from_vector(point))
+        meta = {
+            "source": str(sources[row]),
+            "grad_norm": float(grad_norms[pick]),
+            "hess_max": float(hess_maxes[pick]),
+        }
+        cells.append(replace(report, meta=meta))
+    return cells
 
 
 def _grid(values, name: str) -> np.ndarray:
@@ -495,21 +467,21 @@ def sweep_eta_s(
     spec: TmsvSpec,
     eta_grid: Sequence[float],
     s_grid: Sequence[float],
-    config: SearchConfig,
+    config: object = None,
     max_workers: int | None = None,
 ) -> SweepResult:
     """Optimized witness value per (eta, s) cell, detection noise.
 
     Every cell's eta and s are checked as its objective is built, before
-    any search runs.  ``max_workers`` is ignored: every sweep runs in the
-    calling process.  It stays only because ``perfbench/workloads.py``
-    passes it.
+    any cell is optimized.  ``config`` and ``max_workers`` are ignored:
+    no cell searches, and every sweep runs in the calling process.  They
+    stay only because ``perfbench/workloads.py`` passes them.
     """
     eta_grid = _grid(eta_grid, "eta")
     s_grid = _grid(s_grid, "s")
     cells = list(itertools.product(eta_grid, s_grid))
     objectives = [detection_objective(spec, s, DetectionNoise(eta)) for eta, s in cells]
-    reports = optimize_cells(objectives, config)
+    reports = optimize_cells(objectives)
     return SweepResult(tuple(SweepCell(eta, s, None, rep) for (eta, s), rep in zip(cells, reports)))
 
 
@@ -518,12 +490,11 @@ def sweep_thermal(
     r_grid: Sequence[float],
     s_grid: Sequence[float],
     nbar_list: Sequence[float],
-    config: SearchConfig,
 ) -> SweepResult:
     """Optimized witness value per (r, s) cell for each environment nbar.
 
     Every cell's r, nbar and s are checked as its objective is built,
-    before any search runs.
+    before any cell is optimized.
     """
     r_grid = _grid(r_grid, "r")
     s_grid = _grid(s_grid, "s")
@@ -532,5 +503,5 @@ def sweep_thermal(
         raise ValueError("nbar_list must be non-empty")
     cells = list(itertools.product(nbar_list, r_grid, s_grid))
     objectives = [thermal_objective(spec, s, ThermalNoise(r, nbar)) for nbar, r, s in cells]
-    reports = optimize_cells(objectives, config)
+    reports = optimize_cells(objectives)
     return SweepResult(tuple(SweepCell(r, s, n, rep) for (n, r, s), rep in zip(cells, reports)))

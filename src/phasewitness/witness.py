@@ -14,7 +14,7 @@ value and its analytic gradient over the raw 8-vector x, for the
 settings search, and ``objective()`` with its lift and closed-form
 constants, the key of the search's one curve solve.  Only this module
 reads the constants: ``_family`` gives B on the solve's curve, and
-``_tmsv_derivatives`` B and its derivatives at many objectives' points.
+``_tmsv_derivatives`` B and its derivatives at many curve keys' points.
 
 When the rescaled order parameter falls below -1 the plain functional
 stops being a witness, because the observable spectrum leaves [-1, 1].
@@ -353,22 +353,21 @@ _FORM_D, _FORM_S = _gaussian_forms()
 
 
 @np.errstate(all="ignore")
-def _tmsv_derivatives(constants, lifts, points) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """B, its gradient and its 8 x 8 Hessian at raw 8-vectors, one row per objective.
+def _tmsv_derivatives(constants, points) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """B, its gradient and its 8 x 8 Hessian at 8-vectors, one row per curve key.
 
     ``constants`` is the (n, 9) array of curve-key constants (c2, c1, c0,
-    width, k2, e2, k1, e1, sh2), ``lifts`` the n lifts and ``points`` the
-    (n, 8) raw settings, ordered as ``BellSettings.to_vector``.  B is c0
-    plus six Gaussian terms T = k exp(-e q), q a quadratic form of the
-    lifted-down settings, each adding -T e grad q to the gradient and
-    T (e^2 grad q grad q^T - e hess q) to the Hessian; frame factors 1/lift
-    and 1/lift^2 carry them to raw coordinates.  Overflowing constants
-    give non-finite rows silently.  Gives (n,), (n, 8), (n, 8, 8) arrays.
+    width, k2, e2, k1, e1, sh2) and ``points`` the (n, 8) settings in the
+    frame the fields are read in (raw settings divided by the lift),
+    ordered as ``BellSettings.to_vector``.  B is c0 plus six Gaussian
+    terms T = k exp(-e q), q a quadratic form of the settings, each adding
+    -T e grad q to the gradient and T (e^2 grad q grad q^T - e hess q) to
+    the Hessian.  Overflowing constants give non-finite rows silently.
+    Gives (n,), (n, 8), (n, 8, 8) arrays.
     """
     c2, c1, c0, width, k2, e2, k1, e1, sh2 = np.asarray(constants, dtype=float).reshape(-1, 9).T
-    f = 1.0 / np.asarray(lifts, dtype=float)
-    x = np.asarray(points, dtype=float).reshape(-1, 8) * f[:, None]
-    one, zero = np.ones_like(f), np.zeros_like(f)
+    x = np.asarray(points, dtype=float).reshape(-1, 8)
+    one, zero = np.ones_like(c2), np.zeros_like(c2)
     d_scale = np.stack([width, width, width, width, one, one], axis=1)
     s_scale = np.stack([sh2, sh2, sh2, sh2, zero, zero], axis=1)
     forms = d_scale[:, :, None, None] * _FORM_D + s_scale[:, :, None, None] * _FORM_S
@@ -380,7 +379,7 @@ def _tmsv_derivatives(constants, lifts, points) -> tuple[np.ndarray, np.ndarray,
     grad = -np.einsum("nt,nti->ni", terms * e, grad_q)
     hess = np.einsum("nt,nti,ntj->nij", terms * e * e, grad_q, grad_q)
     hess -= np.einsum("nt,ntij->nij", terms * e, forms)
-    return terms.sum(axis=1) + c0, grad * f[:, None], hess * (f * f)[:, None, None]
+    return terms.sum(axis=1) + c0, grad, hess
 
 
 def _family_constants(constants, sigma):
@@ -388,6 +387,27 @@ def _family_constants(constants, sigma):
     c2, c1, c0, width, k2, e2, k1, e1, sh2 = constants
     ew, m = e2 * width, e2 * sigma * sh2
     return c2 * k2, ew, m, 2.0 * ew + m, 2.0 * c1 * k1, e1, c0
+
+
+#: The least Gaussian exponent at a far point: exp(-800) underflows to 0.
+_FAR_EXPONENT = 800.0
+
+
+@np.errstate(all="ignore")
+def _key_scales(constants) -> tuple[np.ndarray, ...]:
+    """Per row of curve-key constants: peak length, two units, c0 and far radius.
+
+    In the frame the fields are read in, the peak of B has length
+    1/sqrt(e2 width), its gradient and Hessian have units |c2 k2|
+    sqrt(e2 width) and |c2 k2| e1, and B tends to c0 as the settings grow.
+    At the family point x = y = R, sigma = 1, every Gaussian exponent
+    (e2 (2 width + sh2) R^2 or e1 R^2) is at least ``_FAR_EXPONENT``, so B
+    is c0 there to the bit.  Overflowing constants give non-finite entries.
+    """
+    c2, c1, c0, width, k2, e2, k1, e1, sh2 = np.asarray(constants, dtype=float).reshape(-1, 9).T
+    ew, amplitude = e2 * width, np.abs(c2 * k2)
+    far = np.sqrt(_FAR_EXPONENT / np.minimum(e2 * (2.0 * width + sh2), e1))
+    return 1.0 / np.sqrt(ew), amplitude * np.sqrt(ew), amplitude * e1, c0, far
 
 
 def _family(terms, x, y):

@@ -118,8 +118,7 @@ def test_a3_sweep_peak_location():
     spec = TmsvSpec(0.3)
     eta_grid = np.linspace(0.30, 1.00, 15)
     s_grid = np.linspace(-1.0, 0.0, 11)
-    config = SearchConfig(n_starts=8, seed=11, ftol=1e-8, xtol=1e-4)
-    result = sweep_eta_s(spec, eta_grid, s_grid, config)
+    result = sweep_eta_s(spec, eta_grid, s_grid)
     top = max(result.cells, key=lambda c: c.report.bell_abs)
     s_prime = top.report.s_effective
     # One grid step moves s' by ds/eta (s direction) or by about

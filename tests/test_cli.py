@@ -12,7 +12,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy
 
 import phasewitness
 from phasewitness import cli, search
@@ -25,7 +24,7 @@ from phasewitness.cli import (
     main,
 )
 from phasewitness.noise import DetectionNoise
-from phasewitness.search import SearchConfig, optimize_cells
+from phasewitness.search import optimize_cells
 from phasewitness.states import TmsvSpec
 from phasewitness.witness import CLAMP_MODES, detection_objective
 
@@ -37,9 +36,9 @@ def run_cli(argv, capsys):
 
 
 #: Modules, with their submodules, that neither the CLI's import nor a
-#: command whose cells all certify may load: scipy (only a fallback
-#: search needs TNC's core, and the manifest reads scipy's version from
-#: its file), the process-pool machinery, ``subprocess`` (which
+#: sweep or ``eval`` may load: scipy (only ``maximize_bell``, which no
+#: command calls, needs TNC's core), the process-pool machinery,
+#: ``subprocess`` (which
 #: ``platform.platform()`` forks ``uname -p`` through),
 #: ``importlib.metadata``, ``numpy.random`` with the ``secrets`` and
 #: ``hashlib`` it imports, and the self-check suites.
@@ -74,31 +73,50 @@ def test_certified_sweep_loads_neither_scipy_nor_a_pool(tmp_path):
     out = tmp_path / "map.csv"
     code = (
         "from phasewitness.cli import main\n"
-        "assert main(['sweep', '--mode', 'eta-s', '--xi', '0.3', '--eta', '0.5:1.0:2', "
+        "assert main(['sweep', '--mode', 'eta-s', '--xi', '3', '--eta', '0.5:1.0:2', "
         f"'--s', '-1:0:2', '--starts', '4', '--seed', '1', '--out', {str(out)!r}]) == 0"
     )
     assert loaded_in_fresh_interpreter(code) == []
     manifest = json.loads((tmp_path / "map.csv.manifest.json").read_text())
-    assert manifest["cells"]["search"] == 0
-    assert manifest["environment"]["scipy"] == scipy.__version__
+    assert manifest["cells"]["uncertified"] == 0
+    assert "scipy" not in manifest["environment"]
 
 
 def test_certified_eval_loads_no_scipy():
     code = (
         "from phasewitness.cli import main\n"
-        "assert main(['eval', '--xi', '0.3', '--s', '0', '--noise', 'detection', "
-        "'--eta', '0.36', '--optimize']) == 0"
+        "assert main(['eval', '--xi', '3', '--s', '0', '--noise', 'none', '--optimize']) == 0"
     )
     assert loaded_in_fresh_interpreter(code) == []
 
 
-def test_fallback_search_loads_no_numpy_random():
-    # The curve point fails its certificate at xi = 3, so the cell runs
-    # the TNC search, whose starts come from the standard library.
+def test_no_command_needs_scipy(tmp_path):
+    # With scipy blocked, every import of it raises ImportError.
+    env = dict(os.environ, PYTHONPATH=str(Path(phasewitness.__file__).parents[1]))
+    code = (
+        "import sys\n"
+        "sys.modules['scipy'] = None\n"
+        "from phasewitness.cli import main\n"
+        "assert main(['sweep', '--mode', 'thermal', '--xi', '2', '--r', '0:0.9:4', "
+        f"'--s', '-1:0:3', '--nbar-list', '0,1', '--out', {str(tmp_path / 'o.csv')!r}]) == 0\n"
+        "assert main(['eval', '--xi', '8', '--s', '0', '--noise', 'none', '--optimize']) == 0\n"
+        "assert main(['validate']) == 0\n"
+    )
+    run = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert run.returncode == 0, run.stderr
+
+
+def test_maximize_bell_loads_no_numpy_random():
+    # TNC's starts come from the standard library.
     code = (
         "from phasewitness import search\n"
-        "from phasewitness.cli import main\n"
-        "assert main(['eval', '--xi', '3', '--s', '0', '--noise', 'none', '--optimize']) == 0\n"
+        "from phasewitness.noise import DetectionNoise\n"
+        "from phasewitness.states import TmsvSpec\n"
+        "from phasewitness.witness import detection_objective\n"
+        "objective = detection_objective(TmsvSpec(3.0), 0.0, DetectionNoise(1.0))\n"
+        "search.maximize_bell(objective, search.SearchConfig(n_starts=2))\n"
         "assert search._tnc_minimize.cache_info().currsize == 1"
     )
     loaded = loaded_in_fresh_interpreter(code)
@@ -136,13 +154,12 @@ class TestArgumentHandling:
             ["eval", "--xi", "400", "--s", "0", "--settings", "0,0,0,0"], capsys
         )
         assert code == EXIT_USAGE and "error:" in err
-        # Overflowing settings, order or search box: usage errors that say so.
+        # Overflowing settings or order: usage errors that say so.
         for argv in (
             ["--s", "0", "--settings", "1e200j,1e200j,1e200j,1e200j"],
             ["--s", "-1", "--noise", "detection", "--eta", "1e-300",
              "--settings", "0.1,0,0,0"],
-            ["--s", "0", "--noise", "detection", "--eta", "0.5", "--optimize",
-             "--box", "1e308", "--starts", "1"],
+            ["--s", "-1", "--noise", "detection", "--eta", "1e-300", "--optimize"],
         ):
             code, _, err = run_cli(["eval", "--xi", "0.3", *argv], capsys)
             assert code == EXIT_USAGE
@@ -194,54 +211,27 @@ class TestArgumentHandling:
             assert f"does not read {flag}" in err
         assert not (tmp_path / "u.csv").exists()
 
-    def test_search_flags_need_optimize(self, capsys):
-        # Only --optimize reads the search flags; with --settings they
-        # are refused, not silently dropped.
-        ev = ["eval", "--xi", "0.3", "--s", "0", "--settings", "0,0,0,0"]
-        for extra, flags in (
-            (["--starts", "5"], "--starts"),
-            (["--box", "9"], "--box"),
-            (["--seed", "3"], "--seed"),
-            (["--starts", "5", "--box", "9", "--seed", "3"], "--box, --seed, --starts"),
-        ):
-            code, out, err = run_cli(ev + extra, capsys)
-            assert code == EXIT_USAGE, extra
-            assert f"--settings does not read {flags}" in err
-            assert out == ""
-        # Under --optimize an omitted flag keeps the search default.
-        opt = ["eval", "--xi", "0.3", "--s", "0", "--noise", "detection", "--eta", "0.5",
-               "--optimize", "--starts", "2"]
-        code, out, _ = run_cli(opt, capsys)
-        assert code == EXIT_OK
-        implicit = json.loads(out)
-        code, out, _ = run_cli(opt + ["--box", "2.0", "--seed", "0"], capsys)
-        assert code == EXIT_OK
-        assert json.loads(out) == implicit
-        # A box too small for an interior maximum certifies no curve point,
-        # so the cell falls back to the search, which reads --starts.
-        code, out, _ = run_cli(opt + ["--box", "0.05"], capsys)
-        assert code == EXIT_OK
-        small = json.loads(out)
-        code, out, _ = run_cli(opt + ["--box", "0.05", "--seed", "0"], capsys)
-        assert code == EXIT_OK
-        assert json.loads(out) == small
-        assert small["meta"]["source"] == "search"
-        assert small["meta"]["n_starts"] == 2
-
-    def test_negative_seed(self, tmp_path, capsys):
-        # Refused when the arguments are read, before any search or pool.
-        out = tmp_path / "n.csv"
+    def test_search_flags(self, tmp_path, capsys):
+        # eval takes no search flag and sweep no --box.  sweep still
+        # takes --starts and --seed, which change nothing.
         for argv in (
-            ["eval", "--xi", "0.3", "--s", "0", "--noise", "detection", "--eta", "0.5",
-             "--optimize", "--seed", "-1"],
-            ["sweep", "--mode", "eta-s", "--xi", "0.3", "--s", "-1:0:2", "--eta", "0.5:1:2",
-             "--out", str(out), "--starts", "1", "--seed", "-1"],
+            ["eval", "--xi", "0.3", "--s", "0", "--settings", "0,0,0,0", "--starts", "5"],
+            ["eval", "--xi", "0.3", "--s", "0", "--optimize", "--seed", "3"],
+            ["eval", "--xi", "0.3", "--s", "0", "--optimize", "--box", "9"],
+            ["sweep", "--mode", "eta-s", "--xi", "0.3", "--s", "0", "--eta", "0.5",
+             "--box", "9", "--out", str(tmp_path / "box.csv")],
         ):
-            code, stdout, err = run_cli(argv, capsys)
+            code, out, err = run_cli(argv, capsys)
             assert code == EXIT_USAGE, argv
-            assert "seed must be non-negative, got -1" in err
-            assert stdout == ""
-        assert not out.exists()
+            assert "unrecognized arguments" in err and out == ""
+        argv = ["sweep", "--mode", "eta-s", "--xi", "1", "--s", "-1:0:3", "--eta", "0.3:1:3"]
+        outputs = []
+        for extra in ([], ["--starts", "1", "--seed", "-1"], ["--starts", "64", "--seed", "9"]):
+            out = tmp_path / f"run{len(outputs)}.csv"
+            code, _, _ = run_cli([*argv, *extra, "--out", str(out)], capsys)
+            assert code == EXIT_OK
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1] == outputs[2]
 
     def test_bad_grids(self, tmp_path, capsys):
         out = str(tmp_path / "g.csv")
@@ -333,21 +323,22 @@ class TestEval:
     def test_optimized_lossy_evaluation_is_clamped_violation(self, capsys):
         code, out, _ = run_cli(
             ["eval", "--xi", "0.3", "--s", "0", "--noise", "detection",
-             "--eta", "0.4", "--optimize", "--starts", "6", "--seed", "1"],
+             "--eta", "0.4", "--optimize"],
             capsys,
         )
         assert code == EXIT_OK
         payload = json.loads(out)
         assert payload["clamped"] is True
         assert payload["violated"] is True
+        assert list(payload["meta"]) == ["source", "grad_norm", "hess_max"]
         assert payload["meta"]["source"] == "curve"
-        assert payload["meta"]["n_starts"] == 0
-
 
     def test_optimize_reports_the_one_cell_sweep(self, tmp_path, capsys):
-        # The search ends on the box edge here, 1.5e-5 short of a false
-        # violation; eval reports the sweep's certified interior maximum.
-        cell = ["--xi", "0.3", "--r", "0.9", "--s", "-0.2", "--starts", "16", "--seed", "1"]
+        # A 16-start search in the box of radius 2 ends on the box edge
+        # here, 1.5e-5 short of a false violation, above the curve's
+        # interior maximum 1.884; eval and sweep both report the supremum
+        # |c0| = 2, which no finite setting reaches.
+        cell = ["--xi", "0.3", "--r", "0.9", "--s", "-0.2"]
         out = tmp_path / "cell.csv"
         code, _, _ = run_cli(
             ["sweep", "--mode", "thermal", *cell, "--nbar-list", "0", "--out", str(out)], capsys
@@ -361,7 +352,8 @@ class TestEval:
         assert payload["bell_abs"] == float(row["bell_abs"])
         settings = [v for name in ("a1", "a2", "b1", "b2") for v in payload["settings"][name]]
         assert settings == [float(row[name]) for name in header[7:15]]
-        assert payload["meta"]["source"] == row["source"] == "curve"
+        assert payload["meta"]["source"] == row["source"] == "asymptote"
+        assert payload["bell_abs"] == 2.0 and not payload["violated"]
 
     @pytest.mark.parametrize("clamp_mode", CLAMP_MODES)
     def test_optimize_is_a_one_cell_optimize_cells(self, clamp_mode, capsys):
@@ -373,30 +365,30 @@ class TestEval:
         assert code == EXIT_OK
         payload = json.loads(out)
         objective = detection_objective(TmsvSpec(0.3), -0.5, DetectionNoise(0.4), clamp_mode)
-        expected = optimize_cells([objective], SearchConfig())[0]
+        expected = optimize_cells([objective])[0]
         assert payload["bell_value"] == expected.bell_value
         settings = [v for name in ("a1", "a2", "b1", "b2") for v in payload["settings"][name]]
         assert settings == list(expected.settings.to_vector())
         assert payload["meta"] == expected.meta
 
-    @pytest.mark.parametrize("xi, expected", [(3.0, 2.3244889), (5.0, 2.0), (8.0, 2.3244948)])
-    def test_fallback_never_reports_less_than_its_curve_point(self, xi, expected, capsys):
-        # At high squeezing the curve point fails its certificate, and the
-        # search starts from it.  At xi = 3 it climbs from 2.000254; at
-        # xi = 5 the curve point sits at 2.0 and the search stays there,
-        # the random starts alone ending near 0; at xi = 8 it climbs from
-        # the curve point to the asymptote.
+    @pytest.mark.parametrize(
+        "xi, expected", [(3.0, 2.3244888971), (5.0, 2.3244947790), (8.0, 2.3244947810)]
+    )
+    def test_high_squeezing_optimum_is_certified(self, xi, expected, capsys):
+        # The seeds sit at the peak's own length, so the noise-free s = 0
+        # cell certifies near Banaszek and Wodkiewicz's limit 2.3244947811.
         code, out, _ = run_cli(
             ["eval", "--xi", str(xi), "--s", "0", "--noise", "none", "--optimize"], capsys
         )
         assert code == EXIT_OK
         payload = json.loads(out)
-        assert payload["bell_abs"] == pytest.approx(expected, abs=5e-7)
-        assert payload["meta"]["source"] == "search"
-        assert payload["meta"]["n_starts"] == 16
+        assert payload["bell_abs"] == pytest.approx(expected, abs=1e-10)
+        assert payload["meta"]["source"] == "curve"
 
     def test_product_state_optimum_is_not_violated(self, capsys):
-        # At xi = 0 the search ends a few ulps above the separable bound 2.
+        # At xi = 0 the curve point reads the separable bound 2, within an
+        # ulp that depends on numpy's exp kernel; its Hessian is 0 there, so
+        # no local certificate holds.
         code, out, _ = run_cli(
             ["eval", "--xi", "0", "--s", "0", "--noise", "none", "--optimize"], capsys
         )
@@ -404,6 +396,7 @@ class TestEval:
         payload = json.loads(out)
         assert payload["bell_abs"] == pytest.approx(2.0, abs=1e-12)
         assert payload["violated"] is False
+        assert payload["meta"]["source"] == "uncertified"
 
 
 class TestSweep:
@@ -432,10 +425,9 @@ class TestSweep:
         sources = [dict(zip(header, line.split(",")))["source"]
                    for line in out.read_text().splitlines()[1:]]
         cells = json.loads(Path(f"{out}.manifest.json").read_text())["cells"]
-        assert {k: cells[k] for k in ("curve", "search")} == {
-            source: sources.count(source) for source in ("curve", "search")
-        }
-        assert cells["search"] > 0 and cells["curve"] + cells["search"] == len(sources)
+        kinds = ("curve", "asymptote", "uncertified")
+        assert {k: cells[k] for k in kinds} == {k: sources.count(k) for k in kinds}
+        assert cells["curve"] == 4 and cells["asymptote"] == 2
 
     def test_wall_time_stops_when_the_sweep_returns(self, tmp_path, capsys, monkeypatch):
         # The environment block is read after the clock stops: a slow one
@@ -488,19 +480,23 @@ class TestSweep:
         assert manifest["csv"] == "run.csv"
         assert manifest["eta_grid"] == [0.5, 1.0]
         assert manifest["s_grid"] == [-1.0, 0.0]
-        assert manifest["n_starts"] == 2
+        assert not {"n_starts", "box_radius", "seed", "ftol", "xtol"} & set(manifest)
         assert manifest["wall_time_s"] > 0.0
         assert manifest["checks"] == {"values_finite": True}
-        # Each row says how its cell was found; the manifest counts them.
+        # Each row says what its cell reports; the manifest counts them.
+        # The asymptote cell (0.5, -1) reports c0 = 2 at its far point,
+        # where B's gradient and Hessian are 0.
         header = CSV_HEADER.split(",")
         assert header[-3:] == ["source", "grad_norm", "hess_max"]
         rows = [dict(zip(header, line.split(","))) for line in lines[1:]]
-        assert {row["source"] for row in rows} == {"curve"}
-        assert all(float(row["grad_norm"]) <= 1e-9 for row in rows)
-        assert all(float(row["hess_max"]) < -1e-6 for row in rows)
+        assert [row["source"] for row in rows] == ["asymptote", "curve", "curve", "curve"]
+        assert (rows[0]["bell_abs"], rows[0]["grad_norm"], rows[0]["hess_max"]) == ("2", "0", "0")
+        assert all(float(row["grad_norm"]) <= 1e-9 for row in rows[1:])
+        assert all(float(row["hess_max"]) < -1e-6 for row in rows[1:])
         assert manifest["cells"] == {
-            "curve": 4,
-            "search": 0,
+            "curve": 3,
+            "asymptote": 1,
+            "uncertified": 0,
             "max_grad_norm": max(float(row["grad_norm"]) for row in rows),
         }
         assert manifest["clamp_mode"] == "bounded_continuation"
@@ -508,7 +504,6 @@ class TestSweep:
         assert manifest["environment"] == {
             "python": platform.python_version(),
             "numpy": np.__version__,
-            "scipy": scipy.__version__,
             "platform": platform.platform(),
             "exp_dispatch": exp["exp"]["dd"]["current"],
             "openblas_core": cli._openblas_core(),
@@ -539,7 +534,7 @@ class TestSweep:
         # runs: the full 5 x 5 seed grid is recorded as such, and writes
         # the same CSV as the 13 seeds.
         argv = ["sweep", "--mode", "eta-s", "--xi", "0.3", "--s", "-1:0:3",
-                "--eta", "0.5:1.0:3", "--starts", "2"]
+                "--eta", "0.5:1.0:3"]
         axis = (-1.0, -0.5, 0.0, 0.5, 1.0)
         grid = np.array([(x, y) for x in axis for y in axis])
         outputs = []
@@ -551,9 +546,12 @@ class TestSweep:
             manifest = json.loads(Path(f"{out}.manifest.json").read_text())
             assert manifest["curve_solve"] == {
                 "seeds": seeds.tolist(),
+                "seed_scale": "min(1, 1/sqrt(e2*width))",
                 "iterations": 25,
                 "cert_grad_norm": 1e-9,
+                "grad_norm_unit": "|c2*k2|*sqrt(e2*width)",
                 "cert_hess_max": -1e-6,
+                "hess_max_unit": "|c2*k2|*e1",
             }
             outputs.append(out.read_bytes())
         assert len(manifest["curve_solve"]["seeds"]) == 25

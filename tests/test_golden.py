@@ -2,7 +2,7 @@
 
 Each CLI case reruns one ``sweep`` or ``eval --optimize`` command through
 ``cli.main`` and compares it with the files in ``tests/golden/``.  When
-the run's environment (Python, numpy, scipy, platform, numpy's ``exp``
+the run's environment (Python, numpy, platform, numpy's ``exp``
 dispatch target and the OpenBLAS core) is the one the files were made
 in, the CSV and eval bytes must be equal and a sweep's manifest may
 differ only in ``wall_time_s``.  Elsewhere, every
@@ -39,9 +39,9 @@ ABS_TOL = 1e-12
 
 _README_MAP = ["sweep", "--mode", "eta-s", "--eta", "0.3:1.0:36", "--s", "-1:0:21"]
 
-#: Sweep cases: the benchmark map, the README maps at xi = 0.3 and at
-#: xi = 1.0 (where 89 cells fall back to the search), and the README
-#: thermal sweep.
+#: Sweep cases: the benchmark map, with the ignored --starts and --seed
+#: that the benchmark passes, the README maps at xi = 0.3 and at xi = 1.0,
+#: and the README thermal sweep.
 SWEEPS = {
     "benchmark_map": [
         "sweep", "--mode", "eta-s", "--xi", "0.3", "--eta", "0.3:1.0:8", "--s", "-1:0:6",

@@ -538,11 +538,13 @@ class TestHessian:
         objective = _build(noise)(TmsvSpec(0.3), s, noise, mode)
         lift, constants = objective()
         points = np.random.default_rng(6).uniform(-1.5, 1.5, (16, 8))
-        values, grads, _ = _tmsv_derivatives([constants] * 16, [lift] * 16, points)
+        # The raw settings x read the fields at x / lift, so dB/dx is the
+        # gradient there divided by the lift.
+        values, grads, _ = _tmsv_derivatives([constants] * 16, points / lift)
         for x, value, grad in zip(points, values, grads):
             b, g = objective(x.tolist(), grad=True)
             assert abs(value - b) <= 1e-13
-            assert np.abs(grad - np.array(g)).max() <= 1e-13
+            assert np.abs(grad / lift - np.array(g)).max() <= 1e-13
 
     @pytest.mark.parametrize("mode, noise, s", RULE_CELLS)
     def test_matches_central_differences_of_the_gradient(self, mode, noise, s):
@@ -550,9 +552,9 @@ class TestHessian:
         lift, constants = objective()
         rng = np.random.default_rng(5)
         points = rng.uniform(-1.0, 1.0, (6, 8))
-        _, _, hessians = _tmsv_derivatives([constants] * len(points), [lift] * len(points), points)
+        _, _, hessians = _tmsv_derivatives([constants] * len(points), points / lift)
         h = 1e-5
-        for x, hess in zip(points, hessians):
+        for x, hess in zip(points, hessians / (lift * lift)):
             steps = h * np.eye(8)
             central = np.array(
                 [
