@@ -7,7 +7,8 @@ runs in one process, and ``eval --optimize`` is a one-cell sweep; each
 CSV row names what its cell reports (a certified curve point, the
 asymptote |c0| or an uncertified curve point) with that point's
 relative gradient norm and Hessian eigenvalue, and the manifest counts
-each kind.  No command searches, so none loads scipy.  ``validate``
+each kind; an uncertified cell also gets a warning on stderr.  No
+command searches, so none loads scipy.  ``validate``
 runs every self-check suite, or those ``--suite`` names, at one depth.
 """
 
@@ -26,7 +27,7 @@ from typing import Sequence
 
 import numpy as np
 
-from . import __version__, search
+from . import __version__, search, witness
 from .noise import DetectionNoise, ThermalNoise
 from .search import SweepResult, optimize_cells, sweep_eta_s, sweep_thermal
 from .states import TmsvSpec
@@ -186,6 +187,13 @@ def _check_noise_flags(args: argparse.Namespace, option: str, choice: str) -> No
         raise UsageError(f"{option} {choice} does not read {', '.join(given)}")
 
 
+def _warn_uncertified(count: int, total: int) -> None:
+    """One stderr line when a cell's verdict comes from an uncertified point."""
+    if count:
+        print(f"warning: {count} of {total} cells report an uncertified curve point (source"
+              " 'uncertified'); their violated flags are not certified", file=sys.stderr)
+
+
 def _cmd_eval(args: argparse.Namespace) -> int:
     if bool(args.settings) == bool(args.optimize):
         raise UsageError("exactly one of --settings or --optimize is required")
@@ -199,6 +207,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
         objective = detection_objective(spec, args.s, noise, clamp_mode=args.clamp)
     if args.optimize:
         report = optimize_cells([objective])[0]
+        _warn_uncertified(int(report.meta["source"] == "uncertified"), 1)
     else:
         report = objective(_parse_settings(args.settings))
     print(json.dumps(_report_json(report), indent=2))
@@ -335,12 +344,11 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         # Read at run time, so the manifest names what this sweep ran with.
         "curve_solve": {
             "seeds": search._CURVE_SEEDS.tolist(),
-            "seed_scale": "min(1, 1/sqrt(e2*width))",
             "iterations": search._CURVE_ITERATIONS,
             "cert_grad_norm": search.CERT_GRAD_NORM,
-            "grad_norm_unit": "|c2*k2|*sqrt(e2*width)",
+            "grad_norm_unit": witness._GRAD_NORM_UNIT,
             "cert_hess_max": search.CERT_HESS_MAX,
-            "hess_max_unit": "|c2*k2|*e1",
+            "hess_max_unit": witness._HESS_MAX_UNIT,
         },
         "checks": checks,
     }
@@ -357,6 +365,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         failed = [k for k, v in checks.items() if not v]
         print(f"error: checks failed: {failed}", file=sys.stderr)
         return EXIT_VALIDATION
+    _warn_uncertified(sources.count("uncertified"), len(sources))
     print(f"wrote {len(rows) - 1} rows to {args.out}")
     return EXIT_OK
 

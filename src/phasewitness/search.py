@@ -317,7 +317,7 @@ _GAUGE_SIGNS = np.array([[-1.0, 1.0], [-1.0, 1.0], [1.0, -1.0], [1.0, -1.0]])
 
 @np.errstate(all="ignore")
 def _solve_curve(keys: np.ndarray) -> np.ndarray:
-    """Best (x, y, sigma) on the real symmetric family per row of curve constants.
+    """Best point on the real symmetric family per row of curve constants.
 
     x, y are read in the frame of the constants ``keys``.  One numpy
     program over every row (key, sigma, sign of B, seed) ascends
@@ -330,8 +330,9 @@ def _solve_curve(keys: np.ndarray) -> np.ndarray:
     maximum.  A step is kept only where it does not lower f beyond
     rounding.  Every row runs elementwise for a fixed number of
     iterations, so one key's result does not depend on the other rows.
-    Overflowing constants give NaN rows silently.  Gives the row of
-    largest |B| per key, as an (n, 3) array.
+    Overflowing constants give NaN rows silently.  Gives the point of
+    largest |B| per key as its 8-vector a = (x, y), b = sigma a, an
+    (n, 8) array.
     """
     n = len(keys)
     shape = (n, 2, 2, len(_CURVE_SEEDS))
@@ -360,8 +361,9 @@ def _solve_curve(keys: np.ndarray) -> np.ndarray:
         state = [np.where(keep, t, c) for t, c in zip(trial, state)]
     best = np.abs(state[0]).reshape(n, -1).argmax(axis=1)
     rows = np.arange(n)
-    columns = (x, y, np.broadcast_to(sigma, shape))
-    return np.stack([c.reshape(n, -1)[rows, best] for c in columns], axis=1)
+    x, y, sigma = (c.reshape(n, -1)[rows, best] for c in (x, y, np.broadcast_to(sigma, shape)))
+    zero = np.zeros_like(x)
+    return np.stack([x, zero, y, zero, sigma * x, zero, sigma * y, zero], axis=1)
 
 
 @np.errstate(all="ignore")
@@ -379,7 +381,7 @@ def _certificates(keys, points) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     constants.  A row whose Hessian is not finite gets a NaN ``hess_max``.
     """
     points = np.array(points, dtype=float).reshape(-1, 8)
-    _, grad_unit, hess_unit, _, _ = _key_scales(keys)
+    _, grad_unit, hess_unit, _ = _key_scales(keys)
     value, grad, hess = _tmsv_derivatives(keys, points)
     grad_norms = np.abs(grad).max(axis=1) / grad_unit
     hess *= np.where(value >= 0.0, 1.0, -1.0)[:, None, None]
@@ -410,14 +412,14 @@ def optimize_cells(objectives: Sequence[Callable[..., object]]) -> list[WitnessR
 
     ``objectives`` are built by ``detection_objective`` or
     ``thermal_objective`` (any clamp rule), whose ``objective()`` gives the
-    curve key (lift, constants).  One curve solve runs over the distinct
-    constant rows, and one certificate over each row's curve point and
-    far point (``_key_scales``).  |B| tends to |c0| as the settings grow,
-    so a row's point is its curve point where |B| there beats |c0|
-    (``source`` ``curve`` if it certifies, else ``uncertified``) and its
-    far point, where B is c0, otherwise (``asymptote``).  Each cell
-    reports its objective at its row's point times its lift, with that
-    point's ``grad_norm`` and ``hess_max``; a point that is not finite
+    curve key (lift, constants).  One curve solve and one certificate run
+    over the distinct constant rows.  |B| tends to |c0| as the settings
+    grow, so a row's point is its curve point where |B| there beats |c0|
+    (``source`` ``curve`` if it certifies, else ``uncertified``) and
+    otherwise its far point (``_key_scales``), where B is c0 and the
+    gradient and Hessian are 0 (``asymptote``).  Each cell reports its
+    objective at its row's point times its lift, with that point's
+    ``grad_norm`` and ``hess_max``; a point that is not finite
     (overflowing constants) becomes the origin, where the objective names
     the overflow.  Each report depends only on its own curve key.
     """
@@ -426,28 +428,25 @@ def optimize_cells(objectives: Sequence[Callable[..., object]]) -> list[WitnessR
     curve = np.concatenate(
         [_solve_curve(rows[i : i + _CURVE_BLOCK]) for i in range(0, len(rows), _CURVE_BLOCK)]
     )
-    _, _, _, c0, far = _key_scales(rows)
-    # Each row's curve point, then its far point x = y = far, sigma = 1.
-    x, y, sigma = np.concatenate([curve, np.stack([far, far, np.ones_like(far)], axis=1)]).T
-    zero = np.zeros_like(x)
-    points = np.stack([x, zero, y, zero, sigma * x, zero, sigma * y, zero], axis=1)
-    value, grad_norms, hess_maxes = _certificates(np.concatenate([rows, rows]), points)
-    n = len(rows)
-    wins = np.abs(value[:n]) > np.abs(c0)
-    certified = (grad_norms[:n] <= CERT_GRAD_NORM) & (hess_maxes[:n] < CERT_HESS_MAX)
+    value, grad_norms, hess_maxes = _certificates(rows, curve)
+    wins = np.abs(value) > np.abs(rows[:, 2])
+    certified = (grad_norms <= CERT_GRAD_NORM) & (hess_maxes < CERT_HESS_MAX)
     sources = np.where(wins, np.where(certified, "curve", "uncertified"), "asymptote")
-    picks = np.where(wins, np.arange(n), np.arange(n) + n)
+    # The far point x = y = R, sigma = 1 of a row that |c0| wins.
+    far = np.where(np.arange(8) % 2 == 0, _key_scales(rows)[3][:, None], 0.0)
+    points = np.where(wins[:, None], curve, far)
+    grad_norms = np.where(wins, grad_norms, 0.0)
+    hess_maxes = np.where(wins, hess_maxes, 0.0)
     cells = []
     for objective, (lift, _), row in zip(objectives, keys, which.reshape(-1)):
-        pick = picks[row]
-        point = points[pick] * lift
+        point = points[row] * lift
         if not np.isfinite(point).all():
             point = np.zeros(8)
         report = objective(BellSettings.from_vector(point))
         meta = {
             "source": str(sources[row]),
-            "grad_norm": float(grad_norms[pick]),
-            "hess_max": float(hess_maxes[pick]),
+            "grad_norm": float(grad_norms[row]),
+            "hess_max": float(hess_maxes[row]),
         }
         cells.append(replace(report, meta=meta))
     return cells

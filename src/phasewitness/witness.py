@@ -391,23 +391,28 @@ def _family_constants(constants, sigma):
 
 #: The least Gaussian exponent at a far point: exp(-800) underflows to 0.
 _FAR_EXPONENT = 800.0
+#: The certificate's units as ``_key_scales`` computes them; a sweep's
+#: manifest names them.
+_GRAD_NORM_UNIT = "|c2*k2|*sqrt(e2*width)"
+_HESS_MAX_UNIT = "|c2*k2|*e1"
 
 
 @np.errstate(all="ignore")
 def _key_scales(constants) -> tuple[np.ndarray, ...]:
-    """Per row of curve-key constants: peak length, two units, c0 and far radius.
+    """Per row of curve-key constants: peak length, two units and far radius.
 
     In the frame the fields are read in, the peak of B has length
-    1/sqrt(e2 width), its gradient and Hessian have units |c2 k2|
-    sqrt(e2 width) and |c2 k2| e1, and B tends to c0 as the settings grow.
-    At the family point x = y = R, sigma = 1, every Gaussian exponent
-    (e2 (2 width + sh2) R^2 or e1 R^2) is at least ``_FAR_EXPONENT``, so B
-    is c0 there to the bit.  Overflowing constants give non-finite entries.
+    1/sqrt(e2 width), and its gradient and Hessian have the units
+    ``_GRAD_NORM_UNIT`` and ``_HESS_MAX_UNIT``.  As the settings grow B
+    tends to c0.  At the family point x = y = R, sigma = 1, every
+    Gaussian exponent (e2 (2 width + sh2) R^2 or e1 R^2) is at least
+    ``_FAR_EXPONENT``, so B is c0 there to the bit, and its gradient and
+    Hessian are 0.  Overflowing constants give non-finite entries.
     """
     c2, c1, c0, width, k2, e2, k1, e1, sh2 = np.asarray(constants, dtype=float).reshape(-1, 9).T
     ew, amplitude = e2 * width, np.abs(c2 * k2)
     far = np.sqrt(_FAR_EXPONENT / np.minimum(e2 * (2.0 * width + sh2), e1))
-    return 1.0 / np.sqrt(ew), amplitude * np.sqrt(ew), amplitude * e1, c0, far
+    return 1.0 / np.sqrt(ew), amplitude * np.sqrt(ew), amplitude * e1, far
 
 
 def _family(terms, x, y):

@@ -358,13 +358,15 @@ class TestEval:
     @pytest.mark.parametrize("clamp_mode", CLAMP_MODES)
     def test_optimize_is_a_one_cell_optimize_cells(self, clamp_mode, capsys):
         code, out, _ = run_cli(
-            ["eval", "--xi", "0.3", "--s", "-0.5", "--noise", "detection", "--eta", "0.4",
+            ["eval", "--xi", "1.0", "--s", "-0.8", "--noise", "detection", "--eta", "0.85",
              "--clamp", clamp_mode, "--optimize"],
             capsys,
         )
         assert code == EXIT_OK
         payload = json.loads(out)
-        objective = detection_objective(TmsvSpec(0.3), -0.5, DetectionNoise(0.4), clamp_mode)
+        assert payload["clamped"] is True
+        assert payload["meta"]["source"] == "curve"
+        objective = detection_objective(TmsvSpec(1.0), -0.8, DetectionNoise(0.85), clamp_mode)
         expected = optimize_cells([objective])[0]
         assert payload["bell_value"] == expected.bell_value
         settings = [v for name in ("a1", "a2", "b1", "b2") for v in payload["settings"][name]]
@@ -388,8 +390,8 @@ class TestEval:
     def test_product_state_optimum_is_not_violated(self, capsys):
         # At xi = 0 the curve point reads the separable bound 2, within an
         # ulp that depends on numpy's exp kernel; its Hessian is 0 there, so
-        # no local certificate holds.
-        code, out, _ = run_cli(
+        # no local certificate holds, and stderr says so in one line.
+        code, out, err = run_cli(
             ["eval", "--xi", "0", "--s", "0", "--noise", "none", "--optimize"], capsys
         )
         assert code == EXIT_OK
@@ -397,12 +399,16 @@ class TestEval:
         assert payload["bell_abs"] == pytest.approx(2.0, abs=1e-12)
         assert payload["violated"] is False
         assert payload["meta"]["source"] == "uncertified"
+        assert err == (
+            "warning: 1 of 1 cells report an uncertified curve point"
+            " (source 'uncertified'); their violated flags are not certified\n"
+        )
 
 
 class TestSweep:
     def test_product_state_cells_are_not_violated(self, tmp_path, capsys):
         out = tmp_path / "vacuum.csv"
-        code, _, _ = run_cli(
+        code, _, err = run_cli(
             ["sweep", "--mode", "eta-s", "--xi", "0", "--eta", "0.4:1.0:3", "--s", "-1:0:3",
              "--starts", "2", "--seed", "3", "--out", str(out)],
             capsys,
@@ -412,15 +418,24 @@ class TestSweep:
         assert len(rows) == 9
         assert max(abs(float(row[3]) - 2.0) for row in rows) <= 1e-12
         assert {row[4] for row in rows} == {"false"}
+        # The uncertified cells are counted in the manifest and named on
+        # stderr, so their verdicts do not pass unnoticed.
+        uncertified = json.loads(Path(f"{out}.manifest.json").read_text())["cells"]["uncertified"]
+        assert uncertified == sum(row[15] == "uncertified" for row in rows) > 0
+        assert err == (
+            f"warning: {uncertified} of 9 cells report an uncertified curve point"
+            " (source 'uncertified'); their violated flags are not certified\n"
+        )
 
     def test_manifest_counts_each_source(self, tmp_path, capsys):
         out = tmp_path / "hi.csv"
-        code, _, _ = run_cli(
+        code, _, err = run_cli(
             ["sweep", "--mode", "eta-s", "--xi", "5", "--eta", "0.5:1.0:3", "--s", "-1:0:2",
              "--out", str(out)],
             capsys,
         )
         assert code == EXIT_OK
+        assert err == ""
         header = CSV_HEADER.split(",")
         sources = [dict(zip(header, line.split(",")))["source"]
                    for line in out.read_text().splitlines()[1:]]
@@ -546,7 +561,6 @@ class TestSweep:
             manifest = json.loads(Path(f"{out}.manifest.json").read_text())
             assert manifest["curve_solve"] == {
                 "seeds": seeds.tolist(),
-                "seed_scale": "min(1, 1/sqrt(e2*width))",
                 "iterations": 25,
                 "cert_grad_norm": 1e-9,
                 "grad_norm_unit": "|c2*k2|*sqrt(e2*width)",

@@ -55,10 +55,12 @@ SWEEPS = {
     ],
 }
 
-#: One clamped eval cell, optimized under each clamp rule.
+#: One clamped eval cell, optimized under each clamp rule.  Each rule
+#: reports a certified curve point there, with its own value, so the
+#: three files pin each rule's coefficients, curve solve and certificate.
 EVALS = {
     f"eval_{clamp}": [
-        "eval", "--xi", "0.3", "--s", "-0.5", "--noise", "detection", "--eta", "0.4",
+        "eval", "--xi", "1.0", "--s", "-0.8", "--noise", "detection", "--eta", "0.85",
         "--optimize", "--clamp", clamp,
     ]
     for clamp in cli.CLAMP_MODES
@@ -160,6 +162,9 @@ def test_sweep_matches_golden(name, tmp_path):
 @pytest.mark.parametrize("name", sorted(EVALS))
 def test_eval_matches_golden(name):
     data = _run_eval(name)
+    report = json.loads(data)
+    assert report["clamped"] is True
+    assert report["meta"]["source"] == "curve"
     want = (GOLDEN / f"{name}.json").read_bytes()
     if _recorded_environment():
         got, golden = json.loads(data), json.loads(want)
