@@ -105,7 +105,8 @@ def bernoulli_detect(p: PhotonDistribution, noise: DetectionNoise) -> PhotonDist
     mass is unchanged and the new tail bound is exactly the old one.  The
     binomial rows come from Pascal's rule: row n+1 is (1 - eta) times
     row n plus eta times row n shifted up by one count, and the output
-    accumulates p[n] times row n.
+    accumulates p[n] times row n.  At eta = 1 every row is a unit count,
+    so the result equals ``p``, as a new object.
     """
     return _thin([(p, noise)])[0]
 
@@ -113,18 +114,14 @@ def bernoulli_detect(p: PhotonDistribution, noise: DetectionNoise) -> PhotonDist
 def _thin(pairs) -> list[PhotonDistribution]:
     """``bernoulli_detect`` of every (distribution, noise) pair in one Pascal sweep.
 
-    A pair at eta = 1 gives its distribution itself.  The others, which
-    must share one length N, are swept together over (k, N) arrays, one
-    row per pair at the pair's own eta.  Every operation is elementwise,
-    so a row's bits do not depend on the other rows: a pair thinned among
-    others gives what ``bernoulli_detect`` gives for it alone.
+    The pairs, which must share one length N, are swept together over
+    (k, N) arrays, one row per pair at the pair's own eta.  Every
+    operation is elementwise, so a row's bits do not depend on the other
+    rows: a pair thinned among others gives what ``bernoulli_detect``
+    gives for it alone.
     """
-    thinned = [p for p, _ in pairs]
-    lossy = [i for i, (_, noise) in enumerate(pairs) if noise.eta != 1.0]
-    if not lossy:
-        return thinned
-    probs = np.stack([pairs[i][0].probs for i in lossy])
-    eta = np.array([[pairs[i][1].eta] for i in lossy])
+    probs = np.stack([p.probs for p, _ in pairs])
+    eta = np.array([[noise.eta] for _, noise in pairs])
     q = 1.0 - eta
     row = np.zeros(probs.shape)
     row[:, 0] = 1.0
@@ -136,9 +133,7 @@ def _thin(pairs) -> list[PhotonDistribution]:
         row *= q
         row[:, 1:] += shifted
     tails = np.maximum(0.0, 1.0 - out.sum(axis=1))
-    for i, probs_i, tail in zip(lossy, out, tails):
-        thinned[i] = PhotonDistribution(probs_i, tail_bound=tail)
-    return thinned
+    return [PhotonDistribution(probs, tail_bound=tail) for probs, tail in zip(out, tails)]
 
 
 def _loss_routes(pairs, orders, tol: float) -> list[list]:

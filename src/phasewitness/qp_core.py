@@ -21,8 +21,9 @@ kernel's coordinates, so the nodes follow the kernel around every
 target, and the beam-splitter convolution in the Gaussian environment's
 coordinates, with one node set shared by every target.  The ladder sums
 its targets one fixed-size block at a time, so its memory is bounded by
-the block, not by targets x nodes.  ``plane_integral``, which only
-the tests call, sums a decaying field over the plane on the same ladder.
+the block, not by targets x nodes.  ``plane_integral``, unexported and
+called only by the tests and ``perfbench``, sums a decaying field over
+the plane on the same ladder.
 """
 
 from __future__ import annotations
@@ -46,7 +47,6 @@ __all__ = [
     "w_from_distribution",
     "gaussian_smooth",
     "beamsplitter_convolve",
-    "plane_integral",
 ]
 
 #: Tolerance on probability normalization (sum of probs plus tail bound).
@@ -406,7 +406,8 @@ def plane_integral(f: FieldEvaluator, *, radius: float = 5.0, tol: float = 1e-8)
     outermost nodes near +-radius, the integral is (radius/3)^2 times
     integral d^2u exp(-|u|^2) [exp(|u|^2) f(beta)], which
     ``_hermite_ladder`` sums to ``tol``.  A field that does not decay
-    raises ``ConvergenceError``.
+    raises ``ConvergenceError``.  Unexported, kept for ``perfbench`` and
+    the tests until ROADMAP item 4 moves it into the tests' oracles.
     """
     _positive(tol, "tol")
     _positive(radius, "radius")

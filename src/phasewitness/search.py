@@ -19,8 +19,9 @@ curve key alone, not on the other cells, and no cell runs a search.
 
 ``maximize_bell``, multi-start bounded truncated-Newton (TNC) ascent
 inside a box, and ``grid_oracle``, an exhaustive real-axis scan, are
-independent maximizers that no command calls; only ``maximize_bell``
-needs scipy, for TNC's C core.
+independent maximizers that no command calls and the package does not
+export; only ``maximize_bell`` needs scipy (the ``test`` extra), for
+TNC's C core.
 """
 
 from __future__ import annotations
@@ -50,16 +51,7 @@ from .witness import (
     thermal_objective,
 )
 
-__all__ = [
-    "SearchConfig",
-    "SweepCell",
-    "SweepResult",
-    "maximize_bell",
-    "optimize_cells",
-    "grid_oracle",
-    "sweep_eta_s",
-    "sweep_thermal",
-]
+__all__ = ["SweepCell", "SweepResult", "optimize_cells", "sweep_eta_s", "sweep_thermal"]
 
 #: Cap on objective evaluations per start (TNC's ``maxfun``).
 MAX_EVALS_PER_START = 2000
@@ -69,10 +61,11 @@ _EMPTY = np.array([])
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """Multi-start search parameters.
+    """Multi-start search parameters of ``maximize_bell``.
 
     Half the random starts (rounded up) lie on the real axis; the rest
-    fill the full 8-D box [-box_radius, box_radius]^8.
+    fill the full 8-D box [-box_radius, box_radius]^8.  Unexported, kept
+    for ``perfbench`` and the tests until ROADMAP item 3 deletes it.
     """
 
     n_starts: int = 16
@@ -203,7 +196,8 @@ def maximize_bell(
     (seed, stream), with ``extra_starts`` (warm starts) first.  Starts
     that TNC does not report as converged are counted in the result's
     meta, never raised; the best point found is always returned, with its
-    projected-gradient max-norm as ``grad_norm``.
+    projected-gradient max-norm as ``grad_norm``.  Unexported, kept for
+    ``perfbench`` and the tests until ROADMAP item 3 deletes it.
     """
     tnc_minimize = _tnc_minimize()
     box = config.box_radius
@@ -261,7 +255,11 @@ def grid_oracle(
     box_radius: float,
     points_per_axis: int,
 ) -> WitnessReport:
-    """Exhaustive real-axis 4-D settings scan; the anti-surprise baseline for maxima."""
+    """Exhaustive real-axis 4-D settings scan; the anti-surprise baseline for maxima.
+
+    Unexported, kept for ``perfbench`` and the tests until ROADMAP item 4
+    moves it into the tests' oracles.
+    """
     points_per_axis = int(points_per_axis)
     if points_per_axis < 3:
         raise ValueError("points_per_axis must be at least 3")

@@ -16,7 +16,7 @@ import pytest
 from conftest import record_acceptance
 from phasewitness.cli import main
 from phasewitness.noise import DetectionNoise, ThermalNoise
-from phasewitness.search import SearchConfig, maximize_bell, sweep_eta_s
+from phasewitness.search import SearchConfig, maximize_bell, optimize_cells, sweep_eta_s
 from phasewitness.states import TmsvSpec
 from phasewitness.validate import run_suites
 from phasewitness.witness import (
@@ -28,8 +28,6 @@ from phasewitness.witness import (
 
 pytestmark = pytest.mark.acceptance
 
-CONFIG = SearchConfig(n_starts=16, seed=7, ftol=1e-9, xtol=1e-5)
-
 # Optimized 41^4 real-settings grid value for xi = 0.3, s = 0, eta = 0.5
 # (same frozen scan as in the search tests).
 GOLDEN_PEAK_41 = 2.2176954384983194
@@ -40,25 +38,19 @@ def check(name: str, passed: bool, detail: str) -> None:
     assert passed, f"{name}: {detail}"
 
 
-def scan_boundary(objectives) -> tuple[float | None, bool]:
+def scan_boundary(scan) -> tuple[float | None, bool]:
     """Last parameter value whose optimized witness still violates.
 
-    ``objectives`` yields (value, objective) with violation expected to
-    die out along the scan; each cell warm-starts from the previous
-    optimum.  Returns (boundary, first_cell_violated).
+    ``scan`` yields (value, objective) with violation expected to die out
+    along it; one ``optimize_cells`` call optimizes every cell.  The
+    boundary is the last value before the first non-violating cell.
+    Returns (boundary, first_cell_violated).
     """
-    warm: list[tuple[float, ...]] = []
-    boundary = None
-    first = None
-    for index, (value, objective) in enumerate(objectives):
-        report = maximize_bell(objective, CONFIG, stream=index, extra_starts=warm)
-        if first is None:
-            first = report.violated
-        if not report.violated:
-            break
-        boundary = value
-        warm = [report.settings.to_vector()]
-    return boundary, bool(first)
+    values, objectives = zip(*scan)
+    violated = [report.violated for report in optimize_cells(objectives)]
+    first_miss = violated.index(False) if False in violated else len(violated)
+    boundary = values[first_miss - 1] if first_miss else None
+    return boundary, violated[0]
 
 
 def detection_boundary(xi: float, clamp_mode: str) -> float | None:

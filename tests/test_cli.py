@@ -91,16 +91,32 @@ def test_certified_eval_loads_no_scipy():
 
 
 def test_no_command_needs_scipy(tmp_path):
-    # With scipy blocked, every import of it raises ImportError.
+    # With scipy blocked, every import of it raises ImportError.  The
+    # package imports, and exports none of the four names that only the
+    # tests and the benchmark use; only a TNC search needs scipy, and it
+    # says so.
     env = dict(os.environ, PYTHONPATH=str(Path(phasewitness.__file__).parents[1]))
     code = (
         "import sys\n"
         "sys.modules['scipy'] = None\n"
+        "import phasewitness\n"
+        "oracles = {'SearchConfig', 'maximize_bell', 'grid_oracle', 'plane_integral'}\n"
+        "assert not oracles & (set(phasewitness.__all__) | set(vars(phasewitness)))\n"
+        "from phasewitness import DetectionNoise, TmsvSpec, detection_objective, search\n"
+        "objective = detection_objective(TmsvSpec(0.3), 0.0, DetectionNoise(0.5))\n"
+        "try:\n"
+        "    search.maximize_bell(objective, search.SearchConfig(n_starts=1))\n"
+        "    sys.exit('maximize_bell ran without scipy')\n"
+        "except ImportError as error:\n"
+        "    assert str(error) == \"TNC's C core needs scipy, which is not installed\", error\n"
         "from phasewitness.cli import main\n"
         "assert main(['sweep', '--mode', 'thermal', '--xi', '2', '--r', '0:0.9:4', "
         f"'--s', '-1:0:3', '--nbar-list', '0,1', '--out', {str(tmp_path / 'o.csv')!r}]) == 0\n"
+        "assert main(['sweep', '--mode', 'eta-s', '--xi', '1', '--eta', '0.5:1:3', "
+        f"'--s', '-1:0:3', '--out', {str(tmp_path / 'm.csv')!r}]) == 0\n"
         "assert main(['eval', '--xi', '8', '--s', '0', '--noise', 'none', '--optimize']) == 0\n"
         "assert main(['validate']) == 0\n"
+        "assert [m for m in sys.modules if m.split('.')[0] == 'scipy'] == ['scipy']\n"
     )
     run = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120

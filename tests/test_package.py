@@ -8,12 +8,14 @@ from phasewitness import noise, qp_core, search, states, witness
 MODULES = (qp_core, states, noise, witness, search)
 
 #: Every name the package exported before it re-exported the modules'
-#: lists; none may go missing.
+#: lists, less the four that only the tests and the benchmark use
+#: (``SearchConfig``, ``maximize_bell``, ``grid_oracle`` and
+#: ``plane_integral``); none may go missing.
 EXPORTED = {
     "__version__",
     "ConsistencyError", "ConvergenceError", "OrderParam", "PhotonDistribution",
     "parity_coefficient", "w_from_distribution", "gaussian_smooth",
-    "beamsplitter_convolve", "plane_integral",
+    "beamsplitter_convolve",
     "TmsvSpec", "SingleModeTestState", "tmsv_w2", "tmsv_w1", "thermal_w", "state_w",
     "photon_distribution",
     "DetectionNoise", "ThermalNoise", "rescale_detection", "rescale_thermal",
@@ -21,8 +23,7 @@ EXPORTED = {
     "CLAMP_BOUNDED", "CLAMP_FROZEN", "CLAMP_LOSS_CHANNEL", "CLAMP_MODES",
     "BellSettings", "WitnessReport", "observable_eigenvalue", "effective_eigenvalue",
     "bounded_eigenvalue", "bell_value", "detection_objective", "thermal_objective",
-    "SearchConfig", "SweepCell", "SweepResult", "maximize_bell", "grid_oracle",
-    "sweep_eta_s", "sweep_thermal",
+    "SweepCell", "SweepResult", "sweep_eta_s", "sweep_thermal",
 }
 
 
@@ -41,7 +42,7 @@ def test_every_name_is_its_modules_object():
 
 
 def test_no_exported_name_is_lost():
-    assert len(EXPORTED) == 44
+    assert len(EXPORTED) == 40
     assert EXPORTED <= set(phasewitness.__all__)
     assert set(phasewitness.__all__) - EXPORTED == {"NORM_TOL", "real_order", "optimize_cells"}
     assert not {"cli", "validate", "main"} & set(phasewitness.__all__)

@@ -373,10 +373,14 @@ class TestCurve:
 
     def test_family_matches_the_objective(self):
         # Each objective's curve key (lift, constants) describes it on the
-        # family, the loss-channel rule (lift sqrt(g)) included.
+        # family, the loss-channel rule (lift sqrt(g)) included.  The
+        # family's B, gradient and Hessian are also the batched form's,
+        # contracted on the family directions, to rounding.
         spec = TmsvSpec(0.3)
         detect, hot = DetectionNoise(0.45), ThermalNoise(0.6, 1.0)
         cases = [
+            (detection_objective(TmsvSpec(1.5), -0.3, DetectionNoise(0.8)), 1.0),
+            (thermal_objective(TmsvSpec(5.0), -0.4, ThermalNoise(0.3, 0.5)), math.sqrt(0.91)),
             (detection_objective(spec, -0.2, detect), 1.0),
             (detection_objective(spec, -0.9, detect), 1.0),
             (detection_objective(spec, -0.1, DetectionNoise(1.0)), 1.0),
@@ -396,6 +400,7 @@ class TestCurve:
             assert lift == expected_lift
             for sigma in (1.0, -1.0):
                 terms = witness._family_constants(constants, sigma)
+                directions = np.array([family_point(1.0, 0.0, sigma), family_point(0.0, 1.0, sigma)])
 
                 def projected(x, y):
                     _, g = objective(family_point(x, y, sigma, lift), grad=True)
@@ -403,6 +408,11 @@ class TestCurve:
 
                 for x, y in [(0.3, -0.4), (-0.7, 0.2), (0.05, 1.1)]:
                     value, bx, by, hxx, hxy, hyy = witness._family(terms, x, y)
+                    batched = witness._tmsv_derivatives(constants, family_point(x, y, sigma))
+                    assert value == pytest.approx(batched[0][0], rel=1e-12)
+                    assert [bx, by] == pytest.approx(directions @ batched[1][0], rel=1e-12)
+                    contracted = directions @ batched[2][0] @ directions.T
+                    assert [hxx, hxy, hyy] == pytest.approx(contracted.flat[[0, 1, 3]], rel=1e-12)
                     b, _ = objective(family_point(x, y, sigma, lift), grad=True)
                     assert value == pytest.approx(b, abs=1e-13)
                     assert np.array([bx, by]) == pytest.approx(projected(x, y), abs=1e-13)
