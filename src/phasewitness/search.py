@@ -5,8 +5,8 @@ Optimized cells come from one curve solve, not from a search.
 ``eval --optimize``, under any clamp rule.  Each objective names its
 curve key, ``objective()``: a lift and the closed-form constants the
 witness reads at the lifted-down settings.  One vectorized regularized
-Newton solve over the real symmetric settings a = (x, y), b = +-a, in
-the frame of those constants, gives a candidate for every distinct
+Newton solve over the real symmetric settings a = b = (x, y), in the
+frame of those constants, gives a candidate for every distinct
 constant row at once, from seeds scaled to the peak's own length.  One
 batched certificate, read from the constants alone, checks each row's
 candidate there: the gradient of |B| and the largest eigenvalue of its
@@ -305,63 +305,56 @@ CERT_HESS_MAX = -1e-6
 _CURVE_SEEDS = np.array(list(itertools.product(np.linspace(-1.0, 1.0, 5), repeat=2)))[:13]
 #: Fixed iteration count of the curve solve.
 _CURVE_ITERATIONS = 25
-#: Curve keys per curve solve call; it bounds the solve's arrays (52 rows
-#: per key: 2 sigmas x 2 signs x 13 seeds) whatever the grid size, and
-#: does not change any row's bits.
-_CURVE_BLOCK = 128
+#: Curve keys per curve solve call; it bounds the solve's arrays (one row
+#: per key and seed) whatever the grid size, and changes no row's bits.
+_CURVE_BLOCK = 512
 #: Signs that turn each setting's (im, re) pair into its gauge tangent.
 _GAUGE_SIGNS = np.array([[-1.0, 1.0], [-1.0, 1.0], [1.0, -1.0], [1.0, -1.0]])
 
 
 @np.errstate(all="ignore")
 def _solve_curve(keys: np.ndarray) -> np.ndarray:
-    """Best point on the real symmetric family per row of curve constants.
+    """Best point on the real symmetric family b = a per row of curve constants.
 
     x, y are read in the frame of the constants ``keys``.  One numpy
-    program over every row (key, sigma, sign of B, seed) ascends
-    f = sign B from each of the 13 ``_CURVE_SEEDS``, scaled to the peak's
-    length by min(1, 1/sqrt(e2 width)), by regularized Newton steps (Ueda
-    & Yamashita, Appl. Math. Optim. 62, 27 (2010)): the 2 x 2 Hessian of f
+    program over every row (key, seed) ascends B from each of the 13
+    ``_CURVE_SEEDS``, scaled to the peak's length by
+    min(1, 1/sqrt(e2 width)), by regularized Newton steps (Ueda &
+    Yamashita, Appl. Math. Optim. 62, 27 (2010)): the 2 x 2 Hessian of B
     is shifted down by its largest eigenvalue, if positive, plus the
     gradient norm, which keeps every step an ascent direction of length
     at most 1 that tends to the Newton step as the gradient vanishes at a
-    maximum.  A step is kept only where it does not lower f beyond
+    maximum.  A step is kept only where it does not lower B beyond
     rounding.  Every row runs elementwise for a fixed number of
     iterations, so one key's result does not depend on the other rows.
     Overflowing constants give NaN rows silently.  Gives the point of
-    largest |B| per key as its 8-vector a = (x, y), b = sigma a, an
-    (n, 8) array.
+    largest |B| per key as its 8-vector a = b = (x, y), an (n, 8) array.
+    The family b = -a and descent on B run only in the tests' oracle.
     """
-    n = len(keys)
-    shape = (n, 2, 2, len(_CURVE_SEEDS))
-    constants = keys.T.reshape(-1, n, 1, 1, 1)
-    sigma = np.array([1.0, -1.0]).reshape(1, 2, 1, 1)
-    terms = [np.broadcast_to(t, shape).copy() for t in _family_constants(constants, sigma)]
-    sign = np.broadcast_to(np.array([1.0, -1.0]).reshape(1, 1, 2, 1), shape)
-    scale = np.minimum(1.0, _key_scales(keys)[0]).reshape(n, 1, 1, 1)
-    x = np.broadcast_to(scale * _CURVE_SEEDS[:, 0], shape)
-    y = np.broadcast_to(scale * _CURVE_SEEDS[:, 1], shape)
+    scale = np.minimum(1.0, _key_scales(keys)[0])[:, None]
+    x, y = scale * _CURVE_SEEDS[:, 0], scale * _CURVE_SEEDS[:, 1]
+    # Full-shape terms keep every ufunc call on numpy's contiguous fast path.
+    terms = [np.broadcast_to(t, x.shape).copy() for t in _family_constants(keys.T[:, :, None])]
     state = _family(terms, x, y)
     for _ in range(_CURVE_ITERATIONS):
         value, gx, gy, hxx, hxy, hyy = state
-        kxx, kxy, kyy = sign * hxx, sign * hxy, sign * hyy
-        top = 0.5 * (kxx + kyy) + np.sqrt(0.25 * (kxx - kyy) ** 2 + kxy * kxy)
+        top = 0.5 * (hxx + hyy) + np.sqrt(0.25 * (hxx - hyy) ** 2 + hxy * hxy)
         shift = np.maximum(top, 0.0) + np.sqrt(gx * gx + gy * gy)
-        axx, ayy = shift - kxx, shift - kyy
-        det = axx * ayy - kxy * kxy
+        axx, ayy = shift - hxx, shift - hyy
+        det = axx * ayy - hxy * hxy
         # A flat row (zero gradient and curvature) gives 0/0: a NaN trial,
         # which the comparison below rejects.
-        tx = x + sign * (ayy * gx + kxy * gy) / det
-        ty = y + sign * (axx * gy + kxy * gx) / det
+        tx = x + (ayy * gx + hxy * gy) / det
+        ty = y + (axx * gy + hxy * gx) / det
         trial = _family(terms, tx, ty)
-        keep = sign * trial[0] >= sign * value - 1e-14
+        keep = trial[0] >= value - 1e-14
         x, y = np.where(keep, tx, x), np.where(keep, ty, y)
         state = [np.where(keep, t, c) for t, c in zip(trial, state)]
-    best = np.abs(state[0]).reshape(n, -1).argmax(axis=1)
-    rows = np.arange(n)
-    x, y, sigma = (c.reshape(n, -1)[rows, best] for c in (x, y, np.broadcast_to(sigma, shape)))
+    best = np.abs(state[0]).argmax(axis=1)
+    rows = np.arange(len(keys))
+    x, y = x[rows, best], y[rows, best]
     zero = np.zeros_like(x)
-    return np.stack([x, zero, y, zero, sigma * x, zero, sigma * y, zero], axis=1)
+    return np.stack([x, zero, y, zero, x, zero, y, zero], axis=1)
 
 
 @np.errstate(all="ignore")
@@ -405,24 +398,15 @@ def _certificates(keys, points) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return value, grad_norms, hess_max
 
 
-def optimize_cells(objectives: Sequence[Callable[..., object]]) -> list[WitnessReport]:
-    """The maximized witness report of each objective, one curve solve for all.
+def _row_reports(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(point, source, grad_norm, hess_max) per distinct row of curve constants.
 
-    ``objectives`` are built by ``detection_objective`` or
-    ``thermal_objective`` (any clamp rule), whose ``objective()`` gives the
-    curve key (lift, constants).  One curve solve and one certificate run
-    over the distinct constant rows.  |B| tends to |c0| as the settings
-    grow, so a row's point is its curve point where |B| there beats |c0|
+    |B| tends to |c0| as the settings grow, so a row's point, in the frame
+    of its constants, is its curve point where |B| there beats |c0|
     (``source`` ``curve`` if it certifies, else ``uncertified``) and
     otherwise its far point (``_key_scales``), where B is c0 and the
-    gradient and Hessian are 0 (``asymptote``).  Each cell reports its
-    objective at its row's point times its lift, with that point's
-    ``grad_norm`` and ``hess_max``; a point that is not finite
-    (overflowing constants) becomes the origin, where the objective names
-    the overflow.  Each report depends only on its own curve key.
+    gradient and Hessian are 0 (``asymptote``).
     """
-    keys = [objective() for objective in objectives]
-    rows, which = np.unique([constants for _, constants in keys], axis=0, return_inverse=True)
     curve = np.concatenate(
         [_solve_curve(rows[i : i + _CURVE_BLOCK]) for i in range(0, len(rows), _CURVE_BLOCK)]
     )
@@ -430,11 +414,26 @@ def optimize_cells(objectives: Sequence[Callable[..., object]]) -> list[WitnessR
     wins = np.abs(value) > np.abs(rows[:, 2])
     certified = (grad_norms <= CERT_GRAD_NORM) & (hess_maxes < CERT_HESS_MAX)
     sources = np.where(wins, np.where(certified, "curve", "uncertified"), "asymptote")
-    # The far point x = y = R, sigma = 1 of a row that |c0| wins.
+    # The far family point x = y = R of a row that |c0| wins.
     far = np.where(np.arange(8) % 2 == 0, _key_scales(rows)[3][:, None], 0.0)
     points = np.where(wins[:, None], curve, far)
-    grad_norms = np.where(wins, grad_norms, 0.0)
-    hess_maxes = np.where(wins, hess_maxes, 0.0)
+    return points, sources, np.where(wins, grad_norms, 0.0), np.where(wins, hess_maxes, 0.0)
+
+
+def optimize_cells(objectives: Sequence[Callable[..., object]]) -> list[WitnessReport]:
+    """The maximized witness report of each objective, one curve solve for all.
+
+    ``objectives`` are built by ``detection_objective`` or
+    ``thermal_objective`` (any clamp rule), whose ``objective()`` gives the
+    curve key (lift, constants).  Each cell reports its objective at its
+    constant row's ``_row_reports`` point times its lift, with that row's
+    ``source``, ``grad_norm`` and ``hess_max``; a point that is not finite
+    (overflowing constants) becomes the origin, where the objective names
+    the overflow.  Each report depends only on its own curve key.
+    """
+    keys = [objective() for objective in objectives]
+    rows, which = np.unique([constants for _, constants in keys], axis=0, return_inverse=True)
+    points, sources, grad_norms, hess_maxes = _row_reports(rows)
     cells = []
     for objective, (lift, _), row in zip(objectives, keys, which.reshape(-1)):
         point = points[row] * lift

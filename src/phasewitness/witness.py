@@ -382,10 +382,10 @@ def _tmsv_derivatives(constants, points) -> tuple[np.ndarray, np.ndarray, np.nda
     return terms.sum(axis=1) + c0, grad, hess
 
 
-def _family_constants(constants, sigma):
-    """Per-row constants of ``_family`` from the nine curve-key constants and sigma."""
+def _family_constants(constants):
+    """Per-row constants of ``_family`` from the nine curve-key constants."""
     c2, c1, c0, width, k2, e2, k1, e1, sh2 = constants
-    ew, m = e2 * width, e2 * sigma * sh2
+    ew, m = e2 * width, e2 * sh2
     return c2 * k2, ew, m, 2.0 * ew + m, 2.0 * c1 * k1, e1, c0
 
 
@@ -404,7 +404,7 @@ def _key_scales(constants) -> tuple[np.ndarray, ...]:
     In the frame the fields are read in, the peak of B has length
     1/sqrt(e2 width), and its gradient and Hessian have the units
     ``_GRAD_NORM_UNIT`` and ``_HESS_MAX_UNIT``.  As the settings grow B
-    tends to c0.  At the family point x = y = R, sigma = 1, every
+    tends to c0.  At the family point x = y = R, every
     Gaussian exponent (e2 (2 width + sh2) R^2 or e1 R^2) is at least
     ``_FAR_EXPONENT``, so B is c0 there to the bit, and its gradient and
     Hessian are 0.  Overflowing constants give non-finite entries.
@@ -418,11 +418,11 @@ def _key_scales(constants) -> tuple[np.ndarray, ...]:
 def _family(terms, x, y):
     """B, its gradient and its Hessian on the real symmetric family.
 
-    The family is a1 = x, a2 = y, b1 = sigma x, b2 = sigma y (real, in
-    the frame the fields are read in, sigma = +-1), on which
+    The family is a1 = b1 = x, a2 = b2 = y (real, in the frame the
+    fields are read in), on which
     B = c2 k2 (E11 + 2 E12 - E22) + 2 c1 k1 exp(-e1 x^2) + c0 with
     E11 = exp(-p x^2), E22 = exp(-p y^2), E12 = exp(-e2 width (x^2 + y^2)
-    - m x y), m = e2 sigma sh2 and p = 2 e2 width + m.  ``terms`` comes
+    - m x y), m = e2 sh2 and p = 2 e2 width + m.  ``terms`` comes
     from ``_family_constants``, as numbers or arrays that broadcast with x
     and y.  Gives (B, Bx, By, Bxx, Bxy, Byy).
     """

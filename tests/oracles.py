@@ -6,8 +6,14 @@ amplitudes, a Heisenberg-picture loss channel, and Bell values as plain
 sums of operator expectation values.  The reference maximizer runs the
 multi-start TNC search through scipy's public ``minimize`` route, from
 the starts of the package's own ``search._starts``: the starts are a
-draw, not a computation to check.  Nothing else imports the package
-internals, so agreement with the package is evidence, not tautology.
+draw, not a computation to check.  The reference curve solve runs the
+package's curve solve over both families b = +-a and both signs of B,
+52 entries per key where the package runs 13, from the package's own
+family (``witness._family`` and ``_family_constants``), seeds, iteration
+count and seed scale (``search._CURVE_SEEDS``, ``_CURVE_ITERATIONS`` and
+``witness._key_scales``); it checks the pruning, not the family.
+Nothing else imports the package internals, so agreement with the
+package is evidence, not tautology.
 """
 
 from __future__ import annotations
@@ -18,7 +24,8 @@ import math
 import numpy as np
 from scipy.optimize import Bounds, minimize
 
-from phasewitness.search import _starts
+from phasewitness.search import _CURVE_ITERATIONS, _CURVE_SEEDS, _starts
+from phasewitness.witness import _family, _family_constants, _key_scales
 
 DEFAULT_DIM = 70
 
@@ -273,3 +280,62 @@ def scipy_tnc_maximize(objective, config, maxfun, stream=0, extra_starts=()):
         "grad_norm": grad_norm,
     }
     return best.x, meta
+
+
+def family_terms(constants, sigma):
+    """``_family``'s terms on the family b = sigma a, sigma = +-1.
+
+    ``_family_constants`` gives the b = a terms; b = -a turns the
+    cross term m = e2 sh2 into -m, and so p = 2 e2 width + m into
+    2 e2 width - m.
+    """
+    cw, ew, m, p, d1, e1, c0 = _family_constants(constants)
+    if sigma > 0.0:
+        return cw, ew, m, p, d1, e1, c0
+    return cw, ew, -m, 2.0 * ew - m, d1, e1, c0
+
+
+@np.errstate(all="ignore")
+def curve_solve_52(keys):
+    """The curve solve over both families b = +-a and both signs of B.
+
+    Every row (key, sigma, sign of B, seed) ascends f = sign B on the
+    family b = sigma a (``family_terms``) from the 13 seeds by the
+    package's regularized Newton step, with the 2 x 2 Hessian and the
+    step carried through the sign, for the same fixed number of
+    iterations.  Gives the point of largest |B| per key, the first of
+    equal ones in (sigma, sign, seed) order, as its 8-vector a = (x, y),
+    b = sigma a, an (n, 8) array.  The package's solve runs the
+    sigma = +1, sign +1 entries alone, which come first, so the two agree
+    bit for bit wherever none of the other 39 entries beats them.
+    """
+    keys = np.asarray(keys, dtype=float)
+    n = len(keys)
+    shape = (n, 2, 2, len(_CURVE_SEEDS))
+    constants = keys.T.reshape(-1, n, 1, 1, 1)
+    families = zip(family_terms(constants, 1.0), family_terms(constants, -1.0))
+    terms = [np.concatenate(t, axis=1) for t in families]
+    sigma = np.array([1.0, -1.0]).reshape(1, 2, 1, 1)
+    sign = np.broadcast_to(np.array([1.0, -1.0]).reshape(1, 1, 2, 1), shape)
+    scale = np.minimum(1.0, _key_scales(keys)[0]).reshape(n, 1, 1, 1)
+    x = np.broadcast_to(scale * _CURVE_SEEDS[:, 0], shape)
+    y = np.broadcast_to(scale * _CURVE_SEEDS[:, 1], shape)
+    state = _family(terms, x, y)
+    for _ in range(_CURVE_ITERATIONS):
+        value, gx, gy, hxx, hxy, hyy = state
+        kxx, kxy, kyy = sign * hxx, sign * hxy, sign * hyy
+        top = 0.5 * (kxx + kyy) + np.sqrt(0.25 * (kxx - kyy) ** 2 + kxy * kxy)
+        shift = np.maximum(top, 0.0) + np.sqrt(gx * gx + gy * gy)
+        axx, ayy = shift - kxx, shift - kyy
+        det = axx * ayy - kxy * kxy
+        tx = x + sign * (ayy * gx + kxy * gy) / det
+        ty = y + sign * (axx * gy + kxy * gx) / det
+        trial = _family(terms, tx, ty)
+        keep = sign * trial[0] >= sign * value - 1e-14
+        x, y = np.where(keep, tx, x), np.where(keep, ty, y)
+        state = [np.where(keep, t, c) for t, c in zip(trial, state)]
+    best = np.abs(state[0]).reshape(n, -1).argmax(axis=1)
+    rows = np.arange(n)
+    x, y, sigma = (c.reshape(n, -1)[rows, best] for c in (x, y, np.broadcast_to(sigma, shape)))
+    zero = np.zeros_like(x)
+    return np.stack([x, zero, y, zero, sigma * x, zero, sigma * y, zero], axis=1)

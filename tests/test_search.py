@@ -14,6 +14,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings as hsettings, strategies as st
 
 import oracles as orc
 import phasewitness
@@ -33,6 +34,7 @@ from phasewitness.search import (
 )
 from phasewitness.states import TmsvSpec, tmsv_w1, tmsv_w2
 from phasewitness.witness import (
+    CLAMP_BOUNDED,
     CLAMP_FROZEN,
     CLAMP_LOSS_CHANNEL,
     BellSettings,
@@ -368,6 +370,53 @@ def constants_of(objective):
     return np.array([objective()[1]])
 
 
+def mixed_keys():
+    """Curve keys at xi 0.3 to 4: detection cells under two rules and thermal cells."""
+    keys = []
+    for xi in (0.3, 1.0, 1.5, 4.0):
+        spec = TmsvSpec(xi)
+        for eta, s in itertools.product((0.3, 0.6, 1.0), (-1.0, -0.4, 0.0)):
+            keys.append(detection_objective(spec, s, DetectionNoise(eta))()[1])
+            keys.append(detection_objective(spec, s, DetectionNoise(eta), CLAMP_FROZEN)()[1])
+        for r, nbar, s in itertools.product((0.2, 0.6, 0.9), (0.0, 1.0), (-0.5, 0.0)):
+            keys.append(thermal_objective(spec, s, ThermalNoise(r, nbar))()[1])
+    return np.array(keys)
+
+
+def gate_grid_objectives(spec, rule):
+    """The README map (eta 0.3:1:36, s -1:0:21) and the thermal gate grid
+    (r 0:0.94:48, s -1:0:6, nbar 0, 0.5 and 2, or 0 alone under the
+    loss-channel rule)."""
+    objectives = [
+        detection_objective(spec, s, DetectionNoise(eta), rule)
+        for eta, s in itertools.product(np.linspace(0.3, 1.0, 36), np.linspace(-1.0, 0.0, 21))
+    ]
+    nbars = (0.0,) if rule == CLAMP_LOSS_CHANNEL else (0.0, 0.5, 2.0)
+    grid = itertools.product(nbars, np.linspace(0.0, 0.94, 48), np.linspace(-1.0, 0.0, 6))
+    objectives += [thermal_objective(spec, s, ThermalNoise(r, nbar), rule) for nbar, r, s in grid]
+    return objectives
+
+
+def row_bytes(keys):
+    """The bytes of every distinct key row's reported point, source and certificate."""
+    points, sources, grad_norms, hess_maxes = search._row_reports(keys)
+    return points.tobytes(), sources.tolist(), grad_norms.tobytes(), hess_maxes.tobytes()
+
+
+def assert_oracle_rows(keys):
+    """The 13-entry solve reports each distinct key row as the 52-entry oracle does.
+
+    The oracle's 39 other entries can reach a larger |B| where |c0| wins
+    and the row reports its far point, so the rows are compared as
+    reported: point, source, grad_norm and hess_max.
+    """
+    rows = np.unique(keys, axis=0)
+    pruned = row_bytes(rows)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(search, "_solve_curve", orc.curve_solve_52)
+        assert row_bytes(rows) == pruned
+
+
 class TestCurve:
     """The one curve solve over the curve keys, its certificate and the asymptote."""
 
@@ -375,7 +424,9 @@ class TestCurve:
         # Each objective's curve key (lift, constants) describes it on the
         # family, the loss-channel rule (lift sqrt(g)) included.  The
         # family's B, gradient and Hessian are also the batched form's,
-        # contracted on the family directions, to rounding.
+        # contracted on the family directions, to rounding.  The family
+        # b = -a, which only the 52-entry oracle solve runs, is checked
+        # through the oracle's own terms.
         spec = TmsvSpec(0.3)
         detect, hot = DetectionNoise(0.45), ThermalNoise(0.6, 1.0)
         cases = [
@@ -399,7 +450,7 @@ class TestCurve:
             lift, constants = objective()
             assert lift == expected_lift
             for sigma in (1.0, -1.0):
-                terms = witness._family_constants(constants, sigma)
+                terms = orc.family_terms(constants, sigma)
                 directions = np.array([family_point(1.0, 0.0, sigma), family_point(0.0, 1.0, sigma)])
 
                 def projected(x, y):
@@ -425,21 +476,57 @@ class TestCurve:
         # Every step of the solve commutes with (x, y) -> (-x, -y), and the
         # argmax takes the first of equal |B|, so the 12 mirrored seeds of
         # the 5 x 5 grid change no row's bits.
-        keys = []
-        for xi in (0.3, 1.0, 1.5, 4.0):
-            spec = TmsvSpec(xi)
-            for eta, s in itertools.product((0.3, 0.6, 1.0), (-1.0, -0.4, 0.0)):
-                keys.append(detection_objective(spec, s, DetectionNoise(eta))()[1])
-                keys.append(detection_objective(spec, s, DetectionNoise(eta), CLAMP_FROZEN)()[1])
-            for r, nbar, s in itertools.product((0.2, 0.6, 0.9), (0.0, 1.0), (-0.5, 0.0)):
-                keys.append(thermal_objective(spec, s, ThermalNoise(r, nbar))()[1])
-        keys = np.array(keys)
+        keys = mixed_keys()
         axis = np.linspace(-1.0, 1.0, 5)
         grid = np.array([(x, y) for x in axis for y in axis])
         assert search._CURVE_SEEDS.tobytes() == grid[:13].tobytes()
         half = search._solve_curve(keys)
         monkeypatch.setattr(search, "_CURVE_SEEDS", grid)
         assert half.tobytes() == search._solve_curve(keys).tobytes()
+
+    def test_block_size_changes_no_row(self, monkeypatch):
+        # The solve runs over blocks of _CURVE_BLOCK distinct keys; a key's
+        # row is the same bytes whichever keys share its block.
+        keys = np.unique(mixed_keys(), axis=0)
+        expected = row_bytes(keys)
+        for block in (1, 7):
+            monkeypatch.setattr(search, "_CURVE_BLOCK", block)
+            assert row_bytes(keys) == expected
+
+    def test_gate_grid_rows_are_the_52_entry_oracle_rows(self):
+        # The README detection grid and the thermal gate grid at xi = 0.3
+        # and 5 under every clamp rule: 5003 distinct keys.
+        keys = [
+            objective()[1]
+            for xi in (0.3, 5.0)
+            for rule in (CLAMP_BOUNDED, CLAMP_FROZEN, CLAMP_LOSS_CHANNEL)
+            for objective in gate_grid_objectives(TmsvSpec(xi), rule)
+        ]
+        assert_oracle_rows(keys)
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.floats(0.0, 12.0),
+                st.floats(-8.0, 0.0),
+                st.sampled_from((CLAMP_BOUNDED, CLAMP_FROZEN, CLAMP_LOSS_CHANNEL)),
+                st.floats(0.05, 1.0),
+            ),
+            min_size=1,
+            max_size=32,
+        )
+    )
+    @hsettings(max_examples=10)
+    def test_sampled_rows_are_the_52_entry_oracle_rows(self, cells):
+        # Keys at any squeezing and rescaled order s', under each rule.  A
+        # thermal key is the detection key at the same s' (only the lift
+        # differs, which the solve never reads); the loss-channel rule reads
+        # its fields at transmission g, with lift sqrt(g).
+        keys = [
+            witness._tmsv_objective(TmsvSpec(xi), s_prime, math.sqrt(g), g, rule)()[1]
+            for xi, s_prime, rule, g in cells
+        ]
+        assert_oracle_rows(keys)
 
     def test_moved_point_fails_its_certificate(self):
         spec = TmsvSpec(0.3)
