@@ -276,9 +276,10 @@ def _openblas_core() -> str:
 def _environment() -> dict[str, str]:
     """The manifest's environment block: what a sweep's bits depend on.
 
-    numpy's ``exp`` dispatch target and the OpenBLAS core (behind
-    ``eigvalsh``) change the last bits of values and Hessian eigenvalues
-    on the same versions.
+    numpy's ``exp`` dispatch target changes the last bits of a sweep's
+    values on the same versions.  No sweep calls LAPACK, so the OpenBLAS
+    core does not change a sweep's bits; it changes those of ``validate``'s
+    Gauss-Hermite nodes (``hermgauss`` calls ``eigvalsh``).
     """
     return {
         "python": platform.python_version(),

@@ -10,12 +10,14 @@ frame of those constants, gives a candidate for every distinct
 constant row at once, from seeds scaled to the peak's own length.  One
 batched certificate, read from the constants alone, checks each row's
 candidate there: the gradient of |B| and the largest eigenvalue of its
-Hessian off the gauge direction, each relative to the row's own scale.
+Hessian off the gauge direction, each relative to the row's own scale,
+from four closed-form 2 x 2 symmetry blocks of the Hessian on b = a.
 As the settings grow B tends to the constant c0, so sup |B| >= |c0|:
-a row reports its candidate where that beats |c0|, and otherwise a far
-point on the family at which B is c0 to the bit.  Each cell lifts its
-row's point to the 8 raw coordinates.  A cell's report depends on its
-curve key alone, not on the other cells, and no cell runs a search.
+a row reports its candidate where that beats |c0| by more than a few
+ulps, and otherwise a far point on the family at which B is c0 to the
+bit.  Each cell lifts its row's point to the 8 raw coordinates.  A
+cell's report depends on its curve key alone, not on the other cells,
+and no cell runs a search.
 
 ``maximize_bell``, multi-start bounded truncated-Newton (TNC) ascent
 inside a box, and ``grid_oracle``, an exhaustive real-axis scan, are
@@ -44,9 +46,9 @@ from .witness import (
     BellSettings,
     WitnessReport,
     _family,
+    _family_blocks,
     _family_constants,
     _key_scales,
-    _tmsv_derivatives,
     detection_objective,
     thermal_objective,
 )
@@ -308,8 +310,15 @@ _CURVE_ITERATIONS = 25
 #: Curve keys per curve solve call; it bounds the solve's arrays (one row
 #: per key and seed) whatever the grid size, and changes no row's bits.
 _CURVE_BLOCK = 512
-#: Signs that turn each setting's (im, re) pair into its gauge tangent.
-_GAUGE_SIGNS = np.array([[-1.0, 1.0], [-1.0, 1.0], [1.0, -1.0], [1.0, -1.0]])
+#: How far |B| at a curve point must beat |c0|, relative to |c0|: the
+#: family form of B that decides it differs from the six-term sum by a
+#: few ulps, and at an exact tie the exact asymptote wins.
+_C0_MARGIN = 16.0 * np.finfo(float).eps
+
+
+def _top_eigenvalue(hxx, hxy, hyy):
+    """The larger eigenvalue of the symmetric 2 x 2 matrix [[hxx, hxy], [hxy, hyy]]."""
+    return 0.5 * (hxx + hyy) + np.sqrt(0.25 * (hxx - hyy) ** 2 + hxy * hxy)
 
 
 @np.errstate(all="ignore")
@@ -338,8 +347,7 @@ def _solve_curve(keys: np.ndarray) -> np.ndarray:
     state = _family(terms, x, y)
     for _ in range(_CURVE_ITERATIONS):
         value, gx, gy, hxx, hxy, hyy = state
-        top = 0.5 * (hxx + hyy) + np.sqrt(0.25 * (hxx - hyy) ** 2 + hxy * hxy)
-        shift = np.maximum(top, 0.0) + np.sqrt(gx * gx + gy * gy)
+        shift = np.maximum(_top_eigenvalue(hxx, hxy, hyy), 0.0) + np.sqrt(gx * gx + gy * gy)
         axx, ayy = shift - hxx, shift - hyy
         det = axx * ayy - hxy * hxy
         # A flat row (zero gradient and curvature) gives 0/0: a NaN trial,
@@ -359,42 +367,41 @@ def _solve_curve(keys: np.ndarray) -> np.ndarray:
 
 @np.errstate(all="ignore")
 def _certificates(keys, points) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(B, grad_norm, hess_max) per row of curve constants at its 8-vector.
+    """(B, grad_norm, hess_max) per row of curve constants at its family point.
 
-    ``points`` are in the frame of the constants ``keys``; one
-    ``_tmsv_derivatives`` call gives B, its gradient and its Hessian for
-    all rows, and no objective is called.  ``grad_norm`` is the
-    gradient's max-norm and ``hess_max`` the largest eigenvalue of the
-    Hessian of |B| off the gauge direction a -> a e^{i phi},
-    b -> b e^{-i phi}, along which B is constant (one Householder
-    reflection per row and one batched ``eigvalsh``), each in its
-    ``_key_scales`` unit, so that neither changes with the scale of the
-    constants.  A row whose Hessian is not finite gets a NaN ``hess_max``.
+    ``points`` are 8-vectors on the real family a = b = (x, y), in the
+    frame of the constants ``keys``; only x and y are read, and no
+    objective is called.  ``grad_norm`` is the max-norm of the raw
+    gradient, (Bx, By) / 2, and ``hess_max`` the largest eigenvalue of
+    the Hessian of |B| off the gauge direction a -> a e^{i phi},
+    b -> b e^{-i phi}, along which B is constant: half the largest of the
+    ``_family`` and ``_family_blocks`` blocks' top eigenvalues, with the
+    imaginary da = -db block read only on u = (-y, x) / |(x, y)|, off the
+    gauge tangent (x, y).  At the origin, which has no gauge direction,
+    that block keeps both eigenvalues; the gauge maps it onto the real
+    da = db block there, so the maximum is the same either way.  Each is
+    in its ``_key_scales`` unit.  A non-finite block entry gives a NaN
+    ``hess_max``.
     """
-    points = np.array(points, dtype=float).reshape(-1, 8)
+    points = np.asarray(points, dtype=float).reshape(-1, 8)
+    x, y = points[:, 0], points[:, 2]
+    terms = _family_constants(np.asarray(keys, dtype=float).T)
     _, grad_unit, hess_unit, _ = _key_scales(keys)
-    value, grad, hess = _tmsv_derivatives(keys, points)
-    grad_norms = np.abs(grad).max(axis=1) / grad_unit
-    hess *= np.where(value >= 0.0, 1.0, -1.0)[:, None, None]
-    # d/dphi of the settings per (re, im) pair: (-im, re) on mode A and
-    # (im, -re) on mode B.  A Householder reflection maps it onto the
-    # first axis, and the other seven axes span its complement.  Scaling
-    # by the largest entry first keeps a point next to the origin from
-    # underflowing the norm.  A point at the origin has no gauge
-    # direction; its reflection is the identity, and dropping the first
-    # axis leaves its largest eigenvalue unchanged, as the Hessian there
-    # commutes with the gauge and so has even-dimensional eigenspaces.
-    gauge = (points.reshape(-1, 4, 2)[:, :, ::-1] * _GAUGE_SIGNS).reshape(-1, 8)
-    scale = np.abs(gauge).max(axis=1, keepdims=True)
-    u = np.divide(gauge, scale, out=np.zeros_like(gauge), where=scale > 0.0)
-    u[:, 0] += np.copysign(np.linalg.norm(u, axis=1), u[:, 0])
-    uu = np.einsum("ni,ni->n", u, u)
-    uu[uu == 0.0] = 1.0
-    reflect = np.eye(8) - 2.0 * u[:, :, None] * u[:, None, :] / uu[:, None, None]
-    hess = (reflect @ hess @ reflect)[:, 1:, 1:]
-    finite = np.isfinite(hess).all(axis=(1, 2))
-    hess[~finite] = 0.0
-    hess_max = np.where(finite, np.linalg.eigvalsh(hess)[:, -1], np.nan) / hess_unit
+    value, bx, by, *plus = _family(terms, x, y)
+    grad_norms = 0.5 * np.maximum(np.abs(bx), np.abs(by)) / grad_unit
+    sign = np.where(value >= 0.0, 1.0, -1.0)
+    signed = [[sign * h for h in block] for block in (plus, *_family_blocks(terms, x, y))]
+    finite = np.isfinite(signed).all(axis=(0, 1))
+    *blocks, (hxx, hxy, hyy) = signed
+    # The gauge complement u, from (x, y) scaled by its max-norm so that a
+    # point next to the origin does not underflow.
+    scale = np.maximum(np.abs(x), np.abs(y))
+    ux = np.divide(-y, scale, out=np.zeros_like(x), where=scale > 0.0)
+    uy = np.divide(x, scale, out=np.zeros_like(x), where=scale > 0.0)
+    off_gauge = (ux * ux * hxx + 2.0 * ux * uy * hxy + uy * uy * hyy) / (ux * ux + uy * uy)
+    off_gauge = np.where(scale > 0.0, off_gauge, _top_eigenvalue(hxx, hxy, hyy))
+    top = np.maximum.reduce([*(_top_eigenvalue(*b) for b in blocks), off_gauge])
+    hess_max = np.where(finite, 0.5 * top, np.nan) / hess_unit
     return value, grad_norms, hess_max
 
 
@@ -402,16 +409,17 @@ def _row_reports(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, 
     """(point, source, grad_norm, hess_max) per distinct row of curve constants.
 
     |B| tends to |c0| as the settings grow, so a row's point, in the frame
-    of its constants, is its curve point where |B| there beats |c0|
-    (``source`` ``curve`` if it certifies, else ``uncertified``) and
-    otherwise its far point (``_key_scales``), where B is c0 and the
-    gradient and Hessian are 0 (``asymptote``).
+    of its constants, is its curve point where |B| there beats |c0| by
+    more than ``_C0_MARGIN`` |c0| (``source`` ``curve`` if it certifies,
+    else ``uncertified``) and otherwise its far point (``_key_scales``),
+    where B is c0 and the gradient and Hessian are 0 (``asymptote``).
     """
     curve = np.concatenate(
         [_solve_curve(rows[i : i + _CURVE_BLOCK]) for i in range(0, len(rows), _CURVE_BLOCK)]
     )
     value, grad_norms, hess_maxes = _certificates(rows, curve)
-    wins = np.abs(value) > np.abs(rows[:, 2])
+    c0 = np.abs(rows[:, 2])
+    wins = np.abs(value) - c0 > _C0_MARGIN * c0
     certified = (grad_norms <= CERT_GRAD_NORM) & (hess_maxes < CERT_HESS_MAX)
     sources = np.where(wins, np.where(certified, "curve", "uncertified"), "asymptote")
     # The far family point x = y = R of a row that |c0| wins.

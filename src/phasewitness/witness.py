@@ -13,8 +13,9 @@ path.  Every objective also answers ``objective(x, grad=True)`` with the
 value and its analytic gradient over the raw 8-vector x, for the
 settings search, and ``objective()`` with its lift and closed-form
 constants, the key of the search's one curve solve.  Only this module
-reads the constants: ``_family`` gives B on the solve's curve, and
-``_tmsv_derivatives`` B and its derivatives at many curve keys' points.
+reads the constants: ``_family`` gives B, its gradient and its Hessian
+on the solve's real symmetric family b = a, and ``_family_blocks`` the
+rest of the 8 x 8 Hessian there, as three closed-form 2 x 2 blocks.
 
 When the rescaled order parameter falls below -1 the plain functional
 stops being a witness, because the observable spectrum leaves [-1, 1].
@@ -330,58 +331,6 @@ def _tmsv_objective(
     return evaluate
 
 
-def _gaussian_forms() -> tuple[np.ndarray, np.ndarray]:
-    """Forms D, S of B's six Gaussian exponents q = x (s_D D + s_S S) x / 2.
-
-    Terms in the order W(a1,b1), W(a1,b2), W(a2,b1), W(a2,b2), W1(a1),
-    W1(b1), over the raw 8-vector order of ``BellSettings.to_vector``.
-    D holds each term's |.|^2 parts (s_D = width for a pair, 1 for a
-    single mode) and S the pair's a_re b_re - a_im b_im part (s_S = sh2).
-    """
-    d, s = np.zeros((6, 8, 8)), np.zeros((6, 8, 8))
-    for t, modes in enumerate([(0, 2), (0, 3), (1, 2), (1, 3), (0,), (2,)]):
-        for m in modes:
-            d[t, 2 * m, 2 * m] = d[t, 2 * m + 1, 2 * m + 1] = 2.0
-        if len(modes) == 2:
-            a, b = 2 * modes[0], 2 * modes[1]
-            s[t, a, b] = s[t, b, a] = 1.0
-            s[t, a + 1, b + 1] = s[t, b + 1, a + 1] = -1.0
-    return d, s
-
-
-_FORM_D, _FORM_S = _gaussian_forms()
-
-
-@np.errstate(all="ignore")
-def _tmsv_derivatives(constants, points) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """B, its gradient and its 8 x 8 Hessian at 8-vectors, one row per curve key.
-
-    ``constants`` is the (n, 9) array of curve-key constants (c2, c1, c0,
-    width, k2, e2, k1, e1, sh2) and ``points`` the (n, 8) settings in the
-    frame the fields are read in (raw settings divided by the lift),
-    ordered as ``BellSettings.to_vector``.  B is c0 plus six Gaussian
-    terms T = k exp(-e q), q a quadratic form of the settings, each adding
-    -T e grad q to the gradient and T (e^2 grad q grad q^T - e hess q) to
-    the Hessian.  Overflowing constants give non-finite rows silently.
-    Gives (n,), (n, 8), (n, 8, 8) arrays.
-    """
-    c2, c1, c0, width, k2, e2, k1, e1, sh2 = np.asarray(constants, dtype=float).reshape(-1, 9).T
-    x = np.asarray(points, dtype=float).reshape(-1, 8)
-    one, zero = np.ones_like(c2), np.zeros_like(c2)
-    d_scale = np.stack([width, width, width, width, one, one], axis=1)
-    s_scale = np.stack([sh2, sh2, sh2, sh2, zero, zero], axis=1)
-    forms = d_scale[:, :, None, None] * _FORM_D + s_scale[:, :, None, None] * _FORM_S
-    grad_q = np.einsum("ntij,nj->nti", forms, x)
-    q = 0.5 * np.einsum("nti,ni->nt", grad_q, x)
-    e = np.stack([e2, e2, e2, e2, e1, e1], axis=1)
-    w2, w1 = c2 * k2, c1 * k1
-    terms = np.stack([w2, w2, w2, -w2, w1, w1], axis=1) * np.exp(-e * q)
-    grad = -np.einsum("nt,nti->ni", terms * e, grad_q)
-    hess = np.einsum("nt,nti,ntj->nij", terms * e * e, grad_q, grad_q)
-    hess -= np.einsum("nt,ntij->nij", terms * e, forms)
-    return terms.sum(axis=1) + c0, grad, hess
-
-
 def _family_constants(constants):
     """Per-row constants of ``_family`` from the nine curve-key constants."""
     c2, c1, c0, width, k2, e2, k1, e1, sh2 = constants
@@ -415,25 +364,38 @@ def _key_scales(constants) -> tuple[np.ndarray, ...]:
     return 1.0 / np.sqrt(ew), amplitude * np.sqrt(ew), amplitude * e1, far
 
 
+def _family_fields(terms, x, y):
+    """The Gaussian terms of B at the family point (x, y), and their slopes.
+
+    Gives E11 = c2 k2 exp(-p x^2), E22 = c2 k2 exp(-p y^2),
+    E12 = 2 c2 k2 exp(-e2 width (x^2 + y^2) - m x y), W = 2 c1 k1 exp(-e1 x^2),
+    qx = 2 e2 width x + m y and qy = 2 e2 width y + m x, with m = e2 sh2
+    and p = 2 e2 width + m, from the ``_family_constants`` terms.
+    """
+    cw, ew, m, p, d1, e1, c0 = terms
+    xx, yy = x * x, y * y
+    return (
+        cw * np.exp(-p * xx),
+        cw * np.exp(-p * yy),
+        2.0 * cw * np.exp(-(ew * (xx + yy) + m * (x * y))),
+        d1 * np.exp(-e1 * xx),
+        2.0 * ew * x + m * y,
+        2.0 * ew * y + m * x,
+    )
+
+
 def _family(terms, x, y):
     """B, its gradient and its Hessian on the real symmetric family.
 
     The family is a1 = b1 = x, a2 = b2 = y (real, in the frame the
-    fields are read in), on which
-    B = c2 k2 (E11 + 2 E12 - E22) + 2 c1 k1 exp(-e1 x^2) + c0 with
-    E11 = exp(-p x^2), E22 = exp(-p y^2), E12 = exp(-e2 width (x^2 + y^2)
-    - m x y), m = e2 sh2 and p = 2 e2 width + m.  ``terms`` comes
-    from ``_family_constants``, as numbers or arrays that broadcast with x
+    fields are read in), on which B = E11 + E12 - E22 + W + c0 in the
+    terms of ``_family_fields``.  ``terms`` comes from
+    ``_family_constants``, as numbers or arrays that broadcast with x
     and y.  Gives (B, Bx, By, Bxx, Bxy, Byy).
     """
     cw, ew, m, p, d1, e1, c0 = terms
+    e11, e22, e12, w1, qx, qy = _family_fields(terms, x, y)
     xx, yy = x * x, y * y
-    e11 = cw * np.exp(-p * xx)
-    e22 = cw * np.exp(-p * yy)
-    e12 = 2.0 * cw * np.exp(-(ew * (xx + yy) + m * (x * y)))
-    w1 = d1 * np.exp(-e1 * xx)
-    qx = 2.0 * ew * x + m * y
-    qy = 2.0 * ew * y + m * x
     return (
         e11 + e12 - e22 + w1 + c0,
         -2.0 * (p * x * e11 + e1 * x * w1) - qx * e12,
@@ -442,6 +404,33 @@ def _family(terms, x, y):
         + (4.0 * e1 * e1 * xx - 2.0 * e1) * w1,
         (qx * qy - m) * e12,
         (qy * qy - 2.0 * ew) * e12 - (4.0 * p * p * yy - 2.0 * p) * e22,
+    )
+
+
+def _family_blocks(terms, x, y):
+    """The Hessian of B at a family point, off the family's own block.
+
+    B is unchanged by swapping each a_j with b_j, and by conjugating
+    every setting.  A family point is fixed by both maps, so the raw
+    8 x 8 Hessian there splits into four 2 x 2 blocks over the modes
+    (1, 2): real or imaginary moves, each with da = db or da = -db.  The
+    real da = db block is ``_family``'s, and the gradient has no
+    component off it.  A block coordinate moves two raw coordinates, so
+    the raw eigenvalues are half the blocks'.  Gives the real da = -db,
+    imaginary da = db and imaginary da = -db blocks as (11, 12, 22).
+    """
+    cw, ew, m, p, d1, e1, c0 = terms
+    e11, e22, e12, w1, qx, qy = _family_fields(terms, x, y)
+    k = 2.0 * (2.0 * ew - m)
+    flat = -2.0 * ew * e12
+    return (
+        (
+            -k * e11 + (qx * qx - 2.0 * ew) * e12 + (4.0 * e1 * e1 * x * x - 2.0 * e1) * w1,
+            -(qx * qy - m) * e12,
+            (qy * qy - 2.0 * ew) * e12 + k * e22,
+        ),
+        (-k * e11 + flat - 2.0 * e1 * w1, m * e12, flat + k * e22),
+        (-2.0 * p * e11 + flat - 2.0 * e1 * w1, -m * e12, flat + 2.0 * p * e22),
     )
 
 

@@ -11,7 +11,12 @@ package's curve solve over both families b = +-a and both signs of B,
 52 entries per key where the package runs 13, from the package's own
 family (``witness._family`` and ``_family_constants``), seeds, iteration
 count and seed scale (``search._CURVE_SEEDS``, ``_CURVE_ITERATIONS`` and
-``witness._key_scales``); it checks the pruning, not the family.
+``witness._key_scales``); it checks the pruning, not the family.  The
+reference certificate forms B's gradient and full 8 x 8 Hessian at any
+settings from the six Gaussian forms, and takes the largest eigenvalue
+off the gauge direction with a Householder reflection and ``eigvalsh``,
+in the package's own units (``witness._key_scales``); it checks the
+package's four closed-form 2 x 2 blocks, which hold on b = a only.
 Nothing else imports the package internals, so agreement with the
 package is evidence, not tautology.
 """
@@ -339,3 +344,100 @@ def curve_solve_52(keys):
     x, y, sigma = (c.reshape(n, -1)[rows, best] for c in (x, y, np.broadcast_to(sigma, shape)))
     zero = np.zeros_like(x)
     return np.stack([x, zero, y, zero, sigma * x, zero, sigma * y, zero], axis=1)
+
+
+def _gaussian_forms() -> tuple[np.ndarray, np.ndarray]:
+    """Forms D, S of B's six Gaussian exponents q = x (s_D D + s_S S) x / 2.
+
+    Terms in the order W(a1,b1), W(a1,b2), W(a2,b1), W(a2,b2), W1(a1),
+    W1(b1), over the raw 8-vector order of ``BellSettings.to_vector``.
+    D holds each term's |.|^2 parts (s_D = width for a pair, 1 for a
+    single mode) and S the pair's a_re b_re - a_im b_im part (s_S = sh2).
+    """
+    d, s = np.zeros((6, 8, 8)), np.zeros((6, 8, 8))
+    for t, modes in enumerate([(0, 2), (0, 3), (1, 2), (1, 3), (0,), (2,)]):
+        for m in modes:
+            d[t, 2 * m, 2 * m] = d[t, 2 * m + 1, 2 * m + 1] = 2.0
+        if len(modes) == 2:
+            a, b = 2 * modes[0], 2 * modes[1]
+            s[t, a, b] = s[t, b, a] = 1.0
+            s[t, a + 1, b + 1] = s[t, b + 1, a + 1] = -1.0
+    return d, s
+
+
+_FORM_D, _FORM_S = _gaussian_forms()
+
+
+@np.errstate(all="ignore")
+def tmsv_derivatives(constants, points) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """B, its gradient and its 8 x 8 Hessian at 8-vectors, one row per curve key.
+
+    ``constants`` is the (n, 9) array of curve-key constants (c2, c1, c0,
+    width, k2, e2, k1, e1, sh2) and ``points`` the (n, 8) settings in the
+    frame the fields are read in (raw settings divided by the lift),
+    ordered as ``BellSettings.to_vector``.  B is c0 plus six Gaussian
+    terms T = k exp(-e q), q a quadratic form of the settings, each adding
+    -T e grad q to the gradient and T (e^2 grad q grad q^T - e hess q) to
+    the Hessian.  Overflowing constants give non-finite rows silently.
+    Gives (n,), (n, 8), (n, 8, 8) arrays.
+    """
+    c2, c1, c0, width, k2, e2, k1, e1, sh2 = np.asarray(constants, dtype=float).reshape(-1, 9).T
+    x = np.asarray(points, dtype=float).reshape(-1, 8)
+    one, zero = np.ones_like(c2), np.zeros_like(c2)
+    d_scale = np.stack([width, width, width, width, one, one], axis=1)
+    s_scale = np.stack([sh2, sh2, sh2, sh2, zero, zero], axis=1)
+    forms = d_scale[:, :, None, None] * _FORM_D + s_scale[:, :, None, None] * _FORM_S
+    grad_q = np.einsum("ntij,nj->nti", forms, x)
+    q = 0.5 * np.einsum("nti,ni->nt", grad_q, x)
+    e = np.stack([e2, e2, e2, e2, e1, e1], axis=1)
+    w2, w1 = c2 * k2, c1 * k1
+    terms = np.stack([w2, w2, w2, -w2, w1, w1], axis=1) * np.exp(-e * q)
+    grad = -np.einsum("nt,nti->ni", terms * e, grad_q)
+    hess = np.einsum("nt,nti,ntj->nij", terms * e * e, grad_q, grad_q)
+    hess -= np.einsum("nt,ntij->nij", terms * e, forms)
+    return terms.sum(axis=1) + c0, grad, hess
+
+
+#: Signs that turn each setting's (im, re) pair into its gauge tangent.
+_GAUGE_SIGNS = np.array([[-1.0, 1.0], [-1.0, 1.0], [1.0, -1.0], [1.0, -1.0]])
+
+
+@np.errstate(all="ignore")
+def certificates(keys, points) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(B, grad_norm, hess_max) per row of curve constants at its 8-vector.
+
+    ``points`` are in the frame of the constants ``keys``; one
+    ``tmsv_derivatives`` call gives B, its gradient and its Hessian for
+    all rows, and no objective is called.  ``grad_norm`` is the
+    gradient's max-norm and ``hess_max`` the largest eigenvalue of the
+    Hessian of |B| off the gauge direction a -> a e^{i phi},
+    b -> b e^{-i phi}, along which B is constant (one Householder
+    reflection per row and one batched ``eigvalsh``), each in its
+    ``_key_scales`` unit, so that neither changes with the scale of the
+    constants.  A row whose Hessian is not finite gets a NaN ``hess_max``.
+    """
+    points = np.array(points, dtype=float).reshape(-1, 8)
+    _, grad_unit, hess_unit, _ = _key_scales(keys)
+    value, grad, hess = tmsv_derivatives(keys, points)
+    grad_norms = np.abs(grad).max(axis=1) / grad_unit
+    hess *= np.where(value >= 0.0, 1.0, -1.0)[:, None, None]
+    # d/dphi of the settings per (re, im) pair: (-im, re) on mode A and
+    # (im, -re) on mode B.  A Householder reflection maps it onto the
+    # first axis, and the other seven axes span its complement.  Scaling
+    # by the largest entry first keeps a point next to the origin from
+    # underflowing the norm.  A point at the origin has no gauge
+    # direction; its reflection is the identity, and dropping the first
+    # axis leaves its largest eigenvalue unchanged, as the Hessian there
+    # commutes with the gauge and so has even-dimensional eigenspaces.
+    gauge = (points.reshape(-1, 4, 2)[:, :, ::-1] * _GAUGE_SIGNS).reshape(-1, 8)
+    scale = np.abs(gauge).max(axis=1, keepdims=True)
+    u = np.divide(gauge, scale, out=np.zeros_like(gauge), where=scale > 0.0)
+    u[:, 0] += np.copysign(np.linalg.norm(u, axis=1), u[:, 0])
+    uu = np.einsum("ni,ni->n", u, u)
+    uu[uu == 0.0] = 1.0
+    reflect = np.eye(8) - 2.0 * u[:, :, None] * u[:, None, :] / uu[:, None, None]
+    hess = (reflect @ hess @ reflect)[:, 1:, 1:]
+    finite = np.isfinite(hess).all(axis=(1, 2))
+    hess[~finite] = 0.0
+    hess_max = np.where(finite, np.linalg.eigvalsh(hess)[:, -1], np.nan) / hess_unit
+    return value, grad_norms, hess_max

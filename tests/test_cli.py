@@ -560,6 +560,25 @@ class TestSweep:
         monkeypatch.setattr(cli.ctypes, "CDLL", lambda path: object())
         assert (cli._exp_dispatch(), cli._openblas_core()) == ("unknown", "unknown")
 
+    def test_csv_bytes_do_not_depend_on_the_openblas_core(self, tmp_path):
+        # No certificate calls LAPACK, so the README map's CSV is the same
+        # bytes whichever core OpenBLAS runs its kernels for.
+        if cli._openblas_core() == "unknown":
+            pytest.skip("no numpy.libs OpenBLAS to ask")
+        env = dict(os.environ, PYTHONPATH=str(Path(phasewitness.__file__).parents[1]))
+        env.pop("OPENBLAS_CORETYPE", None)
+        csvs = []
+        for core in (None, "Haswell", "Prescott"):
+            out = tmp_path / f"{core}.csv"
+            subprocess.run(
+                [sys.executable, "-m", "phasewitness", "sweep", "--mode", "eta-s", "--xi", "1.0",
+                 "--eta", "0.3:1.0:36", "--s", "-1:0:21", "--out", str(out)],
+                env=env if core is None else dict(env, OPENBLAS_CORETYPE=core),
+                capture_output=True, check=True, timeout=120,
+            )
+            csvs.append(out.read_bytes())
+        assert csvs[1] == csvs[0] and csvs[2] == csvs[0]
+
     def test_manifest_records_the_curve_solve(self, tmp_path, capsys, monkeypatch):
         # The curve_solve block reads search's constants when the sweep
         # runs: the full 5 x 5 seed grid is recorded as such, and writes

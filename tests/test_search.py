@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import importlib.machinery
 import itertools
 import json
@@ -39,7 +40,6 @@ from phasewitness.witness import (
     CLAMP_LOSS_CHANNEL,
     BellSettings,
     WitnessReport,
-    _tmsv_derivatives,
     bell_value,
     detection_objective,
     thermal_objective,
@@ -397,6 +397,29 @@ def gate_grid_objectives(spec, rule):
     return objectives
 
 
+@functools.cache
+def gate_grid_rows(xi):
+    """The distinct curve keys of the gate grids at xi, every clamp rule, and their curve points."""
+    rules = (CLAMP_BOUNDED, CLAMP_FROZEN, CLAMP_LOSS_CHANNEL)
+    objectives = [o for rule in rules for o in gate_grid_objectives(TmsvSpec(xi), rule)]
+    keys = np.unique([objective()[1] for objective in objectives], axis=0)
+    points = search._solve_curve(keys)
+    keys.flags.writeable = points.flags.writeable = False
+    return keys, points
+
+
+#: Columns of the block basis: each moves two raw coordinates by 1, real
+#: or imaginary, with da = db or da = -db, on mode 1 then mode 2, in the
+#: block order R+, R-, I+, I-.
+BLOCK_BASIS = np.array(
+    [
+        family_point(x, y, sigma) if part == 0 else np.roll(family_point(x, y, sigma), 1)
+        for part, sigma in ((0, 1.0), (0, -1.0), (1, 1.0), (1, -1.0))
+        for x, y in ((1.0, 0.0), (0.0, 1.0))
+    ]
+).T
+
+
 def row_bytes(keys):
     """The bytes of every distinct key row's reported point, source and certificate."""
     points, sources, grad_norms, hess_maxes = search._row_reports(keys)
@@ -411,8 +434,11 @@ def assert_oracle_rows(keys):
     reported: point, source, grad_norm and hess_max.
     """
     rows = np.unique(keys, axis=0)
-    pruned = row_bytes(rows)
     with pytest.MonkeyPatch.context() as patch:
+        # The oracle's points can lie on b = -a, which the block
+        # certificate does not read; both runs take the 8 x 8 certificate.
+        patch.setattr(search, "_certificates", orc.certificates)
+        pruned = row_bytes(rows)
         patch.setattr(search, "_solve_curve", orc.curve_solve_52)
         assert row_bytes(rows) == pruned
 
@@ -423,7 +449,7 @@ class TestCurve:
     def test_family_matches_the_objective(self):
         # Each objective's curve key (lift, constants) describes it on the
         # family, the loss-channel rule (lift sqrt(g)) included.  The
-        # family's B, gradient and Hessian are also the batched form's,
+        # family's B, gradient and Hessian are also the oracle's 8 x 8 form's,
         # contracted on the family directions, to rounding.  The family
         # b = -a, which only the 52-entry oracle solve runs, is checked
         # through the oracle's own terms.
@@ -459,7 +485,7 @@ class TestCurve:
 
                 for x, y in [(0.3, -0.4), (-0.7, 0.2), (0.05, 1.1)]:
                     value, bx, by, hxx, hxy, hyy = witness._family(terms, x, y)
-                    batched = witness._tmsv_derivatives(constants, family_point(x, y, sigma))
+                    batched = orc.tmsv_derivatives(constants, family_point(x, y, sigma))
                     assert value == pytest.approx(batched[0][0], rel=1e-12)
                     assert [bx, by] == pytest.approx(directions @ batched[1][0], rel=1e-12)
                     contracted = directions @ batched[2][0] @ directions.T
@@ -496,13 +522,7 @@ class TestCurve:
     def test_gate_grid_rows_are_the_52_entry_oracle_rows(self):
         # The README detection grid and the thermal gate grid at xi = 0.3
         # and 5 under every clamp rule: 5003 distinct keys.
-        keys = [
-            objective()[1]
-            for xi in (0.3, 5.0)
-            for rule in (CLAMP_BOUNDED, CLAMP_FROZEN, CLAMP_LOSS_CHANNEL)
-            for objective in gate_grid_objectives(TmsvSpec(xi), rule)
-        ]
-        assert_oracle_rows(keys)
+        assert_oracle_rows(np.concatenate([gate_grid_rows(xi)[0] for xi in (0.3, 5.0)]))
 
     @given(
         st.lists(
@@ -534,20 +554,32 @@ class TestCurve:
         report = sweep_eta_s(spec, [0.5], [0.0]).cells[0].report
         assert report.meta["source"] == "curve"
         x = np.array(report.settings.to_vector())
+        # The block certificate at the optimum, and at the optimum moved
+        # along the family in x and in y.
+        along = [x, x + 1e-3 * BLOCK_BASIS[:, 0], x + 1e-3 * BLOCK_BASIS[:, 1]]
+        values, grad_norms, hess_maxes = search._certificates(
+            np.repeat(constants_of(objective), len(along), axis=0), along
+        )
+        assert values[0] == pytest.approx(report.bell_value, abs=1e-14)
+        assert (grad_norms[0], hess_maxes[0]) == (report.meta["grad_norm"], report.meta["hess_max"])
+        assert grad_norms[0] <= CERT_GRAD_NORM and hess_maxes[0] < CERT_HESS_MAX
+        assert all(grad_norm > CERT_GRAD_NORM for grad_norm in grad_norms[1:])
+        # The oracle's 8 x 8 certificate in one batch: the optimum, the
+        # optimum turned along the gauge, and the optimum moved off it, and
+        # off the family, in three directions.
         gauge = np.array(gauge_rotated(x, 1e-6)) - x
         rng = np.random.default_rng(4)
         moved = []
         for direction in [np.eye(8)[0], np.eye(8)[5], rng.normal(size=8)]:
             direction = direction - gauge * (direction @ gauge) / (gauge @ gauge)
             moved.append(x + 1e-3 * direction / np.linalg.norm(direction))
-        # One batch: the optimum, the optimum turned along the gauge, and
-        # the optimum moved off it in three directions.
         points = [x, gauge_rotated(x, 1e-3), *moved]
-        values, grad_norms, hess_maxes = search._certificates(
+        values, grad_norms, hess_maxes = orc.certificates(
             np.repeat(constants_of(objective), len(points), axis=0), points
         )
         assert values[0] == report.bell_value
-        assert (grad_norms[0], hess_maxes[0]) == (report.meta["grad_norm"], report.meta["hess_max"])
+        assert grad_norms[0] == pytest.approx(report.meta["grad_norm"], abs=1e-15)
+        assert hess_maxes[0] == pytest.approx(report.meta["hess_max"], rel=1e-12)
         assert grad_norms[0] <= CERT_GRAD_NORM and hess_maxes[0] < CERT_HESS_MAX
         # B is constant along the gauge, so a turned optimum stays certified.
         assert grad_norms[1] <= CERT_GRAD_NORM and hess_maxes[1] < CERT_HESS_MAX
@@ -574,13 +606,13 @@ class TestCurve:
 
     def test_certificate_next_to_the_origin(self):
         # A curve row can converge to within 1e-303 of the origin.  Its
-        # gauge direction must not underflow, and as the Hessian there
-        # commutes with the gauge, its eigenspaces are even-dimensional and
-        # dropping one direction leaves the largest eigenvalue unchanged:
-        # the origin, which has no gauge direction, drops the first axis.
+        # gauge direction must not underflow.  At the origin there is no
+        # gauge direction, and the Hessian commutes with the gauge, so the
+        # imaginary a = -b block keeps both eigenvalues and the largest
+        # eigenvalue is that of the whole 8 x 8 Hessian.
         objective = detection_objective(TmsvSpec(0.3), -0.6, DetectionNoise(0.3))
         constants = constants_of(objective)
-        tiny = family_point(-3.6e-304, -2.9e-303, -1.0)
+        tiny = family_point(-3.6e-304, -2.9e-303, 1.0)
         _, grad_norms, hess_maxes = search._certificates(
             np.repeat(constants, 2, axis=0), [(0.0,) * 8, tiny]
         )
@@ -588,25 +620,29 @@ class TestCurve:
         assert hess_maxes[1] == pytest.approx(hess_maxes[0], rel=1e-12)
         # The full 8 x 8 spectrum at the origin has the same top eigenvalue,
         # in units of |c2 k2| e1.
-        value, _, hess = _tmsv_derivatives(constants, [(0.0,) * 8])
+        value, _, hess = orc.tmsv_derivatives(constants, [(0.0,) * 8])
         assert np.sign(value[0]) == np.sign(objective(BellSettings(0, 0, 0, 0)).bell_value)
         top = np.linalg.eigvalsh(np.sign(value[0]) * hess[0])[-1]
         c2, _, _, _, k2, _, _, e1, _ = constants[0]
         assert hess_maxes[0] == pytest.approx(top / abs(c2 * k2 * e1), rel=1e-12)
 
     def test_non_finite_hessian_certifies_nothing(self, monkeypatch):
-        # eigvalsh of a NaN matrix returns finite numbers, so the
-        # certificate itself must turn a non-finite Hessian into NaN.
+        # The closed-form top eigenvalue of a 2 x 2 block with an infinite
+        # entry can be finite, so the certificate itself must turn any
+        # non-finite block entry into a NaN hess_max.
         objective = detection_objective(TmsvSpec(0.3), 0.0, DetectionNoise(0.5))
-        point = sweep_eta_s(TmsvSpec(0.3), [0.5], [0.0]).cells[0].report.settings
+        point = sweep_eta_s(TmsvSpec(0.3), [0.5], [0.0]).cells[0].report.settings.to_vector()
+        blocks = witness._family_blocks
+        for block, entry, bad in itertools.product(range(3), range(3), (np.nan, np.inf, -np.inf)):
 
-        def nan_hessians(constants, points):
-            value, grad, hess = _tmsv_derivatives(constants, points)
-            return value, grad, np.full_like(hess, np.nan)
+            def broken(terms, x, y):
+                entries = [list(b) for b in blocks(terms, x, y)]
+                entries[block][entry] = np.full_like(x, bad)
+                return entries
 
-        monkeypatch.setattr(search, "_tmsv_derivatives", nan_hessians)
-        _, _, hess_max = search._certificates(constants_of(objective), [point.to_vector()])
-        assert math.isnan(hess_max[0])
+            monkeypatch.setattr(search, "_family_blocks", broken)
+            _, grad_norm, hess_max = search._certificates(constants_of(objective), [point])
+            assert grad_norm[0] <= CERT_GRAD_NORM and math.isnan(hess_max[0])
 
     def test_one_row_certificate_is_the_batch_row(self):
         # A row's certificate does not depend on the other rows of its batch.
@@ -617,11 +653,77 @@ class TestCurve:
             detection_objective(spec, -0.5, DetectionNoise(0.4), CLAMP_LOSS_CHANNEL),
         ]
         keys = np.concatenate([constants_of(objective) for objective in objectives])
-        points = np.random.default_rng(7).uniform(-1.0, 1.0, (3, 8))
+        xy = np.random.default_rng(7).uniform(-1.0, 1.0, (3, 2))
+        points = np.array([family_point(x, y, 1.0) for x, y in xy])
         batch = search._certificates(keys, points)
         for i in range(len(objectives)):
             alone = search._certificates(keys[i : i + 1], points[i : i + 1])
             assert [a[0] for a in alone] == [b[i] for b in batch]
+
+    def test_blocks_are_the_oracle_hessian_blocks(self):
+        # On the gate-grid optima at xi = 0.3, 1 and 2, and on those points
+        # scaled along the family by U[0.5, 1.5], the oracle's 8 x 8
+        # Hessian in the block basis is the four blocks and zeros, and its
+        # gradient there is (Bx, By) on the real a = b block and zeros.
+        rng = np.random.default_rng(12)
+        for xi in (0.3, 1.0, 2.0):
+            keys, optima = gate_grid_rows(xi)
+            for points in (optima, optima * rng.uniform(0.5, 1.5, (len(optima), 1))):
+                finite = np.isfinite(points).all(axis=1)
+                keys_f, points_f = keys[finite], points[finite]
+                x, y = points_f[:, 0], points_f[:, 2]
+                terms = witness._family_constants(keys_f.T)
+                value, bx, by, *plus = witness._family(terms, x, y)
+                blocks = [plus, *witness._family_blocks(terms, x, y)]
+                expected = np.zeros((len(x), 8, 8))
+                for b, (h11, h12, h22) in enumerate(blocks):
+                    i = 2 * b
+                    expected[:, i, i], expected[:, i + 1, i + 1] = h11, h22
+                    expected[:, i, i + 1] = expected[:, i + 1, i] = h12
+                six, grad, hess = orc.tmsv_derivatives(keys_f, points_f)
+                rotated = BLOCK_BASIS.T @ hess @ BLOCK_BASIS
+                scale = np.abs(rotated).max(axis=(1, 2))
+                assert np.all(np.abs(rotated - expected).max(axis=(1, 2)) <= 1e-12 * scale)
+                off_block = np.kron(np.eye(4), np.ones((2, 2))) == 0.0
+                assert not rotated[:, off_block].any()
+                along = grad @ BLOCK_BASIS
+                assert not along[:, 2:].any()
+                grad_unit = witness._key_scales(keys_f)[1]
+                assert np.all(np.abs(along[:, 0] - bx) <= 1e-13 * grad_unit)
+                assert np.all(np.abs(along[:, 1] - by) <= 1e-13 * grad_unit)
+                assert np.abs(value - six).max() <= 1e-14
+
+    def test_phase_direction_is_a_null_vector_at_certified_optima(self):
+        # B is constant along the phase turn, whose tangent is (x, y) in the
+        # imaginary a = -b block; at a stationary point that block maps it to 0.
+        for xi in (0.3, 1.0, 2.0, 5.0):
+            keys, _ = gate_grid_rows(xi)
+            points, sources, _, _ = search._row_reports(keys)
+            curve = sources == "curve"
+            assert curve.sum() > 900
+            x, y = points[curve, 0], points[curve, 2]
+            terms = witness._family_constants(keys[curve].T)
+            _, _, (h11, h12, h22) = witness._family_blocks(terms, x, y)
+            scale = np.maximum.reduce([abs(h11), abs(h12), abs(h22)]) * np.maximum(abs(x), abs(y))
+            image = np.maximum(abs(h11 * x + h12 * y), abs(h12 * x + h22 * y))
+            assert np.all(image <= 1e-12 * scale)
+
+    def test_certified_flags_are_the_oracle_certificates(self):
+        # On the gate grids up to xi = 8, under every clamp rule, each curve
+        # point certifies under the blocks exactly where it certifies under
+        # the 8 x 8 oracle, whose eigvalsh loses digits as xi grows.
+        for xi in (0.3, 1.0, 2.0, 5.0, 8.0):
+            keys, points = gate_grid_rows(xi)
+            _, grad_norms, hess_maxes = search._certificates(keys, points)
+            _, oracle_grad, oracle_hess = orc.certificates(keys, points)
+            certified = (grad_norms <= CERT_GRAD_NORM) & (hess_maxes < CERT_HESS_MAX)
+            oracle = (oracle_grad <= CERT_GRAD_NORM) & (oracle_hess < CERT_HESS_MAX)
+            assert certified.sum() > 900
+            assert np.array_equal(certified, oracle)
+            finite = np.isfinite(oracle_grad)
+            assert np.abs(grad_norms - oracle_grad)[finite].max() <= 1e-15
+            if xi <= 2.0:
+                assert np.abs(hess_maxes - oracle_hess)[certified].max() <= 1e-12
 
     def test_each_objective_is_called_for_its_key_and_its_report(self, monkeypatch):
         # The solve and the certificate read the curve keys alone: each
@@ -752,6 +854,20 @@ def test_noise_free_wigner_cells_climb_to_the_asymptote():
     assert all(a <= b for a, b in zip(values, values[1:]))
     assert max(values) <= 2.3244947811
     assert min(values[xis.index(6.0):]) >= 2.32449478
+
+
+def test_curve_point_that_ties_with_the_asymptote_reports_the_asymptote():
+    # At xi = 0, eta = 0.3 and s = -0.75 the rescaled order is below -1, so
+    # c0 = 2, and the product state's flat maximum is 2 too.  The curve
+    # point's six-term sum rounds to 2 plus 1 ulp and its report to 2 plus
+    # 2 ulps; a curve point must beat |c0| by more than 16 eps |c0|, so the
+    # cell reports the exact asymptote.
+    objective = detection_objective(TmsvSpec(0.0), -0.75, DetectionNoise(0.3))
+    assert objective()[1][2] == 2.0
+    (report,) = search.optimize_cells([objective])
+    assert report.clamped
+    assert report.meta == {"source": "asymptote", "grad_norm": 0.0, "hess_max": 0.0}
+    assert report.bell_value == 2.0
 
 
 # Run in a fresh interpreter: a search, then the scipy modules it loaded,

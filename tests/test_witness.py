@@ -19,7 +19,6 @@ from phasewitness.witness import (
     BellSettings,
     WitnessReport,
     _VIOLATION_MARGIN,
-    _tmsv_derivatives,
     bell_value,
     bounded_eigenvalue,
     detection_objective,
@@ -531,7 +530,12 @@ class TestGradient:
 
 
 class TestHessian:
-    """The batched B, gradient and Hessian against the scalar objective."""
+    """The oracle's batched B, gradient and 8 x 8 Hessian against the scalar objective.
+
+    The points lie anywhere in the 8 settings coordinates, off the family
+    b = a that the package's certificate reads; the blocks are checked
+    against this oracle in ``test_search``.
+    """
 
     @pytest.mark.parametrize("mode, noise, s", RULE_CELLS)
     def test_value_and_gradient_match_the_objective(self, mode, noise, s):
@@ -540,7 +544,7 @@ class TestHessian:
         points = np.random.default_rng(6).uniform(-1.5, 1.5, (16, 8))
         # The raw settings x read the fields at x / lift, so dB/dx is the
         # gradient there divided by the lift.
-        values, grads, _ = _tmsv_derivatives([constants] * 16, points / lift)
+        values, grads, _ = orc.tmsv_derivatives([constants] * 16, points / lift)
         for x, value, grad in zip(points, values, grads):
             b, g = objective(x.tolist(), grad=True)
             assert abs(value - b) <= 1e-13
@@ -552,7 +556,7 @@ class TestHessian:
         lift, constants = objective()
         rng = np.random.default_rng(5)
         points = rng.uniform(-1.0, 1.0, (6, 8))
-        _, _, hessians = _tmsv_derivatives([constants] * len(points), points / lift)
+        _, _, hessians = orc.tmsv_derivatives([constants] * len(points), points / lift)
         h = 1e-5
         for x, hess in zip(points, hessians / (lift * lift)):
             steps = h * np.eye(8)
