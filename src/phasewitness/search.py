@@ -47,7 +47,6 @@ from .witness import (
     WitnessReport,
     _family,
     _family_blocks,
-    _family_constants,
     _key_scales,
     detection_objective,
     thermal_objective,
@@ -293,13 +292,13 @@ class SweepResult:
 
 
 #: A row is certified when the gradient max-norm of |B| at its point, in
-#: units of |c2 k2| sqrt(e2 width), is at most CERT_GRAD_NORM and the
+#: units of |c2 k2| sqrt(1/v- + 1/v+), is at most CERT_GRAD_NORM and the
 #: largest eigenvalue of the Hessian of |B|, gauge direction projected
 #: out, in units of |c2 k2| e1, is below CERT_HESS_MAX.
 CERT_GRAD_NORM = 1e-9
 CERT_HESS_MAX = -1e-6
 #: Seeds (x, y) of the curve solve, in units of a row's seed scale
-#: min(1, 1/sqrt(e2 width)): the first 13 points of the 5 x 5 grid on
+#: min(1, 1/sqrt(1/v- + 1/v+)): the first 13 points of the 5 x 5 grid on
 #: [-1, 1]^2 in row-major order, those with x < 0, or x = 0 and y <= 0.
 #: Every step of the solve commutes with (x, y) -> (-x, -y), so each
 #: other grid point would retrace its mirror's path negated, with the
@@ -317,8 +316,14 @@ _C0_MARGIN = 16.0 * np.finfo(float).eps
 
 
 def _top_eigenvalue(hxx, hxy, hyy):
-    """The larger eigenvalue of the symmetric 2 x 2 matrix [[hxx, hxy], [hxy, hyy]]."""
-    return 0.5 * (hxx + hyy) + np.sqrt(0.25 * (hxx - hyy) ** 2 + hxy * hxy)
+    """The larger eigenvalue of [[hxx, hxy], [hxy, hyy]], with no cancellation.
+
+    The eigenvalue of larger magnitude is a sum of like signs, and the
+    other the determinant over it; the zero matrix gives 0, through 0/0.
+    """
+    h = 0.5 * (hxx + hyy)
+    big = h + np.copysign(np.sqrt((0.5 * (hxx - hyy)) ** 2 + hxy * hxy), h)
+    return np.fmax(big, (hxx * hyy - hxy * hxy) / big)
 
 
 @np.errstate(all="ignore")
@@ -328,7 +333,7 @@ def _solve_curve(keys: np.ndarray) -> np.ndarray:
     x, y are read in the frame of the constants ``keys``.  One numpy
     program over every row (key, seed) ascends B from each of the 13
     ``_CURVE_SEEDS``, scaled to the peak's length by
-    min(1, 1/sqrt(e2 width)), by regularized Newton steps (Ueda &
+    min(1, 1/sqrt(1/v- + 1/v+)), by regularized Newton steps (Ueda &
     Yamashita, Appl. Math. Optim. 62, 27 (2010)): the 2 x 2 Hessian of B
     is shifted down by its largest eigenvalue, if positive, plus the
     gradient norm, which keeps every step an ascent direction of length
@@ -336,15 +341,15 @@ def _solve_curve(keys: np.ndarray) -> np.ndarray:
     maximum.  A step is kept only where it does not lower B beyond
     rounding.  Every row runs elementwise for a fixed number of
     iterations, so one key's result does not depend on the other rows.
-    Overflowing constants give NaN rows silently.  Gives the point of
+    Steps overflow, silently, from xi ~ 176.5 on.  Gives the point of
     largest |B| per key as its 8-vector a = b = (x, y), an (n, 8) array.
     The family b = -a and descent on B run only in the tests' oracle.
     """
     scale = np.minimum(1.0, _key_scales(keys)[0])[:, None]
     x, y = scale * _CURVE_SEEDS[:, 0], scale * _CURVE_SEEDS[:, 1]
-    # Full-shape terms keep every ufunc call on numpy's contiguous fast path.
-    terms = [np.broadcast_to(t, x.shape).copy() for t in _family_constants(keys.T[:, :, None])]
-    state = _family(terms, x, y)
+    # Full-shape key columns keep every ufunc call on numpy's contiguous fast path.
+    key = [np.broadcast_to(c, x.shape).copy() for c in keys.T[:, :, None]]
+    state = _family(key, x, y)
     for _ in range(_CURVE_ITERATIONS):
         value, gx, gy, hxx, hxy, hyy = state
         shift = np.maximum(_top_eigenvalue(hxx, hxy, hyy), 0.0) + np.sqrt(gx * gx + gy * gy)
@@ -354,7 +359,7 @@ def _solve_curve(keys: np.ndarray) -> np.ndarray:
         # which the comparison below rejects.
         tx = x + (ayy * gx + hxy * gy) / det
         ty = y + (axx * gy + hxy * gx) / det
-        trial = _family(terms, tx, ty)
+        trial = _family(key, tx, ty)
         keep = trial[0] >= value - 1e-14
         x, y = np.where(keep, tx, x), np.where(keep, ty, y)
         state = [np.where(keep, t, c) for t, c in zip(trial, state)]
@@ -384,13 +389,12 @@ def _certificates(keys, points) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     ``hess_max``.
     """
     points = np.asarray(points, dtype=float).reshape(-1, 8)
-    x, y = points[:, 0], points[:, 2]
-    terms = _family_constants(np.asarray(keys, dtype=float).T)
+    x, y, key = points[:, 0], points[:, 2], np.asarray(keys, dtype=float).T
     _, grad_unit, hess_unit, _ = _key_scales(keys)
-    value, bx, by, *plus = _family(terms, x, y)
+    value, bx, by, *plus = _family(key, x, y)
     grad_norms = 0.5 * np.maximum(np.abs(bx), np.abs(by)) / grad_unit
     sign = np.where(value >= 0.0, 1.0, -1.0)
-    signed = [[sign * h for h in block] for block in (plus, *_family_blocks(terms, x, y))]
+    signed = [[sign * h for h in block] for block in (plus, *_family_blocks(key, x, y))]
     finite = np.isfinite(signed).all(axis=(0, 1))
     *blocks, (hxx, hxy, hyy) = signed
     # The gauge complement u, from (x, y) scaled by its max-norm so that a
@@ -436,8 +440,8 @@ def optimize_cells(objectives: Sequence[Callable[..., object]]) -> list[WitnessR
     curve key (lift, constants).  Each cell reports its objective at its
     constant row's ``_row_reports`` point times its lift, with that row's
     ``source``, ``grad_norm`` and ``hess_max``; a point that is not finite
-    (overflowing constants) becomes the origin, where the objective names
-    the overflow.  Each report depends only on its own curve key.
+    (an overflowing step of the solve, on an ``uncertified`` row) becomes
+    the origin.  Each report depends only on its own curve key.
     """
     keys = [objective() for objective in objectives]
     rows, which = np.unique([constants for _, constants in keys], axis=0, return_inverse=True)

@@ -68,14 +68,11 @@ class TmsvSpec:
         s = float(s)
         return s * s - 2.0 * s * math.cosh(2.0 * self.xi) + 1.0
 
-    def gaussian(
-        self, s: float, weight2: float = 1.0, weight1: float = 1.0
-    ) -> tuple[float, float, float, float, float, float]:
+    def gaussian(self, s: float) -> tuple[float, float, float, float, float, float]:
         """Constants (width, k2, e2, k1, e1, sh2) of the closed forms at order s.
 
         W2(a, b) = k2 exp(-e2 (width (|a|^2 + |b|^2) + sh2 Re(a b))) and
-        W1(a) = k1 exp(-e1 |a|^2).  ``weight2``/``weight1`` multiply the
-        numerators of k2/k1, for fields that carry a channel prefactor.
+        W1(a) = k1 exp(-e1 |a|^2).
         """
         det = self.joint_det(s)
         if det <= 0.0:
@@ -83,16 +80,14 @@ class TmsvSpec:
         width = self.marginal_width(s)
         return (
             width,
-            weight2 * 4.0 / (math.pi * math.pi * det),
+            4.0 / (math.pi * math.pi * det),
             2.0 / det,
-            weight1 * 2.0 / (math.pi * width),
+            2.0 / (math.pi * width),
             2.0 / width,
             2.0 * math.sinh(2.0 * self.xi),
         )
 
 
-# Scalar points go through math.exp, the arithmetic of the witness
-# objective's inner loop, so a scalar field value matches it bit for bit.
 def tmsv_w2(spec: TmsvSpec, alpha, beta, s) -> float | np.ndarray:
     """Two-mode quasiprobability of the TMSV at (alpha, beta)."""
     width, k2, e2, _, _, sh2 = spec.gaussian(real_order(s, _CLOSED_FORM))
@@ -100,19 +95,16 @@ def tmsv_w2(spec: TmsvSpec, alpha, beta, s) -> float | np.ndarray:
     b, scalar_b = _as_field(beta)
     ar, ai, br, bi = a.real, a.imag, b.real, b.imag
     quad = width * ((ar * ar + ai * ai) + (br * br + bi * bi)) + sh2 * (ar * br - ai * bi)
-    if scalar_a and scalar_b:
-        return k2 * math.exp(-e2 * float(quad))
-    return k2 * np.exp(-e2 * quad)
+    vals = k2 * np.exp(-e2 * quad)
+    return float(vals) if scalar_a and scalar_b else vals
 
 
 def tmsv_w1(spec: TmsvSpec, alpha, s) -> float | np.ndarray:
     """Reduced single-mode quasiprobability of the TMSV."""
     _, _, _, k1, e1, _ = spec.gaussian(real_order(s, _CLOSED_FORM))
     a, scalar = _as_field(alpha)
-    norm = a.real * a.real + a.imag * a.imag
-    if scalar:
-        return k1 * math.exp(-e1 * float(norm))
-    return k1 * np.exp(-e1 * norm)
+    vals = k1 * np.exp(-e1 * (a.real * a.real + a.imag * a.imag))
+    return float(vals) if scalar else vals
 
 
 @dataclass(frozen=True)

@@ -242,9 +242,11 @@ def _witness_form_equivalence() -> Residuals:
     The second route, ``_field_route``, evaluates ``witness.bell_value``
     over ``states.tmsv_w2``/``tmsv_w1`` (through ``noise.evolve_thermal_w``
     for the loss-channel rule).  It shares s' (``noise.rescale_detection``,
-    ``rescale_thermal``), ``TmsvSpec.gaussian`` and the unclamped
-    ``witness._coefficients`` with the builder, and checks the clamp rules'
-    coefficient sets, the frames and the builder's inlined Gaussians.
+    ``rescale_thermal``) and the unclamped ``witness._coefficients`` with
+    the builder, but no Gaussian constant: the fields read the textbook
+    ``TmsvSpec.gaussian``, the builder its own normal-mode constants.  It
+    checks the clamp rules' coefficient sets, the frames and the
+    builder's inlined Gaussians.
     ``tests/test_witness.py`` checks the shared parts against Fock-basis sums
     (``TestIdealBell::test_matches_operator_sum`` and both
     ``test_unclamped_matches_rescaled_operator_sum``).  The thermal objective
@@ -254,10 +256,9 @@ def _witness_form_equivalence() -> Residuals:
     Kronecker sequence of ``_setting_points``, from ``_WITNESS_START``
     on.  The objective reads each row as a raw 8-vector,
     ``objective(row, grad=True)[0]``, which is the report's value bit for
-    bit without building settings or a report.  The field route runs
-    once over the array, so its fields use ``np.exp`` where the objective
-    uses ``math.exp``, and the two may differ in the last bits (at most
-    about 1e-15), far inside the tolerance.
+    bit without building settings or a report.  The two routes round
+    differently and may differ in the last bits (a few times 1e-15), far
+    inside the tolerance.
     """
     tol = 1e-12
     n_settings = 20

@@ -11,7 +11,7 @@ rescales the order parameter to s' and divides the settings by a lift
 route over the closed-form fields lives in ``validate``, off the hot
 path.  Every objective also answers ``objective(x, grad=True)`` with the
 value and its analytic gradient over the raw 8-vector x, for the
-settings search, and ``objective()`` with its lift and closed-form
+settings search, and ``objective()`` with its lift and six normal-mode
 constants, the key of the search's one curve solve.  Only this module
 reads the constants: ``_family`` gives B, its gradient and its Hessian
 on the solve's real symmetric family b = a, and ``_family_blocks`` the
@@ -35,6 +35,7 @@ Three clamping rules are provided:
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from math import exp, pi
 from typing import Callable, Mapping
@@ -250,15 +251,19 @@ def _tmsv_objective(
 
     B = c2 (W2(a1,b1) + W2(a1,b2) + W2(a2,b1) - W2(a2,b2)) + c1 (W1(a1) +
     W1(b1)) + c0, with the fields read at the settings divided by the
-    lift and ``spec.gaussian``'s constants (width, k2, e2, k1, e1, sh2).
+    lift, in normal modes (Braunstein & van Loock, Rev. Mod. Phys. 77, 513
+    (2005), Sec. II): W2(a, b) = k2 exp(-|a + b*|^2/v- - |a - b*|^2/v+) and
+    W1(a) = k1 exp(-e1 |a|^2), with the variances v+- = e^{+-2 xi} - s at
+    the order s read, k2 = 4/(pi^2 v+ v-), k1 = e1/pi and e1 = 4/(v+ + v-).
 
     ``evaluate(settings)`` gives the ``WitnessReport``;
     ``evaluate(x, grad=True)`` gives (B, dB/dx) at the raw 8-vector x,
     ordered as ``BellSettings.to_vector``, with the value bit-identical to
     the report's, and the gradient carries the frame factor 1/lift.
     ``evaluate()`` gives the objective's curve key
-    ``(lift, (c2, c1, c0, width, k2, e2, k1, e1, sh2))``: two objectives
-    with equal constants differ only by the lift of their settings.
+    ``(lift, (c2 k2, 2 c1 k1, c0, 1/v-, 1/v+, e1))``: two objectives with
+    equal constants differ only by the lift of their settings.  Constants
+    that overflow or underflow raise ``ValueError``.
 
     ``lift`` is the noise's settings scale (1 for detection loss, t for
     the thermal interaction).  ``transmission`` is the intensity
@@ -269,7 +274,7 @@ def _tmsv_objective(
     """
     if clamp_mode not in CLAMP_MODES:
         raise ValueError(f"unknown clamp mode {clamp_mode!r}")
-    s_dist, weight2, weight1 = s_prime, 1.0, 1.0
+    s, weight = s_prime, 1.0
     if s_prime >= -1.0:
         c2, c1, c0 = _coefficients(s_prime)
     elif clamp_mode == CLAMP_BOUNDED:
@@ -278,15 +283,20 @@ def _tmsv_objective(
         c2, c1, c0 = _coefficients(-1.0)
         if clamp_mode == CLAMP_LOSS_CHANNEL:
             g = transmission
-            s_dist, lift = 1.0 - 2.0 / g, math.sqrt(g)
-            weight2, weight1 = 1.0 / (g * g), 1.0 / g
-    width, k2, e2, k1, e1, sh2 = spec.gaussian(s_dist, weight2, weight1)
-    key = (lift, (c2, c1, c0, width, k2, e2, k1, e1, sh2))
-    f = 1.0 / lift
+            s, lift, weight = 1.0 - 2.0 / g, math.sqrt(g), 1.0 / g
+    # 1/v-, 1/v+ and e1 from q = e^{-2 xi}, which cannot overflow.
+    q = exp(-2.0 * spec.xi)
+    gm, gp, e1 = 1.0 / (q - s), q / (1.0 - s * q), 4.0 * q / (1.0 + q * (q - 2.0 * s))
+    cw, h1 = c2 * ((gm * weight) * (gp * weight)) * (4.0 / (pi * pi)), c1 * e1 / pi * weight
+    key = (cw, 2.0 * h1, c0, gm, gp, e1)
+    if not (all(map(math.isfinite, key)) and min(cw, gm, gp, e1) >= sys.float_info.min):
+        raise ValueError(f"the witness at xi = {spec.xi}, s' = {s_prime} overflows or underflows")
+    ew, m, f, g2 = gm + gp, 2.0 * (gm - gp), 1.0 / lift, -1.0 / lift
+    ew2, g1 = 2.0 * ew, -2.0 * e1 * f * h1
 
     def evaluate(settings=None, grad: bool = False):
         if settings is None:
-            return key
+            return lift, key
         # The report path reads the same 8 coordinates as the raw vector.
         x = settings if grad else settings.to_vector()
         a1r, a1i, a2r, a2i, b1r, b1i, b2r, b2i = x
@@ -296,141 +306,134 @@ def _tmsv_objective(
         na2 = a2r * a2r + a2i * a2i
         nb1 = b1r * b1r + b1i * b1i
         nb2 = b2r * b2r + b2i * b2i
-        w11 = k2 * exp(-e2 * (width * (na1 + nb1) + sh2 * (a1r * b1r - a1i * b1i)))
-        w12 = k2 * exp(-e2 * (width * (na1 + nb2) + sh2 * (a1r * b2r - a1i * b2i)))
-        w21 = k2 * exp(-e2 * (width * (na2 + nb1) + sh2 * (a2r * b1r - a2i * b1i)))
-        w22 = k2 * exp(-e2 * (width * (na2 + nb2) + sh2 * (a2r * b2r - a2i * b2i)))
-        w1a = k1 * exp(-e1 * na1)
-        w1b = k1 * exp(-e1 * nb1)
-        value = c2 * (w11 + w12 + w21 - w22) + c1 * (w1a + w1b) + c0
+        # |a + b*|^2/v- + |a - b*|^2/v+ = ew (|a|^2 + |b|^2) + m Re(a b).
+        w11 = exp(-(ew * (na1 + nb1) + m * (a1r * b1r - a1i * b1i)))
+        w12 = exp(-(ew * (na1 + nb2) + m * (a1r * b2r - a1i * b2i)))
+        w21 = exp(-(ew * (na2 + nb1) + m * (a2r * b1r - a2i * b1i)))
+        w22 = exp(-(ew * (na2 + nb2) + m * (a2r * b2r - a2i * b2i)))
+        w1a = exp(-e1 * na1)
+        w1b = exp(-e1 * nb1)
+        value = cw * (w11 + w12 + w21 - w22) + h1 * (w1a + w1b) + c0
         if math.isnan(value):
             raise ValueError(
                 f"witness value is NaN at s' = {s_prime!r}: the closed form overflows"
             )
         if not grad:
             return WitnessReport(settings, s_prime, value)
-        # d exp(-e2 Q)/d(scaled x) = -e2 W dQ, times the frame 1/lift for
-        # the measured frame; u_jk is the signed weight of W(a_j, b_k) in B.
-        g2 = -e2 * f
-        g1a = -2.0 * e1 * f * c1 * w1a
-        g1b = -2.0 * e1 * f * c1 * w1b
-        u11, u12, u21, u22 = c2 * w11, c2 * w12, c2 * w21, -c2 * w22
-        wa1, wa2 = 2.0 * width * (u11 + u12), 2.0 * width * (u21 + u22)
-        wb1, wb2 = 2.0 * width * (u11 + u21), 2.0 * width * (u12 + u22)
+        # d exp(-Q)/d(scaled x) = -exp(-Q) dQ, times the frame 1/lift for
+        # the measured frame; u_jk is the signed weight of exp(-Q_jk) in B.
+        g1a, g1b = g1 * w1a, g1 * w1b
+        u11, u12, u21, u22 = cw * w11, cw * w12, cw * w21, -cw * w22
+        wa1, wa2 = ew2 * (u11 + u12), ew2 * (u21 + u22)
+        wb1, wb2 = ew2 * (u11 + u21), ew2 * (u12 + u22)
         return value, (
-            g2 * (wa1 * a1r + sh2 * (u11 * b1r + u12 * b2r)) + g1a * a1r,
-            g2 * (wa1 * a1i - sh2 * (u11 * b1i + u12 * b2i)) + g1a * a1i,
-            g2 * (wa2 * a2r + sh2 * (u21 * b1r + u22 * b2r)),
-            g2 * (wa2 * a2i - sh2 * (u21 * b1i + u22 * b2i)),
-            g2 * (wb1 * b1r + sh2 * (u11 * a1r + u21 * a2r)) + g1b * b1r,
-            g2 * (wb1 * b1i - sh2 * (u11 * a1i + u21 * a2i)) + g1b * b1i,
-            g2 * (wb2 * b2r + sh2 * (u12 * a1r + u22 * a2r)),
-            g2 * (wb2 * b2i - sh2 * (u12 * a1i + u22 * a2i)),
+            g2 * (wa1 * a1r + m * (u11 * b1r + u12 * b2r)) + g1a * a1r,
+            g2 * (wa1 * a1i - m * (u11 * b1i + u12 * b2i)) + g1a * a1i,
+            g2 * (wa2 * a2r + m * (u21 * b1r + u22 * b2r)),
+            g2 * (wa2 * a2i - m * (u21 * b1i + u22 * b2i)),
+            g2 * (wb1 * b1r + m * (u11 * a1r + u21 * a2r)) + g1b * b1r,
+            g2 * (wb1 * b1i - m * (u11 * a1i + u21 * a2i)) + g1b * b1i,
+            g2 * (wb2 * b2r + m * (u12 * a1r + u22 * a2r)),
+            g2 * (wb2 * b2i - m * (u12 * a1i + u22 * a2i)),
         )
 
     return evaluate
 
 
-def _family_constants(constants):
-    """Per-row constants of ``_family`` from the nine curve-key constants."""
-    c2, c1, c0, width, k2, e2, k1, e1, sh2 = constants
-    ew, m = e2 * width, e2 * sh2
-    return c2 * k2, ew, m, 2.0 * ew + m, 2.0 * c1 * k1, e1, c0
-
-
 #: The least Gaussian exponent at a far point: exp(-800) underflows to 0.
 _FAR_EXPONENT = 800.0
-#: The certificate's units as ``_key_scales`` computes them; a sweep's
-#: manifest names them.
-_GRAD_NORM_UNIT = "|c2*k2|*sqrt(e2*width)"
+#: The certificate's units as ``_key_scales`` computes them, with
+#: c2 k2 = cw and e1 read from the curve key; a sweep's manifest names them.
+_GRAD_NORM_UNIT = "|c2*k2|*sqrt(1/v- + 1/v+)"
 _HESS_MAX_UNIT = "|c2*k2|*e1"
 
 
 @np.errstate(all="ignore")
-def _key_scales(constants) -> tuple[np.ndarray, ...]:
-    """Per row of curve-key constants: peak length, two units and far radius.
+def _key_scales(keys) -> tuple[np.ndarray, ...]:
+    """Per row of curve keys: peak length, two units and far radius.
 
     In the frame the fields are read in, the peak of B has length
-    1/sqrt(e2 width), and its gradient and Hessian have the units
+    1/sqrt(1/v- + 1/v+), and its gradient and Hessian have the units
     ``_GRAD_NORM_UNIT`` and ``_HESS_MAX_UNIT``.  As the settings grow B
-    tends to c0.  At the family point x = y = R, every
-    Gaussian exponent (e2 (2 width + sh2) R^2 or e1 R^2) is at least
-    ``_FAR_EXPONENT``, so B is c0 there to the bit, and its gradient and
-    Hessian are 0.  Overflowing constants give non-finite entries.
+    tends to c0.  At the family point x = y = R every Gaussian exponent,
+    4 R^2/v- or e1 R^2 with e1 <= 4/v-, is at least ``_FAR_EXPONENT``, so
+    B is c0 there to the bit, and its gradient and Hessian are 0.
     """
-    c2, c1, c0, width, k2, e2, k1, e1, sh2 = np.asarray(constants, dtype=float).reshape(-1, 9).T
-    ew, amplitude = e2 * width, np.abs(c2 * k2)
-    far = np.sqrt(_FAR_EXPONENT / np.minimum(e2 * (2.0 * width + sh2), e1))
+    cw, _, _, gm, gp, e1 = np.asarray(keys, dtype=float).reshape(-1, 6).T
+    ew, amplitude = gm + gp, np.abs(cw)
+    # 800 / (2^64 e1) cannot overflow, and the powers of 2 round nothing.
+    far = np.sqrt(_FAR_EXPONENT / (e1 * 2.0**64)) * 2.0**32
     return 1.0 / np.sqrt(ew), amplitude * np.sqrt(ew), amplitude * e1, far
 
 
-def _family_fields(terms, x, y):
+def _family_fields(key, x, y):
     """The Gaussian terms of B at the family point (x, y), and their slopes.
 
-    Gives E11 = c2 k2 exp(-p x^2), E22 = c2 k2 exp(-p y^2),
-    E12 = 2 c2 k2 exp(-e2 width (x^2 + y^2) - m x y), W = 2 c1 k1 exp(-e1 x^2),
-    qx = 2 e2 width x + m y and qy = 2 e2 width y + m x, with m = e2 sh2
-    and p = 2 e2 width + m, from the ``_family_constants`` terms.
+    Gives E11 = cw exp(-4 gm x^2), E22 = cw exp(-4 gm y^2),
+    E12 = 2 cw exp(-gm u^2 - gp v^2), W = d1 exp(-e1 x^2), and the slopes
+    qx = 2 (gm u + gp v) and qy = 2 (gm u - gp v) of E12's exponent, with
+    u = x + y, v = x - y and the key (cw, d1, c0, gm = 1/v-, gp = 1/v+, e1).
     """
-    cw, ew, m, p, d1, e1, c0 = terms
-    xx, yy = x * x, y * y
+    cw, d1, _, gm, gp, e1 = key
+    xx, u, v = x * x, x + y, x - y
+    su, sv = gm * u, gp * v
     return (
-        cw * np.exp(-p * xx),
-        cw * np.exp(-p * yy),
-        2.0 * cw * np.exp(-(ew * (xx + yy) + m * (x * y))),
+        cw * np.exp(-4.0 * gm * xx),
+        cw * np.exp(-4.0 * gm * (y * y)),
+        2.0 * cw * np.exp(-(su * u + sv * v)),
         d1 * np.exp(-e1 * xx),
-        2.0 * ew * x + m * y,
-        2.0 * ew * y + m * x,
+        2.0 * (su + sv),
+        2.0 * (su - sv),
     )
 
 
-def _family(terms, x, y):
+def _family(key, x, y):
     """B, its gradient and its Hessian on the real symmetric family.
 
     The family is a1 = b1 = x, a2 = b2 = y (real, in the frame the
     fields are read in), on which B = E11 + E12 - E22 + W + c0 in the
-    terms of ``_family_fields``.  ``terms`` comes from
-    ``_family_constants``, as numbers or arrays that broadcast with x
-    and y.  Gives (B, Bx, By, Bxx, Bxy, Byy).
+    terms of ``_family_fields``, from the curve-key columns ``key``
+    (numbers or arrays).  Gives (B, Bx, By, Bxx, Bxy, Byy).
     """
-    cw, ew, m, p, d1, e1, c0 = terms
-    e11, e22, e12, w1, qx, qy = _family_fields(terms, x, y)
-    xx, yy = x * x, y * y
+    _, _, c0, gm, gp, e1 = key
+    e11, e22, e12, w1, qx, qy = _family_fields(key, x, y)
+    p, r, ew = 8.0 * gm, 2.0 * e1, 2.0 * (gm + gp)
     return (
         e11 + e12 - e22 + w1 + c0,
-        -2.0 * (p * x * e11 + e1 * x * w1) - qx * e12,
-        2.0 * p * y * e22 - qy * e12,
-        (4.0 * p * p * xx - 2.0 * p) * e11 + (qx * qx - 2.0 * ew) * e12
-        + (4.0 * e1 * e1 * xx - 2.0 * e1) * w1,
-        (qx * qy - m) * e12,
-        (qy * qy - 2.0 * ew) * e12 - (4.0 * p * p * yy - 2.0 * p) * e22,
+        -x * (p * e11 + r * w1) - qx * e12,
+        p * y * e22 - qy * e12,
+        p * (p * (x * x) - 1.0) * e11 + (qx * qx - ew) * e12 + r * (r * (x * x) - 1.0) * w1,
+        (qx * qy - 2.0 * (gm - gp)) * e12,
+        (qy * qy - ew) * e12 - p * (p * (y * y) - 1.0) * e22,
     )
 
 
-def _family_blocks(terms, x, y):
+def _family_blocks(key, x, y):
     """The Hessian of B at a family point, off the family's own block.
 
     B is unchanged by swapping each a_j with b_j, and by conjugating
     every setting.  A family point is fixed by both maps, so the raw
-    8 x 8 Hessian there splits into four 2 x 2 blocks over the modes
-    (1, 2): real or imaginary moves, each with da = db or da = -db.  The
-    real da = db block is ``_family``'s, and the gradient has no
-    component off it.  A block coordinate moves two raw coordinates, so
-    the raw eigenvalues are half the blocks'.  Gives the real da = -db,
-    imaginary da = db and imaginary da = -db blocks as (11, 12, 22).
+    8 x 8 Hessian there splits into four 2 x 2 blocks: real or imaginary
+    moves, each with da = db or da = -db.  The real da = db block is
+    ``_family``'s, and the gradient has no component off it.  Gives the
+    real da = -db and imaginary da = db blocks over the mode sum and
+    difference (m1 +- m2) / sqrt 2, where no entry of order 1/v- cancels
+    to their small eigenvalue, and the imaginary da = -db block over the
+    modes (1, 2), each as (11, 12, 22), with twice the raw eigenvalues.
     """
-    cw, ew, m, p, d1, e1, c0 = terms
-    e11, e22, e12, w1, qx, qy = _family_fields(terms, x, y)
-    k = 2.0 * (2.0 * ew - m)
-    flat = -2.0 * ew * e12
+    _, _, _, gm, gp, e1 = key
+    e11, e22, e12, w1, _, _ = _family_fields(key, x, y)
+    u, v, su, sv = x + y, x - y, gm * (x + y), gp * (x - y)
+    d, s, w = e11 - e22, e11 + e22, e1 * w1
+    r, soft, flat = (2.0 * e1 * (x * x) - 1.0) * w, 4.0 * gp * d, -2.0 * (gm + gp) * e12
     return (
         (
-            -k * e11 + (qx * qx - 2.0 * ew) * e12 + (4.0 * e1 * e1 * x * x - 2.0 * e1) * w1,
-            -(qx * qy - m) * e12,
-            (qy * qy - 2.0 * ew) * e12 + k * e22,
+            4.0 * gp * (2.0 * sv * v - 1.0) * e12 - soft + r,
+            8.0 * su * sv * e12 - 4.0 * gp * s + r,
+            4.0 * gm * (2.0 * su * u - 1.0) * e12 - soft + r,
         ),
-        (-k * e11 + flat - 2.0 * e1 * w1, m * e12, flat + k * e22),
-        (-2.0 * p * e11 + flat - 2.0 * e1 * w1, -m * e12, flat + 2.0 * p * e22),
+        (-4.0 * gp * e12 - soft - w, -4.0 * gp * s - w, -4.0 * gm * e12 - soft - w),
+        (-8.0 * gm * e11 + flat - 2.0 * w, -2.0 * (gm - gp) * e12, flat + 8.0 * gm * e22),
     )
 
 

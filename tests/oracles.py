@@ -9,14 +9,19 @@ the starts of the package's own ``search._starts``: the starts are a
 draw, not a computation to check.  The reference curve solve runs the
 package's curve solve over both families b = +-a and both signs of B,
 52 entries per key where the package runs 13, from the package's own
-family (``witness._family`` and ``_family_constants``), seeds, iteration
-count and seed scale (``search._CURVE_SEEDS``, ``_CURVE_ITERATIONS`` and
-``witness._key_scales``); it checks the pruning, not the family.  The
-reference certificate forms B's gradient and full 8 x 8 Hessian at any
-settings from the six Gaussian forms, and takes the largest eigenvalue
-off the gauge direction with a Householder reflection and ``eigvalsh``,
-in the package's own units (``witness._key_scales``); it checks the
-package's four closed-form 2 x 2 blocks, which hold on b = a only.
+family (``witness._family``), seeds, iteration count, seed scale and
+2 x 2 top eigenvalue (``search._CURVE_SEEDS``, ``_CURVE_ITERATIONS``,
+``witness._key_scales`` and ``search._top_eigenvalue``); it checks the
+pruning, not the family.  The reference certificate forms B's gradient
+and full 8 x 8 Hessian at any settings from the six Gaussian forms, and
+takes the largest eigenvalue off the gauge direction with a Householder
+reflection and ``eigvalsh``, in the package's own units
+(``witness._key_scales``); it checks the package's four closed-form
+2 x 2 blocks, which hold on b = a only.  Its ``eigvalsh`` loses the top
+eigenvalue as the squeezing grows, so a second reference,
+``mp_hess_max``, differentiates the textbook B (the closed forms of
+``states.TmsvSpec.gaussian``, formed anew at 80 digits) numerically,
+sharing no code with the package.
 Nothing else imports the package internals, so agreement with the
 package is evidence, not tautology.
 """
@@ -24,13 +29,15 @@ package is evidence, not tautology.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 
+import mpmath
 import numpy as np
 from scipy.optimize import Bounds, minimize
 
-from phasewitness.search import _CURVE_ITERATIONS, _CURVE_SEEDS, _starts
-from phasewitness.witness import _family, _family_constants, _key_scales
+from phasewitness.search import _CURVE_ITERATIONS, _CURVE_SEEDS, _starts, _top_eigenvalue
+from phasewitness.witness import _family, _key_scales
 
 DEFAULT_DIM = 70
 
@@ -288,16 +295,14 @@ def scipy_tnc_maximize(objective, config, maxfun, stream=0, extra_starts=()):
 
 
 def family_terms(constants, sigma):
-    """``_family``'s terms on the family b = sigma a, sigma = +-1.
+    """``_family``'s key columns on the family b = sigma a, sigma = +-1.
 
-    ``_family_constants`` gives the b = a terms; b = -a turns the
-    cross term m = e2 sh2 into -m, and so p = 2 e2 width + m into
-    2 e2 width - m.
+    The curve key (cw, d1, c0, 1/v-, 1/v+, e1) gives the b = a family.
+    b = -a turns |a + b*|^2 into |a - b*|^2 and back, so it swaps 1/v-
+    and 1/v+.
     """
-    cw, ew, m, p, d1, e1, c0 = _family_constants(constants)
-    if sigma > 0.0:
-        return cw, ew, m, p, d1, e1, c0
-    return cw, ew, -m, 2.0 * ew - m, d1, e1, c0
+    cw, d1, c0, gm, gp, e1 = constants
+    return (cw, d1, c0, gm, gp, e1) if sigma > 0.0 else (cw, d1, c0, gp, gm, e1)
 
 
 @np.errstate(all="ignore")
@@ -329,8 +334,7 @@ def curve_solve_52(keys):
     for _ in range(_CURVE_ITERATIONS):
         value, gx, gy, hxx, hxy, hyy = state
         kxx, kxy, kyy = sign * hxx, sign * hxy, sign * hyy
-        top = 0.5 * (kxx + kyy) + np.sqrt(0.25 * (kxx - kyy) ** 2 + kxy * kxy)
-        shift = np.maximum(top, 0.0) + np.sqrt(gx * gx + gy * gy)
+        shift = np.maximum(_top_eigenvalue(kxx, kxy, kyy), 0.0) + np.sqrt(gx * gx + gy * gy)
         axx, ayy = shift - kxx, shift - kyy
         det = axx * ayy - kxy * kxy
         tx = x + sign * (ayy * gx + kxy * gy) / det
@@ -351,8 +355,9 @@ def _gaussian_forms() -> tuple[np.ndarray, np.ndarray]:
 
     Terms in the order W(a1,b1), W(a1,b2), W(a2,b1), W(a2,b2), W1(a1),
     W1(b1), over the raw 8-vector order of ``BellSettings.to_vector``.
-    D holds each term's |.|^2 parts (s_D = width for a pair, 1 for a
-    single mode) and S the pair's a_re b_re - a_im b_im part (s_S = sh2).
+    D holds each term's |.|^2 parts (s_D = 1/v- + 1/v+ for a pair, e1 for
+    a single mode) and S the pair's a_re b_re - a_im b_im part
+    (s_S = 2 (1/v- - 1/v+)), from |a +- b*|^2 = |a|^2 + |b|^2 +- 2 Re(a b).
     """
     d, s = np.zeros((6, 8, 8)), np.zeros((6, 8, 8))
     for t, modes in enumerate([(0, 2), (0, 3), (1, 2), (1, 3), (0,), (2,)]):
@@ -372,29 +377,27 @@ _FORM_D, _FORM_S = _gaussian_forms()
 def tmsv_derivatives(constants, points) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """B, its gradient and its 8 x 8 Hessian at 8-vectors, one row per curve key.
 
-    ``constants`` is the (n, 9) array of curve-key constants (c2, c1, c0,
-    width, k2, e2, k1, e1, sh2) and ``points`` the (n, 8) settings in the
-    frame the fields are read in (raw settings divided by the lift),
-    ordered as ``BellSettings.to_vector``.  B is c0 plus six Gaussian
-    terms T = k exp(-e q), q a quadratic form of the settings, each adding
-    -T e grad q to the gradient and T (e^2 grad q grad q^T - e hess q) to
-    the Hessian.  Overflowing constants give non-finite rows silently.
+    ``constants`` is the (n, 6) array of curve keys (cw, d1, c0, 1/v-,
+    1/v+, e1) and ``points`` the (n, 8) settings in the frame the fields
+    are read in (raw settings divided by the lift), ordered as
+    ``BellSettings.to_vector``.  B is c0 plus six Gaussian terms
+    T = k exp(-q), q a quadratic form of the settings, each adding
+    -T grad q to the gradient and T (grad q grad q^T - hess q) to the
+    Hessian.  Overflowing constants give non-finite rows silently.
     Gives (n,), (n, 8), (n, 8, 8) arrays.
     """
-    c2, c1, c0, width, k2, e2, k1, e1, sh2 = np.asarray(constants, dtype=float).reshape(-1, 9).T
+    cw, d1, c0, gm, gp, e1 = np.asarray(constants, dtype=float).reshape(-1, 6).T
     x = np.asarray(points, dtype=float).reshape(-1, 8)
-    one, zero = np.ones_like(c2), np.zeros_like(c2)
-    d_scale = np.stack([width, width, width, width, one, one], axis=1)
-    s_scale = np.stack([sh2, sh2, sh2, sh2, zero, zero], axis=1)
+    ew, m, zero = gm + gp, 2.0 * (gm - gp), np.zeros_like(cw)
+    d_scale = np.stack([ew, ew, ew, ew, e1, e1], axis=1)
+    s_scale = np.stack([m, m, m, m, zero, zero], axis=1)
     forms = d_scale[:, :, None, None] * _FORM_D + s_scale[:, :, None, None] * _FORM_S
     grad_q = np.einsum("ntij,nj->nti", forms, x)
     q = 0.5 * np.einsum("nti,ni->nt", grad_q, x)
-    e = np.stack([e2, e2, e2, e2, e1, e1], axis=1)
-    w2, w1 = c2 * k2, c1 * k1
-    terms = np.stack([w2, w2, w2, -w2, w1, w1], axis=1) * np.exp(-e * q)
-    grad = -np.einsum("nt,nti->ni", terms * e, grad_q)
-    hess = np.einsum("nt,nti,ntj->nij", terms * e * e, grad_q, grad_q)
-    hess -= np.einsum("nt,ntij->nij", terms * e, forms)
+    terms = np.stack([cw, cw, cw, -cw, 0.5 * d1, 0.5 * d1], axis=1) * np.exp(-q)
+    grad = -np.einsum("nt,nti->ni", terms, grad_q)
+    hess = np.einsum("nt,nti,ntj->nij", terms, grad_q, grad_q)
+    hess -= np.einsum("nt,ntij->nij", terms, forms)
     return terms.sum(axis=1) + c0, grad, hess
 
 
@@ -441,3 +444,58 @@ def certificates(keys, points) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     hess[~finite] = 0.0
     hess_max = np.where(finite, np.linalg.eigvalsh(hess)[:, -1], np.nan) / hess_unit
     return value, grad_norms, hess_max
+
+
+def mp_hess_max(xi, s, point, digits=80):
+    """``hess_max`` of the noise-free witness at order s, from 80-digit differences.
+
+    B is the textbook sum c2 (W2(a1,b1) + W2(a1,b2) + W2(a2,b1) -
+    W2(a2,b2)) + c1 (W1(a1) + W1(b1)) + c0 over the closed forms of
+    ``states.TmsvSpec.gaussian``, with the unclamped coefficients at s in
+    [-1, 0], each constant formed from xi and s at ``digits`` digits.  Its
+    8 x 8 Hessian at the raw 8-vector ``point`` comes from central
+    differences with a step 1e-20 times the peak length
+    1/sqrt(e2 width).  The Hessian of |B| is projected off the gauge
+    tangent a -> a e^{i phi}, b -> b e^{-i phi} and pushed far down along
+    it, so its largest eigenvalue is the largest off the gauge direction;
+    it is returned in units of |c2 k2| e1, as a float.  ``point`` must not
+    be the origin, which has no gauge direction.
+    """
+    mp = mpmath.mp.clone()
+    mp.dps = digits
+    xi, s = mp.mpf(xi), mp.mpf(s)
+    ch, sh2 = mp.cosh(2 * xi), 2 * mp.sinh(2 * xi)
+    width, det = ch - s, s * s - 2 * s * ch + 1
+    k2, e2, k1, e1 = 4 / (mp.pi**2 * det), 2 / det, 2 / (mp.pi * width), 2 / width
+    c2, c1, c0 = mp.pi**2 * (1 - s) ** 4 / 4, mp.pi * s * (1 - s) ** 2, 2 * s * s
+
+    def w2(ar, ai, br, bi):
+        quad = width * (ar * ar + ai * ai + br * br + bi * bi) + sh2 * (ar * br - ai * bi)
+        return k2 * mp.exp(-e2 * quad)
+
+    def bell(p):
+        a1, a2, b1, b2 = p[0:2], p[2:4], p[4:6], p[6:8]
+        corr = w2(*a1, *b1) + w2(*a1, *b2) + w2(*a2, *b1) - w2(*a2, *b2)
+        singles = mp.exp(-e1 * (a1[0] ** 2 + a1[1] ** 2)) + mp.exp(-e1 * (b1[0] ** 2 + b1[1] ** 2))
+        return c2 * corr + c1 * k1 * singles + c0
+
+    x = [mp.mpf(float(v)) for v in point]
+    h = mp.mpf(10) ** -20 / mp.sqrt(e2 * width)
+
+    def moved(i, di, j, dj):
+        p = list(x)
+        p[i] += di
+        p[j] += dj
+        return bell(p)
+
+    hess = mp.matrix(8, 8)
+    for i, j in itertools.combinations_with_replacement(range(8), 2):
+        diff = moved(i, h, j, h) - moved(i, h, j, -h) - moved(i, -h, j, h) + moved(i, -h, j, -h)
+        hess[i, j] = hess[j, i] = diff / (4 * h * h)
+    if bell(x) < 0:
+        hess = -hess
+    gauge = mp.matrix([-x[1], x[0], -x[3], x[2], x[5], -x[4], x[7], -x[6]])
+    along = gauge * gauge.T / mp.fsum(g * g for g in gauge)
+    off = mp.eye(8) - along
+    eigenvalues, _ = mp.eigsy(off * hess * off - 2 * (1 + mp.mnorm(hess, 1)) * along)
+    return float(max(eigenvalues) / (abs(c2 * k2) * e1))

@@ -170,6 +170,14 @@ class TestArgumentHandling:
             ["eval", "--xi", "400", "--s", "0", "--settings", "0,0,0,0"], capsys
         )
         assert code == EXIT_USAGE and "error:" in err
+        # From xi = 354.5, 1/v+ = e^{-2 xi} is subnormal, though cosh(2 xi)
+        # is finite: a usage error, never a curve or asymptote cell.
+        for xi in ("354.5", "355.0"):
+            code, out, err = run_cli(
+                ["eval", "--xi", xi, "--s", "0", "--noise", "none", "--optimize"], capsys
+            )
+            assert code == EXIT_USAGE and out == ""
+            assert err == f"error: the witness at xi = {xi}, s' = 0.0 overflows or underflows\n"
         # Overflowing settings or order: usage errors that say so.
         for argv in (
             ["--s", "0", "--settings", "1e200j,1e200j,1e200j,1e200j"],
@@ -200,6 +208,20 @@ class TestArgumentHandling:
             )
             assert code == EXIT_USAGE
             assert "order parameter must be finite" in err
+
+    def test_loss_channel_at_vanishing_transmission(self, capsys):
+        # Under the loss-channel rule each 1/g prefactor meets one variance
+        # of order 2/g, so eta = 1e-300 is a valid key: the all but lost
+        # state reads the asymptote c0 = 2, as eta = 1e-100 does.
+        for eta in ("1e-300", "1e-100"):
+            code, out, err = run_cli(
+                ["eval", "--xi", "0.3", "--s", "-1", "--noise", "detection", "--eta", eta,
+                 "--optimize", "--clamp", "loss_channel"],
+                capsys,
+            )
+            assert code == EXIT_OK and err == ""
+            report = json.loads(out)
+            assert report["bell_abs"] == 2.0 and report["meta"]["source"] == "asymptote"
 
     def test_noise_parameters_are_required(self, tmp_path, capsys):
         ev = ["eval", "--xi", "0.3", "--s", "0", "--settings", "0,0,0,0"]
@@ -598,7 +620,7 @@ class TestSweep:
                 "seeds": seeds.tolist(),
                 "iterations": 25,
                 "cert_grad_norm": 1e-9,
-                "grad_norm_unit": "|c2*k2|*sqrt(e2*width)",
+                "grad_norm_unit": "|c2*k2|*sqrt(1/v- + 1/v+)",
                 "cert_hess_max": -1e-6,
                 "hess_max_unit": "|c2*k2|*e1",
             }
@@ -629,7 +651,8 @@ class TestSweep:
     )
     def test_overflowing_sweep_prints_only_the_error(self, tmp_path, grid):
         # A fresh interpreter, so that stderr is what a user sees: no
-        # numpy warning from the curve solve ahead of the error line.
+        # numpy warning ahead of the error line, which the first cell's
+        # objective raises, before any cell is optimized.
         env = dict(os.environ, PYTHONPATH=str(Path(phasewitness.__file__).parents[1]))
         run = subprocess.run(
             [sys.executable, "-m", "phasewitness", "sweep", "--xi", "0.3", *grid,
@@ -637,7 +660,8 @@ class TestSweep:
             env=env, capture_output=True, text=True, timeout=60,
         )
         assert run.returncode == EXIT_USAGE
-        assert run.stderr.startswith("error: witness value is NaN")
+        assert run.stderr.startswith("error: the witness at xi = 0.3, s' = ")
+        assert run.stderr.endswith(" overflows or underflows\n")
         assert run.stderr.count("\n") == 1
         assert "Warning" not in run.stderr
 
