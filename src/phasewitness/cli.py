@@ -8,7 +8,7 @@ CSV row names what its cell reports (a certified curve point, the
 asymptote |c0| or an uncertified curve point) with that point's
 relative gradient norm and Hessian eigenvalue, and the manifest counts
 each kind; an uncertified cell also gets a warning on stderr.  No
-command searches, so none loads scipy.  ``validate``
+command searches, and none needs more than numpy.  ``validate``
 runs every self-check suite, or those ``--suite`` names, at one depth.
 """
 

@@ -19,22 +19,15 @@ point on the family, where B is c0 to the bit.  Each cell reports its
 row's value at its row's point times its lift.  A cell's report depends
 on its curve key alone, and no cell runs a search.
 
-``maximize_bell``, multi-start bounded truncated-Newton (TNC) ascent
-inside a box, and ``grid_oracle``, an exhaustive real-axis scan, are
-independent maximizers that no command calls and the package does not
-export; only ``maximize_bell`` needs scipy (the ``test`` extra), for
-TNC's C core.
+``maximize_bell``, ``optimize_cells`` for one objective with the meta
+keys the benchmark reads, and ``grid_oracle``, an exhaustive real-axis
+scan, are kept for ``perfbench``; no command calls them and the package
+does not export them.  Nothing here needs more than numpy.
 """
 
 from __future__ import annotations
 
-import functools
-import importlib.util
 import itertools
-import math
-import os
-import random
-import sysconfig
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
@@ -54,19 +47,17 @@ from .witness import (
 
 __all__ = ["SweepCell", "SweepResult", "optimize_cells", "sweep_eta_s", "sweep_thermal"]
 
-#: Cap on objective evaluations per start (TNC's ``maxfun``).
-MAX_EVALS_PER_START = 2000
-
-_EMPTY = np.array([])
-
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """Multi-start search parameters of ``maximize_bell``.
+    """Multi-start search parameters, read only by the tests' TNC oracle.
 
-    Half the random starts (rounded up) lie on the real axis; the rest
-    fill the full 8-D box [-box_radius, box_radius]^8.  Unexported, kept
-    for ``perfbench`` and the tests until ROADMAP item 2 deletes it.
+    ``tests/oracles.py::tnc_maximize`` draws ``n_starts`` starts in the
+    box [-box_radius, box_radius]^8 from ``seed`` and stops TNC at
+    ``ftol``/``xtol``.  No package code reads the fields, so none is
+    checked here.  Unexported; ``maximize_bell`` takes one and reports
+    its ``n_starts``, and both stay until ROADMAP item 1, because
+    ``perfbench`` builds them by name.
     """
 
     n_starts: int = 16
@@ -75,93 +66,6 @@ class SearchConfig:
     xtol: float = 1e-6
     seed: int = 0
 
-    def __post_init__(self) -> None:
-        for name in ("n_starts", "seed"):
-            v = getattr(self, name)
-            try:
-                integral = int(v) == v
-            except (TypeError, ValueError, OverflowError):
-                integral = False
-            if not integral:
-                raise ValueError(f"{name} must be an integer, got {v!r}")
-            object.__setattr__(self, name, int(v))
-        if self.n_starts < 1:
-            raise ValueError("n_starts must be at least 1")
-        for name in ("box_radius", "ftol", "xtol"):
-            v = float(getattr(self, name))
-            object.__setattr__(self, name, v)
-            if not math.isfinite(v) or v <= 0.0:
-                raise ValueError(f"{name} must be positive")
-        if not math.isfinite(2.0 * self.box_radius):
-            raise ValueError(
-                f"box_radius {self.box_radius} is too large: the box width overflows"
-            )
-        if self.seed < 0:
-            raise ValueError(f"seed must be non-negative, got {self.seed}")
-
-
-@functools.cache
-def _tnc_minimize() -> Callable[..., tuple]:
-    """``tnc_minimize`` from scipy's ``_moduleTNC`` extension file.
-
-    The file is found through scipy's package location and run under its
-    module name, not put in ``sys.modules``.  Its init imports the
-    top-level ``scipy`` (with ``scipy._lib`` and ``subprocess``) through
-    ``scipy._cyutility``, but neither ``scipy.optimize`` nor scipy's
-    special functions; a later ``import scipy.optimize`` gets the same
-    function object.
-    """
-    spec = importlib.util.find_spec("scipy")
-    locations = spec.submodule_search_locations if spec is not None else None
-    if not locations:
-        raise ImportError("TNC's C core needs scipy, which is not installed")
-    name = "_moduleTNC" + sysconfig.get_config_var("EXT_SUFFIX")
-    path = os.path.join(locations[0], "optimize", name)
-    if not os.path.isfile(path):
-        raise ImportError(f"TNC's C core is missing: no file {path}")
-    file_spec = importlib.util.spec_from_file_location("scipy.optimize._moduleTNC", path)
-    core = importlib.util.module_from_spec(file_spec)
-    file_spec.loader.exec_module(core)
-    return core.tnc_minimize
-
-
-def _better(candidate: tuple[float, tuple[float, ...]], incumbent) -> bool:
-    """Higher bell_abs wins; exact ties go to the smaller settings vector."""
-    if incumbent is None:
-        return True
-    if candidate[0] != incumbent[0]:
-        return candidate[0] > incumbent[0]
-    return candidate[1] < incumbent[1]
-
-
-def _starts(
-    config: SearchConfig, stream: int, extra_starts: Sequence[Sequence[float]] = ()
-) -> np.ndarray:
-    """The starts of one multi-start search, one 8-vector per row.
-
-    The ``extra_starts`` come first, clipped to the box, then
-    ``config.n_starts`` random starts with every coordinate uniform on
-    [-box, box]: the first half (rounded up) on the real axis, and every
-    odd-index one scaled by 1/4, since the interesting optima sit at
-    small displacement amplitudes.  The random starts come from
-    ``random.Random`` (MT19937) seeded with the Cantor pair
-    k (k + 1) / 2 + stream, k = seed + stream, which is injective on
-    non-negative integers: each (seed, stream) has its own stream, for
-    any size of seed.
-    """
-    box = config.box_radius
-    k = config.seed + stream
-    rng = random.Random(k * (k + 1) // 2 + stream)
-    n_real = (config.n_starts + 1) // 2
-    starts = [np.clip(np.asarray(warm, dtype=float).reshape(8), -box, box) for warm in extra_starts]
-    for i in range(config.n_starts):
-        scale = 0.25 if i % 2 == 1 else 1.0
-        x0 = [scale * rng.uniform(-box, box) for _ in range(8)]
-        if i < n_real:
-            x0[1::2] = [0.0] * 4
-        starts.append(x0)
-    return np.array(starts)
-
 
 def maximize_bell(
     objective: Callable[..., object],
@@ -169,84 +73,24 @@ def maximize_bell(
     stream: int = 0,
     extra_starts: Sequence[Sequence[float]] = (),
 ) -> WitnessReport:
-    """Best witness report over multi-start bounded truncated-Newton ascent.
+    """``optimize_cells([objective])[0]``, with the meta keys ``perfbench`` reads.
 
-    ``objective(settings)`` must give a ``WitnessReport`` and
-    ``objective(x, grad=True)`` the value B and gradient dB/dx at a raw
-    8-vector; every evaluation of the search goes through it.  Each start
-    runs TNC (Nash, SIAM J. Numer. Anal. 21, 770 (1984)) on -|B| inside
-    the box, with ``config.ftol``/``config.xtol`` as its tolerances,
-    through scipy's C core (``_moduleTNC.tnc_minimize``, loaded from its
-    extension file by ``_tnc_minimize`` on the first call in a process)
-    with the arguments ``minimize(method="TNC")`` passes for these
-    options: scipy's ``minimize`` layers (``MemoizeJac``,
-    ``ScalarFunction`` and their array copies and checks) cost several
-    times the witness itself per evaluation.
-
-    The callback keeps scipy's evaluation semantics: within a start it
-    remembers the last point it evaluated and answers a repeat of exactly
-    that point from the cache, without calling the objective or counting,
-    and the re-evaluation at TNC's returned x goes through the same
-    cache.  So ``n_evals`` equals the count scipy's public route reports.
-    It hands TNC -|B| and its gradient as plain floats, negated only
-    where B >= 0, which is exact; only the best start's gradient becomes
-    an array.
-
-    Deterministic given (config.seed, stream, extra_starts): the starts
-    are ``_starts``', drawn from ``random.Random`` on the Cantor pair of
-    (seed, stream), with ``extra_starts`` (warm starts) first.  Starts
-    that TNC does not report as converged are counted in the result's
-    meta, never raised; the best point found is always returned, with its
-    projected-gradient max-norm as ``grad_norm``.  Unexported, kept for
-    ``perfbench`` and the tests until ROADMAP item 2 deletes it.
+    The report's meta gains ``n_evals`` 0 (the solve reads only the curve
+    key), ``n_starts`` (``config.n_starts``), ``unconverged_starts`` (1
+    for an ``uncertified`` cell, else 0) and ``stream`` (``int(stream)``).
+    ``config``, ``stream`` and ``extra_starts`` change nothing else: the
+    curve solve has no starts.  They stay until ROADMAP item 1, like
+    ``sweep_eta_s``'s ``config``, because ``perfbench`` passes them.  The
+    multi-start TNC search this name ran before is the tests' reference
+    maximizer, ``tests/oracles.py::tnc_maximize``.
     """
-    tnc_minimize = _tnc_minimize()
-    box = config.box_radius
-    lo, hi = np.full(8, -box), np.full(8, box)
-    n_evals = 0
-    last_xl = last_fg = None
-
-    def neg_abs(x: np.ndarray) -> tuple[float, Sequence[float]]:
-        nonlocal n_evals, last_xl, last_fg
-        xl = x.tolist()
-        if xl == last_xl:
-            return last_fg
-        n_evals += 1
-        value, grad = objective(xl, grad=True)
-        if value >= 0.0:
-            value, grad = -value, [-g for g in grad]
-        last_xl, last_fg = xl, (value, grad)
-        return last_fg
-
-    best_key = None
-    best = None
-    unconverged = 0
-    for x0 in _starts(config, stream, extra_starts):
-        last_xl = None
-        # No scale/offset, no messages, default CG, eta, step, accuracy,
-        # fmin, pgtol and rescale, and no callback.
-        rc, _, _, x, _, _ = tnc_minimize(
-            neg_abs, x0, lo, hi, _EMPTY, _EMPTY, 0, -1, MAX_EVALS_PER_START,
-            -1, 0, 0, 0, config.ftol, config.xtol, -1, -1, None,
-        )
-        # TNC's x, f and g may be slightly out of step; re-read them at x.
-        fun, jac = neg_abs(x)
-        if not -1 < rc < 3:
-            unconverged += 1
-        key = (-float(fun), tuple(float(v) for v in x))
-        if _better(key, best_key):
-            best_key = key
-            best = (x, jac)
-    x, jac = best
-    # The max-norm of the projected gradient of -|B| on the box, as L-BFGS-B.
-    grad_norm = float(np.max(np.abs(x - np.clip(x - np.array(jac), -box, box))))
-    report = objective(BellSettings.from_vector(x))
+    (report,) = optimize_cells([objective])
     meta = {
-        "n_evals": n_evals,
+        **report.meta,
+        "n_evals": 0,
         "n_starts": config.n_starts,
-        "unconverged_starts": unconverged,
+        "unconverged_starts": int(report.meta["source"] == "uncertified"),
         "stream": int(stream),
-        "grad_norm": grad_norm,
     }
     return replace(report, meta=meta)
 
@@ -258,22 +102,16 @@ def grid_oracle(
 ) -> WitnessReport:
     """Exhaustive real-axis 4-D settings scan; the anti-surprise baseline for maxima.
 
-    Unexported, kept for ``perfbench`` and the tests until ROADMAP item 2
-    moves it into the tests' oracles.
+    Unexported, kept for ``perfbench/make_bound.py`` and the tests until
+    ROADMAP item 2 moves it into the tests' oracles.
     """
     points_per_axis = int(points_per_axis)
     if points_per_axis < 3:
         raise ValueError("points_per_axis must be at least 3")
     axis = np.unique(np.linspace(-float(box_radius), float(box_radius), points_per_axis))
-    best_key = None
-    best_report = None
-    for a1, a2, b1, b2 in itertools.product(axis, repeat=4):
-        report = objective(BellSettings(a1, a2, b1, b2))
-        key = (report.bell_abs, report.settings.to_vector())
-        if _better(key, best_key):
-            best_key = key
-            best_report = report
-    return best_report
+    reports = (objective(BellSettings(*p)) for p in itertools.product(axis, repeat=4))
+    # Higher |B| wins; exact ties go to the smaller settings vector.
+    return max(reports, key=lambda r: (r.bell_abs, [-v for v in r.settings.to_vector()]))
 
 
 @dataclass(frozen=True)
@@ -305,7 +143,7 @@ CERT_HESS_MAX = -1e-6
 #: same |B| at a later index, which the solve's argmax never picks.
 _CURVE_SEEDS = np.array(list(itertools.product(np.linspace(-1.0, 1.0, 5), repeat=2)))[:13]
 #: Fixed iteration count of the curve solve.
-_CURVE_ITERATIONS = 25
+_CURVE_ITERATIONS = 15
 #: Curve keys per curve solve call; it bounds the solve's arrays (one row
 #: per key and seed) whatever the grid size, and changes no row's bits.
 _CURVE_BLOCK = 512
@@ -319,11 +157,13 @@ def _top_eigenvalue(hxx, hxy, hyy):
     """The larger eigenvalue of [[hxx, hxy], [hxy, hyy]], with no cancellation.
 
     The eigenvalue of larger magnitude is a sum of like signs, and the
-    other the determinant over it; the zero matrix gives 0, through 0/0.
+    other the determinant over it, each product divided by it first, so
+    that no product of two entries overflows; the zero matrix gives 0,
+    through 0/0.
     """
     h = 0.5 * (hxx + hyy)
-    big = h + np.copysign(np.sqrt((0.5 * (hxx - hyy)) ** 2 + hxy * hxy), h)
-    return np.fmax(big, (hxx * hyy - hxy * hxy) / big)
+    big = h + np.copysign(np.hypot(0.5 * (hxx - hyy), hxy), h)
+    return np.fmax(big, hxx * (hyy / big) - hxy * (hxy / big))
 
 
 @np.errstate(all="ignore")
@@ -341,7 +181,8 @@ def _solve_curve(keys: np.ndarray) -> np.ndarray:
     maximum.  A step is kept only where it does not lower B beyond
     rounding.  Every row runs elementwise for a fixed number of
     iterations, so one key's result does not depend on the other rows.
-    Steps overflow, silently, from xi ~ 176.5 on.  Gives the point of
+    Each 2 x 2 system is divided by its shift before any product of two
+    entries is formed, so that none overflows.  Gives the point of
     largest |B| per key as its 8-vector a = b = (x, y), an (n, 8) array.
     The family b = -a and descent on B run only in the tests' oracle.
     """
@@ -353,7 +194,10 @@ def _solve_curve(keys: np.ndarray) -> np.ndarray:
     for _ in range(_CURVE_ITERATIONS):
         value, gx, gy, hxx, hxy, hyy = state
         shift = np.maximum(_top_eigenvalue(hxx, hxy, hyy), 0.0) + np.sqrt(gx * gx + gy * gy)
-        axx, ayy = shift - hxx, shift - hyy
+        # The system over its shift has entries of order one, whose
+        # products do not overflow (from xi ~ 176.5 the raw ones do).
+        axx, ayy = (shift - hxx) / shift, (shift - hyy) / shift
+        hxy, gx, gy = hxy / shift, gx / shift, gy / shift
         det = axx * ayy - hxy * hxy
         # A flat row (zero gradient and curvature) gives 0/0: a NaN trial,
         # which the comparison below rejects.

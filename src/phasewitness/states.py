@@ -6,7 +6,7 @@ states (displaced thermal states, which include the vacuum and the
 coherent states, and Fock states) both as analytic fields and as
 displaced photon-number distributions.  Laguerre polynomials come from
 one three-term recurrence, ``_laguerre``, and factorials from
-``math.lgamma``, so no helper here needs scipy.
+``math.lgamma``, so no helper here needs more than numpy.
 """
 
 from __future__ import annotations

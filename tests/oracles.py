@@ -3,10 +3,11 @@
 Everything here is built from first principles in the Fock basis: exact
 displacement matrix elements, Schmidt-form two-mode squeezed vacuum
 amplitudes, a Heisenberg-picture loss channel, and Bell values as plain
-sums of operator expectation values.  The reference maximizer runs the
-multi-start TNC search through scipy's public ``minimize`` route, from
-the starts of the package's own ``search._starts``: the starts are a
-draw, not a computation to check.  The reference curve solve runs the
+sums of operator expectation values.  The reference maximizer,
+``tnc_maximize``, runs a multi-start bounded truncated-Newton (TNC)
+ascent on |B| over all 8 setting coordinates through scipy's TNC C
+core; it reads B and its gradient from the objective alone, and none of
+the curve key, family or solve.  The reference curve solve runs the
 package's curve solve over both families b = +-a and both signs of B,
 52 entries per key where the package runs 13, from the package's own
 family (``witness._family``), seeds, iteration count, seed scale and
@@ -29,15 +30,19 @@ package is evidence, not tautology.
 from __future__ import annotations
 
 import functools
+import importlib.util
 import itertools
 import math
+import os
+import random
+import sysconfig
+from dataclasses import replace
 
 import mpmath
 import numpy as np
-from scipy.optimize import Bounds, minimize
 
-from phasewitness.search import _CURVE_ITERATIONS, _CURVE_SEEDS, _starts, _top_eigenvalue
-from phasewitness.witness import _family, _key_scales
+from phasewitness.search import _CURVE_ITERATIONS, _CURVE_SEEDS, _top_eigenvalue
+from phasewitness.witness import BellSettings, _family, _key_scales
 
 DEFAULT_DIM = 70
 
@@ -240,50 +245,137 @@ def husimi_q2(xi: float, alpha: complex, beta: complex) -> float:
     return mag / math.pi**2
 
 
-def scipy_tnc_maximize(objective, config, maxfun, stream=0, extra_starts=()):
-    """Multi-start TNC ascent on |B| through ``scipy.optimize.minimize``.
+#: Cap on objective evaluations per start (TNC's ``maxfun``).
+MAX_EVALS_PER_START = 2000
 
-    The package's starts (``search._starts``) and the same -|B|
-    objective and tie rule as its search, with scipy's own wrappers
-    caching and counting the evaluations.
-    ``objective(x, grad=True)`` gives (B, dB/dx) at a raw 8-vector and
-    ``config`` carries n_starts, box_radius, ftol, xtol and seed.
-    Returns the best 8-vector and the search meta (n_evals, n_starts,
-    unconverged_starts, stream, grad_norm).
+_EMPTY = np.array([])
+
+
+@functools.cache
+def _tnc_minimize():
+    """``tnc_minimize`` from scipy's ``_moduleTNC`` extension file.
+
+    The file is found through scipy's package location and run under its
+    module name, not put in ``sys.modules``.  Its init imports the
+    top-level ``scipy`` (with ``scipy._lib`` and ``subprocess``) through
+    ``scipy._cyutility``, but neither ``scipy.optimize`` nor scipy's
+    special functions; a later ``import scipy.optimize`` gets the same
+    function object.
     """
+    spec = importlib.util.find_spec("scipy")
+    locations = spec.submodule_search_locations if spec is not None else None
+    if not locations:
+        raise ImportError("TNC's C core needs scipy, which is not installed")
+    name = "_moduleTNC" + sysconfig.get_config_var("EXT_SUFFIX")
+    path = os.path.join(locations[0], "optimize", name)
+    if not os.path.isfile(path):
+        raise ImportError(f"TNC's C core is missing: no file {path}")
+    file_spec = importlib.util.spec_from_file_location("scipy.optimize._moduleTNC", path)
+    core = importlib.util.module_from_spec(file_spec)
+    file_spec.loader.exec_module(core)
+    return core.tnc_minimize
+
+
+def _starts(config, stream, extra_starts=()):
+    """The starts of one multi-start search, one 8-vector per row.
+
+    The ``extra_starts`` come first, clipped to the box, then
+    ``config.n_starts`` random starts with every coordinate uniform on
+    [-box, box]: the first half (rounded up) on the real axis, and every
+    odd-index one scaled by 1/4, since the interesting optima sit at
+    small displacement amplitudes.  The random starts come from
+    ``random.Random`` (MT19937) seeded with the Cantor pair
+    k (k + 1) / 2 + stream, k = seed + stream, which is injective on
+    non-negative integers: each (seed, stream) has its own stream, for
+    any size of seed.
+    """
+    box = config.box_radius
+    k = config.seed + stream
+    rng = random.Random(k * (k + 1) // 2 + stream)
+    n_real = (config.n_starts + 1) // 2
+    starts = [np.clip(np.asarray(warm, dtype=float).reshape(8), -box, box) for warm in extra_starts]
+    for i in range(config.n_starts):
+        scale = 0.25 if i % 2 == 1 else 1.0
+        x0 = [scale * rng.uniform(-box, box) for _ in range(8)]
+        if i < n_real:
+            x0[1::2] = [0.0] * 4
+        starts.append(x0)
+    return np.array(starts)
+
+
+def tnc_maximize(objective, config, stream=0, extra_starts=()):
+    """Best witness report over multi-start bounded truncated-Newton ascent.
+
+    ``objective(settings)`` must give a ``WitnessReport`` and
+    ``objective(x, grad=True)`` the value B and gradient dB/dx at a raw
+    8-vector; every evaluation of the search goes through it.
+    ``config`` is a ``search.SearchConfig`` (n_starts, box_radius, ftol,
+    xtol, seed).  Each start runs TNC (Nash, SIAM J. Numer. Anal. 21, 770
+    (1984)) on -|B| inside the box, with ``config.ftol``/``config.xtol``
+    as its tolerances, through scipy's C core (``_tnc_minimize``) with
+    the arguments ``minimize(method="TNC")`` passes for these options:
+    scipy's ``minimize`` layers (``MemoizeJac``, ``ScalarFunction`` and
+    their array copies and checks) cost several times the witness itself
+    per evaluation.
+
+    Within a start the callback answers a repeat of exactly the last
+    point it evaluated from a cache, without calling the objective or
+    counting, as scipy's public route does, and the re-evaluation at
+    TNC's returned x goes through the same cache.  It hands TNC -|B| and
+    its gradient as plain floats, negated only where B >= 0, which is
+    exact.
+
+    Deterministic given (config.seed, stream, extra_starts): the starts
+    are ``_starts``', with ``extra_starts`` (warm starts) first.  Starts
+    that TNC does not report as converged are counted in the result's
+    meta (n_evals, n_starts, unconverged_starts, stream, grad_norm),
+    never raised; the best point found is always returned, higher |B|
+    first and exact ties to the smaller settings vector, with its
+    projected-gradient max-norm as ``grad_norm``.
+    """
+    tnc_minimize = _tnc_minimize()
     box = config.box_radius
     lo, hi = np.full(8, -box), np.full(8, box)
     n_evals = 0
+    last_xl = last_fg = None
 
     def neg_abs(x):
-        nonlocal n_evals
+        nonlocal n_evals, last_xl, last_fg
+        xl = x.tolist()
+        if xl == last_xl:
+            return last_fg
         n_evals += 1
-        value, grad = objective(x.tolist(), grad=True)
-        sign = -1.0 if value >= 0.0 else 1.0
-        return sign * value, sign * np.array(grad)
+        value, grad = objective(xl, grad=True)
+        if value >= 0.0:
+            value, grad = -value, [-g for g in grad]
+        last_xl, last_fg = xl, (value, grad)
+        return last_fg
 
     best_key = None
     best = None
     unconverged = 0
     for x0 in _starts(config, stream, extra_starts):
-        res = minimize(
-            neg_abs,
-            x0,
-            method="TNC",
-            jac=True,
-            bounds=Bounds(lo, hi),
-            options={"maxfun": maxfun, "ftol": config.ftol, "xtol": config.xtol},
+        last_xl = None
+        # No scale/offset, no messages, default CG, eta, step, accuracy,
+        # fmin, pgtol and rescale, and no callback.
+        rc, _, _, x, _, _ = tnc_minimize(
+            neg_abs, x0, lo, hi, _EMPTY, _EMPTY, 0, -1, MAX_EVALS_PER_START,
+            -1, 0, 0, 0, config.ftol, config.xtol, -1, -1, None,
         )
-        if not res.success:
+        # TNC's x, f and g may be slightly out of step; re-read them at x.
+        fun, jac = neg_abs(x)
+        if not -1 < rc < 3:
             unconverged += 1
-        key = (-float(res.fun), tuple(float(v) for v in res.x))
-        # Higher |B| wins; exact ties go to the smaller settings vector.
+        key = (-float(fun), tuple(float(v) for v in x))
         if best_key is None or key[0] > best_key[0] or (
             key[0] == best_key[0] and key[1] < best_key[1]
         ):
             best_key = key
-            best = res
-    grad_norm = float(np.max(np.abs(best.x - np.clip(best.x - best.jac, lo, hi))))
+            best = (x, jac)
+    x, jac = best
+    # The max-norm of the projected gradient of -|B| on the box, as L-BFGS-B.
+    grad_norm = float(np.max(np.abs(x - np.clip(x - np.array(jac), -box, box))))
+    report = objective(BellSettings.from_vector(x))
     meta = {
         "n_evals": n_evals,
         "n_starts": config.n_starts,
@@ -291,7 +383,7 @@ def scipy_tnc_maximize(objective, config, maxfun, stream=0, extra_starts=()):
         "stream": int(stream),
         "grad_norm": grad_norm,
     }
-    return best.x, meta
+    return replace(report, meta=meta)
 
 
 def family_terms(constants, sigma):
@@ -312,12 +404,13 @@ def curve_solve_52(keys):
     Every row (key, sigma, sign of B, seed) ascends f = sign B on the
     family b = sigma a (``family_terms``) from the 13 seeds by the
     package's regularized Newton step, with the 2 x 2 Hessian and the
-    step carried through the sign, for the same fixed number of
-    iterations.  Gives the point of largest |B| per key, the first of
-    equal ones in (sigma, sign, seed) order, as its 8-vector a = (x, y),
-    b = sigma a, an (n, 8) array.  The package's solve runs the
-    sigma = +1, sign +1 entries alone, which come first, so the two agree
-    bit for bit wherever none of the other 39 entries beats them.
+    step carried through the sign, each system divided by its shift
+    first, for the same fixed number of iterations.  Gives the point of
+    largest |B| per key, the first of equal ones in (sigma, sign, seed)
+    order, as its 8-vector a = (x, y), b = sigma a, an (n, 8) array.  The
+    package's solve runs the sigma = +1, sign +1 entries alone, which come
+    first, so the two agree bit for bit wherever none of the other 39
+    entries beats them.
     """
     keys = np.asarray(keys, dtype=float)
     n = len(keys)
@@ -335,7 +428,8 @@ def curve_solve_52(keys):
         value, gx, gy, hxx, hxy, hyy = state
         kxx, kxy, kyy = sign * hxx, sign * hxy, sign * hyy
         shift = np.maximum(_top_eigenvalue(kxx, kxy, kyy), 0.0) + np.sqrt(gx * gx + gy * gy)
-        axx, ayy = shift - kxx, shift - kyy
+        axx, ayy = (shift - kxx) / shift, (shift - kyy) / shift
+        kxy, gx, gy = kxy / shift, gx / shift, gy / shift
         det = axx * ayy - kxy * kxy
         tx = x + sign * (ayy * gx + kxy * gy) / det
         ty = y + sign * (axx * gy + kxy * gx) / det

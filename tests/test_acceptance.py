@@ -13,10 +13,11 @@ import json
 import numpy as np
 import pytest
 
+import oracles as orc
 from conftest import record_acceptance
 from phasewitness.cli import main
 from phasewitness.noise import DetectionNoise, ThermalNoise
-from phasewitness.search import SearchConfig, maximize_bell, optimize_cells, sweep_eta_s
+from phasewitness.search import SearchConfig, optimize_cells, sweep_eta_s
 from phasewitness.states import TmsvSpec
 from phasewitness.validate import run_suites
 from phasewitness.witness import (
@@ -198,7 +199,7 @@ def test_a9_sweep_determinism(tmp_path, capsys):
     for index, row in enumerate(rows[1:]):
         r, s, nbar, bell_abs, violated = row.split(",")[:5]
         objective = thermal_objective(spec, float(s), ThermalNoise(float(r), float(nbar)))
-        searched = maximize_bell(objective, oracle, stream=index)
+        searched = orc.tnc_maximize(objective, oracle, stream=index)
         box_edge = max(map(abs, searched.settings.to_vector())) >= oracle.box_radius - 1e-9
         if box_edge:
             missed = (violated == "true") != searched.violated

@@ -5,26 +5,19 @@ from __future__ import annotations
 import functools
 import importlib.machinery
 import itertools
-import json
 import math
-import os
 import re
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings as hsettings, strategies as st
 
 import oracles as orc
-import phasewitness
 from phasewitness import search, witness
 from phasewitness.noise import DetectionNoise, ThermalNoise
 from phasewitness.search import (
     CERT_GRAD_NORM,
     CERT_HESS_MAX,
-    MAX_EVALS_PER_START,
     SearchConfig,
     SweepCell,
     SweepResult,
@@ -58,26 +51,6 @@ GOLDEN_PEAK_41_SETTINGS = BellSettings(-0.1, 0.4, -0.1, 0.5)
 FAST = SearchConfig(n_starts=8, box_radius=2.0, ftol=1e-10, xtol=1e-6, seed=0)
 
 
-class TestSearchConfig:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            SearchConfig(n_starts=0)
-        with pytest.raises(ValueError):
-            SearchConfig(box_radius=0.0)
-        with pytest.raises(ValueError):
-            SearchConfig(ftol=-1.0)
-        with pytest.raises(ValueError):
-            SearchConfig(xtol=float("nan"))
-        with pytest.raises(ValueError):
-            SearchConfig(box_radius=1e308)
-        with pytest.raises(ValueError, match="seed must be non-negative, got -1"):
-            SearchConfig(seed=-1)
-        with pytest.raises(ValueError, match="n_starts must be an integer, got 2.7"):
-            SearchConfig(n_starts=2.7)
-        with pytest.raises(ValueError, match="seed must be an integer, got 3.9"):
-            SearchConfig(seed=3.9)
-
-
 def constant_objective(settings, grad=False):
     if grad:
         return 1.5, (0.0,) * 8
@@ -85,15 +58,15 @@ def constant_objective(settings, grad=False):
 
 
 class TestStarts:
-    """``search._starts``: the starts of one multi-start search."""
+    """``oracles._starts``: the starts of one multi-start TNC search."""
 
     def test_equal_for_equal_seed_and_stream(self):
         config = SearchConfig(n_starts=6, seed=3)
-        assert np.array_equal(search._starts(config, 2), search._starts(config, 2))
+        assert np.array_equal(orc._starts(config, 2), orc._starts(config, 2))
 
     def test_each_seed_and_stream_has_its_own_starts(self):
         starts = {
-            (seed, stream): search._starts(SearchConfig(n_starts=4, seed=seed), stream)
+            (seed, stream): orc._starts(SearchConfig(n_starts=4, seed=seed), stream)
             for seed, stream in itertools.product(range(4), repeat=2)
         }
         for (a, first), (b, second) in itertools.combinations(starts.items(), 2):
@@ -101,7 +74,7 @@ class TestStarts:
 
     def test_layout(self):
         box = 1.5
-        starts = search._starts(SearchConfig(n_starts=7, seed=1, box_radius=box), 5)
+        starts = orc._starts(SearchConfig(n_starts=7, seed=1, box_radius=box), 5)
         assert starts.shape == (7, 8)
         assert np.all(np.abs(starts) <= box)
         # The first half, rounded up, lies on the real axis; the rest do not.
@@ -115,22 +88,24 @@ class TestStarts:
     def test_warm_starts_come_first_clipped(self):
         config = SearchConfig(n_starts=3, seed=2, box_radius=1.0)
         warm = [np.linspace(-3.0, 3.0, 8), [0.5] * 8]
-        starts = search._starts(config, 4, warm)
+        starts = orc._starts(config, 4, warm)
         assert starts.shape == (5, 8)
         assert np.array_equal(starts[0], np.clip(warm[0], -1.0, 1.0))
         assert np.array_equal(starts[1], warm[1])
-        assert np.array_equal(starts[2:], search._starts(config, 4))
+        assert np.array_equal(starts[2:], orc._starts(config, 4))
 
     def test_huge_seed(self):
-        starts = search._starts(SearchConfig(n_starts=8, seed=2**40), 3)
+        starts = orc._starts(SearchConfig(n_starts=8, seed=2**40), 3)
         assert np.all(np.isfinite(starts))
         assert len({tuple(row) for row in starts.tolist()}) == 8
-        assert not np.array_equal(starts, search._starts(SearchConfig(n_starts=8, seed=2**40), 4))
+        assert not np.array_equal(starts, orc._starts(SearchConfig(n_starts=8, seed=2**40), 4))
 
 
-class TestMaximizeBell:
+class TestTncOracle:
+    """``oracles.tnc_maximize``, the multi-start TNC search the solve is checked against."""
+
     def test_constant_objective_and_meta(self):
-        report = maximize_bell(constant_objective, SearchConfig(n_starts=2, seed=1))
+        report = orc.tnc_maximize(constant_objective, SearchConfig(n_starts=2, seed=1))
         assert report.bell_abs == 1.5
         assert report.meta["n_starts"] == 2
         assert report.meta["stream"] == 0
@@ -146,7 +121,7 @@ class TestMaximizeBell:
             calls.append(kwargs.get("grad", False))
             return objective(*args, **kwargs)
 
-        report = maximize_bell(counting, FAST)
+        report = orc.tnc_maximize(counting, FAST)
         # Every search evaluation plus the report of the winning point.
         assert len(calls) == report.meta["n_evals"] + 1
         assert calls.count(False) == 1
@@ -157,12 +132,14 @@ class TestMaximizeBell:
         # The (eta, s) = (0.5, -0.8) cell of the 8 x 6 benchmark map at
         # xi = 0.3 is cell 13; 8-D Nelder-Mead stopped there at 1.925372.
         objective = detection_objective(TmsvSpec(0.3), -0.8, DetectionNoise(0.5))
-        report = maximize_bell(objective, SearchConfig(n_starts=8, seed=1), stream=13)
+        report = orc.tnc_maximize(objective, SearchConfig(n_starts=8, seed=1), stream=13)
+        (solved,) = search.optimize_cells([objective])
         assert report.bell_abs >= 1.925494670
+        assert solved.bell_abs >= report.bell_abs - 1e-9
 
     def test_separable_state_never_beats_two(self):
         objective = detection_objective(TmsvSpec(0.0), -1.0, DetectionNoise(1.0))
-        report = maximize_bell(
+        report = orc.tnc_maximize(
             objective,
             SearchConfig(n_starts=4, seed=2),
             extra_starts=[(0.0,) * 8],
@@ -173,8 +150,8 @@ class TestMaximizeBell:
     def test_bitwise_determinism(self):
         objective = detection_objective(TmsvSpec(0.3), 0.0, DetectionNoise(0.8))
         config = SearchConfig(n_starts=4, seed=5)
-        first = maximize_bell(objective, config, stream=3)
-        second = maximize_bell(objective, config, stream=3)
+        first = orc.tnc_maximize(objective, config, stream=3)
+        second = orc.tnc_maximize(objective, config, stream=3)
         assert first.bell_value == second.bell_value
         assert first.settings.to_vector() == second.settings.to_vector()
         assert first.meta["stream"] == 3
@@ -182,23 +159,27 @@ class TestMaximizeBell:
     def test_warm_start_is_never_lost(self):
         objective = detection_objective(TmsvSpec(0.3), 0.0, DetectionNoise(0.5))
         warm = GOLDEN_PEAK_41_SETTINGS.to_vector()
-        report = maximize_bell(
+        report = orc.tnc_maximize(
             objective, SearchConfig(n_starts=1, seed=0), extra_starts=[warm]
         )
         assert report.bell_abs >= objective(GOLDEN_PEAK_41_SETTINGS).bell_abs - 1e-10
 
     def test_dominates_grid_oracle(self):
+        # The grid scan bounds the search from below, and the search the
+        # curve solve.
         objective = detection_objective(TmsvSpec(0.3), 0.0, DetectionNoise(0.6))
         grid = grid_oracle(objective, 1.2, 9)
-        report = maximize_bell(objective, FAST)
+        report = orc.tnc_maximize(objective, FAST)
+        (solved,) = search.optimize_cells([objective])
         assert report.bell_abs >= grid.bell_abs - 1e-9
+        assert solved.bell_abs >= report.bell_abs - 1e-9
 
     def test_reproduces_frozen_grid_maximum(self):
         objective = detection_objective(TmsvSpec(0.3), 0.0, DetectionNoise(1.0))
         assert objective(GOLDEN_41_SETTINGS).bell_abs == pytest.approx(
             GOLDEN_41, abs=1e-12
         )
-        report = maximize_bell(objective, FAST)
+        report = orc.tnc_maximize(objective, FAST)
         assert report.bell_abs >= GOLDEN_41 - 1e-9
         assert abs(report.bell_abs - GOLDEN_41) <= 0.02
 
@@ -207,76 +188,23 @@ class TestMaximizeBell:
         assert objective(GOLDEN_PEAK_41_SETTINGS).bell_abs == pytest.approx(
             GOLDEN_PEAK_41, abs=1e-12
         )
-        report = maximize_bell(objective, FAST)
+        report = orc.tnc_maximize(objective, FAST)
         assert report.bell_abs >= GOLDEN_PEAK_41 - 1e-9
         assert abs(report.bell_abs - GOLDEN_PEAK_41) <= 0.01
 
     def test_known_thermal_violation_and_loss_of_it(self):
         spec = TmsvSpec(0.3)
-        hot = maximize_bell(thermal_objective(spec, 0.0, ThermalNoise(0.75, 0.0)), FAST)
+        objectives = [
+            thermal_objective(spec, 0.0, ThermalNoise(0.75, 0.0)),
+            thermal_objective(spec, 0.0, ThermalNoise(0.6, 2.0)),
+        ]
+        hot, cold = (orc.tnc_maximize(objective, FAST) for objective in objectives)
         assert hot.violated
         assert hot.clamped
-        cold = maximize_bell(thermal_objective(spec, 0.0, ThermalNoise(0.6, 2.0)), FAST)
         assert not cold.violated
-
-
-def assert_matches_scipy_route(objective, config, stream=0, extra_starts=()):
-    """maximize_bell equals the minimize(method="TNC") reference, bit for bit."""
-    report = maximize_bell(objective, config, stream, extra_starts)
-    x, meta = orc.scipy_tnc_maximize(
-        objective, config, MAX_EVALS_PER_START, stream, extra_starts
-    )
-    reference = objective(BellSettings.from_vector(x))
-    assert report.bell_value == reference.bell_value
-    assert report.settings.to_vector() == reference.settings.to_vector()
-    assert report.meta == meta
-    return report
-
-
-class TestScipyRouteOracle:
-    """The direct call of TNC's C core against scipy's public route.
-
-    The search calls the private ``scipy.optimize._moduleTNC``; these
-    cases pin its values, settings and evaluation counts to
-    ``minimize(method="TNC", jac=True, bounds=Bounds(...))``.
-    """
-
-    def test_benchmark_map_cells(self):
-        spec = TmsvSpec(0.3)
-        config = SearchConfig(n_starts=8, seed=1)
-        cells = itertools.product(np.linspace(0.3, 1.0, 8), np.linspace(-1.0, 0.0, 6))
-        for stream, (eta, s) in enumerate(cells):
-            objective = detection_objective(spec, float(s), DetectionNoise(float(eta)))
-            assert_matches_scipy_route(objective, config, stream)
-
-    def test_warm_started_thermal_cell(self):
-        spec = TmsvSpec(0.3)
-        config = SearchConfig(n_starts=8, seed=1, ftol=1e-9, xtol=1e-5)
-        first = maximize_bell(thermal_objective(spec, 0.0, ThermalNoise(0.7, 0.0)), config)
-        warm = first.settings.to_vector()
-        objective = thermal_objective(spec, 0.0, ThermalNoise(0.71, 0.0))
-        report = assert_matches_scipy_route(objective, config, 1, [warm])
-        # A start at the point where the previous start stopped is
-        # evaluated afresh, as scipy does at every start.
-        optimum = report.settings.to_vector()
-        assert_matches_scipy_route(objective, config, 1, [optimum, optimum])
-
-    def test_box_edge_cell(self):
-        # At (eta, s) = (0.3, -1) the clamped witness climbs towards 2 at
-        # infinite displacement, so a box of radius 4 holds the optimum
-        # on its edge.
-        objective = detection_objective(TmsvSpec(0.3), -1.0, DetectionNoise(0.3))
-        config = SearchConfig(n_starts=8, seed=1, box_radius=4.0)
-        report = assert_matches_scipy_route(objective, config)
-        assert max(abs(v) for v in report.settings.to_vector()) == 4.0
-
-    @pytest.mark.parametrize("clamp_mode", [CLAMP_FROZEN, CLAMP_LOSS_CHANNEL])
-    def test_clamp_rules(self, clamp_mode):
-        objective = detection_objective(
-            TmsvSpec(0.3), -0.5, DetectionNoise(0.4), clamp_mode=clamp_mode
-        )
-        report = assert_matches_scipy_route(objective, SearchConfig(n_starts=4, seed=2), 1)
-        assert report.clamped
+        for report, solved in zip((hot, cold), search.optimize_cells(objectives)):
+            assert solved.violated == report.violated
+            assert solved.bell_abs >= report.bell_abs - 1e-9
 
     def test_objective_error_surfaces(self):
         objective = detection_objective(TmsvSpec(0.3), 0.0, DetectionNoise(0.5))
@@ -290,8 +218,70 @@ class TestScipyRouteOracle:
             return objective(settings, grad=grad)
 
         with pytest.raises(ValueError, match="NaN"):
-            maximize_bell(failing, SearchConfig(n_starts=2, seed=0))
+            orc.tnc_maximize(failing, SearchConfig(n_starts=2, seed=0))
         assert calls == 5
+
+
+def shim_objectives():
+    """One cell of each ``source``, under both noise models and two clamp rules."""
+    spec = TmsvSpec(0.3)
+    return [
+        detection_objective(spec, 0.0, DetectionNoise(0.5)),
+        detection_objective(TmsvSpec(0.0), 0.0, DetectionNoise(1.0)),
+        detection_objective(TmsvSpec(0.0), -0.75, DetectionNoise(0.3)),
+        detection_objective(spec, -0.5, DetectionNoise(0.4), clamp_mode=CLAMP_FROZEN),
+        thermal_objective(spec, 0.0, ThermalNoise(0.75, 0.5)),
+    ]
+
+
+class TestMaximizeBell:
+    """``search.maximize_bell``: the one-cell curve solve under the name perfbench calls."""
+
+    def test_report_is_the_one_cell_solve(self):
+        for objective in shim_objectives():
+            report = maximize_bell(objective, FAST)
+            (solved,) = search.optimize_cells([objective])
+            assert report.settings.to_vector() == solved.settings.to_vector()
+            assert report.s_effective == solved.s_effective
+            assert report.bell_value == solved.bell_value
+            assert {key: report.meta[key] for key in solved.meta} == solved.meta
+
+    def test_config_stream_and_starts_change_nothing(self):
+        objective = shim_objectives()[-1]
+        configs = [SearchConfig(), SearchConfig(2, 8.0, 1e-3, 1e-2, 7), FAST]
+        streams, starts = [0, 5, 3], [(), (), [(0.5,) * 8, (0.0,) * 8]]
+        reports = [maximize_bell(objective, *call) for call in zip(configs, streams, starts)]
+        first = reports[0]
+        for report in reports[1:]:
+            assert report.settings.to_vector() == first.settings.to_vector()
+            assert report.bell_value == first.bell_value
+            for key in ("source", "grad_norm", "hess_max", "n_evals", "unconverged_starts"):
+                assert report.meta[key] == first.meta[key], key
+
+    def test_objective_is_called_once_with_no_argument(self):
+        objective = shim_objectives()[-1]
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append((args, kwargs))
+            return objective(*args, **kwargs)
+
+        maximize_bell(counting, FAST, 2, [(0.0,) * 8])
+        assert calls == [((), {})]
+
+    def test_meta_keys(self):
+        sources = []
+        for objective in shim_objectives():
+            meta = maximize_bell(objective, SearchConfig(n_starts=5), np.int64(4)).meta
+            assert list(meta) == [
+                "source", "grad_norm", "hess_max", "n_evals", "n_starts",
+                "unconverged_starts", "stream",
+            ]
+            assert (meta["n_evals"], meta["n_starts"], meta["stream"]) == (0, 5, 4)
+            assert meta["unconverged_starts"] == int(meta["source"] == "uncertified")
+            assert type(meta["stream"]) is int and type(meta["unconverged_starts"]) is int
+            sources.append(meta["source"])
+        assert set(sources) == {"curve", "asymptote", "uncertified"}
 
 
 class TestGridOracle:
@@ -891,7 +881,7 @@ def test_cells_reach_the_per_cell_search():
     reports = search.optimize_cells(objectives)
     configs = [SearchConfig(n_starts=16, seed=1, box_radius=box) for box in (2.0, 8.0)]
     for idx, (objective, report) in enumerate(zip(objectives, reports)):
-        searched = [maximize_bell(objective, config, idx) for config in configs]
+        searched = [orc.tnc_maximize(objective, config, idx) for config in configs]
         assert report.bell_abs >= max(r.bell_abs for r in searched) - 1e-9, cells[idx]
         assert report.violated == max(searched, key=lambda r: r.bell_abs).violated, cells[idx]
 
@@ -919,6 +909,20 @@ def test_noise_free_wigner_cells_climb_to_the_asymptote():
 
 
 @pytest.mark.kernels
+def test_noise_free_line_is_certified_to_large_squeezing():
+    # The noise-free s = 0 cell for xi = 0.25, 0.5, ..., 300 in one call.
+    # From xi ~ 176.5 the raw products of the solve's 2 x 2 entries
+    # overflow, so each step is formed from its system over its shift:
+    # every cell is a certified curve point, at the limit from xi = 8 on.
+    xis = [0.25 * k for k in range(1, 1201)]
+    objectives = [detection_objective(TmsvSpec(xi), 0.0, DetectionNoise(1.0)) for xi in xis]
+    reports = search.optimize_cells(objectives)
+    assert [report.meta["source"] for report in reports] == ["curve"] * len(xis)
+    limit = [report.bell_abs for report in reports[xis.index(8.0):]]
+    assert 2.32449478 <= min(limit) and max(limit) <= 2.3244947811
+
+
+@pytest.mark.kernels
 @pytest.mark.parametrize("xi", [10.0, 12.0])
 def test_readme_grid_at_large_squeezing_is_certified(xi):
     # The README map (eta 0.3:1:36, s -1:0:21): every cell whose curve
@@ -929,14 +933,19 @@ def test_readme_grid_at_large_squeezing_is_certified(xi):
 
 
 @pytest.mark.kernels
-@pytest.mark.parametrize("xi, s", [(10.0, 0.0), (12.0, -0.625)])
-def test_large_squeezing_hess_max_is_the_mpmath_hessian(xi, s):
-    # The certificate's blocks against the 80-digit finite-difference
-    # Hessian of the textbook B, gauge direction projected out, where the
-    # squeezed variance is a 1e-9 or 1e-11 part of the antisqueezed one.
+@pytest.mark.parametrize(
+    "xi, s, digits", [(10.0, 0.0, 80), (12.0, -0.625, 80), (200.0, 0.0, 800), (300.0, 0.0, 800)]
+)
+def test_large_squeezing_hess_max_is_the_mpmath_hessian(xi, s, digits):
+    # The certificate's blocks against the finite-difference Hessian of
+    # the textbook B at ``digits`` digits, gauge direction projected out,
+    # where the squeezed variance is a 1e-9 or 1e-11 part of the
+    # antisqueezed one, or (where raw 2 x 2 products would overflow) a
+    # 1e-174 or 1e-261 part.  The Hessian's stiff and soft eigenvalues then differ by
+    # e^{4 xi}, up to 1e521, so 80 digits no longer resolve the soft one.
     (report,) = search.optimize_cells([detection_objective(TmsvSpec(xi), s, DetectionNoise(1.0))])
     assert report.meta["source"] == "curve"
-    expected = orc.mp_hess_max(xi, s, report.settings.to_vector())
+    expected = orc.mp_hess_max(xi, s, report.settings.to_vector(), digits)
     assert report.meta["hess_max"] == pytest.approx(expected, rel=1e-9)
 
 
@@ -971,51 +980,20 @@ def test_curve_point_that_ties_with_the_asymptote_reports_the_asymptote():
     assert report.bell_value == 2.0
 
 
-# Run in a fresh interpreter: a search, then the scipy modules it loaded,
-# then the same search after importing scipy.optimize, whose _moduleTNC
-# must be the core the search loaded.
-CORE_LOAD_SCRIPT = """
-import json, sys
-from phasewitness import search
-from phasewitness.noise import DetectionNoise
-from phasewitness.states import TmsvSpec
-from phasewitness.witness import detection_objective
-
-objective = detection_objective(TmsvSpec(0.3), 0.0, DetectionNoise(0.5))
-config = search.SearchConfig(n_starts=4, seed=1)
-first = search.maximize_bell(objective, config)
-loaded = [m for m in ("scipy.optimize", "scipy.special") if m in sys.modules]
-import scipy.optimize
-print(json.dumps({
-    "loaded": loaded,
-    "same_core": scipy.optimize._moduleTNC.tnc_minimize is search._tnc_minimize(),
-    "same_report": search.maximize_bell(objective, config) == first,
-}))
-"""
-
-
 class TestCoreLoad:
-    """TNC's C core is loaded from its file, without ``scipy.optimize``."""
-
-    def test_search_loads_neither_optimize_nor_special(self):
-        env = dict(os.environ, PYTHONPATH=str(Path(phasewitness.__file__).parents[1]))
-        out = subprocess.run(
-            [sys.executable, "-c", CORE_LOAD_SCRIPT], env=env, capture_output=True,
-            text=True, check=True, timeout=120,
-        )
-        assert json.loads(out.stdout) == {"loaded": [], "same_core": True, "same_report": True}
+    """The oracle loads TNC's C core from its file, and names a missing one."""
 
     def test_missing_core_is_an_import_error(self, tmp_path, monkeypatch):
         fake = importlib.machinery.ModuleSpec("scipy", None, is_package=True)
         fake.submodule_search_locations = [str(tmp_path)]
-        monkeypatch.setattr(search.importlib.util, "find_spec", lambda name: fake)
-        search._tnc_minimize.cache_clear()
+        monkeypatch.setattr(orc.importlib.util, "find_spec", lambda name: fake)
+        orc._tnc_minimize.cache_clear()
         try:
             missing = f"TNC's C core is missing: no file {tmp_path / 'optimize' / '_moduleTNC'}"
             with pytest.raises(ImportError, match=re.escape(missing)):
-                search._tnc_minimize()
+                orc._tnc_minimize()
         finally:
-            search._tnc_minimize.cache_clear()
+            orc._tnc_minimize.cache_clear()
 
 
 class TestFixedSettingsMonotonicity:
