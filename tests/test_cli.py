@@ -102,6 +102,21 @@ def test_certified_eval_loads_no_scipy():
     assert loaded_in_fresh_interpreter(code) == []
 
 
+def test_maximize_bell_loads_no_numpy_random():
+    # The benchmark's maximizer is the curve solve: no random starts, no
+    # scipy, even where scipy is installed.
+    code = (
+        "from phasewitness import search\n"
+        "from phasewitness.noise import DetectionNoise\n"
+        "from phasewitness.states import TmsvSpec\n"
+        "from phasewitness.witness import detection_objective\n"
+        "objective = detection_objective(TmsvSpec(3.0), 0.0, DetectionNoise(1.0))\n"
+        "report = search.maximize_bell(objective, search.SearchConfig(n_starts=2))\n"
+        "assert report.meta['source'] == 'curve', report"
+    )
+    assert loaded_in_fresh_interpreter(code) == []
+
+
 def test_no_command_needs_scipy(tmp_path):
     # With scipy blocked, every import of it raises ImportError.  The
     # package imports, and exports none of the four names that only the

@@ -5,14 +5,20 @@ from __future__ import annotations
 import functools
 import importlib.machinery
 import itertools
+import json
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings as hsettings, strategies as st
 
 import oracles as orc
+import phasewitness
 from phasewitness import search, witness
 from phasewitness.noise import DetectionNoise, ThermalNoise
 from phasewitness.search import (
@@ -980,8 +986,41 @@ def test_curve_point_that_ties_with_the_asymptote_reports_the_asymptote():
     assert report.bell_value == 2.0
 
 
+CORE_LOAD_SCRIPT = """
+import json, sys
+import oracles as orc
+from phasewitness import search
+from phasewitness.noise import DetectionNoise
+from phasewitness.states import TmsvSpec
+from phasewitness.witness import detection_objective
+
+objective = detection_objective(TmsvSpec(0.3), 0.0, DetectionNoise(0.5))
+config = search.SearchConfig(n_starts=4, seed=1)
+first = orc.tnc_maximize(objective, config)
+loaded = [m for m in ("scipy.optimize", "scipy.special") if m in sys.modules]
+import scipy.optimize
+print(json.dumps({
+    "loaded": loaded,
+    "same_core": scipy.optimize._moduleTNC.tnc_minimize is orc._tnc_minimize(),
+    "same_report": orc.tnc_maximize(objective, config) == first,
+}))
+"""
+
+
 class TestCoreLoad:
     """The oracle loads TNC's C core from its file, and names a missing one."""
+
+    def test_search_loads_neither_optimize_nor_special(self):
+        # The TNC search of ``oracles.tnc_maximize`` runs scipy's C core
+        # without ``scipy.optimize`` or scipy's special functions, and a
+        # later ``import scipy.optimize`` gets the same core.
+        paths = (Path(phasewitness.__file__).parents[1], Path(orc.__file__).parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(map(str, paths)))
+        out = subprocess.run(
+            [sys.executable, "-c", CORE_LOAD_SCRIPT], env=env, capture_output=True,
+            text=True, check=True, timeout=120,
+        )
+        assert json.loads(out.stdout) == {"loaded": [], "same_core": True, "same_report": True}
 
     def test_missing_core_is_an_import_error(self, tmp_path, monkeypatch):
         fake = importlib.machinery.ModuleSpec("scipy", None, is_package=True)
