@@ -54,14 +54,16 @@ CSV_HEADER = (
     "axis1,axis2,nbar,bell_abs,violated,clamped,s_effective,"
     "a1_re,a1_im,a2_re,a2_im,b1_re,b1_im,b2_re,b2_im,source,grad_norm,hess_max"
 )
+# One field per CSV_HEADER column: %.17g for each float, %s for nbar
+# (empty in eta-s mode), violated, clamped and source.
+_CSV_ROW = (
+    "%.17g,%.17g,%s,%.17g,%s,%s,%.17g,"
+    "%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%s,%.17g,%.17g"
+)
 
 
 class UsageError(ValueError):
     """Invalid arguments or parameter combinations."""
-
-
-def _fmt(value: float) -> str:
-    return f"{float(value):.17g}"
 
 
 def _parse_grid(text: str, name: str) -> list[float]:
@@ -224,20 +226,13 @@ def _csv_rows(result: SweepResult) -> list[str]:
     for cell in result.cells:
         rep = cell.report
         rows.append(
-            ",".join(
-                [
-                    _fmt(cell.axis1),
-                    _fmt(cell.axis2),
-                    "" if cell.nbar is None else _fmt(cell.nbar),
-                    _fmt(rep.bell_abs),
-                    "true" if rep.violated else "false",
-                    "true" if rep.clamped else "false",
-                    _fmt(rep.s_effective),
-                    *(_fmt(v) for v in rep.settings.to_vector()),
-                    rep.meta["source"],
-                    _fmt(rep.meta["grad_norm"]),
-                    _fmt(rep.meta["hess_max"]),
-                ]
+            _CSV_ROW
+            % (
+                cell.axis1, cell.axis2, "" if cell.nbar is None else "%.17g" % cell.nbar,
+                rep.bell_abs, "true" if rep.violated else "false",
+                "true" if rep.clamped else "false", rep.s_effective,
+                *rep.settings.to_vector(),
+                rep.meta["source"], rep.meta["grad_norm"], rep.meta["hess_max"],
             )
         )
     return rows

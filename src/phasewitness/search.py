@@ -288,8 +288,10 @@ def optimize_cells(objectives: Sequence[Callable[..., object]]) -> list[WitnessR
     and reports its constant row's ``_row_reports`` point times its lift,
     with that row's B, ``source``, ``grad_norm`` and ``hess_max``: the
     value its certificate checked.  Each report depends only on its own
-    curve key.
+    curve key.  No objectives give no reports.
     """
+    if not objectives:
+        return []
     lifts, s_primes, constants = zip(*(objective() for objective in objectives))
     rows, which = np.unique(constants, axis=0, return_inverse=True)
     points, *columns = (column[which.reshape(-1)] for column in _row_reports(rows))

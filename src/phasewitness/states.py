@@ -52,11 +52,12 @@ class TmsvSpec:
         if not math.isfinite(xi) or xi < 0.0:
             raise ValueError("squeezing parameter xi must be finite and non-negative")
         try:
-            math.cosh(2.0 * xi)
+            # From xi ~ 9e307, 2 xi is already inf and cosh(inf) does not raise.
+            width = math.cosh(2.0 * xi)
         except OverflowError:
-            raise ValueError(
-                f"squeezing parameter xi = {xi} is too large: cosh(2 xi) overflows"
-            ) from None
+            width = math.inf
+        if width == math.inf:
+            raise ValueError(f"squeezing parameter xi = {xi} is too large: cosh(2 xi) overflows")
         object.__setattr__(self, "xi", xi)
 
     def marginal_width(self, s: float) -> float:

@@ -113,11 +113,10 @@ def _loss_rescale_identity() -> Residuals:
     ``noise._loss_routes``.
     """
     tol = 1e-8
-    pairs = [
-        (states.photon_distribution(state, 0.3 - 0.2j, _N_MAX), DetectionNoise(eta))
-        for state in _test_states()
-        for eta in _ETA_GRID
+    distributions = [
+        states.photon_distribution(state, 0.3 - 0.2j, _N_MAX) for state in _test_states()
     ]
+    pairs = [(p, DetectionNoise(eta)) for p in distributions for eta in _ETA_GRID]
     routes = noise_mod._loss_routes(pairs, _S_GRID, tol)
     return tol, [abs(thinned - rescaled) for pair in routes for thinned, rescaled in pair]
 

@@ -24,9 +24,9 @@ from phasewitness.cli import (
     main,
 )
 from phasewitness.noise import DetectionNoise
-from phasewitness.search import optimize_cells
+from phasewitness.search import SweepCell, SweepResult, optimize_cells
 from phasewitness.states import TmsvSpec
-from phasewitness.witness import CLAMP_MODES, detection_objective
+from phasewitness.witness import CLAMP_MODES, BellSettings, WitnessReport, detection_objective
 
 
 #: CI reruns these under a second set of numpy and OpenBLAS kernels.
@@ -173,11 +173,13 @@ class TestArgumentHandling:
             ["eval", "--xi", "0.3", "--s", "0", "--settings", "0,0,0,zz"], capsys
         )
         assert code == EXIT_USAGE
-        # cosh(2 xi) overflows: a usage error, not a traceback.
-        code, _, err = run_cli(
-            ["eval", "--xi", "400", "--s", "0", "--settings", "0,0,0,0"], capsys
-        )
-        assert code == EXIT_USAGE and "error:" in err
+        # cosh(2 xi) overflows, or 2 xi itself does: a usage error, not a
+        # traceback.
+        for xi in ("400", "1e308"):
+            code, _, err = run_cli(
+                ["eval", "--xi", xi, "--s", "0", "--settings", "0,0,0,0"], capsys
+            )
+            assert code == EXIT_USAGE and "error:" in err
         # From xi = 354.5, 1/v+ = e^{-2 xi} is subnormal, though cosh(2 xi)
         # is finite: a usage error, never a curve or asymptote cell.
         for xi in ("354.5", "355.0"):
@@ -603,6 +605,48 @@ class TestSweep:
             "exp_dispatch": exp["exp"]["dd"]["current"],
             "openblas_core": cli._openblas_core(),
         }
+
+    def test_each_row_is_its_values_at_17_significant_digits(self):
+        # A hand-built result: an eta-s cell (empty nbar) and a thermal
+        # cell, with a -0.0 setting, a nan hess_max and an uncertified source.
+        def hand_cell(axis1, axis2, nbar, x, s_effective, value, source, grad_norm, hess_max):
+            meta = {"source": source, "grad_norm": grad_norm, "hess_max": hess_max}
+            report = WitnessReport(BellSettings.from_vector(x), s_effective, value, meta)
+            return SweepCell(axis1, axis2, nbar, report)
+
+        cells = (
+            hand_cell(0.5, -0.1, None, (0.1, 0.2, -0.0, 1 / 3, 0, 0, 1e-300, -2.5),
+                      -0.7, 2.0000000000000004, "curve", 1e-12, -0.1),
+            hand_cell(0.3, -1 / 3, 0.25, (-0.0, 7e22, -1 / 7, 0.3, 0.7, -0.1, 2 / 3, 0.3),
+                      -1.1, -2.05, "uncertified", 3.2e-5, float("nan")),
+        )
+        rows = cli._csv_rows(SweepResult(cells))
+        assert rows[0] == CSV_HEADER
+
+        def g(v):
+            return format(float(v), ".17g")
+
+        for cell, row in zip(cells, rows[1:]):
+            rep = cell.report
+            assert row == ",".join([
+                g(cell.axis1), g(cell.axis2), "" if cell.nbar is None else g(cell.nbar),
+                g(rep.bell_abs), "true" if rep.violated else "false",
+                "true" if rep.clamped else "false", g(rep.s_effective),
+                *map(g, rep.settings.to_vector()),
+                rep.meta["source"], g(rep.meta["grad_norm"]), g(rep.meta["hess_max"]),
+            ])
+            assert len(row.split(",")) == len(CSV_HEADER.split(","))
+        assert rows[1:] == [
+            "0.5,-0.10000000000000001,,2.0000000000000004,false,false,"
+            "-0.69999999999999996,0.10000000000000001,0.20000000000000001,-0,"
+            "0.33333333333333331,0,0,1e-300,-2.5,curve,9.9999999999999998e-13,"
+            "-0.10000000000000001",
+            "0.29999999999999999,-0.33333333333333331,0.25,2.0499999999999998,true,true,"
+            "-1.1000000000000001,-0,7.0000000000000004e+22,-0.14285714285714285,"
+            "0.29999999999999999,0.69999999999999996,-0.10000000000000001,"
+            "0.66666666666666663,0.29999999999999999,uncertified,3.1999999999999999e-05,"
+            "nan",
+        ]
 
     def test_environment_follows_the_kernels_in_use(self, monkeypatch):
         # OPENBLAS_CORETYPE picks the OpenBLAS core at load time, so a

@@ -755,6 +755,9 @@ class TestCurve:
         assert {report.meta["source"] for report in reports} == {"curve", "asymptote"}
         assert all(calls[idx] == [(False, 0)] for idx in calls)
 
+    def test_no_objectives_give_no_reports(self):
+        assert search.optimize_cells([]) == []
+
     @pytest.mark.kernels
     @pytest.mark.parametrize("rule", [CLAMP_BOUNDED, CLAMP_FROZEN, CLAMP_LOSS_CHANNEL])
     @pytest.mark.parametrize("xi", [0.3, 2.0])

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -29,8 +30,10 @@ class TestTmsvSpec:
             TmsvSpec(-0.1)
         with pytest.raises(ValueError):
             TmsvSpec(float("nan"))
-        with pytest.raises(ValueError):
-            TmsvSpec(400.0)
+        # From xi ~ 9e307, 2 xi is inf and cosh does not raise: still refused.
+        for xi in (400.0, 1e308, sys.float_info.max):
+            with pytest.raises(ValueError, match=r"too large: cosh\(2 xi\) overflows"):
+                TmsvSpec(xi)
 
     def test_zero_squeezing_factorizes(self):
         spec = TmsvSpec(0.0)
