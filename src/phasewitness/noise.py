@@ -71,6 +71,8 @@ class ThermalNoise:
             raise ValueError("reflectivity r must lie in [0, 1)")
         if not math.isfinite(nbar) or nbar < 0.0:
             raise ValueError("mean photon number nbar must be finite and non-negative")
+        if not math.isfinite(1.0 + 2.0 * nbar):
+            raise ValueError(f"mean photon number nbar = {nbar} is too large: 1 + 2 nbar overflows")
 
     @property
     def t(self) -> float:

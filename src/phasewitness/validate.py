@@ -253,11 +253,11 @@ def _witness_form_equivalence() -> Residuals:
 
     Each probe reads its settings as the next (n, 8) block of the
     Kronecker sequence of ``_setting_points``, from ``_WITNESS_START``
-    on.  The objective reads each row as a raw 8-vector,
-    ``objective(row, grad=True)[0]``, which is the report's value bit for
-    bit without building settings or a report.  The two routes round
-    differently and may differ in the last bits (a few times 1e-15), far
-    inside the tolerance.
+    on.  The builder's route reads all of a block's rows in one
+    ``witness._bell`` call on the objective's lift and key, the form each
+    report takes its value from, without building settings or a report.
+    The two routes round differently and may differ in the last bits (a
+    few times 1e-15), far inside the tolerance.
     """
     tol = 1e-12
     n_settings = 20
@@ -265,10 +265,13 @@ def _witness_form_equivalence() -> Residuals:
     spec = states.TmsvSpec(0.3)
     residuals = []
 
+    def builder(objective, x):
+        lift, _, key = objective()
+        return witness._bell(lift, key, x.T)
+
     def probe(objective, route) -> None:
         x = _setting_points(next(starts), n_settings)
-        values = [objective(row, grad=True)[0] for row in x.tolist()]
-        residuals.extend(np.abs(np.array(values) - route(x)))
+        residuals.extend(np.abs(builder(objective, x) - route(x)))
 
     for eta, s in itertools.product((0.3, 0.45, 0.5, 0.7, 1.0), (0.0, -0.5, -1.0)):
         noise = DetectionNoise(eta)
@@ -301,10 +304,7 @@ def _witness_form_equivalence() -> Residuals:
             loss_frame = mode == witness.CLAMP_LOSS_CHANNEL and s_prime < -1.0
             frame = 1.0 if loss_frame else 1.0 / noise.t
 
-            def route(x, _det=det, _frame=frame):
-                return [_det(row, grad=True)[0] for row in (x * _frame).tolist()]
-
-            probe(obj, route)
+            probe(obj, lambda x: builder(det, x * frame))
     return tol, residuals
 
 

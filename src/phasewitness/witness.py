@@ -9,14 +9,14 @@ Both noise models reach the TMSV witness through one builder: the noise
 rescales the order parameter to s' and divides the settings by a lift
 (1 for detection loss, t for the thermal channel).  The independent
 route over the closed-form fields lives in ``validate``, off the hot
-path.  Every objective also answers ``objective(x, grad=True)`` with the
-value and its analytic gradient over the raw 8-vector x, for the
-settings search, and ``objective()`` with its lift, its order s' and six
-normal-mode constants, the key of the search's one curve solve.  Only
-this module reads the constants, bar c0 (column 2), the asymptote
-``search`` reports: ``_family`` gives B, its gradient and its Hessian on
-the solve's real symmetric family b = a, and ``_family_blocks`` the
-other three 2 x 2 blocks of the 8 x 8 Hessian there.
+path.  An objective answers ``objective(settings)`` with the report and
+``objective()`` with its lift, its order s' and six normal-mode
+constants, the key of the search's one curve solve.  Only this module
+reads the constants, bar c0 (column 2), the asymptote ``search``
+reports: ``_bell`` gives B at settings rows, one or many, ``_family``
+gives B, its gradient and its Hessian on the solve's real symmetric
+family b = a, and ``_family_blocks`` the other three 2 x 2 blocks of the
+8 x 8 Hessian there.
 
 When the rescaled order parameter falls below -1 the plain functional
 stops being a witness, because the observable spectrum leaves [-1, 1].
@@ -241,6 +241,29 @@ def bell_value(
     return c2 * corr + c1 * (w1a(a1) + w1b(b1)) + c0
 
 
+def _bell(lift, key, x):
+    """``_tmsv_objective``'s B from its curve key and lift at the raw settings x.
+
+    ``x`` holds the 8 coordinates ordered as ``BellSettings.to_vector``,
+    each a float or an array (``x.T`` of an (n, 8) settings array); the
+    fields are read at x / lift.
+    """
+    cw, d1, c0, gm, gp, e1 = key
+    ew, m, f = gm + gp, 2.0 * (gm - gp), 1.0 / lift
+    a1r, a1i, a2r, a2i, b1r, b1i, b2r, b2i = (v * f for v in x)
+    na1 = a1r * a1r + a1i * a1i
+    na2 = a2r * a2r + a2i * a2i
+    nb1 = b1r * b1r + b1i * b1i
+    nb2 = b2r * b2r + b2i * b2i
+    # |a + b*|^2/v- + |a - b*|^2/v+ = ew (|a|^2 + |b|^2) + m Re(a b).
+    w11 = np.exp(-(ew * (na1 + nb1) + m * (a1r * b1r - a1i * b1i)))
+    w12 = np.exp(-(ew * (na1 + nb2) + m * (a1r * b2r - a1i * b2i)))
+    w21 = np.exp(-(ew * (na2 + nb1) + m * (a2r * b1r - a2i * b1i)))
+    w22 = np.exp(-(ew * (na2 + nb2) + m * (a2r * b2r - a2i * b2i)))
+    singles = np.exp(-e1 * na1) + np.exp(-e1 * nb1)
+    return cw * (w11 + w12 + w21 - w22) + 0.5 * d1 * singles + c0
+
+
 def _tmsv_objective(
     spec: TmsvSpec,
     s_prime: float,
@@ -257,14 +280,12 @@ def _tmsv_objective(
     W1(a) = k1 exp(-e1 |a|^2), with the variances v+- = e^{+-2 xi} - s at
     the order s read, k2 = 4/(pi^2 v+ v-), k1 = e1/pi and e1 = 4/(v+ + v-).
 
-    ``evaluate(settings)`` gives the ``WitnessReport``;
-    ``evaluate(x, grad=True)`` gives (B, dB/dx) at the raw 8-vector x,
-    ordered as ``BellSettings.to_vector``, with the value bit-identical to
-    the report's, and the gradient carries the frame factor 1/lift.
     ``evaluate()`` gives the objective's curve key
     ``(lift, s', (c2 k2, 2 c1 k1, c0, 1/v-, 1/v+, e1))``: objectives with
     equal constants differ only in lift and s'.  Constants that overflow
-    or underflow raise ``ValueError``.
+    or underflow raise ``ValueError``.  ``evaluate(settings)`` gives the
+    ``WitnessReport``, with B from ``_bell`` of the lift and the key, so
+    a row of settings reads the same value alone or in an array.
 
     ``lift`` is the noise's settings scale (1 for detection loss, t for
     the thermal interaction).  ``transmission`` is the intensity
@@ -292,51 +313,14 @@ def _tmsv_objective(
     key = (cw, 2.0 * h1, c0, gm, gp, e1)
     if not (all(map(math.isfinite, key)) and min(cw, gm, gp, e1) >= sys.float_info.min):
         raise ValueError(f"the witness at xi = {spec.xi}, s' = {s_prime} overflows or underflows")
-    ew, m, f, g2 = gm + gp, 2.0 * (gm - gp), 1.0 / lift, -1.0 / lift
-    ew2, g1 = 2.0 * ew, -2.0 * e1 * f * h1
 
-    def evaluate(settings=None, grad: bool = False):
+    def evaluate(settings=None):
         if settings is None:
             return lift, s_prime, key
-        # The report path reads the same 8 coordinates as the raw vector.
-        x = settings if grad else settings.to_vector()
-        a1r, a1i, a2r, a2i, b1r, b1i, b2r, b2i = x
-        a1r, a1i, a2r, a2i = a1r * f, a1i * f, a2r * f, a2i * f
-        b1r, b1i, b2r, b2i = b1r * f, b1i * f, b2r * f, b2i * f
-        na1 = a1r * a1r + a1i * a1i
-        na2 = a2r * a2r + a2i * a2i
-        nb1 = b1r * b1r + b1i * b1i
-        nb2 = b2r * b2r + b2i * b2i
-        # |a + b*|^2/v- + |a - b*|^2/v+ = ew (|a|^2 + |b|^2) + m Re(a b).
-        w11 = exp(-(ew * (na1 + nb1) + m * (a1r * b1r - a1i * b1i)))
-        w12 = exp(-(ew * (na1 + nb2) + m * (a1r * b2r - a1i * b2i)))
-        w21 = exp(-(ew * (na2 + nb1) + m * (a2r * b1r - a2i * b1i)))
-        w22 = exp(-(ew * (na2 + nb2) + m * (a2r * b2r - a2i * b2i)))
-        w1a = exp(-e1 * na1)
-        w1b = exp(-e1 * nb1)
-        value = cw * (w11 + w12 + w21 - w22) + h1 * (w1a + w1b) + c0
+        value = float(_bell(lift, key, settings.to_vector()))
         if math.isnan(value):
-            raise ValueError(
-                f"witness value is NaN at s' = {s_prime!r}: the closed form overflows"
-            )
-        if not grad:
-            return WitnessReport(settings, s_prime, value)
-        # d exp(-Q)/d(scaled x) = -exp(-Q) dQ, times the frame 1/lift for
-        # the measured frame; u_jk is the signed weight of exp(-Q_jk) in B.
-        g1a, g1b = g1 * w1a, g1 * w1b
-        u11, u12, u21, u22 = cw * w11, cw * w12, cw * w21, -cw * w22
-        wa1, wa2 = ew2 * (u11 + u12), ew2 * (u21 + u22)
-        wb1, wb2 = ew2 * (u11 + u21), ew2 * (u12 + u22)
-        return value, (
-            g2 * (wa1 * a1r + m * (u11 * b1r + u12 * b2r)) + g1a * a1r,
-            g2 * (wa1 * a1i - m * (u11 * b1i + u12 * b2i)) + g1a * a1i,
-            g2 * (wa2 * a2r + m * (u21 * b1r + u22 * b2r)),
-            g2 * (wa2 * a2i - m * (u21 * b1i + u22 * b2i)),
-            g2 * (wb1 * b1r + m * (u11 * a1r + u21 * a2r)) + g1b * b1r,
-            g2 * (wb1 * b1i - m * (u11 * a1i + u21 * a2i)) + g1b * b1i,
-            g2 * (wb2 * b2r + m * (u12 * a1r + u22 * a2r)),
-            g2 * (wb2 * b2i - m * (u12 * a1i + u22 * a2i)),
-        )
+            raise ValueError(f"witness value is NaN at s' = {s_prime!r}: the closed form overflows")
+        return WitnessReport(settings, s_prime, value)
 
     return evaluate
 

@@ -6,10 +6,11 @@ amplitudes, a Heisenberg-picture loss channel, and Bell values as plain
 sums of operator expectation values.  The reference maximizer,
 ``tnc_maximize``, runs a multi-start bounded truncated-Newton (TNC)
 ascent on |B| over all 8 setting coordinates through scipy's TNC C
-core; it reads B and its gradient from the objective alone, and none of
-the curve key, family or solve.  The reference curve solve runs the
-package's curve solve over both families b = +-a and both signs of B,
-52 entries per key where the package runs 13, from the package's own
+core; it reads B and its gradient from its own scalar closed form over
+the objective's lift and curve key, not the family or solve.  The
+reference curve solve runs the package's curve solve over both families
+b = +-a and both signs of B, 52 entries per key where the package runs
+13, from the package's own
 family (``witness._family``), seeds, iteration count, seed scale and
 2 x 2 top eigenvalue (``search._CURVE_SEEDS``, ``_CURVE_ITERATIONS``,
 ``witness._key_scales`` and ``search._top_eigenvalue``); it checks the
@@ -303,12 +304,55 @@ def _starts(config, stream, extra_starts=()):
     return np.array(starts)
 
 
+def value_and_gradient(lift, key, x):
+    """(B, dB/dx) at the raw 8-vector x from an objective's lift and curve key.
+
+    The scalar form of ``witness._bell``, which reads the fields at
+    x / lift, so the gradient carries the frame factor 1/lift.  With
+    h1 = d1 / 2 (exact), u_jk is the signed weight of exp(-Q_jk) in B,
+    and d exp(-Q)/d(x / lift) = -exp(-Q) dQ.
+    """
+    cw, d1, c0, gm, gp, e1 = key
+    h1, ew, m, f, g2 = 0.5 * d1, gm + gp, 2.0 * (gm - gp), 1.0 / lift, -1.0 / lift
+    ew2, g1 = 2.0 * ew, -2.0 * e1 * f * h1
+    a1r, a1i, a2r, a2i, b1r, b1i, b2r, b2i = x
+    a1r, a1i, a2r, a2i = a1r * f, a1i * f, a2r * f, a2i * f
+    b1r, b1i, b2r, b2i = b1r * f, b1i * f, b2r * f, b2i * f
+    na1 = a1r * a1r + a1i * a1i
+    na2 = a2r * a2r + a2i * a2i
+    nb1 = b1r * b1r + b1i * b1i
+    nb2 = b2r * b2r + b2i * b2i
+    w11 = math.exp(-(ew * (na1 + nb1) + m * (a1r * b1r - a1i * b1i)))
+    w12 = math.exp(-(ew * (na1 + nb2) + m * (a1r * b2r - a1i * b2i)))
+    w21 = math.exp(-(ew * (na2 + nb1) + m * (a2r * b1r - a2i * b1i)))
+    w22 = math.exp(-(ew * (na2 + nb2) + m * (a2r * b2r - a2i * b2i)))
+    w1a = math.exp(-e1 * na1)
+    w1b = math.exp(-e1 * nb1)
+    value = cw * (w11 + w12 + w21 - w22) + h1 * (w1a + w1b) + c0
+    if math.isnan(value):
+        raise ValueError("witness value is NaN: the closed form overflows")
+    g1a, g1b = g1 * w1a, g1 * w1b
+    u11, u12, u21, u22 = cw * w11, cw * w12, cw * w21, -cw * w22
+    wa1, wa2 = ew2 * (u11 + u12), ew2 * (u21 + u22)
+    wb1, wb2 = ew2 * (u11 + u21), ew2 * (u12 + u22)
+    return value, (
+        g2 * (wa1 * a1r + m * (u11 * b1r + u12 * b2r)) + g1a * a1r,
+        g2 * (wa1 * a1i - m * (u11 * b1i + u12 * b2i)) + g1a * a1i,
+        g2 * (wa2 * a2r + m * (u21 * b1r + u22 * b2r)),
+        g2 * (wa2 * a2i - m * (u21 * b1i + u22 * b2i)),
+        g2 * (wb1 * b1r + m * (u11 * a1r + u21 * a2r)) + g1b * b1r,
+        g2 * (wb1 * b1i - m * (u11 * a1i + u21 * a2i)) + g1b * b1i,
+        g2 * (wb2 * b2r + m * (u12 * a1r + u22 * a2r)),
+        g2 * (wb2 * b2i - m * (u12 * a1i + u22 * a2i)),
+    )
+
+
 def tnc_maximize(objective, config, stream=0, extra_starts=()):
     """Best witness report over multi-start bounded truncated-Newton ascent.
 
-    ``objective(settings)`` must give a ``WitnessReport`` and
-    ``objective(x, grad=True)`` the value B and gradient dB/dx at a raw
-    8-vector; every evaluation of the search goes through it.
+    ``objective()`` must give (lift, s', curve key) and
+    ``objective(settings)`` a ``WitnessReport``; every evaluation of the
+    search is one ``value_and_gradient`` call on that lift and key.
     ``config`` is a ``search.SearchConfig`` (n_starts, box_radius, ftol,
     xtol, seed).  Each start runs TNC (Nash, SIAM J. Numer. Anal. 21, 770
     (1984)) on -|B| inside the box, with ``config.ftol``/``config.xtol``
@@ -334,6 +378,7 @@ def tnc_maximize(objective, config, stream=0, extra_starts=()):
     projected-gradient max-norm as ``grad_norm``.
     """
     tnc_minimize = _tnc_minimize()
+    lift, _, constants = objective()
     box = config.box_radius
     lo, hi = np.full(8, -box), np.full(8, box)
     n_evals = 0
@@ -345,7 +390,7 @@ def tnc_maximize(objective, config, stream=0, extra_starts=()):
         if xl == last_xl:
             return last_fg
         n_evals += 1
-        value, grad = objective(xl, grad=True)
+        value, grad = value_and_gradient(lift, constants, xl)
         if value >= 0.0:
             value, grad = -value, [-g for g in grad]
         last_xl, last_fg = xl, (value, grad)

@@ -211,7 +211,7 @@ class TestArgumentHandling:
             ["--s", "-inf"],
             ["--s", "0", "--noise", "detection", "--eta", "5e-324"],
             ["--s", "0", "--noise", "thermal", "--r", "0.9999999999999999",
-             "--nbar", "1e308"],
+             "--nbar", "1e307"],
         ):
             code, _, err = run_cli(
                 ["eval", "--xi", "0.3", *argv, "--settings", "0.1,0,0,0"], capsys
@@ -345,6 +345,9 @@ class TestArgumentHandling:
             (eta_s + ["--eta", "0.5:1.5:3", "--s", "0"], "detection efficiency eta"),
             (thermal + ["--r", "0:1:3", "--s", "0"], "reflectivity r"),
             (thermal + ["--r", "0.5", "--s", "0", "--nbar-list", "0,-0.1"], "nbar"),
+            (thermal + ["--r", "0:0.5:2", "--s", "0", "--nbar-list", "1e308"], "nbar = 1e+308"),
+            (["eval", "--xi", "0.3", "--s", "0", "--noise", "thermal", "--r", "0",
+              "--nbar", "1e308", "--optimize"], "nbar = 1e+308"),
             (eta_s + ["--eta", "0.5", "--s", "0:-1:3"], "s grid must be non-decreasing"),
             (thermal + ["--r", "0.5", "--s", "0", "--nbar-list", ""], "nbar_list"),
             (thermal + ["--r", "0.5", "--s", "0", "--nbar-list", "0,,1"], "--nbar-list"),

@@ -47,6 +47,11 @@ class TestNoiseModels:
                 ThermalNoise(r)
         with pytest.raises(ValueError):
             ThermalNoise(0.5, nbar=-1.0)
+        # 1 + 2 nbar overflows, which would make r^2 (1 + 2 nbar) nan at r = 0.
+        for r in (0.0, 0.5):
+            with pytest.raises(ValueError, match=r"nbar = 1e\+308 is too large"):
+                ThermalNoise(r, nbar=1e308)
+        assert ThermalNoise(0.0, nbar=8.98e307).nbar == 8.98e307
 
     def test_surviving_amplitude(self):
         assert ThermalNoise(0.6).t == pytest.approx(0.8, abs=1e-15)

@@ -57,9 +57,10 @@ GOLDEN_PEAK_41_SETTINGS = BellSettings(-0.1, 0.4, -0.1, 0.5)
 FAST = SearchConfig(n_starts=8, box_radius=2.0, ftol=1e-10, xtol=1e-6, seed=0)
 
 
-def constant_objective(settings, grad=False):
-    if grad:
-        return 1.5, (0.0,) * 8
+def constant_objective(settings=None):
+    # The key (cw, d1, c0, ...) = (0, 0, 1.5, ...) gives B = 1.5 everywhere.
+    if settings is None:
+        return 1.0, -0.5, (0.0, 0.0, 1.5, 1.0, 1.0, 1.0)
     return WitnessReport(settings, -0.5, 1.5)
 
 
@@ -119,18 +120,28 @@ class TestTncOracle:
         assert report.meta["n_evals"] > 0
         assert report.meta["grad_norm"] == 0.0
 
-    def test_every_evaluation_goes_through_the_objective(self):
+    def test_every_evaluation_goes_through_the_objective(self, monkeypatch):
         objective = detection_objective(TmsvSpec(0.3), 0.0, DetectionNoise(0.5))
         calls = []
+        real = orc.value_and_gradient
 
-        def counting(*args, **kwargs):
-            calls.append(kwargs.get("grad", False))
-            return objective(*args, **kwargs)
+        def counting(*args):
+            calls.append("report" if args else "key")
+            return objective(*args)
 
+        def gradient(lift, key, x):
+            calls.append("gradient")
+            assert (lift, key) == objective()[::2]
+            return real(lift, key, x)
+
+        monkeypatch.setattr(orc, "value_and_gradient", gradient)
         report = orc.tnc_maximize(counting, FAST)
-        # Every search evaluation plus the report of the winning point.
-        assert len(calls) == report.meta["n_evals"] + 1
-        assert calls.count(False) == 1
+        # One key read, every search evaluation, and the report of the
+        # winning point.
+        assert len(calls) == report.meta["n_evals"] + 2
+        assert calls.count("gradient") == report.meta["n_evals"]
+        assert calls.count("key") == calls.count("report") == 1
+        assert (calls[0], calls[-1]) == ("key", "report")
         assert report.meta["unconverged_starts"] == 0
         assert report.meta["grad_norm"] <= 1e-6
 
@@ -212,19 +223,21 @@ class TestTncOracle:
             assert solved.violated == report.violated
             assert solved.bell_abs >= report.bell_abs - 1e-9
 
-    def test_objective_error_surfaces(self):
+    def test_objective_error_surfaces(self, monkeypatch):
         objective = detection_objective(TmsvSpec(0.3), 0.0, DetectionNoise(0.5))
         calls = 0
+        real = orc.value_and_gradient
 
-        def failing(settings, grad=False):
+        def failing(lift, key, x):
             nonlocal calls
             calls += 1
             if calls == 5:
                 raise ValueError("witness value is NaN")
-            return objective(settings, grad=grad)
+            return real(lift, key, x)
 
+        monkeypatch.setattr(orc, "value_and_gradient", failing)
         with pytest.raises(ValueError, match="NaN"):
-            orc.tnc_maximize(failing, SearchConfig(n_starts=2, seed=0))
+            orc.tnc_maximize(objective, SearchConfig(n_starts=2, seed=0))
         assert calls == 5
 
 
@@ -483,7 +496,8 @@ class TestCurve:
                 directions = np.array([family_point(1.0, 0.0, sigma), family_point(0.0, 1.0, sigma)])
 
                 def projected(x, y):
-                    _, g = objective(family_point(x, y, sigma, lift), grad=True)
+                    point = family_point(x, y, sigma, lift)
+                    _, g = orc.value_and_gradient(lift, constants, point)
                     return np.array([g[0] + sigma * g[4], g[2] + sigma * g[6]]) * lift
 
                 for x, y in [(0.3, -0.4), (-0.7, 0.2), (0.05, 1.1)]:
@@ -493,8 +507,8 @@ class TestCurve:
                     assert [bx, by] == pytest.approx(directions @ batched[1][0], rel=1e-12)
                     contracted = directions @ batched[2][0] @ directions.T
                     assert [hxx, hxy, hyy] == pytest.approx(contracted.flat[[0, 1, 3]], rel=1e-12)
-                    b, _ = objective(family_point(x, y, sigma, lift), grad=True)
-                    assert value == pytest.approx(b, abs=1e-13)
+                    b = objective(BellSettings.from_vector(family_point(x, y, sigma, lift)))
+                    assert value == pytest.approx(b.bell_value, abs=1e-13)
                     assert np.array([bx, by]) == pytest.approx(projected(x, y), abs=1e-13)
                     d_x = (projected(x + h, y) - projected(x - h, y)) / (2.0 * h)
                     d_y = (projected(x, y + h) - projected(x, y - h)) / (2.0 * h)

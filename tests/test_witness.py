@@ -19,6 +19,7 @@ from phasewitness.witness import (
     BellSettings,
     WitnessReport,
     _VIOLATION_MARGIN,
+    _bell,
     bell_value,
     bounded_eigenvalue,
     detection_objective,
@@ -504,7 +505,11 @@ RULE_CELLS = [
 class TestGradient:
     @pytest.mark.parametrize("mode, noise, s", RULE_CELLS)
     def test_matches_report_path_and_central_differences(self, mode, noise, s):
+        # The oracle's scalar (B, dB/dx) over the objective's lift and key,
+        # against the package's report path.  math.exp and np.exp may round
+        # apart, which B's cancelling terms carry up to about 2e-15.
         objective = _build(noise)(TmsvSpec(0.3), s, noise, mode)
+        lift, _, constants = objective()
 
         def value(x):
             return objective(BellSettings.from_vector(x)).bell_value
@@ -513,8 +518,8 @@ class TestGradient:
         h = 1e-6
         for _ in range(8):
             x = rng.uniform(-1.0, 1.0, 8).tolist()
-            b, grad = objective(x, grad=True)
-            assert b == value(x)
+            b, grad = orc.value_and_gradient(lift, constants, x)
+            assert abs(b - value(x)) <= 1e-14 * max(1.0, abs(b))
             for i in range(8):
                 up, down = list(x), list(x)
                 up[i] += h
@@ -531,7 +536,7 @@ class TestGradient:
 
 
 class TestHessian:
-    """The oracle's batched B, gradient and 8 x 8 Hessian against the scalar objective.
+    """The oracle's batched B, gradient and 8 x 8 Hessian against its scalar (B, dB/dx).
 
     The points lie anywhere in the 8 settings coordinates, off the family
     b = a that the package's certificate reads; the blocks are checked
@@ -547,7 +552,7 @@ class TestHessian:
         # gradient there divided by the lift.
         values, grads, _ = orc.tmsv_derivatives([constants] * 16, points / lift)
         for x, value, grad in zip(points, values, grads):
-            b, g = objective(x.tolist(), grad=True)
+            b, g = orc.value_and_gradient(lift, constants, x.tolist())
             assert abs(value - b) <= 1e-13
             assert np.abs(grad / lift - np.array(g)).max() <= 1e-13
 
@@ -559,11 +564,15 @@ class TestHessian:
         points = rng.uniform(-1.0, 1.0, (6, 8))
         _, _, hessians = orc.tmsv_derivatives([constants] * len(points), points / lift)
         h = 1e-5
+
+        def gradient(x):
+            return orc.value_and_gradient(lift, constants, x.tolist())[1]
+
         for x, hess in zip(points, hessians / (lift * lift)):
             steps = h * np.eye(8)
             central = np.array(
                 [
-                    np.subtract(objective(x + d, grad=True)[1], objective(x - d, grad=True)[1])
+                    np.subtract(gradient(x + d), gradient(x - d))
                     for d in steps
                 ]
             ) / (2.0 * h)
@@ -580,3 +589,18 @@ class TestHessian:
         assert lifts[("DetectionNoise", -0.4)] == math.sqrt(0.3)
         assert lifts[("ThermalNoise", 0.0)] == math.sqrt(1.0 - 0.8 * 0.8)
         assert lifts[("DetectionNoise", 0.0)] == 1.0
+
+
+@pytest.mark.kernels
+@pytest.mark.parametrize("mode, noise, s", RULE_CELLS)
+def test_report_is_its_row_of_one_array_call(mode, noise, s):
+    # A report takes B from _bell on its one settings row, and one array
+    # call over many rows gives each row the same bits.
+    objective = _build(noise)(TmsvSpec(0.3), s, noise, mode)
+    lift, _, constants = objective()
+    x = np.random.default_rng(8).uniform(-1.5, 1.5, (400, 8))
+    x[::3, 1::2] = 0.0
+    values = _bell(lift, constants, x.T)
+    assert values.shape == (400,)
+    for row, value in zip(x.tolist(), values.tolist()):
+        assert objective(BellSettings.from_vector(row)).bell_value == value
