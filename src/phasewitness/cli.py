@@ -222,20 +222,16 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 
 def _csv_rows(result: SweepResult) -> list[str]:
-    rows = [CSV_HEADER]
-    for cell in result.cells:
-        rep = cell.report
-        rows.append(
-            _CSV_ROW
-            % (
-                cell.axis1, cell.axis2, "" if cell.nbar is None else "%.17g" % cell.nbar,
-                rep.bell_abs, "true" if rep.violated else "false",
-                "true" if rep.clamped else "false", rep.s_effective,
-                *rep.settings.to_vector(),
-                rep.meta["source"], rep.meta["grad_norm"], rep.meta["hess_max"],
-            )
-        )
-    return rows
+    bell_abs = np.abs(result.bell_value)
+    nbar = [""] * len(bell_abs) if result.nbar is None else ["%.17g" % v for v in result.nbar]
+    flags = (witness._violated(bell_abs), witness._clamped(result.s_effective))
+    columns = (
+        result.axis1.tolist(), result.axis2.tolist(), nbar, bell_abs.tolist(),
+        *(np.where(flag, "true", "false").tolist() for flag in flags),
+        result.s_effective.tolist(), *result.settings.T.tolist(),
+        result.source.tolist(), result.grad_norm.tolist(), result.hess_max.tolist(),
+    )
+    return [CSV_HEADER, *(_CSV_ROW % row for row in zip(*columns))]
 
 
 def _platform_string() -> str:
@@ -326,10 +322,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     wall_time_s = time.perf_counter() - started
 
     rows = _csv_rows(result)
-    sources = [c.report.meta["source"] for c in result.cells]
-    checks = {
-        "values_finite": all(math.isfinite(c.report.bell_abs) for c in result.cells),
-    }
+    sources = result.source.tolist()
+    checks = {"values_finite": bool(np.isfinite(result.bell_value).all())}
     manifest = {
         "command": "sweep",
         "version": __version__,
@@ -341,9 +335,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         "cells": {
             **{source: sources.count(source) for source in ("curve", "asymptote", "uncertified")},
             # numpy's max, unlike Python's, is NaN wherever a NaN is.
-            "max_grad_norm": _json_number(
-                float(np.max([c.report.meta["grad_norm"] for c in result.cells]))
-            ),
+            "max_grad_norm": _json_number(float(np.max(result.grad_norm))),
         },
         # Read at run time, so the manifest names what this sweep ran with.
         "curve_solve": {

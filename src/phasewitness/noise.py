@@ -83,8 +83,8 @@ def rescale_detection(s: float | OrderParam, noise: DetectionNoise) -> float | O
     """Order parameter seen through detectors of efficiency eta.
 
     Implements 1 - s' = (1 - s)/eta on both branches: a real order gives
-    a float, possibly below -1, and ``OrderParam(d, eta0)`` gives
-    ``OrderParam(d, eta0 * eta)``.
+    a float, possibly below -1 (a float array an array), and
+    ``OrderParam(d, eta0)`` gives ``OrderParam(d, eta0 * eta)``.
     """
     if isinstance(s, OrderParam):
         return OrderParam(s.d, s.eta * noise.eta)
@@ -93,7 +93,7 @@ def rescale_detection(s: float | OrderParam, noise: DetectionNoise) -> float | O
 
 
 def rescale_thermal(s, noise: ThermalNoise) -> float:
-    """Order parameter after thermal evolution to dimensionless time r."""
+    """Order parameter after thermal evolution to dimensionless time r (arrays too)."""
     sv = real_order(s, "thermal rescaling")
     t_sq = 1.0 - noise.r * noise.r
     value = (sv - noise.r * noise.r * (1.0 + 2.0 * noise.nbar)) / t_sq

@@ -118,8 +118,14 @@ def real_order(s: float, what: str, lo: float = -math.inf) -> float:
 
     Raises ``TypeError`` unless ``s`` is a real number (an ``OrderParam``
     is not), and ``ValueError`` naming ``what`` unless it is finite,
-    non-positive and not below ``lo``.
+    non-positive and not below ``lo``.  A float array is returned as it
+    is once every entry passes; its first bad entry raises as alone.
     """
+    if isinstance(s, np.ndarray) and s.dtype == float:
+        bad = ~(np.isfinite(s) & (s <= 0.0) & (s >= lo))
+        if bad.any():
+            real_order(float(s.flat[bad.argmax()]), what, lo)
+        return s
     if not isinstance(s, (float, int, np.floating, np.integer)):
         raise TypeError(f"{what} is defined on the real branch only, got order {s!r}")
     s = float(s)

@@ -1,23 +1,23 @@
 """Settings optimization and sweep drivers.
 
-Optimized cells come from one curve solve, not from a search.
-``optimize_cells`` serves every cell, from a sweep or from
-``eval --optimize``, under any clamp rule, and calls each objective only
-for its curve key, ``objective()``: a lift, its order s' and the
-closed-form constants the witness reads at the lifted-down settings.
-One vectorized regularized Newton solve over the real symmetric settings
-a = b = (x, y), in the frame of those constants, gives a candidate for
-every distinct constant row at once, from seeds scaled to the peak's own
-length.  One batched certificate, read from the constants alone, checks
-each row's candidate there: B, the gradient of |B| and the largest
-eigenvalue of its Hessian off the gauge direction, each relative to the
-row's own scale, from four closed-form 2 x 2 symmetry blocks of the
-Hessian on b = a.  As the settings grow B tends to the constant c0, so
+Optimized cells come from one curve solve, not from a search.  A cell is
+a lift, its order s' and its curve key, the closed-form constants the
+witness reads at the lifted-down settings: a sweep forms them for its
+whole grid in one ``witness._curve_keys`` call, and ``optimize_cells``
+(``eval --optimize``) reads them from its objectives.  One vectorized
+regularized Newton solve over the real symmetric settings a = b = (x, y),
+in the frame of those constants, gives a candidate for every distinct
+constant row at once, from seeds scaled to the peak's own length.  One
+batched certificate, read from the constants alone, checks each row's
+candidate there: B, the gradient of |B| and the largest eigenvalue of
+its Hessian off the gauge direction, each relative to the row's own
+scale, from four closed-form 2 x 2 symmetry blocks of the Hessian on
+b = a.  As the settings grow B tends to the constant c0, so
 sup |B| >= |c0|: a row reports its candidate and the certificate's B
 where that beats |c0| by more than a few ulps, and otherwise c0 at a far
 point on the family, where B is c0 to the bit.  Each cell reports its
-row's value at its row's point times its lift.  A cell's report depends
-on its curve key alone, and no cell runs a search.
+row's value at its row's point times its lift, so its report depends on
+its curve key alone.  A sweep keeps its cells as columns.
 
 ``maximize_bell``, ``optimize_cells`` for one objective with the meta
 keys the benchmark reads, and ``grid_oracle``, an exhaustive real-axis
@@ -29,20 +29,24 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .noise import DetectionNoise, ThermalNoise
+from .qp_core import real_order
 from .states import TmsvSpec
 from .witness import (
+    _WITNESS,
+    CLAMP_BOUNDED,
     BellSettings,
     WitnessReport,
+    _curve_keys,
     _family,
     _family_blocks,
     _key_scales,
-    detection_objective,
-    thermal_objective,
+    _rescaled,
 )
 
 __all__ = ["SweepCell", "SweepResult", "optimize_cells", "sweep_eta_s", "sweep_thermal"]
@@ -124,9 +128,26 @@ class SweepCell:
     report: WitnessReport
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SweepResult:
-    cells: tuple[SweepCell, ...]
+    """A sweep's cells as columns in grid order; ``nbar`` is None for a detection sweep."""
+
+    axis1: np.ndarray
+    axis2: np.ndarray
+    nbar: np.ndarray | None
+    s_effective: np.ndarray
+    settings: np.ndarray
+    bell_value: np.ndarray
+    source: np.ndarray
+    grad_norm: np.ndarray
+    hess_max: np.ndarray
+
+    @cached_property
+    def cells(self) -> tuple[SweepCell, ...]:
+        nbar = [None] * len(self.axis1) if self.nbar is None else self.nbar.tolist()
+        columns = (self.settings, self.bell_value, self.source, self.grad_norm, self.hess_max)
+        reports = _reports(self.s_effective, *columns)
+        return tuple(map(SweepCell, self.axis1.tolist(), self.axis2.tolist(), nbar, reports))
 
 
 #: A row is certified when the gradient max-norm of |B| at its point, in
@@ -279,41 +300,64 @@ def _row_reports(rows: np.ndarray) -> tuple[np.ndarray, ...]:
     return points, np.where(wins, value, rows[:, 2]), sources, *certificate
 
 
-def optimize_cells(objectives: Sequence[Callable[..., object]]) -> list[WitnessReport]:
-    """The maximized witness report of each objective, one curve solve for all.
-
-    ``objectives`` are built by ``detection_objective`` or
-    ``thermal_objective`` (any clamp rule).  Each is called once, as
-    ``objective()``, for its lift, its order s' and its curve constants,
-    and reports its constant row's ``_row_reports`` point times its lift,
-    with that row's B, ``source``, ``grad_norm`` and ``hess_max``: the
-    value its certificate checked.  Each report depends only on its own
-    curve key.  No objectives give no reports.
-    """
-    if not objectives:
-        return []
-    lifts, s_primes, constants = zip(*(objective() for objective in objectives))
-    rows, which = np.unique(constants, axis=0, return_inverse=True)
+def _optimize(lifts: np.ndarray, keys: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(settings, B, source, grad_norm, hess_max) per cell: its key row's report, lifted."""
+    rows, which = np.unique(keys, axis=0, return_inverse=True)
     points, *columns = (column[which.reshape(-1)] for column in _row_reports(rows))
-    settings = points * np.array(lifts)[:, None]
+    return points * lifts[:, None], *columns
+
+
+def _reports(s_effective, settings, *columns) -> list[WitnessReport]:
+    """A ``WitnessReport`` per cell from its order s' and its ``_optimize`` columns."""
     return [
         WitnessReport(
             BellSettings.from_vector(x), s_prime, value,
             {"source": source, "grad_norm": grad_norm, "hess_max": hess_max},
         )
         for x, s_prime, value, source, grad_norm, hess_max
-        in zip(settings.tolist(), s_primes, *(column.tolist() for column in columns))
+        in zip(settings.tolist(), *(c.tolist() for c in (s_effective, *columns)))
     ]
 
 
+def optimize_cells(objectives: Sequence[Callable[..., object]]) -> list[WitnessReport]:
+    """The maximized witness report of each objective, one curve solve for all.
+
+    Each objective, from ``detection_objective`` or ``thermal_objective``
+    under any clamp rule, is called once, as ``objective()``, for its lift,
+    s' and curve key, and reports its ``_optimize`` columns.  No objectives
+    give no reports.
+    """
+    if not objectives:
+        return []
+    lifts, s_primes, keys = zip(*(objective() for objective in objectives))
+    return _reports(np.array(s_primes), *_optimize(np.array(lifts), np.array(keys)))
+
+
 def _grid(values, name: str) -> np.ndarray:
-    """A non-empty, non-decreasing sweep axis; each cell's objective checks its values."""
+    """A non-empty, non-decreasing sweep axis; ``_sweep`` checks its values."""
     arr = np.asarray(list(values), dtype=float)
     if arr.size == 0:
         raise ValueError(f"{name} grid is empty")
     if np.any(np.diff(arr) < 0.0):
         raise ValueError(f"{name} grid must be non-decreasing")
     return arr
+
+
+def _sweep(spec: TmsvSpec, noises, axis1, nbar, s_grid: np.ndarray) -> SweepResult:
+    """The cells (noise, s) of already checked noises, noise-major, in one column pass.
+
+    Checks every s, then each noise's rescaled orders, then the curve keys,
+    each in cell order.
+    """
+    s = real_order(s_grid, _WITNESS, lo=-1.0)
+    # An order that overflows reaches the rescale gate's message, not a numpy warning.
+    with np.errstate(all="ignore"):
+        s_prime, *noise_columns = zip(*(_rescaled(s, noise) for noise in noises))
+    s_prime, n = np.concatenate(s_prime), len(s)
+    lifts, keys = _curve_keys(spec.xi, s_prime, *np.repeat(noise_columns, n, axis=1), CLAMP_BOUNDED)
+    nbar = None if nbar is None else np.repeat(nbar, n)
+    axes = np.repeat(axis1, n), np.tile(s, len(noises)), nbar
+    return SweepResult(*axes, s_prime, *_optimize(lifts, keys))
 
 
 def sweep_eta_s(
@@ -325,17 +369,16 @@ def sweep_eta_s(
 ) -> SweepResult:
     """Optimized witness value per (eta, s) cell, detection noise.
 
-    Every cell's eta and s are checked as its objective is built, before
-    any cell is optimized.  ``config`` and ``max_workers`` are ignored:
-    no cell searches, and every sweep runs in the calling process.  They
-    stay only because ``perfbench/workloads.py`` passes them.
+    Before any cell is optimized, every eta is checked, then every s, then
+    the rescaled orders and the curve keys in cell order; the first check
+    that fails names its first bad value as ``eval`` does, so a bad eta
+    wins over a bad s.  ``config`` and ``max_workers`` are ignored: no cell
+    searches, and every sweep runs in the calling process.  They stay only
+    because ``perfbench/workloads.py`` passes them.
     """
     eta_grid = _grid(eta_grid, "eta")
     s_grid = _grid(s_grid, "s")
-    cells = list(itertools.product(eta_grid, s_grid))
-    objectives = [detection_objective(spec, s, DetectionNoise(eta)) for eta, s in cells]
-    reports = optimize_cells(objectives)
-    return SweepResult(tuple(SweepCell(eta, s, None, rep) for (eta, s), rep in zip(cells, reports)))
+    return _sweep(spec, [DetectionNoise(eta) for eta in eta_grid], eta_grid, None, s_grid)
 
 
 def sweep_thermal(
@@ -346,15 +389,13 @@ def sweep_thermal(
 ) -> SweepResult:
     """Optimized witness value per (r, s) cell for each environment nbar.
 
-    Every cell's r, nbar and s are checked as its objective is built,
-    before any cell is optimized.
+    Checked as ``sweep_eta_s`` is, with the (nbar, r) pairs, nbar-major and
+    r before nbar, in place of the etas.
     """
     r_grid = _grid(r_grid, "r")
     s_grid = _grid(s_grid, "s")
     nbar_list = np.asarray(list(nbar_list), dtype=float)
     if nbar_list.size == 0:
         raise ValueError("nbar_list must be non-empty")
-    cells = list(itertools.product(nbar_list, r_grid, s_grid))
-    objectives = [thermal_objective(spec, s, ThermalNoise(r, nbar)) for nbar, r, s in cells]
-    reports = optimize_cells(objectives)
-    return SweepResult(tuple(SweepCell(r, s, n, rep) for (n, r, s), rep in zip(cells, reports)))
+    noises = [ThermalNoise(r, nbar) for nbar in nbar_list for r in r_grid]
+    return _sweep(spec, noises, [n.r for n in noises], [n.nbar for n in noises], s_grid)

@@ -11,8 +11,9 @@ rescales the order parameter to s' and divides the settings by a lift
 route over the closed-form fields lives in ``validate``, off the hot
 path.  An objective answers ``objective(settings)`` with the report and
 ``objective()`` with its lift, its order s' and six normal-mode
-constants, the key of the search's one curve solve.  Only this module
-reads the constants, bar c0 (column 2), the asymptote ``search``
+constants, the key of the search's one curve solve; ``_curve_keys``
+forms the keys of one cell or of a whole sweep grid at once.  Only this
+module reads the constants, bar c0 (column 2), the asymptote ``search``
 reports: ``_bell`` gives B at settings rows, one or many, ``_family``
 gives B, its gradient and its Hessian on the solve's real symmetric
 family b = a, and ``_family_blocks`` the other three 2 x 2 blocks of the
@@ -138,11 +139,20 @@ class WitnessReport:
 
     @property
     def violated(self) -> bool:
-        return self.bell_abs > 2.0 + _VIOLATION_MARGIN
+        return _violated(self.bell_abs)
 
     @property
     def clamped(self) -> bool:
-        return self.s_effective < -1.0
+        return _clamped(self.s_effective)
+
+
+# The report's two flags, for a float or an array of |B| or of s'.
+def _violated(bell_abs):
+    return bell_abs > 2.0 + _VIOLATION_MARGIN
+
+
+def _clamped(s_prime):
+    return s_prime < -1.0
 
 
 def observable_eigenvalue(n, s) -> float | np.ndarray:
@@ -174,16 +184,17 @@ def bounded_eigenvalue(n, s_prime) -> float | np.ndarray:
     return 2.0 * (1.0 - sp) * parity_coefficient(n, sp) - 1.0
 
 
-def _coefficients(s: float) -> tuple[float, float, float]:
+def _coefficients(s):
     one_minus = 1.0 - s
     return (
-        pi * pi * one_minus**4 / 4.0,
+        # float_power rounds like C pow on every numpy kernel; an array's ** does not.
+        pi * pi * np.float_power(one_minus, 4.0) / 4.0,
         pi * s * one_minus * one_minus,
         2.0 * s * s,
     )
 
 
-def _bounded_coefficients(s_prime: float) -> tuple[float, float, float]:
+def _bounded_coefficients(s_prime):
     # Expansion of sum +/- <O x O> for O = 2(1-s')Pi(s') - 1, using
     # <Pi> = (pi/2) W1 and <Pi x Pi> = (pi^2/4) W2.
     one_minus = 1.0 - s_prime
@@ -264,6 +275,37 @@ def _bell(lift, key, x):
     return cw * (w11 + w12 + w21 - w22) + 0.5 * d1 * singles + c0
 
 
+@np.errstate(all="ignore")
+def _curve_keys(xi: float, s_prime, lift, transmission, clamp_mode: str):
+    """``_tmsv_objective``'s lifts and curve keys, (n,) and (n, 6), for the n cells
+    that ``s_prime``, ``lift`` and ``transmission`` broadcast to; the first
+    row whose constants overflow or underflow raises ``ValueError``."""
+    if clamp_mode not in CLAMP_MODES:
+        raise ValueError(f"unknown clamp mode {clamp_mode!r}")
+    sp = np.array(s_prime, dtype=float, ndmin=1)
+    s, lifts, weight, g = sp, lift, 1.0, transmission
+    # The frozen and loss-channel rules take a clamped row's coefficients at order -1.
+    c2, c1, c0 = _coefficients(np.maximum(sp, -1.0))
+    clamped = _clamped(sp)
+    if clamp_mode == CLAMP_BOUNDED and clamped.any():
+        bounded = _bounded_coefficients(sp)
+        c2, c1, c0 = (np.where(clamped, b, c) for b, c in zip(bounded, (c2, c1, c0)))
+    elif clamp_mode == CLAMP_LOSS_CHANNEL and clamped.any():
+        s = np.where(clamped, 1.0 - 2.0 / g, sp)
+        lifts, weight = np.where(clamped, np.sqrt(g), lift), np.where(clamped, 1.0 / g, 1.0)
+    # 1/v-, 1/v+ and e1 from q = e^{-2 xi}, which cannot overflow.
+    q = exp(-2.0 * xi)
+    gm, gp, e1 = 1.0 / (q - s), q / (1.0 - s * q), 4.0 * q / (1.0 + q * (q - 2.0 * s))
+    cw, h1 = c2 * ((gm * weight) * (gp * weight)) * (4.0 / (pi * pi)), c1 * e1 / pi * weight
+    keys = np.array([cw, 2.0 * h1, c0, gm, gp, e1]).T
+    normal = np.minimum(np.minimum(cw, gm), np.minimum(gp, e1)) >= sys.float_info.min
+    ok = np.isfinite(keys).all(axis=1) & normal
+    if not ok.all():
+        s_bad = float(sp[ok.argmin()])
+        raise ValueError(f"the witness at xi = {xi}, s' = {s_bad} overflows or underflows")
+    return np.full(sp.shape, lifts), keys
+
+
 def _tmsv_objective(
     spec: TmsvSpec,
     s_prime: float,
@@ -281,11 +323,11 @@ def _tmsv_objective(
     the order s read, k2 = 4/(pi^2 v+ v-), k1 = e1/pi and e1 = 4/(v+ + v-).
 
     ``evaluate()`` gives the objective's curve key
-    ``(lift, s', (c2 k2, 2 c1 k1, c0, 1/v-, 1/v+, e1))``: objectives with
-    equal constants differ only in lift and s'.  Constants that overflow
-    or underflow raise ``ValueError``.  ``evaluate(settings)`` gives the
-    ``WitnessReport``, with B from ``_bell`` of the lift and the key, so
-    a row of settings reads the same value alone or in an array.
+    ``(lift, s', (c2 k2, 2 c1 k1, c0, 1/v-, 1/v+, e1))``, from ``_curve_keys``:
+    objectives with equal constants differ only in lift and s'.  Constants
+    that overflow or underflow raise ``ValueError``.  ``evaluate(settings)``
+    gives the ``WitnessReport``, with B from ``_bell`` of the lift and the
+    key, so a row of settings reads the same value alone or in an array.
 
     ``lift`` is the noise's settings scale (1 for detection loss, t for
     the thermal interaction).  ``transmission`` is the intensity
@@ -294,25 +336,8 @@ def _tmsv_objective(
     the order -1 field of the noisy state as (1/g) W(alpha/sqrt(g); 1 - 2/g)
     per mode, so its lift is sqrt(g).
     """
-    if clamp_mode not in CLAMP_MODES:
-        raise ValueError(f"unknown clamp mode {clamp_mode!r}")
-    s, weight = s_prime, 1.0
-    if s_prime >= -1.0:
-        c2, c1, c0 = _coefficients(s_prime)
-    elif clamp_mode == CLAMP_BOUNDED:
-        c2, c1, c0 = _bounded_coefficients(s_prime)
-    else:
-        c2, c1, c0 = _coefficients(-1.0)
-        if clamp_mode == CLAMP_LOSS_CHANNEL:
-            g = transmission
-            s, lift, weight = 1.0 - 2.0 / g, math.sqrt(g), 1.0 / g
-    # 1/v-, 1/v+ and e1 from q = e^{-2 xi}, which cannot overflow.
-    q = exp(-2.0 * spec.xi)
-    gm, gp, e1 = 1.0 / (q - s), q / (1.0 - s * q), 4.0 * q / (1.0 + q * (q - 2.0 * s))
-    cw, h1 = c2 * ((gm * weight) * (gp * weight)) * (4.0 / (pi * pi)), c1 * e1 / pi * weight
-    key = (cw, 2.0 * h1, c0, gm, gp, e1)
-    if not (all(map(math.isfinite, key)) and min(cw, gm, gp, e1) >= sys.float_info.min):
-        raise ValueError(f"the witness at xi = {spec.xi}, s' = {s_prime} overflows or underflows")
+    lifts, keys = _curve_keys(spec.xi, s_prime, lift, transmission, clamp_mode)
+    lift, key = lifts.item(), tuple(keys[0].tolist())
 
     def evaluate(settings=None):
         if settings is None:
@@ -422,6 +447,13 @@ def _family_blocks(key, x, y):
     )
 
 
+def _rescaled(s, noise: DetectionNoise | ThermalNoise) -> tuple:
+    """(s', lift, transmission) at base orders s, a float or a float array, under the noise."""
+    if isinstance(noise, DetectionNoise):
+        return rescale_detection(s, noise), 1.0, noise.eta
+    return rescale_thermal(s, noise), noise.t, 1.0 - noise.r * noise.r
+
+
 def detection_objective(
     spec: TmsvSpec,
     s,
@@ -429,8 +461,7 @@ def detection_objective(
     clamp_mode: str = CLAMP_BOUNDED,
 ) -> Callable[[BellSettings], WitnessReport]:
     """Per-settings witness evaluator for the TMSV under detection loss."""
-    s_prime = rescale_detection(real_order(s, _WITNESS, lo=-1.0), noise)
-    return _tmsv_objective(spec, s_prime, 1.0, noise.eta, clamp_mode)
+    return _tmsv_objective(spec, *_rescaled(real_order(s, _WITNESS, lo=-1.0), noise), clamp_mode)
 
 
 def thermal_objective(
@@ -445,11 +476,11 @@ def thermal_objective(
     amplitude rescale to alpha/t happens inside.  The clamping rule is
     applied uniformly when the rescaled order falls below -1.
     """
-    s_prime = rescale_thermal(real_order(s, _WITNESS, lo=-1.0), noise)
-    if clamp_mode == CLAMP_LOSS_CHANNEL and s_prime < -1.0 and noise.nbar > 0.0:
+    s_prime, lift, transmission = _rescaled(real_order(s, _WITNESS, lo=-1.0), noise)
+    if clamp_mode == CLAMP_LOSS_CHANNEL and _clamped(s_prime) and noise.nbar > 0.0:
         # The loss-channel reading treats the interaction as pure loss at
         # transmission t^2, which holds for a cold environment only.
         raise ValueError(
             "loss-channel clamping applies to the thermal interaction only for nbar = 0"
         )
-    return _tmsv_objective(spec, s_prime, noise.t, 1.0 - noise.r * noise.r, clamp_mode)
+    return _tmsv_objective(spec, s_prime, lift, transmission, clamp_mode)

@@ -23,7 +23,9 @@ reflection and ``eigvalsh``, in the package's own units
 eigenvalue as the squeezing grows, so a second reference,
 ``mp_hess_max``, differentiates the textbook B (the closed forms of
 ``states.TmsvSpec.gaussian``, formed anew at 80 digits) numerically,
-sharing no code with the package.
+sharing no code with the package.  ``curve_key`` is the scalar key body
+the objective builder ran on Python floats, the reference that
+``witness._curve_keys`` must match bit for bit.
 Nothing else imports the package internals, so agreement with the
 package is evidence, not tautology.
 """
@@ -36,6 +38,7 @@ import itertools
 import math
 import os
 import random
+import sys
 import sysconfig
 from dataclasses import replace
 
@@ -345,6 +348,40 @@ def value_and_gradient(lift, key, x):
         g2 * (wb2 * b2r + m * (u12 * a1r + u22 * a2r)),
         g2 * (wb2 * b2i - m * (u12 * a1i + u22 * a2i)),
     )
+
+
+def curve_key(xi, s_prime, lift, transmission, clamp_mode):
+    """(lift, key) of one cell on Python floats: the reference for ``witness._curve_keys``.
+
+    The scalar key body the objective builder ran before the keys were
+    formed as arrays, kept as it was: every step is a Python float
+    operation, and (1 - s)^4 is Python's ``**``, which calls C ``pow``.
+    Constants that overflow or underflow raise ``ValueError``.
+    """
+    pi = math.pi
+
+    def coefficients(s):
+        one_minus = 1.0 - s
+        return pi * pi * one_minus**4 / 4.0, pi * s * one_minus * one_minus, 2.0 * s * s
+
+    s, weight = s_prime, 1.0
+    if s_prime >= -1.0:
+        c2, c1, c0 = coefficients(s_prime)
+    elif clamp_mode == "bounded_continuation":
+        one_minus = 1.0 - s_prime
+        c2, c1, c0 = pi * pi * one_minus * one_minus, -2.0 * pi * one_minus, 2.0
+    else:
+        c2, c1, c0 = coefficients(-1.0)
+        if clamp_mode == "loss_channel":
+            g = transmission
+            s, lift, weight = 1.0 - 2.0 / g, math.sqrt(g), 1.0 / g
+    q = math.exp(-2.0 * xi)
+    gm, gp, e1 = 1.0 / (q - s), q / (1.0 - s * q), 4.0 * q / (1.0 + q * (q - 2.0 * s))
+    cw, h1 = c2 * ((gm * weight) * (gp * weight)) * (4.0 / (pi * pi)), c1 * e1 / pi * weight
+    key = (cw, 2.0 * h1, c0, gm, gp, e1)
+    if not (all(map(math.isfinite, key)) and min(cw, gm, gp, e1) >= sys.float_info.min):
+        raise ValueError(f"the witness at xi = {xi}, s' = {s_prime} overflows or underflows")
+    return lift, key
 
 
 def tnc_maximize(objective, config, stream=0, extra_starts=()):

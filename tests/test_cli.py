@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import os
 import platform
+import re
 import subprocess
 import sys
 import time
@@ -24,13 +25,17 @@ from phasewitness.cli import (
     main,
 )
 from phasewitness.noise import DetectionNoise
-from phasewitness.search import SweepCell, SweepResult, optimize_cells
+from phasewitness.search import SweepResult, optimize_cells
 from phasewitness.states import TmsvSpec
-from phasewitness.witness import CLAMP_MODES, BellSettings, WitnessReport, detection_objective
+from phasewitness.witness import CLAMP_MODES, detection_objective
 
 
 #: CI reruns these under a second set of numpy and OpenBLAS kernels.
 pytestmark = pytest.mark.kernels
+
+
+#: The one stderr line of a sweep whose first overflowing curve key stops it.
+OVERFLOWING_KEY = r"the witness at xi = 0\.3, s' = \S+ overflows or underflows"
 
 
 def run_cli(argv, capsys):
@@ -333,8 +338,8 @@ class TestArgumentHandling:
         assert not out.exists()
 
     def test_out_of_range_values_are_named_as_eval_names_them(self, tmp_path, capsys):
-        # A sweep admits each value where its cell is built, through the
-        # same checks as eval, so both name a bad value alike.
+        # A sweep admits each value through the same checks as eval, so
+        # both name a bad value alike.
         out = tmp_path / "g.csv"
         eta_s = ["sweep", "--mode", "eta-s", "--xi", "0.3", "--out", str(out)]
         thermal = ["sweep", "--mode", "thermal", "--xi", "0.3", "--out", str(out)]
@@ -356,6 +361,32 @@ class TestArgumentHandling:
             code, _, err = run_cli(argv, capsys)
             assert code == EXIT_USAGE and named in err, (argv, err)
             assert not out.exists()
+
+    def test_a_grid_with_several_bad_values_names_the_first_check_that_fails(
+        self, tmp_path, capsys
+    ):
+        # A sweep checks every eta, or every (nbar, r) pair, first; then
+        # every s; then the rescaled orders and then the curve keys, each in
+        # cell order.  The first check with a bad value names it, whatever
+        # cell a later check's value sits in.
+        out = tmp_path / "g.csv"
+        eta_s = ["sweep", "--mode", "eta-s", "--xi", "0.3", "--out", str(out)]
+        thermal = ["sweep", "--mode", "thermal", "--xi", "0.3", "--out", str(out)]
+        edge = ["--r", "0.9999999999999999", "--s", "0", "--nbar-list"]
+        for argv, named in (
+            (eta_s + ["--eta", "0.5:1.5:3", "--s", "0.5"], "detection efficiency eta"),
+            (eta_s + ["--eta", "1e-320:1.5:3", "--s", "-1"], "detection efficiency eta"),
+            (eta_s + ["--eta", "1e-320:1:3", "--s", "-1:0.5:4"], "order parameter 0.5"),
+            (eta_s + ["--eta", "1e-300:1:3", "--s", "-1:0.5:4"], "order parameter 0.5"),
+            (thermal + ["--r", "0:1:3", "--s", "0.5"], "reflectivity r"),
+            (thermal + ["--r", "0.5", "--s", "0.5", "--nbar-list", "0,-1"], "mean photon number"),
+            (thermal + edge + ["1e140"], "the witness at xi = 0.3, s' = -9.00719925474099e+155"),
+            (thermal + edge + ["1e140,1e307"], "got -inf for the thermally rescaled order"),
+            (thermal + edge + ["1e307,1e308"], "nbar = 1e+308 is too large"),
+        ):
+            code, _, err = run_cli(argv, capsys)
+            assert code == EXIT_USAGE and named in err, (argv, err)
+            assert err.count("\n") == 1 and not out.exists()
 
 
 class TestEval:
@@ -610,26 +641,33 @@ class TestSweep:
         }
 
     def test_each_row_is_its_values_at_17_significant_digits(self):
-        # A hand-built result: an eta-s cell (empty nbar) and a thermal
-        # cell, with a -0.0 setting, a nan hess_max and an uncertified source.
-        def hand_cell(axis1, axis2, nbar, x, s_effective, value, source, grad_norm, hess_max):
-            meta = {"source": source, "grad_norm": grad_norm, "hess_max": hess_max}
-            report = WitnessReport(BellSettings.from_vector(x), s_effective, value, meta)
-            return SweepCell(axis1, axis2, nbar, report)
+        # Hand-built results from columns: an eta-s cell (empty nbar) and a
+        # thermal cell, with a -0.0 setting, a nan hess_max and an
+        # uncertified source.
+        def hand_result(axis1, axis2, nbar, x, s_effective, value, source, grad_norm, hess_max):
+            return SweepResult(
+                np.array([axis1]), np.array([axis2]), None if nbar is None else np.array([nbar]),
+                np.array([s_effective]), np.array([x], dtype=float), np.array([value]),
+                np.array([source]), np.array([grad_norm]), np.array([hess_max]),
+            )
 
-        cells = (
-            hand_cell(0.5, -0.1, None, (0.1, 0.2, -0.0, 1 / 3, 0, 0, 1e-300, -2.5),
-                      -0.7, 2.0000000000000004, "curve", 1e-12, -0.1),
-            hand_cell(0.3, -1 / 3, 0.25, (-0.0, 7e22, -1 / 7, 0.3, 0.7, -0.1, 2 / 3, 0.3),
-                      -1.1, -2.05, "uncertified", 3.2e-5, float("nan")),
+        results = (
+            hand_result(0.5, -0.1, None, (0.1, 0.2, -0.0, 1 / 3, 0, 0, 1e-300, -2.5),
+                        -0.7, 2.0000000000000004, "curve", 1e-12, -0.1),
+            hand_result(0.3, -1 / 3, 0.25, (-0.0, 7e22, -1 / 7, 0.3, 0.7, -0.1, 2 / 3, 0.3),
+                        -1.1, -2.05, "uncertified", 3.2e-5, float("nan")),
         )
-        rows = cli._csv_rows(SweepResult(cells))
-        assert rows[0] == CSV_HEADER
+        rows = []
+        for result in results:
+            header, *body = cli._csv_rows(result)
+            assert header == CSV_HEADER
+            rows += body
 
         def g(v):
             return format(float(v), ".17g")
 
-        for cell, row in zip(cells, rows[1:]):
+        for result, row in zip(results, rows):
+            (cell,) = result.cells
             rep = cell.report
             assert row == ",".join([
                 g(cell.axis1), g(cell.axis2), "" if cell.nbar is None else g(cell.nbar),
@@ -639,7 +677,7 @@ class TestSweep:
                 rep.meta["source"], g(rep.meta["grad_norm"]), g(rep.meta["hess_max"]),
             ])
             assert len(row.split(",")) == len(CSV_HEADER.split(","))
-        assert rows[1:] == [
+        assert rows == [
             "0.5,-0.10000000000000001,,2.0000000000000004,false,false,"
             "-0.69999999999999996,0.10000000000000001,0.20000000000000001,-0,"
             "0.33333333333333331,0,0,1e-300,-2.5,curve,9.9999999999999998e-13,"
@@ -732,27 +770,30 @@ class TestSweep:
         assert lines[2].split(",")[2] == "1"
 
     @pytest.mark.parametrize(
-        "grid",
+        "grid, error",
         [
-            ["--mode", "eta-s", "--eta", "1e-300"],
-            ["--mode", "thermal", "--r", "0.99999999", "--nbar-list", "1e300"],
+            (["--mode", "eta-s", "--eta", "1e-300", "--s", "-1"], OVERFLOWING_KEY),
+            (["--mode", "thermal", "--r", "0.99999999", "--nbar-list", "1e300", "--s", "-1"],
+             OVERFLOWING_KEY),
+            (["--mode", "eta-s", "--eta", "1e-320", "--s", "-1"],
+             "order parameter must be finite, got -inf for the detection-rescaled order"),
+            (["--mode", "thermal", "--r", "0.9999999999999999", "--nbar-list", "1e307",
+              "--s", "0"],
+             "order parameter must be finite, got -inf for the thermally rescaled order"),
         ],
     )
-    def test_overflowing_sweep_prints_only_the_error(self, tmp_path, grid):
+    def test_overflowing_sweep_prints_only_the_error(self, tmp_path, grid, error):
         # A fresh interpreter, so that stderr is what a user sees: no
-        # numpy warning ahead of the error line, which the first cell's
-        # objective raises, before any cell is optimized.
+        # numpy warning ahead of the one error line, which the rescale gate
+        # or the curve keys raise before any cell is optimized.
         env = dict(os.environ, PYTHONPATH=str(Path(phasewitness.__file__).parents[1]))
         run = subprocess.run(
             [sys.executable, "-m", "phasewitness", "sweep", "--xi", "0.3", *grid,
-             "--s", "-1", "--out", str(tmp_path / "o.csv")],
+             "--out", str(tmp_path / "o.csv")],
             env=env, capture_output=True, text=True, timeout=60,
         )
         assert run.returncode == EXIT_USAGE
-        assert run.stderr.startswith("error: the witness at xi = 0.3, s' = ")
-        assert run.stderr.endswith(" overflows or underflows\n")
-        assert run.stderr.count("\n") == 1
-        assert "Warning" not in run.stderr
+        assert re.fullmatch(f"error: {error}\n", run.stderr), run.stderr
 
     def test_unwritable_output_path(self, tmp_path, capsys):
         out = tmp_path / "missing-dir" / "run.csv"

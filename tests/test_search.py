@@ -29,6 +29,7 @@ from phasewitness.search import (
     SweepResult,
     grid_oracle,
     maximize_bell,
+    optimize_cells,
     sweep_eta_s,
     sweep_thermal,
 )
@@ -318,7 +319,7 @@ class TestGridOracle:
 class TestSweeps:
     def test_grid_validation(self):
         spec = TmsvSpec(0.3)
-        # A grid is checked for shape; its values where each cell is built.
+        # A grid is checked for shape, then its values, each once.
         with pytest.raises(ValueError, match="eta grid is empty"):
             sweep_eta_s(spec, [], [0.0])
         with pytest.raises(ValueError, match="eta grid must be non-decreasing"):
@@ -353,6 +354,35 @@ class TestSweeps:
         plain = sweep_eta_s(spec, *grids).cells
         assert given == plain
         assert [c.report.meta for c in given] == [c.report.meta for c in plain]
+
+    @pytest.mark.kernels
+    @pytest.mark.parametrize("mode", ["eta-s", "thermal"])
+    def test_cells_are_optimize_cells_of_each_cells_objective(self, mode):
+        # The README map at xi = 0.3, or a thermal grid with nbar > 0: each
+        # cell of the column pass is optimize_cells' report of the cell's
+        # own objective, bit for bit, meta included.
+        spec = TmsvSpec(0.3)
+        s_grid = np.linspace(-1.0, 0.0, 21)
+        if mode == "eta-s":
+            eta_grid = np.linspace(0.3, 1.0, 36)
+            result = sweep_eta_s(spec, eta_grid, s_grid)
+            axes = [(eta, s, None) for eta, s in itertools.product(eta_grid, s_grid)]
+            objectives = [detection_objective(spec, s, DetectionNoise(eta)) for eta, s, _ in axes]
+        else:
+            r_grid, nbars = np.linspace(0.0, 0.94, 20), (0.0, 0.5, 2.0)
+            result = sweep_thermal(spec, r_grid, s_grid, nbars)
+            axes = [(r, s, nbar) for nbar, r, s in itertools.product(nbars, r_grid, s_grid)]
+            objectives = [thermal_objective(spec, s, ThermalNoise(r, nbar)) for r, s, nbar in axes]
+
+        def bits(report):
+            meta = report.meta
+            numbers = (*report.settings.to_vector(), report.s_effective, report.bell_value,
+                       meta["grad_norm"], meta["hess_max"])
+            return [float.hex(v) for v in numbers] + [meta["source"], sorted(meta)]
+
+        reports = optimize_cells(objectives)
+        assert [(c.axis1, c.axis2, c.nbar) for c in result.cells] == axes
+        assert [bits(c.report) for c in result.cells] == [bits(r) for r in reports]
 
     def test_zero_time_thermal_equals_perfect_detection(self):
         spec = TmsvSpec(0.3)

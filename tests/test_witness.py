@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings as hsettings, strategies as st
 
 import oracles as orc
+from phasewitness import witness
 from phasewitness.noise import DetectionNoise, ThermalNoise, rescale_detection
 from phasewitness.qp_core import OrderParam
 from phasewitness.states import SingleModeTestState, TmsvSpec, state_w, tmsv_w1, tmsv_w2
@@ -604,3 +605,31 @@ def test_report_is_its_row_of_one_array_call(mode, noise, s):
     assert values.shape == (400,)
     for row, value in zip(x.tolist(), values.tolist()):
         assert objective(BellSettings.from_vector(row)).bell_value == value
+
+
+@pytest.mark.kernels
+@pytest.mark.parametrize("xi", (0.0, 0.3, 1.5, 5.0))
+@pytest.mark.parametrize("rule", (CLAMP_BOUNDED, CLAMP_FROZEN, CLAMP_LOSS_CHANNEL))
+def test_curve_keys_are_the_scalar_reference_bit_for_bit(xi, rule):
+    # The README map and the thermal gate grid (nbar 0 alone under the
+    # loss-channel rule), each in one array call as a sweep makes it: every
+    # row's lift and key are the Python-float reference's bits, clamped
+    # rows and unclamped.  An array's ** rounds (1 - s')^4 apart from C pow
+    # on numpy's X86_V4 kernels; float_power does not on any kernel.
+    nbars = (0.0,) if rule == CLAMP_LOSS_CHANNEL else (0.0, 0.5, 2.0)
+    grids = (
+        [(s, DetectionNoise(eta)) for eta in np.linspace(0.3, 1.0, 36)
+         for s in np.linspace(-1.0, 0.0, 21)],
+        [(s, ThermalNoise(r, nbar)) for nbar in nbars for r in np.linspace(0.0, 0.94, 48)
+         for s in np.linspace(-1.0, 0.0, 6)],
+    )
+    for cells in grids:
+        s_prime, lift, g = (
+            np.array(c) for c in zip(*(witness._rescaled(float(s), noise) for s, noise in cells))
+        )
+        assert (s_prime < -1.0).any() and (s_prime >= -1.0).any()
+        lifts, keys = witness._curve_keys(xi, s_prime, lift, g, rule)
+        cells = zip(s_prime.tolist(), lift.tolist(), g.tolist())
+        expected = [orc.curve_key(xi, *cell, rule) for cell in cells]
+        assert lifts.tobytes() == np.array([lift for lift, _ in expected]).tobytes()
+        assert keys.tobytes() == np.array([key for _, key in expected]).tobytes()
