@@ -60,24 +60,28 @@ class TmsvSpec:
             raise ValueError(f"squeezing parameter xi = {xi} is too large: cosh(2 xi) overflows")
         object.__setattr__(self, "xi", xi)
 
-    def marginal_width(self, s: float) -> float:
-        """Width cosh(2 xi) - s of the reduced single-mode Gaussian."""
-        return math.cosh(2.0 * self.xi) - float(s)
+    def marginal_width(self, s: float | np.ndarray) -> float | np.ndarray:
+        """Width cosh(2 xi) - s of the reduced single-mode Gaussian, per order in s."""
+        return math.cosh(2.0 * self.xi) - s
 
-    def joint_det(self, s: float) -> float:
-        """Determinant s^2 - 2 s cosh(2 xi) + 1 of the two-mode quadratic form."""
-        s = float(s)
+    def joint_det(self, s: float | np.ndarray) -> float | np.ndarray:
+        """Determinant s^2 - 2 s cosh(2 xi) + 1 of the two-mode quadratic form, per order."""
         return s * s - 2.0 * s * math.cosh(2.0 * self.xi) + 1.0
 
-    def gaussian(self, s: float) -> tuple[float, float, float, float, float, float]:
+    def gaussian(self, s: float | np.ndarray) -> tuple:
         """Constants (width, k2, e2, k1, e1, sh2) of the closed forms at order s.
 
         W2(a, b) = k2 exp(-e2 (width (|a|^2 + |b|^2) + sh2 Re(a b))) and
-        W1(a) = k1 exp(-e1 |a|^2).
+        W1(a) = k1 exp(-e1 |a|^2).  A float array of orders gives each
+        constant but sh2 as an array, whose entries are the scalar order's
+        bits; the first entry whose determinant is not positive raises as alone.
         """
         det = self.joint_det(s)
-        if det <= 0.0:
-            raise ValueError(f"quadratic form is not positive definite (det {det})")
+        bad = np.ravel(det <= 0.0)
+        if bad.any():
+            raise ValueError(
+                f"quadratic form is not positive definite (det {np.ravel(det)[bad.argmax()]})"
+            )
         width = self.marginal_width(s)
         return (
             width,
@@ -90,7 +94,7 @@ class TmsvSpec:
 
 
 def tmsv_w2(spec: TmsvSpec, alpha, beta, s) -> float | np.ndarray:
-    """Two-mode quasiprobability of the TMSV at (alpha, beta)."""
+    """Two-mode quasiprobability of the TMSV at (alpha, beta), at one order or one per point."""
     width, k2, e2, _, _, sh2 = spec.gaussian(real_order(s, _CLOSED_FORM))
     a, scalar_a = _as_field(alpha)
     b, scalar_b = _as_field(beta)
@@ -101,7 +105,7 @@ def tmsv_w2(spec: TmsvSpec, alpha, beta, s) -> float | np.ndarray:
 
 
 def tmsv_w1(spec: TmsvSpec, alpha, s) -> float | np.ndarray:
-    """Reduced single-mode quasiprobability of the TMSV."""
+    """Reduced single-mode quasiprobability of the TMSV, at one order or one per point."""
     _, _, _, k1, e1, _ = spec.gaussian(real_order(s, _CLOSED_FORM))
     a, scalar = _as_field(alpha)
     vals = k1 * np.exp(-e1 * (a.real * a.real + a.imag * a.imag))

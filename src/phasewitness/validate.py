@@ -194,118 +194,125 @@ def _thermal_convolution() -> Residuals:
     return tol, residuals
 
 
-def _field_route(
-    spec, s_prime: float, frame_scale: float, transmission: float, clamp_mode: str
-) -> Callable[[np.ndarray], np.ndarray]:
+def _witness_cells() -> tuple[list[tuple], int]:
+    """The witness-form suite's cells, each (noise, s, clamp rule), and n_cold.
+
+    First the probes checked against the field route, detection then
+    thermal cells; then n_cold probes, each cold thermal cell (nbar = 0)
+    once more; last the detection objectives at eta = 1 - r^2 that those
+    are checked against, in the same order.
+    """
+    modes = witness.CLAMP_MODES
+    etas, s_values = (0.3, 0.45, 0.5, 0.7, 1.0), (0.0, -0.5, -1.0)
+    cells = [(DetectionNoise(e), s, m) for e, s in itertools.product(etas, s_values) for m in modes]
+    thermal = list(itertools.product((0.3, 0.6, 0.85), (0.0, 0.5, 2.0), (0.0, -0.5)))
+    cells += [
+        (ThermalNoise(r, nbar), s, m)
+        for r, nbar, s in thermal
+        for m in modes
+        if m != witness.CLAMP_LOSS_CHANNEL or nbar == 0.0
+    ]
+    cold = [(r, s, m) for r, s in dict.fromkeys((r, s) for r, _, s in thermal) for m in modes]
+    cells += [(ThermalNoise(r), s, m) for r, s, m in cold]
+    return cells + [(DetectionNoise(1.0 - r * r), s, m) for r, s, m in cold], len(cold)
+
+
+def _builder_keys(xi: float, cells, rules: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Each cell's (s', lift, transmission) row from ``witness._rescaled``, and its
+    lift and curve key from one ``witness._curve_keys`` call per clamp rule."""
+    rows = np.array([witness._rescaled(s, noise) for noise, s, _ in cells])
+    lifts, keys = np.empty(len(cells)), np.empty((len(cells), 6))
+    for rule in witness.CLAMP_MODES:
+        at = rules == rule
+        lifts[at], keys[at] = witness._curve_keys(xi, *rows[at].T, rule)
+    return rows, lifts, keys
+
+
+def _field_route(spec, rows: np.ndarray, rules: np.ndarray, x: np.ndarray) -> np.ndarray:
     """The TMSV witness from ``bell_value`` over the closed-form fields.
 
-    The route takes an (n, 8) settings array and gives n values from one
-    array call of ``bell_value``.  Unclamped cells read the fields and
-    coefficients at s'.  Clamped cells take coefficients at -1: the
-    frozen rule reads the fields at s', the bounded rule scales them by
-    (1 - s')/2 per mode (the on-off identity behind its coefficients),
-    and the loss-channel rule reads the order -1 fields of the state
-    after pure loss at ``transmission``.
+    Cell i, with the (s', lift, transmission) row ``rows[i]`` and the
+    clamp rule ``rules[i]``, is read at its (n, 8) settings block
+    ``x[i]`` over lift; the values come out flat, block by block.
+    Unclamped cells read the fields and coefficients at s'.  Clamped
+    cells take coefficients at -1: the frozen rule reads the fields at s',
+    the bounded rule scales them by f = (1 - s')/2 per mode (the on-off
+    identity behind its coefficients), and the loss-channel rule reads
+    the order -1 fields of the state after pure loss at the transmission.
+    One ``bell_value`` call reads every cell but the loss-channel clamped
+    ones, at each row's s', frame and f; each of those has its own channel.
     """
-    if s_prime < -1.0 and clamp_mode == witness.CLAMP_LOSS_CHANNEL:
+    n, s_prime = x.shape[1], rows[:, 0]
+    loss = (s_prime < -1.0) & (rules == witness.CLAMP_LOSS_CHANNEL)
+    f = np.where((s_prime < -1.0) & (rules == witness.CLAMP_BOUNDED), (1.0 - s_prime) / 2.0, 1.0)
+    sp, scale, f = (np.repeat(c[~loss], n) for c in (s_prime, 1.0 / rows[:, 1], f))
+
+    def w2(a, b):
+        return f * f * states.tmsv_w2(spec, a * scale, b * scale, sp)
+
+    def w1(a):
+        return f * states.tmsv_w1(spec, a * scale, sp)
+
+    values = np.empty(x.shape[:2])
+    order = np.maximum(sp, -1.0)
+    values[~loss] = witness.bell_value(w2, w1, w1, x[~loss].reshape(-1, 8), order).reshape(-1, n)
+    for i in np.flatnonzero(loss):
         # The channel's own 1/sqrt(g) is the whole rescale of the settings.
-        loss = ThermalNoise(r=math.sqrt(1.0 - transmission))
+        channel = ThermalNoise(r=math.sqrt(1.0 - rows[i, 2]))
 
-        def w2(a, b):
-            return noise_mod.evolve_thermal_w(
-                lambda x, y, o: states.tmsv_w2(spec, x, y, o), -1.0, loss, a, b
-            )
+        def w2_loss(a, b, _ch=channel):
+            return noise_mod.evolve_thermal_w(lambda *p: states.tmsv_w2(spec, *p), -1.0, _ch, a, b)
 
-        def w1(a):
-            return noise_mod.evolve_thermal_w(
-                lambda x, o: states.tmsv_w1(spec, x, o), -1.0, loss, a
-            )
+        def w1_loss(a, _ch=channel):
+            return noise_mod.evolve_thermal_w(lambda *p: states.tmsv_w1(spec, *p), -1.0, _ch, a)
 
-    else:
-        bounded = s_prime < -1.0 and clamp_mode == witness.CLAMP_BOUNDED
-        f = (1.0 - s_prime) / 2.0 if bounded else 1.0
-
-        def w2(a, b):
-            return f * f * states.tmsv_w2(spec, a * frame_scale, b * frame_scale, s_prime)
-
-        def w1(a):
-            return f * states.tmsv_w1(spec, a * frame_scale, s_prime)
-
-    order = s_prime if s_prime >= -1.0 else -1.0
-    return lambda x: witness.bell_value(w2, w1, w1, x, order)
+        values[i] = witness.bell_value(w2_loss, w1_loss, w1_loss, x[i], -1.0)
+    return values.ravel()
 
 
 def _witness_form_equivalence() -> Residuals:
-    """Builder objectives against ``bell_value`` over the closed-form fields.
+    """Builder curve keys against ``bell_value`` over the closed-form fields.
 
     The second route, ``_field_route``, evaluates ``witness.bell_value``
     over ``states.tmsv_w2``/``tmsv_w1`` (through ``noise.evolve_thermal_w``
-    for the loss-channel rule).  It shares s' (``noise.rescale_detection``,
-    ``rescale_thermal``) and the unclamped ``witness._coefficients`` with
-    the builder, but no Gaussian constant: the fields read the textbook
-    ``TmsvSpec.gaussian``, the builder its own normal-mode constants.  It
-    checks the clamp rules' coefficient sets, the frames and the
-    builder's inlined Gaussians.
+    for the loss-channel rule).  It shares s' (``witness._rescaled``) and
+    the unclamped ``witness._coefficients`` with the builder, but no
+    Gaussian constant: the fields read the textbook ``TmsvSpec.gaussian``,
+    the builder its own normal-mode constants.  It checks the clamp
+    rules' coefficient sets, the frames and the builder's Gaussians.
     ``tests/test_witness.py`` checks the shared parts against Fock-basis sums
     (``TestIdealBell::test_matches_operator_sum`` and both
     ``test_unclamped_matches_rescaled_operator_sum``).  The thermal objective
     at nbar = 0 is also checked against the detection objective at eta = 1 - r^2.
 
-    Each probe reads its settings as the next (n, 8) block of the
-    Kronecker sequence of ``_setting_points``, from ``_WITNESS_START``
-    on.  The builder's route reads all of a block's rows in one
-    ``witness._bell`` call on the objective's lift and key, the form each
-    report takes its value from, without building settings or a report.
-    The two routes round differently and may differ in the last bits (a
-    few times 1e-15), far inside the tolerance.
+    The builder is read as a sweep reads it, with no objective built:
+    ``_builder_keys`` gives each cell the lift and curve key its
+    objective's ``objective()`` gives, and one ``witness._bell`` call
+    reads every probe row at its cell's lift and key.  Probe i reads rows
+    20 i to 20 i + 19 of one ``_setting_points`` call from
+    ``_WITNESS_START``; a row depends on its own index only.  The two
+    routes round differently and may differ in the last bits (a few
+    times 1e-15), far inside the tolerance.
     """
     tol = 1e-12
     n_settings = 20
-    starts = itertools.count(_WITNESS_START, n_settings)
     spec = states.TmsvSpec(0.3)
-    residuals = []
-
-    def builder(objective, x):
-        lift, _, key = objective()
-        return witness._bell(lift, key, x.T)
-
-    def probe(objective, route) -> None:
-        x = _setting_points(next(starts), n_settings)
-        residuals.extend(np.abs(builder(objective, x) - route(x)))
-
-    for eta, s in itertools.product((0.3, 0.45, 0.5, 0.7, 1.0), (0.0, -0.5, -1.0)):
-        noise = DetectionNoise(eta)
-        s_prime = noise_mod.rescale_detection(s, noise)
-        for mode in witness.CLAMP_MODES:
-            obj = witness.detection_objective(spec, s, noise, clamp_mode=mode)
-            route = _field_route(spec, s_prime, 1.0, eta, mode)
-            probe(obj, route)
-    thermal_cells = list(itertools.product((0.3, 0.6, 0.85), (0.0, 0.5, 2.0), (0.0, -0.5)))
-    for r, nbar, s in thermal_cells:
-        noise = ThermalNoise(r=r, nbar=nbar)
-        s_prime = noise_mod.rescale_thermal(s, noise)
-        for mode in witness.CLAMP_MODES:
-            if mode == witness.CLAMP_LOSS_CHANNEL and nbar > 0.0:
-                continue
-            obj = witness.thermal_objective(spec, s, noise, clamp_mode=mode)
-            route = _field_route(spec, s_prime, 1.0 / noise.t, 1.0 - r * r, mode)
-            probe(obj, route)
+    cells, n_cold = _witness_cells()
+    rules = np.array([rule for *_, rule in cells])
+    rows, lifts, keys = _builder_keys(spec.xi, cells, rules)
+    n_probes = len(cells) - n_cold
+    n_field, n = n_probes - n_cold, n_probes * n_settings
+    x = _setting_points(_WITNESS_START, n).reshape(n_probes, n_settings, 8)
     # A cold environment is detection loss at eta = t^2 = 1 - r^2, read
     # in the frame alpha/t; the clamped loss-channel rule reads both in
     # the measured frame.
-    for r, s in dict.fromkeys((r, s) for r, _, s in thermal_cells):
-        noise = ThermalNoise(r=r)
-        s_prime = noise_mod.rescale_thermal(s, noise)
-        for mode in witness.CLAMP_MODES:
-            obj = witness.thermal_objective(spec, s, noise, clamp_mode=mode)
-            det = witness.detection_objective(
-                spec, s, DetectionNoise(1.0 - r * r), clamp_mode=mode
-            )
-            loss_frame = mode == witness.CLAMP_LOSS_CHANNEL and s_prime < -1.0
-            frame = 1.0 if loss_frame else 1.0 / noise.t
-
-            probe(obj, lambda x: builder(det, x * frame))
-    return tol, residuals
+    sp, lift = rows[n_field:n_probes, :2].T
+    loss_frame = (sp < -1.0) & (rules[n_field:n_probes] == witness.CLAMP_LOSS_CHANNEL)
+    read = np.concatenate([x, x[n_field:] * np.where(loss_frame, 1.0, 1.0 / lift)[:, None, None]])
+    key_rows = np.repeat(keys, n_settings, axis=0).T
+    bell = witness._bell(np.repeat(lifts, n_settings), key_rows, read.reshape(-1, 8).T)
+    field = _field_route(spec, rows[:n_field], rules[:n_field], x[:n_field])
+    return tol, np.abs(bell[:n] - np.concatenate([field, bell[n:]]))
 
 
 def _eigenvalue_bounds() -> Residuals:

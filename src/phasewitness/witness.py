@@ -239,8 +239,11 @@ def bell_value(
     giving n values.  The array form calls each evaluator with complex
     arrays of n points, so they must accept arrays; a row's value is
     bit-identical to the ``BellSettings`` call whenever the evaluators
-    give the same numbers for array and scalar points.  A non-finite
-    entry raises the ``ValueError`` that ``BellSettings`` raises.
+    give the same numbers for array and scalar points.  With the array
+    form ``s`` may also be a float array of n orders, one per row: a row
+    then reads the coefficients of its own order, to the scalar order's
+    bits, and the first entry outside [-1, 0] raises as alone.  A
+    non-finite setting raises the ``ValueError`` that ``BellSettings`` raises.
     """
     sv = real_order(s, _WITNESS, lo=-1.0)
     c2, c1, c0 = _coefficients(sv)

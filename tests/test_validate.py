@@ -5,16 +5,19 @@ from __future__ import annotations
 import importlib
 import json
 import os
+import re
 import subprocess
 import sys
 import time
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import phasewitness
-from phasewitness import validate
+from phasewitness import states, validate, witness
+from phasewitness.noise import DetectionNoise
 from phasewitness.validate import SUITE_NAMES, SuiteResult, format_report, run_suites
 
 
@@ -106,6 +109,90 @@ class TestSettingPoints:
         x = validate._setting_points(1, 2000)
         assert np.all(np.abs(x.mean(axis=0)) < 0.05)
         assert np.all(np.abs((x < 0.0).mean(axis=0) - 0.5) < 0.02)
+
+
+def _witness_rows():
+    """The witness-form suite's cells, clamp rules and batched builder rows."""
+    cells, n_cold = validate._witness_cells()
+    rules = np.array([rule for *_, rule in cells])
+    return cells, n_cold, rules, validate._builder_keys(0.3, cells, rules)
+
+
+class TestBuilderKeys:
+    def test_objectives_answer_the_batched_rows(self):
+        # The suite reads the builder from the batched rows alone, so each
+        # probe cell's objective must answer objective() with exactly its row.
+        cells, n_cold, _, (rows, lifts, keys) = _witness_rows()
+        assert len(cells) == 123 and n_cold == 18
+        spec = states.TmsvSpec(0.3)
+        for (noise, s, rule), row, lift, key in zip(cells, rows, lifts, keys):
+            if isinstance(noise, DetectionNoise):
+                objective = witness.detection_objective(spec, s, noise, clamp_mode=rule)
+            else:
+                objective = witness.thermal_objective(spec, s, noise, clamp_mode=rule)
+            assert objective() == (lift, row[0], tuple(key)), (noise, s, rule)
+
+
+@pytest.mark.kernels
+class TestOrderArrays:
+    """An order array gives each row the scalar order's bits, on the suite's own cells."""
+
+    N = 20
+
+    @pytest.fixture(scope="class")
+    def blocks(self):
+        _, _, _, (rows, _, _) = _witness_rows()
+        x = validate._setting_points(validate._WITNESS_START, self.N * len(rows))
+        return rows[:, 0], x, x.view(complex).T
+
+    def test_fields_read_an_order_per_point(self, blocks):
+        s_prime, _, (a, _, b, _) = blocks
+        spec, orders = states.TmsvSpec(0.3), np.repeat(s_prime, self.N)
+        w2, w1 = states.tmsv_w2(spec, a, b, orders), states.tmsv_w1(spec, a, orders)
+        for i, s in enumerate(s_prime.tolist()):
+            rows = slice(self.N * i, self.N * (i + 1))
+            assert w2[rows].tobytes() == states.tmsv_w2(spec, a[rows], b[rows], s).tobytes()
+            assert w1[rows].tobytes() == states.tmsv_w1(spec, a[rows], s).tobytes()
+        columns = np.column_stack(np.broadcast_arrays(*spec.gaussian(s_prime)))
+        scalar = np.array([spec.gaussian(s) for s in s_prime.tolist()])
+        assert columns.tobytes() == scalar.tobytes()
+
+    def test_bell_value_reads_an_order_per_row(self, blocks):
+        s_prime, x, _ = blocks
+        spec = states.TmsvSpec(0.3)
+
+        def value(settings, s):
+            # The frozen rule's reading: fields at s', coefficients at -1 below it.
+            def w1(a):
+                return states.tmsv_w1(spec, a, s)
+
+            def w2(a, b):
+                return states.tmsv_w2(spec, a, b, s)
+
+            return witness.bell_value(w2, w1, w1, settings, np.maximum(s, -1.0))
+
+        batched = value(x, np.repeat(s_prime, self.N))
+        for i, s in enumerate(s_prime.tolist()):
+            rows = slice(self.N * i, self.N * (i + 1))
+            assert batched[rows].tobytes() == value(x[rows], s).tobytes()
+
+    @pytest.mark.parametrize("bad", [0.5, np.nan, -np.inf])
+    def test_a_bad_entry_raises_the_scalar_message(self, blocks, bad):
+        _, x, (a, _, b, _) = blocks
+        spec, orders = states.TmsvSpec(0.3), np.array([-0.5, bad, 0.5])
+        for call in (
+            lambda s: states.tmsv_w2(spec, a[:3], b[:3], s),
+            lambda s: states.tmsv_w1(spec, a[:3], s),
+            lambda s: witness.bell_value(lambda p, q: p.real, abs, abs, x[:3], s),
+        ):
+            with pytest.raises(ValueError) as scalar:
+                call(bad)
+            with pytest.raises(ValueError, match="^" + re.escape(str(scalar.value)) + "$"):
+                call(orders)
+        with pytest.raises(ValueError) as scalar:
+            spec.gaussian(1.0)
+        with pytest.raises(ValueError, match="^" + re.escape(str(scalar.value)) + "$"):
+            spec.gaussian(np.array([-0.5, 1.0, 2.0]))
 
 
 class TestReporting:
@@ -299,6 +386,34 @@ class TestStackedRoutes:
         assert built == []
         witness.BellSettings(0, 0, 0, 0)
         assert built == [1]
+
+    def test_witness_form_equivalence_runs_as_array_passes(self, monkeypatch):
+        cells, n_cold, rules, (rows, _, _) = _witness_rows()
+        n_field = len(cells) - 2 * n_cold
+        loss = (rows[:n_field, 0] < -1.0) & (rules[:n_field] == witness.CLAMP_LOSS_CHANNEL)
+        assert loss.sum() == 13
+        calls = Counter()
+
+        def count(module, name, label=lambda *args: None):
+            real = getattr(module, name)
+
+            def counted(*args, **kwargs):
+                calls[name, label(*args)] += 1
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+
+        count(witness, "_curve_keys", lambda xi, s_prime, lift, g, rule: rule)
+        count(witness, "_tmsv_objective")
+        count(validate, "_setting_points")
+        count(states, "tmsv_w2")
+        (result,) = run_suites(["witness_form_equivalence"])
+        assert result.passed, result.line()
+        for rule in witness.CLAMP_MODES:
+            assert 1 <= calls["_curve_keys", rule] <= 2
+        assert calls["_tmsv_objective", None] == 0
+        assert calls["_setting_points", None] == 1
+        assert 0 < calls["tmsv_w2", None] <= 4 * (1 + loss.sum())
 
     @pytest.mark.parametrize(
         "suite, n_pairs", [("loss_rescale_identity", 28), ("multi_outcome_rescale", 3)]
