@@ -1,15 +1,16 @@
 """Command-line interface: single evaluations, sweeps, self-validation.
 
 Exit codes: 0 success, 1 validation failure, 2 usage error, 3 I/O
-error.  Sweep output is CSV plus a sibling ``<out>.manifest.json``
-holding everything needed to reproduce the run bit-exactly.  A sweep
-runs in one process, and ``eval --optimize`` is a one-cell sweep; each
-CSV row names what its cell reports (a certified curve point, the
-asymptote |c0| or an uncertified curve point) with that point's
-relative gradient norm and Hessian eigenvalue, and the manifest counts
-each kind; an uncertified cell also gets a warning on stderr.  No
-command searches, and none needs more than numpy.  ``validate``
-runs every self-check suite, or those ``--suite`` names, at one depth.
+error (an output that cannot be written, or a closed stdout).  Sweep
+output is CSV plus a sibling ``<out>.manifest.json`` holding everything
+needed to reproduce the run bit-exactly.  A sweep runs in one process,
+and ``eval --optimize`` is a one-cell sweep; each CSV row names what its
+cell reports (a certified curve point, the asymptote |c0| or an
+uncertified curve point) with that point's relative gradient norm and
+Hessian eigenvalue, and the manifest counts each kind; an uncertified
+cell also gets a warning on stderr.  No command searches, and none
+needs more than numpy.  ``validate`` runs every self-check suite, or
+those ``--suite`` names, at one depth.
 """
 
 from __future__ import annotations
@@ -31,14 +32,7 @@ from . import __version__, search, witness
 from .noise import DetectionNoise, ThermalNoise
 from .search import SweepResult, optimize_cells, sweep_eta_s, sweep_thermal
 from .states import TmsvSpec
-from .witness import (
-    CLAMP_BOUNDED,
-    CLAMP_MODES,
-    BellSettings,
-    WitnessReport,
-    detection_objective,
-    thermal_objective,
-)
+from .witness import CLAMP_BOUNDED, CLAMP_MODES, BellSettings, WitnessReport
 
 __all__ = ["main"]
 
@@ -208,10 +202,9 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     spec = TmsvSpec(args.xi)
     if args.noise == "thermal":
         noise = ThermalNoise(args.r, args.nbar or 0.0)
-        objective = thermal_objective(spec, args.s, noise, clamp_mode=args.clamp)
     else:
         noise = DetectionNoise(1.0 if args.eta is None else args.eta)
-        objective = detection_objective(spec, args.s, noise, clamp_mode=args.clamp)
+    objective = witness._objective(spec, args.s, noise, args.clamp)
     if args.optimize:
         report = optimize_cells([objective])[0]
         _warn_uncertified(int(report.meta["source"] == "uncertified"), 1)
@@ -402,10 +395,16 @@ def main(argv: Sequence[str] | None = None) -> int:
         return int(exc.code) if exc.code is not None else EXIT_OK
     handlers = {"eval": _cmd_eval, "sweep": _cmd_sweep, "validate": _cmd_validate}
     try:
-        return handlers[args.command](args)
+        code = handlers[args.command](args)
+        sys.stdout.flush()
+        return code
     except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except BrokenPipeError:
+        # The reader closed stdout: devnull takes the interpreter's flush at exit.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_IO
 
 
 if __name__ == "__main__":

@@ -412,8 +412,8 @@ def plane_integral(f: FieldEvaluator, *, radius: float = 5.0, tol: float = 1e-8)
     outermost nodes near +-radius, the integral is (radius/3)^2 times
     integral d^2u exp(-|u|^2) [exp(|u|^2) f(beta)], which
     ``_hermite_ladder`` sums to ``tol``.  A field that does not decay
-    raises ``ConvergenceError``.  Unexported, kept for ``perfbench`` and
-    the tests until ROADMAP item 2 moves it into the tests' oracles.
+    raises ``ConvergenceError``.  Unexported, kept for the tests; it moves
+    into their oracles once ``perfbench/`` stops calling it.
     """
     _positive(tol, "tol")
     _positive(radius, "radius")

@@ -2,22 +2,23 @@
 
 Optimized cells come from one curve solve, not from a search.  A cell is
 a lift, its order s' and its curve key, the closed-form constants the
-witness reads at the lifted-down settings: a sweep forms them for its
-whole grid in one ``witness._curve_keys`` call, and ``optimize_cells``
-(``eval --optimize``) reads them from its objectives.  One vectorized
-regularized Newton solve over the real symmetric settings a = b = (x, y),
-in the frame of those constants, gives a candidate for every distinct
-constant row at once, from seeds scaled to the peak's own length.  One
-batched certificate, read from the constants alone, checks each row's
-candidate there: B, the gradient of |B| and the largest eigenvalue of
-its Hessian off the gauge direction, each relative to the row's own
-scale, from four closed-form 2 x 2 symmetry blocks of the Hessian on
-b = a.  As the settings grow B tends to the constant c0, so
-sup |B| >= |c0|: a row reports its candidate and the certificate's B
-where that beats |c0| by more than a few ulps, and otherwise c0 at a far
-point on the family, where B is c0 to the bit.  Each cell reports its
-row's value at its row's point times its lift, so its report depends on
-its curve key alone.  A sweep keeps its cells as columns.
+witness reads at the lifted-down settings, all from ``witness._cells``:
+a sweep forms them for its whole grid in one call, and
+``optimize_cells`` (``eval --optimize``) reads them from its objectives,
+each one row of the same route.  One vectorized regularized Newton solve
+over the real symmetric settings a = b = (x, y), in the frame of those
+constants, gives a candidate for every distinct constant row at once,
+from seeds scaled to the peak's own length.  One batched certificate,
+read from the constants alone, checks each row's candidate there: B, the
+gradient of |B| and the largest eigenvalue of its Hessian off the gauge
+direction, each relative to the row's own scale, from four closed-form
+2 x 2 symmetry blocks of the Hessian on b = a.  As the settings grow B
+tends to the constant c0, so sup |B| >= |c0|: a row reports its
+candidate and the certificate's B where that beats |c0| by more than a
+few ulps, and otherwise c0 at a far point on the family, where B is c0
+to the bit.  Each cell reports its row's value at its row's point times
+its lift, so its report depends on its curve key alone.  A sweep keeps
+its cells as columns.
 
 ``maximize_bell``, ``optimize_cells`` for one objective with the meta
 keys the benchmark reads, and ``grid_oracle``, an exhaustive real-axis
@@ -42,11 +43,10 @@ from .witness import (
     CLAMP_BOUNDED,
     BellSettings,
     WitnessReport,
-    _curve_keys,
+    _cells,
     _family,
     _family_blocks,
     _key_scales,
-    _rescaled,
 )
 
 __all__ = ["SweepCell", "SweepResult", "optimize_cells", "sweep_eta_s", "sweep_thermal"]
@@ -60,8 +60,8 @@ class SearchConfig:
     box [-box_radius, box_radius]^8 from ``seed`` and stops TNC at
     ``ftol``/``xtol``.  No package code reads the fields, so none is
     checked here.  Unexported; ``maximize_bell`` takes one and reports
-    its ``n_starts``, and both stay until ROADMAP item 1, because
-    ``perfbench`` builds them by name.
+    its ``n_starts``, and both stay until ``perfbench/`` stops building
+    them by name.
     """
 
     n_starts: int = 16
@@ -83,8 +83,8 @@ def maximize_bell(
     key), ``n_starts`` (``config.n_starts``), ``unconverged_starts`` (1
     for an ``uncertified`` cell, else 0) and ``stream`` (``int(stream)``).
     ``config``, ``stream`` and ``extra_starts`` change nothing else: the
-    curve solve has no starts.  They stay until ROADMAP item 1, like
-    ``sweep_eta_s``'s ``config``, because ``perfbench`` passes them.  The
+    curve solve has no starts.  They stay, like ``sweep_eta_s``'s
+    ``config``, until ``perfbench/`` stops passing them.  The
     multi-start TNC search this name ran before is the tests' reference
     maximizer, ``tests/oracles.py::tnc_maximize``.
     """
@@ -107,7 +107,7 @@ def grid_oracle(
     """Exhaustive real-axis 4-D settings scan; the anti-surprise baseline for maxima.
 
     Unexported, kept for ``perfbench/make_bound.py`` and the tests until
-    ROADMAP item 2 moves it into the tests' oracles.
+    ``perfbench/`` stops calling it; then it moves into the tests' oracles.
     """
     points_per_axis = int(points_per_axis)
     if points_per_axis < 3:
@@ -346,17 +346,13 @@ def _grid(values, name: str) -> np.ndarray:
 def _sweep(spec: TmsvSpec, noises, axis1, nbar, s_grid: np.ndarray) -> SweepResult:
     """The cells (noise, s) of already checked noises, noise-major, in one column pass.
 
-    Checks every s, then each noise's rescaled orders, then the curve keys,
-    each in cell order.
+    Checks every s, then ``witness._cells`` checks each noise's rescaled
+    orders and the curve keys, each in cell order.
     """
     s = real_order(s_grid, _WITNESS, lo=-1.0)
-    # An order that overflows reaches the rescale gate's message, not a numpy warning.
-    with np.errstate(all="ignore"):
-        s_prime, *noise_columns = zip(*(_rescaled(s, noise) for noise in noises))
-    s_prime, n = np.concatenate(s_prime), len(s)
-    lifts, keys = _curve_keys(spec.xi, s_prime, *np.repeat(noise_columns, n, axis=1), CLAMP_BOUNDED)
-    nbar = None if nbar is None else np.repeat(nbar, n)
-    axes = np.repeat(axis1, n), np.tile(s, len(noises)), nbar
+    s_prime, lifts, keys = _cells(spec.xi, s, noises, CLAMP_BOUNDED)
+    nbar = None if nbar is None else np.repeat(nbar, len(s))
+    axes = np.repeat(axis1, len(s)), np.tile(s, len(noises)), nbar
     return SweepResult(*axes, s_prime, *_optimize(lifts, keys))
 
 

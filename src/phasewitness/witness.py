@@ -5,19 +5,19 @@ so separable states obey |B| <= 2 and any strictly larger magnitude
 certifies entanglement (this is an entanglement witness, not a
 nonlocality test).
 
-Both noise models reach the TMSV witness through one builder: the noise
-rescales the order parameter to s' and divides the settings by a lift
-(1 for detection loss, t for the thermal channel).  The independent
-route over the closed-form fields lives in ``validate``, off the hot
-path.  An objective answers ``objective(settings)`` with the report and
-``objective()`` with its lift, its order s' and six normal-mode
-constants, the key of the search's one curve solve; ``_curve_keys``
-forms the keys of one cell or of a whole sweep grid at once.  Only this
-module reads the constants, bar c0 (column 2), the asymptote ``search``
-reports: ``_bell`` gives B at settings rows, one or many, ``_family``
-gives B, its gradient and its Hessian on the solve's real symmetric
-family b = a, and ``_family_blocks`` the other three 2 x 2 blocks of the
-8 x 8 Hessian there.
+Both noise models reach the TMSV witness through one route, ``_cells``:
+the noise rescales the order parameter to s' and divides the settings by
+a lift (1 for detection loss, t for the thermal channel), and
+``_curve_keys`` forms six normal-mode constants under the clamp rule.  A
+sweep reads ``_cells`` of its whole grid, and an objective its one row:
+it answers ``objective()`` with its lift, its order s' and its curve
+key, the key of the search's one curve solve, and ``objective(settings)``
+with the report.  The independent route over the closed-form fields
+lives in ``validate``, off the hot path.  Only this module reads the
+constants, bar c0 (column 2), the asymptote ``search`` reports: ``_bell``
+gives B at settings rows, one or many, ``_family`` gives B, its gradient
+and its Hessian on the solve's real symmetric family b = a, and
+``_family_blocks`` the other three 2 x 2 blocks of the Hessian there.
 
 When the rescaled order parameter falls below -1 the plain functional
 stops being a witness, because the observable spectrum leaves [-1, 1].
@@ -256,7 +256,7 @@ def bell_value(
 
 
 def _bell(lift, key, x):
-    """``_tmsv_objective``'s B from its curve key and lift at the raw settings x.
+    """A cell's B from its curve key and lift at the raw settings x.
 
     ``x`` holds the 8 coordinates ordered as ``BellSettings.to_vector``,
     each a float or an array (``x.T`` of an (n, 8) settings array); the
@@ -280,9 +280,24 @@ def _bell(lift, key, x):
 
 @np.errstate(all="ignore")
 def _curve_keys(xi: float, s_prime, lift, transmission, clamp_mode: str):
-    """``_tmsv_objective``'s lifts and curve keys, (n,) and (n, 6), for the n cells
-    that ``s_prime``, ``lift`` and ``transmission`` broadcast to; the first
-    row whose constants overflow or underflow raises ``ValueError``."""
+    """Lifts (n,) and curve keys (n, 6) of the n cells the three columns broadcast to.
+
+    A cell reads B = c2 (W2(a1,b1) + W2(a1,b2) + W2(a2,b1) - W2(a2,b2)) +
+    c1 (W1(a1) + W1(b1)) + c0, with the fields read at the settings divided
+    by the lift, in normal modes (Braunstein & van Loock, Rev. Mod. Phys.
+    77, 513 (2005), Sec. II): W2(a, b) = k2 exp(-|a + b*|^2/v- - |a - b*|^2/v+)
+    and W1(a) = k1 exp(-e1 |a|^2), with the variances v+- = e^{+-2 xi} - s
+    at the order s read, k2 = 4/(pi^2 v+ v-), k1 = e1/pi and
+    e1 = 4/(v+ + v-).  Its key is (c2 k2, 2 c1 k1, c0, 1/v-, 1/v+, e1):
+    cells with equal keys differ only in lift and s'.
+
+    ``lift`` is the noise's settings scale (1 for detection loss, t for
+    the thermal interaction).  Only the loss-channel rule reads the
+    channel's intensity ``transmission`` g (eta, or t^2): a clamped cell
+    reads the order -1 field of the noisy state, (1/g) W(alpha/sqrt(g);
+    1 - 2/g) per mode, so its lift is sqrt(g).  The first row whose
+    constants overflow or underflow raises ``ValueError``.
+    """
     if clamp_mode not in CLAMP_MODES:
         raise ValueError(f"unknown clamp mode {clamp_mode!r}")
     sp = np.array(s_prime, dtype=float, ndmin=1)
@@ -307,50 +322,6 @@ def _curve_keys(xi: float, s_prime, lift, transmission, clamp_mode: str):
         s_bad = float(sp[ok.argmin()])
         raise ValueError(f"the witness at xi = {xi}, s' = {s_bad} overflows or underflows")
     return np.full(sp.shape, lifts), keys
-
-
-def _tmsv_objective(
-    spec: TmsvSpec,
-    s_prime: float,
-    lift: float,
-    transmission: float,
-    clamp_mode: str,
-) -> Callable[[BellSettings], WitnessReport]:
-    """Per-settings TMSV witness evaluator at the rescaled order s'.
-
-    B = c2 (W2(a1,b1) + W2(a1,b2) + W2(a2,b1) - W2(a2,b2)) + c1 (W1(a1) +
-    W1(b1)) + c0, with the fields read at the settings divided by the
-    lift, in normal modes (Braunstein & van Loock, Rev. Mod. Phys. 77, 513
-    (2005), Sec. II): W2(a, b) = k2 exp(-|a + b*|^2/v- - |a - b*|^2/v+) and
-    W1(a) = k1 exp(-e1 |a|^2), with the variances v+- = e^{+-2 xi} - s at
-    the order s read, k2 = 4/(pi^2 v+ v-), k1 = e1/pi and e1 = 4/(v+ + v-).
-
-    ``evaluate()`` gives the objective's curve key
-    ``(lift, s', (c2 k2, 2 c1 k1, c0, 1/v-, 1/v+, e1))``, from ``_curve_keys``:
-    objectives with equal constants differ only in lift and s'.  Constants
-    that overflow or underflow raise ``ValueError``.  ``evaluate(settings)``
-    gives the ``WitnessReport``, with B from ``_bell`` of the lift and the
-    key, so a row of settings reads the same value alone or in an array.
-
-    ``lift`` is the noise's settings scale (1 for detection loss, t for
-    the thermal interaction).  ``transmission`` is the intensity
-    transmission g of the noise channel (eta for detection loss, t^2 for
-    the thermal interaction); only the loss-channel rule uses it, reading
-    the order -1 field of the noisy state as (1/g) W(alpha/sqrt(g); 1 - 2/g)
-    per mode, so its lift is sqrt(g).
-    """
-    lifts, keys = _curve_keys(spec.xi, s_prime, lift, transmission, clamp_mode)
-    lift, key = lifts.item(), tuple(keys[0].tolist())
-
-    def evaluate(settings=None):
-        if settings is None:
-            return lift, s_prime, key
-        value = float(_bell(lift, key, settings.to_vector()))
-        if math.isnan(value):
-            raise ValueError(f"witness value is NaN at s' = {s_prime!r}: the closed form overflows")
-        return WitnessReport(settings, s_prime, value)
-
-    return evaluate
 
 
 #: The least Gaussian exponent at a far point: exp(-800) underflows to 0.
@@ -457,33 +428,65 @@ def _rescaled(s, noise: DetectionNoise | ThermalNoise) -> tuple:
     return rescale_thermal(s, noise), noise.t, 1.0 - noise.r * noise.r
 
 
+# An order that overflows reaches the rescale gate's message, not a numpy warning.
+@np.errstate(all="ignore")
+def _cells(xi: float, s: np.ndarray, noises, clamp_mode: str) -> tuple[np.ndarray, ...]:
+    """(s', lifts, keys) of the cells (noise, s), noise-major, for admitted base orders s.
+
+    ``noises`` are checked.  The first bad rescaled order, then the first clamped warm
+    thermal cell under the loss-channel rule, then the first bad key raises ``ValueError``.
+    """
+    rows = [_rescaled(s, noise) for noise in noises]
+    s_prime = np.concatenate([row[0] for row in rows])
+    lift, transmission = np.repeat([row[1:] for row in rows], len(s), axis=0).T
+    if clamp_mode == CLAMP_LOSS_CHANNEL:
+        warm = [isinstance(noise, ThermalNoise) and noise.nbar > 0.0 for noise in noises]
+        if (np.repeat(warm, len(s)) & _clamped(s_prime)).any():
+            # Pure loss at transmission t^2 is the interaction of a cold environment only.
+            raise ValueError(
+                "loss-channel clamping applies to the thermal interaction only for nbar = 0"
+            )
+    return s_prime, *_curve_keys(xi, s_prime, lift, transmission, clamp_mode)
+
+
+def _objective(spec: TmsvSpec, s, noise, clamp_mode: str) -> Callable[..., object]:
+    """Per-settings TMSV witness evaluator of the one cell (noise, s).
+
+    ``evaluate()`` gives the cell's ``(lift, s', key)``, its one row of
+    ``_cells``.  ``evaluate(settings)`` gives the ``WitnessReport``, with B
+    from ``_bell`` of the lift and the key, so a row of settings reads the
+    same value alone or in an array.
+    """
+    s_base = np.array([real_order(s, _WITNESS, lo=-1.0)])
+    s_primes, lifts, keys = _cells(spec.xi, s_base, [noise], clamp_mode)
+    s_prime, lift, key = s_primes.item(), lifts.item(), tuple(keys[0].tolist())
+
+    def evaluate(settings=None):
+        if settings is None:
+            return lift, s_prime, key
+        value = float(_bell(lift, key, settings.to_vector()))
+        if math.isnan(value):
+            raise ValueError(f"witness value is NaN at s' = {s_prime!r}: the closed form overflows")
+        return WitnessReport(settings, s_prime, value)
+
+    return evaluate
+
+
 def detection_objective(
-    spec: TmsvSpec,
-    s,
-    noise: DetectionNoise,
-    clamp_mode: str = CLAMP_BOUNDED,
+    spec: TmsvSpec, s, noise: DetectionNoise, clamp_mode: str = CLAMP_BOUNDED
 ) -> Callable[[BellSettings], WitnessReport]:
     """Per-settings witness evaluator for the TMSV under detection loss."""
-    return _tmsv_objective(spec, *_rescaled(real_order(s, _WITNESS, lo=-1.0), noise), clamp_mode)
+    return _objective(spec, s, noise, clamp_mode)
 
 
 def thermal_objective(
-    spec: TmsvSpec,
-    s,
-    noise: ThermalNoise,
-    clamp_mode: str = CLAMP_BOUNDED,
+    spec: TmsvSpec, s, noise: ThermalNoise, clamp_mode: str = CLAMP_BOUNDED
 ) -> Callable[[BellSettings], WitnessReport]:
     """Per-settings witness evaluator for the TMSV under thermal noise.
 
     Settings are interpreted in the measured (unprimed) frame; the
     amplitude rescale to alpha/t happens inside.  The clamping rule is
-    applied uniformly when the rescaled order falls below -1.
+    applied uniformly when the rescaled order falls below -1; the
+    loss-channel rule refuses a clamped cell with nbar > 0.
     """
-    s_prime, lift, transmission = _rescaled(real_order(s, _WITNESS, lo=-1.0), noise)
-    if clamp_mode == CLAMP_LOSS_CHANNEL and _clamped(s_prime) and noise.nbar > 0.0:
-        # The loss-channel reading treats the interaction as pure loss at
-        # transmission t^2, which holds for a cold environment only.
-        raise ValueError(
-            "loss-channel clamping applies to the thermal interaction only for nbar = 0"
-        )
-    return _tmsv_objective(spec, s_prime, lift, transmission, clamp_mode)
+    return _objective(spec, s, noise, clamp_mode)

@@ -154,6 +154,34 @@ def test_no_command_needs_scipy(tmp_path):
     assert run.returncode == 0, run.stderr
 
 
+@pytest.mark.parametrize("unbuffered", ["1", ""])
+def test_closed_stdout_exits_io_without_a_traceback(unbuffered):
+    # As ``eval ... | head -c 1`` does, the reader takes one byte and
+    # closes the pipe, here before the child writes: the child's ~700
+    # bytes fit the pipe in one write, so a reader that closes later
+    # races with it.  Buffered, the write fails at main's flush;
+    # unbuffered, in print.
+    read_end, write_end = os.pipe()
+    os.write(write_end, b"{")
+    assert os.read(read_end, 1) == b"{"
+    os.close(read_end)
+    env = dict(
+        os.environ,
+        PYTHONPATH=str(Path(phasewitness.__file__).parents[1]),
+        PYTHONUNBUFFERED=unbuffered,
+    )
+    argv = ["eval", "--xi", "0.3", "--s", "0", "--noise", "thermal", "--r", "0.3",
+            "--nbar", "0.2", "--clamp", "loss_channel", "--optimize"]
+    try:
+        run = subprocess.run(
+            [sys.executable, "-m", "phasewitness", *argv], stdout=write_end,
+            stderr=subprocess.PIPE, env=env, text=True, timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert (run.returncode, run.stderr) == (EXIT_IO, "")
+
+
 class TestArgumentHandling:
     def test_no_arguments_is_usage_error(self, capsys):
         code, _, _ = run_cli([], capsys)
@@ -436,6 +464,17 @@ class TestEval:
         assert settings == [float(row[name]) for name in header[7:15]]
         assert payload["meta"]["source"] == row["source"] == "asymptote"
         assert payload["bell_abs"] == 2.0 and not payload["violated"]
+
+    def test_warm_loss_channel_clamped_cell_is_refused(self, capsys):
+        code, out, err = run_cli(
+            ["eval", "--xi", "0.3", "--s", "0", "--noise", "thermal", "--r", "0.8",
+             "--nbar", "0.5", "--clamp", "loss_channel", "--optimize"],
+            capsys,
+        )
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == (
+            "error: loss-channel clamping applies to the thermal interaction only for nbar = 0\n"
+        )
 
     @pytest.mark.parametrize("clamp_mode", CLAMP_MODES)
     def test_optimize_is_a_one_cell_optimize_cells(self, clamp_mode, capsys):

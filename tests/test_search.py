@@ -592,7 +592,7 @@ class TestCurve:
         # differs, which the solve never reads); the loss-channel rule reads
         # its fields at transmission g, with lift sqrt(g).
         keys = [
-            witness._tmsv_objective(TmsvSpec(xi), s_prime, math.sqrt(g), g, rule)()[2]
+            witness._curve_keys(xi, s_prime, math.sqrt(g), g, rule)[1][0]
             for xi, s_prime, rule, g in cells
         ]
         assert_oracle_rows(keys)

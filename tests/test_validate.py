@@ -404,14 +404,14 @@ class TestStackedRoutes:
             monkeypatch.setattr(module, name, counted)
 
         count(witness, "_curve_keys", lambda xi, s_prime, lift, g, rule: rule)
-        count(witness, "_tmsv_objective")
+        count(witness, "_objective")
         count(validate, "_setting_points")
         count(states, "tmsv_w2")
         (result,) = run_suites(["witness_form_equivalence"])
         assert result.passed, result.line()
         for rule in witness.CLAMP_MODES:
             assert 1 <= calls["_curve_keys", rule] <= 2
-        assert calls["_tmsv_objective", None] == 0
+        assert calls["_objective", None] == 0
         assert calls["_setting_points", None] == 1
         assert 0 < calls["tmsv_w2", None] <= 4 * (1 + loss.sum())
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -30,6 +31,9 @@ from phasewitness.witness import (
 )
 
 SETTINGS = BellSettings(0.1 + 0.05j, -0.2 + 0.0j, 0.15j, 0.4 - 0.1j)
+
+#: The loss-channel rule's refusal of a clamped cell in a warm environment.
+WARM_REFUSAL = "loss-channel clamping applies to the thermal interaction only for nbar = 0"
 
 
 def ideal_bell(spec: TmsvSpec, settings: BellSettings, s: float) -> float:
@@ -411,10 +415,18 @@ class TestThermalWitness:
         assert report.bell_value == pytest.approx(reference, abs=1e-10)
 
     def test_loss_channel_rule_needs_cold_environment(self):
-        with pytest.raises(ValueError):
-            thermal_objective(
-                TmsvSpec(0.3), 0.0, ThermalNoise(0.8, 0.5), CLAMP_LOSS_CHANNEL
-            )(SETTINGS)
+        # Both names build through witness._cells, the refusal's one home.
+        for build in (detection_objective, thermal_objective):
+            with pytest.raises(ValueError, match=f"^{re.escape(WARM_REFUSAL)}$"):
+                build(TmsvSpec(0.3), 0.0, ThermalNoise(0.8, 0.5), CLAMP_LOSS_CHANNEL)
+
+    def test_warm_unclamped_loss_channel_cell_is_the_bounded_cell(self):
+        # s' = -0.126 / 0.91 is above -1, so no rule replaces the order-s'
+        # observable and a warm environment is not refused.
+        spec, noise = TmsvSpec(0.3), ThermalNoise(0.3, 0.2)
+        lift, s_prime, key = thermal_objective(spec, 0.0, noise, CLAMP_LOSS_CHANNEL)()
+        assert s_prime == pytest.approx(-0.1385, abs=1e-4)
+        assert (lift, s_prime, key) == thermal_objective(spec, 0.0, noise, CLAMP_BOUNDED)()
 
     @pytest.mark.parametrize("mode", [CLAMP_BOUNDED, CLAMP_FROZEN])
     def test_matches_detection_at_cold_environment(self, mode):
@@ -633,3 +645,28 @@ def test_curve_keys_are_the_scalar_reference_bit_for_bit(xi, rule):
         expected = [orc.curve_key(xi, *cell, rule) for cell in cells]
         assert lifts.tobytes() == np.array([lift for lift, _ in expected]).tobytes()
         assert keys.tobytes() == np.array([key for _, key in expected]).tobytes()
+
+
+@pytest.mark.kernels
+@pytest.mark.parametrize("xi", (0.3, 5.0))
+@pytest.mark.parametrize("rule", (CLAMP_BOUNDED, CLAMP_FROZEN, CLAMP_LOSS_CHANNEL))
+def test_cells_rows_are_the_one_cell_objectives(xi, rule):
+    # One many-row _cells call over detection and cold thermal noises,
+    # interleaved, with clamped rows and unclamped: each row's lift, s' and
+    # key are its one-cell objective()'s bits, whatever the other rows.
+    s = np.linspace(-1.0, 0.0, 6)
+    noises = [
+        noise
+        for eta, r in zip((0.3, 0.5, 0.8, 1.0), (0.0, 0.5, 0.8, 0.94))
+        for noise in (DetectionNoise(eta), ThermalNoise(r))
+    ]
+    s_prime, lifts, keys = witness._cells(xi, s, noises, rule)
+    assert (s_prime < -1.0).any() and (s_prime >= -1.0).any()
+    rows = zip(lifts.tolist(), s_prime.tolist(), keys.tolist())
+    cells = [(noise, base) for noise in noises for base in s.tolist()]
+    expected = [_build(noise)(TmsvSpec(xi), base, noise, rule)() for noise, base in cells]
+    assert [hex_row(*row) for row in rows] == [hex_row(*row) for row in expected]
+
+
+def hex_row(lift, s_prime, key):
+    return [float.hex(v) for v in (lift, s_prime, *key)]
