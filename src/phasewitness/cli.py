@@ -200,10 +200,11 @@ def _cmd_eval(args: argparse.Namespace) -> int:
         raise UsageError("exactly one of --settings or --optimize is required")
     _check_noise_flags(args, "--noise", args.noise)
     spec = TmsvSpec(args.xi)
-    if args.noise == "thermal":
-        noise = ThermalNoise(args.r, args.nbar or 0.0)
+    if args.noise == "detection":
+        noise = DetectionNoise(args.eta)
     else:
-        noise = DetectionNoise(1.0 if args.eta is None else args.eta)
+        # No noise is the thermal channel at r = 0: s' = s, lift and transmission 1.
+        noise = ThermalNoise(args.r or 0.0, args.nbar or 0.0)
     objective = witness._objective(spec, args.s, noise, args.clamp)
     if args.optimize:
         report = optimize_cells([objective])[0]

@@ -118,10 +118,12 @@ def real_order(s: float, what: str, lo: float = -math.inf) -> float:
 
     Raises ``TypeError`` unless ``s`` is a real number (an ``OrderParam``
     is not), and ``ValueError`` naming ``what`` unless it is finite,
-    non-positive and not below ``lo``.  A float array is returned as it
-    is once every entry passes; its first bad entry raises as alone.
+    non-positive and not below ``lo``.  An integer or floating array is
+    returned as float64 once every entry passes; its first bad entry
+    raises as alone.
     """
-    if isinstance(s, np.ndarray) and s.dtype == float:
+    if isinstance(s, np.ndarray) and s.dtype.kind in "iuf":
+        s = s.astype(float, copy=False)
         bad = ~(np.isfinite(s) & (s <= 0.0) & (s >= lo))
         if bad.any():
             real_order(float(s.flat[bad.argmax()]), what, lo)

@@ -336,6 +336,8 @@ def optimize_cells(objectives: Sequence[Callable[..., object]]) -> list[WitnessR
 def _grid(values, name: str) -> np.ndarray:
     """A non-empty, non-decreasing sweep axis; ``_sweep`` checks its values."""
     arr = np.asarray(list(values), dtype=float)
+    if arr.ndim != 1:
+        raise ValueError(f"{name} grid must be one-dimensional")
     if arr.size == 0:
         raise ValueError(f"{name} grid is empty")
     if np.any(np.diff(arr) < 0.0):
@@ -391,6 +393,8 @@ def sweep_thermal(
     r_grid = _grid(r_grid, "r")
     s_grid = _grid(s_grid, "s")
     nbar_list = np.asarray(list(nbar_list), dtype=float)
+    if nbar_list.ndim != 1:
+        raise ValueError("nbar_list must be one-dimensional")
     if nbar_list.size == 0:
         raise ValueError("nbar_list must be non-empty")
     noises = [ThermalNoise(r, nbar) for nbar in nbar_list for r in r_grid]

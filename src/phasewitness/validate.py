@@ -229,23 +229,27 @@ def _builder_keys(xi: float, cells, rules: np.ndarray) -> tuple[np.ndarray, ...]
 
 
 def _field_route(spec, rows: np.ndarray, rules: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """The TMSV witness from ``bell_value`` over the closed-form fields.
+    """The TMSV witness from one ``bell_value`` call over the closed-form fields.
 
     Cell i, with the (s', lift, transmission) row ``rows[i]`` and the
     clamp rule ``rules[i]``, is read at its (n, 8) settings block
-    ``x[i]`` over lift; the values come out flat, block by block.
-    Unclamped cells read the fields and coefficients at s'.  Clamped
-    cells take coefficients at -1: the frozen rule reads the fields at s',
-    the bounded rule scales them by f = (1 - s')/2 per mode (the on-off
-    identity behind its coefficients), and the loss-channel rule reads
-    the order -1 fields of the state after pure loss at the transmission.
-    One ``bell_value`` call reads every cell but the loss-channel clamped
-    ones, at each row's s', frame and f; each of those has its own channel.
+    ``x[i]``; the values come out flat, block by block.  Each cell reads
+    the fields at an order, in a frame and scaled by f per mode, and the
+    coefficients at max(order, -1).  A cell reads the fields at s' over
+    lift with f = 1, except that a clamped bounded cell scales them by
+    f = (1 - s')/2 (the on-off identity behind its coefficients), and a
+    clamped loss-channel cell reads the state after its cold channel
+    ``ThermalNoise(r=sqrt(1 - g))`` as ``noise.evolve_thermal_w`` does:
+    at the channel's rescaled order -1, in the frame 1/t, with f = 1/t^2.
     """
     n, s_prime = x.shape[1], rows[:, 0]
-    loss = (s_prime < -1.0) & (rules == witness.CLAMP_LOSS_CHANNEL)
+    order, frame = s_prime.copy(), 1.0 / rows[:, 1]
     f = np.where((s_prime < -1.0) & (rules == witness.CLAMP_BOUNDED), (1.0 - s_prime) / 2.0, 1.0)
-    sp, scale, f = (np.repeat(c[~loss], n) for c in (s_prime, 1.0 / rows[:, 1], f))
+    for i in np.flatnonzero((s_prime < -1.0) & (rules == witness.CLAMP_LOSS_CHANNEL)):
+        channel = ThermalNoise(r=math.sqrt(1.0 - rows[i, 2]))
+        order[i] = noise_mod.rescale_thermal(-1.0, channel)
+        frame[i], f[i] = 1.0 / channel.t, 1.0 / channel.t**2
+    sp, scale, f = (np.repeat(c, n) for c in (order, frame, f))
 
     def w2(a, b):
         return f * f * states.tmsv_w2(spec, a * scale, b * scale, sp)
@@ -253,33 +257,20 @@ def _field_route(spec, rows: np.ndarray, rules: np.ndarray, x: np.ndarray) -> np
     def w1(a):
         return f * states.tmsv_w1(spec, a * scale, sp)
 
-    values = np.empty(x.shape[:2])
-    order = np.maximum(sp, -1.0)
-    values[~loss] = witness.bell_value(w2, w1, w1, x[~loss].reshape(-1, 8), order).reshape(-1, n)
-    for i in np.flatnonzero(loss):
-        # The channel's own 1/sqrt(g) is the whole rescale of the settings.
-        channel = ThermalNoise(r=math.sqrt(1.0 - rows[i, 2]))
-
-        def w2_loss(a, b, _ch=channel):
-            return noise_mod.evolve_thermal_w(lambda *p: states.tmsv_w2(spec, *p), -1.0, _ch, a, b)
-
-        def w1_loss(a, _ch=channel):
-            return noise_mod.evolve_thermal_w(lambda *p: states.tmsv_w1(spec, *p), -1.0, _ch, a)
-
-        values[i] = witness.bell_value(w2_loss, w1_loss, w1_loss, x[i], -1.0)
-    return values.ravel()
+    return witness.bell_value(w2, w1, w1, x.reshape(-1, 8), np.maximum(sp, -1.0))
 
 
 def _witness_form_equivalence() -> Residuals:
     """Builder curve keys against ``bell_value`` over the closed-form fields.
 
     The second route, ``_field_route``, evaluates ``witness.bell_value``
-    over ``states.tmsv_w2``/``tmsv_w1`` (through ``noise.evolve_thermal_w``
-    for the loss-channel rule).  It shares s' (``witness._rescaled``) and
-    the unclamped ``witness._coefficients`` with the builder, but no
-    Gaussian constant: the fields read the textbook ``TmsvSpec.gaussian``,
-    the builder its own normal-mode constants.  It checks the clamp
-    rules' coefficient sets, the frames and the builder's Gaussians.
+    once over ``states.tmsv_w2``/``tmsv_w1`` for every field probe, the
+    loss-channel rule at its channel's ``noise.rescale_thermal`` order.
+    It shares s' (``witness._rescaled``) and the unclamped
+    ``witness._coefficients`` with the builder, but no Gaussian constant:
+    the fields read the textbook ``TmsvSpec.gaussian``, the builder its own
+    normal-mode constants.  It checks the clamp rules' coefficient sets,
+    the frames and the builder's Gaussians.
     ``tests/test_witness.py`` checks the shared parts against Fock-basis sums
     (``TestIdealBell::test_matches_operator_sum`` and both
     ``test_unclamped_matches_rescaled_operator_sum``).  The thermal objective

@@ -240,7 +240,7 @@ def bell_value(
     arrays of n points, so they must accept arrays; a row's value is
     bit-identical to the ``BellSettings`` call whenever the evaluators
     give the same numbers for array and scalar points.  With the array
-    form ``s`` may also be a float array of n orders, one per row: a row
+    form ``s`` may also be a real array of n orders, one per row: a row
     then reads the coefficients of its own order, to the scalar order's
     bits, and the first entry outside [-1, 0] raises as alone.  A
     non-finite setting raises the ``ValueError`` that ``BellSettings`` raises.

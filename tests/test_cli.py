@@ -430,6 +430,19 @@ class TestEval:
         assert payload["s_effective"] == pytest.approx(-1.0, abs=1e-15)
         assert payload["settings"]["a1"] == [0.0, 0.0]
 
+    @pytest.mark.parametrize("clamp", CLAMP_MODES)
+    def test_no_noise_evaluates_at_s_itself(self, clamp, capsys):
+        # No noise is the thermal channel at r = 0, whose rescale (s - 0)/1
+        # rounds nothing: 1 - (1 - s)/1 would.
+        for s in np.linspace(-1.0, 0.0, 21):
+            argv = ["eval", "--xi", "0.3", "--s", repr(float(s)), "--clamp", clamp,
+                    "--settings", "0.1,0.2,0.1,0.2"]
+            code, out, _ = run_cli(argv + ["--noise", "none"], capsys)
+            assert code == EXIT_OK
+            assert json.loads(out)["s_effective"] == s
+            code, thermal, _ = run_cli(argv + ["--noise", "thermal", "--r", "0"], capsys)
+            assert code == EXIT_OK and out == thermal
+
     def test_optimized_lossy_evaluation_is_clamped_violation(self, capsys):
         code, out, _ = run_cli(
             ["eval", "--xi", "0.3", "--s", "0", "--noise", "detection",

@@ -68,8 +68,9 @@ class TestRealOrder:
         assert real_order(-1.0, "x", lo=-1.0) == -1.0
 
     def test_rejects_non_numbers_with_type_error(self):
-        for s in (0.5j, -1 + 0j, OrderParam(3), "-0.5", None):
-            with pytest.raises(TypeError):
+        complex_array, object_array = np.array([0j, -1 + 0j]), np.array([0.0, -1.0], dtype=object)
+        for s in (0.5j, -1 + 0j, OrderParam(3), "-0.5", None, complex_array, object_array):
+            with pytest.raises(TypeError, match="real branch only"):
                 real_order(s, "x")
 
     def test_rejects_bad_values_naming_the_consumer(self):
@@ -80,6 +81,14 @@ class TestRealOrder:
             real_order(0.5, "the consumer")
         with pytest.raises(ValueError, match=r"order parameter -1.5 outside \[-1.0, 0\]"):
             real_order(-1.5, "the consumer", lo=-1.0)
+
+    def test_admits_integer_and_floating_arrays_as_float64(self):
+        for s in (np.array([0, -1]), np.zeros(2, np.uint8), np.array([0, -0.5], np.float32)):
+            got = real_order(s, "x")
+            assert got.dtype == np.float64
+            assert got.tolist() == s.astype(float).tolist()
+        with pytest.raises(ValueError, match=r"order parameter 1.0 outside"):
+            real_order(np.array([0, 1]), "x")
 
 
 class TestOrderParam:

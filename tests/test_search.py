@@ -320,6 +320,10 @@ class TestSweeps:
     def test_grid_validation(self):
         spec = TmsvSpec(0.3)
         # A grid is checked for shape, then its values, each once.
+        with pytest.raises(ValueError, match="eta grid must be one-dimensional"):
+            sweep_eta_s(spec, [[0.5, 0.6]], [0.0])
+        with pytest.raises(ValueError, match="s grid must be one-dimensional"):
+            sweep_eta_s(spec, [0.5], [[0.0], [-0.5]])
         with pytest.raises(ValueError, match="eta grid is empty"):
             sweep_eta_s(spec, [], [0.0])
         with pytest.raises(ValueError, match="eta grid must be non-decreasing"):
@@ -330,6 +334,10 @@ class TestSweeps:
             sweep_eta_s(spec, [0.5], [0.2])
         with pytest.raises(ValueError, match="reflectivity r"):
             sweep_thermal(spec, [0.5, 1.0], [0.0], [0.0])
+        with pytest.raises(ValueError, match="r grid must be one-dimensional"):
+            sweep_thermal(spec, [[0.5]], [0.0], [0.0])
+        with pytest.raises(ValueError, match="nbar_list must be one-dimensional"):
+            sweep_thermal(spec, [0.5], [0.0], [[0, 1]])
         with pytest.raises(ValueError, match="nbar_list must be non-empty"):
             sweep_thermal(spec, [0.5], [0.0], [])
         with pytest.raises(ValueError, match="mean photon number nbar"):

@@ -240,6 +240,28 @@ class TestCorruptionIsCaught:
         results = run_suites(["witness_form_equivalence"])
         assert not results[0].passed
 
+    @pytest.mark.parametrize("part", ["lift", "weight"])
+    def test_perturbed_loss_channel_lift_or_weight_is_detected(self, monkeypatch, part):
+        # Only the field route reads the loss-channel rule apart from the
+        # builder, through the channel's rescaled order, frame and factor.
+        real = witness._curve_keys
+        bump = 1.0 + 1e-9
+
+        def perturbed(xi, s_prime, lift, g, rule):
+            lifts, keys = real(xi, s_prime, lift, g, rule)
+            if rule != witness.CLAMP_LOSS_CHANNEL:
+                return lifts, keys
+            scale = np.where(witness._clamped(np.asarray(s_prime)), bump, 1.0)
+            if part == "lift":
+                return lifts * scale, keys
+            # The weight 1/g enters c2 k2 squared and c1 k1 once.
+            return lifts, keys * np.stack([scale**2, scale] + [np.ones_like(scale)] * 4, axis=1)
+
+        monkeypatch.setattr(witness, "_curve_keys", perturbed)
+        (result,) = run_suites(["witness_form_equivalence"])
+        assert not result.passed
+        assert result.worst > result.tolerance
+
     def test_scaled_smoothing_is_detected(self, monkeypatch):
         # The nested route applies the scale twice, the direct route once.
         from phasewitness import qp_core
@@ -388,6 +410,8 @@ class TestStackedRoutes:
         assert built == [1]
 
     def test_witness_form_equivalence_runs_as_array_passes(self, monkeypatch):
+        from phasewitness import noise
+
         cells, n_cold, rules, (rows, _, _) = _witness_rows()
         n_field = len(cells) - 2 * n_cold
         loss = (rows[:n_field, 0] < -1.0) & (rules[:n_field] == witness.CLAMP_LOSS_CHANNEL)
@@ -406,6 +430,9 @@ class TestStackedRoutes:
         count(witness, "_curve_keys", lambda xi, s_prime, lift, g, rule: rule)
         count(witness, "_objective")
         count(validate, "_setting_points")
+        # The loss-channel clamped cells join the one field pass.
+        count(witness, "bell_value")
+        count(noise, "evolve_thermal_w")
         count(states, "tmsv_w2")
         (result,) = run_suites(["witness_form_equivalence"])
         assert result.passed, result.line()
@@ -413,7 +440,9 @@ class TestStackedRoutes:
             assert 1 <= calls["_curve_keys", rule] <= 2
         assert calls["_objective", None] == 0
         assert calls["_setting_points", None] == 1
-        assert 0 < calls["tmsv_w2", None] <= 4 * (1 + loss.sum())
+        assert calls["bell_value", None] == 1
+        assert calls["evolve_thermal_w", None] == 0
+        assert 0 < calls["tmsv_w2", None] <= 4
 
     @pytest.mark.parametrize(
         "suite, n_pairs", [("loss_rescale_identity", 28), ("multi_outcome_rescale", 3)]

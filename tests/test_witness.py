@@ -277,6 +277,13 @@ class TestBellValueArray:
         with pytest.raises(ValueError):
             bell_value(lambda a, b: a.real, np.abs, np.abs, self.ROWS, -1.2)
 
+    def test_integer_and_float32_order_arrays_read_as_float64(self):
+        rows = self.ROWS[:2]
+        want = bell_value(lambda a, b: a.real, np.abs, np.abs, rows, np.array([0.0, -1.0]))
+        for s in (np.array([0, -1]), np.array([0, -1], dtype=np.float32)):
+            got = bell_value(lambda a, b: a.real, np.abs, np.abs, rows, s)
+            assert np.array_equal(got, want)
+
 
 class TestDetectionWitness:
     def test_unit_efficiency_reduces_to_ideal(self):
