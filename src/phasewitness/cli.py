@@ -312,7 +312,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         if os.path.isdir(path):
             print(f"error: cannot write output: {path!r} is a directory", file=sys.stderr)
             return EXIT_IO
-    result = sweep(spec, *grids)
+    try:
+        result = sweep(spec, *grids)
+    except MemoryError:
+        raise UsageError(f"a sweep of {math.prod(map(len, grids))} cells is too large") from None
     wall_time_s = time.perf_counter() - started
 
     rows = _csv_rows(result)

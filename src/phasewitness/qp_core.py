@@ -198,7 +198,8 @@ def parity_coefficient(n, s: Union[OrderParam, float]) -> float | complex | np.n
 
     This is the expectation value of the bounded parity-like observable
     in the displaced number state |alpha, n> (independent of alpha).
-    An integer n gives a number, an integer array n an array.
+    An integer n gives a number, an integer array n an array, against
+    which an array of real orders broadcasts.
     """
     n = _photon_number(n)
     ratio, gap = _ratio_and_gap(s, "parity_coefficient")

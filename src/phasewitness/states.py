@@ -1,10 +1,10 @@
 """Closed-form quasiprobability functions and photon distributions.
 
-Covers the validation corpus: the two-mode squeezed vacuum (TMSV) with
-its exact two-mode and marginal Gaussians, and the single-mode test
-states (displaced thermal states, which include the vacuum and the
-coherent states, and Fock states) both as analytic fields and as
-displaced photon-number distributions.  Laguerre polynomials come from
+Covers the validation corpus: the two-mode squeezed vacuum (TMSV), whose
+marginal is the thermal field at nbar = sinh^2 xi, and the single-mode
+test states (displaced thermal states, which include the vacuum and the
+coherent states, and Fock states), as fields and as displaced
+photon-number distributions.  Laguerre polynomials come from
 one three-term recurrence, ``_laguerre``, and factorials from
 ``math.lgamma``, so no helper here needs more than numpy.
 """
@@ -69,12 +69,12 @@ class TmsvSpec:
         return s * s - 2.0 * s * math.cosh(2.0 * self.xi) + 1.0
 
     def gaussian(self, s: float | np.ndarray) -> tuple:
-        """Constants (width, k2, e2, k1, e1, sh2) of the closed forms at order s.
+        """Constants (width, k2, e2, sh2) of the two-mode closed form at order s.
 
-        W2(a, b) = k2 exp(-e2 (width (|a|^2 + |b|^2) + sh2 Re(a b))) and
-        W1(a) = k1 exp(-e1 |a|^2).  A float array of orders gives each
-        constant but sh2 as an array, whose entries are the scalar order's
-        bits; the first entry whose determinant is not positive raises as alone.
+        W2(a, b) = k2 exp(-e2 (width (|a|^2 + |b|^2) + sh2 Re(a b))).  A
+        float array of orders gives each constant but sh2 as an array, whose
+        entries are the scalar order's bits; the first entry whose
+        determinant is not positive raises as alone.
         """
         det = self.joint_det(s)
         bad = np.ravel(det <= 0.0)
@@ -83,21 +83,13 @@ class TmsvSpec:
                 f"quadratic form is not positive definite (det {np.ravel(det)[bad.argmax()]})"
             )
         width = self.marginal_width(s)
-        return (
-            width,
-            4.0 / (math.pi * math.pi * det),
-            2.0 / det,
-            2.0 / (math.pi * width),
-            2.0 / width,
-            2.0 * math.sinh(2.0 * self.xi),
-        )
+        return width, 4.0 / (math.pi * math.pi * det), 2.0 / det, 2.0 * math.sinh(2.0 * self.xi)
 
 
 def tmsv_w2(spec: TmsvSpec, alpha, beta, s) -> float | np.ndarray:
     """Two-mode quasiprobability of the TMSV at (alpha, beta), at one order or one per point."""
-    width, k2, e2, _, _, sh2 = spec.gaussian(real_order(s, _CLOSED_FORM))
-    a, scalar_a = _as_field(alpha)
-    b, scalar_b = _as_field(beta)
+    width, k2, e2, sh2 = spec.gaussian(real_order(s, _CLOSED_FORM))
+    (a, scalar_a), (b, scalar_b) = _as_field(alpha), _as_field(beta)
     ar, ai, br, bi = a.real, a.imag, b.real, b.imag
     quad = width * ((ar * ar + ai * ai) + (br * br + bi * bi)) + sh2 * (ar * br - ai * bi)
     vals = k2 * np.exp(-e2 * quad)
@@ -105,11 +97,8 @@ def tmsv_w2(spec: TmsvSpec, alpha, beta, s) -> float | np.ndarray:
 
 
 def tmsv_w1(spec: TmsvSpec, alpha, s) -> float | np.ndarray:
-    """Reduced single-mode quasiprobability of the TMSV, at one order or one per point."""
-    _, _, _, k1, e1, _ = spec.gaussian(real_order(s, _CLOSED_FORM))
-    a, scalar = _as_field(alpha)
-    vals = k1 * np.exp(-e1 * (a.real * a.real + a.imag * a.imag))
-    return float(vals) if scalar else vals
+    """Either mode of the TMSV alone: the thermal field at nbar = sinh^2 xi."""
+    return thermal_w(math.sinh(spec.xi) ** 2, alpha, s)
 
 
 @dataclass(frozen=True)

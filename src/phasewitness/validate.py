@@ -93,16 +93,16 @@ Residuals = tuple[float, "list[float] | np.ndarray"]
 
 
 def _series_reconstruction() -> Residuals:
-    """Number-basis series against the analytic distribution values."""
+    """Number-basis series against the analytic values, read per (state, order)."""
     tol = 1e-8
+    points = np.array([0.0, 0.3 - 0.2j, -0.9 + 0.5j])
     residuals = []
     for state in _test_states():
-        for point in (0.0, 0.3 - 0.2j, -0.9 + 0.5j):
+        want = np.array([states.state_w(state, points, s) for s in _S_GRID]).T
+        for point, want_at in zip(points, want):
             p = states.photon_distribution(state, point, _N_MAX)
-            for s in _S_GRID:
-                got = qp_core.w_from_distribution(p, s, tol=0.25 * tol)
-                want = states.state_w(state, point, s)
-                residuals.append(abs(got - want))
+            got = [qp_core.w_from_distribution(p, s, tol=0.25 * tol) for s in _S_GRID]
+            residuals.extend(np.abs(np.subtract(got, want_at)))
     return tol, residuals
 
 
@@ -136,16 +136,14 @@ def _smoothing_semigroup() -> Residuals:
         def base(pts, _state=state, _s=s0):
             return states.state_w(_state, pts, _s)
 
-        def once(pts, _state=state, _s0=s0, _s1=s1):
+        def once(pts, _base=base, _s0=s0, _s1=s1):
             # The inner stage runs a decade tighter so its noise stays
             # below the outer quadrature's convergence checks.
-            return qp_core.gaussian_smooth(
-                lambda q: states.state_w(_state, q, _s0), _s0, _s1, pts, 0.1 * quad_tol
-            )
+            return qp_core.gaussian_smooth(_base, _s0, _s1, pts, 0.1 * quad_tol)
 
         nested = qp_core.gaussian_smooth(once, s1, s2, targets, quad_tol)
         direct = qp_core.gaussian_smooth(base, s0, s2, targets, quad_tol)
-        analytic = np.array([states.state_w(state, t, s2) for t in targets])
+        analytic = states.state_w(state, targets, s2)
         residuals.extend(np.abs(nested - direct))
         residuals.extend(np.abs(direct - analytic))
     return tol, residuals
@@ -182,12 +180,7 @@ def _thermal_convolution() -> Residuals:
                 return states.thermal_w(_nbar, pts, s)
 
             conv = qp_core.beamsplitter_convolve(
-                env_w,
-                lambda pts: state_fam(pts, s),
-                r,
-                grid,
-                1.0 + 2.0 * nbar - s,
-                quad_tol,
+                env_w, lambda pts: state_fam(pts, s), r, grid, 1.0 + 2.0 * nbar - s, quad_tol
             )
             shortcut = noise_mod.evolve_thermal_w(state_fam, s, noise, grid)
             residuals.extend(np.abs(conv - shortcut))
@@ -268,9 +261,10 @@ def _witness_form_equivalence() -> Residuals:
     loss-channel rule at its channel's ``noise.rescale_thermal`` order.
     It shares s' (``witness._rescaled``) and the unclamped
     ``witness._coefficients`` with the builder, but no Gaussian constant:
-    the fields read the textbook ``TmsvSpec.gaussian``, the builder its own
-    normal-mode constants.  It checks the clamp rules' coefficient sets,
-    the frames and the builder's Gaussians.
+    ``tmsv_w2`` reads the textbook ``TmsvSpec.gaussian`` and ``tmsv_w1`` the
+    thermal ``state_w`` at nbar = sinh^2 xi, the builder its own normal-mode
+    constants.  It checks the clamp rules' coefficient sets, the frames and
+    the builder's Gaussians.
     ``tests/test_witness.py`` checks the shared parts against Fock-basis sums
     (``TestIdealBell::test_matches_operator_sum`` and both
     ``test_unclamped_matches_rescaled_operator_sum``).  The thermal objective
@@ -307,13 +301,16 @@ def _witness_form_equivalence() -> Residuals:
 
 
 def _eigenvalue_bounds() -> Residuals:
-    """Spectra of the plain, frozen, and bounded observables stay in [-1, 1]."""
+    """Plain, frozen and bounded spectra, each read once over a column of orders, stay
+    in [-1, 1]; each clamped s' gives a frozen row, then a bounded row."""
     tol = 1e-12
-    ladders = [(witness.observable_eigenvalue, float(s)) for s in np.linspace(-1.0, 0.0, 101)]
-    for s_prime in (-1.2, -1.8, -3.0):
-        ladders += [(witness.effective_eigenvalue, s_prime), (witness.bounded_eigenvalue, s_prime)]
-    n = np.arange(513)
-    return tol, np.concatenate([np.abs(eig(n, s)) - 1.0 for eig, s in ladders])
+    n, s_prime = np.arange(513), np.array([[-1.2], [-1.8], [-3.0]])
+    plain = witness.observable_eigenvalue(n, np.linspace(-1.0, 0.0, 101)[:, None])
+    eigs = (witness.effective_eigenvalue, witness.bounded_eigenvalue)
+    clamped = np.stack([eig(n, s_prime) for eig in eigs], axis=1)
+    residuals = np.concatenate([plain.ravel(), clamped.ravel()])
+    # In place: another 54k-entry copy would raise a validate run's peak memory.
+    return tol, np.subtract(np.abs(residuals, out=residuals), 1.0, out=residuals)
 
 
 def _separable_bound() -> Residuals:

@@ -158,7 +158,8 @@ def _clamped(s_prime):
 def observable_eigenvalue(n, s) -> float | np.ndarray:
     """Eigenvalue (1-s)*((s+1)/(s-1))^n + s of the bounded observable.
 
-    An integer n gives a float, an integer array n an array.
+    An integer n gives a float, an integer array n an array, against which
+    an array of orders broadcasts.
     """
     n = _photon_number(n)
     sv = real_order(s, "the eigenvalue spectrum")
@@ -170,7 +171,8 @@ def observable_eigenvalue(n, s) -> float | np.ndarray:
 
 
 def effective_eigenvalue(n, s_prime) -> float | np.ndarray:
-    """Eigenvalue 4 coeff(n, s') - 1 of the frozen-rule observable (coefficients at -1)."""
+    """Eigenvalue 4 coeff(n, s') - 1 of the frozen-rule observable (coefficients at -1);
+    an array of orders s' broadcasts against n."""
     return 4.0 * parity_coefficient(n, real_order(s_prime, "the eigenvalue spectrum")) - 1.0
 
 
@@ -178,7 +180,8 @@ def bounded_eigenvalue(n, s_prime) -> float | np.ndarray:
     """Eigenvalue 2 ((s'+1)/(s'-1))^n - 1 of the bounded-continuation observable.
 
     Equals 2 (1-s') coeff(n, s') - 1; the ratio lies in [0, 1) for
-    s' <= -1, so the spectrum stays in (-1, 1].
+    s' <= -1, so the spectrum stays in (-1, 1].  An array of orders s'
+    broadcasts against n.
     """
     sp = real_order(s_prime, "the eigenvalue spectrum")
     return 2.0 * (1.0 - sp) * parity_coefficient(n, sp) - 1.0

@@ -339,6 +339,24 @@ class TestArgumentHandling:
         assert stdout == ""
         assert not out.exists()
 
+    def test_sweep_too_large_for_memory_is_a_usage_error(self, monkeypatch, tmp_path, capsys):
+        # Each grid allocates, but the cells' arrays do not: one stderr line
+        # naming the cell count, exit 2, and nothing written.
+        def exhausted(*args):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "sweep_eta_s", exhausted)
+        out = tmp_path / "x.csv"
+        code, stdout, err = run_cli(
+            ["sweep", "--mode", "eta-s", "--xi", "0.3", "--eta", "0.3:1:100000",
+             "--s", "-1:0:100000", "--out", str(out)],
+            capsys,
+        )
+        assert code == EXIT_USAGE
+        assert err == "error: a sweep of 10000000000 cells is too large\n"
+        assert stdout == ""
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize(
         "flag, grid",
         [

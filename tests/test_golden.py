@@ -206,15 +206,25 @@ def test_exact_route_is_taken_where_the_files_were_made():
     assert "unknown" not in recorded.values()
 
 
+def _timeless(manifest: dict) -> dict:
+    return {k: v for k, v in manifest.items() if k != "wall_time_s"}
+
+
 def regenerate() -> None:
-    """Rewrite every file in ``tests/golden/`` from the current code."""
+    """Rewrite every file in ``tests/golden/`` from the current code.
+
+    A sweep manifest is rewritten only when a key other than
+    ``wall_time_s`` changed, so a rerun leaves the unchanged ones alone.
+    """
     GOLDEN.mkdir(exist_ok=True)
     with tempfile.TemporaryDirectory() as tmp:
         for name in SWEEPS:
-            data, _ = _run_sweep(name, Path(tmp))
+            data, manifest = _run_sweep(name, Path(tmp))
             (GOLDEN / f"{name}.csv.gz").write_bytes(gzip.compress(data, mtime=0))
-            manifest = Path(tmp, f"{name}.csv.manifest.json").read_bytes()
-            (GOLDEN / f"{name}.manifest.json").write_bytes(manifest)
+            path = GOLDEN / f"{name}.manifest.json"
+            kept = json.loads(path.read_text(encoding="utf-8")) if path.exists() else None
+            if kept is None or _timeless(kept) != _timeless(manifest):
+                path.write_bytes(Path(tmp, f"{name}.csv.manifest.json").read_bytes())
     for name in EVALS:
         (GOLDEN / f"{name}.json").write_bytes(_run_eval(name))
     record = json.dumps(_validate_record(), indent=2) + "\n"

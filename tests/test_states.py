@@ -66,6 +66,25 @@ class TestTmsvClosedForms:
             ).real
             assert tmsv_w2(spec, a, b, s) == pytest.approx(reference, abs=1e-13)
 
+    @pytest.mark.parametrize("s", [0.0, -0.5, -1.0])
+    @pytest.mark.parametrize("xi", [0.3, 0.6])
+    def test_w1_matches_fock_series(self, xi, s):
+        # Either mode alone is diag(c_n^2), read through D(a) r^n D(a)^dagger.
+        spec = TmsvSpec(xi)
+        eig = ((s + 1.0) / (s - 1.0)) ** np.arange(70)
+        rho = np.diag(orc.tmsv_amplitudes(xi, 70) ** 2)
+        for a in POINTS:
+            op = orc.displaced_diagonal(eig, a)
+            reference = 2.0 / (math.pi * (1.0 - s)) * orc.single_expectation(rho, op).real
+            assert tmsv_w1(spec, a, s) == pytest.approx(reference, abs=1e-13)
+
+    @pytest.mark.parametrize("xi", [0.3, 0.6])
+    def test_w1_is_the_thermal_field(self, xi):
+        points = np.array(POINTS * 3)
+        orders = np.repeat([0.0, -0.5, -1.0], len(POINTS))
+        want = thermal_w(math.sinh(xi) ** 2, points, orders)
+        assert tmsv_w1(TmsvSpec(xi), points, orders).tobytes() == want.tobytes()
+
     def test_husimi_closed_form(self):
         spec = TmsvSpec(0.45)
         for a, b in [(0.4 + 0.2j, -0.3 + 0.5j), (0.9, 0.7 - 0.4j)]:

@@ -387,6 +387,17 @@ class TestCorruptionIsCaught:
         assert results[0].worst == pytest.approx(1e-4, rel=1e-3)
 
 
+def _count(monkeypatch, calls, module, name, label=lambda *args: None):
+    """Count each call of ``module.name`` in ``calls``, under (name, label(*args))."""
+    real = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls[name, label(*args)] += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+
+
 class TestStackedRoutes:
     """Structural guards, not timings: the suites run as array programs."""
 
@@ -417,23 +428,13 @@ class TestStackedRoutes:
         loss = (rows[:n_field, 0] < -1.0) & (rules[:n_field] == witness.CLAMP_LOSS_CHANNEL)
         assert loss.sum() == 13
         calls = Counter()
-
-        def count(module, name, label=lambda *args: None):
-            real = getattr(module, name)
-
-            def counted(*args, **kwargs):
-                calls[name, label(*args)] += 1
-                return real(*args, **kwargs)
-
-            monkeypatch.setattr(module, name, counted)
-
-        count(witness, "_curve_keys", lambda xi, s_prime, lift, g, rule: rule)
-        count(witness, "_objective")
-        count(validate, "_setting_points")
+        _count(monkeypatch, calls, witness, "_curve_keys", lambda xi, s_prime, lift, g, rule: rule)
+        _count(monkeypatch, calls, witness, "_objective")
+        _count(monkeypatch, calls, validate, "_setting_points")
         # The loss-channel clamped cells join the one field pass.
-        count(witness, "bell_value")
-        count(noise, "evolve_thermal_w")
-        count(states, "tmsv_w2")
+        _count(monkeypatch, calls, witness, "bell_value")
+        _count(monkeypatch, calls, noise, "evolve_thermal_w")
+        _count(monkeypatch, calls, states, "tmsv_w2")
         (result,) = run_suites(["witness_form_equivalence"])
         assert result.passed, result.line()
         for rule in witness.CLAMP_MODES:
@@ -443,6 +444,24 @@ class TestStackedRoutes:
         assert calls["bell_value", None] == 1
         assert calls["evolve_thermal_w", None] == 0
         assert 0 < calls["tmsv_w2", None] <= 4
+
+    def test_eigenvalue_bounds_reads_each_spectrum_once(self, monkeypatch):
+        # One call over a column of orders per spectrum, not one per order.
+        calls = Counter()
+        spectra = ("observable_eigenvalue", "effective_eigenvalue", "bounded_eigenvalue")
+        for name in spectra:
+            _count(monkeypatch, calls, witness, name)
+        (result,) = run_suites(["eigenvalue_bounds"])
+        assert result.passed, result.line()
+        assert calls == {(name, None): 1 for name in spectra}
+
+    def test_series_reconstruction_reads_each_state_and_order_once(self, monkeypatch):
+        # The analytic route reads all three points of a (state, order) in one call.
+        calls = Counter()
+        _count(monkeypatch, calls, states, "state_w", lambda state, points, s: (state, s))
+        (result,) = run_suites(["series_reconstruction"])
+        assert result.passed, result.line()
+        assert len(calls) == sum(calls.values()) == 28
 
     @pytest.mark.parametrize(
         "suite, n_pairs", [("loss_rescale_identity", 28), ("multi_outcome_rescale", 3)]
