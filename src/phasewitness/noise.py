@@ -3,24 +3,25 @@
 Detection loss with efficiency eta and the thermal beam-splitter channel
 (reflectivity r, environment occupation nbar) both act on the
 quasiprobability family as a change of the order parameter; the thermal
-channel additionally rescales amplitudes by 1/t.  Each loss evaluation
-is carried out along two independent routes (thinned-distribution series
-versus rescaled closed form) and their agreement is enforced, never
-assumed.
+channel additionally rescales amplitudes by 1/t.  Their records,
+``DetectionNoise`` and ``ThermalNoise``, are exported here but live in
+``qp_core`` as the one gate of eta, r and nbar.  Each loss evaluation is
+carried out along two independent routes (thinned-distribution series
+versus rescaled closed form) and their agreement is enforced.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from .qp_core import (
     ConsistencyError,
+    DetectionNoise,
     OrderParam,
     PhotonDistribution,
+    ThermalNoise,
     real_order,
     w_from_distribution,
 )
@@ -35,48 +36,6 @@ __all__ = [
     "lossy_w_d",
     "evolve_thermal_w",
 ]
-
-
-@dataclass(frozen=True)
-class DetectionNoise:
-    """Per-mode detection efficiency, identical on both modes."""
-
-    eta: float
-
-    def __post_init__(self) -> None:
-        eta = float(self.eta)
-        object.__setattr__(self, "eta", eta)
-        if not math.isfinite(eta) or not 0.0 < eta <= 1.0:
-            raise ValueError("detection efficiency eta must lie in (0, 1]")
-
-
-@dataclass(frozen=True)
-class ThermalNoise:
-    """Thermal channel at dimensionless time r, identical and independent
-    on both modes.
-
-    r = sqrt(1 - exp(-gamma*tau)) runs from 0 (no decoherence) towards 1;
-    t = sqrt(1 - r^2) is the surviving amplitude fraction.
-    """
-
-    r: float
-    nbar: float = 0.0
-
-    def __post_init__(self) -> None:
-        r = float(self.r)
-        nbar = float(self.nbar)
-        object.__setattr__(self, "r", r)
-        object.__setattr__(self, "nbar", nbar)
-        if not math.isfinite(r) or not 0.0 <= r < 1.0:
-            raise ValueError("reflectivity r must lie in [0, 1)")
-        if not math.isfinite(nbar) or nbar < 0.0:
-            raise ValueError("mean photon number nbar must be finite and non-negative")
-        if not math.isfinite(1.0 + 2.0 * nbar):
-            raise ValueError(f"mean photon number nbar = {nbar} is too large: 1 + 2 nbar overflows")
-
-    @property
-    def t(self) -> float:
-        return math.sqrt(1.0 - self.r * self.r)
 
 
 def rescale_detection(s: float | OrderParam, noise: DetectionNoise) -> float | OrderParam:

@@ -11,7 +11,10 @@ is that branch, at ideal detectors or after loss at efficiency eta.
 One gate, ``real_order(s, what, lo)``, admits every real order: finite,
 non-positive and not below ``lo`` (the witness takes [-1, 0], the
 closed-form fields any s <= 0).  The series functions take either
-branch and send a float through the same gate.
+branch and send a float through the same gate.  The channel records
+``DetectionNoise`` and ``ThermalNoise``, which ``noise`` exports, are the
+one gate of eta, r and nbar: ``OrderParam``, ``beamsplitter_convolve``
+and ``states.SingleModeTestState`` admit them only through it.
 
 States enter either as photon-number distributions (series evaluation)
 or as callables ``point -> value`` (closed-form evaluation), so no grid
@@ -65,27 +68,67 @@ class ConsistencyError(RuntimeError):
 
 
 @dataclass(frozen=True)
+class DetectionNoise:
+    """Per-mode detection efficiency, identical on both modes."""
+
+    eta: float
+
+    def __post_init__(self) -> None:
+        eta = float(self.eta)
+        object.__setattr__(self, "eta", eta)
+        if not math.isfinite(eta) or not 0.0 < eta <= 1.0:
+            raise ValueError("detection efficiency eta must lie in (0, 1]")
+
+
+@dataclass(frozen=True)
+class ThermalNoise:
+    """Thermal channel at dimensionless time r, identical and independent
+    on both modes.
+
+    r = sqrt(1 - exp(-gamma*tau)) runs from 0 (no decoherence) towards 1;
+    t = sqrt(1 - r^2) is the surviving amplitude fraction.
+    """
+
+    r: float
+    nbar: float = 0.0
+
+    def __post_init__(self) -> None:
+        r = float(self.r)
+        nbar = float(self.nbar)
+        object.__setattr__(self, "r", r)
+        object.__setattr__(self, "nbar", nbar)
+        if not math.isfinite(r) or not 0.0 <= r < 1.0:
+            raise ValueError("reflectivity r must lie in [0, 1)")
+        if not math.isfinite(nbar) or nbar < 0.0:
+            raise ValueError("mean photon number nbar must be finite and non-negative")
+        if not math.isfinite(1.0 + 2.0 * nbar):
+            raise ValueError(f"mean photon number nbar = {nbar} is too large: 1 + 2 nbar overflows")
+
+    @property
+    def t(self) -> float:
+        return math.sqrt(1.0 - self.r * self.r)
+
+
+@dataclass(frozen=True)
 class OrderParam:
     """Order parameter of the d-outcome branch, seen at detection efficiency eta.
 
     Ideal detectors (eta = 1) give the one admissible value per outcome
     count ``d``, s_d = -i*cot(pi/d) (0 for d = 2); loss at efficiency eta
-    moves it to 1 - (1 - s_d)/eta.  The weight ratio (s+1)/(s-1) equals
-    1 - eta + eta*omega, inside the closed unit disc.  Real orders are
-    plain floats admitted by ``real_order``.
+    moves it to 1 - (1 - s_d)/eta, eta passing ``DetectionNoise``.  The weight
+    ratio (s+1)/(s-1) is 1 - eta + eta*omega, omega = exp(2*pi*i/d), inside
+    the closed unit disc.  Real orders are plain floats admitted by ``real_order``.
     """
 
     d: int
     eta: float = 1.0
 
     def __post_init__(self) -> None:
-        d, eta = int(self.d), float(self.eta)
+        d = int(self.d)
         object.__setattr__(self, "d", d)
-        object.__setattr__(self, "eta", eta)
         if d < 2:
             raise ValueError("outcome count d must be >= 2")
-        if not 0.0 < eta <= 1.0:
-            raise ValueError("detection efficiency eta must lie in (0, 1]")
+        object.__setattr__(self, "eta", DetectionNoise(self.eta).eta)
         if not cmath.isfinite(self.value):
             raise ValueError("order parameter must be finite")
 
@@ -100,11 +143,6 @@ class OrderParam:
         """Weight ratio (s+1)/(s-1) between successive number states."""
         v = self.value
         return (v + 1.0) / (v - 1.0)
-
-    @property
-    def omega(self) -> complex:
-        """Outcome phase exp(2*pi*i/d); the weight ratio at eta = 1."""
-        return cmath.exp(2j * math.pi / self.d)
 
 
 def _positive(value: float, what: str) -> None:
@@ -361,9 +399,9 @@ def beamsplitter_convolve(
     """Output-mode quasiprobability after mixing two fields on a beam splitter.
 
     Evaluates (1/t^2) * integral d^2 beta W_a(beta) W_b((alpha - r beta)/t)
-    for reflectivity r in [0, 1) and t = sqrt(1 - r^2) (``ThermalNoise.t``'s
-    expression), at one finite point (giving a float) or an array of them
-    (giving that shape).  The law holds at any order parameter, provided
+    for reflectivity r, admitted by ``ThermalNoise(r)``, and its t =
+    sqrt(1 - r^2), at one finite point (giving a float) or an array of
+    them (giving that shape).  The law holds at any order parameter, provided
     both fields are supplied at the same one.
 
     ``width`` is the Gaussian width of the environment field W_a, as in
@@ -377,11 +415,9 @@ def beamsplitter_convolve(
     points at a time, so memory is bounded by the block, not by
     targets x nodes.
     """
-    r = float(r)
+    channel = ThermalNoise(r)
+    r, t = channel.r, channel.t
     width = float(width)
-    if not 0.0 <= r < 1.0:
-        raise ValueError(f"reflectivity r must lie in [0, 1), got {r}")
-    t = math.sqrt(1.0 - r * r)
     _positive(width, "environment width")
     _positive(quad_tol, "quad_tol")
 

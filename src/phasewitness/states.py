@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qp_core import PhotonDistribution, real_order
+from .qp_core import PhotonDistribution, ThermalNoise, real_order
 
 __all__ = [
     "TmsvSpec",
@@ -107,8 +107,8 @@ class SingleModeTestState:
 
     With ``n`` = 0 it is the thermal state of mean photon number ``nbar``
     displaced by ``z``: the vacuum sets neither, a coherent state only
-    ``z`` and a thermal state only ``nbar``.  With ``n`` > 0 it is the
-    Fock state |n>, which takes neither ``z`` nor ``nbar``.
+    ``z`` and a thermal state only ``nbar`` (admitted by ``ThermalNoise``).
+    With ``n`` > 0 it is the Fock state |n>, which takes neither.
     """
 
     z: complex = 0j
@@ -118,12 +118,10 @@ class SingleModeTestState:
     def __post_init__(self) -> None:
         z = complex(self.z)
         object.__setattr__(self, "z", z)
-        object.__setattr__(self, "nbar", float(self.nbar))
         object.__setattr__(self, "n", int(self.n))
         if not (math.isfinite(z.real) and math.isfinite(z.imag)):
             raise ValueError("coherent amplitude must be finite")
-        if not math.isfinite(self.nbar) or self.nbar < 0.0:
-            raise ValueError("mean photon number nbar must be finite and non-negative")
+        object.__setattr__(self, "nbar", ThermalNoise(0.0, self.nbar).nbar)
         if self.n < 0:
             raise ValueError("photon number must be non-negative")
         if self.n > 0 and (z != 0.0 or self.nbar != 0.0):

@@ -436,20 +436,21 @@ def _rescaled(s, noise: DetectionNoise | ThermalNoise) -> tuple:
 def _cells(xi: float, s: np.ndarray, noises, clamp_mode: str) -> tuple[np.ndarray, ...]:
     """(s', lifts, keys) of the cells (noise, s), noise-major, for admitted base orders s.
 
-    ``noises`` are checked.  The first bad rescaled order, then the first clamped warm
-    thermal cell under the loss-channel rule, then the first bad key raises ``ValueError``.
+    ``noises`` are checked; the (s', lift, transmission) table is allocated before any is
+    read.  The first bad rescaled order, then the first clamped warm thermal cell under the
+    loss-channel rule, then the first bad key raises ``ValueError``.
     """
-    rows = [_rescaled(s, noise) for noise in noises]
-    s_prime = np.concatenate([row[0] for row in rows])
-    lift, transmission = np.repeat([row[1:] for row in rows], len(s), axis=0).T
+    table = np.empty((3, len(noises), len(s)))
+    for row, noise in zip(table.swapaxes(0, 1), noises):
+        row[0], row[1], row[2] = _rescaled(s, noise)
     if clamp_mode == CLAMP_LOSS_CHANNEL:
-        warm = [isinstance(noise, ThermalNoise) and noise.nbar > 0.0 for noise in noises]
-        if (np.repeat(warm, len(s)) & _clamped(s_prime)).any():
+        warm = np.array([isinstance(n, ThermalNoise) and n.nbar > 0.0 for n in noises], bool)
+        if _clamped(table[0, warm]).any():
             # Pure loss at transmission t^2 is the interaction of a cold environment only.
             raise ValueError(
                 "loss-channel clamping applies to the thermal interaction only for nbar = 0"
             )
-    return s_prime, *_curve_keys(xi, s_prime, lift, transmission, clamp_mode)
+    return table[0].ravel(), *_curve_keys(xi, *table.reshape(3, -1), clamp_mode)
 
 
 def _objective(spec: TmsvSpec, s, noise, clamp_mode: str) -> Callable[..., object]:

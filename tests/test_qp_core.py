@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import cmath
 import math
 import tracemalloc
 
@@ -9,7 +10,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from phasewitness import qp_core
+import phasewitness
+from phasewitness import noise as noise_mod, qp_core
 from phasewitness.qp_core import (
     ConvergenceError,
     OrderParam,
@@ -91,6 +93,30 @@ class TestRealOrder:
             real_order(np.array([0, 1]), "x")
 
 
+class TestChannelRecords:
+    def test_noise_exports_the_qp_core_records(self):
+        assert noise_mod.DetectionNoise is qp_core.DetectionNoise
+        assert noise_mod.ThermalNoise is qp_core.ThermalNoise
+        assert phasewitness.DetectionNoise is qp_core.DetectionNoise
+        assert phasewitness.ThermalNoise is qp_core.ThermalNoise
+
+    def test_consumers_raise_the_records_messages(self):
+        # OrderParam admits eta, and beamsplitter_convolve r, only through them.
+        vac = lambda pts: thermal_w(0.0, pts, 0.0)
+        cases = [
+            (DetectionNoise, lambda eta: OrderParam(2, eta), (0.0, 1.5),
+             "detection efficiency eta must lie in (0, 1]"),
+            (ThermalNoise, lambda r: beamsplitter_convolve(vac, vac, r, 0j, 1.0), (1.0, -0.1),
+             "reflectivity r must lie in [0, 1)"),
+        ]
+        for record, consumer, out_of_range, message in cases:
+            for value in (*out_of_range, *NON_FINITE):
+                for gate in (record, consumer):
+                    with pytest.raises(ValueError) as raised:
+                        gate(value)
+                    assert str(raised.value) == message
+
+
 class TestOrderParam:
     def test_d_outcome_values(self):
         assert OrderParam(2).value == 0j
@@ -103,6 +129,9 @@ class TestOrderParam:
         for eta in (0.0, -0.2, 1.5, math.nan):
             with pytest.raises(ValueError, match="eta"):
                 OrderParam(3, eta)
+        # d is checked first, then eta.
+        with pytest.raises(ValueError, match="outcome count d must be >= 2"):
+            OrderParam(1, 2.0)
         # (1 - s_d)/eta overflows: the order itself is not finite.
         with pytest.raises(ValueError, match="order parameter must be finite"):
             OrderParam(3, 5e-324)
@@ -126,8 +155,7 @@ class TestOrderParam:
         # The weight ratio (s+1)/(s-1) at s = -i cot(pi/d) is the d-th
         # root of unity that weights each photon count.
         for d in range(2, 7):
-            s = OrderParam(d)
-            assert abs(s.ratio - s.omega) < 1e-14
+            assert abs(OrderParam(d).ratio - cmath.exp(2j * math.pi / d)) < 1e-14
 
     @given(orders, efficiencies)
     def test_loss_acts_on_the_ratio_as_a_contraction(self, s, eta):

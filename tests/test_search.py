@@ -316,6 +316,27 @@ class TestGridOracle:
         assert report.bell_abs == pytest.approx(2.0, abs=1e-12)
 
 
+#: The 100000 x 100000 eta-s sweep under a 3 GB address-space limit; prints
+#: what it raised and how many times ``witness._rescaled`` ran first.
+HUGE_SWEEP_SCRIPT = """
+import resource
+limit = 3 * 10**9
+hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+soft = limit if hard == resource.RLIM_INFINITY else min(limit, hard)
+resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
+import numpy as np
+from phasewitness import search, states, witness
+calls = []
+rescaled = witness._rescaled
+witness._rescaled = lambda *args: calls.append(1) or rescaled(*args)
+grids = np.linspace(0.3, 1, 100000), np.linspace(-1, 0, 100000)
+try:
+    search.sweep_eta_s(states.TmsvSpec(0.3), *grids)
+except MemoryError:
+    print("MemoryError", len(calls))
+"""
+
+
 class TestSweeps:
     def test_grid_validation(self):
         spec = TmsvSpec(0.3)
@@ -342,6 +363,18 @@ class TestSweeps:
             sweep_thermal(spec, [0.5], [0.0], [])
         with pytest.raises(ValueError, match="mean photon number nbar"):
             sweep_thermal(spec, [0.5], [0.0], [-0.1])
+
+    def test_sweep_too_large_for_memory_fails_before_any_noise_is_read(self):
+        # In a child capped at 3 GB of address space: the 10^10-cell map's
+        # (s', lift, transmission) table is refused before one noise rescales.
+        env = dict(os.environ, PYTHONPATH=str(Path(phasewitness.__file__).parents[1]),
+                   OPENBLAS_NUM_THREADS="1")
+        run = subprocess.run(
+            [sys.executable, "-c", HUGE_SWEEP_SCRIPT], env=env, capture_output=True,
+            text=True, timeout=60,
+        )
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.split() == ["MemoryError", "0"]
 
     def test_result_fields(self):
         spec = TmsvSpec(0.3)

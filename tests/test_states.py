@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 import sys
 
 import numpy as np
@@ -116,6 +117,30 @@ class TestSingleModeStates:
         for fields in ({"z": 0.5j}, {"nbar": 0.3}):
             with pytest.raises(ValueError, match="Fock state"):
                 SingleModeTestState(n=2, **fields)
+
+    def test_nbar_passes_the_thermal_record(self):
+        message = "mean photon number nbar must be finite and non-negative"
+        for nbar in (-0.5, math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                SingleModeTestState(nbar=nbar)
+        # z is checked first, then nbar.
+        with pytest.raises(ValueError, match="coherent amplitude must be finite"):
+            SingleModeTestState(z=complex(math.nan, 0.0), nbar=-1.0)
+        # 1 + 2 nbar, the thermal Gaussian's width at s = 0, must be finite.
+        overflow = "mean photon number nbar = 1e+308 is too large: 1 + 2 nbar overflows"
+        with pytest.raises(ValueError, match=f"^{re.escape(overflow)}$"):
+            SingleModeTestState.thermal(1e308)
+
+    def test_w1_is_finite_at_the_largest_admitted_xi(self):
+        # cosh(2 xi) = 1 + 2 sinh^2 xi is finite up to xi ~ 355.2379, so the
+        # marginal's nbar = sinh^2 xi passes the thermal record there.
+        xi = 355.23793003697193
+        with pytest.raises(ValueError, match="cosh"):
+            TmsvSpec(math.nextafter(xi, math.inf))
+        spec = TmsvSpec(xi)
+        for s in (0.0, -0.5, -1.0):
+            assert math.isfinite(tmsv_w1(spec, 0j, s))
+            assert np.isfinite(tmsv_w1(spec, np.array(POINTS), s)).all()
 
     def test_vacuum_is_one_record(self):
         assert SingleModeTestState.coherent(0) == SingleModeTestState.thermal(0)
