@@ -75,20 +75,29 @@ def bernoulli_detect(p: PhotonDistribution, noise: DetectionNoise) -> PhotonDist
 def _thin(pairs) -> list[PhotonDistribution]:
     """``bernoulli_detect`` of every (distribution, noise) pair in one Pascal sweep.
 
-    The pairs, which must share one length N, are swept together over
-    (k, N) arrays, one row per pair at the pair's own eta.  Every
-    operation is elementwise, so a row's bits do not depend on the other
-    rows: a pair thinned among others gives what ``bernoulli_detect``
-    gives for it alone.
+    The pairs must share one length N.  The sweep builds the Pascal rows
+    once per distinct eta, over an (etas, N) array, and each pair
+    accumulates its distribution against the rows of its own eta, over
+    (k, N) arrays.  Every operation is elementwise, so a row's bits do
+    not depend on the other rows: a pair thinned among others gives what
+    ``bernoulli_detect`` gives for it alone.
     """
     probs = np.stack([p.probs for p, _ in pairs])
-    eta = np.array([[noise.eta] for _, noise in pairs])
+    # The distinct etas come from a dict and the rows are gathered by
+    # indexing: a first np.unique or ndarray.take call pages in enough of
+    # numpy to raise a validate run's peak RSS by about 0.3 MB.
+    index = {eta: i for i, eta in enumerate(dict.fromkeys(noise.eta for _, noise in pairs))}
+    row_of = np.array([index[noise.eta] for _, noise in pairs])
+    # When every pair has its own eta (one pair alone too), row_of is the
+    # identity and the rows are read in place.
+    gather = len(index) < len(pairs)
+    eta = np.array(list(index))[:, None]
     q = 1.0 - eta
-    row = np.zeros(probs.shape)
+    row = np.zeros((eta.size, probs.shape[1]))
     row[:, 0] = 1.0
     out = np.zeros(probs.shape)
     for pn in probs.T[:, :, None]:
-        out += pn * row
+        out += pn * (row[row_of] if gather else row)
         # Row n+1 is q times row n plus eta times row n shifted up one count.
         shifted = eta * row[:, :-1]
         row *= q
@@ -98,22 +107,26 @@ def _thin(pairs) -> list[PhotonDistribution]:
 
 
 def _loss_routes(pairs, orders, tol: float) -> list[list]:
-    """The two loss routes at each order in ``orders``, per (p, noise) pair.
+    """The two loss routes at each order argument in ``orders``, per (p, noise) pair.
 
-    For each pair and each order s, on either branch: the series over the
-    Bernoulli-thinned distribution at s, and the series over p at the
-    rescaled order divided by eta.  One ``_thin`` call thins every pair.
-    Each series converges to a quarter of tol, so their truncation stays
-    inside tol.
+    An order argument is what ``w_from_distribution`` takes: one order on
+    either branch, or a real array of orders.  For each pair and each
+    argument s: the series over the Bernoulli-thinned distribution at s,
+    and the series over p at the rescaled order divided by eta, so one
+    array argument costs one series call per route.  One ``_thin`` call
+    thins every pair, and each argument is rescaled once per distinct
+    noise.  Each series converges to a quarter of tol, so their
+    truncation stays inside tol.
     """
+    noises = dict.fromkeys(noise for _, noise in pairs)
+    rescaled = [{noise: rescale_detection(s, noise) for noise in noises} for s in orders]
     return [
         [
             (
                 w_from_distribution(thinned, s, tol=0.25 * tol),
-                w_from_distribution(p, rescale_detection(s, noise), tol=0.25 * tol * noise.eta)
-                / noise.eta,
+                w_from_distribution(p, at[noise], tol=0.25 * tol * noise.eta) / noise.eta,
             )
-            for s in orders
+            for s, at in zip(orders, rescaled)
         ]
         for (p, noise), thinned in zip(pairs, _thin(pairs))
     ]

@@ -13,10 +13,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .qp_core import PhotonDistribution, ThermalNoise, real_order
+from .qp_core import PhotonDistribution, ThermalNoise, _photon_number, real_order
 
 __all__ = [
     "TmsvSpec",
@@ -118,12 +119,10 @@ class SingleModeTestState:
     def __post_init__(self) -> None:
         z = complex(self.z)
         object.__setattr__(self, "z", z)
-        object.__setattr__(self, "n", int(self.n))
+        object.__setattr__(self, "n", _photon_number(self.n))
         if not (math.isfinite(z.real) and math.isfinite(z.imag)):
             raise ValueError("coherent amplitude must be finite")
         object.__setattr__(self, "nbar", ThermalNoise(0.0, self.nbar).nbar)
-        if self.n < 0:
-            raise ValueError("photon number must be non-negative")
         if self.n > 0 and (z != 0.0 or self.nbar != 0.0):
             raise ValueError("a Fock state takes neither a displacement z nor an nbar")
 
@@ -141,7 +140,7 @@ class SingleModeTestState:
 
     @classmethod
     def fock(cls, n: int) -> "SingleModeTestState":
-        return cls(n=int(n))
+        return cls(n=n)
 
 
 def thermal_w(nbar: float, beta, s) -> float | np.ndarray:
@@ -154,9 +153,10 @@ def state_w(state: SingleModeTestState, alpha, s) -> float | np.ndarray:
     sv = real_order(s, _CLOSED_FORM)
     a, scalar = _as_field(alpha)
     if state.n == 0:
-        # The displaced thermal Gaussian of width 1 + 2 nbar - s.
+        # The displaced thermal Gaussian of width 1 + 2 nbar - s; 2/pi/width
+        # stays representable where pi * width would overflow.
         width = 1.0 + 2.0 * state.nbar - sv
-        vals = (2.0 / (math.pi * width)) * np.exp(-2.0 * np.abs(a - state.z) ** 2 / width)
+        vals = (2.0 / math.pi / width) * np.exp(-2.0 * np.abs(a - state.z) ** 2 / width)
         return float(vals) if scalar else vals
     # Fock state: Laguerre closed form, with the ratio -> 0 limit at s = -1.
     b = np.abs(a) ** 2
@@ -203,6 +203,14 @@ def _displaced_thermal_probs(nbar: float, b: float, n_max: int) -> np.ndarray:
     return (math.exp(-b / (1.0 + nbar)) / (1.0 + nbar)) * t
 
 
+@lru_cache(maxsize=16)
+def _log_factorials(size: int) -> np.ndarray:
+    """log k! for k = 0..size-1, read-only, since every caller shares one table."""
+    table = np.array([math.lgamma(k + 1.0) for k in range(size)])
+    table.setflags(write=False)
+    return table
+
+
 def _displaced_fock_probs(m: int, b: float, n_max: int) -> np.ndarray:
     if b == 0.0:
         p = np.zeros(n_max + 1)
@@ -214,7 +222,7 @@ def _displaced_fock_probs(m: int, b: float, n_max: int) -> np.ndarray:
     delta = np.abs(n - m)
     # Row lo of the Laguerre table with alpha = delta, picked per n.
     lag = _laguerre(min(m, n_max), delta, b)[lo, n]
-    log_fact = np.array([math.lgamma(k + 1.0) for k in range(max(n_max, m) + 1)])
+    log_fact = _log_factorials(max(n_max, m) + 1)
     logw = log_fact[lo] - log_fact[lo + delta] + delta * math.log(b) - b
     return np.exp(logw) * lag**2
 

@@ -93,16 +93,18 @@ Residuals = tuple[float, "list[float] | np.ndarray"]
 
 
 def _series_reconstruction() -> Residuals:
-    """Number-basis series against the analytic values, read per (state, order)."""
+    """Number-basis series against the analytic values: the analytic side read per
+    (state, order), the series per (state, point) over every order at once."""
     tol = 1e-8
     points = np.array([0.0, 0.3 - 0.2j, -0.9 + 0.5j])
+    orders = np.array(_S_GRID)
     residuals = []
     for state in _test_states():
         want = np.array([states.state_w(state, points, s) for s in _S_GRID]).T
         for point, want_at in zip(points, want):
             p = states.photon_distribution(state, point, _N_MAX)
-            got = [qp_core.w_from_distribution(p, s, tol=0.25 * tol) for s in _S_GRID]
-            residuals.extend(np.abs(np.subtract(got, want_at)))
+            got = qp_core.w_from_distribution(p, orders, tol=0.25 * tol)
+            residuals.extend(np.abs(got - want_at))
     return tol, residuals
 
 
@@ -110,15 +112,16 @@ def _loss_rescale_identity() -> Residuals:
     """Thinned-series route against the rescaled-order route.
 
     Every (state, eta) pair is thinned in the one Pascal sweep of
-    ``noise._loss_routes``.
+    ``noise._loss_routes``, and each route reads every order of the grid
+    in one series call.
     """
     tol = 1e-8
     distributions = [
         states.photon_distribution(state, 0.3 - 0.2j, _N_MAX) for state in _test_states()
     ]
     pairs = [(p, DetectionNoise(eta)) for p in distributions for eta in _ETA_GRID]
-    routes = noise_mod._loss_routes(pairs, _S_GRID, tol)
-    return tol, [abs(thinned - rescaled) for pair in routes for thinned, rescaled in pair]
+    routes = noise_mod._loss_routes(pairs, (np.array(_S_GRID),), tol)
+    return tol, np.concatenate([np.abs(thinned - rescaled) for ((thinned, rescaled),) in routes])
 
 
 def _smoothing_semigroup() -> Residuals:

@@ -45,7 +45,7 @@ from typing import Callable, Mapping
 import numpy as np
 
 from .noise import DetectionNoise, ThermalNoise, rescale_detection, rescale_thermal
-from .qp_core import _photon_number, parity_coefficient, real_order
+from .qp_core import _photon_number, _power, parity_coefficient, real_order
 from .states import TmsvSpec
 
 __all__ = [
@@ -166,7 +166,7 @@ def observable_eigenvalue(n, s) -> float | np.ndarray:
     ratio = (sv + 1.0) / (sv - 1.0)
     # n = 0 and n = 1 are the identities 1 and -(s+1)+s; return them
     # exactly rather than through one rounding step.
-    values = np.where(n == 0, 1.0, np.where(n == 1, -1.0, (1.0 - sv) * ratio**n + sv))
+    values = np.where(n == 0, 1.0, np.where(n == 1, -1.0, (1.0 - sv) * _power(ratio, n) + sv))
     return float(values) if np.ndim(n) == 0 else values
 
 

@@ -16,6 +16,7 @@ from phasewitness.qp_core import (
     ConvergenceError,
     OrderParam,
     PhotonDistribution,
+    _power,
     _ratio_and_gap,
     beamsplitter_convolve,
     gaussian_smooth,
@@ -124,6 +125,14 @@ class TestOrderParam:
         assert OrderParam(3) == OrderParam(3, 1.0)
         with pytest.raises(ValueError):
             OrderParam(1)
+
+    def test_outcome_count_must_be_an_integer(self):
+        # int() would truncate 2.9 to the d = 2 branch.
+        for d in (2.9, 3.7, math.nan):
+            with pytest.raises(ValueError, match="outcome count d must be an integer"):
+                OrderParam(d)
+        assert OrderParam(3.0) == OrderParam(3)
+        assert type(OrderParam(np.int64(4)).d) is int
 
     def test_efficiency_is_validated(self):
         for eta in (0.0, -0.2, 1.5, math.nan):
@@ -284,6 +293,36 @@ class TestParityCoefficient:
         assert abs(parity_coefficient(n, s)) <= 1.0 / (1.0 - s) + 1e-15
 
 
+class TestPower:
+    """``_power``: |ratio|**n with the odd powers signed in place, or ``**``."""
+
+    def test_exact_at_ratio_minus_one_and_at_order_zero(self):
+        n = np.arange(9)
+        assert _power(np.array([[-1.0]]), n).tolist() == [[1.0, -1.0] * 4 + [1.0]]
+        assert [_power(-1.0, int(k)) for k in n] == [1.0, -1.0] * 4 + [1.0]
+        ratios = np.array([[-1.0], [-0.5], [-0.0], [0.0], [0.5]])
+        assert (_power(ratios, np.zeros(3, dtype=np.int64)) == 1.0).all()
+        assert _power(0.0, 0) == 1.0 and _power(-0.0, 0) == 1.0
+
+    def test_within_one_ulp_of_power_on_the_eigenvalue_grid(self):
+        # The (101, 513) grid of validate's eigenvalue_bounds suite.
+        s = np.linspace(-1.0, 0.0, 101)[:, None]
+        ratio, n = (s + 1.0) / (s - 1.0), np.arange(513)
+        got, want = _power(ratio, n), ratio**n
+        assert (np.abs(got - want) <= np.spacing(np.abs(want))).all()
+        assert (np.signbit(got) == np.signbit(want)).all()
+        for r, k in ((-0.46, 7), (-0.46, 8), (-0.0, 3), (0.3, 5)):
+            got = _power(r, k)
+            assert got == r**k and math.copysign(1.0, got) == math.copysign(1.0, r**k)
+
+    def test_complex_ratio_keeps_power(self):
+        ratio, n = OrderParam(3, 0.6).ratio, np.arange(200)
+        assert _power(ratio, n).tobytes() == (ratio**n).tobytes()
+        assert _power(ratio, 7) == ratio**7
+        column = np.array([[ratio], [OrderParam(5).ratio]])
+        assert _power(column, n).tobytes() == (column**n).tobytes()
+
+
 class TestPhotonDistribution:
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -334,6 +373,34 @@ class TestWFromDistribution:
         p = PhotonDistribution(np.array([0.5, 0.3]), tail_bound=0.2)
         with pytest.raises(ConvergenceError):
             w_from_distribution(p, 0.0, tol=1e-8)
+
+    def test_array_of_orders_matches_the_per_order_calls(self):
+        # Each order's series is summed along its own row, so the bound
+        # tested is exact equality, bit for bit, in any array shape.
+        orders = np.array([0.0, -0.25, -0.5, -1.0, -1.7, -3.0])
+        for state, point in [
+            (SingleModeTestState.thermal(2.0), 0.3 - 0.2j),
+            (SingleModeTestState.fock(3), -0.9 + 0.5j),
+            (SingleModeTestState.coherent(-1.6), 0.0),
+        ]:
+            p = photon_distribution(state, point, 160)
+            want = np.array([w_from_distribution(p, float(s)) for s in orders])
+            got = w_from_distribution(p, orders)
+            assert got.shape == orders.shape and got.tobytes() == want.tobytes()
+            grid = w_from_distribution(p, orders.reshape(2, 3))
+            assert grid.shape == (2, 3) and grid.tobytes() == want.tobytes()
+
+    def test_tail_failure_names_the_first_failing_order(self):
+        # s = -1 damps every term (ratio 0); s = -0.25 and s = 0 both
+        # leave a tail far above tol, and -0.25 comes first.
+        p = PhotonDistribution(np.array([0.5, 0.3]), tail_bound=0.2)
+        assert w_from_distribution(p, np.array([-1.0]), tol=1e-8).shape == (1,)
+        with pytest.raises(ConvergenceError, match=r"at n_max 1 for order -0\.25$"):
+            w_from_distribution(p, np.array([-1.0, -0.25, 0.0]), tol=1e-8)
+        with pytest.raises(ConvergenceError, match=r"for order 0\.0$"):
+            w_from_distribution(p, np.array([-1.0, 0.0]), tol=1e-8)
+        with pytest.raises(ConvergenceError, match=r"for order OrderParam\(d=3, eta=1\.0\)$"):
+            w_from_distribution(p, OrderParam(3), tol=1e-8)
 
     def test_nan_tol_does_not_switch_off_the_tail_check(self):
         # The tail bound is 8.9e-2; a NaN tol used to compare False and

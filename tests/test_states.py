@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 import re
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -141,6 +142,25 @@ class TestSingleModeStates:
         for s in (0.0, -0.5, -1.0):
             assert math.isfinite(tmsv_w1(spec, 0j, s))
             assert np.isfinite(tmsv_w1(spec, np.array(POINTS), s)).all()
+
+    def test_thermal_prefactor_stays_representable_at_the_largest_xi(self):
+        # Width 1 + 2 sinh^2 xi - s is about 1.8e308 here: pi * width
+        # overflows, while 2/pi/width is the subnormal 3.54e-309.
+        spec = TmsvSpec(355.23793003697193)
+        assert tmsv_w1(spec, 0j, 0.0) == pytest.approx(3.5413e-309, rel=1e-4)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            peak = tmsv_w1(spec, np.zeros(3, dtype=complex), np.array([0.0, -0.5, -1.0]))
+        assert (peak > 0.0).all()
+
+    def test_photon_number_must_be_an_integer(self):
+        # int() would truncate 3.7 to the Fock state |3>.
+        for n in (2.9, 3.7, math.nan):
+            for make in (SingleModeTestState.fock, lambda n: SingleModeTestState(n=n)):
+                with pytest.raises(ValueError, match="photon number n must be an integer"):
+                    make(n)
+        assert SingleModeTestState.fock(3.0) == SingleModeTestState.fock(3)
+        assert type(SingleModeTestState.fock(np.int64(2)).n) is int
 
     def test_vacuum_is_one_record(self):
         assert SingleModeTestState.coherent(0) == SingleModeTestState.thermal(0)

@@ -464,6 +464,22 @@ class TestStackedRoutes:
         assert len(calls) == sum(calls.values()) == 28
 
     @pytest.mark.parametrize(
+        "suite, module, n_calls",
+        [("loss_rescale_identity", "noise", 56), ("series_reconstruction", "qp_core", 21)],
+    )
+    def test_each_series_reads_every_order_in_one_call(self, monkeypatch, suite, module, n_calls):
+        # One series call per (pair, route) and per (state, point), each over
+        # the whole order grid, not one call per order.
+        from phasewitness import noise, qp_core
+
+        calls = Counter()
+        target = {"noise": noise, "qp_core": qp_core}[module]
+        _count(monkeypatch, calls, target, "w_from_distribution", lambda p, s: np.shape(s))
+        (result,) = run_suites([suite])
+        assert result.passed, result.line()
+        assert calls == {("w_from_distribution", (len(validate._S_GRID),)): n_calls}
+
+    @pytest.mark.parametrize(
         "suite, n_pairs", [("loss_rescale_identity", 28), ("multi_outcome_rescale", 3)]
     )
     def test_each_loss_suite_thins_in_one_sweep(self, monkeypatch, suite, n_pairs):
