@@ -88,16 +88,13 @@ def _thin(pairs) -> list[PhotonDistribution]:
     # numpy to raise a validate run's peak RSS by about 0.3 MB.
     index = {eta: i for i, eta in enumerate(dict.fromkeys(noise.eta for _, noise in pairs))}
     row_of = np.array([index[noise.eta] for _, noise in pairs])
-    # When every pair has its own eta (one pair alone too), row_of is the
-    # identity and the rows are read in place.
-    gather = len(index) < len(pairs)
     eta = np.array(list(index))[:, None]
     q = 1.0 - eta
     row = np.zeros((eta.size, probs.shape[1]))
     row[:, 0] = 1.0
     out = np.zeros(probs.shape)
     for pn in probs.T[:, :, None]:
-        out += pn * (row[row_of] if gather else row)
+        out += pn * row[row_of]
         # Row n+1 is q times row n plus eta times row n shifted up one count.
         shifted = eta * row[:, :-1]
         row *= q
@@ -114,19 +111,17 @@ def _loss_routes(pairs, orders, tol: float) -> list[list]:
     argument s: the series over the Bernoulli-thinned distribution at s,
     and the series over p at the rescaled order divided by eta, so one
     array argument costs one series call per route.  One ``_thin`` call
-    thins every pair, and each argument is rescaled once per distinct
-    noise.  Each series converges to a quarter of tol, so their
-    truncation stays inside tol.
+    thins every pair.  Each series converges to a quarter of tol, so
+    their truncation stays inside tol.
     """
-    noises = dict.fromkeys(noise for _, noise in pairs)
-    rescaled = [{noise: rescale_detection(s, noise) for noise in noises} for s in orders]
     return [
         [
             (
                 w_from_distribution(thinned, s, tol=0.25 * tol),
-                w_from_distribution(p, at[noise], tol=0.25 * tol * noise.eta) / noise.eta,
+                w_from_distribution(p, rescale_detection(s, noise), tol=0.25 * tol * noise.eta)
+                / noise.eta,
             )
-            for s, at in zip(orders, rescaled)
+            for s in orders
         ]
         for (p, noise), thinned in zip(pairs, _thin(pairs))
     ]

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -203,14 +202,6 @@ def _displaced_thermal_probs(nbar: float, b: float, n_max: int) -> np.ndarray:
     return (math.exp(-b / (1.0 + nbar)) / (1.0 + nbar)) * t
 
 
-@lru_cache(maxsize=16)
-def _log_factorials(size: int) -> np.ndarray:
-    """log k! for k = 0..size-1, read-only, since every caller shares one table."""
-    table = np.array([math.lgamma(k + 1.0) for k in range(size)])
-    table.setflags(write=False)
-    return table
-
-
 def _displaced_fock_probs(m: int, b: float, n_max: int) -> np.ndarray:
     if b == 0.0:
         p = np.zeros(n_max + 1)
@@ -222,7 +213,7 @@ def _displaced_fock_probs(m: int, b: float, n_max: int) -> np.ndarray:
     delta = np.abs(n - m)
     # Row lo of the Laguerre table with alpha = delta, picked per n.
     lag = _laguerre(min(m, n_max), delta, b)[lo, n]
-    log_fact = _log_factorials(max(n_max, m) + 1)
+    log_fact = np.array([math.lgamma(k + 1.0) for k in range(max(n_max, m) + 1)])
     logw = log_fact[lo] - log_fact[lo + delta] + delta * math.log(b) - b
     return np.exp(logw) * lag**2
 
