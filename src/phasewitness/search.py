@@ -36,7 +36,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .noise import DetectionNoise, ThermalNoise
-from .qp_core import real_order
+from .qp_core import _photon_number, real_order
 from .states import TmsvSpec
 from .witness import (
     _WITNESS,
@@ -109,7 +109,7 @@ def grid_oracle(
     Unexported, kept for ``perfbench/make_bound.py`` and the tests until
     ``perfbench/`` stops calling it; then it moves into the tests' oracles.
     """
-    points_per_axis = int(points_per_axis)
+    points_per_axis = _photon_number(points_per_axis, "points_per_axis")
     if points_per_axis < 3:
         raise ValueError("points_per_axis must be at least 3")
     axis = np.unique(np.linspace(-float(box_radius), float(box_radius), points_per_axis))

@@ -1,7 +1,9 @@
 """Closed-form quasiprobability functions and photon distributions.
 
 Covers the validation corpus: the two-mode squeezed vacuum (TMSV), whose
-marginal is the thermal field at nbar = sinh^2 xi, and the single-mode
+record ``TmsvSpec`` holds xi alone, whose two-mode field ``tmsv_w2`` forms
+the textbook Gaussian's constants from xi and the order itself, and whose
+marginal is the thermal field at nbar = sinh^2 xi; and the single-mode
 test states (displaced thermal states, which include the vacuum and the
 coherent states, and Fock states), as fields and as displaced
 photon-number distributions.  Laguerre polynomials come from
@@ -60,35 +62,16 @@ class TmsvSpec:
             raise ValueError(f"squeezing parameter xi = {xi} is too large: cosh(2 xi) overflows")
         object.__setattr__(self, "xi", xi)
 
-    def marginal_width(self, s: float | np.ndarray) -> float | np.ndarray:
-        """Width cosh(2 xi) - s of the reduced single-mode Gaussian, per order in s."""
-        return math.cosh(2.0 * self.xi) - s
-
-    def joint_det(self, s: float | np.ndarray) -> float | np.ndarray:
-        """Determinant s^2 - 2 s cosh(2 xi) + 1 of the two-mode quadratic form, per order."""
-        return s * s - 2.0 * s * math.cosh(2.0 * self.xi) + 1.0
-
-    def gaussian(self, s: float | np.ndarray) -> tuple:
-        """Constants (width, k2, e2, sh2) of the two-mode closed form at order s.
-
-        W2(a, b) = k2 exp(-e2 (width (|a|^2 + |b|^2) + sh2 Re(a b))).  A
-        float array of orders gives each constant but sh2 as an array, whose
-        entries are the scalar order's bits; the first entry whose
-        determinant is not positive raises as alone.
-        """
-        det = self.joint_det(s)
-        bad = np.ravel(det <= 0.0)
-        if bad.any():
-            raise ValueError(
-                f"quadratic form is not positive definite (det {np.ravel(det)[bad.argmax()]})"
-            )
-        width = self.marginal_width(s)
-        return width, 4.0 / (math.pi * math.pi * det), 2.0 / det, 2.0 * math.sinh(2.0 * self.xi)
-
 
 def tmsv_w2(spec: TmsvSpec, alpha, beta, s) -> float | np.ndarray:
     """Two-mode quasiprobability of the TMSV at (alpha, beta), at one order or one per point."""
-    width, k2, e2, sh2 = spec.gaussian(real_order(s, _CLOSED_FORM))
+    sv = real_order(s, _CLOSED_FORM)
+    # W2(a, b) = k2 exp(-e2 (width (|a|^2 + |b|^2) + sh2 Re(a b))).  The form
+    # needs no definiteness check: at an admitted s <= 0, s^2 and -2 s cosh 2xi
+    # are >= 0 and stay so when rounded, so det >= 1 also in floating point.
+    width = math.cosh(2.0 * spec.xi) - sv
+    det = sv * sv - 2.0 * sv * math.cosh(2.0 * spec.xi) + 1.0
+    k2, e2, sh2 = 4.0 / (math.pi * math.pi * det), 2.0 / det, 2.0 * math.sinh(2.0 * spec.xi)
     (a, scalar_a), (b, scalar_b) = _as_field(alpha), _as_field(beta)
     ar, ai, br, bi = a.real, a.imag, b.real, b.imag
     quad = width * ((ar * ar + ai * ai) + (br * br + bi * bi)) + sh2 * (ar * br - ai * bi)
@@ -229,7 +212,7 @@ def photon_distribution(
     and the full distribution is normalized, so the bound is one minus
     the retained mass.
     """
-    n_max = int(n_max)
+    n_max = _photon_number(n_max, "n_max")
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
     a = complex(displacement)

@@ -264,7 +264,7 @@ def _witness_form_equivalence() -> Residuals:
     loss-channel rule at its channel's ``noise.rescale_thermal`` order.
     It shares s' (``witness._rescaled``) and the unclamped
     ``witness._coefficients`` with the builder, but no Gaussian constant:
-    ``tmsv_w2`` reads the textbook ``TmsvSpec.gaussian`` and ``tmsv_w1`` the
+    ``tmsv_w2`` forms the textbook TMSV Gaussian and ``tmsv_w1`` reads the
     thermal ``state_w`` at nbar = sinh^2 xi, the builder its own normal-mode
     constants.  It checks the clamp rules' coefficient sets, the frames and
     the builder's Gaussians.

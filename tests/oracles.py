@@ -22,7 +22,7 @@ reflection and ``eigvalsh``, in the package's own units
 2 x 2 blocks, which hold on b = a only.  Its ``eigvalsh`` loses the top
 eigenvalue as the squeezing grows, so a second reference,
 ``mp_hess_max``, differentiates the textbook B (the closed forms of
-``states.TmsvSpec.gaussian``, formed anew at 80 digits) numerically,
+``states.tmsv_w2``, formed anew at 80 digits) numerically,
 sharing no code with the package.  ``curve_key`` is the scalar key body
 the objective builder ran on Python floats, the reference that
 ``witness._curve_keys`` must match bit for bit.
@@ -627,7 +627,7 @@ def mp_hess_max(xi, s, point, digits=80):
 
     B is the textbook sum c2 (W2(a1,b1) + W2(a1,b2) + W2(a2,b1) -
     W2(a2,b2)) + c1 (W1(a1) + W1(b1)) + c0 over the closed forms of
-    ``states.TmsvSpec.gaussian``, with the unclamped coefficients at s in
+    ``states.tmsv_w2``, with the unclamped coefficients at s in
     [-1, 0], each constant formed from xi and s at ``digits`` digits.  Its
     8 x 8 Hessian at the raw 8-vector ``point`` comes from central
     differences with a step 1e-20 times the peak length

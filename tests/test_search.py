@@ -309,6 +309,22 @@ class TestGridOracle:
         with pytest.raises(ValueError):
             grid_oracle(constant_objective, 1.0, 2)
 
+    def test_point_count_must_be_an_integer(self):
+        # int() would truncate 3.5 to 3.
+        with pytest.raises(ValueError, match="points_per_axis must be an integer"):
+            grid_oracle(constant_objective, 1.0, 3.5)
+
+    @pytest.mark.parametrize("points", [3, np.int64(3)])
+    def test_integral_point_counts_are_admitted(self, points):
+        calls = []
+
+        def objective(settings):
+            calls.append(settings)
+            return constant_objective(settings)
+
+        grid_oracle(objective, 1.0, points)
+        assert len(calls) == 3**4
+
     def test_degenerate_box_evaluates_origin(self):
         objective = detection_objective(TmsvSpec(0.0), -1.0, DetectionNoise(1.0))
         report = grid_oracle(objective, 0.0, 5)

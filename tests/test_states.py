@@ -47,9 +47,10 @@ class TestTmsvSpec:
 
     @given(st.floats(min_value=0.0, max_value=1.2), st.floats(min_value=-1.0, max_value=0.0))
     def test_quadratic_form_is_positive(self, xi, s):
-        spec = TmsvSpec(xi)
-        assert spec.joint_det(s) > 0.0
-        assert spec.marginal_width(s) > 0.0
+        # At the origin W2 is k2 = 4 / (pi^2 det), so det >= 1 bounds it by 4/pi^2.
+        peak = tmsv_w2(TmsvSpec(xi), 0j, 0j, s)
+        assert math.isfinite(peak)
+        assert 0.0 < peak <= 4.0 / math.pi**2
 
 
 class TestTmsvClosedForms:
@@ -249,3 +250,13 @@ class TestPhotonDistributions:
     def test_requires_positive_length(self):
         with pytest.raises(ValueError):
             photon_distribution(SingleModeTestState.vacuum(), 0j, 0)
+
+    def test_length_must_be_an_integer(self):
+        # int() would truncate 10.9 to 10.
+        with pytest.raises(ValueError, match="n_max must be an integer"):
+            photon_distribution(SingleModeTestState.vacuum(), 0.3, 10.9)
+
+    @pytest.mark.parametrize("n_max", [10, np.int64(10), 10.0])
+    def test_integral_lengths_are_admitted(self, n_max):
+        p = photon_distribution(SingleModeTestState.vacuum(), 0.3, n_max)
+        assert p.n_max == 10

@@ -153,9 +153,6 @@ class TestOrderArrays:
             rows = slice(self.N * i, self.N * (i + 1))
             assert w2[rows].tobytes() == states.tmsv_w2(spec, a[rows], b[rows], s).tobytes()
             assert w1[rows].tobytes() == states.tmsv_w1(spec, a[rows], s).tobytes()
-        columns = np.column_stack(np.broadcast_arrays(*spec.gaussian(s_prime)))
-        scalar = np.array([spec.gaussian(s) for s in s_prime.tolist()])
-        assert columns.tobytes() == scalar.tobytes()
 
     def test_bell_value_reads_an_order_per_row(self, blocks):
         s_prime, x, _ = blocks
@@ -189,10 +186,6 @@ class TestOrderArrays:
                 call(bad)
             with pytest.raises(ValueError, match="^" + re.escape(str(scalar.value)) + "$"):
                 call(orders)
-        with pytest.raises(ValueError) as scalar:
-            spec.gaussian(1.0)
-        with pytest.raises(ValueError, match="^" + re.escape(str(scalar.value)) + "$"):
-            spec.gaussian(np.array([-0.5, 1.0, 2.0]))
 
 
 class TestReporting:

@@ -245,9 +245,10 @@ class TestBellValueArray:
             return tmsv_w1(spec, a, s)
 
         batch = bell_value(w2, w1, w1, self.ROWS, s)
-        # Scalar TMSV points go through math.exp and arrays through
-        # np.exp, which may differ in the last bit; fed one-point arrays,
-        # each row sees the batch's field arithmetic and matches exactly.
+        # tmsv_w1's |alpha|^2 (np.abs of a complex, squared) may round a
+        # scalar point and an array entry apart in the last bit; fed
+        # one-point arrays, each row sees the batch's field arithmetic and
+        # matches exactly.
         def w2_point(a, b):
             return w2(np.array([a]), np.array([b]))[0]
 
