@@ -56,10 +56,6 @@ _CSV_ROW = (
 )
 
 
-class UsageError(ValueError):
-    """Invalid arguments or parameter combinations."""
-
-
 def _parse_grid(text: str, name: str) -> list[float]:
     """Parse ``lo:hi:count`` (endpoints inclusive) or a single value."""
     parts = text.split(":")
@@ -70,35 +66,35 @@ def _parse_grid(text: str, name: str) -> list[float]:
             raise ValueError
         lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError:
-        raise UsageError(
+        raise ValueError(
             f"{name}: expected 'lo:hi:count' or a single number, got {text!r}"
         ) from None
     # linspace turns an infinite endpoint, or a span that overflows, into
     # NaN cells.
     if not math.isfinite(hi - lo):
-        raise UsageError(f"{name}: grid endpoints and span must be finite, got {text!r}")
+        raise ValueError(f"{name}: grid endpoints and span must be finite, got {text!r}")
     if count < 1:
-        raise UsageError(f"{name}: grid count must be at least 1, got {count}")
+        raise ValueError(f"{name}: grid count must be at least 1, got {count}")
     if count == 1 and lo != hi:
-        raise UsageError(f"{name}: a 1-point grid needs lo == hi, got {text!r}")
+        raise ValueError(f"{name}: a 1-point grid needs lo == hi, got {text!r}")
     # numpy refuses a count it cannot allocate with a MemoryError, and one
     # past its index range with a ValueError or an IndexError.
     try:
         return [float(v) for v in np.linspace(lo, hi, count)]
     except (MemoryError, ValueError, IndexError):
-        raise UsageError(f"{name}: grid count {count} is too large") from None
+        raise ValueError(f"{name}: grid count {count} is too large") from None
 
 
 def _parse_settings(text: str) -> BellSettings:
     tokens = text.split(",")
     if len(tokens) != 4:
-        raise UsageError(
+        raise ValueError(
             f"--settings needs 4 comma-separated complex values, got {len(tokens)}"
         )
     try:
         values = [complex(tok.strip()) for tok in tokens]
     except ValueError as exc:
-        raise UsageError(f"--settings: {exc}") from None
+        raise ValueError(f"--settings: {exc}") from None
     return BellSettings(*values)
 
 
@@ -109,7 +105,7 @@ def _parse_float_list(text: str, name: str) -> list[float]:
     try:
         return [float(tok) for tok in tokens]
     except ValueError:
-        raise UsageError(f"{name}: expected comma-separated numbers, got {text!r}") from None
+        raise ValueError(f"{name}: expected comma-separated numbers, got {text!r}") from None
 
 
 def _json_number(value):
@@ -181,11 +177,11 @@ def _check_noise_flags(args: argparse.Namespace, option: str, choice: str) -> No
     table = _NOISE_FLAGS[args.command]
     reads = table[choice]
     if reads and getattr(args, reads[0]) is None:
-        raise UsageError(f"{option} {choice} requires --{reads[0]}")
+        raise ValueError(f"{option} {choice} requires --{reads[0]}")
     unread = {name for names in table.values() for name in names} - set(reads)
     given = sorted("--" + n.replace("_", "-") for n in unread if getattr(args, n) is not None)
     if given:
-        raise UsageError(f"{option} {choice} does not read {', '.join(given)}")
+        raise ValueError(f"{option} {choice} does not read {', '.join(given)}")
 
 
 def _warn_uncertified(count: int, total: int) -> None:
@@ -197,7 +193,7 @@ def _warn_uncertified(count: int, total: int) -> None:
 
 def _cmd_eval(args: argparse.Namespace) -> int:
     if bool(args.settings) == bool(args.optimize):
-        raise UsageError("exactly one of --settings or --optimize is required")
+        raise ValueError("exactly one of --settings or --optimize is required")
     _check_noise_flags(args, "--noise", args.noise)
     spec = TmsvSpec(args.xi)
     if args.noise == "detection":
@@ -228,20 +224,6 @@ def _csv_rows(result: SweepResult) -> list[str]:
     return [CSV_HEADER, *(_CSV_ROW % row for row in zip(*columns))]
 
 
-def _platform_string() -> str:
-    """``platform.platform()``, without its ``uname -p`` subprocess on Linux.
-
-    Linux's string is system-release-machine-with-libc; the processor
-    that ``platform.platform()`` reads from ``uname -p`` shows in it only
-    where it is neither the machine nor 'unknown'.
-    """
-    system = platform.system()
-    if system != "Linux":
-        return platform.platform()
-    parts = (system, platform.release(), platform.machine(), "with", "".join(platform.libc_ver()))
-    return "-".join(part for part in parts if part)
-
-
 def _exp_dispatch() -> str:
     """The SIMD target numpy's float64 ``exp`` dispatches to, or 'unknown' before numpy 2."""
     try:
@@ -266,15 +248,21 @@ def _openblas_core() -> str:
 def _environment() -> dict[str, str]:
     """The manifest's environment block: what a sweep's bits depend on.
 
+    The bits depend on the Python and numpy versions, on the system,
+    machine and C library (``platform``, which leaves out the kernel
+    release: no value moves with it), and on which math kernels run.
     numpy's ``exp`` dispatch target changes the last bits of a sweep's
     values on the same versions.  No sweep calls LAPACK, so the OpenBLAS
-    core does not change a sweep's bits; it changes those of ``validate``'s
-    Gauss-Hermite nodes (``hermgauss`` calls ``eigvalsh``).
+    core does not change a sweep's bits; it changes those of
+    ``validate``'s Gauss-Hermite nodes (``hermgauss`` calls
+    ``eigvalsh``).  The golden tests compare bytes only where this block
+    equals the recorded one.
     """
+    libc = "".join(platform.libc_ver())
     return {
         "python": platform.python_version(),
         "numpy": np.__version__,
-        "platform": _platform_string(),
+        "platform": "-".join(p for p in (platform.system(), platform.machine(), libc) if p),
         "exp_dispatch": _exp_dispatch(),
         "openblas_core": _openblas_core(),
     }
@@ -315,7 +303,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     try:
         result = sweep(spec, *grids)
     except MemoryError:
-        raise UsageError(f"a sweep of {math.prod(map(len, grids))} cells is too large") from None
+        raise ValueError(f"a sweep of {math.prod(map(len, grids))} cells is too large") from None
     wall_time_s = time.perf_counter() - started
 
     rows = _csv_rows(result)
@@ -402,7 +390,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         code = handlers[args.command](args)
         sys.stdout.flush()
         return code
-    except (UsageError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except BrokenPipeError:

@@ -20,8 +20,9 @@ to the bit.  Each cell reports its row's value at its row's point times
 its lift, so its report depends on its curve key alone.  A sweep keeps
 its cells as columns.
 
-``maximize_bell``, ``optimize_cells`` for one objective with the meta
-keys the benchmark reads, and ``grid_oracle``, an exhaustive real-axis
+``optimize_cells`` is exported, and ``eval --optimize`` calls it.
+``maximize_bell`` (``optimize_cells`` for one objective, with the meta
+keys the benchmark reads) and ``grid_oracle``, an exhaustive real-axis
 scan, are kept for ``perfbench``; no command calls them and the package
 does not export them.  Nothing here needs more than numpy.
 """

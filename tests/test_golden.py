@@ -1,17 +1,19 @@
 """Golden outputs: committed results that every change must reproduce.
 
 Each CLI case reruns one ``sweep`` or ``eval --optimize`` command through
-``cli.main`` and compares it with the files in ``tests/golden/``.  When
-the run's environment (Python, numpy, platform, numpy's ``exp``
-dispatch target and the OpenBLAS core) is the one the files were made
-in, the CSV and eval bytes must be equal and a sweep's manifest may
-differ only in ``wall_time_s``.  Elsewhere, every
-``bell_abs`` must agree within ``ABS_TOL`` and ``source``, ``violated``
-and ``clamped`` must be equal.  The validate case runs every self-check
-suite; in the recorded environment each suite's tolerance, residual
-count, residual bytes (as a SHA-256) and worst residual must be equal,
-and elsewhere every suite must pass.  A change that moves a value
-rewrites the files in the same commit, by hand::
+``cli.main`` and compares it with the files in ``tests/golden/``.  One
+rule picks every case's route: the exact one runs where
+``cli._environment()`` equals ``environment.json``, that is, on the
+Python, numpy, system, machine, C library, numpy ``exp`` dispatch target
+and OpenBLAS core the bits depend on (not the kernel release).  There
+the CSV and eval bytes must be equal and a sweep's manifest may differ
+only in ``wall_time_s``.  Elsewhere, the ``HOST_FREE`` columns must be
+equal and every ``bell_abs`` must agree within ``ABS_TOL``.  The
+validate case runs every self-check suite; on the exact route each
+suite's tolerance, residual count, residual bytes (as a SHA-256) and
+worst residual must be equal, and elsewhere every suite must pass.  A
+change that moves a value rewrites the files in the same commit, by
+hand::
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -39,6 +41,17 @@ GOLDEN = Path(__file__).parent / "golden"
 
 #: Largest |bell_abs| difference accepted from a different environment.
 ABS_TOL = 1e-12
+
+#: Columns no kernel choice moves: they come from ``linspace``,
+#: ``repeat``/``tile`` and an IEEE subtract or divide per cell, with no
+#: ``exp``.  They must be equal in any environment.
+HOST_FREE = ("axis1", "axis2", "nbar", "s_effective", "source", "violated", "clamped")
+
+RECORDED = json.loads((GOLDEN / "environment.json").read_text(encoding="utf-8"))
+
+#: The environment keys in which this run differs from the one the files
+#: were made in.  Every case takes the exact route where there is none.
+DIFFER = sorted({k for k, _ in cli._environment().items() ^ RECORDED.items()})
 
 _README_MAP = ["sweep", "--mode", "eta-s", "--eta", "0.3:1.0:36", "--s", "-1:0:21"]
 
@@ -99,11 +112,6 @@ def _validate_record() -> dict:
     return record
 
 
-def _recorded_environment() -> bool:
-    recorded = json.loads((GOLDEN / "environment.json").read_text(encoding="utf-8"))
-    return cli._environment() == recorded
-
-
 def _rows(data: bytes) -> list[dict]:
     return list(csv.DictReader(io.StringIO(data.decode())))
 
@@ -117,7 +125,7 @@ def _differences(got: list[dict], want: list[dict], exact: bool) -> list[str]:
         if exact:
             differ = sorted(k for k in w if g.get(k) != w[k])
         else:
-            differ = [k for k in ("source", "violated", "clamped") if g.get(k) != w[k]]
+            differ = [k for k in HOST_FREE if k in w and g.get(k) != w[k]]
             if not abs(float(g["bell_abs"]) - float(w["bell_abs"])) <= ABS_TOL:
                 differ.append("bell_abs")
         if differ:
@@ -132,6 +140,7 @@ def _eval_row(data: bytes) -> dict:
         "bell_abs": report["bell_abs"],
         "violated": report["violated"],
         "clamped": report["clamped"],
+        "s_effective": report["s_effective"],
         "source": report["meta"]["source"],
     }
 
@@ -147,9 +156,8 @@ def test_sweep_matches_golden(name, tmp_path):
     data, manifest = _run_sweep(name, tmp_path)
     want = gzip.decompress((GOLDEN / f"{name}.csv.gz").read_bytes())
     want_manifest = json.loads((GOLDEN / f"{name}.manifest.json").read_text(encoding="utf-8"))
-    exact = manifest["environment"] == want_manifest["environment"]
-    differences = _differences(_rows(data), _rows(want), exact)
-    if exact:
+    differences = _differences(_rows(data), _rows(want), exact=not DIFFER)
+    if not DIFFER:
         if data != want and not differences:
             differences.append("the CSV bytes differ outside the cells")
         manifest.pop("wall_time_s")
@@ -169,7 +177,7 @@ def test_eval_matches_golden(name):
     assert report["clamped"] is True
     assert report["meta"]["source"] == "curve"
     want = (GOLDEN / f"{name}.json").read_bytes()
-    if _recorded_environment():
+    if not DIFFER:
         got, golden = json.loads(data), json.loads(want)
         differences = [f"{k}: {got.get(k)!r} != {v!r}" for k, v in golden.items() if got.get(k) != v]
         if data != want and not differences:
@@ -180,7 +188,7 @@ def test_eval_matches_golden(name):
 
 
 def test_validate_matches_golden():
-    if _recorded_environment():
+    if not DIFFER:
         got = _validate_record()
         want = json.loads((GOLDEN / "validate.json").read_text(encoding="utf-8"))
         differences = [f"{n}: {got.get(n)} != {w}" for n, w in want.items() if got.get(n) != w]
@@ -191,19 +199,16 @@ def test_validate_matches_golden():
 
 
 def test_exact_route_is_taken_where_the_files_were_made():
-    # Every golden manifest names the recorded environment, so the sweeps
-    # and the evals take the same route; on the host that made the files
-    # that route is the exact one, and it knows both kernel keys.
-    recorded = json.loads((GOLDEN / "environment.json").read_text(encoding="utf-8"))
+    # Every golden manifest names the recorded environment, so the one
+    # route rule holds for the files themselves; on the host that made
+    # them that route is the exact one, and it knows both kernel keys.
     for name in SWEEPS:
         manifest = json.loads((GOLDEN / f"{name}.manifest.json").read_text(encoding="utf-8"))
-        assert manifest["environment"] == recorded
-    assert {"exp_dispatch", "openblas_core"} <= set(recorded)
-    here = cli._environment()
-    differ = sorted(k for k in recorded if here.get(k) != recorded[k])
-    if differ:
-        pytest.skip(f"not the recorded environment: {', '.join(differ)} differ")
-    assert "unknown" not in recorded.values()
+        assert manifest["environment"] == RECORDED
+    assert {"exp_dispatch", "openblas_core"} <= set(RECORDED)
+    if DIFFER:
+        pytest.skip(f"not the recorded environment: {', '.join(DIFFER)} differ")
+    assert "unknown" not in RECORDED.values()
 
 
 def _timeless(manifest: dict) -> dict:
@@ -216,7 +221,6 @@ def regenerate() -> None:
     A sweep manifest is rewritten only when a key other than
     ``wall_time_s`` changed, so a rerun leaves the unchanged ones alone.
     """
-    GOLDEN.mkdir(exist_ok=True)
     with tempfile.TemporaryDirectory() as tmp:
         for name in SWEEPS:
             data, manifest = _run_sweep(name, Path(tmp))
